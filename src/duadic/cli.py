@@ -1,7 +1,7 @@
 """Command-line frontend: existence scans, code construction, and verification
 suites, with a deterministic JSON report format.
 
-Exit codes: 0 ok, 1 usage error, 2 no splitting, 3 verification failure.
+Exit codes: 0 ok, 1 usage error, 2 no splitting, 3 verification failure, 130 interrupted.
 """
 
 from __future__ import annotations
@@ -15,14 +15,12 @@ from dataclasses import asdict, dataclass, fields as dataclass_fields
 from pathlib import Path
 
 from .algebra import AlgebraElement
-from .codes import DEFAULT_ENUM_CAP, odd_like_min_weight
+from .codes import DEFAULT_ENUM_CAP
 from .duadic import (
+    DuadicCodes,
     DuadicPair,
     check_splitting,
-    classify_duality,
     construct_pairs,
-    duadic_codes,
-    odd_like_bound,
     product_duadic,
     splitting_exists_mu_minus1,
 )
@@ -45,12 +43,13 @@ from .groups import (
     product_antiauto,
     read_cayley_file,
 )
-from .quantum import DistanceRecord, css_build, css_distance, degeneracy_report
+from .quantum import CssCode, PairAnalysis, analyze_pair
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NO_SPLITTING = 2
 EXIT_VERIFY_FAILED = 3
+EXIT_INTERRUPTED = 130
 
 
 # ---------------------------------------------------------------------------
@@ -183,59 +182,35 @@ def _pair_dict(pair: DuadicPair) -> dict:
     }
 
 
-def _analyze_pair(pair: DuadicPair, cap: int) -> tuple[dict, dict, list, dict, dict]:
-    codes = duadic_codes(pair)
-    dims = {"c_e": codes.c_e.k, "c_f": codes.c_f.k, "d_e": codes.d_e.k, "d_f": codes.d_f.k}
-    duality = classify_duality(pair, codes)
-    duality_d = {
-        "case": duality.case,
-        "verified": duality.verified,
-        "equalities": [[name, ok] for name, ok in duality.equalities],
-    }
-    bound_type, bound_value = odd_like_bound(pair)
-    distances = []
-    for side in ("e", "f"):
-        even = codes.c_e if side == "e" else codes.c_f
-        size = pair.field.q**even.k * (pair.field.q - 1)
-        if size <= cap:
-            value, _ = odd_like_min_weight(codes, side, cap)
-            distances.append(
-                {
-                    "name": f"odd_like_d_{side}",
-                    "value": value,
-                    "exact": True,
-                    "provenance": "coset-enumeration",
-                }
-            )
-        else:
-            distances.append(
-                {
-                    "name": f"odd_like_d_{side}",
-                    "value": bound_value,
-                    "exact": False,
-                    "provenance": f"odd-like-{bound_type}-bound",
-                }
-            )
-    fallback = DistanceRecord(bound_value, False, f"odd-like-{bound_type}-bound")
-    css = css_build(codes.c_e, codes.d_e, witnesses=pair.witnesses, pair=pair)
-    css.distance = css_distance(css, cap=cap, fallback=fallback)
-    quantum_d = {
-        "n": css.n,
-        "k": css.k,
-        "d": css.distance.value,
-        "exact": css.distance.exact,
-        "provenance": css.distance.provenance,
-        "params": css.params(),
-    }
-    deg = degeneracy_report(css, cap=cap)
-    degeneracy_d = {
-        "degenerate": deg.degenerate,
-        "sides": [
-            {"side": s.side, "exact": s.exact, "counts": [[w, c] for w, c in s.counts]}
-            for s in deg.sides
+def _analysis_fields(analysis: PairAnalysis) -> dict:
+    codes, css, duality = analysis.codes, analysis.css, analysis.duality
+    return {
+        "dims": {"c_e": codes.c_e.k, "c_f": codes.c_f.k, "d_e": codes.d_e.k, "d_f": codes.d_f.k},
+        "duality": {
+            "case": duality.case,
+            "verified": duality.verified,
+            "equalities": [[name, ok] for name, ok in duality.equalities],
+        },
+        "distances": [
+            {"name": f"odd_like_d_{side}", **asdict(record)}
+            for side, record in zip("ef", analysis.odd_like)
         ],
+        "quantum": {
+            "n": css.n,
+            "k": css.k,
+            "d": css.distance.value,
+            "exact": css.distance.exact,
+            "provenance": css.distance.provenance,
+            "params": css.params(),
+        },
+        "degeneracy": {
+            "degenerate": analysis.degeneracy.degenerate,
+            "sides": [
+                {"side": s.side, "exact": s.exact, "counts": [[w, c] for w, c in s.counts]}
+                for s in analysis.degeneracy.sides
+            ],
+        },
     }
-    return dims, duality_d, distances, quantum_d, degeneracy_d
 
 
 # ---------------------------------------------------------------------------
@@ -260,10 +235,7 @@ def cmd_scan(args) -> tuple[int, list[CodeReport]]:
                 continue
             start = time.perf_counter()
             field = field_from_order(q)
-            try:
-                mu = parse_mu_spec(args.mu, group, q)
-            except ValueError:
-                continue
+            mu = parse_mu_spec(args.mu, group, q)
             check = check_splitting(mu, field, group)
             report = CodeReport(
                 group=label,
@@ -280,6 +252,8 @@ def cmd_construct(args) -> tuple[int, list[CodeReport]]:
     q = args.q
     field = field_from_order(q)
     cap = args.max_enum
+    if cap < 1:
+        raise ValueError(f"--max-enum must be at least 1, got {cap}")
     start = time.perf_counter()
     if args.product:
         if "," not in args.group:
@@ -310,22 +284,18 @@ def cmd_construct(args) -> tuple[int, list[CodeReport]]:
         if not pairs:
             raise NoSplittingError("the trivial group carries no duadic pairs")
         pair = pairs[0]
-    dims, duality_d, distances, quantum_d, degeneracy_d = _analyze_pair(pair, cap)
+    analysis = analyze_pair(pair, cap)
     report = CodeReport(
         group=args.group,
         q=q,
         mu=args.mu,
         existence=existence,
         pairs=[_pair_dict(p) for p in pairs],
-        dims=dims,
-        duality=duality_d,
-        distances=distances,
-        quantum=quantum_d,
-        degeneracy=degeneracy_d,
+        **_analysis_fields(analysis),
         timing_ms=(time.perf_counter() - start) * 1e3,
     )
     if args.emit_matrices:
-        _emit_matrices(Path(args.emit_matrices), pair, cap)
+        _emit_matrices(Path(args.emit_matrices), analysis.codes, analysis.css)
     return EXIT_OK, [report]
 
 
@@ -339,10 +309,8 @@ def _no_splitting_message(group: Group, q: int, mu: Antiautomorphism, check) -> 
     return "; ".join(parts)
 
 
-def _emit_matrices(directory: Path, pair: DuadicPair, cap: int) -> None:
+def _emit_matrices(directory: Path, codes: DuadicCodes, css: CssCode) -> None:
     directory.mkdir(parents=True, exist_ok=True)
-    codes = duadic_codes(pair)
-    css = css_build(codes.c_e, codes.d_e, witnesses=pair.witnesses, pair=pair)
     named = {
         "c_e.mat": codes.c_e.gen,
         "c_f.mat": codes.c_f.gen,
@@ -351,7 +319,7 @@ def _emit_matrices(directory: Path, pair: DuadicPair, cap: int) -> None:
         "x_stabilizers.mat": css.x_stabilizers,
         "z_stabilizers.mat": css.z_stabilizers,
     }
-    q = pair.field.q
+    q = css.field.q
     for name, mat in named.items():
         lines = [f"# {mat.shape[0]} x {mat.shape[1]} over GF({q})"]
         for row in mat:
@@ -424,21 +392,18 @@ def _suite_structure(log) -> bool:
         field = field_from_order(q)
         group = cyclic_group(n)
         mu = builtin_mu_minus1(group)
-        pair = construct_pairs(mu, field, group)[0]
-        codes = duadic_codes(pair)
-        duality = classify_duality(pair, codes)
-        good = duality.verified
-        bound_type, bound_value = odd_like_bound(pair)
-        if field.q**codes.c_e.k * (field.q - 1) <= 1 << 16:
-            d_o, _ = odd_like_min_weight(codes, "e")
-            good &= d_o >= bound_value
+        analysis = analyze_pair(construct_pairs(mu, field, group)[0], cap=1 << 16)
+        good = analysis.duality.verified
+        d_e = analysis.odd_like[0]
+        if d_e.exact:
+            good &= d_e.value >= analysis.bound[1]
         ok &= good
         if not good:
             log(f"FAIL structure n={n} q={q}")
     z33 = group_abelian([3, 3])
     f2 = field_from_order(2)
     pair9 = construct_pairs(builtin_mu_swap(z33, 2), f2, z33)[0]
-    rep9 = classify_duality(pair9)
+    rep9 = analyze_pair(pair9).duality
     ok &= rep9.case == "ii" and rep9.verified
     log(f"{'PASS' if ok else 'FAIL'} structure: dims, inclusions, duality, bounds")
     return ok
@@ -463,18 +428,12 @@ def _suite_paper81(log) -> bool:
         return False
     ok &= pair1.fixed_by_mu_minus1
     product = product_duadic(pair1, pair2)
-    codes = duadic_codes(product)
-    ok &= (codes.c_e.k, codes.d_e.k) == (40, 41)
+    analysis = analyze_pair(product)
+    ok &= (analysis.codes.c_e.k, analysis.codes.d_e.k) == (40, 41)
     ok &= any(w.weight() == 4 for w in product.witnesses)
-    bound_type, bound_value = odd_like_bound(product)
-    ok &= (bound_type, bound_value) == ("square", 9)
-    css = css_build(codes.c_e, codes.d_e, witnesses=product.witnesses, pair=product)
-    css.distance = css_distance(
-        css, cap=DEFAULT_ENUM_CAP, fallback=DistanceRecord(bound_value, False, "odd-like-square-bound")
-    )
-    ok &= css.params() == "[[81,1,>=9]]_2" and not css.distance.exact
-    deg = degeneracy_report(css)
-    ok &= deg.degenerate
+    ok &= analysis.bound == ("square", 9)
+    ok &= analysis.css.params() == "[[81,1,>=9]]_2" and not analysis.css.distance.exact
+    ok &= analysis.degeneracy.degenerate
     log(f"{'PASS' if ok else 'FAIL'} paper-81: product pair, dims 40/41, weight-4 witness, [[81,1,>=9]]_2")
     return ok
 
@@ -627,6 +586,9 @@ def main(argv=None) -> int:
     except (ValueError, CayleyFormatError, EnumerationCapError, OSError) as exc:
         print(f"duadic: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except KeyboardInterrupt:
+        print("duadic: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -16,7 +16,6 @@ from string import ascii_lowercase
 import numpy as np
 
 from .errors import CayleyFormatError
-from .gf import multiplicative_order_mod
 
 GROUP_ORDER_CAP = 512
 
@@ -593,8 +592,3 @@ def parse_permutation_text(text: str, group: Group, descriptor: str = "") -> Ant
         except ValueError:
             raise CayleyFormatError(f"expected Frobenius power, got {ln!r}", line=no) from None
     return Antiautomorphism(group, perm, t, descriptor=descriptor or "perm")
-
-
-def ord_criterion_mu_minus1(n: int, q: int) -> bool:
-    """The number-theoretic existence test: ord_n(q) odd."""
-    return multiplicative_order_mod(q, n) % 2 == 1

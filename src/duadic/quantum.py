@@ -14,10 +14,12 @@ from .codes import (
     _combination_table,
     coset_min_weight,
     dual,
+    odd_like_min_weight,
     subcode_check,
     weight_distribution,
 )
-from .duadic import DuadicPair, construct_pairs, duadic_codes, odd_like_bound
+from .duadic import DuadicCodes, DuadicPair, DualityReport, classify_duality
+from .duadic import construct_pairs, duadic_codes, odd_like_bound
 from .errors import EnumerationCapError, NoSplittingError, VerificationError
 from .gf import FiniteField
 from .groups import Antiautomorphism, Group
@@ -159,13 +161,7 @@ def quantum_duadic(
     pairs = construct_pairs(mu, field, group, mode="canonical")
     if not pairs:
         raise NoSplittingError("the trivial group carries no duadic pairs")
-    pair = pairs[0]
-    codes = duadic_codes(pair)
-    bound_type, bound_d = odd_like_bound(pair)
-    fallback = DistanceRecord(bound_d, False, f"odd-like-{bound_type}-bound")
-    code = css_build(codes.c_e, codes.d_e, witnesses=pair.witnesses, pair=pair)
-    code.distance = css_distance(code, cap=cap, fallback=fallback)
-    return code
+    return analyze_pair(pairs[0], cap).css
 
 
 @dataclass(frozen=True)
@@ -220,3 +216,39 @@ def degeneracy_report(code: CssCode, cap: int = DEFAULT_ENUM_CAP) -> DegeneracyR
         if sides[-1].counts:
             degenerate = True
     return DegeneracyReport(degenerate, code.distance, tuple(sides))
+
+
+@dataclass(frozen=True)
+class PairAnalysis:
+    """Everything reported for one duadic pair."""
+
+    codes: DuadicCodes
+    duality: DualityReport
+    bound: tuple[str, int]  # (bound type, smallest weight meeting it)
+    odd_like: tuple[DistanceRecord, DistanceRecord]  # odd-like minimum weights of D_e, D_f
+    css: CssCode  # on (C_e, D_e), with its distance record
+    degeneracy: DegeneracyReport
+
+
+def analyze_pair(pair: DuadicPair, cap: int = DEFAULT_ENUM_CAP) -> PairAnalysis:
+    """Codes, duality, odd-like and CSS distances, and degeneracy of one pair.
+
+    Each distance is exact when its enumeration fits in cap words and the
+    odd-like bound of the pair otherwise.
+    """
+    codes = duadic_codes(pair)
+    duality = classify_duality(pair, codes)
+    bound_type, bound_d = odd_like_bound(pair)
+    fallback = DistanceRecord(bound_d, False, f"odd-like-{bound_type}-bound")
+    q = pair.field.q
+    odd_like = []
+    for side, even in (("e", codes.c_e), ("f", codes.c_f)):
+        if q**even.k * (q - 1) <= cap:
+            d, _ = odd_like_min_weight(codes, side, cap)
+            odd_like.append(DistanceRecord(d, True, "coset-enumeration"))
+        else:
+            odd_like.append(fallback)
+    css = css_build(codes.c_e, codes.d_e, witnesses=pair.witnesses, pair=pair)
+    css.distance = css_distance(css, cap=cap, fallback=fallback)
+    degeneracy = degeneracy_report(css, cap=cap)
+    return PairAnalysis(codes, duality, (bound_type, bound_d), tuple(odd_like), css, degeneracy)

@@ -6,7 +6,9 @@ import json
 
 import pytest
 
+from duadic import cli
 from duadic.cli import (
+    EXIT_INTERRUPTED,
     EXIT_NO_SPLITTING,
     EXIT_OK,
     EXIT_USAGE,
@@ -93,6 +95,20 @@ class TestScan:
         assert main(["scan", "--n", "7-7", "--q", "2"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "group" in out and "yes" in out
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--mu", "bogus"], "bad mu spec 'bogus'"),
+            (["--family", "cyclic", "--mu", "swap"], "Z_p x Z_p"),
+        ],
+    )
+    def test_bad_mu_is_usage_error_not_dropped_cells(self, capsys, argv, message):
+        assert main(["scan", *argv, "--json"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("duadic: error: ") and message in captured.err
+        assert captured.err.count("\n") == 1
 
 
 class TestConstruct:
@@ -181,6 +197,39 @@ class TestConstruct:
         assert all(not d["exact"] for d in row["distances"])
         assert row["quantum"]["exact"] is False
         assert row["quantum"]["d"] == 6  # smallest d with d^2 - d + 1 >= 23
+
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_max_enum_below_one_rejected(self, capsys, cap):
+        argv = ["construct", "--group", "7", "--q", "2", "--mu", "mu-1", "--max-enum", cap]
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"duadic: error: --max-enum must be at least 1, got {cap}\n"
+
+    @pytest.mark.parametrize(
+        "group,q,mu,cap,odd_like_exact",
+        [
+            # q^k = 3^6 = 729 <= 1000 < 1458 = 3^6 * 2 odd-like words
+            ("13", "3", "mu-1", "1000", False),
+            # case ii: 5^4 * 4 = 2500 odd-like words <= 3000 < 5000 for both CSS differences
+            ("3x3", "5", "swap", "3000", True),
+        ],
+    )
+    def test_max_enum_bands(self, capsys, group, q, mu, cap, odd_like_exact):
+        argv = ["construct", "--group", group, "--q", q, "--mu", mu, "--max-enum", cap, "--json"]
+        assert main(argv) == EXIT_OK
+        (row,) = json.loads(capsys.readouterr().out)
+        assert [d["exact"] for d in row["distances"]] == [odd_like_exact, odd_like_exact]
+        assert row["quantum"]["exact"] is False
+        assert [s["exact"] for s in row["degeneracy"]["sides"]] == [True, True]
+
+    def test_keyboard_interrupt_exit_130(self, capsys, monkeypatch):
+        def interrupted(args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "cmd_construct", interrupted)
+        assert main(["construct", "--group", "7", "--q", "2", "--mu", "mu-1"]) == EXIT_INTERRUPTED == 130
+        assert capsys.readouterr().err == "duadic: interrupted\n"
 
 
 class TestJsonRoundTrip:

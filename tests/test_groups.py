@@ -18,7 +18,6 @@ from duadic.groups import (
     group_product,
     is_subgroup,
     mu_action_on_class,
-    ord_criterion_mu_minus1,
     parse_cayley_text,
     parse_permutation_text,
     product_antiauto,
@@ -318,8 +317,3 @@ class TestTextFormats:
         assert np.array_equal(mu.mu_star, g.inverse)
         with pytest.raises(CayleyFormatError, match="order 5"):
             parse_permutation_text("5\n0 1 2 3 4\n", g)
-
-
-def test_ord_criterion():
-    assert ord_criterion_mu_minus1(7, 2)
-    assert not ord_criterion_mu_minus1(9, 2)

@@ -2,17 +2,27 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from duadic import _linalg
-from duadic.codes import LinearCode, dual
-from duadic.duadic import construct_pairs, duadic_codes, product_duadic
+from duadic.codes import LinearCode, dual, odd_like_min_weight, weight_distribution
+from duadic.duadic import (
+    check_splitting,
+    classify_duality,
+    construct_pairs,
+    duadic_codes,
+    odd_like_bound,
+    product_duadic,
+)
 from duadic.errors import EnumerationCapError, NoSplittingError
 from duadic.gf import field_from_order
 from duadic.groups import builtin_mu_minus1, builtin_mu_swap, cyclic_group, group_abelian
 from duadic.quantum import (
     DistanceRecord,
+    analyze_pair,
     css_build,
     css_distance,
     degeneracy_report,
@@ -188,3 +198,98 @@ class TestDegeneracy:
         code = css_build(codes.c_e, codes.d_e)
         with pytest.raises(ValueError, match="distance"):
             degeneracy_report(code)
+
+
+def _enumerable_cells():
+    """(group, q, mu) cells with a splitting and q^((n+1)/2) <= 2^16: cyclic
+    groups with mu_-1 (duality case i) and Z_p x Z_p with mu_-1 or the swap
+    map (case ii)."""
+    qs = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
+    specs = [(cyclic_group(n), "mu-1") for n in range(3, 32, 2)]
+    specs += [(group_abelian([p, p]), mu) for p in (3, 5) for mu in ("mu-1", "swap")]
+    for group, mu_name in specs:
+        for q in qs:
+            if math.gcd(group.order, q) != 1 or q ** ((group.order + 1) // 2) > 1 << 16:
+                continue
+            mu = builtin_mu_minus1(group) if mu_name == "mu-1" else builtin_mu_swap(group, q)
+            field = field_from_order(q)
+            if check_splitting(mu, field, group).ok:
+                yield pytest.param(field, group, mu, id=f"{group.descriptor}-q{q}-{mu_name}")
+
+
+def macwilliams(dist: np.ndarray, q: int, k: int) -> list[int]:
+    """Weight distribution of the dual of a q-ary [n, k] code with distribution dist."""
+    n = len(dist) - 1
+
+    def krawtchouk(j: int, i: int) -> int:
+        return sum(
+            (-1) ** s * (q - 1) ** (j - s) * math.comb(i, s) * math.comb(n - i, j - s)
+            for s in range(j + 1)
+        )
+
+    out = []
+    for j in range(n + 1):
+        total = sum(int(dist[i]) * krawtchouk(j, i) for i in range(n + 1))
+        assert total % q**k == 0
+        out.append(total // q**k)
+    return out
+
+
+class TestAnalyzePair:
+    @pytest.mark.parametrize("field,group,mu", _enumerable_cells())
+    def test_matches_generic_oracles(self, field, group, mu):
+        pairs = construct_pairs(mu, field, group) + construct_pairs(mu, field, group, mode="enumerate-all")
+        cases = set()
+        for pair in pairs:
+            analysis = analyze_pair(pair)
+            codes = duadic_codes(pair)
+            cases.add(analysis.duality.case)
+            assert analysis.duality == classify_duality(pair, codes)
+            assert analysis.bound == odd_like_bound(pair)
+            for side, record in zip("ef", analysis.odd_like):
+                assert record == DistanceRecord(odd_like_min_weight(codes, side)[0], True, "coset-enumeration")
+            code = css_build(codes.c_e, codes.d_e, witnesses=pair.witnesses, pair=pair)
+            code.distance = css_distance(code)
+            assert analysis.css.distance == code.distance
+            assert analysis.css.params() == code.params()
+            assert analysis.degeneracy == degeneracy_report(code)
+            a_ce = weight_distribution(codes.c_e)
+            assert macwilliams(a_ce, field.q, codes.c_e.k) == list(weight_distribution(codes.d_e))
+        assert cases == ({"i"} if mu.is_inversion_for(field) else {"ii"})
+
+    @pytest.mark.parametrize(
+        "group,q,mu_name,cap",
+        [
+            (cyclic_group(13), 3, "mu-1", 1000),  # degeneracy exact, distances bound
+            (group_abelian([3, 3]), 5, "swap", 3000),  # odd-like exact, quantum d bound
+            (cyclic_group(23), 2, "mu-1", 100),  # everything bound
+        ],
+    )
+    def test_cap_bands_match_generic_cap_rules(self, group, q, mu_name, cap):
+        field = field_from_order(q)
+        mu = builtin_mu_minus1(group) if mu_name == "mu-1" else builtin_mu_swap(group, q)
+        pair = construct_pairs(mu, field, group)[0]
+        analysis = analyze_pair(pair, cap)
+        codes = duadic_codes(pair)
+        bound_type, bound_d = odd_like_bound(pair)
+        fallback = DistanceRecord(bound_d, False, f"odd-like-{bound_type}-bound")
+        for side, record in zip("ef", analysis.odd_like):
+            try:
+                odd = DistanceRecord(odd_like_min_weight(codes, side, cap)[0], True, "coset-enumeration")
+            except EnumerationCapError:
+                odd = fallback
+            assert record == odd
+        code = css_build(codes.c_e, codes.d_e, witnesses=pair.witnesses, pair=pair)
+        code.distance = css_distance(code, cap=cap, fallback=fallback)
+        assert analysis.css.distance == code.distance
+        assert analysis.degeneracy == degeneracy_report(code, cap=cap)
+
+    def test_order81_product_all_bounds(self, f2):
+        g = group_abelian([3, 3])
+        pair = construct_pairs(builtin_mu_swap(g, 2), f2, g)[0]
+        analysis = analyze_pair(product_duadic(pair, pair))
+        assert analysis.css.params() == "[[81,1,>=9]]_2"
+        assert analysis.odd_like == (analysis.css.distance,) * 2
+        assert analysis.degeneracy == degeneracy_report(analysis.css)
+        assert analysis.degeneracy.degenerate
+        assert not any(side.exact for side in analysis.degeneracy.sides)
