@@ -43,7 +43,7 @@ from .groups import (
     product_antiauto,
     read_cayley_file,
 )
-from .quantum import CssCode, PairAnalysis, analyze_pair
+from .quantum import CssCode, DistanceRecord, PairAnalysis, analyze_pair
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -157,8 +157,17 @@ def _parse_range(text: str) -> list[int]:
     """`3-45` inclusive range or a comma list."""
     if "-" in text:
         lo, hi = text.split("-", 1)
+        if int(lo) > int(hi):
+            raise ValueError(f"reversed range {text!r}: the lower end comes first")
         return list(range(int(lo), int(hi) + 1))
     return _parse_int_list(text)
+
+
+def _odd_order(group: Group) -> Group:
+    """The group itself; duadic codes have odd length, so an even order is a usage error."""
+    if group.order % 2 == 0:
+        raise ValueError(f"group {group.descriptor} has even order {group.order}; duadic codes need odd order")
+    return group
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +235,7 @@ def cmd_scan(args) -> tuple[int, list[CodeReport]]:
         groups = [(str(n), cyclic_group(n)) for n in ns]
     elif args.family == "pxp":
         ps = _parse_int_list(args.p)
-        groups = [(f"{p}x{p}", group_abelian([p, p])) for p in ps]
+        groups = [(f"{p}x{p}", _odd_order(group_abelian([p, p]))) for p in ps]
     else:
         raise ValueError(f"unknown family {args.family!r}")
     for label, group in groups:
@@ -263,7 +272,7 @@ def cmd_construct(args) -> tuple[int, list[CodeReport]]:
             mu_left, mu_right = args.mu.split("*", 1)
         else:
             mu_left = mu_right = args.mu
-        g1, g2 = parse_group_spec(left_spec), parse_group_spec(right_spec)
+        g1, g2 = _odd_order(parse_group_spec(left_spec)), _odd_order(parse_group_spec(right_spec))
         mu1, mu2 = parse_mu_spec(mu_left, g1, q), parse_mu_spec(mu_right, g2, q)
         pair1 = construct_pairs(mu1, field, g1, mode="canonical")[0]
         pair2 = construct_pairs(mu2, field, g2, mode="canonical")[0]
@@ -273,7 +282,7 @@ def cmd_construct(args) -> tuple[int, list[CodeReport]]:
         existence = {"class_criterion": True, "ord_criterion": None, "agree": None}
         pairs = [pair]
     else:
-        group = parse_group_spec(args.group)
+        group = _odd_order(parse_group_spec(args.group))
         mu = parse_mu_spec(args.mu, group, q)
         check = check_splitting(mu, field, group)
         existence = _existence_fields(group, q, mu, check.ok)
@@ -492,11 +501,10 @@ def _print_construct_report(r: CodeReport) -> None:
     if r.duality:
         print(f"duality: case {r.duality['case']} verified={r.duality['verified']}")
     for row in r.distances or []:
-        tag = "exact" if row["exact"] else "lower-bound"
-        print(f"{row['name']}: {row['value']} ({tag}, {row['provenance']})")
+        print(f"{row['name']}: {DistanceRecord(row['value'], row['exact'], row['provenance'])}")
     if r.quantum:
-        tag = "exact" if r.quantum["exact"] else "lower-bound"
-        print(f"quantum: {r.quantum['params']} d={r.quantum['d']} ({tag}, {r.quantum['provenance']})")
+        record = DistanceRecord(r.quantum["d"], r.quantum["exact"], r.quantum["provenance"])
+        print(f"quantum: {r.quantum['params']} d={record}")
     if r.degeneracy:
         print(f"degenerate: {r.degeneracy['degenerate']}")
         for side in r.degeneracy["sides"]:

@@ -4,9 +4,15 @@ Euclidean duals, and exhaustive weight computations.
 Generator matrices are kept in RREF (leftmost pivots, monic, eliminated above
 and below), so two codes are equal iff their matrices are equal.  Coordinates
 are indexed by group element id for ideal-generated codes.
+
+Exhaustive enumeration splits each coset word into head + tail; the word is
+zero at j exactly where tail[j] == -head[j], so weights come from comparing
+field indexes, with no field addition per word.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -18,9 +24,10 @@ from .groups import builtin_mu_minus1
 
 DEFAULT_ENUM_CAP = 1 << 24
 
-# block-table exponent: cosets are enumerated in vectorized blocks of up to
-# q^t words with q^t bounded by this
+# coset enumeration: a tail table of q^t <= _BLOCK_WORDS words, and chunks
+# of at most _CHUNK_CELLS (head, tail word, coordinate) comparisons
 _BLOCK_WORDS = 1 << 14
+_CHUNK_CELLS = 1 << 21
 
 
 class LinearCode:
@@ -104,39 +111,35 @@ def _combination_table(field: FiniteField, rows: np.ndarray, n: int) -> np.ndarr
     """All q^len(rows) combinations of the given rows, in message-rank order."""
     table = np.zeros((1, n), dtype=np.int64)
     for r in rows:
-        parts = [field.vadd(table, field.vmul(np.int64(c), r.reshape(1, -1))) for c in range(field.q)]
-        table = np.vstack(parts)
+        multiples = field.vmul(np.arange(field.q, dtype=np.int64)[:, None], r.reshape(1, -1))
+        table = field.vadd(multiples[:, None], table[None]).reshape(-1, n)
     return table
 
 
-def _coset_blocks(field: FiniteField, gen: np.ndarray, offset: np.ndarray):
-    """Yield blocks of codewords offset + span(gen), covering each word once."""
-    k, n = gen.shape if gen.size else (0, len(offset))
-    q = field.q
-    t = 0
-    while t < k and q ** (t + 1) <= _BLOCK_WORDS:
-        t += 1
-    block = _combination_table(field, gen[k - t :] if k else gen, n)
-    prefix_rows = gen[: k - t]
-    kp = k - t
-    if kp == 0:
-        yield field.vadd(offset.reshape(1, -1), block)
-        return
-    digits = [0] * kp
-    partial = [offset] * (kp + 1)
-    yield field.vadd(partial[kp].reshape(1, -1), block)
-    while True:
-        i = kp - 1
-        while i >= 0 and digits[i] == q - 1:
-            digits[i] = 0
-            i -= 1
-        if i < 0:
-            return
-        digits[i] += 1
-        partial[i + 1] = field.vadd(partial[i], field.vmul(np.int64(digits[i]), prefix_rows[i]))
-        for j in range(i + 1, kp):
-            partial[j + 1] = partial[j]
-        yield field.vadd(partial[kp].reshape(1, -1), block)
+def _coset_chunks(field: FiniteField, gen: np.ndarray, offset: np.ndarray):
+    """Cover offset + span(gen) once, in chunks of words head + tail.
+
+    Yields (neg_heads, tail, weights), weights[i, j] being the Hamming weight
+    of tail[j] - neg_heads[i].  The tail spans the last t rows (q^t <=
+    _BLOCK_WORDS), the heads offset + the other rows in odometer order.
+    """
+    n, q = len(offset), field.q
+    gen = np.asarray(gen, dtype=np.int64).reshape(-1, n)
+    k = len(gen)
+    t = max(i for i in range(k + 1) if q**i <= _BLOCK_WORDS)
+    s = max(i for i in range(k - t + 1) if i == 0 or q ** (i + t) * n <= _CHUNK_CELLS)
+    tail = _combination_table(field, gen[k - t :], n)
+    neg_table = field.vneg(_combination_table(field, gen[k - t - s : k - t][::-1], n))
+    index_type = np.min_scalar_type(q - 1)
+    tail_t = np.ascontiguousarray(tail.T, dtype=index_type)
+    outer = gen[: k - t - s]
+    for message in itertools.product(range(q), repeat=len(outer)):
+        scaled = field.vmul(np.array(message, dtype=np.int64)[:, None], outer)
+        base = field.vsum(np.vstack([offset, scaled]), axis=0)
+        neg_heads = field.vsub(neg_table, base).astype(index_type)
+        differ = tail_t[None] != neg_heads[:, :, None]
+        # the weight type leaves room for the skip value n + 1 of the zero word
+        yield neg_heads, tail, differ.view(np.uint8).sum(axis=1, dtype=np.min_scalar_type(n + 1))
 
 
 def coset_min_weight(field: FiniteField, gen: np.ndarray, offset: np.ndarray) -> tuple[int, np.ndarray]:
@@ -144,18 +147,16 @@ def coset_min_weight(field: FiniteField, gen: np.ndarray, offset: np.ndarray) ->
 
     The zero word (present only when the offset lies in the span) is skipped.
     """
-    best = None
-    witness = None
-    for block in _coset_blocks(field, gen, offset):
-        weights = np.count_nonzero(block, axis=1)
-        nz = np.nonzero(weights)[0]
-        if nz.size == 0:
-            continue
-        i = nz[np.argmin(weights[nz])]
-        if best is None or weights[i] < best:
-            best = int(weights[i])
-            witness = block[i].copy()
-    if best is None:
+    n = len(offset)
+    best, witness = n + 1, None
+    for neg_heads, tail, weights in _coset_chunks(field, gen, offset):
+        flat = weights.ravel()
+        flat[flat == 0] = n + 1
+        i = int(flat.argmin())
+        if flat[i] < best:
+            head, j = divmod(i, len(tail))
+            best, witness = int(flat[i]), field.vsub(tail[j], neg_heads[head])
+    if best > n:
         raise ValueError("coset contains only the zero word")
     return best, witness
 
@@ -177,10 +178,8 @@ def weight_distribution(code: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> np.nda
     if size > cap:
         raise EnumerationCapError(f"q^k = {size} exceeds the cap {cap}")
     counts = np.zeros(code.n + 1, dtype=np.int64)
-    zero = np.zeros(code.n, dtype=np.int64)
-    for block in _coset_blocks(code.field, code.gen, zero):
-        weights = np.count_nonzero(block, axis=1)
-        counts += np.bincount(weights, minlength=code.n + 1)
+    for _, _, weights in _coset_chunks(code.field, code.gen, np.zeros(code.n, dtype=np.int64)):
+        counts += np.bincount(weights.ravel(), minlength=code.n + 1)
     return counts
 
 

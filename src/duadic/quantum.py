@@ -36,6 +36,9 @@ class DistanceRecord:
     def tag(self) -> str:
         return "exact" if self.exact else "lower-bound"
 
+    def __str__(self) -> str:
+        return f"{self.value} ({self.tag()}, {self.provenance})"
+
 
 class CssCode:
     """An [[n, k, d]]_q stabilizer code built from classical codes C inside D.

@@ -9,13 +9,22 @@ an independent route for cross-checking results.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from duadic.algebra import AlgebraElement
-from duadic.gf import field_make
-from duadic.groups import Group, group_from_cayley
+from duadic.duadic import check_splitting
+from duadic.gf import field_from_order, field_make
+from duadic.groups import (
+    Group,
+    builtin_mu_minus1,
+    builtin_mu_swap,
+    cyclic_group,
+    group_abelian,
+    group_from_cayley,
+)
 
 
 def frobenius21_table() -> np.ndarray:
@@ -115,3 +124,37 @@ def naive_min_weight(field, gen) -> int:
         if w and (best is None or w < best):
             best = w
     return best
+
+
+def macwilliams(dist: np.ndarray, q: int, k: int) -> list[int]:
+    """Weight distribution of the dual of a q-ary [n, k] code with distribution dist."""
+    n = len(dist) - 1
+
+    def krawtchouk(j: int, i: int) -> int:
+        return sum(
+            (-1) ** s * (q - 1) ** (j - s) * math.comb(i, s) * math.comb(n - i, j - s)
+            for s in range(j + 1)
+        )
+
+    out = []
+    for j in range(n + 1):
+        total = sum(int(dist[i]) * krawtchouk(j, i) for i in range(n + 1))
+        assert total % q**k == 0
+        out.append(total // q**k)
+    return out
+
+
+def enumerable_cells(qs):
+    """(field, group, mu) parameters for every field order in qs with a
+    splitting and q^((n+1)/2) <= 2^16: cyclic groups with mu_-1 (duality case
+    i) and Z_p x Z_p with mu_-1 or the swap map (case ii)."""
+    specs = [(cyclic_group(n), "mu-1") for n in range(3, 32, 2)]
+    specs += [(group_abelian([p, p]), mu) for p in (3, 5) for mu in ("mu-1", "swap")]
+    for group, mu_name in specs:
+        for q in qs:
+            if math.gcd(group.order, q) != 1 or q ** ((group.order + 1) // 2) > 1 << 16:
+                continue
+            mu = builtin_mu_minus1(group) if mu_name == "mu-1" else builtin_mu_swap(group, q)
+            field = field_from_order(q)
+            if check_splitting(mu, field, group).ok:
+                yield pytest.param(field, group, mu, id=f"{group.descriptor}-q{q}-{mu_name}")

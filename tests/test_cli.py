@@ -83,6 +83,21 @@ class TestScan:
         assert code == EXIT_OK
         assert json.loads(capsys.readouterr().out) == []
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--family", "pxp", "--p", "4", "--q", "3"], "group 4x4 has even order 16"),
+            (["--family", "pxp", "--p", "3,2", "--q", "5"], "group 2x2 has even order 4"),
+            (["--n", "45-3", "--q", "2"], "reversed range '45-3'"),
+        ],
+    )
+    def test_bad_input_exits_1_with_one_line(self, capsys, argv, message):
+        assert main(["scan", *argv, "--json"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("duadic: error: ") and message in captured.err
+        assert captured.err.count("\n") == 1
+
     def test_byte_identical_runs(self, capsys):
         argv = ["scan", "--family", "cyclic", "--n", "3-45", "--q", "2,3,4,5,7,9", "--mu", "mu-1", "--json"]
         assert main(argv) == EXIT_OK
@@ -148,6 +163,27 @@ class TestConstruct:
         err = capsys.readouterr().err
         assert "ord_9(2) = 6 is even" in err
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--group", "4", "--q", "3", "--mu", "mu-1"], "group 4 has even order 4"),
+            (["--group", "3x6", "--q", "5", "--mu", "swap"], "group 3x6 has even order 18"),
+            (["--group", "3x3,2", "--q", "5", "--mu", "swap", "--product"], "group 2 has even order 2"),
+        ],
+    )
+    def test_even_group_order_exits_1(self, capsys, argv, message):
+        assert main(["construct", *argv]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("duadic: error: ") and message in captured.err
+        assert captured.err.count("\n") == 1
+
+    def test_even_cayley_group_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "z4.cayley"
+        path.write_text(format_cayley(cyclic_group(4)), encoding="utf-8")
+        assert main(["construct", "--group", f"@{path}", "--q", "3", "--mu", "mu-1"]) == EXIT_USAGE
+        assert "has even order 4" in capsys.readouterr().err
+
     def test_usage_error_exit_1(self, capsys):
         assert main(["construct", "--group", "7", "--mu", "mu-1"]) == EXIT_USAGE
         assert main(["bogus"]) == EXIT_USAGE
@@ -180,6 +216,15 @@ class TestConstruct:
         assert main(["construct", "--group", "7", "--q", "2", "--mu", "mu-1"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "[[7,1,3]]_2" in out and "case i" in out
+        assert "odd_like_d_e: 3 (exact, coset-enumeration)\n" in out
+        assert "quantum: [[7,1,3]]_2 d=3 (exact, coset-enumeration)\n" in out
+
+    def test_human_output_lower_bound(self, capsys):
+        argv = ["construct", "--group", "23", "--q", "2", "--mu", "mu-1", "--max-enum", "100"]
+        assert main(argv) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "odd_like_d_f: 6 (lower-bound, odd-like-" in out
+        assert "quantum: [[23,1,>=6]]_2 d=6 (lower-bound, odd-like-" in out
 
     def test_construct_json_is_deterministic(self, capsys):
         argv = ["construct", "--group", "3x3", "--q", "2", "--mu", "swap", "--enumerate-all", "--json"]

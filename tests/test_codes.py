@@ -2,16 +2,23 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from duadic import codes as codes_module
+from duadic import quantum
 from duadic.algebra import AlgebraElement, hat_group
 from duadic.codes import (
     LinearCode,
+    _coset_chunks,
     code_from_ideal,
+    coset_min_weight,
     dual,
     min_weight_exhaustive,
     odd_like_min_weight,
@@ -22,8 +29,9 @@ from duadic.duadic import construct_pairs, duadic_codes
 from duadic.errors import EnumerationCapError
 from duadic.gf import field_from_order
 from duadic.groups import builtin_mu_minus1, builtin_mu_swap, cyclic_group, group_abelian
+from duadic.quantum import css_build, css_distance
 
-from conftest import naive_codewords, naive_min_weight
+from conftest import enumerable_cells, macwilliams, naive_codewords, naive_min_weight
 
 
 @pytest.fixture(scope="module")
@@ -216,3 +224,184 @@ class TestOddLikeMinWeight:
     def test_bad_side(self, z7_codes):
         with pytest.raises(ValueError, match="side"):
             odd_like_min_weight(z7_codes, "x")
+
+
+# ---------------------------------------------------------------------------
+# oracle: the block enumeration the comparison kernel replaced, which builds
+# every word with field additions and counts its nonzero entries
+# ---------------------------------------------------------------------------
+
+_REFERENCE_BLOCK_WORDS = 1 << 14
+
+
+def _reference_table(field, rows, n):
+    table = np.zeros((1, n), dtype=np.int64)
+    for r in rows:
+        parts = [field.vadd(table, field.vmul(np.int64(c), r.reshape(1, -1))) for c in range(field.q)]
+        table = np.vstack(parts)
+    return table
+
+
+def _reference_blocks(field, gen, offset, block_words=_REFERENCE_BLOCK_WORDS):
+    """Blocks of offset + span(gen), covering each word once."""
+    k, n = gen.shape if gen.size else (0, len(offset))
+    q = field.q
+    t = 0
+    while t < k and q ** (t + 1) <= block_words:
+        t += 1
+    block = _reference_table(field, gen[k - t :] if k else gen, n)
+    prefix = gen[: k - t]
+    for message in itertools.product(range(q), repeat=k - t):
+        base = offset
+        for c, row in zip(message, prefix):
+            base = field.vadd(base, field.vmul(np.int64(c), row))
+        yield field.vadd(base.reshape(1, -1), block)
+
+
+def reference_coset_min_weight(field, gen, offset):
+    best, witness = None, None
+    for block in _reference_blocks(field, gen, offset):
+        weights = np.count_nonzero(block, axis=1)
+        nz = np.nonzero(weights)[0]
+        if nz.size == 0:
+            continue
+        i = nz[np.argmin(weights[nz])]
+        if best is None or weights[i] < best:
+            best, witness = int(weights[i]), block[i].copy()
+    if best is None:
+        raise ValueError("coset contains only the zero word")
+    return best, witness
+
+
+def reference_weight_distribution(code):
+    counts = np.zeros(code.n + 1, dtype=np.int64)
+    zero = np.zeros(code.n, dtype=np.int64)
+    for block in _reference_blocks(code.field, code.gen, zero):
+        counts += np.bincount(np.count_nonzero(block, axis=1), minlength=code.n + 1)
+    return counts
+
+
+def _assert_coset_min_weight(field, gen, offset, span: LinearCode):
+    """coset_min_weight agrees with the oracle, and its witness lies in the
+    coset and has the reported weight."""
+    w, witness = coset_min_weight(field, gen, offset)
+    assert w == reference_coset_min_weight(field, gen, offset)[0]
+    assert witness.dtype == np.int64 and np.count_nonzero(witness) == w
+    assert span.contains(field.vsub(witness, offset))
+
+
+class TestKernelAgainstOracle:
+    # every duadic cell under 2^16 words; GF(27) has none, and
+    # test_outer_rows_head_table_and_tail covers it
+    @pytest.mark.parametrize("field,group,mu", enumerable_cells((2, 3, 4, 5, 7, 8, 9, 16, 25, 27)))
+    def test_duadic_cell(self, field, group, mu, monkeypatch):
+        codes = duadic_codes(construct_pairs(mu, field, group)[0])
+        for code in (codes.c_e, codes.d_e):
+            assert weight_distribution(code).tolist() == reference_weight_distribution(code).tolist()
+        ghat = codes.pair.ghat.vec
+        for a in range(1, field.q):
+            _assert_coset_min_weight(field, codes.c_e.gen, field.vmul(np.int64(a), ghat), codes.c_e)
+        zero = np.zeros(codes.d_e.n, dtype=np.int64)
+        _assert_coset_min_weight(field, codes.d_e.gen, zero, codes.d_e)
+        # words come in the oracle's order, so the witness is the same word
+        witness = min_weight_exhaustive(codes.d_e)[1]
+        assert witness.tolist() == reference_coset_min_weight(field, codes.d_e.gen, zero)[1].tolist()
+        css = css_build(codes.c_e, codes.d_e)
+        fast = [odd_like_min_weight(codes, side)[0] for side in "ef"], css_distance(css)
+        monkeypatch.setattr(codes_module, "coset_min_weight", reference_coset_min_weight)
+        monkeypatch.setattr(quantum, "coset_min_weight", reference_coset_min_weight)
+        assert fast == ([odd_like_min_weight(codes, side)[0] for side in "ef"], css_distance(css))
+
+    def test_offset_inside_span_skips_zero_word(self, z33_codes):
+        code = z33_codes.d_e
+        offset = code.gen.sum(axis=0) % 2
+        assert code.contains(offset) and offset.any()
+        _assert_coset_min_weight(code.field, code.gen, offset, code)
+        assert coset_min_weight(code.field, code.gen, offset)[0] == min_weight_exhaustive(code)[0]
+
+    def test_zero_coset_rejected(self, gf2):
+        with pytest.raises(ValueError, match="only the zero word"):
+            coset_min_weight(gf2, np.zeros((0, 5), dtype=np.int64), np.zeros(5, dtype=np.int64))
+
+    def test_field_above_256_uses_uint16_indexes(self):
+        field = field_from_order(257)
+        rng = random.Random(257)
+        rows = np.array([[rng.randrange(257) for _ in range(5)] for _ in range(2)], dtype=np.int64)
+        code = LinearCode(field, rows)
+        neg_heads, _, _ = next(_coset_chunks(field, code.gen, np.zeros(5, dtype=np.int64)))
+        assert neg_heads.dtype == np.uint16
+        assert weight_distribution(code).tolist() == reference_weight_distribution(code).tolist()
+        offset = np.array([3, 0, 256, 1, 0], dtype=np.int64)
+        _assert_coset_min_weight(field, code.gen, offset, code)
+
+    def test_length_300_weights_overflow_uint8(self, gf2):
+        rep = LinearCode(gf2, np.ones((1, 300), dtype=np.int64))
+        assert min_weight_exhaustive(rep)[0] == 300
+        counts = weight_distribution(rep)
+        assert counts[0] == 1 and counts[300] == 1 and counts.sum() == 2
+        rng = random.Random(300)
+        rows = np.array([[rng.randrange(2) for _ in range(300)] for _ in range(4)], dtype=np.int64)
+        code = LinearCode(gf2, np.vstack([rows, np.ones((1, 300), dtype=np.int64)]))
+        assert weight_distribution(code).tolist() == reference_weight_distribution(code).tolist()
+        _assert_coset_min_weight(gf2, code.gen[1:], code.gen[0], code)
+
+    @pytest.mark.parametrize(
+        "q,k,n", [(2, 9, 11), (3, 6, 9), (4, 5, 8), (8, 4, 7), (9, 4, 6), (16, 4, 6), (25, 4, 5), (27, 4, 5)]
+    )
+    def test_outer_rows_head_table_and_tail(self, q, k, n, monkeypatch):
+        # a 2-row tail and 1-row head tables leave k - 3 rows to the outer odometer
+        monkeypatch.setattr(codes_module, "_BLOCK_WORDS", q * q)
+        monkeypatch.setattr(codes_module, "_CHUNK_CELLS", q**3 * n)
+        field = field_from_order(q)
+        rng = random.Random(q * k * n)
+        rows = np.array([[rng.randrange(q) for _ in range(n)] for _ in range(k)], dtype=np.int64)
+        code = LinearCode(field, rows)
+        assert code.k == k
+        chunks = list(_coset_chunks(field, code.gen, np.zeros(n, dtype=np.int64)))
+        assert len(chunks) == q ** (k - 3) and chunks[0][2].shape == (q, q * q)
+        assert weight_distribution(code).tolist() == reference_weight_distribution(code).tolist()
+        offset = np.array([rng.randrange(q) for _ in range(n)], dtype=np.int64)
+        _assert_coset_min_weight(field, code.gen[1:], offset, LinearCode(field, code.gen[1:]))
+
+    @pytest.mark.parametrize("q,k,n", [(2, 7, 9), (3, 5, 6), (4, 5, 5)])
+    def test_words_come_in_the_oracle_order(self, q, k, n, monkeypatch):
+        # 2-row tail and head tables, k - 4 outer rows; the same order as the
+        # oracle means the same first minimal word, so the same witness
+        monkeypatch.setattr(codes_module, "_BLOCK_WORDS", q * q)
+        monkeypatch.setattr(codes_module, "_CHUNK_CELLS", q**4 * n)
+        field = field_from_order(q)
+        rng = random.Random(q + k + n)
+        gen = np.array([[rng.randrange(q) for _ in range(n)] for _ in range(k)], dtype=np.int64)
+        offset = np.array([rng.randrange(q) for _ in range(n)], dtype=np.int64)
+        chunks = _coset_chunks(field, gen, offset)
+        words = [field.vsub(tail[None], neg[:, None]).reshape(-1, n) for neg, tail, _ in chunks]
+        assert np.array_equal(np.vstack(words), np.vstack(list(_reference_blocks(field, gen, offset, q * q))))
+
+
+# ---------------------------------------------------------------------------
+# properties of random small codes
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def small_codes(draw):
+    q = draw(st.sampled_from([2, 3, 4, 9]))
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, min(n, 3)))
+    entries = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
+    rows = draw(st.lists(entries, min_size=k, max_size=k))
+    return LinearCode(field_from_order(q), np.array(rows, dtype=np.int64))
+
+
+class TestWeightDistributionProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(small_codes())
+    def test_distribution(self, code):
+        q = code.field.q
+        counts = weight_distribution(code)
+        assert counts.sum() == q**code.k
+        naive = np.zeros(code.n + 1, dtype=np.int64)
+        for word in naive_codewords(code.field, code.gen.reshape(-1, code.n)):
+            naive[sum(1 for x in word if x)] += 1
+        assert counts.tolist() == naive.tolist()
+        assert macwilliams(counts, q, code.k) == weight_distribution(dual(code)).tolist()

@@ -2,15 +2,12 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 
 from duadic import _linalg
 from duadic.codes import LinearCode, dual, odd_like_min_weight, weight_distribution
 from duadic.duadic import (
-    check_splitting,
     classify_duality,
     construct_pairs,
     duadic_codes,
@@ -29,7 +26,7 @@ from duadic.quantum import (
     quantum_duadic,
 )
 
-from conftest import naive_codewords
+from conftest import enumerable_cells, macwilliams, naive_codewords
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +102,12 @@ class TestCssDistance:
     def test_cap_returns_fallback(self, steane):
         bound = DistanceRecord(3, False, "odd-like-sharpened-bound")
         assert css_distance(steane, cap=4, fallback=bound) == bound
+
+    def test_record_text(self):
+        assert str(DistanceRecord(3, True, "coset-enumeration")) == "3 (exact, coset-enumeration)"
+        bound = DistanceRecord(9, False, "odd-like-square-bound")
+        assert bound.tag() == "lower-bound"
+        assert str(bound) == "9 (lower-bound, odd-like-square-bound)"
 
     def test_cap_without_fallback_raises(self, steane):
         with pytest.raises(EnumerationCapError):
@@ -200,43 +203,8 @@ class TestDegeneracy:
             degeneracy_report(code)
 
 
-def _enumerable_cells():
-    """(group, q, mu) cells with a splitting and q^((n+1)/2) <= 2^16: cyclic
-    groups with mu_-1 (duality case i) and Z_p x Z_p with mu_-1 or the swap
-    map (case ii)."""
-    qs = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
-    specs = [(cyclic_group(n), "mu-1") for n in range(3, 32, 2)]
-    specs += [(group_abelian([p, p]), mu) for p in (3, 5) for mu in ("mu-1", "swap")]
-    for group, mu_name in specs:
-        for q in qs:
-            if math.gcd(group.order, q) != 1 or q ** ((group.order + 1) // 2) > 1 << 16:
-                continue
-            mu = builtin_mu_minus1(group) if mu_name == "mu-1" else builtin_mu_swap(group, q)
-            field = field_from_order(q)
-            if check_splitting(mu, field, group).ok:
-                yield pytest.param(field, group, mu, id=f"{group.descriptor}-q{q}-{mu_name}")
-
-
-def macwilliams(dist: np.ndarray, q: int, k: int) -> list[int]:
-    """Weight distribution of the dual of a q-ary [n, k] code with distribution dist."""
-    n = len(dist) - 1
-
-    def krawtchouk(j: int, i: int) -> int:
-        return sum(
-            (-1) ** s * (q - 1) ** (j - s) * math.comb(i, s) * math.comb(n - i, j - s)
-            for s in range(j + 1)
-        )
-
-    out = []
-    for j in range(n + 1):
-        total = sum(int(dist[i]) * krawtchouk(j, i) for i in range(n + 1))
-        assert total % q**k == 0
-        out.append(total // q**k)
-    return out
-
-
 class TestAnalyzePair:
-    @pytest.mark.parametrize("field,group,mu", _enumerable_cells())
+    @pytest.mark.parametrize("field,group,mu", enumerable_cells((2, 3, 4, 5, 7, 8, 9, 11, 13, 16)))
     def test_matches_generic_oracles(self, field, group, mu):
         pairs = construct_pairs(mu, field, group) + construct_pairs(mu, field, group, mode="enumerate-all")
         cases = set()
