@@ -12,6 +12,9 @@ import numpy as np
 
 from .gf import FiniteField
 
+# int64 cells (256 KB) per temporary of a chunked extension-field product
+_PRODUCT_CELLS = 1 << 15
+
 
 def as_matrix(rows) -> np.ndarray:
     arr = np.asarray(rows, dtype=np.int64)
@@ -21,48 +24,51 @@ def as_matrix(rows) -> np.ndarray:
 
 
 def rref(field: FiniteField, mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Reduced row-echelon form and pivot columns."""
+    """Reduced row-echelon form and pivot columns.
+
+    Columns left of pivot column c are final, so step c touches m[:, c:].
+    Over a prime field entries are reduced mod p only where read: each step
+    moves an entry by less than p^2, so p^2 * min(rows, cols) bounds them,
+    which int64 holds for every p below the field-order cap 2^16."""
     m = as_matrix(mat).copy()
     rows, cols = m.shape
+    lazy = field.m == 1
     pivots: list[int] = []
-    r = 0
     for c in range(cols):
+        r = len(pivots)
         if r == rows:
             break
-        hits = np.nonzero(m[r:, c])[0]
+        hits = np.flatnonzero(m[r:, c] % field.p if lazy else m[r:, c])
         if hits.size == 0:
             continue
+        blk = m[:, c:]
         i = r + int(hits[0])
         if i != r:
-            m[[r, i]] = m[[i, r]]
-        pv = int(m[r, c])
-        if pv != 1:
-            m[r] = field.vmul(m[r], field.inv(pv))
-        others = np.nonzero(m[:, c])[0]
-        others = others[others != r]
-        if others.size:
-            factors = m[others, c].reshape(-1, 1)
-            m[others] = field.vsub(m[others], field.vmul(factors, m[r].reshape(1, -1)))
+            blk[[r, i]] = blk[[i, r]]
+        pivot_row = blk[r] % field.p if lazy else blk[r]
+        blk[r] = field.vmul(pivot_row, field.inv(int(pivot_row[0])))
+        factors = blk[:, :1] % field.p if lazy else blk[:, :1].copy()
+        factors[r] = 0
+        others = np.flatnonzero(factors)
+        if lazy:
+            blk[others] -= factors[others] * blk[r]
+        else:
+            blk[others] = field.vsub(blk[others], field.vmul(factors[others], blk[r]))
         pivots.append(c)
-        r += 1
-    return m[: len(pivots)], pivots
+    red = m[: len(pivots)]
+    return red % field.p if lazy else red, pivots
 
 
 def rank(field: FiniteField, mat: np.ndarray) -> int:
     return rref(field, mat)[0].shape[0]
 
 
-def row_reduce_vector(field: FiniteField, red: np.ndarray, pivots: list[int], v: np.ndarray) -> np.ndarray:
-    """Residue of v after elimination against an RREF basis."""
-    w = v.astype(np.int64).copy()
-    for j, c in enumerate(pivots):
-        if w[c] != 0:
-            w = field.vsub(w, field.vmul(np.int64(w[c]), red[j]))
-    return w
-
-
 def in_row_space(field: FiniteField, red: np.ndarray, pivots: list[int], v: np.ndarray) -> bool:
-    return not np.any(row_reduce_vector(field, red, pivots, v))
+    """True iff v (a vector, or every row of a matrix) lies in the row space
+    of the RREF basis red: a member is the combination of the basis rows
+    given by its own entries at the pivot columns."""
+    v = as_matrix(v)
+    return bool(np.array_equal(matmul(field, v[:, pivots], red), v))
 
 
 def row_space_equal(field: FiniteField, a: np.ndarray, b: np.ndarray) -> bool:
@@ -75,31 +81,30 @@ def right_kernel(field: FiniteField, mat: np.ndarray) -> np.ndarray:
     """Rows spanning {v : mat @ v = 0}, in RREF."""
     red, pivots = rref(field, mat)
     cols = as_matrix(mat).shape[1]
-    free = [c for c in range(cols) if c not in pivots]
-    if not free:
-        return np.zeros((0, cols), dtype=np.int64)
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for i, fc in enumerate(free):
-        basis[i, fc] = 1
-        for j, pc in enumerate(pivots):
-            basis[i, pc] = field.neg(int(red[j, fc]))
+    free = np.setdiff1d(np.arange(cols), pivots)
+    basis = np.zeros((free.size, cols), dtype=np.int64)
+    basis[np.arange(free.size), free] = 1
+    basis[:, pivots] = field.vneg(red[:, free].T)
     return rref(field, basis)[0]
 
 
 def matmul(field: FiniteField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact matrix product over the field."""
+    """Exact matrix product over the field.
+
+    Over an extension field the products a[i, k] * b[k, j] are formed for a
+    slice of k at a time, at most _PRODUCT_CELLS field digits per slice.
+    """
     a = as_matrix(a)
     b = as_matrix(b)
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"shape mismatch: {a.shape} @ {b.shape}")
     if field.m == 1:
         return (a @ b) % field.p
+    step = max(1, _PRODUCT_CELLS // max(1, a.shape[0] * b.shape[1] * field.m))
     out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    for k in range(a.shape[1]):
-        col = a[:, k]
-        if not np.any(col):
-            continue
-        out = field.vadd(out, field.vmul(col.reshape(-1, 1), b[k].reshape(1, -1)))
+    for k in range(0, a.shape[1], step):
+        terms = field.vmul(a[:, k : k + step, None], b[None, k : k + step])
+        out = field.vadd(out, field.vsum(terms, axis=1))
     return out
 
 
@@ -107,12 +112,10 @@ def solve_in_span(field: FiniteField, basis: np.ndarray, v: np.ndarray) -> np.nd
     """Coefficients x with x @ basis = v, or None if v is outside the span."""
     basis = as_matrix(basis)
     k, n = basis.shape
-    aug = np.hstack([basis, np.eye(k, dtype=np.int64)])
-    red, pivots = rref(field, aug)
+    red, pivots = rref(field, np.hstack([basis, np.eye(k, dtype=np.int64)]))
+    top = sum(c < n for c in pivots)
     w = np.concatenate([v.astype(np.int64), np.zeros(k, dtype=np.int64)])
-    for j, c in enumerate(pivots):
-        if c < n and w[c] != 0:
-            w = field.vsub(w, field.vmul(np.int64(w[c]), red[j]))
+    w = field.vsub(w, matmul(field, w[pivots[:top]], red[:top])[0])
     if np.any(w[:n]):
         return None
     return field.vneg(w[n:])

@@ -137,19 +137,9 @@ class AlgebraElement:
 def alg_mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Convolution product: coefficient of g is sum_h a_h * b_{h^-1 g}."""
     a._same_context(b)
-    field = a.field
-    left = a.group.left_translation
-    support = np.nonzero(a.vec)[0]
-    n = a.group.order
-    if field.m == 1:
-        acc = np.zeros(n, dtype=np.int64)
-        for g in support:
-            acc += int(a.vec[g]) * b.vec[left[g]]
-        return AlgebraElement(field, a.group, acc % field.p)
-    acc = np.zeros(n, dtype=np.int64)
-    for g in support:
-        acc = field.vadd(acc, field.vmul(np.int64(int(a.vec[g])), b.vec[left[g]]))
-    return AlgebraElement(field, a.group, acc)
+    support = np.flatnonzero(a.vec)
+    shifted = b.vec[a.group.left_translation[support]]
+    return AlgebraElement(a.field, a.group, _linalg.matmul(a.field, a.vec[support], shifted)[0])
 
 
 def hat_subgroup(field: FiniteField, group: Group, subgroup_ids) -> AlgebraElement:

@@ -77,7 +77,8 @@ class CodeReport:
     timing_ms: float | None = None
 
     def to_dict(self, deterministic: bool = True) -> dict:
-        d = asdict(self)
+        # shallow: the fields hold plain JSON values, which asdict would deep-copy
+        d = {f.name: getattr(self, f.name) for f in dataclass_fields(self)}
         if deterministic:
             d["timing_ms"] = None
         return d
@@ -149,18 +150,25 @@ def parse_mu_spec(spec: str, group: Group, q: int) -> Antiautomorphism:
     raise ValueError(f"bad mu spec {spec!r}")
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+def _parse_int_list(text: str, option: str, form: str = "a comma list of integers") -> list[int]:
+    try:
+        return [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise ValueError(f"{option} expects {form}, got {text!r}") from None
 
 
 def _parse_range(text: str) -> list[int]:
-    """`3-45` inclusive range or a comma list."""
-    if "-" in text:
-        lo, hi = text.split("-", 1)
-        if int(lo) > int(hi):
-            raise ValueError(f"reversed range {text!r}: the lower end comes first")
-        return list(range(int(lo), int(hi) + 1))
-    return _parse_int_list(text)
+    """`--n`: a `3-45` inclusive range or a comma list."""
+    form = "a range like 3-45 or a comma list of integers"
+    if "-" not in text:
+        return _parse_int_list(text, "--n", form)
+    try:
+        lo, hi = (int(end) for end in text.split("-", 1))
+    except ValueError:
+        raise ValueError(f"--n expects {form}, got {text!r}") from None
+    if lo > hi:
+        raise ValueError(f"reversed range {text!r}: the lower end comes first")
+    return list(range(lo, hi + 1))
 
 
 def _odd_order(group: Group) -> Group:
@@ -228,13 +236,13 @@ def _analysis_fields(analysis: PairAnalysis) -> dict:
 
 
 def cmd_scan(args) -> tuple[int, list[CodeReport]]:
-    qs = _parse_int_list(args.q)
+    qs = _parse_int_list(args.q, "--q")
     reports = []
     if args.family == "cyclic":
         ns = [n for n in _parse_range(args.n) if n % 2 == 1]
         groups = [(str(n), cyclic_group(n)) for n in ns]
     elif args.family == "pxp":
-        ps = _parse_int_list(args.p)
+        ps = _parse_int_list(args.p, "--p")
         groups = [(f"{p}x{p}", _odd_order(group_abelian([p, p]))) for p in ps]
     else:
         raise ValueError(f"unknown family {args.family!r}")

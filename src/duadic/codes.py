@@ -13,6 +13,7 @@ field indexes, with no field addition per word.
 from __future__ import annotations
 
 import itertools
+import weakref
 
 import numpy as np
 
@@ -29,9 +30,14 @@ DEFAULT_ENUM_CAP = 1 << 24
 _BLOCK_WORDS = 1 << 14
 _CHUNK_CELLS = 1 << 21
 
+# ideal codes still in use, per group (equal tables share one entry) and then
+# by (field, element bytes); weak at both levels, so nothing outlives its user
+_IDEAL_CODES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
 
 class LinearCode:
-    """An [n, k] linear code over F_q as a canonical generator matrix."""
+    """An [n, k] linear code over F_q as a canonical generator matrix.
+    Codes from code_from_ideal and dual are shared: never mutate one."""
 
     def __init__(self, field: FiniteField, rows, provenance: AlgebraElement | None = None):
         mat = _linalg.as_matrix(rows)
@@ -71,27 +77,32 @@ class LinearCode:
 
 
 def code_from_ideal(e: AlgebraElement) -> LinearCode:
-    """Row space of {g*e : g in G} as a length-n code."""
-    rows = e.vec[e.group.left_translation]
-    return LinearCode(e.field, rows, provenance=e)
+    """Row space of {g*e : g in G}; a code of e still in use is returned again."""
+    built = _IDEAL_CODES.setdefault(e.group, weakref.WeakValueDictionary())
+    key = (e.field, e.vec.tobytes())
+    if (code := built.get(key)) is None:
+        code = built[key] = LinearCode(e.field, e.vec[e.group.left_translation], provenance=e)
+    return code
 
 
 def dual(code: LinearCode) -> LinearCode:
     """Euclidean dual; verifies the inversion-dual identity for ideal codes.
 
-    For a code generated by an idempotent e the dual must equal the ideal
-    code of 1 - mu_-1(e); a mismatch raises VerificationError.
+    For a code generated by an idempotent e the dual is the shared ideal code
+    of 1 - mu_-1(e) (in cases i and ii, D_e or D_f itself), checked exactly: a
+    code of dimension n - k orthogonal to every generator is the whole dual,
+    else VerificationError.  Other codes take the right kernel.
     """
-    kernel = _linalg.right_kernel(code.field, code.gen) if code.k else np.eye(code.n, dtype=np.int64)
-    out = LinearCode(code.field, kernel)
     prov = code.provenance
-    if prov is not None and is_idempotent(prov):
-        mu1 = builtin_mu_minus1(prov.group)
-        complement = AlgebraElement.one(prov.field, prov.group) - apply_antiauto(mu1, prov)
-        expected = code_from_ideal(complement)
-        if out != expected:
-            raise VerificationError("dual of an ideal code violates the inversion-dual identity")
-        out.provenance = complement
+    if prov is None or not is_idempotent(prov):
+        kernel = _linalg.right_kernel(code.field, code.gen) if code.k else np.eye(code.n, dtype=np.int64)
+        return LinearCode(code.field, kernel)
+    mu1 = builtin_mu_minus1(prov.group)
+    out = code_from_ideal(AlgebraElement.one(prov.field, prov.group) - apply_antiauto(mu1, prov))
+    if (out.field, out.n, out.k) != (code.field, code.n, code.n - code.k) or np.any(
+        _linalg.matmul(code.field, code.gen, out.gen.T)
+    ):
+        raise VerificationError("dual of an ideal code violates the inversion-dual identity")
     return out
 
 
@@ -99,7 +110,7 @@ def subcode_check(inner: LinearCode, outer: LinearCode) -> bool:
     """True iff every generator row of inner lies in the row space of outer."""
     if inner.field != outer.field or inner.n != outer.n:
         raise ValueError("codes live in different spaces")
-    return all(outer.contains(row) for row in inner.gen)
+    return _linalg.in_row_space(outer.field, outer.gen, outer.pivots, inner.gen)
 
 
 # ---------------------------------------------------------------------------

@@ -295,7 +295,8 @@ def classify_duality(pair: DuadicPair, codes: DuadicCodes | None = None) -> Dual
     """Check the dual identities C_e-perp = D_e (case i) / D_f (case ii).
 
     Pairs where mu_-1 sends e to neither e nor f are classified "mixed"; the
-    general inversion-dual identity is still verified for them.
+    general inversion-dual identity is still verified for them.  `dual` checks
+    each identity exactly; the equalities below name the built code it gives.
     """
     if codes is None:
         codes = duadic_codes(pair)

@@ -318,21 +318,23 @@ class FiniteField:
         return self._pack_digits((d[a] - d[b]) % self.p)
 
     def _log_tables_np(self) -> tuple[np.ndarray, np.ndarray]:
+        """Log and exp tables for products without a modulo or a zero test:
+        log[0] = 2(q-1), exp runs two periods and is 0 from 2(q-1) on."""
         if self._np_log is None:
             self._ensure_tables()
+            period = self.q - 1
             self._np_log = np.array(self._log, dtype=np.int64)
-            self._np_exp = np.array(self._exp, dtype=np.int64)
+            self._np_log[0] = 2 * period
+            self._np_exp = np.zeros(4 * period + 1, dtype=np.int64)
+            self._np_exp[:period] = self._exp
+            self._np_exp[period : 2 * period] = self._exp
         return self._np_log, self._np_exp
 
     def vmul(self, a: np.ndarray, b) -> np.ndarray:
         if self.m == 1:
             return (a * b) % self.p
         log, exp = self._log_tables_np()
-        a = np.asarray(a)
-        b = np.asarray(b)
-        out = exp[(log[a] + log[b]) % (self.q - 1)]
-        zero = (a == 0) | (b == 0)
-        return np.where(zero, 0, out)
+        return exp[log[a] + log[b]]
 
     def vinv(self, a: np.ndarray) -> np.ndarray:
         a = np.asarray(a)
@@ -370,16 +372,16 @@ class FiniteField:
 
         Axis indexes the input array; it must be non-negative.
         """
-        if self.m == 1:
-            out = np.sum(a, axis=axis) % self.p
-            return int(out) if axis is None else out
-        d = self._digit_table()
         arr = np.asarray(a)
-        if axis is None:
-            digits = d[arr].reshape(-1, self.m).sum(axis=0) % self.p
-            return int(self._pack_digits(digits))
-        digits = d[arr].sum(axis=axis) % self.p
-        return self._pack_digits(digits)
+        if self.m == 1:
+            out = np.sum(arr, axis=axis) % self.p
+        elif self.p == 2:  # addition in GF(2^m) is XOR
+            out = np.bitwise_xor.reduce(arr, axis=axis)
+        else:
+            d = self._digit_table()
+            digits = d[arr].reshape(-1, self.m).sum(axis=0) if axis is None else d[arr].sum(axis=axis)
+            out = self._pack_digits(digits % self.p)
+        return int(out) if axis is None else out
 
 
 @dataclass(frozen=True)

@@ -60,9 +60,9 @@ class Group:
             raise ValueError("not a group (identity): id 0 is not a two-sided identity")
         # every row and column must be a permutation, which with associativity
         # gives unique two-sided inverses
-        if any(len(np.unique(t[g])) != n for g in range(n)):
+        if not np.array_equal(np.sort(t, axis=1), np.broadcast_to(ids, t.shape)):
             raise ValueError("not a group (inverses): some row is not a permutation")
-        if any(len(np.unique(t[:, g])) != n for g in range(n)):
+        if not np.array_equal(np.sort(t, axis=0), np.broadcast_to(ids[:, None], t.shape)):
             raise ValueError("not a group (inverses): some column is not a permutation")
         for a in range(n):
             lhs = t[t[a], :]
@@ -86,7 +86,7 @@ class Group:
     # -- identity and equality --------------------------------------------
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Group) and np.array_equal(self.table, other.table)
+        return other is self or (isinstance(other, Group) and np.array_equal(self.table, other.table))
 
     def __hash__(self) -> int:
         if self._hash is None:
@@ -120,15 +120,12 @@ class Group:
     @property
     def element_orders(self) -> np.ndarray:
         if self._orders is None:
-            n = self.order
-            orders = np.ones(n, dtype=np.int64)
-            for g in range(1, n):
-                x = g
-                k = 1
-                while x != 0:
-                    x = int(self.table[x, g])
-                    k += 1
-                orders[g] = k
+            ids = np.arange(self.order)
+            orders = np.zeros(self.order, dtype=np.int64)
+            power, k = ids, 1  # power[g] = g^k
+            while not orders.all():
+                orders[(power == 0) & (orders == 0)] = k
+                power, k = self.table[power, ids], k + 1
             self._orders = orders
         return self._orders
 
@@ -162,26 +159,13 @@ class Group:
     def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
         """Ordinary conjugacy classes, sorted by smallest member."""
         if self._classes is None:
-            n = self.order
-            seen = np.zeros(n, dtype=bool)
-            classes = []
-            for seed in range(n):
-                if seen[seed]:
-                    continue
-                orbit = {seed}
-                stack = [seed]
-                while stack:
-                    x = stack.pop()
-                    for h in range(n):
-                        y = int(self.table[self.table[self.inverse[h], x], h])
-                        if y not in orbit:
-                            orbit.add(y)
-                            stack.append(y)
-                cls = tuple(sorted(orbit))
-                for x in cls:
-                    seen[x] = True
-                classes.append(cls)
-            self._classes = tuple(classes)
+            ids = np.arange(self.order)
+            conjugates = self.table[self.table[self.inverse[:, None], ids], ids[:, None]]  # [h, x] = h^-1 x h
+            smallest = conjugates.min(axis=0)  # the same for every member of a class
+            members = np.argsort(smallest, kind="stable")
+            edges = [0, *(np.flatnonzero(np.diff(smallest[members])) + 1).tolist(), self.order]
+            members = members.tolist()
+            self._classes = tuple(tuple(members[a:b]) for a, b in zip(edges, edges[1:]))
         return self._classes
 
     # -- labels --------------------------------------------------------------
@@ -273,12 +257,12 @@ def group_product(g1: Group, g2: Group) -> Group:
 
 def is_subgroup(group: Group, ids) -> bool:
     """True iff ids is nonempty, contains the identity, and is closed."""
-    s = set(int(x) for x in ids)
-    if not s or 0 not in s:
+    ids = np.unique(np.array([int(x) for x in ids], dtype=np.int64))
+    if not ids.size or ids[0] != 0 or ids[-1] >= group.order:
         return False
-    return all(int(group.table[a, b]) in s for a in s for b in s) and all(
-        int(group.inverse[a]) in s for a in s
-    )
+    mask = np.zeros(group.order, dtype=bool)
+    mask[ids] = True
+    return bool(mask[group.table[np.ix_(ids, ids)]].all() and mask[group.inverse[ids]].all())
 
 
 # ---------------------------------------------------------------------------

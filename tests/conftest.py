@@ -158,3 +158,67 @@ def enumerable_cells(qs):
             field = field_from_order(q)
             if check_splitting(mu, field, group).ok:
                 yield pytest.param(field, group, mu, id=f"{group.descriptor}-q{q}-{mu_name}")
+
+
+# ---------------------------------------------------------------------------
+# oracles: the loop forms of the linear algebra that _linalg now vectorizes
+# ---------------------------------------------------------------------------
+
+
+def reference_rref(field, mat):
+    """Leftmost-pivot RREF, eliminating whole rows one pivot at a time."""
+    m = np.array(mat, dtype=np.int64).reshape(-1, np.shape(mat)[-1])
+    rows, cols = m.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        hits = np.nonzero(m[r:, c])[0]
+        if hits.size == 0:
+            continue
+        i = r + int(hits[0])
+        if i != r:
+            m[[r, i]] = m[[i, r]]
+        pv = int(m[r, c])
+        if pv != 1:
+            m[r] = field.vmul(m[r], field.inv(pv))
+        others = np.nonzero(m[:, c])[0]
+        others = others[others != r]
+        if others.size:
+            factors = m[others, c].reshape(-1, 1)
+            m[others] = field.vsub(m[others], field.vmul(factors, m[r].reshape(1, -1)))
+        pivots.append(c)
+        r += 1
+    return m[: len(pivots)], pivots
+
+
+def reference_right_kernel(field, mat):
+    """Kernel basis built entry by entry from the RREF, then reduced."""
+    red, pivots = reference_rref(field, mat)
+    cols = np.shape(mat)[-1]
+    free = [c for c in range(cols) if c not in pivots]
+    if not free:
+        return np.zeros((0, cols), dtype=np.int64)
+    basis = np.zeros((len(free), cols), dtype=np.int64)
+    for i, fc in enumerate(free):
+        basis[i, fc] = 1
+        for j, pc in enumerate(pivots):
+            basis[i, pc] = field.neg(int(red[j, fc]))
+    return reference_rref(field, basis)[0]
+
+
+def reference_matmul(field, a, b):
+    """Matrix product as a sum of outer products, one inner index at a time."""
+    a = np.atleast_2d(np.asarray(a, dtype=np.int64))
+    out = np.zeros((a.shape[0], np.shape(b)[1]), dtype=np.int64)
+    for k in range(a.shape[1]):
+        out = field.vadd(out, field.vmul(a[:, k].reshape(-1, 1), np.asarray(b)[k].reshape(1, -1)))
+    return out
+
+
+def random_rank_deficient(field, rows, cols, rank, rng):
+    """A rows x cols matrix of rank at most `rank`, as a product of two random factors."""
+    left = rng.integers(0, field.q, (rows, rank))
+    right = rng.integers(0, field.q, (rank, cols))
+    return reference_matmul(field, left, right)

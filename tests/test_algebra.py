@@ -7,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+from duadic import _linalg
 from duadic.algebra import (
     AlgebraElement,
     abelian_character_idempotents,
@@ -31,6 +32,15 @@ from duadic.groups import (
 )
 
 from conftest import naive_mul
+
+
+def reference_alg_mul(a, b):
+    """The convolution one support element at a time: a_h times b shifted by h."""
+    field, left = a.field, a.group.left_translation
+    acc = np.zeros(a.group.order, dtype=np.int64)
+    for g in np.nonzero(a.vec)[0]:
+        acc = field.vadd(acc, field.vmul(np.int64(int(a.vec[g])), b.vec[left[g]]))
+    return AlgebraElement(field, a.group, acc)
 
 
 def poly_elem(field, group, exponents):
@@ -113,6 +123,24 @@ class TestAlgMul:
                 for _ in range(3)
             )
             assert alg_mul(alg_mul(a, b), c) == alg_mul(a, alg_mul(b, c))
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 257])
+    @pytest.mark.parametrize("group_fixture", ["frobenius21", "heisenberg27"])
+    def test_against_loop_oracle(self, q, group_fixture, request, monkeypatch):
+        g = request.getfixturevalue(group_fixture)
+        field = field_from_order(q)
+        rng = np.random.default_rng(q * g.order)
+        for density in (0.0, 0.1, 0.5, 1.0):
+            a, b = (
+                AlgebraElement(field, g, rng.integers(0, q, g.order) * (rng.random(g.order) < density))
+                for _ in range(2)
+            )
+            expected = reference_alg_mul(a, b)
+            assert alg_mul(a, b) == expected
+            # one support row per slice of the extension-field product
+            with monkeypatch.context() as patch:
+                patch.setattr(_linalg, "_PRODUCT_CELLS", 1)
+                assert alg_mul(a, b) == expected
 
     def test_pow(self, gf2, z7):
         a = poly_elem(gf2, z7, [1])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -89,6 +90,11 @@ class TestScan:
             (["--family", "pxp", "--p", "4", "--q", "3"], "group 4x4 has even order 16"),
             (["--family", "pxp", "--p", "3,2", "--q", "5"], "group 2x2 has even order 4"),
             (["--n", "45-3", "--q", "2"], "reversed range '45-3'"),
+            (["--n", "-3", "--q", "2"], "--n expects a range like 3-45 or a comma list of integers, got '-3'"),
+            (["--n", "3-x", "--q", "2"], "--n expects a range like 3-45 or a comma list of integers, got '3-x'"),
+            (["--n", "3,x", "--q", "2"], "--n expects a range like 3-45 or a comma list of integers, got '3,x'"),
+            (["--family", "pxp", "--p", "3,x", "--q", "2"], "--p expects a comma list of integers, got '3,x'"),
+            (["--n", "3-9", "--q", "2,x"], "--q expects a comma list of integers, got '2,x'"),
         ],
     )
     def test_bad_input_exits_1_with_one_line(self, capsys, argv, message):
@@ -285,6 +291,18 @@ class TestJsonRoundTrip:
         reports = parse_json(text)
         assert emit_json(reports) == text
         assert parse_json(emit_json(reports)) == reports
+
+    def test_shallow_dict_emits_what_asdict_emits(self, capsys):
+        argv = ["construct", "--group", "3x3", "--q", "2", "--mu", "swap", "--enumerate-all", "--json"]
+        assert main(argv) == EXIT_OK
+        text = capsys.readouterr().out
+        (report,) = parse_json(text)
+        report.timing_ms = 12.5
+        deep = dataclasses.asdict(report)
+        assert report.to_dict(deterministic=False) == deep
+        deep["timing_ms"] = None
+        assert report.to_dict() == deep
+        assert json.dumps([deep], indent=2) + "\n" == emit_json([report]) == text
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError, match="unknown report fields"):

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 
 from duadic import codes as codes_module
 from duadic import quantum
-from duadic.algebra import AlgebraElement, hat_group
+from duadic.algebra import AlgebraElement, apply_antiauto, hat_group
 from duadic.codes import (
     LinearCode,
     _coset_chunks,
@@ -25,13 +27,19 @@ from duadic.codes import (
     subcode_check,
     weight_distribution,
 )
-from duadic.duadic import construct_pairs, duadic_codes
-from duadic.errors import EnumerationCapError
+from duadic.duadic import classify_duality, construct_pairs, duadic_codes, product_duadic
+from duadic.errors import EnumerationCapError, VerificationError
 from duadic.gf import field_from_order
-from duadic.groups import builtin_mu_minus1, builtin_mu_swap, cyclic_group, group_abelian
+from duadic.groups import Group, builtin_mu_minus1, builtin_mu_swap, cyclic_group, group_abelian
 from duadic.quantum import css_build, css_distance
 
-from conftest import enumerable_cells, macwilliams, naive_codewords, naive_min_weight
+from conftest import (
+    enumerable_cells,
+    macwilliams,
+    naive_codewords,
+    naive_min_weight,
+    reference_right_kernel,
+)
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +124,68 @@ class TestDual:
             AlgebraElement.one(pair.field, pair.group) - apply_antiauto(mu1, pair.e)
         )
         assert dual(c_e) == ideal
+
+
+    @pytest.mark.parametrize(
+        "field,group,mu",
+        [*enumerable_cells((2, 3, 4, 5, 7, 8, 9, 16, 25, 27)), pytest.param(None, None, None, id="product-mixed")],
+    )
+    def test_against_right_kernel_oracle(self, field, group, mu):
+        if field is None:
+            f2, z33, z7 = field_from_order(2), group_abelian([3, 3]), cyclic_group(7)
+            pairs = [
+                product_duadic(
+                    construct_pairs(builtin_mu_swap(z33, 2), f2, z33)[0],
+                    construct_pairs(builtin_mu_minus1(z7), f2, z7)[0],
+                )
+            ]
+        else:
+            pairs = construct_pairs(mu, field, group) + construct_pairs(mu, field, group, mode="enumerate-all")
+        for pair in pairs:
+            codes = duadic_codes(pair)
+            mu1 = builtin_mu_minus1(pair.group)
+            one = AlgebraElement.one(pair.field, pair.group)
+            for code in (codes.c_e, codes.c_f, codes.d_e, codes.d_f):
+                d = dual(code)
+                assert d == LinearCode(code.field, reference_right_kernel(code.field, code.gen))
+                assert d.provenance == one - apply_antiauto(mu1, code.provenance)
+            case = classify_duality(pair, codes).case
+            # cases i and ii reuse the codes already built
+            if case == "i":
+                assert dual(codes.c_e) is codes.d_e and dual(codes.c_f) is codes.d_f
+            elif case == "ii":
+                assert dual(codes.c_e) is codes.d_f and dual(codes.c_f) is codes.d_e
+
+    def test_identity_failure_raises(self, z7_codes, z33_codes):
+        for codes in (z7_codes, z33_codes):
+            pair, c_e = codes.pair, codes.c_e
+            mislabelled = [
+                LinearCode(c_e.field, c_e.gen, provenance=pair.f),  # C_e rows labelled with f
+                LinearCode(c_e.field, c_e.gen[:1], provenance=pair.e),  # a one-row subcode
+                LinearCode(c_e.field, codes.d_e.gen, provenance=pair.e),  # a larger code
+            ]
+            for code in mislabelled:
+                with pytest.raises(VerificationError, match="inversion-dual identity"):
+                    dual(code)
+
+    def test_ideal_codes_are_shared_only_while_alive(self):
+        # a relabelled Z9 that no other test builds: codes are shared between
+        # equal groups, so a group another test keeps alive would stand in
+        relabel = np.array([0, 5, 3, 8, 1, 7, 2, 6, 4])
+        table = np.empty((9, 9), dtype=np.int64)
+        table[np.ix_(relabel, relabel)] = relabel[cyclic_group(9).table]
+        field, group = field_from_order(4), Group(table)
+        vec = [0, 1, 2, 3, 0, 0, 1, 0, 0]
+        c = code_from_ideal(AlgebraElement(field, group, vec))
+        assert code_from_ideal(AlgebraElement(field, group, vec)) is c
+        code_ref, group_ref = weakref.ref(c), weakref.ref(group)
+        del c
+        gc.collect()
+        assert code_ref() is None
+        c = code_from_ideal(AlgebraElement(field, group, vec))
+        del c, group
+        gc.collect()
+        assert group_ref() is None
 
 
 class TestSubcode:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import random
 
 import numpy as np
@@ -123,6 +124,22 @@ class TestArithmetic:
             for b in range(9):
                 s = gf9.frobenius(gf9.add(a, b))
                 assert s == gf9.add(gf9.frobenius(a), gf9.frobenius(b))
+
+    @pytest.mark.parametrize("q", [4, 8, 9, 16, 27, 64])
+    def test_vmul_and_vsum_exhaustive(self, q):
+        # every product, zero factors included, and sums along each axis
+        f = field_from_order(q)
+        x = np.arange(q, dtype=np.int64)
+        table = f.vmul(x[:, None], x[None, :])
+        assert table.tolist() == [[f.mul(a, b) for b in range(q)] for a in range(q)]
+        for axis in (0, 1):
+            expected = [0] * q
+            for a in range(q):
+                for b in range(q):
+                    j = b if axis == 0 else a
+                    expected[j] = f.add(expected[j], int(table[a, b]))
+            assert f.vsum(table, axis=axis).tolist() == expected
+        assert f.vsum(table) == functools.reduce(f.add, expected, 0)
 
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 25])
     def test_vector_ops_match_scalar(self, q):

@@ -75,6 +75,10 @@ class TestGroupConstruction:
         with pytest.raises(ValueError, match="inverses"):
             group_from_cayley([[0, 1, 2], [1, 1, 1], [2, 0, 1]])
 
+    def test_rejects_non_permutation_column(self):
+        with pytest.raises(ValueError, match="some column is not a permutation"):
+            group_from_cayley([[0, 1, 2], [1, 2, 0], [2, 1, 0]])
+
     def test_rejects_non_associative(self):
         # latin square with identity that is not a group (order 5 loop)
         table = [
@@ -317,3 +321,89 @@ class TestTextFormats:
         assert np.array_equal(mu.mu_star, g.inverse)
         with pytest.raises(CayleyFormatError, match="order 5"):
             parse_permutation_text("5\n0 1 2 3 4\n", g)
+
+
+# ---------------------------------------------------------------------------
+# the vectorized group routines against their loop forms
+# ---------------------------------------------------------------------------
+
+
+def reference_is_subgroup(group, ids):
+    s = set(int(x) for x in ids)
+    if not s or 0 not in s:
+        return False
+    return all(int(group.table[a, b]) in s for a in s for b in s) and all(
+        int(group.inverse[a]) in s for a in s
+    )
+
+
+def reference_element_orders(group):
+    orders = np.ones(group.order, dtype=np.int64)
+    for g in range(1, group.order):
+        x, k = g, 1
+        while x != 0:
+            x, k = int(group.table[x, g]), k + 1
+        orders[g] = k
+    return orders
+
+
+def reference_conjugacy_classes(group):
+    """Orbits under conjugation, by closure."""
+    n = group.order
+    seen = np.zeros(n, dtype=bool)
+    classes = []
+    for seed in range(n):
+        if seen[seed]:
+            continue
+        orbit, stack = {seed}, [seed]
+        while stack:
+            x = stack.pop()
+            for y in (group.mul(group.mul(group.inv(h), x), h) for h in range(n)):
+                if y not in orbit:
+                    orbit.add(y)
+                    stack.append(y)
+        cls = tuple(sorted(orbit))
+        seen[list(cls)] = True
+        classes.append(cls)
+    return tuple(classes)
+
+
+ORACLE_GROUPS = ["frobenius21", "heisenberg27", "z9z3", "z45", "z3z3z3z3"]
+
+
+@pytest.fixture
+def oracle_group(request):
+    name = request.param
+    if name in ("frobenius21", "heisenberg27"):
+        return request.getfixturevalue(name)
+    return {"z9z3": group_abelian([9, 3]), "z45": cyclic_group(45), "z3z3z3z3": group_abelian([3, 3, 3, 3])}[name]
+
+
+@pytest.mark.parametrize("oracle_group", ORACLE_GROUPS, indirect=True)
+class TestGroupRoutinesAgainstLoops:
+    def test_element_orders_and_conjugacy_classes(self, oracle_group):
+        g = oracle_group
+        assert g.element_orders.tolist() == reference_element_orders(g).tolist()
+        assert g.conjugacy_classes == reference_conjugacy_classes(g)
+
+    def test_is_subgroup(self, oracle_group):
+        g = oracle_group
+        rng = np.random.default_rng(g.order)
+        cyclic = [sorted({g.power(x, e) for e in range(g.order)}) for x in range(g.order)]
+        cases = [[0], list(range(g.order))] + cyclic
+        for sub in cyclic[1:]:
+            cases.append(sub[:-1])  # drops an element: not closed
+            cases.append(sub[1:])  # drops the identity
+            cases.append(sub + [int(rng.integers(1, g.order))])
+        for size in (1, 2, 3, g.order // 3, g.order - 1):
+            pick = rng.choice(g.order, size=size, replace=False)
+            cases.append(pick.tolist())
+            cases.append([0] + pick.tolist())
+        cases.append([])
+        expected = [reference_is_subgroup(g, ids) for ids in cases]
+        assert [is_subgroup(g, ids) for ids in cases] == expected
+        assert True in expected and False in expected
+
+    def test_is_subgroup_rejects_ids_outside_the_group(self, oracle_group):
+        assert not is_subgroup(oracle_group, [0, oracle_group.order])
+        assert not is_subgroup(oracle_group, [0, -1])

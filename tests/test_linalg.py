@@ -10,6 +10,8 @@ import pytest
 from duadic import _linalg
 from duadic.gf import field_from_order
 
+from conftest import random_rank_deficient, reference_matmul, reference_right_kernel, reference_rref
+
 FIELDS = [2, 3, 4, 5, 9]
 
 
@@ -93,3 +95,82 @@ def test_row_space_equal():
     c = np.array([[1, 0, 0], [0, 1, 0]], dtype=np.int64)
     assert _linalg.row_space_equal(field, a, b)
     assert not _linalg.row_space_equal(field, a, c)
+
+
+# ---------------------------------------------------------------------------
+# the vectorized routines against their loop forms (conftest oracles)
+# ---------------------------------------------------------------------------
+
+# 65521, the largest prime under the field-order cap: entries of the lazy
+# prime-field elimination pass 2^31 before they are reduced
+ORACLE_FIELDS = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 257, 65521]
+# (rows, cols, rank bound): wide, tall, square, one row, full rank, larger
+SHAPES = [(6, 9, 3), (9, 6, 4), (12, 12, 5), (1, 5, 1), (7, 7, 7), (20, 31, 11)]
+
+
+def reference_in_row_space(field, red, pivots, v):
+    """Residue of v after eliminating it one pivot at a time is zero."""
+    w = v.astype(np.int64).copy()
+    for j, c in enumerate(pivots):
+        if w[c] != 0:
+            w = field.vsub(w, field.vmul(np.int64(w[c]), red[j]))
+    return not np.any(w)
+
+
+def _oracle_matrices(field, seed):
+    rng = np.random.default_rng(seed)
+    for rows, cols, rank in SHAPES:
+        mat = random_rank_deficient(field, rows, cols, rank, rng)
+        if cols > 2:
+            mat[:, 1] = 0  # a column without pivot before others
+        yield mat
+    yield np.zeros((4, 6), dtype=np.int64)
+
+
+@pytest.mark.parametrize("q", ORACLE_FIELDS)
+def test_rref_and_kernel_against_loop_oracle(q):
+    field = field_from_order(q)
+    for mat in _oracle_matrices(field, q):
+        before = mat.copy()
+        red, pivots = _linalg.rref(field, mat)
+        ref_red, ref_pivots = reference_rref(field, mat)
+        assert pivots == ref_pivots and np.array_equal(red, ref_red)
+        assert np.array_equal(mat, before)
+        kernel = _linalg.right_kernel(field, mat)
+        assert np.array_equal(kernel, reference_right_kernel(field, mat))
+        assert kernel.shape == (mat.shape[1] - len(pivots), mat.shape[1])
+
+
+@pytest.mark.parametrize("q", ORACLE_FIELDS)
+def test_matmul_against_loop_oracle(q, monkeypatch):
+    field = field_from_order(q)
+    rng = np.random.default_rng(q + 1)
+    a = rng.integers(0, q, (5, 13))
+    b = rng.integers(0, q, (13, 7))
+    expected = reference_matmul(field, a, b)
+    assert np.array_equal(_linalg.matmul(field, a, b), expected)
+    # one inner index per slice
+    monkeypatch.setattr(_linalg, "_PRODUCT_CELLS", 1)
+    assert np.array_equal(_linalg.matmul(field, a, b), expected)
+    assert _linalg.matmul(field, a[:, :0], b[:0]).tolist() == [[0] * 7] * 5
+
+
+@pytest.mark.parametrize("q", ORACLE_FIELDS)
+def test_row_space_membership_and_solve_against_loop_oracle(q):
+    field = field_from_order(q)
+    rng = np.random.default_rng(q + 2)
+    for mat in _oracle_matrices(field, q + 3):
+        red, pivots = _linalg.rref(field, mat)
+        inside = reference_matmul(field, rng.integers(0, q, mat.shape[0]), mat)[0]
+        candidates = [inside, rng.integers(0, q, mat.shape[1]), np.zeros(mat.shape[1], dtype=np.int64)]
+        for v in candidates:
+            member = reference_in_row_space(field, red, pivots, v)
+            assert _linalg.in_row_space(field, red, pivots, v) == member
+            x = _linalg.solve_in_span(field, mat, v)
+            assert (x is not None) == member
+            if x is not None:
+                assert np.array_equal(reference_matmul(field, x, mat)[0], v)
+        assert _linalg.in_row_space(field, red, pivots, mat)
+        assert _linalg.in_row_space(field, red, pivots, np.vstack([mat, candidates[1]])) == (
+            reference_in_row_space(field, red, pivots, candidates[1])
+        )
