@@ -14,7 +14,13 @@ import numpy as np
 
 from . import _linalg
 from .errors import VerificationError
-from .gf import FiniteField, Polynomial, multiplicative_order_mod, poly_factor
+from .gf import (
+    FiniteField,
+    Polynomial,
+    _prime_factors,
+    equal_degree_factors,
+    multiplicative_order_mod,
+)
 from .groups import Antiautomorphism, Group, fq_classes, is_subgroup
 
 
@@ -253,24 +259,17 @@ class IdempotentSet:
             )
 
 
-def _central_coordinates(group: Group) -> tuple[np.ndarray, list[int]]:
-    """Indicator matrix of ordinary class sums and the class representatives."""
-    classes = group.conjugacy_classes
-    mat = np.zeros((len(classes), group.order), dtype=np.int64)
-    for i, cls in enumerate(classes):
-        mat[i, list(cls)] = 1
-    reps = [cls[0] for cls in classes]
-    return mat, reps
-
-
 def split_primitive_central_idempotents(field: FiniteField, group: Group) -> IdempotentSet:
-    """All centrally primitive idempotents of F_q[G], by Frobenius-kernel splitting.
+    """All centrally primitive idempotents of F_q[G], by splitting the
+    Frobenius-fixed part of the center.
 
-    The center is spanned by ordinary conjugacy-class sums; its fixed
-    subalgebra under a -> a^q is a split commutative algebra F_q^r with r the
-    number of F_q-conjugacy classes.  Units of the simple components are
-    separated by refining against each fixed-subalgebra basis vector through
-    the roots of its minimal polynomial.
+    With gcd(|G|, q) = 1, the q-th power of a class sum is the class sum of
+    the q-th powers (x -> x^p is additive modulo [A, A], which meets the
+    center only in 0), so the part of the center fixed by a -> a^q is spanned
+    by the F_q-class sums: a split commutative algebra F_q^r, r the number of
+    F_q-classes, whose elements are read off at the class representatives.
+    Units of the simple components are separated by refining against each
+    F_q-class sum through the roots of its minimal polynomial.
     """
     n = group.order
     q = field.q
@@ -278,26 +277,12 @@ def split_primitive_central_idempotents(field: FiniteField, group: Group) -> Ide
         raise ValueError(f"gcd(|G|={n}, q={q}) != 1")
     partition = fq_classes(group, q)
     r = len(partition)
-    center, reps = _central_coordinates(group)
-    rc = center.shape[0]
-
-    # matrix of a -> a^q on the class-sum basis (coordinates read off at reps)
-    frob = np.zeros((rc, rc), dtype=np.int64)
-    for i in range(rc):
-        zi = AlgebraElement(field, group, center[i])
-        ziq = zi ** q
-        frob[i] = ziq.vec[reps]
-    eye = np.eye(rc, dtype=np.int64)
-    fixed = _linalg.right_kernel(field, field.vsub(frob.T, eye))
-    if fixed.shape[0] != r:
-        raise VerificationError(
-            f"fixed subalgebra dimension {fixed.shape[0]} != {r} F_q-classes"
-        )
-    basis_vecs = _linalg.matmul(field, fixed, center)
+    reps = list(partition.reps)
+    class_sums = (partition.class_of == np.arange(r)[:, None]).astype(np.int64)
 
     one = AlgebraElement.one(field, group)
     components = [one]
-    for row in basis_vecs:
+    for row in class_sums:
         if len(components) == r:
             break
         b = AlgebraElement(field, group, row)
@@ -339,12 +324,12 @@ def _refine_component(
     minpoly = Polynomial(field, coeffs)
     if minpoly.degree() == 1:
         return [unit]
-    factors = poly_factor(minpoly)
-    if any(mult != 1 or g.degree() != 1 for g, mult in factors):
+    # degree-d polynomial with d distinct roots in F_q: split squarefree
+    roots = minpoly.roots()
+    if len(roots) != minpoly.degree():
         raise VerificationError(
             f"minimal polynomial {minpoly} in the fixed subalgebra is not split squarefree"
         )
-    roots = sorted(field.neg(g.coeffs[0]) for g, _ in factors)
     out = []
     for lam in roots:
         quotient, rem = divmod(minpoly, Polynomial(field, (field.neg(lam), 1)))
@@ -384,7 +369,7 @@ def _abelian_basis_from_table(group: Group) -> tuple[list[int], list[int]]:
     orders = group.element_orders
     gens: list[int] = []
     gen_orders: list[int] = []
-    for p in sorted(set(_prime_divisors(n))):
+    for p in _prime_factors(n):
         part = [g for g in range(n) if _is_p_power(int(orders[g]), p)]
         span = {0}
         span_tuples = {0: ()}
@@ -420,20 +405,6 @@ def _abelian_basis_from_table(group: Group) -> tuple[list[int], list[int]]:
         gens.extend(g for g, _ in local)
         gen_orders.extend(d for _, d in local)
     return gens, gen_orders
-
-
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def _is_p_power(k: int, p: int) -> bool:
@@ -500,8 +471,6 @@ def abelian_character_idempotents(field: FiniteField, group: Group) -> Idempoten
     m = group.exponent
     s = multiplicative_order_mod(q, m)
     h = _primitive_root_factor(field, m)
-    if h.degree() != s:
-        raise VerificationError(f"primitive factor degree {h.degree()} != ord_m(q) = {s}")
 
     # delta^j mod h as rows of field indexes
     powers = np.zeros((m, s), dtype=np.int64)
@@ -557,18 +526,10 @@ def _tuple_id(u: np.ndarray, orders: np.ndarray) -> int:
 
 
 def _primitive_root_factor(field: FiniteField, m: int) -> Polynomial:
-    """Deterministic irreducible factor of y^m - 1 whose roots have order m."""
-    xm1 = Polynomial.x_pow_minus_one(field, m)
-    candidates = []
-    divisors = [d for d in range(1, m) if m % d == 0]
-    for g, mult in poly_factor(xm1):
-        if mult != 1:
-            raise VerificationError("y^m - 1 not squarefree despite gcd(m, q) = 1")
-        primitive = all(
-            not (Polynomial.x_pow_minus_one(field, d) % g).is_zero() for d in divisors
-        )
-        if primitive:
-            candidates.append(g)
-    if not candidates:
-        raise VerificationError(f"no primitive factor of y^{m} - 1")  # pragma: no cover
-    return min(candidates, key=lambda f: f.coeffs)
+    """Deterministic irreducible factor of y^m - 1 whose roots have order m:
+    the cyclotomic polynomial Phi_m, left when y^m - 1 loses its common
+    factor with y^(m/r) - 1 for each prime r | m, split in degree ord_m(q)."""
+    phi = Polynomial.x_pow_minus_one(field, m)
+    for r in _prime_factors(m):
+        phi = phi // phi.gcd(Polynomial.x_pow_minus_one(field, m // r))
+    return equal_degree_factors(phi, multiplicative_order_mod(field.q, m))[0]

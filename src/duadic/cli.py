@@ -246,12 +246,12 @@ def cmd_scan(args) -> tuple[int, list[CodeReport]]:
         groups = [(f"{p}x{p}", _odd_order(group_abelian([p, p]))) for p in ps]
     else:
         raise ValueError(f"unknown family {args.family!r}")
+    fields = [field_from_order(q) for q in qs]
     for label, group in groups:
-        for q in qs:
+        for q, field in zip(qs, fields):
             if math.gcd(group.order, q) != 1:
                 continue
             start = time.perf_counter()
-            field = field_from_order(q)
             mu = parse_mu_spec(args.mu, group, q)
             check = check_splitting(mu, field, group)
             report = CodeReport(

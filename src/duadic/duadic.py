@@ -120,19 +120,14 @@ def splitting_exists_mu_minus1(n: int, q: int) -> bool:
     return multiplicative_order_mod(q, n) % 2 == 1
 
 
-def check_splitting(
+def _fixed_ids(
     mu: Antiautomorphism,
     field: FiniteField,
     group: Group,
     idempotents: IdempotentSet | None = None,
-) -> SplittingCheck:
-    """Decide whether mu gives a splitting, by both available criteria.
-
-    The idempotent-level test (no nontrivial centrally primitive idempotent
-    fixed) is the ground truth; the class-level test must agree with it, and
-    a disagreement raises VerificationError since the two counts coincide by
-    theorem.
-    """
+) -> tuple[tuple[int, ...], tuple[int, ...], IdempotentSet, FqClassPartition]:
+    """Ids of the F_q-classes and of the centrally primitive idempotents that
+    mu fixes (trivial ones included), with the idempotents and the partition."""
     if mu.group != group:
         raise ValueError("antiautomorphism lives on a different group")
     if idempotents is None:
@@ -148,7 +143,23 @@ def check_splitting(
             raise VerificationError("antiautomorphism does not permute the idempotent set")
         if img == h:
             fixed_idems.append(i)
-    fixed_idems = tuple(fixed_idems)
+    return fixed_classes, tuple(fixed_idems), idempotents, partition
+
+
+def check_splitting(
+    mu: Antiautomorphism,
+    field: FiniteField,
+    group: Group,
+    idempotents: IdempotentSet | None = None,
+) -> SplittingCheck:
+    """Decide whether mu gives a splitting, by both available criteria.
+
+    The idempotent-level test (no nontrivial centrally primitive idempotent
+    fixed) is the ground truth; the class-level test must agree with it, and
+    a disagreement raises VerificationError since the two counts coincide by
+    theorem.
+    """
+    fixed_classes, fixed_idems, idempotents, partition = _fixed_ids(mu, field, group, idempotents)
     if len(fixed_classes) != len(fixed_idems):
         raise VerificationError(
             f"fixed-class count {len(fixed_classes)} != fixed-idempotent count {len(fixed_idems)}"
@@ -165,15 +176,8 @@ def verify_key_proposition(
     The two numbers must be equal; this operation reports them without
     enforcing it, as the test oracle.
     """
-    if mu.group != group:
-        raise ValueError("antiautomorphism lives on a different group")
-    idempotents = split_primitive_central_idempotents(field, group)
-    partition = fq_classes(group, field.q)
-    n_classes = sum(
-        1 for cid in range(len(partition)) if mu_action_on_class(mu, partition, cid) == cid
-    )
-    n_idems = sum(1 for h in idempotents if apply_antiauto(mu, h) == h)
-    return n_classes, n_idems
+    fixed_classes, fixed_idems, _, _ = _fixed_ids(mu, field, group)
+    return len(fixed_classes), len(fixed_idems)
 
 
 def construct_pairs(

@@ -680,13 +680,6 @@ class Polynomial:
             e >>= 1
         return out
 
-    def derivative(self) -> "Polynomial":
-        F = self.field
-        out = []
-        for i in range(1, len(self.coeffs)):
-            out.append(F.mul(F.from_int(i), self.coeffs[i]))
-        return Polynomial(F, out)
-
     def evaluate(self, x: int) -> int:
         F = self.field
         acc = 0
@@ -694,32 +687,38 @@ class Polynomial:
             acc = F.add(F.mul(acc, x), c)
         return acc
 
+    def roots(self) -> list[int]:
+        """Distinct roots in the base field, sorted: one vectorized Horner
+        pass over all q field elements."""
+        F = self.field
+        xs = np.arange(F.q, dtype=np.int64)
+        acc = np.zeros(F.q, dtype=np.int64)
+        for c in reversed(self.coeffs):
+            acc = F.vadd(F.vmul(acc, xs), np.int64(c))
+        return np.flatnonzero(acc == 0).tolist()
+
     # -- irreducibility -----------------------------------------------------
 
     def is_irreducible(self) -> bool:
-        """Rabin's test: x^(q^d) = x mod f and gcd(x^(q^(d/r)) - x, f) = 1."""
+        """Rabin's test: every irreducible factor of f has degree deg(f)."""
         d = self.degree()
         if d < 1:
             return False
-        if d == 1:
-            return True
-        F = self.field
-        q = F.q
-        f = self.monic()
-        x = Polynomial.x(F)
-        # iterated Frobenius: h_e = x^(q^e) mod f
-        h = x
-        powers = {}
-        for e in range(1, d + 1):
-            h = h.pow_mod(q, f)
-            powers[e] = h
-        if powers[d] != x % f:
-            return False
-        for r in _prime_factors(d):
-            g = (powers[d // r] - x).gcd(f)
-            if not g.is_one():
-                return False
-        return True
+        return d == 1 or _factors_all_of_degree(self.monic(), d)
+
+
+def _factors_all_of_degree(f: Polynomial, d: int) -> bool:
+    """True iff the monic f is squarefree with every irreducible factor of
+    degree d: x^(q^d) = x mod f and gcd(x^(q^(d/r)) - x, f) = 1 for each
+    prime r dividing d."""
+    x = Polynomial.x(f.field)
+    # iterated Frobenius: powers[e - 1] = x^(q^e) mod f
+    powers = [x.pow_mod(f.field.q, f)]
+    for _ in range(d - 1):
+        powers.append(powers[-1].pow_mod(f.field.q, f))
+    if powers[-1] != x % f:
+        return False
+    return all((powers[d // r - 1] - x).gcd(f).is_one() for r in _prime_factors(d))
 
 
 # ---------------------------------------------------------------------------
@@ -769,76 +768,14 @@ def _np_poly_divmod(field: FiniteField, a, b) -> tuple[list[int], list[int]]:
 # ---------------------------------------------------------------------------
 
 
-def _pth_root(f: Polynomial) -> Polynomial:
-    """For f with zero derivative (f = g(x^p)), return g."""
-    F = f.field
-    p = F.p
-    root_exp = F.q // p  # a^(q/p) is the p-th root in GF(q)
-    out = []
-    for i in range(0, len(f.coeffs), p):
-        out.append(F.power(f.coeffs[i], root_exp))
-    return Polynomial(F, out)
-
-
-def _squarefree_parts(f: Polynomial) -> list[tuple[Polynomial, int]]:
-    """Squarefree decomposition of a monic polynomial in characteristic p."""
-    F = f.field
-    p = F.p
-    acc: dict[tuple[int, ...], tuple[Polynomial, int]] = {}
-
-    def put(poly: Polynomial, mult: int) -> None:
-        if poly.degree() < 1:
-            return
-        key = poly.coeffs
-        if key in acc:
-            acc[key] = (poly, acc[key][1] + mult)
-        else:
-            acc[key] = (poly, mult)
-
-    def sff(f: Polynomial, outer: int) -> None:
-        fp = f.derivative()
-        if fp.is_zero():
-            sff(_pth_root(f), outer * p)
-            return
-        c = f.gcd(fp)
-        w = f // c
-        i = 1
-        while not w.is_one():
-            y = w.gcd(c)
-            z = w // y
-            put(z, i * outer)
-            w = y
-            c = c // y
-            i += 1
-        if not c.is_one():
-            sff(_pth_root(c), outer * p)
-
-    sff(f.monic(), 1)
-    return sorted(acc.values(), key=lambda t: (t[0].degree(), t[0].coeffs))
-
-
-def _distinct_degree(f: Polynomial) -> list[tuple[Polynomial, int]]:
-    """Split a monic squarefree f into products of irreducibles of equal degree."""
-    F = f.field
-    q = F.q
-    x = Polynomial.x(F)
-    out = []
-    h = x
-    d = 0
-    g = f
-    while g.degree() >= 2 * (d + 1):
-        d += 1
-        h = h.pow_mod(q, g)
-        part = (h - x).gcd(g)
-        if not part.is_one():
-            out.append((part, d))
-            g = g // part
-            h = h % g
-    # whatever remains is irreducible: any split would need two factors of
-    # degree > d, exceeding deg(g) < 2(d+1)
-    if g.degree() > 0:
-        out.append((g, g.degree()))
-    return out
+def equal_degree_factors(f: Polynomial, d: int) -> list[Polynomial]:
+    """The monic irreducible factors of f, sorted by coefficients, when f is
+    squarefree with every irreducible factor of degree d (checked first;
+    ValueError otherwise), split by Cantor-Zassenhaus with `_FACTOR_SEED`."""
+    g = f.monic()
+    if d < 1 or g.degree() < 1 or g.degree() % d or not _factors_all_of_degree(g, d):
+        raise ValueError(f"{f} is not a squarefree product of degree-{d} irreducibles")
+    return sorted(_equal_degree_split(g, d, random.Random(_FACTOR_SEED)), key=lambda h: h.coeffs)
 
 
 def _equal_degree_split(f: Polynomial, d: int, rng: random.Random) -> list[Polynomial]:
@@ -868,35 +805,3 @@ def _equal_degree_split(f: Polynomial, d: int, rng: random.Random) -> list[Polyn
             left = _equal_degree_split(g, d, rng)
             right = _equal_degree_split(f // g, d, rng)
             return left + right
-
-
-def poly_factor(f: Polynomial) -> list[tuple[Polynomial, int]]:
-    """Factor f into monic irreducibles with multiplicities.
-
-    The product of the factors (with multiplicities) times the leading
-    coefficient of f equals f.  Output is sorted by (degree, coefficients)
-    and the equal-degree stage uses a fixed-seed generator, so results are
-    reproducible run to run.
-    """
-    if f.is_zero():
-        raise ValueError("cannot factor the zero polynomial")
-    if f.degree() == 0:
-        return []
-    rng = random.Random(_FACTOR_SEED)
-    out: list[tuple[Polynomial, int]] = []
-    for part, mult in _squarefree_parts(f):
-        for prod, d in _distinct_degree(part):
-            for irr in _equal_degree_split(prod, d, rng):
-                out.append((irr.monic(), mult))
-    out.sort(key=lambda t: (t[0].degree(), t[0].coeffs))
-    return out
-
-
-def poly_roots(f: Polynomial) -> list[int]:
-    """Roots of f in its base field (with multiplicity ignored), sorted."""
-    roots = []
-    for g, _ in poly_factor(f):
-        if g.degree() == 1:
-            # x + c0 -> root -c0
-            roots.append(f.field.neg(g.coeffs[0]))
-    return sorted(set(roots))

@@ -16,6 +16,7 @@ from string import ascii_lowercase
 import numpy as np
 
 from .errors import CayleyFormatError
+from .gf import _prime_factors, is_prime
 
 GROUP_ORDER_CAP = 512
 
@@ -42,7 +43,6 @@ class Group:
         self._exponent: int | None = None
         self._left: np.ndarray | None = None
         self._right: np.ndarray | None = None
-        self._classes: tuple[tuple[int, ...], ...] | None = None
         self._hash: int | None = None
 
     # -- validation -------------------------------------------------------
@@ -154,19 +154,6 @@ class Group:
             self._right = self.table[:, self.inverse].T.copy()
             self._right.flags.writeable = False
         return self._right
-
-    @property
-    def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
-        """Ordinary conjugacy classes, sorted by smallest member."""
-        if self._classes is None:
-            ids = np.arange(self.order)
-            conjugates = self.table[self.table[self.inverse[:, None], ids], ids[:, None]]  # [h, x] = h^-1 x h
-            smallest = conjugates.min(axis=0)  # the same for every member of a class
-            members = np.argsort(smallest, kind="stable")
-            edges = [0, *(np.flatnonzero(np.diff(smallest[members])) + 1).tolist(), self.order]
-            members = members.tolist()
-            self._classes = tuple(tuple(members[a:b]) for a, b in zip(edges, edges[1:]))
-        return self._classes
 
     # -- labels --------------------------------------------------------------
 
@@ -388,7 +375,9 @@ class Antiautomorphism:
         k is the exponent by which the extension of x -> x^(p^t) acts on
         m-th roots of unity; l is its inverse used in the class action.
         """
-        p = _characteristic_of(q)
+        if q < 2:
+            raise ValueError(f"invalid field order {q}")
+        p = _prime_factors(q)[0]
         e = 0
         qq = q
         while qq > 1:
@@ -408,13 +397,6 @@ class Antiautomorphism:
         )
 
 
-def _characteristic_of(q: int) -> int:
-    for p in range(2, q + 1):
-        if q % p == 0:
-            return p
-    raise ValueError(f"invalid field order {q}")
-
-
 def builtin_mu_minus1(group: Group) -> Antiautomorphism:
     """The inversion map g -> g^-1 with trivial field part."""
     return Antiautomorphism(group, group.inverse.copy(), 0, descriptor="mu-1")
@@ -426,24 +408,13 @@ def builtin_mu_swap(group: Group, q: int) -> Antiautomorphism:
     if orders is None or len(orders) != 2 or orders[0] != orders[1]:
         raise ValueError("swap antiautomorphism needs a group built as Z_p x Z_p")
     p = orders[0]
-    if p == 2 or not _is_odd_prime(p):
+    if p % 2 == 0 or not is_prime(p):
         raise ValueError(f"swap antiautomorphism needs an odd prime p, got {p}")
     if math.gcd(p, q) != 1:
         raise ValueError(f"gcd(p={p}, q={q}) != 1")
     xs, ys = np.divmod(np.arange(p * p), p)
     perm = (q * ys % p) * p + xs
     return Antiautomorphism(group, perm, 0, descriptor="swap")
-
-
-def _is_odd_prime(p: int) -> bool:
-    if p < 3 or p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
 
 
 def product_antiauto(mu1: Antiautomorphism, mu2: Antiautomorphism, product: Group | None = None) -> Antiautomorphism:

@@ -14,9 +14,10 @@ import math
 import numpy as np
 import pytest
 
-from duadic.algebra import AlgebraElement
+from duadic import _linalg
+from duadic.algebra import AlgebraElement, IdempotentSet
 from duadic.duadic import check_splitting
-from duadic.gf import field_from_order, field_make
+from duadic.gf import Polynomial, field_from_order, field_make
 from duadic.groups import (
     Group,
     builtin_mu_minus1,
@@ -27,23 +28,28 @@ from duadic.groups import (
 )
 
 
-def frobenius21_table() -> np.ndarray:
-    """Cayley table of the order-21 Frobenius group Z7 : Z3.
+def metacyclic_table(p: int, r: int) -> np.ndarray:
+    """Cayley table of the metacyclic group Z_p : Z_3, for r of order 3 mod p.
 
-    Presentation a^7 = b^3 = 1, b^-1 a b = a^2; elements a^i b^j with
-    id = 3*i + j; the relation gives b^j a = a^(2^j) b^j.
+    Presentation a^p = b^3 = 1, b^-1 a b = a^r; elements a^i b^j with
+    id = 3*i + j; the relation gives b^j a = a^(r^j) b^j.
     """
     def eid(i: int, j: int) -> int:
-        return 3 * (i % 7) + (j % 3)
+        return 3 * (i % p) + (j % 3)
 
-    table = np.zeros((21, 21), dtype=np.int64)
-    for i1 in range(7):
+    table = np.zeros((3 * p, 3 * p), dtype=np.int64)
+    for i1 in range(p):
         for j1 in range(3):
-            for i2 in range(7):
+            for i2 in range(p):
                 for j2 in range(3):
-                    # (a^i1 b^j1)(a^i2 b^j2) = a^(i1 + i2*2^j1) b^(j1+j2)
-                    table[eid(i1, j1), eid(i2, j2)] = eid(i1 + i2 * 2**j1, j1 + j2)
+                    # (a^i1 b^j1)(a^i2 b^j2) = a^(i1 + i2*r^j1) b^(j1+j2)
+                    table[eid(i1, j1), eid(i2, j2)] = eid(i1 + i2 * r**j1, j1 + j2)
     return table
+
+
+def frobenius21_table() -> np.ndarray:
+    """Cayley table of the order-21 Frobenius group Z7 : Z3 (r = 2)."""
+    return metacyclic_table(7, 2)
 
 
 @pytest.fixture(scope="session")
@@ -222,3 +228,80 @@ def random_rank_deficient(field, rows, cols, rank, rng):
     left = rng.integers(0, field.q, (rows, rank))
     right = rng.integers(0, field.q, (rank, cols))
     return reference_matmul(field, left, right)
+
+
+# ---------------------------------------------------------------------------
+# oracle: the Frobenius-kernel construction of the centrally primitive
+# idempotents, from ordinary class sums raised to the q-th power
+# ---------------------------------------------------------------------------
+
+
+def reference_conjugacy_classes(group):
+    """Orbits under conjugation, by closure."""
+    n = group.order
+    seen = np.zeros(n, dtype=bool)
+    classes = []
+    for seed in range(n):
+        if seen[seed]:
+            continue
+        orbit, stack = {seed}, [seed]
+        while stack:
+            x = stack.pop()
+            for y in (group.mul(group.mul(group.inv(h), x), h) for h in range(n)):
+                if y not in orbit:
+                    orbit.add(y)
+                    stack.append(y)
+        cls = tuple(sorted(orbit))
+        seen[list(cls)] = True
+        classes.append(cls)
+    return tuple(classes)
+
+
+def reference_fixed_center(field, group):
+    """(basis rows, class representatives) of the part of the center fixed by
+    a -> a^q: the kernel of Frobenius - 1 on the ordinary class sums, each
+    raised to the q-th power by repeated squaring in F_q[G]."""
+    classes = reference_conjugacy_classes(group)
+    center = np.zeros((len(classes), group.order), dtype=np.int64)
+    for i, cls in enumerate(classes):
+        center[i, list(cls)] = 1
+    reps = [cls[0] for cls in classes]
+    frob = np.array([(AlgebraElement(field, group, row) ** field.q).vec[reps] for row in center])
+    eye = np.eye(len(classes), dtype=np.int64)
+    kernel = reference_right_kernel(field, field.vsub(frob.T, eye))
+    return reference_matmul(field, kernel, center), reps
+
+
+def reference_split_idempotents(field, group):
+    """(idempotent set, fixed-center basis): the unit split against each
+    fixed-center basis vector through the roots of its minimal polynomial,
+    the roots found by scalar evaluation at every field element."""
+    basis, reps = reference_fixed_center(field, group)
+    components = [AlgebraElement.one(field, group)]
+    for row in basis:
+        b = AlgebraElement(field, group, row)
+        components = [part for unit in components for part in _reference_refine(field, reps, unit, b)]
+    return IdempotentSet(field, group, components), basis
+
+
+def _reference_refine(field, reps, unit, b):
+    c = b * unit
+    rows, power = [unit.vec[reps]], c
+    while (sol := _linalg.solve_in_span(field, np.array(rows), power.vec[reps])) is None:
+        rows.append(power.vec[reps])
+        power = power * c
+    minpoly = Polynomial(field, [field.neg(int(x)) for x in sol] + [1])
+    roots = [x for x in range(field.q) if minpoly.evaluate(x) == 0]
+    assert len(roots) == minpoly.degree(), f"{minpoly} is not split squarefree"
+    if len(roots) == 1:
+        return [unit]
+    out = []
+    for lam in roots:
+        # the Lagrange idempotent prod_{mu != lam} (c - mu) / (lam - mu)
+        acc = unit
+        for mu in roots:
+            if mu != lam:
+                step = (c - unit.scale(mu)).scale(field.inv(field.sub(lam, mu)))
+                acc = acc * step
+        out.append(acc)
+    return out

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
@@ -10,6 +11,8 @@ import pytest
 from duadic import _linalg
 from duadic.algebra import (
     AlgebraElement,
+    _primitive_root_factor,
+    _refine_component,
     abelian_character_idempotents,
     alg_mul,
     apply_antiauto,
@@ -21,7 +24,8 @@ from duadic.algebra import (
     split_primitive_central_idempotents,
 )
 from duadic.codes import code_from_ideal
-from duadic.gf import field_from_order
+from duadic.errors import VerificationError
+from duadic.gf import Polynomial, field_from_order, multiplicative_order_mod
 from duadic.groups import (
     builtin_mu_minus1,
     builtin_mu_swap,
@@ -29,9 +33,41 @@ from duadic.groups import (
     fq_classes,
     group_abelian,
     group_from_cayley,
+    group_product,
 )
 
-from conftest import naive_mul
+from conftest import (
+    heisenberg27_table,
+    metacyclic_table,
+    naive_mul,
+    reference_rref,
+    reference_split_idempotents,
+)
+
+REFERENCE_QS = (2, 3, 4, 5, 7, 8, 9, 16, 25, 27)
+
+
+def _reference_cells():
+    """(q, group) for the Frobenius-kernel oracle: non-abelian groups of odd
+    order and abelian cells, over every field order coprime to |G|."""
+    frobenius21 = group_from_cayley(metacyclic_table(7, 2))
+    groups = [
+        ("frobenius21", frobenius21),
+        ("heisenberg27", group_from_cayley(heisenberg27_table())),
+        ("z7:z3xz3", group_product(frobenius21, cyclic_group(3))),
+        ("z13:z3", group_from_cayley(metacyclic_table(13, 3))),
+        ("z19:z3", group_from_cayley(metacyclic_table(19, 7))),
+        ("z7", cyclic_group(7)),
+        ("z9", cyclic_group(9)),
+        ("z15", cyclic_group(15)),
+        ("z21", cyclic_group(21)),
+        ("z3xz3", group_abelian([3, 3])),
+        ("z5xz5", group_abelian([5, 5])),
+    ]
+    for name, group in groups:
+        for q in REFERENCE_QS:
+            if math.gcd(group.order, q) == 1:
+                yield pytest.param(q, group, id=f"{name}-q{q}")
 
 
 def reference_alg_mul(a, b):
@@ -304,7 +340,48 @@ class TestSplitIdempotents:
         assert sum(code_from_ideal(e).k for e in s) == 21
 
 
+class TestSplitAgainstFrobeniusKernel:
+    @pytest.mark.parametrize("q,group", list(_reference_cells()))
+    def test_matches_frobenius_kernel_oracle(self, q, group):
+        field = field_from_order(q)
+        reference, fixed_center = reference_split_idempotents(field, group)
+        partition = fq_classes(group, q)
+        r = len(partition)
+        # the fixed center is F_q^r, spanned by the F_q-class sums
+        assert fixed_center.shape[0] == r
+        class_sums = (partition.class_of == np.arange(r)[:, None]).astype(np.int64)
+        assert np.array_equal(reference_rref(field, fixed_center)[0], reference_rref(field, class_sums)[0])
+        assert split_primitive_central_idempotents(field, group) == reference
+
+    def test_refining_outside_the_fixed_subalgebra_raises(self, gf2, z7):
+        # g is central but not Frobenius-fixed: read at the class representatives
+        # its powers give the minimal polynomial x^2, which has one root only
+        reps = list(fq_classes(z7, 2).reps)
+        one = AlgebraElement.one(gf2, z7)
+        with pytest.raises(VerificationError, match="not split squarefree"):
+            _refine_component(gf2, z7, reps, one, AlgebraElement.basis(gf2, z7, 1))
+
+
 class TestCharacterOracle:
+    @pytest.mark.parametrize(
+        "q,m",
+        [(2, 1), (2, 7), (2, 9), (2, 15), (2, 21), (3, 8), (3, 13), (4, 9), (5, 12),
+         (7, 9), (8, 7), (9, 5), (16, 17), (25, 13)],
+    )
+    def test_primitive_root_factor_against_brute_force(self, q, m):
+        field = field_from_order(q)
+        s = multiplicative_order_mod(q, m)
+        ym1 = Polynomial.x_pow_minus_one(field, m)
+        lower = [Polynomial.x_pow_minus_one(field, d) for d in range(1, m) if m % d == 0]
+        # monic degree-s divisors of y^m - 1 sharing no root with y^d - 1, d < m
+        found = []
+        for v in range(q**s):
+            h = Polynomial(field, [v // q**i % q for i in range(s)] + [1])
+            if (ym1 % h).is_zero() and all(h.gcd(g).is_one() for g in lower):
+                found.append(h.coeffs)
+        assert len(found) == sum(math.gcd(k, m) == 1 for k in range(1, m + 1)) // s
+        assert _primitive_root_factor(field, m).coeffs == min(found)
+
     def test_z7_orbit_idempotent(self, gf2, z7):
         s = abelian_character_idempotents(gf2, z7)
         qr = poly_elem(gf2, z7, [0, 1, 2, 4])

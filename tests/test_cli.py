@@ -95,6 +95,8 @@ class TestScan:
             (["--n", "3,x", "--q", "2"], "--n expects a range like 3-45 or a comma list of integers, got '3,x'"),
             (["--family", "pxp", "--p", "3,x", "--q", "2"], "--p expects a comma list of integers, got '3,x'"),
             (["--n", "3-9", "--q", "2,x"], "--q expects a comma list of integers, got '2,x'"),
+            (["--n", "3-9", "--q", "0"], "0 is not a prime power"),
+            (["--n", "3-9", "--q", "2,0"], "0 is not a prime power"),
         ],
     )
     def test_bad_input_exits_1_with_one_line(self, capsys, argv, message):

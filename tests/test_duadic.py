@@ -15,6 +15,7 @@ from duadic.algebra import (
     is_idempotent,
     split_primitive_central_idempotents,
 )
+from duadic import duadic as duadic_module
 from duadic.codes import odd_like_min_weight
 from duadic.duadic import (
     DuadicPair,
@@ -146,6 +147,17 @@ class TestKeyProposition:
                 field = field_from_order(q)
                 counts = verify_key_proposition(builtin_mu_swap(group, q), field, group)
                 assert counts[0] == counts[1], (p, q, counts)
+
+    def test_counts_reported_not_enforced(self, monkeypatch):
+        # a class action that fixes every class breaks the count equality:
+        # the oracle reports both counts, check_splitting refuses them
+        field = field_from_order(2)
+        group = cyclic_group(7)
+        mu = builtin_mu_minus1(group)
+        monkeypatch.setattr(duadic_module, "mu_action_on_class", lambda mu, partition, cid: cid)
+        assert verify_key_proposition(mu, field, group) == (3, 1)
+        with pytest.raises(VerificationError, match="fixed-class count 3 != fixed-idempotent count 1"):
+            check_splitting(mu, field, group)
 
 
 class TestConstructPairs:

@@ -1,4 +1,5 @@
-"""Field construction, arithmetic, polynomial factorization, orders."""
+"""Field construction, arithmetic, polynomials (roots, irreducibility,
+equal-degree factoring), orders."""
 
 from __future__ import annotations
 
@@ -14,9 +15,8 @@ from duadic.gf import (
     Polynomial,
     field_from_order,
     field_make,
+    equal_degree_factors,
     multiplicative_order_mod,
-    poly_factor,
-    poly_roots,
 )
 
 ALL_PRIME_POWERS_256 = sorted(
@@ -160,60 +160,81 @@ class TestArithmetic:
         assert f.vsum(a) == total
 
 
-class TestPolynomials:
-    def test_factor_x7_minus_one_over_gf2(self, gf2):
-        f = Polynomial.x_pow_minus_one(gf2, 7)
-        factors = poly_factor(f)
-        got = {g.coeffs for g, _ in factors}
-        assert got == {(1, 1), (1, 1, 0, 1), (1, 0, 1, 1)}
-        assert all(m == 1 for _, m in factors)
+def _random_irreducibles(field, d, count, rng):
+    """`count` distinct random monic irreducibles of degree d, sorted."""
+    found = set()
+    while len(found) < count:
+        f = Polynomial(field, [rng.randrange(field.q) for _ in range(d)] + [1])
+        if f.is_irreducible():
+            found.add(f.coeffs)
+    return [Polynomial(field, c) for c in sorted(found)]
 
-    def test_factor_x9_minus_one_over_gf2(self, gf2):
-        f = Polynomial.x_pow_minus_one(gf2, 9)
-        got = {g.coeffs for g, _ in poly_factor(f)}
-        assert got == {(1, 1), (1, 1, 1), (1, 0, 0, 1, 0, 0, 1)}
+
+def _mobius(n: int) -> int:
+    out, d = 1, 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            out = -out
+        d += 1
+    return -out if n > 1 else out
+
+
+def _irreducible_count(q: int, d: int) -> int:
+    """Gauss's formula for the number of monic irreducibles of degree d over GF(q)."""
+    return sum(_mobius(d // e) * q**e for e in range(1, d + 1) if d % e == 0) // d
+
+
+class TestPolynomials:
+    @pytest.mark.parametrize("q,d", [(2, 1), (2, 4), (2, 6), (3, 3), (4, 3), (5, 2), (9, 2)])
+    def test_is_irreducible_count_matches_gauss_formula(self, q, d):
+        field = field_from_order(q)
+        count = sum(
+            Polynomial(field, [v // q**i % q for i in range(d)] + [1]).is_irreducible()
+            for v in range(q**d)
+        )
+        assert count == _irreducible_count(q, d)
 
     def test_factor_linear(self, gf9):
         f = Polynomial(gf9, (gf9.neg(1), 1))
-        assert poly_factor(f) == [(f, 1)]
-
-    def test_zero_polynomial_rejected(self, gf2):
-        with pytest.raises(ValueError, match="zero"):
-            poly_factor(Polynomial.zero(gf2))
+        assert equal_degree_factors(f, 1) == [f]
 
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
     def test_factor_roundtrip_random(self, q):
         field = field_from_order(q)
         rng = random.Random(100 + q)
         for trial in range(8):
-            coeffs = [rng.randrange(q) for _ in range(rng.randrange(2, 14))]
-            f = Polynomial(field, coeffs)
-            if f.degree() < 1:
-                continue
-            factors = poly_factor(f)
-            prod = Polynomial(field, (f.coeffs[-1],))
-            for g, mult in factors:
-                assert g.is_irreducible(), f"reducible factor {g} of {f}"
-                assert g.coeffs[-1] == 1
-                for _ in range(mult):
-                    prod = prod * g
-            assert prod == f
+            d = rng.randrange(1, 4)
+            count = rng.randrange(1, min(3, _irreducible_count(q, d)) + 1)
+            irreducibles = _random_irreducibles(field, d, count, rng)
+            f = functools.reduce(Polynomial.__mul__, irreducibles)
+            lead = rng.randrange(1, q)
+            assert equal_degree_factors(f.scale(lead), d) == irreducibles
 
     def test_factor_deterministic(self, gf9):
-        f = Polynomial.x_pow_minus_one(gf9, 20)
-        assert poly_factor(f) == poly_factor(f)
+        f = functools.reduce(Polynomial.__mul__, _random_irreducibles(gf9, 2, 5, random.Random(20)))
+        assert equal_degree_factors(f, 2) == equal_degree_factors(f, 2)
 
-    def test_squarefree_multiplicities(self, gf2):
-        # (x+1)^2 (x^2+x+1)^3
-        a = Polynomial(gf2, (1, 1))
-        b = Polynomial(gf2, (1, 1, 1))
-        f = a * a * b * b * b
-        assert poly_factor(f) == [(a, 2), (b, 3)]
+    def test_factor_rejects_other_degrees_and_squares(self, gf2):
+        a, b = Polynomial(gf2, (1, 1)), Polynomial(gf2, (1, 1, 1))
+        for f, d in [(a * b, 1), (a * b, 2), (b * b, 2), (a * a, 1), (b, 1), (b, 3), (Polynomial.zero(gf2), 1)]:
+            with pytest.raises(ValueError, match="not a squarefree product"):
+                equal_degree_factors(f, d)
 
     def test_poly_roots(self, gf9):
         # x^2 - 1 has roots 1 and -1
         f = Polynomial(gf9, (gf9.neg(1), 0, 1))
-        assert poly_roots(f) == sorted([1, gf9.neg(1)])
+        assert f.roots() == sorted([1, gf9.neg(1)])
+
+    @pytest.mark.parametrize("q", [2, 4, 7, 27])
+    def test_roots_against_scalar_evaluation(self, q):
+        field = field_from_order(q)
+        rng = random.Random(q)
+        for _ in range(10):
+            f = Polynomial(field, [rng.randrange(q) for _ in range(rng.randrange(1, 6))])
+            assert f.roots() == [x for x in range(q) if f.evaluate(x) == 0]
 
     def test_str(self, gf2):
         assert str(Polynomial(gf2, (1, 1, 0, 1))) == "x^3 + x + 1"
