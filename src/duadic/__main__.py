@@ -1,0 +1,5 @@
+"""``python -m duadic``: the command-line interface."""
+from .cli import main
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -8,6 +8,7 @@ oracle.  Elements store a length-n vector of field-element indexes.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -21,7 +22,7 @@ from .gf import (
     equal_degree_factors,
     multiplicative_order_mod,
 )
-from .groups import Antiautomorphism, Group, fq_classes, is_subgroup
+from .groups import Antiautomorphism, FqClassPartition, Group, fq_classes, is_subgroup
 
 
 class AlgebraElement:
@@ -83,7 +84,7 @@ class AlgebraElement:
 
     def key(self) -> tuple[int, ...]:
         """Coefficient tuple, used for deterministic (lexicographic) ordering."""
-        return tuple(int(x) for x in self.vec)
+        return tuple(self.vec.tolist())
 
     @property
     def coeffs(self) -> tuple:
@@ -197,13 +198,14 @@ def apply_antiauto(mu: Antiautomorphism, a: AlgebraElement) -> AlgebraElement:
 
 
 class IdempotentSet:
-    """The complete set of centrally primitive idempotents of F_q[G],
-    sorted by coefficient tuple; ``trivial_index`` locates Ghat."""
+    """The complete set of centrally primitive idempotents of F_q[G], sorted by
+    coefficient tuple; ``trivial_index`` locates Ghat, ``partition`` the F_q-classes."""
 
-    def __init__(self, field: FiniteField, group: Group, members):
+    def __init__(self, field: FiniteField, group: Group, members, partition=None):
         ms = sorted(members, key=lambda e: e.key())
         self.field = field
         self.group = group
+        self.partition = fq_classes(group, field.q) if partition is None else partition
         self.members = tuple(ms)
         ghat = hat_group(field, group)
         try:
@@ -252,7 +254,7 @@ class IdempotentSet:
                 prod = alg_mul(e, f)
                 if prod.weight() or alg_mul(f, e).weight():
                     raise VerificationError("idempotents are not pairwise orthogonal")
-        count = len(fq_classes(self.group, self.field.q))
+        count = len(self.partition)
         if len(self.members) != count:
             raise VerificationError(
                 f"{len(self.members)} idempotents vs {count} F_q-conjugacy classes"
@@ -260,90 +262,98 @@ class IdempotentSet:
 
 
 def split_primitive_central_idempotents(field: FiniteField, group: Group) -> IdempotentSet:
-    """All centrally primitive idempotents of F_q[G], by splitting the
-    Frobenius-fixed part of the center.
+    """All centrally primitive idempotents of F_q[G], split in F_q-class coordinates.
 
     With gcd(|G|, q) = 1, the q-th power of a class sum is the class sum of
     the q-th powers (x -> x^p is additive modulo [A, A], which meets the
-    center only in 0), so the part of the center fixed by a -> a^q is spanned
-    by the F_q-class sums: a split commutative algebra F_q^r, r the number of
-    F_q-classes, whose elements are read off at the class representatives.
-    Units of the simple components are separated by refining against each
-    F_q-class sum through the roots of its minimal polynomial.
+    center only in 0), so the Frobenius-fixed part of the center is spanned
+    by the F_q-class sums K_j: a split algebra F_q^r whose elements are
+    r-vectors, their values at the class representatives, and in which
+    multiplication by K_j is an r x r matrix M_j (`_class_sum_action`).  The
+    stacked component units are multiplied by each K_j at once; a unit with
+    u K_j = lambda u (the scalar pre-check) is kept, any other is split by
+    the roots of the minimal polynomial of K_j on it, read from one RREF of
+    its Krylov rows (`_refine_component`).  Each idempotent is expanded to
+    length n once, through ``partition.class_of``.
     """
-    n = group.order
-    q = field.q
+    n, q = group.order, field.q
     if math.gcd(n, q) != 1:
         raise ValueError(f"gcd(|G|={n}, q={q}) != 1")
     partition = fq_classes(group, q)
     r = len(partition)
-    reps = list(partition.reps)
-    class_sums = (partition.class_of == np.arange(r)[:, None]).astype(np.int64)
-
-    one = AlgebraElement.one(field, group)
-    components = [one]
-    for row in class_sums:
-        if len(components) == r:
+    units = np.eye(1, r, dtype=np.int64)
+    for j in range(1, r):
+        if len(units) == r:
             break
-        b = AlgebraElement(field, group, row)
-        refined: list[AlgebraElement] = []
-        for unit in components:
-            refined.extend(_refine_component(field, group, reps, unit, b))
-        components = refined
-    if len(components) != r:
-        raise VerificationError(
-            f"splitting produced {len(components)} components, expected {r}"
+        times = _class_sum_action(field, partition, j)
+        scalar = _scalar_rows(field, units, times(units))
+        units = np.vstack(
+            [u[None] if s else _refine_component(field, u, times) for u, s in zip(units, scalar)]
         )
-    return IdempotentSet(field, group, components)
+    if len(units) != r:
+        raise VerificationError(f"splitting produced {len(units)} components, expected {r}")
+    members = [AlgebraElement(field, group, v) for v in units[:, partition.class_of]]
+    return IdempotentSet(field, group, members, partition)
 
 
-def _refine_component(
-    field: FiniteField,
-    group: Group,
-    reps: list[int],
-    unit: AlgebraElement,
-    b: AlgebraElement,
-) -> list[AlgebraElement]:
-    """Split a component unit by the eigenvalues of b inside it."""
-    c = alg_mul(b, unit)
-    # minimal polynomial of c relative to the unit, found as the first linear
-    # dependence among u, c, c^2, ... in class-sum coordinates
-    rows = [unit.vec[reps]]
-    power = c
-    coeffs = None
-    while len(rows) <= len(reps) + 1:
-        target = power.vec[reps]
-        sol = _linalg.solve_in_span(field, np.array(rows), target)
-        if sol is not None:
-            coeffs = [field.neg(int(x)) for x in sol] + [1]
-            break
-        rows.append(target)
-        power = alg_mul(power, c)
-    if coeffs is None:
-        raise VerificationError("no linear dependence among component powers")  # pragma: no cover
-    minpoly = Polynomial(field, coeffs)
-    if minpoly.degree() == 1:
-        return [unit]
-    # degree-d polynomial with d distinct roots in F_q: split squarefree
-    roots = minpoly.roots()
-    if len(roots) != minpoly.degree():
+def _scalar_rows(field: FiniteField, units: np.ndarray, products: np.ndarray) -> np.ndarray:
+    """Mask of the nonzero rows u whose product is lambda u, lambda read at u's first nonzero."""
+    rows, lead = np.arange(len(units)), (units != 0).argmax(axis=1)
+    lam = field.vmul(products[rows, lead], field.vinv(units[rows, lead]))
+    return (products == field.vmul(lam[:, None], units)).all(axis=1)
+
+
+def _class_sum_action(field: FiniteField, partition: FqClassPartition, j: int):
+    """u -> u M_j on stacked r-vectors, M_j[i, k] = #{y in C_j : class(z_k y^-1)
+    = i} mod p with z_k the representative of class k: the sum over y in C_j
+    of u[class(z_k y^-1)], gathered from the |C_j| x r table of those classes
+    for a block of y at a time, at most max(2^15, u.size) entries."""
+    group = partition.group
+    members = group.inverse[list(partition.classes[j])]
+    hits = partition.class_of[group.table[np.array(partition.reps)[None, :], members[:, None]]]
+
+    def times(rows: np.ndarray) -> np.ndarray:
+        step = max(1, _linalg._PRODUCT_CELLS // rows.size)
+        out = field.vsum(rows[:, hits[:step]], axis=1)
+        for i in range(step, len(hits), step):
+            out = field.vadd(out, field.vsum(rows[:, hits[i : i + step]], axis=1))
+        return out
+
+    return times
+
+
+def _refine_component(field: FiniteField, unit: np.ndarray, times) -> np.ndarray:
+    """The parts of a component unit u (an r-vector) under the linear map
+    ``times`` (rows -> rows @ M), one row per root of the minimal polynomial,
+    read from one RREF of the transposed Krylov rows u, c = u M, c^2, ...
+    Its degree d is at most r, and at most q if it splits squarefree; the
+    rows grow to 2d + 1 until a dependence shows, so d <= 2 takes one RREF."""
+    limit = min(len(unit), field.q) + 1
+    powers, d = [unit], 1
+    while d == len(powers) < limit:
+        while len(powers) < min(2 * d + 1, limit):
+            powers.append(times(powers[-1][None])[0])
+        red, pivots = _linalg.rref(field, np.array(powers).T)
+        d = len(pivots)
+    if d == limit:
+        raise VerificationError(f"minimal polynomial of degree > {field.q} is not split squarefree")
+    coeffs = field.vneg(red[:, d])
+    minpoly = Polynomial(field, coeffs.tolist() + [1])
+    lam = np.array(minpoly.roots(), dtype=np.int64)
+    if len(lam) != d:
         raise VerificationError(
             f"minimal polynomial {minpoly} in the fixed subalgebra is not split squarefree"
         )
-    out = []
-    for lam in roots:
-        quotient, rem = divmod(minpoly, Polynomial(field, (field.neg(lam), 1)))
-        if not rem.is_zero():
-            raise VerificationError("root division left a remainder")  # pragma: no cover
-        scale = field.inv(quotient.evaluate(lam))
-        # Horner evaluation of quotient at c, with the component unit as 1
-        acc = AlgebraElement.zero(field, group)
-        for coeff in reversed(quotient.coeffs):
-            acc = alg_mul(acc, c)
-            if coeff:
-                acc = acc + unit.scale(coeff)
-        out.append(acc.scale(scale))
-    return out
+    # part(lambda) = b(c) / b(lambda), b = minpoly / (x - lambda): synthetic
+    # division and Horner for all roots at once, then one product with the powers
+    b = value = np.ones(d, dtype=np.int64)
+    quotients = [b]
+    for a in coeffs[:0:-1]:
+        b = field.vadd(np.int64(a), field.vmul(lam, b))
+        value = field.vadd(field.vmul(value, lam), b)
+        quotients.append(b)
+    scaled = field.vmul(np.array(quotients[::-1]).T, field.vinv(value)[:, None])
+    return _linalg.matmul(field, scaled, np.array(powers[:d]))
 
 
 # ---------------------------------------------------------------------------
@@ -525,10 +535,12 @@ def _tuple_id(u: np.ndarray, orders: np.ndarray) -> int:
     return g
 
 
+@functools.lru_cache(maxsize=512)
 def _primitive_root_factor(field: FiniteField, m: int) -> Polynomial:
     """Deterministic irreducible factor of y^m - 1 whose roots have order m:
     the cyclotomic polynomial Phi_m, left when y^m - 1 loses its common
-    factor with y^(m/r) - 1 for each prime r | m, split in degree ord_m(q)."""
+    factor with y^(m/r) - 1 for each prime r | m, split in degree ord_m(q);
+    cached, since every abelian group of exponent m repeats the split."""
     phi = Polynomial.x_pow_minus_one(field, m)
     for r in _prime_factors(m):
         phi = phi // phi.gcd(Polynomial.x_pow_minus_one(field, m // r))

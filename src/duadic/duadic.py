@@ -30,7 +30,6 @@ from .groups import (
     FqClassPartition,
     Group,
     builtin_mu_minus1,
-    fq_classes,
     group_product,
     mu_action_on_class,
     product_antiauto,
@@ -132,14 +131,15 @@ def _fixed_ids(
         raise ValueError("antiautomorphism lives on a different group")
     if idempotents is None:
         idempotents = split_primitive_central_idempotents(field, group)
-    partition = fq_classes(group, field.q)
+    partition = idempotents.partition
     fixed_classes = tuple(
         cid for cid in range(len(partition)) if mu_action_on_class(mu, partition, cid) == cid
     )
+    members = {h.vec.tobytes() for h in idempotents}
     fixed_idems = []
     for i, h in enumerate(idempotents):
         img = apply_antiauto(mu, h)
-        if img not in idempotents.members:
+        if img.vec.tobytes() not in members:
             raise VerificationError("antiautomorphism does not permute the idempotent set")
         if img == h:
             fixed_idems.append(i)

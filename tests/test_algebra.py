@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 import random
+import re
+import time
 
 import numpy as np
 import pytest
@@ -11,8 +13,10 @@ import pytest
 from duadic import _linalg
 from duadic.algebra import (
     AlgebraElement,
+    _class_sum_action,
     _primitive_root_factor,
     _refine_component,
+    _scalar_rows,
     abelian_character_idempotents,
     alg_mul,
     apply_antiauto,
@@ -354,12 +358,106 @@ class TestSplitAgainstFrobeniusKernel:
         assert split_primitive_central_idempotents(field, group) == reference
 
     def test_refining_outside_the_fixed_subalgebra_raises(self, gf2, z7):
-        # g is central but not Frobenius-fixed: read at the class representatives
-        # its powers give the minimal polynomial x^2, which has one root only
-        reps = list(fq_classes(z7, 2).reps)
-        one = AlgebraElement.one(gf2, z7)
-        with pytest.raises(VerificationError, match="not split squarefree"):
-            _refine_component(gf2, z7, reps, one, AlgebraElement.basis(gf2, z7, 1))
+        # g is central but not Frobenius-fixed: multiplication by g on the
+        # class representatives, read at the representatives, is a matrix whose
+        # minimal polynomial on the unit is x^2, which has one root only
+        reps = fq_classes(z7, 2).reps
+        matrix = np.array([[int(z7.mul(x, 1) == y) for y in reps] for x in reps])
+        unit = np.eye(1, len(reps), dtype=np.int64)[0]
+        with pytest.raises(VerificationError, match="not split squarefree") as info:
+            _refine_component(gf2, unit, lambda rows: _linalg.matmul(gf2, rows, matrix))
+        assert "polynomial x^2 in" in str(info.value)
+
+    @pytest.mark.parametrize(
+        "shift,message",
+        [
+            # multiplication by g on class coordinates: x^3 - 1, degree above q
+            ((), "minimal polynomial of degree > 2 is not split squarefree"),
+            # by g + g^-1, central but not Frobenius-fixed: irreducible over GF(2)
+            ((1, 1, 1), "minimal polynomial x^2 + x + 1 in the fixed subalgebra"),
+        ],
+        ids=["degree-above-q", "irreducible"],
+    )
+    def test_refining_by_a_non_class_sum_raises(self, gf2, z7, shift, message):
+        # reps (0, 1, 3) of Z7 over GF(2); class(z_k g^-1) = (2, 0, 1)
+        def times(rows):
+            out = rows[:, [2, 0, 1]]
+            return gf2.vadd(out, rows[:, list(shift)]) if shift else out
+
+        with pytest.raises(VerificationError, match=re.escape(message)):
+            _refine_component(gf2, np.eye(1, 3, dtype=np.int64)[0], times)
+
+
+CLASS_QS = (2, 3, 4, 5, 8, 9, 25)
+
+
+def _class_coordinate_cells():
+    """(q, group) for the class-sum matrices: non-abelian and abelian groups
+    over every field order in CLASS_QS coprime to |G|."""
+    groups = [
+        ("z7:z3", group_from_cayley(metacyclic_table(7, 2))),
+        ("heisenberg27", group_from_cayley(heisenberg27_table())),
+        ("z9xz3", group_abelian([9, 3])),
+        ("z3^4", group_abelian([3, 3, 3, 3])),
+    ]
+    for name, group in groups:
+        for q in CLASS_QS:
+            if math.gcd(group.order, q) == 1:
+                yield pytest.param(q, group, id=f"{name}-q{q}")
+
+
+class TestClassCoordinates:
+    @pytest.mark.parametrize("q,group", list(_class_coordinate_cells()))
+    def test_class_sum_matrices_against_alg_mul(self, q, group, monkeypatch):
+        # row i of M_j is K_i K_j read at the class representatives
+        field = field_from_order(q)
+        partition = fq_classes(group, q)
+        r = len(partition)
+        sums = [AlgebraElement(field, group, (partition.class_of == i).astype(np.int64)) for i in range(r)]
+        reps = list(partition.reps)
+        want = [np.array([alg_mul(k_i, k_j).vec[reps] for k_i in sums]) for k_j in sums]
+        identity = np.eye(r, dtype=np.int64)
+        # the default blocks, then one member of C_j per gathered block
+        for cells in (_linalg._PRODUCT_CELLS, 1):
+            monkeypatch.setattr(_linalg, "_PRODUCT_CELLS", cells)
+            for j in range(r):
+                assert np.array_equal(_class_sum_action(field, partition, j)(identity), want[j]), j
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 9, 25])
+    def test_scalar_precheck_against_row_loop(self, q):
+        field = field_from_order(q)
+        rng = np.random.default_rng(q)
+        units = rng.integers(0, q, (200, 6))
+        units[:, 0] *= rng.random(200) < 0.5  # leading zeros
+        units[~units.any(axis=1), 3] = 1
+        products = field.vmul(rng.integers(0, q, 200)[:, None], units)
+        bent = rng.random(200) < 0.5
+        cols = rng.integers(0, 6, 200)[bent]
+        products[bent, cols] = field.vadd(products[bent, cols], rng.integers(1, q, bent.sum()))
+        want = [
+            any(np.array_equal(p, field.vmul(np.int64(lam), u)) for lam in range(q))
+            for u, p in zip(units, products)
+        ]
+        assert _scalar_rows(field, units, products).tolist() == want
+        assert 0 < sum(want) < len(want)
+
+    def test_fully_split_z63_over_gf64_matches_characters(self):
+        field, group = field_from_order(64), cyclic_group(63)
+        split = split_primitive_central_idempotents(field, group)
+        assert len(split) == 63
+        assert split == abelian_character_idempotents(field, group)
+
+    def test_fully_split_z255_over_gf256(self):
+        field, group = field_from_order(256), cyclic_group(255)
+        start = time.perf_counter()
+        split = split_primitive_central_idempotents(field, group)
+        elapsed = time.perf_counter() - start
+        assert len(split) == 255
+        total = AlgebraElement.zero(field, group)
+        for e in split:
+            total = total + e
+        assert total == AlgebraElement.one(field, group)
+        assert elapsed < 20.0, f"Z255 over GF(256) took {elapsed:.1f}s"
 
 
 class TestCharacterOracle:

@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import duadic
 from duadic import cli
 from duadic.cli import (
     EXIT_INTERRUPTED,
@@ -330,3 +335,15 @@ class TestVerify:
 
     def test_unknown_suite_is_usage_error(self, capsys):
         assert main(["verify", "bogus"]) == EXIT_USAGE
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_help_exits_0(self):
+        src = str(Path(duadic.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run(
+            [sys.executable, "-m", "duadic", "--help"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("usage: duadic")
