@@ -100,7 +100,8 @@ class AlgebraElement:
         return self.field.vsum(self.vec)
 
     def to_pairs(self) -> list[tuple[str, int]]:
-        return [(self.group.element_label(g), int(self.vec[g])) for g in self.support()]
+        labels, support = self.group.labels, np.nonzero(self.vec)[0]
+        return [(labels[g], c) for g, c in zip(support.tolist(), self.vec[support].tolist())]
 
     def __repr__(self) -> str:
         if not self.support():
@@ -149,22 +150,26 @@ def alg_mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(a.field, a.group, _linalg.matmul(a.field, a.vec[support], shifted)[0])
 
 
+def _inverse_size(field: FiniteField, size: int) -> int:
+    if size % field.p == 0:
+        raise ValueError(f"|N| = {size} is not invertible in {field!r}")
+    return field.inv(field.from_int(size))
+
+
 def hat_subgroup(field: FiniteField, group: Group, subgroup_ids) -> AlgebraElement:
     """The idempotent |N|^-1 sum_{g in N} g for a subgroup N."""
     ids = sorted(set(int(g) for g in subgroup_ids))
     if not is_subgroup(group, ids):
         raise ValueError("ids do not form a subgroup")
-    size = len(ids) % field.p
-    if size == 0:
-        raise ValueError(f"|N| = {len(ids)} is not invertible in {field!r}")
-    coeff = field.inv(field.from_int(len(ids)))
+    coeff = _inverse_size(field, len(ids))
     v = np.zeros(group.order, dtype=np.int64)
     v[ids] = coeff
     return AlgebraElement(field, group, v)
 
 
 def hat_group(field: FiniteField, group: Group) -> AlgebraElement:
-    return hat_subgroup(field, group, range(group.order))
+    """Ghat = n^-1 sum_g g, the constant vector n^-1."""
+    return AlgebraElement(field, group, np.full(group.order, _inverse_size(field, group.order), dtype=np.int64))
 
 
 def is_idempotent(a: AlgebraElement) -> bool:

@@ -30,7 +30,7 @@ from .errors import (
     NoSplittingError,
     VerificationError,
 )
-from .gf import field_from_order, multiplicative_order_mod
+from .gf import field_from_order
 from .groups import (
     Antiautomorphism,
     Group,
@@ -275,6 +275,8 @@ def cmd_construct(args) -> tuple[int, list[CodeReport]]:
     if args.product:
         if "," not in args.group:
             raise ValueError("--product needs an outer-product group spec (G1,G2)")
+        if args.enumerate_all:
+            raise ValueError("--enumerate-all does not combine with --product, which builds one canonical pair")
         left_spec, right_spec = args.group.split(",", 1)
         if "*" in args.mu:
             mu_left, mu_right = args.mu.split("*", 1)
@@ -292,12 +294,9 @@ def cmd_construct(args) -> tuple[int, list[CodeReport]]:
     else:
         group = _odd_order(parse_group_spec(args.group))
         mu = parse_mu_spec(args.mu, group, q)
-        check = check_splitting(mu, field, group)
-        existence = _existence_fields(group, q, mu, check.ok)
-        if not check.ok:
-            raise NoSplittingError(_no_splitting_message(group, q, mu, check), check)
         mode = "enumerate-all" if args.enumerate_all else "canonical"
-        pairs = construct_pairs(mu, field, group, mode=mode, check=check)
+        pairs = construct_pairs(mu, field, group, mode=mode)
+        existence = _existence_fields(group, q, mu, True)
         if not pairs:
             raise NoSplittingError("the trivial group carries no duadic pairs")
         pair = pairs[0]
@@ -314,16 +313,6 @@ def cmd_construct(args) -> tuple[int, list[CodeReport]]:
     if args.emit_matrices:
         _emit_matrices(Path(args.emit_matrices), analysis.codes, analysis.css)
     return EXIT_OK, [report]
-
-
-def _no_splitting_message(group: Group, q: int, mu: Antiautomorphism, check) -> str:
-    parts = [f"no splitting for mu={mu.descriptor} on {group.descriptor} over GF({q})"]
-    if mu.descriptor == "mu-1":
-        t = multiplicative_order_mod(q, group.order)
-        parts.append(f"ord_{group.order}({q}) = {t} is even")
-    nontrivial = check.fixed_idempotent_count - 1
-    parts.append(f"{nontrivial} nontrivial fixed idempotent(s)")
-    return "; ".join(parts)
 
 
 def _emit_matrices(directory: Path, codes: DuadicCodes, css: CssCode) -> None:

@@ -1,5 +1,5 @@
 """Linear codes over F_q as canonical row spaces: ideal-generated codes,
-Euclidean duals, and exhaustive weight computations.
+Euclidean duals, and exhaustive weight computations, each with its cap rule.
 
 Generator matrices are kept in RREF (leftmost pivots, monic, eliminated above
 and below), so two codes are equal iff their matrices are equal.  Coordinates
@@ -194,25 +194,36 @@ def weight_distribution(code: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> np.nda
     return counts
 
 
-def odd_like_min_weight(duadic_codes, which: str = "e", cap: int = DEFAULT_ENUM_CAP) -> tuple[int, np.ndarray]:
-    """Minimum weight of an odd-like word in D_e (or D_f), with a witness.
+def difference_min_weight(
+    small: LinearCode, big: LinearCode, cap: int = DEFAULT_ENUM_CAP
+) -> tuple[int, np.ndarray]:
+    """Minimum weight over big \\ small for nested codes, with a witness.
 
-    Uses D = span(Ghat) + C: the odd-like words are exactly c + a*Ghat with
-    c in the even-like code and a nonzero, so q^k_C * (q-1) words are scanned.
+    The nonzero combinations of the big rows whose pivot columns small lacks
+    offset the nonzero cosets of small, which cover big \\ small once:
+    q^k_big - q^k_small words, counted against the cap before any is scanned.
+    """
+    q = big.field.q
+    size = q**big.k - q**small.k
+    if size > cap:
+        raise EnumerationCapError(f"q^k_big - q^k_small = {size} words exceed the cap {cap}")
+    if not subcode_check(small, big):
+        raise VerificationError("codes are not nested")
+    if size == 0:
+        raise ValueError("set difference is empty: the codes are equal")
+    small_pivots = set(small.pivots)
+    ext = big.gen[[i for i, c in enumerate(big.pivots) if c not in small_pivots]]
+    offsets = _combination_table(big.field, ext, big.n)[1:]
+    return min((coset_min_weight(big.field, small.gen, offset) for offset in offsets), key=lambda r: r[0])
+
+
+def odd_like_min_weight(duadic_codes, which: str = "e", cap: int = DEFAULT_ENUM_CAP) -> tuple[int, np.ndarray]:
+    """Minimum weight of an odd-like word of D_e (or D_f), with a witness.
+
+    The odd-like words of D_e are D_e \\ C_e, since D_e = C_e + span(Ghat).
     """
     if which not in ("e", "f"):
         raise ValueError("side must be 'e' or 'f'")
-    even = duadic_codes.c_e if which == "e" else duadic_codes.c_f
-    field = even.field
-    ghat = duadic_codes.pair.ghat.vec
-    size = (field.q**even.k) * (field.q - 1)
-    if size > cap:
-        raise EnumerationCapError(f"q^k * (q-1) = {size} exceeds the cap {cap}")
-    best = None
-    witness = None
-    for a in range(1, field.q):
-        offset = field.vmul(np.int64(a), ghat)
-        w, wit = coset_min_weight(field, even.gen, offset)
-        if best is None or w < best:
-            best, witness = w, wit
-    return best, witness
+    if which == "e":
+        return difference_min_weight(duadic_codes.c_e, duadic_codes.d_e, cap)
+    return difference_min_weight(duadic_codes.c_f, duadic_codes.d_f, cap)

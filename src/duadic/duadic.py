@@ -12,6 +12,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .algebra import (
     AlgebraElement,
     IdempotentSet,
@@ -120,17 +122,13 @@ def splitting_exists_mu_minus1(n: int, q: int) -> bool:
 
 
 def _fixed_ids(
-    mu: Antiautomorphism,
-    field: FiniteField,
-    group: Group,
-    idempotents: IdempotentSet | None = None,
+    mu: Antiautomorphism, field: FiniteField, group: Group
 ) -> tuple[tuple[int, ...], tuple[int, ...], IdempotentSet, FqClassPartition]:
     """Ids of the F_q-classes and of the centrally primitive idempotents that
     mu fixes (trivial ones included), with the idempotents and the partition."""
     if mu.group != group:
         raise ValueError("antiautomorphism lives on a different group")
-    if idempotents is None:
-        idempotents = split_primitive_central_idempotents(field, group)
+    idempotents = split_primitive_central_idempotents(field, group)
     partition = idempotents.partition
     fixed_classes = tuple(
         cid for cid in range(len(partition)) if mu_action_on_class(mu, partition, cid) == cid
@@ -146,12 +144,7 @@ def _fixed_ids(
     return fixed_classes, tuple(fixed_idems), idempotents, partition
 
 
-def check_splitting(
-    mu: Antiautomorphism,
-    field: FiniteField,
-    group: Group,
-    idempotents: IdempotentSet | None = None,
-) -> SplittingCheck:
+def check_splitting(mu: Antiautomorphism, field: FiniteField, group: Group) -> SplittingCheck:
     """Decide whether mu gives a splitting, by both available criteria.
 
     The idempotent-level test (no nontrivial centrally primitive idempotent
@@ -159,7 +152,7 @@ def check_splitting(
     a disagreement raises VerificationError since the two counts coincide by
     theorem.
     """
-    fixed_classes, fixed_idems, idempotents, partition = _fixed_ids(mu, field, group, idempotents)
+    fixed_classes, fixed_idems, idempotents, partition = _fixed_ids(mu, field, group)
     if len(fixed_classes) != len(fixed_idems):
         raise VerificationError(
             f"fixed-class count {len(fixed_classes)} != fixed-idempotent count {len(fixed_idems)}"
@@ -185,25 +178,26 @@ def construct_pairs(
     field: FiniteField,
     group: Group,
     mode: str = "canonical",
-    check: SplittingCheck | None = None,
 ) -> list[DuadicPair]:
     """Duadic pairs from the pairing {h, mu(h)} of nontrivial idempotents.
 
     Canonical mode picks the lexicographically smaller idempotent of each
     pair; enumerate-all yields all 2^l choices, deduplicated under the
-    e <-> f swap.  The trivial group yields no pairs.
+    e <-> f swap.  The trivial group yields no pairs.  Without a splitting
+    the NoSplittingError names the cell and the idempotents mu fixes.
     """
     if mode not in ("canonical", "enumerate-all"):
         raise ValueError(f"unknown mode {mode!r}")
     if group.order % 2 == 0:
         raise ValueError(f"group order {group.order} must be odd")
-    if check is None:
-        check = check_splitting(mu, field, group)
+    check = check_splitting(mu, field, group)
     if not check.ok:
-        raise NoSplittingError(
-            f"no splitting: {check.fixed_idempotent_count - 1} nontrivial idempotent(s) fixed",
-            diagnostics=check,
-        )
+        parts = [f"no splitting for mu={mu.descriptor} on {group.descriptor} over GF({field.q})"]
+        if mu.descriptor == "mu-1":
+            t = multiplicative_order_mod(field.q, group.order)
+            parts.append(f"ord_{group.order}({field.q}) = {t} is even")
+        parts.append(f"{check.fixed_idempotent_count - 1} nontrivial fixed idempotent(s)")
+        raise NoSplittingError("; ".join(parts), diagnostics=check)
     remaining = {h.key(): h for h in check.idempotents.nontrivial()}
     halves: list[tuple[AlgebraElement, AlgebraElement]] = []
     while remaining:
@@ -219,10 +213,7 @@ def construct_pairs(
         return []
 
     def build(choice: tuple[AlgebraElement, ...]) -> AlgebraElement:
-        total = AlgebraElement.zero(field, group)
-        for h in choice:
-            total = total + h
-        return total
+        return sum(choice, AlgebraElement.zero(field, group))
 
     pairs = []
     if mode == "canonical":
@@ -346,16 +337,14 @@ def odd_like_bound(pair: DuadicPair) -> tuple[str, int]:
 
 
 def _embed_left(a: AlgebraElement, product: Group, n2: int) -> AlgebraElement:
-    vec = [0] * product.order
-    for g in a.support():
-        vec[g * n2] = int(a.vec[g])
+    vec = np.zeros(product.order, dtype=np.int64)
+    vec[::n2] = a.vec
     return AlgebraElement(a.field, product, vec)
 
 
 def _embed_right(a: AlgebraElement, product: Group) -> AlgebraElement:
-    vec = [0] * product.order
-    for g in a.support():
-        vec[g] = int(a.vec[g])
+    vec = np.zeros(product.order, dtype=np.int64)
+    vec[: a.group.order] = a.vec
     return AlgebraElement(a.field, product, vec)
 
 

@@ -43,6 +43,7 @@ class Group:
         self._exponent: int | None = None
         self._left: np.ndarray | None = None
         self._right: np.ndarray | None = None
+        self._labels: tuple[str, ...] | None = None
         self._hash: int | None = None
 
     # -- validation -------------------------------------------------------
@@ -177,12 +178,23 @@ class Group:
             g = g * n_i + e % n_i
         return g
 
+    @property
+    def labels(self) -> tuple[str, ...]:
+        """The label of every element id, built once: raw ids for Cayley-table
+        groups, exponent words such as a^1*b^2 for abelian products."""
+        if self._labels is None:
+            if self.abelian_orders is None:
+                self._labels = tuple(str(g) for g in range(self.order))
+            else:
+                letters = _generator_letters(len(self.abelian_orders))
+                self._labels = tuple(
+                    "*".join(f"{x}^{e}" for x, e in zip(letters, self.element_tuple(g)))
+                    for g in range(self.order)
+                )
+        return self._labels
+
     def element_label(self, g: int) -> str:
-        if self.abelian_orders is None:
-            return str(g)
-        exps = self.element_tuple(g)
-        letters = _generator_letters(len(exps))
-        return "*".join(f"{letters[i]}^{e}" for i, e in enumerate(exps))
+        return self.labels[g]
 
 
 def _generator_letters(k: int) -> list[str]:

@@ -11,8 +11,7 @@ from . import _linalg
 from .codes import (
     DEFAULT_ENUM_CAP,
     LinearCode,
-    _combination_table,
-    coset_min_weight,
+    difference_min_weight,
     dual,
     odd_like_min_weight,
     subcode_check,
@@ -96,60 +95,30 @@ def css_build(
     return CssCode(code_c, code_d, distance=distance, witnesses=witnesses, pair=pair)
 
 
-def _complement_rows(small: LinearCode, big: LinearCode) -> np.ndarray:
-    """Rows of big extending small: the big generators whose pivot column is
-    not a pivot column of small (valid because the RREFs are nested)."""
-    small_pivots = set(small.pivots)
-    rows = [big.gen[i] for i, c in enumerate(big.pivots) if c not in small_pivots]
-    if len(rows) != big.k - small.k:
-        raise VerificationError("pivot nesting failed; codes are not nested")
-    return np.array(rows, dtype=np.int64) if rows else np.zeros((0, big.n), dtype=np.int64)
-
-
-def _difference_min_weight(
-    field: FiniteField, small: LinearCode, big: LinearCode
-) -> tuple[int, np.ndarray]:
-    """Minimum weight over big \\ small, enumerating nonzero complement cosets."""
-    ext = _complement_rows(small, big)
-    offsets = _combination_table(field, ext, big.n)[1:]
-    best = None
-    witness = None
-    for offset in offsets:
-        w, wit = coset_min_weight(field, small.gen, offset)
-        if best is None or w < best:
-            best, witness = w, wit
-    if best is None:
-        raise ValueError("set difference is empty (C = D)")
-    return best, witness
-
-
 def css_distance(
     code: CssCode, cap: int = DEFAULT_ENUM_CAP, fallback: DistanceRecord | None = None
 ) -> DistanceRecord:
     """Exact d = min weight over (D \\ C) union (C-perp \\ D-perp).
 
-    When the duadic duality collapses the two differences (C-perp equals D as
-    a code), only one enumeration runs.  Above the cap the supplied fallback
-    bound is returned; with no fallback the cap is a hard error.
+    When D-perp = C, as in duality case i, then C-perp = D too: the two
+    differences coincide and only one enumeration runs.  Above the cap on
+    both differences' total the supplied fallback bound is returned; with no
+    fallback the cap is a hard error.
     """
     if code.k == 0:
         raise ValueError("k = 0 code has no logical operators to weigh")
-    q = code.field.q
-    c_perp = dual(code.code_c)
-    collapsed = c_perp == code.code_d
-    sides = [(code.code_c, code.code_d)]
+    q, n, c, d = code.field.q, code.n, code.code_c, code.code_d
+    collapsed = code.dual_d == c
+    total = q**d.k - q**c.k
     if not collapsed:
-        sides.append((code.dual_d, c_perp))
-    total = sum(q**big.k - q**small.k for small, big in sides)
+        total += q ** (n - c.k) - q ** (n - d.k)
     if total > cap:
         if fallback is not None:
             return fallback
         raise EnumerationCapError(f"distance enumeration of {total} words exceeds cap {cap}")
-    best = None
-    for small, big in sides:
-        w, _ = _difference_min_weight(code.field, small, big)
-        if best is None or w < best:
-            best = w
+    best, _ = difference_min_weight(c, d, cap)
+    if not collapsed:
+        best = min(best, difference_min_weight(code.dual_d, dual(c), cap)[0])
     return DistanceRecord(best, True, "coset-enumeration")
 
 
@@ -195,18 +164,13 @@ def degeneracy_report(code: CssCode, cap: int = DEFAULT_ENUM_CAP) -> DegeneracyR
         raise ValueError("code has no distance record; run css_distance first")
     d = code.distance.value
     sides = []
-    degenerate = False
     for name, side_code in (("C", code.code_c), ("D-perp", code.dual_d)):
         if side_code.k == 0:
             sides.append(SideEvidence(name, True, ()))
             continue
-        if code.field.q**side_code.k <= cap:
+        try:
             dist = weight_distribution(side_code, cap)
-            counts = tuple(
-                (w, int(dist[w])) for w in range(1, min(d, len(dist))) if dist[w]
-            )
-            sides.append(SideEvidence(name, True, counts))
-        else:
+        except EnumerationCapError:
             found: dict[int, set[bytes]] = {}
             for w in code.witnesses:
                 wt = w.weight()
@@ -216,9 +180,10 @@ def degeneracy_report(code: CssCode, cap: int = DEFAULT_ENUM_CAP) -> DegeneracyR
                         translates.add(row.tobytes())
             counts = tuple((wt, len(tr)) for wt, tr in sorted(found.items()))
             sides.append(SideEvidence(name, False, counts))
-        if sides[-1].counts:
-            degenerate = True
-    return DegeneracyReport(degenerate, code.distance, tuple(sides))
+        else:
+            counts = tuple((w, int(dist[w])) for w in range(1, min(d, len(dist))) if dist[w])
+            sides.append(SideEvidence(name, True, counts))
+    return DegeneracyReport(any(s.counts for s in sides), code.distance, tuple(sides))
 
 
 @dataclass(frozen=True)
@@ -243,14 +208,14 @@ def analyze_pair(pair: DuadicPair, cap: int = DEFAULT_ENUM_CAP) -> PairAnalysis:
     duality = classify_duality(pair, codes)
     bound_type, bound_d = odd_like_bound(pair)
     fallback = DistanceRecord(bound_d, False, f"odd-like-{bound_type}-bound")
-    q = pair.field.q
     odd_like = []
-    for side, even in (("e", codes.c_e), ("f", codes.c_f)):
-        if q**even.k * (q - 1) <= cap:
+    for side in "ef":
+        try:
             d, _ = odd_like_min_weight(codes, side, cap)
-            odd_like.append(DistanceRecord(d, True, "coset-enumeration"))
-        else:
+        except EnumerationCapError:
             odd_like.append(fallback)
+        else:
+            odd_like.append(DistanceRecord(d, True, "coset-enumeration"))
     css = css_build(codes.c_e, codes.d_e, witnesses=pair.witnesses, pair=pair)
     css.distance = css_distance(css, cap=cap, fallback=fallback)
     degeneracy = degeneracy_report(css, cap=cap)

@@ -16,7 +16,9 @@ import pytest
 
 from duadic import _linalg
 from duadic.algebra import AlgebraElement, IdempotentSet
+from duadic.codes import DEFAULT_ENUM_CAP, coset_min_weight
 from duadic.duadic import check_splitting
+from duadic.errors import EnumerationCapError
 from duadic.gf import Polynomial, field_from_order, field_make
 from duadic.groups import (
     Group,
@@ -164,6 +166,20 @@ def enumerable_cells(qs):
             field = field_from_order(q)
             if check_splitting(mu, field, group).ok:
                 yield pytest.param(field, group, mu, id=f"{group.descriptor}-q{q}-{mu_name}")
+
+
+def reference_odd_like_min_weight(duadic_codes, which: str = "e", cap: int = DEFAULT_ENUM_CAP) -> int:
+    """Minimum odd-like weight of D_e (or D_f) from the Ghat cosets: D = C +
+    span(Ghat), so the odd-like words are c + a*Ghat with c in the even-like
+    code C and a nonzero, q^k_C * (q - 1) words in all.  It shares only the
+    coset kernel with the package, which test_codes checks on its own."""
+    even = duadic_codes.c_e if which == "e" else duadic_codes.c_f
+    field = even.field
+    size = field.q**even.k * (field.q - 1)
+    if size > cap:
+        raise EnumerationCapError(f"q^k * (q-1) = {size} exceeds the cap {cap}")
+    ghat = duadic_codes.pair.ghat.vec
+    return min(coset_min_weight(field, even.gen, field.vmul(np.int64(a), ghat))[0] for a in range(1, field.q))
 
 
 # ---------------------------------------------------------------------------

@@ -217,6 +217,15 @@ class TestHat:
         f7 = field_from_order(7)
         with pytest.raises(ValueError, match="invertible"):
             hat_subgroup(f7, cyclic_group(7), range(7))
+        with pytest.raises(ValueError, match=r"\|N\| = 7 is not invertible"):
+            hat_group(f7, cyclic_group(7))
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 8])
+    def test_ghat_is_the_hat_of_the_whole_group(self, q, z33, frobenius21):
+        field = field_from_order(q)
+        for group in (cyclic_group(11), z33, frobenius21):
+            if group.order % field.p:
+                assert hat_group(field, group) == hat_subgroup(field, group, range(group.order))
 
 
 class TestPredicates:

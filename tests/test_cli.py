@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -179,6 +180,28 @@ class TestConstruct:
     @pytest.mark.parametrize(
         "argv,message",
         [
+            (["--group", "9", "--q", "2", "--mu", "mu-1"], "on 9 over GF(2); ord_9(2) = 6 is even; 2 nontrivial"),
+            # the product construction names the factor that does not split
+            (["--group", "3,7", "--q", "2", "--mu", "mu-1", "--product"], "on 3 over GF(2); ord_3(2) = 2 is even; 1 nontrivial"),
+        ],
+    )
+    def test_no_splitting_message(self, capsys, argv, message):
+        assert main(["construct", *argv]) == EXIT_NO_SPLITTING
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"duadic: no splitting for mu=mu-1 {message} fixed idempotent(s)\n"
+
+    def test_product_refuses_enumerate_all(self, capsys):
+        argv = ["construct", "--group", "3x3,3x3", "--q", "2", "--mu", "swap", "--product", "--enumerate-all"]
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("duadic: error: --enumerate-all")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
             (["--group", "4", "--q", "3", "--mu", "mu-1"], "group 4 has even order 4"),
             (["--group", "3x6", "--q", "5", "--mu", "swap"], "group 3x6 has even order 18"),
             (["--group", "3x3,2", "--q", "5", "--mu", "swap", "--product"], "group 2 has even order 2"),
@@ -347,3 +370,36 @@ class TestModuleEntryPoint:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.startswith("usage: duadic")
+
+
+# ---------------------------------------------------------------------------
+# the benchmark's recorded outputs, replayed for every fast request
+# ---------------------------------------------------------------------------
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+REFERENCE = json.loads((BENCH / "reference.json").read_text(encoding="utf-8"))["requests"]
+FAST_REQUESTS = sorted(key for key, entry in REFERENCE.items() if entry["latency_s"] < 0.1)
+
+
+@pytest.fixture(scope="module")
+def bench_root(tmp_path_factory):
+    """A directory holding the Cayley files the benchmark's requests name,
+    at the paths relative to it that the requests use."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        import pools
+    finally:
+        sys.path.remove(str(BENCH))
+    root = tmp_path_factory.mktemp("bench")
+    pools.write_cayley_files(root)
+    return root
+
+
+class TestBenchReference:
+    @pytest.mark.parametrize("key", FAST_REQUESTS)
+    def test_request_prints_its_recorded_output(self, key, bench_root, monkeypatch, capsys):
+        monkeypatch.chdir(bench_root)
+        code = main(key.split(" "))
+        out = capsys.readouterr().out
+        assert code == REFERENCE[key]["summary"]["exit"]
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == REFERENCE[key]["stdout_sha256"]

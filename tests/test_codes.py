@@ -13,14 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from duadic import _linalg
 from duadic import codes as codes_module
-from duadic import quantum
 from duadic.algebra import AlgebraElement, apply_antiauto, hat_group
 from duadic.codes import (
     LinearCode,
     _coset_chunks,
     code_from_ideal,
     coset_min_weight,
+    difference_min_weight,
     dual,
     min_weight_exhaustive,
     odd_like_min_weight,
@@ -296,6 +297,56 @@ class TestOddLikeMinWeight:
             odd_like_min_weight(z7_codes, "x")
 
 
+def _nested_pair(q: int, n: int, k_big: int, extra: int, seed: int):
+    """A random [n, k_big] code over GF(q) and a subcode spanned by random
+    combinations of its rows, `extra` dimensions smaller."""
+    field = field_from_order(q)
+    rng = random.Random(seed)
+    while True:
+        big = LinearCode(field, [[rng.randrange(q) for _ in range(n)] for _ in range(k_big)])
+        mix = np.array([[rng.randrange(q) for _ in range(big.k)] for _ in range(k_big - extra)], dtype=np.int64)
+        small = LinearCode(field, _linalg.matmul(field, mix, big.gen))
+        if big.k == k_big and small.k == k_big - extra:
+            return field, small, big
+
+
+class TestDifferenceMinWeight:
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    @pytest.mark.parametrize("extra", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_naive_set_difference(self, q, extra, seed):
+        field, small, big = _nested_pair(q, 7, 4, extra, seed + 10 * q + 100 * extra)
+        words = [np.array(w, dtype=np.int64) for w in naive_codewords(field, big.gen)]
+        outside = [w for w in words if not small.contains(w)]
+        assert len(outside) == q**big.k - q**small.k
+        w, witness = difference_min_weight(small, big)
+        assert w == min(int(np.count_nonzero(v)) for v in outside)
+        assert np.count_nonzero(witness) == w
+        assert big.contains(witness) and not small.contains(witness)
+
+    def test_zero_subcode_gives_the_minimum_distance(self, z33_codes):
+        zero = LinearCode(z33_codes.d_e.field, np.zeros((0, 9), dtype=np.int64))
+        assert difference_min_weight(zero, z33_codes.d_e)[0] == min_weight_exhaustive(z33_codes.d_e)[0]
+
+    def test_not_nested(self, gf2):
+        small = LinearCode(gf2, np.array([[1, 1, 0]], dtype=np.int64))
+        big = LinearCode(gf2, np.array([[1, 0, 0], [0, 0, 1]], dtype=np.int64))
+        with pytest.raises(VerificationError, match="not nested"):
+            difference_min_weight(small, big)
+        with pytest.raises(VerificationError, match="not nested"):
+            difference_min_weight(big, small)
+
+    def test_equal_codes(self, z7_codes):
+        with pytest.raises(ValueError, match="empty"):
+            difference_min_weight(z7_codes.c_e, z7_codes.c_e)
+
+    def test_cap_names_the_count(self, z7_codes):
+        # 2^4 - 2^3 = 8 words
+        assert difference_min_weight(z7_codes.c_e, z7_codes.d_e, cap=8)[0] == 3
+        with pytest.raises(EnumerationCapError, match=r"= 8 words exceed the cap 7"):
+            difference_min_weight(z7_codes.c_e, z7_codes.d_e, cap=7)
+
+
 # ---------------------------------------------------------------------------
 # oracle: the block enumeration the comparison kernel replaced, which builds
 # every word with field additions and counts its nonzero entries
@@ -379,7 +430,6 @@ class TestKernelAgainstOracle:
         css = css_build(codes.c_e, codes.d_e)
         fast = [odd_like_min_weight(codes, side)[0] for side in "ef"], css_distance(css)
         monkeypatch.setattr(codes_module, "coset_min_weight", reference_coset_min_weight)
-        monkeypatch.setattr(quantum, "coset_min_weight", reference_coset_min_weight)
         assert fast == ([odd_like_min_weight(codes, side)[0] for side in "ef"], css_distance(css))
 
     def test_offset_inside_span_skips_zero_word(self, z33_codes):

@@ -340,7 +340,7 @@ class TestNonabelian:
         mu = builtin_mu_minus1(frobenius21)
         chk = check_splitting(mu, f4, frobenius21)
         assert chk.ok
-        pair = construct_pairs(mu, f4, frobenius21, check=chk)[0]
+        pair = construct_pairs(mu, f4, frobenius21)[0]
         assert pair.swapped_by_mu_minus1
         codes = duadic_codes(pair)
         assert (codes.c_e.k, codes.d_e.k) == (10, 11)
@@ -360,7 +360,7 @@ class TestNonabelian:
         chk = check_splitting(mu, f4, heisenberg27)
         assert chk.ok
         assert splitting_exists_mu_minus1(27, 4)
-        pair = construct_pairs(mu, f4, heisenberg27, check=chk)[0]
+        pair = construct_pairs(mu, f4, heisenberg27)[0]
         codes = duadic_codes(pair)
         assert (codes.c_e.k, codes.d_e.k) == (13, 14)
         assert odd_like_bound(pair) == ("sharpened", 6)

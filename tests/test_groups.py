@@ -116,6 +116,13 @@ class TestGroupConstruction:
         # Cayley-table groups label by raw id
         assert frobenius21.element_label(5) == "5"
 
+    def test_label_table_is_built_once(self, frobenius21):
+        for g in (group_abelian([3, 5, 3]), frobenius21):
+            assert g.labels is g.labels and len(g.labels) == g.order
+            assert [g.element_label(x) for x in range(g.order)] == list(g.labels)
+        g = group_abelian([3, 5, 3])
+        assert g.labels[g.element_id((2, 4, 1))] == "a^2*b^4*c^1"
+
     def test_subgroup_check(self):
         g = group_abelian([3, 3])
         a = g.element_id((1, 0))

@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from duadic import _linalg
-from duadic.codes import LinearCode, dual, odd_like_min_weight, weight_distribution
+from duadic import _linalg, quantum
+from duadic.codes import LinearCode, dual, weight_distribution
 from duadic.duadic import (
     classify_duality,
     construct_pairs,
@@ -26,7 +26,7 @@ from duadic.quantum import (
     quantum_duadic,
 )
 
-from conftest import enumerable_cells, macwilliams, naive_codewords
+from conftest import enumerable_cells, macwilliams, naive_codewords, reference_odd_like_min_weight
 
 
 @pytest.fixture(scope="module")
@@ -118,6 +118,26 @@ class TestCssDistance:
         code = css_build(c, c)
         with pytest.raises(ValueError, match="k = 0"):
             css_distance(code)
+
+    @pytest.mark.parametrize(
+        "group,mu_name,cap,dual_calls",
+        [
+            (cyclic_group(7), "mu-1", 1 << 24, 0),  # case i: D-perp = C, one difference
+            (cyclic_group(23), "mu-1", 100, 0),  # case i above the cap
+            (group_abelian([3, 3]), "swap", 1 << 24, 1),  # case ii: C-perp is needed
+            (group_abelian([3, 3]), "swap", 16, 0),  # case ii above the cap
+        ],
+    )
+    def test_dual_only_for_an_enumerated_uncollapsed_code(self, f2, monkeypatch, group, mu_name, cap, dual_calls):
+        mu = builtin_mu_minus1(group) if mu_name == "mu-1" else builtin_mu_swap(group, 2)
+        codes = duadic_codes(construct_pairs(mu, f2, group)[0])
+        code = css_build(codes.c_e, codes.d_e)
+        calls = []
+        monkeypatch.setattr(quantum, "dual", lambda c: calls.append(c) or dual(c))
+        record = css_distance(code, cap=cap, fallback=DistanceRecord(1, False, "odd-like-square-bound"))
+        assert len(calls) == dual_calls
+        if record.exact:
+            assert record.value == naive_css_distance(code)
 
 
 class TestQuantumDuadic:
@@ -215,7 +235,7 @@ class TestAnalyzePair:
             assert analysis.duality == classify_duality(pair, codes)
             assert analysis.bound == odd_like_bound(pair)
             for side, record in zip("ef", analysis.odd_like):
-                assert record == DistanceRecord(odd_like_min_weight(codes, side)[0], True, "coset-enumeration")
+                assert record == DistanceRecord(reference_odd_like_min_weight(codes, side), True, "coset-enumeration")
             code = css_build(codes.c_e, codes.d_e, witnesses=pair.witnesses, pair=pair)
             code.distance = css_distance(code)
             assert analysis.css.distance == code.distance
@@ -243,7 +263,7 @@ class TestAnalyzePair:
         fallback = DistanceRecord(bound_d, False, f"odd-like-{bound_type}-bound")
         for side, record in zip("ef", analysis.odd_like):
             try:
-                odd = DistanceRecord(odd_like_min_weight(codes, side, cap)[0], True, "coset-enumeration")
+                odd = DistanceRecord(reference_odd_like_min_weight(codes, side, cap), True, "coset-enumeration")
             except EnumerationCapError:
                 odd = fallback
             assert record == odd
