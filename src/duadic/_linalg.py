@@ -59,22 +59,12 @@ def rref(field: FiniteField, mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
     return red % field.p if lazy else red, pivots
 
 
-def rank(field: FiniteField, mat: np.ndarray) -> int:
-    return rref(field, mat)[0].shape[0]
-
-
 def in_row_space(field: FiniteField, red: np.ndarray, pivots: list[int], v: np.ndarray) -> bool:
     """True iff v (a vector, or every row of a matrix) lies in the row space
     of the RREF basis red: a member is the combination of the basis rows
     given by its own entries at the pivot columns."""
     v = as_matrix(v)
     return bool(np.array_equal(matmul(field, v[:, pivots], red), v))
-
-
-def row_space_equal(field: FiniteField, a: np.ndarray, b: np.ndarray) -> bool:
-    ra, _ = rref(field, a)
-    rb, _ = rref(field, b)
-    return ra.shape == rb.shape and bool(np.array_equal(ra, rb))
 
 
 def right_kernel(field: FiniteField, mat: np.ndarray) -> np.ndarray:
@@ -106,16 +96,3 @@ def matmul(field: FiniteField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         terms = field.vmul(a[:, k : k + step, None], b[None, k : k + step])
         out = field.vadd(out, field.vsum(terms, axis=1))
     return out
-
-
-def solve_in_span(field: FiniteField, basis: np.ndarray, v: np.ndarray) -> np.ndarray | None:
-    """Coefficients x with x @ basis = v, or None if v is outside the span."""
-    basis = as_matrix(basis)
-    k, n = basis.shape
-    red, pivots = rref(field, np.hstack([basis, np.eye(k, dtype=np.int64)]))
-    top = sum(c < n for c in pivots)
-    w = np.concatenate([v.astype(np.int64), np.zeros(k, dtype=np.int64)])
-    w = field.vsub(w, matmul(field, w[pivots[:top]], red[:top])[0])
-    if np.any(w[:n]):
-        return None
-    return field.vneg(w[n:])

@@ -1,27 +1,17 @@
-"""Arithmetic in the group algebra F_q[G], idempotent predicates, and the two
-independent constructions of all centrally primitive idempotents.
-
-The main path splits the center through its Frobenius-fixed subalgebra; the
-character-theoretic construction is kept as an abelian-only cross-check
-oracle.  Elements store a length-n vector of field-element indexes.
+"""Arithmetic in the group algebra F_q[G], idempotent predicates, and all
+centrally primitive idempotents, split in the Frobenius-fixed part of the
+center.  Elements store a length-n vector of field-element indexes.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
 
 from . import _linalg
 from .errors import VerificationError
-from .gf import (
-    FiniteField,
-    Polynomial,
-    _prime_factors,
-    equal_degree_factors,
-    multiplicative_order_mod,
-)
+from .gf import FiniteField, Polynomial
 from .groups import Antiautomorphism, FqClassPartition, Group, fq_classes, is_subgroup
 
 
@@ -85,10 +75,6 @@ class AlgebraElement:
     def key(self) -> tuple[int, ...]:
         """Coefficient tuple, used for deterministic (lexicographic) ordering."""
         return tuple(self.vec.tolist())
-
-    @property
-    def coeffs(self) -> tuple:
-        return tuple(self.field.from_index(int(x)) for x in self.vec)
 
     def weight(self) -> int:
         return int(np.count_nonzero(self.vec))
@@ -241,30 +227,6 @@ class IdempotentSet:
     def nontrivial(self) -> list[AlgebraElement]:
         return [e for i, e in enumerate(self.members) if i != self.trivial_index]
 
-    def validate(self) -> None:
-        """Exact structural checks; raises VerificationError on any failure."""
-        total = AlgebraElement.zero(self.field, self.group)
-        for e in self.members:
-            if e.weight() == 0:
-                raise VerificationError("zero member in idempotent set")
-            if not is_idempotent(e):
-                raise VerificationError(f"not idempotent: {e!r}")
-            if not is_central(e):
-                raise VerificationError(f"not central: {e!r}")
-            total = total + e
-        if total != AlgebraElement.one(self.field, self.group):
-            raise VerificationError("idempotents do not sum to 1")
-        for i, e in enumerate(self.members):
-            for f in self.members[i + 1 :]:
-                prod = alg_mul(e, f)
-                if prod.weight() or alg_mul(f, e).weight():
-                    raise VerificationError("idempotents are not pairwise orthogonal")
-        count = len(self.partition)
-        if len(self.members) != count:
-            raise VerificationError(
-                f"{len(self.members)} idempotents vs {count} F_q-conjugacy classes"
-            )
-
 
 def split_primitive_central_idempotents(field: FiniteField, group: Group) -> IdempotentSet:
     """All centrally primitive idempotents of F_q[G], split in F_q-class coordinates.
@@ -359,194 +321,3 @@ def _refine_component(field: FiniteField, unit: np.ndarray, times) -> np.ndarray
         quotients.append(b)
     scaled = field.vmul(np.array(quotients[::-1]).T, field.vinv(value)[:, None])
     return _linalg.matmul(field, scaled, np.array(powers[:d]))
-
-
-# ---------------------------------------------------------------------------
-# character-theoretic oracle (abelian groups)
-# ---------------------------------------------------------------------------
-
-
-def _natural_abelian_basis(group: Group) -> tuple[list[int], list[int]]:
-    orders = group.abelian_orders
-    gens = []
-    for i in range(len(orders)):
-        gens.append(group.element_id([1 if j == i else 0 for j in range(len(orders))]))
-    return gens, list(orders)
-
-
-def _abelian_basis_from_table(group: Group) -> tuple[list[int], list[int]]:
-    """Greedy cyclic decomposition of an abelian group given only by its table.
-
-    Works prime by prime: within the p-part, repeatedly take the element of
-    maximal order modulo the span and adjust it to a direct generator.
-    """
-    n = group.order
-    orders = group.element_orders
-    gens: list[int] = []
-    gen_orders: list[int] = []
-    for p in _prime_factors(n):
-        part = [g for g in range(n) if _is_p_power(int(orders[g]), p)]
-        span = {0}
-        span_tuples = {0: ()}
-        local: list[tuple[int, int]] = []  # (gen, order) for this prime
-        while len(span) < len(part):
-            best_g, best_d = -1, 0
-            for g in part:
-                if g in span:
-                    continue
-                d = _quotient_order(group, g, span)
-                if d > best_d:
-                    best_g, best_d = g, d
-            g, d = best_g, best_d
-            excess = group.power(g, d)
-            exps = span_tuples[excess]
-            adjust = 0
-            for (bg, bord), c in zip(local, exps):
-                if c % d != 0:
-                    raise VerificationError("abelian basis adjustment failed")
-                adjust = group.mul(adjust, group.power(bg, (c // d) % bord))
-            g = group.mul(g, group.inv(adjust))
-            if group.power(g, d) != 0:
-                raise VerificationError("adjusted generator has wrong order")
-            local.append((g, d))
-            new_span = {}
-            for h, tup in span_tuples.items():
-                acc = h
-                for j in range(d):
-                    new_span[acc] = tup + (j,)
-                    acc = group.mul(acc, g)
-            span_tuples = new_span
-            span = set(span_tuples)
-        gens.extend(g for g, _ in local)
-        gen_orders.extend(d for _, d in local)
-    return gens, gen_orders
-
-
-def _is_p_power(k: int, p: int) -> bool:
-    while k % p == 0:
-        k //= p
-    return k == 1
-
-
-def _quotient_order(group: Group, g: int, span: set[int]) -> int:
-    d = 1
-    x = g
-    while x not in span:
-        x = group.mul(x, g)
-        d += 1
-    return d
-
-
-def _element_exponents(group: Group, gens: list[int], gen_orders: list[int]) -> np.ndarray:
-    """Matrix E with row g = the exponent tuple of g over the given basis."""
-    n = group.order
-    exps = np.zeros((n, len(gens)), dtype=np.int64)
-    ids: dict[int, tuple[int, ...]] = {}
-
-    def rec(i: int, acc: int, tup: tuple[int, ...]):
-        if i == len(gens):
-            if acc in ids:
-                raise VerificationError("abelian basis is not a direct decomposition")
-            ids[acc] = tup
-            exps[acc] = tup
-            return
-        x = acc
-        for e in range(gen_orders[i]):
-            rec(i + 1, x, tup + (e,))
-            x = group.mul(x, gens[i])
-
-    rec(0, 0, ())
-    if len(ids) != n:
-        raise VerificationError("abelian basis does not enumerate the group")
-    return exps
-
-
-def abelian_character_idempotents(field: FiniteField, group: Group) -> IdempotentSet:
-    """Centrally primitive idempotents of an abelian F_q[G] via characters.
-
-    Characters take values among m-th roots of unity (m the exponent), which
-    live in GF(q^s) realized as F_q[y]/(h) for a deterministic irreducible
-    factor h of y^m - 1 with roots of order exactly m.  Galois orbits of
-    characters are summed and every resulting coefficient is checked to land
-    in the base field.
-    """
-    if not group.is_abelian:
-        raise ValueError("character construction requires an abelian group")
-    n = group.order
-    q = field.q
-    if math.gcd(n, q) != 1:
-        raise ValueError(f"gcd(|G|={n}, q={q}) != 1")
-    if n == 1:
-        return IdempotentSet(field, group, [AlgebraElement.one(field, group)])
-    if group.abelian_orders is not None:
-        gens, gen_orders = _natural_abelian_basis(group)
-    else:
-        gens, gen_orders = _abelian_basis_from_table(group)
-    exps = _element_exponents(group, gens, gen_orders)
-    m = group.exponent
-    s = multiplicative_order_mod(q, m)
-    h = _primitive_root_factor(field, m)
-
-    # delta^j mod h as rows of field indexes
-    powers = np.zeros((m, s), dtype=np.int64)
-    y = Polynomial.x(field)
-    acc = Polynomial.one(field)
-    for j in range(m):
-        for i, ci in enumerate(acc.coeffs):
-            powers[j, i] = ci
-        acc = (acc * y) % h
-
-    orders_arr = np.array(gen_orders, dtype=np.int64)
-    weights = np.array([m // d for d in gen_orders], dtype=np.int64)
-    inv_n = field.inv(field.from_int(n))
-
-    # character u-tuples share the mixed-radix id space of the basis orders;
-    # Galois orbits are closures under u -> q*u componentwise
-    tuples = np.zeros((n, len(gens)), dtype=np.int64)
-    rest = np.arange(n)
-    for i in range(len(gens) - 1, -1, -1):
-        tuples[:, i] = rest % orders_arr[i]
-        rest = rest // orders_arr[i]
-    seen = np.zeros(n, dtype=bool)
-    members = []
-    for seed in range(n):
-        if seen[seed]:
-            continue
-        orbit = []
-        cur = seed
-        while not seen[cur]:
-            seen[cur] = True
-            orbit.append(tuples[cur])
-            cur = _tuple_id((q * tuples[cur]) % orders_arr, orders_arr)
-        counts = np.zeros((n, m), dtype=np.int64)
-        for u in orbit:
-            phases = (-(exps @ (weights * u))) % m
-            counts[np.arange(n), phases] += 1
-        counts %= field.p
-        values = _linalg.matmul(field, counts, powers)
-        if np.any(values[:, 1:]):
-            raise VerificationError(
-                "character-orbit sum left the base field; internal error"
-            )
-        coeff = field.vmul(np.int64(inv_n), values[:, 0])
-        members.append(AlgebraElement(field, group, coeff))
-    return IdempotentSet(field, group, members)
-
-
-def _tuple_id(u: np.ndarray, orders: np.ndarray) -> int:
-    g = 0
-    for e, o in zip(u.tolist(), orders.tolist()):
-        g = g * o + e % o
-    return g
-
-
-@functools.lru_cache(maxsize=512)
-def _primitive_root_factor(field: FiniteField, m: int) -> Polynomial:
-    """Deterministic irreducible factor of y^m - 1 whose roots have order m:
-    the cyclotomic polynomial Phi_m, left when y^m - 1 loses its common
-    factor with y^(m/r) - 1 for each prime r | m, split in degree ord_m(q);
-    cached, since every abelian group of exponent m repeats the split."""
-    phi = Polynomial.x_pow_minus_one(field, m)
-    for r in _prime_factors(m):
-        phi = phi // phi.gcd(Polynomial.x_pow_minus_one(field, m // r))
-    return equal_degree_factors(phi, multiplicative_order_mod(field.q, m))[0]

@@ -36,6 +36,7 @@ from .groups import (
     Group,
     builtin_mu_minus1,
     builtin_mu_swap,
+    check_order_cap,
     cyclic_group,
     group_abelian,
     group_product,
@@ -83,21 +84,9 @@ class CodeReport:
             d["timing_ms"] = None
         return d
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "CodeReport":
-        names = {f.name for f in dataclass_fields(cls)}
-        unknown = set(d) - names
-        if unknown:
-            raise ValueError(f"unknown report fields: {sorted(unknown)}")
-        return cls(**d)
-
 
 def emit_json(reports: list[CodeReport]) -> str:
     return json.dumps([r.to_dict() for r in reports], indent=2) + "\n"
-
-
-def parse_json(text: str) -> list[CodeReport]:
-    return [CodeReport.from_dict(d) for d in json.loads(text)]
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +229,12 @@ def cmd_scan(args) -> tuple[int, list[CodeReport]]:
     reports = []
     if args.family == "cyclic":
         ns = [n for n in _parse_range(args.n) if n % 2 == 1]
-        groups = [(str(n), cyclic_group(n)) for n in ns]
+        if not ns:
+            raise ValueError(f"--n {args.n!r} holds no odd order; duadic codes need odd order")
+        for n in ns:
+            check_order_cap(n)
+        # built one per step: a group is dropped once its cells are done
+        groups = ((str(n), cyclic_group(n)) for n in ns)
     elif args.family == "pxp":
         ps = _parse_int_list(args.p, "--p")
         groups = [(f"{p}x{p}", _odd_order(group_abelian([p, p]))) for p in ps]

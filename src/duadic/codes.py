@@ -172,17 +172,6 @@ def coset_min_weight(field: FiniteField, gen: np.ndarray, offset: np.ndarray) ->
     return best, witness
 
 
-def min_weight_exhaustive(code: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> tuple[int, np.ndarray]:
-    """Exact minimum weight by enumerating all q^k codewords."""
-    if code.k < 1:
-        raise ValueError("zero code has no nonzero words")
-    size = code.field.q**code.k
-    if size > cap:
-        raise EnumerationCapError(f"q^k = {size} exceeds the cap {cap}")
-    zero = np.zeros(code.n, dtype=np.int64)
-    return coset_min_weight(code.field, code.gen, zero)
-
-
 def weight_distribution(code: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
     """Counts A_w of codewords by weight, w = 0..n."""
     size = code.field.q**code.k

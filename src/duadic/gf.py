@@ -11,17 +11,11 @@ discrete log/antilog tables, built lazily once per field.
 from __future__ import annotations
 
 import math
-import random
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 FIELD_ORDER_CAP = 1 << 16
-
-# Fixed seed for the equal-degree splitting step of the factorization, so
-# repeated runs pick identical splitting elements.
-_FACTOR_SEED = 0x0D7A21C
 
 
 def is_prime(n: int) -> bool:
@@ -119,39 +113,9 @@ class FiniteField:
             a //= self.p
         return tuple(out)
 
-    def index_of(self, coeffs) -> int:
-        cs = list(coeffs)
-        if len(cs) != self.m:
-            raise ValueError(f"need exactly {self.m} coefficients, got {len(cs)}")
-        if any(c < 0 or c >= self.p for c in cs):
-            raise ValueError(f"coefficients must lie in [0, {self.p})")
-        idx = 0
-        for c in reversed(cs):
-            idx = idx * self.p + c
-        return idx
-
-    def element(self, coeffs) -> "FieldElement":
-        return FieldElement(self, self.index_of(coeffs))
-
-    def from_index(self, a: int) -> "FieldElement":
-        if not 0 <= a < self.q:
-            raise ValueError(f"index {a} out of range for {self!r}")
-        return FieldElement(self, a)
-
     def from_int(self, n: int) -> int:
         """Index of the prime-subfield element n mod p."""
         return n % self.p
-
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
-    def elements(self):
-        return (FieldElement(self, a) for a in range(self.q))
 
     # -- scalar arithmetic on indexes ------------------------------------
 
@@ -384,53 +348,6 @@ class FiniteField:
         return int(out) if axis is None else out
 
 
-@dataclass(frozen=True)
-class FieldElement:
-    """An element of a :class:`FiniteField`, wrapping its integer index."""
-
-    field: FiniteField
-    index: int
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return self.field.coeffs_of(self.index)
-
-    def _check(self, other: "FieldElement") -> None:
-        if not isinstance(other, FieldElement) or other.field != self.field:
-            raise ValueError("mismatched fields")
-
-    def __add__(self, other):
-        self._check(other)
-        return FieldElement(self.field, self.field.add(self.index, other.index))
-
-    def __sub__(self, other):
-        self._check(other)
-        return FieldElement(self.field, self.field.sub(self.index, other.index))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.index))
-
-    def __mul__(self, other):
-        self._check(other)
-        return FieldElement(self.field, self.field.mul(self.index, other.index))
-
-    def __truediv__(self, other):
-        self._check(other)
-        return FieldElement(self.field, self.field.mul(self.index, self.field.inv(other.index)))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.field, self.field.power(self.index, e))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.inv(self.index))
-
-    def is_zero(self) -> bool:
-        return self.index == 0
-
-    def __repr__(self) -> str:
-        return f"{self.field!r}[{self.index}]"
-
-
 @lru_cache(maxsize=None)
 def _prime_factors(n: int) -> tuple[int, ...]:
     out = []
@@ -544,15 +461,6 @@ class Polynomial:
     @classmethod
     def x(cls, field: FiniteField) -> "Polynomial":
         return cls(field, (0, 1))
-
-    @classmethod
-    def x_pow_minus_one(cls, field: FiniteField, n: int) -> "Polynomial":
-        if n == 0:
-            return cls.zero(field)
-        coeffs = [0] * (n + 1)
-        coeffs[0] = field.neg(1)
-        coeffs[n] = 1
-        return cls(field, coeffs)
 
     def __eq__(self, other) -> bool:
         return (
@@ -680,13 +588,6 @@ class Polynomial:
             e >>= 1
         return out
 
-    def evaluate(self, x: int) -> int:
-        F = self.field
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = F.add(F.mul(acc, x), c)
-        return acc
-
     def roots(self) -> list[int]:
         """Distinct roots in the base field, sorted: one vectorized Horner
         pass over all q field elements."""
@@ -761,47 +662,3 @@ def _np_poly_divmod(field: FiniteField, a, b) -> tuple[list[int], list[int]]:
         if c:
             rem[k : k + db] = field.vsub(rem[k : k + db], field.vmul(np.int64(c), b_arr))
     return quot, [int(x) for x in rem]
-
-
-# ---------------------------------------------------------------------------
-# factorization
-# ---------------------------------------------------------------------------
-
-
-def equal_degree_factors(f: Polynomial, d: int) -> list[Polynomial]:
-    """The monic irreducible factors of f, sorted by coefficients, when f is
-    squarefree with every irreducible factor of degree d (checked first;
-    ValueError otherwise), split by Cantor-Zassenhaus with `_FACTOR_SEED`."""
-    g = f.monic()
-    if d < 1 or g.degree() < 1 or g.degree() % d or not _factors_all_of_degree(g, d):
-        raise ValueError(f"{f} is not a squarefree product of degree-{d} irreducibles")
-    return sorted(_equal_degree_split(g, d, random.Random(_FACTOR_SEED)), key=lambda h: h.coeffs)
-
-
-def _equal_degree_split(f: Polynomial, d: int, rng: random.Random) -> list[Polynomial]:
-    """Cantor-Zassenhaus: factor a monic squarefree product of degree-d irreducibles."""
-    F = f.field
-    if f.degree() == d:
-        return [f]
-    q = F.q
-    n = f.degree()
-    while True:
-        h = Polynomial(F, [rng.randrange(q) for _ in range(n)])
-        if h.degree() < 1:
-            continue
-        if F.p == 2:
-            # trace map to GF(2): sum of h^(2^i) over the extension degree
-            e = d * F.m
-            t = h % f
-            acc = t
-            for _ in range(e - 1):
-                t = t.pow_mod(2, f)
-                acc = (acc + t) % f
-            g = acc.gcd(f)
-        else:
-            t = h.pow_mod((q**d - 1) // 2, f)
-            g = (t - Polynomial.one(F)).gcd(f)
-        if 0 < g.degree() < n:
-            left = _equal_degree_split(g, d, rng)
-            right = _equal_degree_split(f // g, d, rng)
-            return left + right

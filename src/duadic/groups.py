@@ -10,6 +10,7 @@ Cayley-table groups label elements by raw id.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from string import ascii_lowercase
 
@@ -21,36 +22,52 @@ from .gf import _prime_factors, is_prime
 GROUP_ORDER_CAP = 512
 
 
+def check_order_cap(n: int) -> None:
+    """ValueError when a group of order n would exceed GROUP_ORDER_CAP."""
+    if n > GROUP_ORDER_CAP:
+        raise ValueError(f"group order {n} exceeds the validation cap {GROUP_ORDER_CAP}")
+
+
+def _square_table(table) -> np.ndarray:
+    t = np.asarray(table, dtype=np.int64)
+    if t.ndim != 2 or t.shape[0] != t.shape[1]:
+        raise ValueError(f"Cayley table must be square, got shape {t.shape}")
+    if t.shape[0] == 0:
+        raise ValueError("empty Cayley table")
+    check_order_cap(t.shape[0])
+    return t
+
+
 class Group:
-    """Finite group of order n as a fully validated n x n multiplication table."""
+    """Finite group of order n as an n x n multiplication table.
+
+    The constructor checks the shape, the order cap and two-sided inverses;
+    it trusts the table to be a group.  Outside tables enter through
+    `group_from_cayley`, which checks every group axiom first."""
 
     def __init__(self, table, descriptor: str = "", abelian_orders: tuple[int, ...] | None = None):
-        t = np.asarray(table, dtype=np.int64)
-        if t.ndim != 2 or t.shape[0] != t.shape[1]:
-            raise ValueError(f"Cayley table must be square, got shape {t.shape}")
+        t = _square_table(table)
         n = t.shape[0]
-        if n == 0:
-            raise ValueError("empty Cayley table")
-        if n > GROUP_ORDER_CAP:
-            raise ValueError(f"group order {n} exceeds the validation cap {GROUP_ORDER_CAP}")
         self.table = t
         self.order = n
         self.descriptor = descriptor or f"cayley(n={n})"
         self.abelian_orders = tuple(abelian_orders) if abelian_orders else None
-        self._validate()
         self.inverse = self._build_inverse()
         self._orders: np.ndarray | None = None
         self._exponent: int | None = None
         self._left: np.ndarray | None = None
         self._right: np.ndarray | None = None
         self._labels: tuple[str, ...] | None = None
+        self._mu_minus1: weakref.ref | None = None
         self._hash: int | None = None
 
     # -- validation -------------------------------------------------------
 
-    def _validate(self) -> None:
-        t = self.table
-        n = self.order
+    @staticmethod
+    def _validate(t: np.ndarray) -> None:
+        """Every group axiom of a square id table: closure, id 0 a two-sided
+        identity, rows and columns permutations, and associativity."""
+        n = len(t)
         if t.min() < 0 or t.max() >= n:
             bad = np.argwhere((t < 0) | (t >= n))[0]
             raise ValueError(
@@ -219,9 +236,7 @@ def group_abelian(orders) -> Group:
         raise ValueError("need at least one cyclic factor")
     if any(o < 2 for o in ords):
         raise ValueError(f"cyclic factor orders must be >= 2, got {ords}")
-    n = math.prod(ords)
-    if n > GROUP_ORDER_CAP:
-        raise ValueError(f"group order {n} exceeds the validation cap {GROUP_ORDER_CAP}")
+    check_order_cap(math.prod(ords))
     table = np.zeros((1, 1), dtype=np.int64)
     for o in ords:
         block = (np.arange(o)[:, None] + np.arange(o)[None, :]) % o
@@ -238,8 +253,11 @@ def cyclic_group(n: int) -> Group:
 
 
 def group_from_cayley(table, descriptor: str = "") -> Group:
-    """Validated group from an explicit n x n id matrix."""
-    return Group(table, descriptor=descriptor)
+    """Group from an explicit n x n id matrix, the one entry for outside
+    tables: every group axiom is checked before the group is built."""
+    t = _square_table(table)
+    Group._validate(t)
+    return Group(t, descriptor=descriptor)
 
 
 def group_product(g1: Group, g2: Group) -> Group:
@@ -410,8 +428,16 @@ class Antiautomorphism:
 
 
 def builtin_mu_minus1(group: Group) -> Antiautomorphism:
-    """The inversion map g -> g^-1 with trivial field part."""
-    return Antiautomorphism(group, group.inverse.copy(), 0, descriptor="mu-1")
+    """The inversion map g -> g^-1 with trivial field part.
+
+    The group holds it by weak reference, so every call returns the same map
+    while anything keeps it alive; a strong reference would form a cycle with
+    mu.group, and a finished group would then wait for the cyclic collector."""
+    mu = group._mu_minus1() if group._mu_minus1 is not None else None
+    if mu is None:
+        mu = Antiautomorphism(group, group.inverse.copy(), 0, descriptor="mu-1")
+        group._mu_minus1 = weakref.ref(mu)
+    return mu
 
 
 def builtin_mu_swap(group: Group, q: int) -> Antiautomorphism:
@@ -512,13 +538,6 @@ def parse_cayley_text(text: str, descriptor: str = "") -> Group:
 def read_cayley_file(path) -> Group:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_cayley_text(fh.read(), descriptor=f"@{path}")
-
-
-def format_cayley(group: Group) -> str:
-    lines = [str(group.order)]
-    for row in group.table:
-        lines.append(" ".join(str(int(x)) for x in row))
-    return "\n".join(lines) + "\n"
 
 
 def parse_permutation_text(text: str, group: Group, descriptor: str = "") -> Antiautomorphism:

@@ -1,0 +1,554 @@
+"""Independent reference constructions that the tests check the package against.
+
+Nothing here is on a path that the `duadic` CLI or library runs.  Each oracle
+takes another route than the code it checks: scalar loops where the package
+vectorizes, Cantor-Zassenhaus factoring and characters where it finds roots
+by evaluation and splits class sums, a Frobenius kernel where it works in
+F_q-class coordinates.  Tests import it the way they import `conftest`;
+an oracle that only one test module uses stays in that module.
+"""
+
+from __future__ import annotations
+
+import functools
+import itertools
+import math
+import random
+
+import numpy as np
+
+from duadic import _linalg
+from duadic.algebra import (
+    AlgebraElement,
+    IdempotentSet,
+    alg_mul,
+    is_central,
+    is_idempotent,
+)
+from duadic.codes import DEFAULT_ENUM_CAP, coset_min_weight
+from duadic.errors import EnumerationCapError, VerificationError
+from duadic.gf import (
+    FiniteField,
+    Polynomial,
+    _factors_all_of_degree,
+    _prime_factors,
+    multiplicative_order_mod,
+)
+from duadic.groups import Group
+
+# Fixed seed for the equal-degree splitting step of the factorization, so
+# repeated runs pick identical splitting elements.
+_FACTOR_SEED = 0x0D7A21C
+
+
+# ---------------------------------------------------------------------------
+# scalar routes: convolution, codewords, weights
+# ---------------------------------------------------------------------------
+
+
+def naive_mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
+    """Convolution by scalar field.add and field.mul on indexes (independent route)."""
+    field, group = a.field, a.group
+    out = [0] * group.order
+    ca, cb = a.vec.tolist(), b.vec.tolist()
+    for g in range(group.order):
+        for h in range(group.order):
+            k = group.mul(g, h)
+            out[k] = field.add(out[k], field.mul(ca[g], cb[h]))
+    return AlgebraElement(field, group, out)
+
+
+def naive_codewords(field, gen):
+    """All words of the row space, folded one scalar multiply at a time."""
+    gen = np.asarray(gen, dtype=np.int64)
+    k, n = gen.shape
+    for message in itertools.product(range(field.q), repeat=k):
+        word = [0] * n
+        for m_i, row in zip(message, gen):
+            if m_i:
+                word = [field.add(w, field.mul(m_i, int(r))) for w, r in zip(word, row)]
+        yield word
+
+
+def naive_min_weight(field, gen) -> int:
+    best = None
+    for word in naive_codewords(field, gen):
+        w = sum(1 for x in word if x)
+        if w and (best is None or w < best):
+            best = w
+    return best
+
+
+def macwilliams(dist: np.ndarray, q: int, k: int) -> list[int]:
+    """Weight distribution of the dual of a q-ary [n, k] code with distribution dist."""
+    n = len(dist) - 1
+
+    def krawtchouk(j: int, i: int) -> int:
+        return sum(
+            (-1) ** s * (q - 1) ** (j - s) * math.comb(i, s) * math.comb(n - i, j - s)
+            for s in range(j + 1)
+        )
+
+    out = []
+    for j in range(n + 1):
+        total = sum(int(dist[i]) * krawtchouk(j, i) for i in range(n + 1))
+        assert total % q**k == 0
+        out.append(total // q**k)
+    return out
+
+
+def reference_odd_like_min_weight(duadic_codes, which: str = "e", cap: int = DEFAULT_ENUM_CAP) -> int:
+    """Minimum odd-like weight of D_e (or D_f) from the Ghat cosets: D = C +
+    span(Ghat), so the odd-like words are c + a*Ghat with c in the even-like
+    code C and a nonzero, q^k_C * (q - 1) words in all.  It shares only the
+    coset kernel with the package, which test_codes checks on its own."""
+    even = duadic_codes.c_e if which == "e" else duadic_codes.c_f
+    field = even.field
+    size = field.q**even.k * (field.q - 1)
+    if size > cap:
+        raise EnumerationCapError(f"q^k * (q-1) = {size} exceeds the cap {cap}")
+    ghat = duadic_codes.pair.ghat.vec
+    return min(coset_min_weight(field, even.gen, field.vmul(np.int64(a), ghat))[0] for a in range(1, field.q))
+
+
+# ---------------------------------------------------------------------------
+# linear algebra: the loop forms of what _linalg vectorizes
+# ---------------------------------------------------------------------------
+
+
+def reference_rref(field, mat):
+    """Leftmost-pivot RREF, eliminating whole rows one pivot at a time."""
+    m = np.array(mat, dtype=np.int64).reshape(-1, np.shape(mat)[-1])
+    rows, cols = m.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        hits = np.nonzero(m[r:, c])[0]
+        if hits.size == 0:
+            continue
+        i = r + int(hits[0])
+        if i != r:
+            m[[r, i]] = m[[i, r]]
+        pv = int(m[r, c])
+        if pv != 1:
+            m[r] = field.vmul(m[r], field.inv(pv))
+        others = np.nonzero(m[:, c])[0]
+        others = others[others != r]
+        if others.size:
+            factors = m[others, c].reshape(-1, 1)
+            m[others] = field.vsub(m[others], field.vmul(factors, m[r].reshape(1, -1)))
+        pivots.append(c)
+        r += 1
+    return m[: len(pivots)], pivots
+
+
+def reference_right_kernel(field, mat):
+    """Kernel basis built entry by entry from the RREF, then reduced."""
+    red, pivots = reference_rref(field, mat)
+    cols = np.shape(mat)[-1]
+    free = [c for c in range(cols) if c not in pivots]
+    if not free:
+        return np.zeros((0, cols), dtype=np.int64)
+    basis = np.zeros((len(free), cols), dtype=np.int64)
+    for i, fc in enumerate(free):
+        basis[i, fc] = 1
+        for j, pc in enumerate(pivots):
+            basis[i, pc] = field.neg(int(red[j, fc]))
+    return reference_rref(field, basis)[0]
+
+
+def reference_matmul(field, a, b):
+    """Matrix product as a sum of outer products, one inner index at a time."""
+    a = np.atleast_2d(np.asarray(a, dtype=np.int64))
+    out = np.zeros((a.shape[0], np.shape(b)[1]), dtype=np.int64)
+    for k in range(a.shape[1]):
+        out = field.vadd(out, field.vmul(a[:, k].reshape(-1, 1), np.asarray(b)[k].reshape(1, -1)))
+    return out
+
+
+def solve_in_span(field: FiniteField, basis: np.ndarray, v: np.ndarray) -> np.ndarray | None:
+    """Coefficients x with x @ basis = v, or None if v is outside the span:
+    one RREF of [basis | I], the identity block recording the row operations."""
+    basis = _linalg.as_matrix(basis)
+    k, n = basis.shape
+    red, pivots = _linalg.rref(field, np.hstack([basis, np.eye(k, dtype=np.int64)]))
+    top = sum(c < n for c in pivots)
+    w = np.concatenate([v.astype(np.int64), np.zeros(k, dtype=np.int64)])
+    w = field.vsub(w, _linalg.matmul(field, w[pivots[:top]], red[:top])[0])
+    if np.any(w[:n]):
+        return None
+    return field.vneg(w[n:])
+
+
+# ---------------------------------------------------------------------------
+# polynomials: scalar evaluation and Cantor-Zassenhaus factoring
+# ---------------------------------------------------------------------------
+
+
+def evaluate(f: Polynomial, x: int) -> int:
+    """f(x) by scalar Horner steps."""
+    field = f.field
+    acc = 0
+    for c in reversed(f.coeffs):
+        acc = field.add(field.mul(acc, x), c)
+    return acc
+
+
+def x_pow_minus_one(field: FiniteField, n: int) -> Polynomial:
+    if n == 0:
+        return Polynomial.zero(field)
+    coeffs = [0] * (n + 1)
+    coeffs[0] = field.neg(1)
+    coeffs[n] = 1
+    return Polynomial(field, coeffs)
+
+
+def equal_degree_factors(f: Polynomial, d: int) -> list[Polynomial]:
+    """The monic irreducible factors of f, sorted by coefficients, when f is
+    squarefree with every irreducible factor of degree d (checked first;
+    ValueError otherwise), split by Cantor-Zassenhaus with `_FACTOR_SEED`."""
+    g = f.monic()
+    if d < 1 or g.degree() < 1 or g.degree() % d or not _factors_all_of_degree(g, d):
+        raise ValueError(f"{f} is not a squarefree product of degree-{d} irreducibles")
+    return sorted(_equal_degree_split(g, d, random.Random(_FACTOR_SEED)), key=lambda h: h.coeffs)
+
+
+def _equal_degree_split(f: Polynomial, d: int, rng: random.Random) -> list[Polynomial]:
+    """Cantor-Zassenhaus: factor a monic squarefree product of degree-d irreducibles."""
+    F = f.field
+    if f.degree() == d:
+        return [f]
+    q = F.q
+    n = f.degree()
+    while True:
+        h = Polynomial(F, [rng.randrange(q) for _ in range(n)])
+        if h.degree() < 1:
+            continue
+        if F.p == 2:
+            # trace map to GF(2): sum of h^(2^i) over the extension degree
+            e = d * F.m
+            t = h % f
+            acc = t
+            for _ in range(e - 1):
+                t = t.pow_mod(2, f)
+                acc = (acc + t) % f
+            g = acc.gcd(f)
+        else:
+            t = h.pow_mod((q**d - 1) // 2, f)
+            g = (t - Polynomial.one(F)).gcd(f)
+        if 0 < g.degree() < n:
+            left = _equal_degree_split(g, d, rng)
+            right = _equal_degree_split(f // g, d, rng)
+            return left + right
+
+
+# ---------------------------------------------------------------------------
+# groups: the Cayley text format and ordinary conjugacy classes
+# ---------------------------------------------------------------------------
+
+
+def format_cayley(group: Group) -> str:
+    """The Cayley-table text that `groups.parse_cayley_text` reads."""
+    lines = [str(group.order)]
+    for row in group.table:
+        lines.append(" ".join(str(int(x)) for x in row))
+    return "\n".join(lines) + "\n"
+
+
+def reference_conjugacy_classes(group):
+    """Orbits under conjugation, by closure."""
+    n = group.order
+    seen = np.zeros(n, dtype=bool)
+    classes = []
+    for seed in range(n):
+        if seen[seed]:
+            continue
+        orbit, stack = {seed}, [seed]
+        while stack:
+            x = stack.pop()
+            for y in (group.mul(group.mul(group.inv(h), x), h) for h in range(n)):
+                if y not in orbit:
+                    orbit.add(y)
+                    stack.append(y)
+        cls = tuple(sorted(orbit))
+        seen[list(cls)] = True
+        classes.append(cls)
+    return tuple(classes)
+
+
+# ---------------------------------------------------------------------------
+# centrally primitive idempotents: structural checks
+# ---------------------------------------------------------------------------
+
+
+def validate_idempotent_set(s: IdempotentSet) -> None:
+    """Exact structural checks of a complete set of centrally primitive
+    idempotents; raises VerificationError on any failure."""
+    total = AlgebraElement.zero(s.field, s.group)
+    for e in s.members:
+        if e.weight() == 0:
+            raise VerificationError("zero member in idempotent set")
+        if not is_idempotent(e):
+            raise VerificationError(f"not idempotent: {e!r}")
+        if not is_central(e):
+            raise VerificationError(f"not central: {e!r}")
+        total = total + e
+    if total != AlgebraElement.one(s.field, s.group):
+        raise VerificationError("idempotents do not sum to 1")
+    for i, e in enumerate(s.members):
+        for f in s.members[i + 1 :]:
+            prod = alg_mul(e, f)
+            if prod.weight() or alg_mul(f, e).weight():
+                raise VerificationError("idempotents are not pairwise orthogonal")
+    count = len(s.partition)
+    if len(s.members) != count:
+        raise VerificationError(f"{len(s.members)} idempotents vs {count} F_q-conjugacy classes")
+
+
+# ---------------------------------------------------------------------------
+# centrally primitive idempotents: the Frobenius-kernel construction, from
+# ordinary class sums raised to the q-th power
+# ---------------------------------------------------------------------------
+
+
+def reference_fixed_center(field, group):
+    """(basis rows, class representatives) of the part of the center fixed by
+    a -> a^q: the kernel of Frobenius - 1 on the ordinary class sums, each
+    raised to the q-th power by repeated squaring in F_q[G]."""
+    classes = reference_conjugacy_classes(group)
+    center = np.zeros((len(classes), group.order), dtype=np.int64)
+    for i, cls in enumerate(classes):
+        center[i, list(cls)] = 1
+    reps = [cls[0] for cls in classes]
+    frob = np.array([(AlgebraElement(field, group, row) ** field.q).vec[reps] for row in center])
+    eye = np.eye(len(classes), dtype=np.int64)
+    kernel = reference_right_kernel(field, field.vsub(frob.T, eye))
+    return reference_matmul(field, kernel, center), reps
+
+
+def reference_split_idempotents(field, group):
+    """(idempotent set, fixed-center basis): the unit split against each
+    fixed-center basis vector through the roots of its minimal polynomial,
+    the roots found by scalar evaluation at every field element."""
+    basis, reps = reference_fixed_center(field, group)
+    components = [AlgebraElement.one(field, group)]
+    for row in basis:
+        b = AlgebraElement(field, group, row)
+        components = [part for unit in components for part in _reference_refine(field, reps, unit, b)]
+    return IdempotentSet(field, group, components), basis
+
+
+def _reference_refine(field, reps, unit, b):
+    c = b * unit
+    rows, power = [unit.vec[reps]], c
+    while (sol := solve_in_span(field, np.array(rows), power.vec[reps])) is None:
+        rows.append(power.vec[reps])
+        power = power * c
+    minpoly = Polynomial(field, [field.neg(int(x)) for x in sol] + [1])
+    roots = [x for x in range(field.q) if evaluate(minpoly, x) == 0]
+    assert len(roots) == minpoly.degree(), f"{minpoly} is not split squarefree"
+    if len(roots) == 1:
+        return [unit]
+    out = []
+    for lam in roots:
+        # the Lagrange idempotent prod_{mu != lam} (c - mu) / (lam - mu)
+        acc = unit
+        for mu in roots:
+            if mu != lam:
+                step = (c - unit.scale(mu)).scale(field.inv(field.sub(lam, mu)))
+                acc = acc * step
+        out.append(acc)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# centrally primitive idempotents: characters (abelian groups)
+# ---------------------------------------------------------------------------
+
+
+def _natural_abelian_basis(group: Group) -> tuple[list[int], list[int]]:
+    orders = group.abelian_orders
+    gens = []
+    for i in range(len(orders)):
+        gens.append(group.element_id([1 if j == i else 0 for j in range(len(orders))]))
+    return gens, list(orders)
+
+
+def _abelian_basis_from_table(group: Group) -> tuple[list[int], list[int]]:
+    """Greedy cyclic decomposition of an abelian group given only by its table.
+
+    Works prime by prime: within the p-part, repeatedly take the element of
+    maximal order modulo the span and adjust it to a direct generator.
+    """
+    n = group.order
+    orders = group.element_orders
+    gens: list[int] = []
+    gen_orders: list[int] = []
+    for p in _prime_factors(n):
+        part = [g for g in range(n) if _is_p_power(int(orders[g]), p)]
+        span = {0}
+        span_tuples = {0: ()}
+        local: list[tuple[int, int]] = []  # (gen, order) for this prime
+        while len(span) < len(part):
+            best_g, best_d = -1, 0
+            for g in part:
+                if g in span:
+                    continue
+                d = _quotient_order(group, g, span)
+                if d > best_d:
+                    best_g, best_d = g, d
+            g, d = best_g, best_d
+            excess = group.power(g, d)
+            exps = span_tuples[excess]
+            adjust = 0
+            for (bg, bord), c in zip(local, exps):
+                if c % d != 0:
+                    raise VerificationError("abelian basis adjustment failed")
+                adjust = group.mul(adjust, group.power(bg, (c // d) % bord))
+            g = group.mul(g, group.inv(adjust))
+            if group.power(g, d) != 0:
+                raise VerificationError("adjusted generator has wrong order")
+            local.append((g, d))
+            new_span = {}
+            for h, tup in span_tuples.items():
+                acc = h
+                for j in range(d):
+                    new_span[acc] = tup + (j,)
+                    acc = group.mul(acc, g)
+            span_tuples = new_span
+            span = set(span_tuples)
+        gens.extend(g for g, _ in local)
+        gen_orders.extend(d for _, d in local)
+    return gens, gen_orders
+
+
+def _is_p_power(k: int, p: int) -> bool:
+    while k % p == 0:
+        k //= p
+    return k == 1
+
+
+def _quotient_order(group: Group, g: int, span: set[int]) -> int:
+    d = 1
+    x = g
+    while x not in span:
+        x = group.mul(x, g)
+        d += 1
+    return d
+
+
+def _element_exponents(group: Group, gens: list[int], gen_orders: list[int]) -> np.ndarray:
+    """Matrix E with row g = the exponent tuple of g over the given basis."""
+    n = group.order
+    exps = np.zeros((n, len(gens)), dtype=np.int64)
+    ids: dict[int, tuple[int, ...]] = {}
+
+    def rec(i: int, acc: int, tup: tuple[int, ...]):
+        if i == len(gens):
+            if acc in ids:
+                raise VerificationError("abelian basis is not a direct decomposition")
+            ids[acc] = tup
+            exps[acc] = tup
+            return
+        x = acc
+        for e in range(gen_orders[i]):
+            rec(i + 1, x, tup + (e,))
+            x = group.mul(x, gens[i])
+
+    rec(0, 0, ())
+    if len(ids) != n:
+        raise VerificationError("abelian basis does not enumerate the group")
+    return exps
+
+
+def abelian_character_idempotents(field: FiniteField, group: Group) -> IdempotentSet:
+    """Centrally primitive idempotents of an abelian F_q[G] via characters.
+
+    Characters take values among m-th roots of unity (m the exponent), which
+    live in GF(q^s) realized as F_q[y]/(h) for a deterministic irreducible
+    factor h of y^m - 1 with roots of order exactly m.  Galois orbits of
+    characters are summed and every resulting coefficient is checked to land
+    in the base field.
+    """
+    if not group.is_abelian:
+        raise ValueError("character construction requires an abelian group")
+    n = group.order
+    q = field.q
+    if math.gcd(n, q) != 1:
+        raise ValueError(f"gcd(|G|={n}, q={q}) != 1")
+    if n == 1:
+        return IdempotentSet(field, group, [AlgebraElement.one(field, group)])
+    if group.abelian_orders is not None:
+        gens, gen_orders = _natural_abelian_basis(group)
+    else:
+        gens, gen_orders = _abelian_basis_from_table(group)
+    exps = _element_exponents(group, gens, gen_orders)
+    m = group.exponent
+    s = multiplicative_order_mod(q, m)
+    h = _primitive_root_factor(field, m)
+
+    # delta^j mod h as rows of field indexes
+    powers = np.zeros((m, s), dtype=np.int64)
+    y = Polynomial.x(field)
+    acc = Polynomial.one(field)
+    for j in range(m):
+        for i, ci in enumerate(acc.coeffs):
+            powers[j, i] = ci
+        acc = (acc * y) % h
+
+    orders_arr = np.array(gen_orders, dtype=np.int64)
+    weights = np.array([m // d for d in gen_orders], dtype=np.int64)
+    inv_n = field.inv(field.from_int(n))
+
+    # character u-tuples share the mixed-radix id space of the basis orders;
+    # Galois orbits are closures under u -> q*u componentwise
+    tuples = np.zeros((n, len(gens)), dtype=np.int64)
+    rest = np.arange(n)
+    for i in range(len(gens) - 1, -1, -1):
+        tuples[:, i] = rest % orders_arr[i]
+        rest = rest // orders_arr[i]
+    seen = np.zeros(n, dtype=bool)
+    members = []
+    for seed in range(n):
+        if seen[seed]:
+            continue
+        orbit = []
+        cur = seed
+        while not seen[cur]:
+            seen[cur] = True
+            orbit.append(tuples[cur])
+            cur = _tuple_id((q * tuples[cur]) % orders_arr, orders_arr)
+        counts = np.zeros((n, m), dtype=np.int64)
+        for u in orbit:
+            phases = (-(exps @ (weights * u))) % m
+            counts[np.arange(n), phases] += 1
+        counts %= field.p
+        values = _linalg.matmul(field, counts, powers)
+        if np.any(values[:, 1:]):
+            raise VerificationError(
+                "character-orbit sum left the base field; internal error"
+            )
+        coeff = field.vmul(np.int64(inv_n), values[:, 0])
+        members.append(AlgebraElement(field, group, coeff))
+    return IdempotentSet(field, group, members)
+
+
+def _tuple_id(u: np.ndarray, orders: np.ndarray) -> int:
+    g = 0
+    for e, o in zip(u.tolist(), orders.tolist()):
+        g = g * o + e % o
+    return g
+
+
+@functools.lru_cache(maxsize=512)
+def _primitive_root_factor(field: FiniteField, m: int) -> Polynomial:
+    """Deterministic irreducible factor of y^m - 1 whose roots have order m:
+    the cyclotomic polynomial Phi_m, left when y^m - 1 loses its common
+    factor with y^(m/r) - 1 for each prime r | m, split in degree ord_m(q);
+    cached, since every abelian group of exponent m repeats the split."""
+    phi = x_pow_minus_one(field, m)
+    for r in _prime_factors(m):
+        phi = phi // phi.gcd(x_pow_minus_one(field, m // r))
+    return equal_degree_factors(phi, multiplicative_order_mod(field.q, m))[0]

@@ -15,7 +15,6 @@ import pytest
 
 from duadic.algebra import (
     AlgebraElement,
-    abelian_character_idempotents,
     alg_mul,
     is_even_like,
     is_idempotent,
@@ -45,6 +44,7 @@ from duadic.groups import (
 from duadic.quantum import DistanceRecord, css_build, css_distance, quantum_duadic
 
 from conftest import frobenius21_table
+from oracles import abelian_character_idempotents
 
 Q_LIST = (2, 3, 4, 5, 7, 9)
 ODD_N = tuple(range(3, 46, 2))

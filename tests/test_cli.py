@@ -23,12 +23,12 @@ from duadic.cli import (
     emit_json,
     main,
     parse_group_spec,
-    parse_json,
     parse_mu_spec,
 )
-from duadic.groups import format_cayley, group_abelian, cyclic_group
+from duadic.groups import group_abelian, cyclic_group
 
 from conftest import frobenius21_table
+from oracles import format_cayley
 
 
 class TestSpecParsing:
@@ -85,10 +85,40 @@ class TestScan:
             ("5x5", True),
         ]
 
-    def test_empty_range(self, capsys):
-        code = main(["scan", "--n", "4-4", "--q", "2", "--json"])
-        assert code == EXIT_OK
-        assert json.loads(capsys.readouterr().out) == []
+    @pytest.mark.parametrize("n", ["4", "4-4", "2,4,6"])
+    def test_no_odd_order_exits_1(self, capsys, n):
+        assert main(["scan", "--n", n, "--q", "2", "--json"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"duadic: error: --n {n!r} holds no odd order; duadic codes need odd order\n"
+
+    @pytest.mark.parametrize("n,order", [("3-513", 513), ("513", 513), ("3,1025", 1025)])
+    def test_over_cap_order_exits_1_before_any_group_is_built(self, capsys, monkeypatch, n, order):
+        def no_build(order):
+            raise AssertionError(f"cyclic_group({order}) called")
+
+        monkeypatch.setattr(cli, "cyclic_group", no_build)
+        assert main(["scan", "--n", n, "--q", "2", "--json"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"duadic: error: group order {order} exceeds the validation cap 512\n"
+
+    def test_groups_are_built_one_per_step(self, capsys, monkeypatch):
+        built, orders_seen = [], []
+
+        def record(order):
+            built.append(order)
+            return cyclic_group(order)
+
+        def check(mu, field, group):
+            orders_seen.append((group.order, list(built)))
+            return real_check(mu, field, group)
+
+        real_check = cli.check_splitting
+        monkeypatch.setattr(cli, "cyclic_group", record)
+        monkeypatch.setattr(cli, "check_splitting", check)
+        assert main(["scan", "--n", "3-7", "--q", "2", "--json"]) == EXIT_OK
+        assert orders_seen == [(3, [3]), (5, [3, 5]), (7, [3, 5, 7])]
 
     @pytest.mark.parametrize(
         "argv,message",
@@ -318,15 +348,15 @@ class TestJsonRoundTrip:
         argv = ["scan", "--family", "cyclic", "--n", "3-15", "--q", "2,4", "--mu", "mu-1", "--json"]
         assert main(argv) == EXIT_OK
         text = capsys.readouterr().out
-        reports = parse_json(text)
+        reports = [CodeReport(**d) for d in json.loads(text)]
         assert emit_json(reports) == text
-        assert parse_json(emit_json(reports)) == reports
+        assert [CodeReport(**d) for d in json.loads(emit_json(reports))] == reports
 
     def test_shallow_dict_emits_what_asdict_emits(self, capsys):
         argv = ["construct", "--group", "3x3", "--q", "2", "--mu", "swap", "--enumerate-all", "--json"]
         assert main(argv) == EXIT_OK
         text = capsys.readouterr().out
-        (report,) = parse_json(text)
+        (report,) = [CodeReport(**d) for d in json.loads(text)]
         report.timing_ms = 12.5
         deep = dataclasses.asdict(report)
         assert report.to_dict(deterministic=False) == deep
@@ -335,8 +365,8 @@ class TestJsonRoundTrip:
         assert json.dumps([deep], indent=2) + "\n" == emit_json([report]) == text
 
     def test_unknown_field_rejected(self):
-        with pytest.raises(ValueError, match="unknown report fields"):
-            CodeReport.from_dict({"group": "7", "q": 2, "mu": "mu-1", "bogus": 1})
+        with pytest.raises(TypeError, match="bogus"):
+            CodeReport(**json.loads('{"group": "7", "q": 2, "mu": "mu-1", "bogus": 1}'))
 
 
 class TestVerify:

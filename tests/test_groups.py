@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from duadic.errors import CayleyFormatError
 from duadic.groups import (
     Antiautomorphism,
+    Group,
     builtin_mu_minus1,
     builtin_mu_swap,
     cyclic_group,
-    format_cayley,
     fq_classes,
     group_abelian,
     group_from_cayley,
@@ -23,7 +26,8 @@ from duadic.groups import (
     product_antiauto,
 )
 
-from conftest import reference_conjugacy_classes
+from conftest import metacyclic_table
+from oracles import format_cayley, reference_conjugacy_classes
 
 
 class TestGroupConstruction:
@@ -97,6 +101,26 @@ class TestGroupConstruction:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="closure"):
             group_from_cayley([[0, 1], [1, 7]])
+
+    @pytest.mark.parametrize(
+        "build",
+        [pytest.param(lambda n=n: cyclic_group(n), id=f"z{n}") for n in (*range(1, 26), 63, 127, 255, 511)]
+        + [
+            pytest.param(lambda o=o: group_abelian(o), id="x".join(map(str, o)))
+            for o in ([2, 2], [3, 3], [2, 4, 6], [3, 9], [5, 5, 5], [3, 3, 3, 3], [7, 73])
+        ]
+        + [
+            pytest.param(lambda: group_product(cyclic_group(3), cyclic_group(5)), id="3,5"),
+            pytest.param(lambda: group_product(group_abelian([3, 3]), group_abelian([3, 3])), id="3x3,3x3"),
+            pytest.param(lambda: group_product(cyclic_group(7), group_from_cayley([[0]])), id="7,1"),
+            pytest.param(lambda: group_product(group_from_cayley(metacyclic_table(7, 2)), cyclic_group(3)), id="7:3,3"),
+            pytest.param(lambda: group_product(cyclic_group(5), group_from_cayley(metacyclic_table(13, 3))), id="5,13:3"),
+        ],
+    )
+    def test_library_tables_pass_the_full_axiom_check(self, build):
+        # the constructors skip the axiom check, which only outside tables need
+        group = build()
+        Group._validate(group.table)
 
     def test_product(self):
         g = group_product(group_abelian([3, 3]), group_abelian([3, 3]))
@@ -199,6 +223,27 @@ class TestAntiautomorphisms:
     def test_mu_minus1_z7(self):
         mu = builtin_mu_minus1(cyclic_group(7))
         assert mu.map(3) == 4
+
+    def test_mu_minus1_is_built_once_per_group(self, frobenius21):
+        for group in (cyclic_group(7), frobenius21):
+            mu = builtin_mu_minus1(group)
+            assert builtin_mu_minus1(group) is mu
+        assert builtin_mu_minus1(cyclic_group(7)) == builtin_mu_minus1(cyclic_group(7))
+
+    def test_mu_minus1_does_not_keep_its_group_alive(self):
+        # no reference cycle: the group goes when its last holder does,
+        # without waiting for the cyclic collector
+        gc.disable()
+        try:
+            group = cyclic_group(9)
+            mu = builtin_mu_minus1(group)
+            group_ref, mu_ref = weakref.ref(group), weakref.ref(mu)
+            del group
+            assert group_ref() is mu.group
+            del mu
+            assert group_ref() is None and mu_ref() is None
+        finally:
+            gc.enable()
 
     def test_mu_minus1_nonabelian_validates(self, frobenius21):
         mu = builtin_mu_minus1(frobenius21)

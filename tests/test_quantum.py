@@ -26,7 +26,8 @@ from duadic.quantum import (
     quantum_duadic,
 )
 
-from conftest import enumerable_cells, macwilliams, naive_codewords, reference_odd_like_min_weight
+from conftest import enumerable_cells
+from oracles import macwilliams, naive_codewords, reference_odd_like_min_weight
 
 
 @pytest.fixture(scope="module")
