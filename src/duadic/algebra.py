@@ -11,7 +11,7 @@ import numpy as np
 
 from . import _linalg
 from .errors import VerificationError
-from .gf import FiniteField, Polynomial
+from .gf import FiniteField, roots
 from .groups import Antiautomorphism, FqClassPartition, Group, fq_classes, is_subgroup
 
 
@@ -305,11 +305,11 @@ def _refine_component(field: FiniteField, unit: np.ndarray, times) -> np.ndarray
     if d == limit:
         raise VerificationError(f"minimal polynomial of degree > {field.q} is not split squarefree")
     coeffs = field.vneg(red[:, d])
-    minpoly = Polynomial(field, coeffs.tolist() + [1])
-    lam = np.array(minpoly.roots(), dtype=np.int64)
+    minpoly = coeffs.tolist() + [1]
+    lam = np.array(roots(field, minpoly), dtype=np.int64)
     if len(lam) != d:
         raise VerificationError(
-            f"minimal polynomial {minpoly} in the fixed subalgebra is not split squarefree"
+            f"minimal polynomial {_poly_text(minpoly)} in the fixed subalgebra is not split squarefree"
         )
     # part(lambda) = b(c) / b(lambda), b = minpoly / (x - lambda): synthetic
     # division and Horner for all roots at once, then one product with the powers
@@ -321,3 +321,15 @@ def _refine_component(field: FiniteField, unit: np.ndarray, times) -> np.ndarray
         quotients.append(b)
     scaled = field.vmul(np.array(quotients[::-1]).T, field.vinv(value)[:, None])
     return _linalg.matmul(field, scaled, np.array(powers[:d]))
+
+
+def _poly_text(coeffs: list[int]) -> str:
+    """The polynomial with little-endian coefficients as text, highest term
+    first: [1, 1, 1] is "x^2 + x + 1", [0, 0, 1] is "x^2"."""
+    terms = []
+    for i in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[i]
+        if c:
+            power = "" if i == 0 else "x" if i == 1 else f"x^{i}"
+            terms.append(str(c) if not power else power if c == 1 else f"{c}*{power}")
+    return " + ".join(terms)

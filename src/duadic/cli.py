@@ -22,6 +22,7 @@ from .duadic import (
     check_splitting,
     construct_pairs,
     product_duadic,
+    require_pairs,
     splitting_exists_mu_minus1,
 )
 from .errors import (
@@ -77,11 +78,10 @@ class CodeReport:
     degeneracy: dict | None = None
     timing_ms: float | None = None
 
-    def to_dict(self, deterministic: bool = True) -> dict:
+    def to_dict(self) -> dict:
         # shallow: the fields hold plain JSON values, which asdict would deep-copy
         d = {f.name: getattr(self, f.name) for f in dataclass_fields(self)}
-        if deterministic:
-            d["timing_ms"] = None
+        d["timing_ms"] = None
         return d
 
 
@@ -146,8 +146,9 @@ def _parse_int_list(text: str, option: str, form: str = "a comma list of integer
         raise ValueError(f"{option} expects {form}, got {text!r}") from None
 
 
-def _parse_range(text: str) -> list[int]:
-    """`--n`: a `3-45` inclusive range or a comma list."""
+def _parse_range(text: str) -> list[int] | range:
+    """`--n`: a `3-45` inclusive range (not listed, since its ends are
+    unchecked) or a comma list."""
     form = "a range like 3-45 or a comma list of integers"
     if "-" not in text:
         return _parse_int_list(text, "--n", form)
@@ -157,7 +158,7 @@ def _parse_range(text: str) -> list[int]:
         raise ValueError(f"--n expects {form}, got {text!r}") from None
     if lo > hi:
         raise ValueError(f"reversed range {text!r}: the lower end comes first")
-    return list(range(lo, hi + 1))
+    return range(lo, hi + 1)
 
 
 def _odd_order(group: Group) -> Group:
@@ -228,11 +229,13 @@ def cmd_scan(args) -> tuple[int, list[CodeReport]]:
     qs = _parse_int_list(args.q, "--q")
     reports = []
     if args.family == "cyclic":
-        ns = [n for n in _parse_range(args.n) if n % 2 == 1]
+        ns = []
+        for n in _parse_range(args.n):  # a long range stops at its first odd order over the cap
+            if n % 2 == 1:
+                check_order_cap(n)
+                ns.append(n)
         if not ns:
             raise ValueError(f"--n {args.n!r} holds no odd order; duadic codes need odd order")
-        for n in ns:
-            check_order_cap(n)
         # built one per step: a group is dropped once its cells are done
         groups = ((str(n), cyclic_group(n)) for n in ns)
     elif args.family == "pxp":
@@ -278,8 +281,8 @@ def cmd_construct(args) -> tuple[int, list[CodeReport]]:
             mu_left = mu_right = args.mu
         g1, g2 = _odd_order(parse_group_spec(left_spec)), _odd_order(parse_group_spec(right_spec))
         mu1, mu2 = parse_mu_spec(mu_left, g1, q), parse_mu_spec(mu_right, g2, q)
-        pair1 = construct_pairs(mu1, field, g1, mode="canonical")[0]
-        pair2 = construct_pairs(mu2, field, g2, mode="canonical")[0]
+        pair1 = require_pairs(construct_pairs(mu1, field, g1))[0]
+        pair2 = require_pairs(construct_pairs(mu2, field, g2))[0]
         pair = product_duadic(pair1, pair2)
         group = pair.group
         mu = pair.mu
@@ -289,10 +292,8 @@ def cmd_construct(args) -> tuple[int, list[CodeReport]]:
         group = _odd_order(parse_group_spec(args.group))
         mu = parse_mu_spec(args.mu, group, q)
         mode = "enumerate-all" if args.enumerate_all else "canonical"
-        pairs = construct_pairs(mu, field, group, mode=mode)
+        pairs = require_pairs(construct_pairs(mu, field, group, mode=mode))
         existence = _existence_fields(group, q, mu, True)
-        if not pairs:
-            raise NoSplittingError("the trivial group carries no duadic pairs")
         pair = pairs[0]
     analysis = analyze_pair(pair, cap)
     report = CodeReport(

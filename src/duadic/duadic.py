@@ -173,6 +173,14 @@ def verify_key_proposition(
     return len(fixed_classes), len(fixed_idems)
 
 
+def require_pairs(pairs: list[DuadicPair]) -> list[DuadicPair]:
+    """The pairs of `construct_pairs`, or NoSplittingError when there are
+    none, as for the trivial group."""
+    if not pairs:
+        raise NoSplittingError("the trivial group carries no duadic pairs")
+    return pairs
+
+
 def construct_pairs(
     mu: Antiautomorphism,
     field: FiniteField,
@@ -183,7 +191,8 @@ def construct_pairs(
 
     Canonical mode picks the lexicographically smaller idempotent of each
     pair; enumerate-all yields all 2^l choices, deduplicated under the
-    e <-> f swap.  The trivial group yields no pairs.  Without a splitting
+    e <-> f swap.  The trivial group yields no pairs (`require_pairs` turns
+    that into NoSplittingError).  Without a splitting
     the NoSplittingError names the cell and the idempotents mu fixes.
     """
     if mode not in ("canonical", "enumerate-all"):

@@ -1,4 +1,4 @@
-"""Exact arithmetic in GF(p^m) and univariate polynomials over it.
+"""Exact arithmetic in GF(p^m), its deterministic moduli, and polynomial roots.
 
 Field elements are encoded as integer indexes: the element with coefficient
 vector (c_0, ..., c_{m-1}) over the prime field (little-endian in the root of
@@ -6,6 +6,11 @@ the modulus) has index sum(c_i * p^i).  Index 0 is zero and index 1 is one.
 All scalar operations work on indexes; vectorized operations accept numpy
 integer arrays of indexes.  Multiplication in extension fields goes through
 discrete log/antilog tables, built lazily once per field.
+
+A polynomial is a plain little-endian sequence of coefficient indexes, with no
+arithmetic of its own: `roots` evaluates one at every element of a field,
+and the modulus of GF(p^m) is the lex-smallest monic degree-m polynomial over
+GF(p) with no root in any GF(p^d), d <= m/2.
 """
 
 from __future__ import annotations
@@ -72,8 +77,7 @@ class FiniteField:
             if modulus is None or len(modulus) != m + 1 or modulus[-1] != 1:
                 raise ValueError("extension fields need a monic degree-m modulus")
             modulus = tuple(int(c) % p for c in modulus)
-            prime = FiniteField(p, 1, None)
-            if not Polynomial(prime, modulus).is_irreducible():
+            if not _is_irreducible(p, modulus):
                 raise ValueError(f"modulus {modulus} is reducible over GF({p})")
         self.p = p
         self.m = m
@@ -87,7 +91,6 @@ class FiniteField:
         self._np_exp: np.ndarray | None = None
         self._np_digits: np.ndarray | None = None
         self._np_inv: np.ndarray | None = None
-        self._np_red: np.ndarray | None = None
         self._frob_maps: dict[int, np.ndarray] = {}
 
     # -- identity ------------------------------------------------------
@@ -152,7 +155,7 @@ class FiniteField:
         return self.add(a, self.neg(b))
 
     def _raw_mul(self, a: int, b: int) -> int:
-        """Polynomial product mod modulus, without tables (used to build them)."""
+        """Product of the coefficient vectors mod the modulus, without tables (used to build them)."""
         p, m = self.p, self.m
         ca = self.coeffs_of(a)
         cb = self.coeffs_of(b)
@@ -321,16 +324,6 @@ class FiniteField:
             self._frob_maps[t] = np.array([self.power(x, e) for x in range(self.q)], dtype=np.int64)
         return self._frob_maps[t][np.asarray(a)]
 
-    def _modulus_reduction(self) -> np.ndarray:
-        """Rows k = 0..m-2: digit vector of x^(m+k) reduced by the modulus."""
-        if self._np_red is None:
-            x = self.p  # index of the element x
-            rows = np.zeros((max(self.m - 1, 0), self.m), dtype=np.int64)
-            for k in range(self.m - 1):
-                rows[k] = self.coeffs_of(self.power(x, self.m + k))
-            self._np_red = rows
-        return self._np_red
-
     def vsum(self, a: np.ndarray, axis=None):
         """Field sum of an index array along an axis (None = total).
 
@@ -364,8 +357,28 @@ def _prime_factors(n: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# modulus selection
+# roots and modulus selection
 # ---------------------------------------------------------------------------
+
+
+def roots(field: FiniteField, coeffs) -> list[int]:
+    """Distinct roots in `field` of the polynomial with little-endian
+    coefficients `coeffs` (field indexes), sorted: one vectorized Horner pass
+    over all q field elements."""
+    xs = np.arange(field.q, dtype=np.int64)
+    acc = np.zeros(field.q, dtype=np.int64)
+    for c in reversed(coeffs):
+        acc = field.vadd(field.vmul(acc, xs), np.int64(c))
+    return np.flatnonzero(acc == 0).tolist()
+
+
+def _is_irreducible(p: int, coeffs: tuple[int, ...]) -> bool:
+    """Whether the monic polynomial over GF(p) with little-endian coefficients
+    `coeffs` is irreducible.  Of degree m, it is reducible iff it has a factor
+    of degree d <= m/2, that is a root in GF(p^d), where its coefficients are
+    the prime-subfield indexes 0..p-1; d < m ends the recursion through
+    `field_make`."""
+    return not any(roots(field_make(p, d), coeffs) for d in range(1, (len(coeffs) - 1) // 2 + 1))
 
 
 @lru_cache(maxsize=None)
@@ -376,17 +389,11 @@ def _smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
     The constant term of an irreducible of degree >= 2 is nonzero, so the
     scan starts at c_0 = 1.
     """
-    base = FiniteField(p, 1, None)
     count = p**m
     start = p ** (m - 1) if m >= 2 else 0
     for v in range(start, count):
-        digits = []
-        rest = v
-        for i in range(m):
-            digits.append(rest // p ** (m - 1 - i) % p)
-        coeffs = tuple(digits) + (1,)
-        f = Polynomial(base, coeffs)
-        if f.is_irreducible():
+        coeffs = tuple(v // p ** (m - 1 - i) % p for i in range(m)) + (1,)
+        if _is_irreducible(p, coeffs):
             return coeffs
     raise RuntimeError(f"no irreducible of degree {m} over GF({p})")  # pragma: no cover
 
@@ -407,6 +414,8 @@ def field_make(p: int, m: int) -> FiniteField:
 
 def field_from_order(q: int) -> FiniteField:
     """GF(q) for a prime power q."""
+    if q > FIELD_ORDER_CAP:  # before trial division, which a large prime q would stall
+        raise ValueError(f"field order {q} exceeds the cap {FIELD_ORDER_CAP}")
     for p in _prime_factors(q):
         m = 0
         n = q
@@ -416,249 +425,3 @@ def field_from_order(q: int) -> FiniteField:
         if n == 1:
             return field_make(p, m)
     raise ValueError(f"{q} is not a prime power")
-
-
-# ---------------------------------------------------------------------------
-# univariate polynomials
-# ---------------------------------------------------------------------------
-
-
-class Polynomial:
-    """Univariate polynomial over a FiniteField.
-
-    Coefficients are field-element indexes, little-endian, with no trailing
-    zeros; the empty tuple is the zero polynomial.
-    """
-
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field: FiniteField, coeffs):
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.field = field
-        self.coeffs = tuple(cs)
-
-    # -- basics ----------------------------------------------------------
-
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def is_one(self) -> bool:
-        return self.coeffs == (1,)
-
-    @classmethod
-    def zero(cls, field: FiniteField) -> "Polynomial":
-        return cls(field, ())
-
-    @classmethod
-    def one(cls, field: FiniteField) -> "Polynomial":
-        return cls(field, (1,))
-
-    @classmethod
-    def x(cls, field: FiniteField) -> "Polynomial":
-        return cls(field, (0, 1))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Polynomial)
-            and other.field == self.field
-            and other.coeffs == self.coeffs
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.coeffs))
-
-    def __repr__(self) -> str:
-        return f"Polynomial({self.field!r}, {self.coeffs})"
-
-    def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        terms = []
-        for i in range(self.degree(), -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                xi = "x" if i == 1 else f"x^{i}"
-                terms.append(xi if c == 1 else f"{c}*{xi}")
-        return " + ".join(terms)
-
-    # -- arithmetic --------------------------------------------------------
-
-    def _same(self, other: "Polynomial") -> None:
-        if self.field != other.field:
-            raise ValueError("mismatched fields")
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        self._same(other)
-        F = self.field
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = F.add(out[i], c)
-        return Polynomial(F, out)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        self._same(other)
-        F = self.field
-        out = list(self.coeffs) + [0] * max(0, len(other.coeffs) - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            out[i] = F.sub(out[i], c)
-        return Polynomial(F, out)
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        self._same(other)
-        F = self.field
-        if self.is_zero() or other.is_zero():
-            return Polynomial.zero(F)
-        if len(self.coeffs) + len(other.coeffs) >= 32:
-            return Polynomial(F, _np_poly_mul(F, self.coeffs, other.coeffs))
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, x in enumerate(self.coeffs):
-            if x == 0:
-                continue
-            for j, y in enumerate(other.coeffs):
-                if y:
-                    out[i + j] = F.add(out[i + j], F.mul(x, y))
-        return Polynomial(F, out)
-
-    def scale(self, s: int) -> "Polynomial":
-        F = self.field
-        return Polynomial(F, [F.mul(s, c) for c in self.coeffs])
-
-    def monic(self) -> "Polynomial":
-        if self.is_zero():
-            return self
-        lead = self.coeffs[-1]
-        if lead == 1:
-            return self
-        return self.scale(self.field.inv(lead))
-
-    def __divmod__(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        self._same(other)
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        F = self.field
-        dq = len(self.coeffs) - len(other.coeffs)
-        if dq < 0:
-            return Polynomial.zero(F), self
-        if len(self.coeffs) >= 32:
-            quot, rem = _np_poly_divmod(F, self.coeffs, other.coeffs)
-            return Polynomial(F, quot), Polynomial(F, rem)
-        rem = list(self.coeffs)
-        quot = [0] * (dq + 1)
-        inv_lead = F.inv(other.coeffs[-1])
-        for k in range(dq, -1, -1):
-            c = F.mul(rem[k + len(other.coeffs) - 1], inv_lead)
-            quot[k] = c
-            if c:
-                for i, oc in enumerate(other.coeffs):
-                    if oc:
-                        rem[k + i] = F.sub(rem[k + i], F.mul(c, oc))
-        return Polynomial(F, quot), Polynomial(F, rem)
-
-    def __floordiv__(self, other: "Polynomial") -> "Polynomial":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "Polynomial") -> "Polynomial":
-        return divmod(self, other)[1]
-
-    def gcd(self, other: "Polynomial") -> "Polynomial":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic()
-
-    def pow_mod(self, e: int, mod: "Polynomial") -> "Polynomial":
-        out = Polynomial.one(self.field)
-        base = self % mod
-        while e:
-            if e & 1:
-                out = (out * base) % mod
-            base = (base * base) % mod
-            e >>= 1
-        return out
-
-    def roots(self) -> list[int]:
-        """Distinct roots in the base field, sorted: one vectorized Horner
-        pass over all q field elements."""
-        F = self.field
-        xs = np.arange(F.q, dtype=np.int64)
-        acc = np.zeros(F.q, dtype=np.int64)
-        for c in reversed(self.coeffs):
-            acc = F.vadd(F.vmul(acc, xs), np.int64(c))
-        return np.flatnonzero(acc == 0).tolist()
-
-    # -- irreducibility -----------------------------------------------------
-
-    def is_irreducible(self) -> bool:
-        """Rabin's test: every irreducible factor of f has degree deg(f)."""
-        d = self.degree()
-        if d < 1:
-            return False
-        return d == 1 or _factors_all_of_degree(self.monic(), d)
-
-
-def _factors_all_of_degree(f: Polynomial, d: int) -> bool:
-    """True iff the monic f is squarefree with every irreducible factor of
-    degree d: x^(q^d) = x mod f and gcd(x^(q^(d/r)) - x, f) = 1 for each
-    prime r dividing d."""
-    x = Polynomial.x(f.field)
-    # iterated Frobenius: powers[e - 1] = x^(q^e) mod f
-    powers = [x.pow_mod(f.field.q, f)]
-    for _ in range(d - 1):
-        powers.append(powers[-1].pow_mod(f.field.q, f))
-    if powers[-1] != x % f:
-        return False
-    return all((powers[d // r - 1] - x).gcd(f).is_one() for r in _prime_factors(d))
-
-
-# ---------------------------------------------------------------------------
-# vectorized polynomial kernels (large operands)
-# ---------------------------------------------------------------------------
-
-
-def _np_poly_mul(field: FiniteField, a, b) -> list[int]:
-    a_arr = np.array(a, dtype=np.int64)
-    b_arr = np.array(b, dtype=np.int64)
-    if field.m == 1:
-        return [int(x) for x in np.convolve(a_arr, b_arr) % field.p]
-    p, m = field.p, field.m
-    digits = field._digit_table()
-    da = digits[a_arr]
-    db = digits[b_arr]
-    wide = np.zeros((len(a) + len(b) - 1, 2 * m - 1), dtype=np.int64)
-    for i in range(m):
-        for j in range(m):
-            wide[:, i + j] += np.convolve(da[:, i], db[:, j])
-    wide %= p
-    low = wide[:, :m]
-    if m > 1:
-        low = low + wide[:, m:] @ field._modulus_reduction()
-    low %= p
-    powers = p ** np.arange(m, dtype=np.int64)
-    return [int(x) for x in low @ powers]
-
-
-def _np_poly_divmod(field: FiniteField, a, b) -> tuple[list[int], list[int]]:
-    rem = np.array(a, dtype=np.int64)
-    b_arr = np.array(b, dtype=np.int64)
-    db = len(b)
-    dq = len(a) - db
-    quot = [0] * (dq + 1)
-    inv_lead = field.inv(int(b_arr[-1]))
-    for k in range(dq, -1, -1):
-        c = field.mul(int(rem[k + db - 1]), inv_lead)
-        quot[k] = c
-        if c:
-            rem[k : k + db] = field.vsub(rem[k : k + db], field.vmul(np.int64(c), b_arr))
-    return quot, [int(x) for x in rem]

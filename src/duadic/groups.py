@@ -570,6 +570,9 @@ def parse_permutation_text(text: str, group: Group, descriptor: str = "") -> Ant
         perm = [int(tok) for tok in parts]
     except ValueError:
         raise CayleyFormatError("non-integer permutation image", line=no) from None
+    for c, v in enumerate(perm):
+        if not 0 <= v < n:
+            raise CayleyFormatError(f"permutation image {v} out of range [0, {n})", line=no, column=c + 1)
     t = 0
     if len(rows) > 2:
         no, ln = rows[2]

@@ -18,8 +18,8 @@ from .codes import (
     weight_distribution,
 )
 from .duadic import DuadicCodes, DuadicPair, DualityReport, classify_duality
-from .duadic import construct_pairs, duadic_codes, odd_like_bound
-from .errors import EnumerationCapError, NoSplittingError, VerificationError
+from .duadic import construct_pairs, duadic_codes, odd_like_bound, require_pairs
+from .errors import EnumerationCapError, VerificationError
 from .gf import FiniteField
 from .groups import Antiautomorphism, Group
 
@@ -130,10 +130,7 @@ def quantum_duadic(
 ) -> CssCode:
     """End-to-end pipeline: splitting check, canonical pair, duadic codes,
     CSS code on (C_e, D_e) with an exact or bound-tagged distance."""
-    pairs = construct_pairs(mu, field, group, mode="canonical")
-    if not pairs:
-        raise NoSplittingError("the trivial group carries no duadic pairs")
-    return analyze_pair(pairs[0], cap).css
+    return analyze_pair(require_pairs(construct_pairs(mu, field, group))[0], cap).css
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,10 @@
 
 Nothing here is on a path that the `duadic` CLI or library runs.  Each oracle
 takes another route than the code it checks: scalar loops where the package
-vectorizes, Cantor-Zassenhaus factoring and characters where it finds roots
-by evaluation and splits class sums, a Frobenius kernel where it works in
-F_q-class coordinates.  Tests import it the way they import `conftest`;
+vectorizes, a polynomial algebra with Rabin's irreducibility test where it
+looks for roots in subfields, Cantor-Zassenhaus factoring and characters
+where it finds roots by evaluation and splits class sums, a Frobenius kernel
+where it works in F_q-class coordinates.  Tests import it the way they import `conftest`;
 an oracle that only one test module uses stays in that module.
 """
 
@@ -27,13 +28,7 @@ from duadic.algebra import (
 )
 from duadic.codes import DEFAULT_ENUM_CAP, coset_min_weight
 from duadic.errors import EnumerationCapError, VerificationError
-from duadic.gf import (
-    FiniteField,
-    Polynomial,
-    _factors_all_of_degree,
-    _prime_factors,
-    multiplicative_order_mod,
-)
+from duadic.gf import FiniteField, _prime_factors, multiplicative_order_mod
 from duadic.groups import Group
 
 # Fixed seed for the equal-degree splitting step of the factorization, so
@@ -180,6 +175,273 @@ def solve_in_span(field: FiniteField, basis: np.ndarray, v: np.ndarray) -> np.nd
     if np.any(w[:n]):
         return None
     return field.vneg(w[n:])
+
+
+# ---------------------------------------------------------------------------
+# polynomials: the general algebra with Rabin's irreducibility test
+# ---------------------------------------------------------------------------
+
+
+class Polynomial:
+    """Univariate polynomial over a FiniteField.
+
+    Coefficients are field-element indexes, little-endian, with no trailing
+    zeros; the empty tuple is the zero polynomial.
+    """
+
+    __slots__ = ("field", "coeffs")
+
+    def __init__(self, field: FiniteField, coeffs):
+        cs = list(coeffs)
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.field = field
+        self.coeffs = tuple(cs)
+
+    # -- basics ----------------------------------------------------------
+
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def is_one(self) -> bool:
+        return self.coeffs == (1,)
+
+    @classmethod
+    def zero(cls, field: FiniteField) -> "Polynomial":
+        return cls(field, ())
+
+    @classmethod
+    def one(cls, field: FiniteField) -> "Polynomial":
+        return cls(field, (1,))
+
+    @classmethod
+    def x(cls, field: FiniteField) -> "Polynomial":
+        return cls(field, (0, 1))
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, Polynomial)
+            and other.field == self.field
+            and other.coeffs == self.coeffs
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.field, self.coeffs))
+
+    def __repr__(self) -> str:
+        return f"Polynomial({self.field!r}, {self.coeffs})"
+
+    def __str__(self) -> str:
+        if self.is_zero():
+            return "0"
+        terms = []
+        for i in range(self.degree(), -1, -1):
+            c = self.coeffs[i]
+            if c == 0:
+                continue
+            if i == 0:
+                terms.append(str(c))
+            else:
+                xi = "x" if i == 1 else f"x^{i}"
+                terms.append(xi if c == 1 else f"{c}*{xi}")
+        return " + ".join(terms)
+
+    # -- arithmetic --------------------------------------------------------
+
+    def _same(self, other: "Polynomial") -> None:
+        if self.field != other.field:
+            raise ValueError("mismatched fields")
+
+    def __add__(self, other: "Polynomial") -> "Polynomial":
+        self._same(other)
+        F = self.field
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] = F.add(out[i], c)
+        return Polynomial(F, out)
+
+    def __sub__(self, other: "Polynomial") -> "Polynomial":
+        self._same(other)
+        F = self.field
+        out = list(self.coeffs) + [0] * max(0, len(other.coeffs) - len(self.coeffs))
+        for i, c in enumerate(other.coeffs):
+            out[i] = F.sub(out[i], c)
+        return Polynomial(F, out)
+
+    def __mul__(self, other: "Polynomial") -> "Polynomial":
+        self._same(other)
+        F = self.field
+        if self.is_zero() or other.is_zero():
+            return Polynomial.zero(F)
+        if len(self.coeffs) + len(other.coeffs) >= 32:
+            return Polynomial(F, _np_poly_mul(F, self.coeffs, other.coeffs))
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, x in enumerate(self.coeffs):
+            if x == 0:
+                continue
+            for j, y in enumerate(other.coeffs):
+                if y:
+                    out[i + j] = F.add(out[i + j], F.mul(x, y))
+        return Polynomial(F, out)
+
+    def scale(self, s: int) -> "Polynomial":
+        F = self.field
+        return Polynomial(F, [F.mul(s, c) for c in self.coeffs])
+
+    def monic(self) -> "Polynomial":
+        if self.is_zero():
+            return self
+        lead = self.coeffs[-1]
+        if lead == 1:
+            return self
+        return self.scale(self.field.inv(lead))
+
+    def __divmod__(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
+        self._same(other)
+        if other.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        F = self.field
+        dq = len(self.coeffs) - len(other.coeffs)
+        if dq < 0:
+            return Polynomial.zero(F), self
+        if len(self.coeffs) >= 32:
+            quot, rem = _np_poly_divmod(F, self.coeffs, other.coeffs)
+            return Polynomial(F, quot), Polynomial(F, rem)
+        rem = list(self.coeffs)
+        quot = [0] * (dq + 1)
+        inv_lead = F.inv(other.coeffs[-1])
+        for k in range(dq, -1, -1):
+            c = F.mul(rem[k + len(other.coeffs) - 1], inv_lead)
+            quot[k] = c
+            if c:
+                for i, oc in enumerate(other.coeffs):
+                    if oc:
+                        rem[k + i] = F.sub(rem[k + i], F.mul(c, oc))
+        return Polynomial(F, quot), Polynomial(F, rem)
+
+    def __floordiv__(self, other: "Polynomial") -> "Polynomial":
+        return divmod(self, other)[0]
+
+    def __mod__(self, other: "Polynomial") -> "Polynomial":
+        return divmod(self, other)[1]
+
+    def gcd(self, other: "Polynomial") -> "Polynomial":
+        a, b = self, other
+        while not b.is_zero():
+            a, b = b, a % b
+        return a.monic()
+
+    def pow_mod(self, e: int, mod: "Polynomial") -> "Polynomial":
+        out = Polynomial.one(self.field)
+        base = self % mod
+        while e:
+            if e & 1:
+                out = (out * base) % mod
+            base = (base * base) % mod
+            e >>= 1
+        return out
+
+    def roots(self) -> list[int]:
+        """Distinct roots in the base field, sorted: one vectorized Horner
+        pass over all q field elements."""
+        F = self.field
+        xs = np.arange(F.q, dtype=np.int64)
+        acc = np.zeros(F.q, dtype=np.int64)
+        for c in reversed(self.coeffs):
+            acc = F.vadd(F.vmul(acc, xs), np.int64(c))
+        return np.flatnonzero(acc == 0).tolist()
+
+    # -- irreducibility -----------------------------------------------------
+
+    def is_irreducible(self) -> bool:
+        """Rabin's test: every irreducible factor of f has degree deg(f)."""
+        d = self.degree()
+        if d < 1:
+            return False
+        return d == 1 or _factors_all_of_degree(self.monic(), d)
+
+
+def _factors_all_of_degree(f: Polynomial, d: int) -> bool:
+    """True iff the monic f is squarefree with every irreducible factor of
+    degree d: x^(q^d) = x mod f and gcd(x^(q^(d/r)) - x, f) = 1 for each
+    prime r dividing d."""
+    x = Polynomial.x(f.field)
+    # iterated Frobenius: powers[e - 1] = x^(q^e) mod f
+    powers = [x.pow_mod(f.field.q, f)]
+    for _ in range(d - 1):
+        powers.append(powers[-1].pow_mod(f.field.q, f))
+    if powers[-1] != x % f:
+        return False
+    return all((powers[d // r - 1] - x).gcd(f).is_one() for r in _prime_factors(d))
+
+
+# ---------------------------------------------------------------------------
+# vectorized polynomial kernels (large operands)
+# ---------------------------------------------------------------------------
+
+
+def _np_poly_mul(field: FiniteField, a, b) -> list[int]:
+    a_arr = np.array(a, dtype=np.int64)
+    b_arr = np.array(b, dtype=np.int64)
+    if field.m == 1:
+        return [int(x) for x in np.convolve(a_arr, b_arr) % field.p]
+    p, m = field.p, field.m
+    digits = field._digit_table()
+    da = digits[a_arr]
+    db = digits[b_arr]
+    wide = np.zeros((len(a) + len(b) - 1, 2 * m - 1), dtype=np.int64)
+    for i in range(m):
+        for j in range(m):
+            wide[:, i + j] += np.convolve(da[:, i], db[:, j])
+    wide %= p
+    low = wide[:, :m]
+    if m > 1:
+        low = low + wide[:, m:] @ _modulus_reduction(field)
+    low %= p
+    powers = p ** np.arange(m, dtype=np.int64)
+    return [int(x) for x in low @ powers]
+
+
+def _np_poly_divmod(field: FiniteField, a, b) -> tuple[list[int], list[int]]:
+    rem = np.array(a, dtype=np.int64)
+    b_arr = np.array(b, dtype=np.int64)
+    db = len(b)
+    dq = len(a) - db
+    quot = [0] * (dq + 1)
+    inv_lead = field.inv(int(b_arr[-1]))
+    for k in range(dq, -1, -1):
+        c = field.mul(int(rem[k + db - 1]), inv_lead)
+        quot[k] = c
+        if c:
+            rem[k : k + db] = field.vsub(rem[k : k + db], field.vmul(np.int64(c), b_arr))
+    return quot, [int(x) for x in rem]
+
+
+@functools.lru_cache(maxsize=None)
+def _modulus_reduction(field: FiniteField) -> np.ndarray:
+    """Rows k = 0..m-2: digit vector of x^(m+k) reduced by the modulus."""
+    x = field.p  # index of the element x
+    rows = np.zeros((max(field.m - 1, 0), field.m), dtype=np.int64)
+    for k in range(field.m - 1):
+        rows[k] = field.coeffs_of(field.power(x, field.m + k))
+    return rows
+
+
+def reference_smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
+    """Lexicographically smallest monic irreducible of degree m over GF(p),
+    coefficients compared low-degree-first, found by Rabin's test."""
+    base = FiniteField(p, 1, None)
+    for v in range(p ** (m - 1) if m >= 2 else 0, p**m):
+        coeffs = tuple(v // p ** (m - 1 - i) % p for i in range(m)) + (1,)
+        if Polynomial(base, coeffs).is_irreducible():
+            return coeffs
+    raise AssertionError(f"no irreducible of degree {m} over GF({p})")
 
 
 # ---------------------------------------------------------------------------

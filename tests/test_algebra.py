@@ -27,7 +27,7 @@ from duadic.algebra import (
 )
 from duadic.codes import code_from_ideal
 from duadic.errors import VerificationError
-from duadic.gf import Polynomial, field_from_order, multiplicative_order_mod
+from duadic.gf import field_from_order, multiplicative_order_mod
 from duadic.groups import (
     builtin_mu_minus1,
     builtin_mu_swap,
@@ -40,6 +40,7 @@ from duadic.groups import (
 
 from conftest import heisenberg27_table, metacyclic_table
 from oracles import (
+    Polynomial,
     _primitive_root_factor,
     abelian_character_idempotents,
     naive_mul,

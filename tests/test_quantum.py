@@ -159,6 +159,11 @@ class TestQuantumDuadic:
         with pytest.raises(NoSplittingError):
             quantum_duadic(f2, g, builtin_mu_minus1(g))
 
+    def test_trivial_group_carries_no_pairs(self, f2):
+        g = cyclic_group(1)
+        with pytest.raises(NoSplittingError, match="^the trivial group carries no duadic pairs$"):
+            quantum_duadic(f2, g, builtin_mu_minus1(g))
+
     def test_nonabelian_frobenius21_over_gf4(self, frobenius21):
         f4 = field_from_order(4)
         code = quantum_duadic(f4, frobenius21, builtin_mu_minus1(frobenius21))
