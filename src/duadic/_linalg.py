@@ -12,8 +12,12 @@ import numpy as np
 
 from .gf import FiniteField
 
-# int64 cells (256 KB) per temporary of a chunked extension-field product
+# int64 cells (256 KB) per temporary of a chunked GF(2^m) product
 _PRODUCT_CELLS = 1 << 15
+# the float64 product is exact and reduced exactly while every sum of digit
+# products, at most k (p-1)^2 for inner dimension k, stays below this bound
+# (at the caps, k = 512 and p = 65521, it is below 2^41)
+_EXACT_SUM = 1 << 48
 
 
 def as_matrix(rows) -> np.ndarray:
@@ -79,20 +83,53 @@ def right_kernel(field: FiniteField, mat: np.ndarray) -> np.ndarray:
 
 
 def matmul(field: FiniteField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact matrix product over the field.
+    """Exact matrix product over the field, the kernel chosen by the field.
 
-    Over an extension field the products a[i, k] * b[k, j] are formed for a
-    slice of k at a time, at most _PRODUCT_CELLS field digits per slice.
+    Over GF(2^m) with m >= 3 the products a[i, k] * b[k, j] come from the log
+    tables for a slice of k at a time, at most _PRODUCT_CELLS per slice, and
+    are summed by XOR.  Every other field takes one float64 BLAS product of
+    GF(p) digit planes: with a = sum_i x^i a_i, the planes a_i stacked
+    (m r x k) times the digits of b side by side (k x c m) are the digits of
+    every a_i b.  Their entries are integers below _EXACT_SUM, exact in any
+    summation order; they are reduced mod p, packed, and combined with m - 1
+    table products by x^i (the index p^i).  A prime field is the case m = 1,
+    where an element is its own digit.
     """
     a = as_matrix(a)
     b = as_matrix(b)
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"shape mismatch: {a.shape} @ {b.shape}")
-    if field.m == 1:
-        return (a @ b) % field.p
-    step = max(1, _PRODUCT_CELLS // max(1, a.shape[0] * b.shape[1] * field.m))
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    for k in range(0, a.shape[1], step):
-        terms = field.vmul(a[:, k : k + step, None], b[None, k : k + step])
-        out = field.vadd(out, field.vsum(terms, axis=1))
+    p, m = field.p, field.m
+    (r, k), c = a.shape, b.shape[1]
+    if p == 2 and m >= 3:
+        step = max(1, _PRODUCT_CELLS // max(1, r * c))
+        out = np.zeros((r, c), dtype=np.int64)
+        for j in range(0, k, step):
+            out ^= np.bitwise_xor.reduce(field.vmul(a[:, j : j + step, None], b[None, j : j + step]), axis=1)
+        return out
+    if k * (p - 1) ** 2 >= _EXACT_SUM:
+        raise ValueError(f"inner dimension {k} is too large for an exact product over {field!r}")
+    if m == 1:
+        prod = a.astype(np.float64) @ b.astype(np.float64)
+    else:
+        digits, powers = field._float_digits()
+        prod = digits.T.take(a, axis=1).reshape(m * r, k) @ digits.take(b, axis=0).reshape(k, c * m)
+    _reduce(prod, p)
+    if m == 1:
+        return prod.astype(np.int64)
+    parts = (prod.reshape(-1, m) @ powers).astype(np.int64).reshape(m, r, c)
+    out = parts[0]
+    for i in range(1, m):
+        out = field.vadd(out, field.vmul(parts[i], np.int64(p**i)))
     return out
+
+
+def _reduce(x: np.ndarray, p: int) -> None:
+    """x mod p in place, for float64 integers 0 <= x < _EXACT_SUM: x - p
+    floor((x + 1/2) / p), where the float quotient is off by less than
+    2^-51 (x + 1/2) / p, short of the 1/(2p) to the nearest integer."""
+    quot = x * (1 / p)
+    quot += 0.5 / p
+    np.floor(quot, out=quot)
+    quot *= p
+    x -= quot

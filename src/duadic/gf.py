@@ -90,6 +90,7 @@ class FiniteField:
         self._np_log: np.ndarray | None = None
         self._np_exp: np.ndarray | None = None
         self._np_digits: np.ndarray | None = None
+        self._np_fdigits: tuple[np.ndarray, np.ndarray] | None = None
         self._np_inv: np.ndarray | None = None
         self._frob_maps: dict[int, np.ndarray] = {}
 
@@ -154,61 +155,52 @@ class FiniteField:
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
-    def _raw_mul(self, a: int, b: int) -> int:
-        """Product of the coefficient vectors mod the modulus, without tables (used to build them)."""
-        p, m = self.p, self.m
-        ca = self.coeffs_of(a)
-        cb = self.coeffs_of(b)
-        prod = [0] * (2 * m - 1)
-        for i, x in enumerate(ca):
-            if x:
-                for j, y in enumerate(cb):
-                    prod[i + j] = (prod[i + j] + x * y) % p
-        # reduce x^(m+k) using the modulus
-        mod = self.modulus
-        for k in range(2 * m - 2, m - 1, -1):
-            c = prod[k]
-            if c:
-                prod[k] = 0
-                for i in range(m):
-                    prod[k - m + i] = (prod[k - m + i] - c * mod[i]) % p
-        idx = 0
-        for c in reversed(prod[:m]):
-            idx = idx * p + c
-        return idx
-
     def _ensure_tables(self) -> None:
+        """Log and exp tables from the powers of the generator, the smallest
+        index of multiplicative order q - 1.  y -> c*y is the m x m matrix
+        over GF(p) whose row j is the coefficient vector of c x^j, so the
+        digit rows of gen^0, ..., gen^(q-2) come from log2(q) doublings
+        block -> [block; block @ G^len(block)], and log is their scatter."""
         if self.m == 1 or self._log is not None:
             return
-        q = self.q
-        # find a generator of the multiplicative group
-        residues = _prime_factors(q - 1)
-        gen = None
-        for cand in range(2, q):
-            if all(self._raw_pow(cand, (q - 1) // r) != 1 for r in residues):
-                gen = cand
-                break
-        if gen is None:  # pragma: no cover - q >= 4 always has a generator
-            raise RuntimeError("no multiplicative generator found")
-        exp = [1] * (q - 1)
-        log = [0] * q
-        acc = 1
-        for i in range(q - 1):
-            exp[i] = acc
-            log[acc] = i
-            acc = self._raw_mul(acc, gen)
-        self._exp = exp
-        self._log = log
+        p, m, q = self.p, self.m, self.q
+        times_x = np.eye(m, k=1, dtype=np.int64)
+        times_x[-1] = np.negative(self.modulus[:m]) % p  # x^m = -sum_i c_i x^i
 
-    def _raw_pow(self, a: int, e: int) -> int:
-        out = 1
-        base = a
-        while e:
-            if e & 1:
-                out = self._raw_mul(out, base)
-            base = self._raw_mul(base, base)
-            e >>= 1
-        return out
+        def times(c: int) -> np.ndarray:
+            rows = [np.array(self.coeffs_of(c))]
+            for _ in range(m - 1):
+                rows.append(rows[-1] @ times_x % p)
+            return np.array(rows)
+
+        def power_is_one(mat: np.ndarray, e: int) -> bool:
+            acc = one = np.eye(m, dtype=np.int64)
+            while e:
+                if e & 1:
+                    acc = acc @ mat % p
+                mat = mat @ mat % p
+                e >>= 1
+            return bool(np.array_equal(acc, one))
+
+        cofactors = [(q - 1) // r for r in _prime_factors(q - 1)]
+        gen = next(c for c in range(2, q) if not any(power_is_one(times(c), e) for e in cofactors))
+        block, step = np.eye(1, m, dtype=np.int64), times(gen)  # the digits of gen^0 = 1
+        while len(block) < q - 1:
+            block = np.vstack([block, block @ step % p])
+            step = step @ step % p
+        period = q - 1
+        exp = self._pack_digits(block[:period])
+        log = np.zeros(q, dtype=np.int64)
+        log[exp] = np.arange(period)
+        self._exp = exp.tolist()
+        self._log = log.tolist()
+        # vector forms without a modulo or a zero test: log[0] = 2(q-1),
+        # exp runs two periods and is 0 from 2(q-1) on
+        log[0] = 2 * period
+        self._np_log = log
+        self._np_exp = np.zeros(4 * period + 1, dtype=np.int64)
+        self._np_exp[:period] = exp
+        self._np_exp[period : 2 * period] = exp
 
     def mul(self, a: int, b: int) -> int:
         if self.m == 1:
@@ -256,6 +248,14 @@ class FiniteField:
             self._np_digits = digits
         return self._np_digits
 
+    def _float_digits(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (q, m) digit table in float64, for exact BLAS products of
+        digits, and the powers p^i that pack a digit row."""
+        if self._np_fdigits is None:
+            powers = self.p ** np.arange(self.m, dtype=np.float64)
+            self._np_fdigits = (self._digit_table().astype(np.float64), powers)
+        return self._np_fdigits
+
     def _pack_digits(self, digits: np.ndarray) -> np.ndarray:
         powers = self.p ** np.arange(self.m, dtype=np.int64)
         return digits @ powers
@@ -285,16 +285,8 @@ class FiniteField:
         return self._pack_digits((d[a] - d[b]) % self.p)
 
     def _log_tables_np(self) -> tuple[np.ndarray, np.ndarray]:
-        """Log and exp tables for products without a modulo or a zero test:
-        log[0] = 2(q-1), exp runs two periods and is 0 from 2(q-1) on."""
         if self._np_log is None:
             self._ensure_tables()
-            period = self.q - 1
-            self._np_log = np.array(self._log, dtype=np.int64)
-            self._np_log[0] = 2 * period
-            self._np_exp = np.zeros(4 * period + 1, dtype=np.int64)
-            self._np_exp[:period] = self._exp
-            self._np_exp[period : 2 * period] = self._exp
         return self._np_log, self._np_exp
 
     def vmul(self, a: np.ndarray, b) -> np.ndarray:
@@ -315,13 +307,15 @@ class FiniteField:
         return exp[(-log[a]) % (self.q - 1)]
 
     def vfrobenius(self, a: np.ndarray, t: int = 1) -> np.ndarray:
-        """Vectorized a^(p^t) via a cached permutation of indexes."""
+        """Vectorized a^(p^t) via a cached permutation of indexes, exp[p^t log a]."""
         t = t % self.m
         if t == 0:
             return np.asarray(a)
         if t not in self._frob_maps:
-            e = self.p**t
-            self._frob_maps[t] = np.array([self.power(x, e) for x in range(self.q)], dtype=np.int64)
+            log, exp = self._log_tables_np()
+            frob = exp[log * self.p**t % (self.q - 1)]
+            frob[0] = 0
+            self._frob_maps[t] = frob
         return self._frob_maps[t][np.asarray(a)]
 
     def vsum(self, a: np.ndarray, axis=None):

@@ -444,6 +444,55 @@ def reference_smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
     raise AssertionError(f"no irreducible of degree {m} over GF({p})")
 
 
+def _raw_mul(p: int, modulus: tuple[int, ...], a: int, b: int) -> int:
+    """Product of two GF(p^m) indexes as coefficient vectors, reduced by the
+    modulus term by term."""
+    m = len(modulus) - 1
+    ca = [a // p**i % p for i in range(m)]
+    cb = [b // p**i % p for i in range(m)]
+    prod = [0] * (2 * m - 1)
+    for i, x in enumerate(ca):
+        if x:
+            for j, y in enumerate(cb):
+                prod[i + j] = (prod[i + j] + x * y) % p
+    for k in range(2 * m - 2, m - 1, -1):  # x^(m+k) = -sum_i c_i x^(k+i)
+        c = prod[k]
+        if c:
+            prod[k] = 0
+            for i in range(m):
+                prod[k - m + i] = (prod[k - m + i] - c * modulus[i]) % p
+    return sum(c * p**i for i, c in enumerate(prod[:m]))
+
+
+def _raw_pow(p: int, modulus: tuple[int, ...], a: int, e: int) -> int:
+    out = 1
+    while e:
+        if e & 1:
+            out = _raw_mul(p, modulus, out, a)
+        a = _raw_mul(p, modulus, a, a)
+        e >>= 1
+    return out
+
+
+def reference_log_tables(field: FiniteField) -> tuple[list[int], list[int], dict[int, list[int]]]:
+    """exp, log and the Frobenius maps {t: [x^(p^t) for x]} of an extension
+    field, one scalar product per element: the generator is the smallest
+    index whose (q-1)/r-th powers differ from 1 for every prime r | q-1, and
+    exp[i + 1] = exp[i] * gen."""
+    p, q, modulus = field.p, field.q, field.modulus
+    cofactors = [(q - 1) // r for r in _prime_factors(q - 1)]
+    gen = next(c for c in range(2, q) if all(_raw_pow(p, modulus, c, e) != 1 for e in cofactors))
+    exp = [1] * (q - 1)
+    log = [0] * q
+    acc = 1
+    for i in range(q - 1):
+        exp[i] = acc
+        log[acc] = i
+        acc = _raw_mul(p, modulus, acc, gen)
+    frobenius = {t: [0] + [exp[log[x] * p**t % (q - 1)] for x in range(1, q)] for t in range(1, field.m)}
+    return exp, log, frobenius
+
+
 # ---------------------------------------------------------------------------
 # polynomials: scalar evaluation and Cantor-Zassenhaus factoring
 # ---------------------------------------------------------------------------

@@ -10,11 +10,13 @@ from __future__ import annotations
 import contextlib
 import io
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from duadic.cli import EXIT_USAGE, main
+from duadic.groups import group_from_cayley
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -168,6 +170,46 @@ class TestFiles:
         path = workdir / "mu.perm"
         path.write_bytes(text)
         assert_clean(["construct", "--group", "7", "--q", q, "--mu", f"@{path}", "--max-enum", "4096"])
+
+
+def order_511_table(kind: str, seed: int) -> np.ndarray:
+    """Z_511, or Z_7 x Z_73 with id 73a + b, relabelled by a seeded
+    permutation s of the ids that fixes the identity: s(x) s(y) = s(xy)."""
+    ids = np.arange(511)
+    if kind == "Z511":
+        table = (ids[:, None] + ids) % 511
+    else:
+        a, b = np.divmod(ids, 73)
+        table = (a[:, None] + a) % 7 * 73 + (b[:, None] + b) % 73
+    relabel = np.concatenate([[0], 1 + np.random.default_rng(seed).permutation(510)])
+    out = np.empty_like(table)
+    out[np.ix_(relabel, relabel)] = relabel[table]
+    return out
+
+
+class TestOrder511:
+    """Validation at the largest odd order under the cap (0.6 s a table):
+    two examples per group, each valid as drawn and rejected after one
+    entry is changed, by `group_from_cayley` and through `main`."""
+
+    @pytest.mark.parametrize("kind", ["Z511", "Z7xZ73"])
+    @settings(derandomize=True, database=None, deadline=None, max_examples=2)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        row=st.integers(0, 510),
+        col=st.integers(0, 510),
+        shift=st.integers(1, 510),
+    )
+    def test_one_faulty_entry_is_rejected(self, workdir, kind, seed, row, col, shift):
+        table = order_511_table(kind, seed)
+        assert group_from_cayley(table).order == 511
+        table[row, col] = (table[row, col] + shift) % 511
+        with pytest.raises(ValueError, match="^not a group"):
+            group_from_cayley(table)
+        path = workdir / "order511.cayley"
+        path.write_text("\n".join(["511", *(" ".join(map(str, line)) for line in table.tolist())]), encoding="utf-8")
+        code, err = run(["construct", "--group", f"@{path}", "--q", "2", "--mu", "mu-1"])
+        assert code == EXIT_USAGE and err.startswith("duadic: error: not a group") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

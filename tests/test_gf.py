@@ -21,7 +21,13 @@ from duadic.gf import (
     roots,
 )
 
-from oracles import Polynomial, equal_degree_factors, evaluate, reference_smallest_irreducible
+from oracles import (
+    Polynomial,
+    equal_degree_factors,
+    evaluate,
+    reference_log_tables,
+    reference_smallest_irreducible,
+)
 
 ALL_PRIME_POWERS_256 = sorted(
     p**m
@@ -173,6 +179,24 @@ class TestArithmetic:
         for u in a:
             total = f.add(total, int(u))
         assert f.vsum(a) == total
+
+
+# every extension field of order <= 2^10, and the largest binary and ternary
+TABLE_FIELDS = [
+    (p, m) for p in [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31] for m in range(2, 11) if p**m <= 1 << 10
+] + [(2, 16), (3, 10)]
+
+
+@pytest.mark.parametrize("p,m", TABLE_FIELDS)
+def test_log_tables_match_scalar_construction(p, m):
+    field = field_make(p, m)
+    exp, log, frobenius = reference_log_tables(field)
+    field._ensure_tables()
+    assert field._exp == exp and field._log == log
+    x = np.arange(field.q)
+    assert sorted(frobenius) == list(range(1, m))
+    for t, images in frobenius.items():
+        assert field.vfrobenius(x, t).tolist() == images, t
 
 
 def _random_irreducibles(field, d, count, rng):

@@ -103,8 +103,10 @@ def test_equal_row_spaces_have_equal_rref():
 # ---------------------------------------------------------------------------
 
 # 65521, the largest prime under the field-order cap: entries of the lazy
-# prime-field elimination pass 2^31 before they are reduced
-ORACLE_FIELDS = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 257, 65521]
+# prime-field elimination pass 2^31 before they are reduced; 8, 16, 256 and
+# 2^16 take the chunked XOR product, the rest the float64 digit planes (3^10
+# the most planes)
+ORACLE_FIELDS = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 256, 257, 59049, 65521, 65536]
 # (rows, cols, rank bound): wide, tall, square, one row, full rank, larger
 SHAPES = [(6, 9, 3), (9, 6, 4), (12, 12, 5), (1, 5, 1), (7, 7, 7), (20, 31, 11)]
 
@@ -146,14 +148,59 @@ def test_rref_and_kernel_against_loop_oracle(q):
 def test_matmul_against_loop_oracle(q, monkeypatch):
     field = field_from_order(q)
     rng = np.random.default_rng(q + 1)
-    a = rng.integers(0, q, (5, 13))
-    b = rng.integers(0, q, (13, 7))
-    expected = reference_matmul(field, a, b)
-    assert np.array_equal(_linalg.matmul(field, a, b), expected)
-    # one inner index per slice
-    monkeypatch.setattr(_linalg, "_PRODUCT_CELLS", 1)
-    assert np.array_equal(_linalg.matmul(field, a, b), expected)
-    assert _linalg.matmul(field, a[:, :0], b[:0]).tolist() == [[0] * 7] * 5
+    # square-ish, one row, one column, an outer product, zero inner dimension
+    shapes = [(5, 13, 7), (1, 13, 7), (5, 13, 1), (5, 1, 7), (5, 0, 7)]
+    pairs = [(rng.integers(0, q, (r, k)), rng.integers(0, q, (k, c))) for r, k, c in shapes]
+    for a, b in pairs:
+        assert np.array_equal(_linalg.matmul(field, a, b), reference_matmul(field, a, b)), a.shape
+    assert not _linalg.matmul(field, *pairs[-1]).any()
+    if field.p == 2 and field.m >= 3:  # the chunked kernel, one inner index per slice
+        monkeypatch.setattr(_linalg, "_PRODUCT_CELLS", 1)
+        for a, b in pairs:
+            assert np.array_equal(_linalg.matmul(field, a, b), reference_matmul(field, a, b)), a.shape
+
+
+def test_matmul_exact_at_the_largest_sums():
+    # every digit product (p-1)^2 at the largest prime and group order: each
+    # entry 512 (p-1)^2 = 512 mod p sums to about 2^41 before it is reduced
+    p = 65521
+    field = field_from_order(p)
+    a = np.full((3, 512), p - 1)
+    b = np.full((512, 4), p - 1)
+    assert (_linalg.matmul(field, a, b) == 512).all()
+    assert np.array_equal(_linalg.matmul(field, a, b), reference_matmul(field, a, b))
+
+
+def test_matmul_large_enough_to_thread():
+    # 512 x 512 x 512 is large enough for a threaded BLAS to split the sums
+    # (CI reruns this module with OPENBLAS_NUM_THREADS=1 for the serial
+    # order); the int64 product is exact, each sum below 2^41
+    p = 65521
+    field = field_from_order(p)
+    rng = np.random.default_rng(p)
+    a = rng.integers(0, p, (512, 512))
+    b = rng.integers(0, p, (512, 512))
+    assert np.array_equal(_linalg.matmul(field, a, b), a @ b % p)
+
+
+def test_matmul_rejects_inexact_inner_dimension():
+    field = field_from_order(65521)
+    k = -(-_linalg._EXACT_SUM // 65520**2)  # the least k with k (p-1)^2 >= the bound
+    assert _linalg.matmul(field, np.zeros((0, k - 1)), np.zeros((k - 1, 0))).shape == (0, 0)
+    with pytest.raises(ValueError, match="too large for an exact product"):
+        _linalg.matmul(field, np.zeros((0, k)), np.zeros((k, 0)))
+
+
+@pytest.mark.parametrize("p", [2, 3, 251, 65521])
+def test_float_reduction_exact_up_to_the_bound(p):
+    # residues 0, 1 and p - 1 of the largest multiples of p below the bound,
+    # where a float quotient is nearest to an integer, and random values
+    top = (_linalg._EXACT_SUM - 1) // p * p
+    edges = np.array([top - p * j + s for j in range(1, 50) for s in (0, 1, p - 1)] + [0, 1, p - 1])
+    values = np.concatenate([edges, np.random.default_rng(p).integers(0, _linalg._EXACT_SUM, 10000)])
+    x = values.astype(np.float64)
+    _linalg._reduce(x, p)
+    assert np.array_equal(x.astype(np.int64), values % p)
 
 
 @pytest.mark.parametrize("q", ORACLE_FIELDS)
