@@ -619,6 +619,49 @@ def validate_idempotent_set(s: IdempotentSet) -> None:
 
 
 # ---------------------------------------------------------------------------
+# duadic pair axioms, all eleven
+# ---------------------------------------------------------------------------
+
+
+def reference_pair_axioms(e: AlgebraElement, f: AlgebraElement, mu) -> list[str]:
+    """Names of the violated duadic-pair axioms, all eleven checked one by
+    one: scalar convolution, mu applied one coefficient at a time, and Ghat
+    and the coefficient sums from scalar field arithmetic."""
+    field, group = e.field, e.group
+    n_inv = field.inv(field.from_int(group.order))
+    ghat = AlgebraElement(field, group, [n_inv] * group.order)
+    one = AlgebraElement.basis(field, group, 0)
+    power = field.p ** (mu.frobenius_power % field.m)
+
+    def apply(a: AlgebraElement) -> AlgebraElement:
+        out = [0] * group.order
+        for g, c in enumerate(a.vec.tolist()):
+            out[mu.map(g)] = field.power(c, power)
+        return AlgebraElement(field, group, out)
+
+    def even_like(a: AlgebraElement) -> bool:
+        return functools.reduce(field.add, a.vec.tolist(), 0) == 0
+
+    def vanishes(a: AlgebraElement, b: AlgebraElement) -> bool:
+        return naive_mul(a, b).weight() == 0
+
+    checks = [
+        ("e idempotent", naive_mul(e, e) == e),
+        ("f idempotent", naive_mul(f, f) == f),
+        ("e even-like", even_like(e)),
+        ("f even-like", even_like(f)),
+        ("A1: e + f = 1 - Ghat", e + f == one - ghat),
+        ("A2: mu(e) = f", apply(e) == f),
+        ("A2: mu(f) = e", apply(f) == e),
+        ("e*f = 0", vanishes(e, f)),
+        ("f*e = 0", vanishes(f, e)),
+        ("e*Ghat = 0", vanishes(e, ghat)),
+        ("f*Ghat = 0", vanishes(f, ghat)),
+    ]
+    return [name for name, ok in checks if not ok]
+
+
+# ---------------------------------------------------------------------------
 # centrally primitive idempotents: the Frobenius-kernel construction, from
 # ordinary class sums raised to the q-th power
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from duadic.algebra import (
     split_primitive_central_idempotents,
 )
 from duadic.cli import main
-from duadic.codes import DEFAULT_ENUM_CAP, odd_like_min_weight
+from duadic.codes import DEFAULT_ENUM_CAP, odd_like_min_weight, subcode_check
 from duadic.duadic import (
     DuadicPair,
     classify_duality,
@@ -124,10 +124,13 @@ def test_criterion_3_code_structure(cyclic_grid, swap_pair_9):
         codes = duadic_codes(pair)
         assert (codes.c_e.k, codes.c_f.k) == ((n - 1) // 2, (n - 1) // 2)
         assert (codes.d_e.k, codes.d_f.k) == ((n + 1) // 2, (n + 1) // 2)
-        # inclusions are verified inside duadic_codes; orthogonality re-checked here
+        # duadic_codes checks only the dimensions: the inclusions follow from
+        # the orthogonality of e, f and Ghat, both re-checked here
         for a, b in ((pair.e, pair.f), (pair.e, pair.ghat), (pair.f, pair.ghat)):
             assert alg_mul(a, b).weight() == 0
             assert alg_mul(b, a).weight() == 0
+        assert subcode_check(codes.c_e, codes.d_e) and subcode_check(codes.c_f, codes.d_f)
+        assert codes.d_e.contains(pair.ghat.vec) and codes.d_f.contains(pair.ghat.vec)
     print(f"PASS criterion 3: dimensions, inclusions, orthogonality on {len(pairs)} pairs")
 
 

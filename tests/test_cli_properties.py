@@ -1,6 +1,7 @@
 """Property tests of the CLI's input handling: any group or mu spec, `--n`
-and `--q` text, Cayley file or permutation file exits with a code in 0..3
-and at most one line on stderr, and no exception escapes `main`.  The
+and `--q` text, Cayley file or permutation file exits with a code in 0..2
+and at most one line on stderr, and no exception escapes `main`; exit 3,
+the program's own verification failure, is never right for them.  The
 examples are derandomized, so every run tries the same inputs; the
 regression tests at the end pin the defects these inputs found (the trivial
 `--product` factor is pinned in `test_cli.py`)."""
@@ -9,13 +10,14 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from duadic.cli import EXIT_USAGE, main
+from duadic.cli import EXIT_NO_SPLITTING, EXIT_USAGE, main
 from duadic.groups import group_from_cayley
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -64,7 +66,7 @@ def run(argv: list[str]) -> tuple[int, str]:
 
 def assert_clean(argv: list[str]) -> None:
     code, err = run(argv)
-    assert code in (0, 1, 2, 3), (argv, code, err)
+    assert code in (0, 1, 2), (argv, code, err)
     assert err.count("\n") <= 1 and err.endswith("\n") == bool(err), (argv, err)
     assert bool(err) == (code != 0), (argv, code, err)
 
@@ -124,22 +126,22 @@ def cayley_texts(draw) -> bytes:
 
 
 @st.composite
-def permutation_texts(draw) -> bytes:
-    """x -> kx on Z_7 (an automorphism, hence an antiautomorphism of the
+def permutation_texts(draw, n: int = 7) -> bytes:
+    """x -> kx on Z_n (an automorphism, hence an antiautomorphism of the
     abelian group), or any permutation, with an optional Frobenius power and
     an optional fault in the header or one image."""
     if draw(st.booleans()):
-        k = draw(st.integers(1, 6))
-        images = [k * x % 7 for x in range(7)]
+        k = draw(st.integers(1, n - 1))
+        images = [k * x % n for x in range(n)]
     else:
-        images = [0, *draw(st.permutations(range(1, 7)))]
+        images = [0, *draw(st.permutations(range(1, n)))]
     images = [str(x) for x in images]
-    header = "7"
+    header = str(n)
     fault = draw(st.sampled_from(["none", "none", "image", "header", "short"]))
     if fault == "image":
-        images[draw(st.integers(0, 6))] = draw(st.one_of(TOKENS, st.integers(0, 8).map(str)))
+        images[draw(st.integers(0, n - 1))] = draw(st.one_of(TOKENS, st.integers(0, n + 1).map(str)))
     elif fault == "header":
-        header = draw(st.sampled_from(["6", "x", "7 7", ""]))
+        header = draw(st.sampled_from([str(n - 1), "x", f"{n} {n}", ""]))
     elif fault == "short":
         images.pop()
     power = draw(st.sampled_from([[], ["0"], ["1"], ["-1"], ["x"], ["10" * 10]]))
@@ -170,6 +172,18 @@ class TestFiles:
         path = workdir / "mu.perm"
         path.write_bytes(text)
         assert_clean(["construct", "--group", "7", "--q", q, "--mu", f"@{path}", "--max-enum", "4096"])
+
+    # the multipliers of Z_13 permute its idempotents in 2-, 3- and 4-cycles
+    @SETTINGS
+    @given(text=mostly(permutation_texts(13)), q=st.sampled_from(["3", "5"]), enumerate_all=st.booleans())
+    @example(text=b"13\n0 7 1 8 2 9 3 10 4 11 5 12 6\n", q="3", enumerate_all=False)
+    @example(text=b"13\n0 2 4 6 8 10 12 1 3 5 7 9 11\n", q="3", enumerate_all=True)
+    @example(text=b"13\n0 2 4 6 8 10 12 1 3 5 7 9 11\n", q="5", enumerate_all=False)
+    def test_permutation_file_z13(self, workdir, text, q, enumerate_all):
+        path = workdir / "mu13.perm"
+        path.write_bytes(text)
+        argv = ["construct", "--group", "13", "--q", q, "--mu", f"@{path}", "--max-enum", "4096"]
+        assert_clean(argv + ["--enumerate-all"] * enumerate_all)
 
 
 def order_511_table(kind: str, seed: int) -> np.ndarray:
@@ -237,3 +251,41 @@ def test_long_n_range_stops_at_the_cap():
     # the range was listed in full before any order was checked
     argv = ["scan", "--n", f"3-{10**15}", "--q", "2"]
     assert run(argv) == (EXIT_USAGE, "duadic: error: group order 513 exceeds the validation cap 512\n")
+
+
+# x -> 7x and x -> 2x on Z_13
+X7_TEXT = "13\n0 7 1 8 2 9 3 10 4 11 5 12 6\n"
+X2_TEXT = "13\n0 2 4 6 8 10 12 1 3 5 7 9 11\n"
+
+
+def construct_z13(tmp_path, text: str, q: str, *extra: str) -> tuple[int, str, str]:
+    path = tmp_path / "mu.perm"
+    path.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["construct", "--group", "13", "--q", q, "--mu", f"@{path}", "--json", *extra]
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "text,q,extra",
+    [(X7_TEXT, "3", ()), (X7_TEXT, "3", ("--enumerate-all",)), (X2_TEXT, "3", ("--enumerate-all",))],
+    ids=["x7", "x7-enumerate-all", "x2-enumerate-all"],
+)
+def test_four_cycle_multiplier_builds_one_pair(tmp_path, text, q, extra):
+    # x -> 7x and x -> 2x permute the four nontrivial idempotents of GF(3)[Z_13]
+    # in one 4-cycle; the pairing of 2-cycles exited 3 ("idempotent pairing
+    # failed", or a pair failing A1 under --enumerate-all)
+    code, out, err = construct_z13(tmp_path, text, q, *extra)
+    assert (code, err) == (0, "")
+    (report,) = json.loads(out)
+    assert len(report["pairs"]) == 1 and report["quantum"]["params"] == "[[13,1,5]]_3"
+
+
+def test_odd_cycle_multiplier_exits_2(tmp_path):
+    # x -> 2x permutes the three nontrivial idempotents of GF(5)[Z_13] in a
+    # 3-cycle: no idempotent is fixed, yet no pair exists
+    code, out, err = construct_z13(tmp_path, X2_TEXT, "5")
+    assert (code, out) == (EXIT_NO_SPLITTING, "")
+    assert err.count("\n") == 1 and err.endswith("mu permutes the nontrivial idempotents in a cycle of odd length 3\n")

@@ -3,14 +3,19 @@ and product pairs."""
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import find, given, settings
+from hypothesis import strategies as st
 
 from duadic.algebra import (
     AlgebraElement,
     alg_mul,
+    apply_antiauto,
+    hat_group,
     is_even_like,
     is_idempotent,
     split_primitive_central_idempotents,
@@ -39,9 +44,63 @@ from duadic.groups import (
     group_from_cayley,
 )
 
+from conftest import frobenius21_table
+from oracles import reference_pair_axioms
+
 
 def tuple_elem(field, group, tuples):
     return AlgebraElement.from_coeff_list(field, group, [(group.element_id(t), 1) for t in tuples])
+
+
+def multiplier(group, a: int) -> Antiautomorphism:
+    """x -> ax on a cyclic group: an automorphism of an abelian group, hence an antiautomorphism."""
+    n = group.order
+    return Antiautomorphism(group, [a * x % n for x in range(n)], descriptor=f"x{a}")
+
+
+# splittings with 2- and 4-cycles, a Frobenius twist, and cells without a
+# pair (a fixed idempotent or a 3-cycle), on cyclic, 3x3 and metacyclic groups
+_AXIOM_CELLS = {
+    "7-q2-mu-1": (7, 2, "mu-1"),
+    "13-q3-x7": (13, 3, "x7"),
+    "13-q3-x2": (13, 3, "x2"),
+    "13-q5-x2": (13, 5, "x2"),
+    "13-q3-mu-1": (13, 3, "mu-1"),
+    "9-q2-mu-1": (9, 2, "mu-1"),
+    "3x3-q2-swap": ("3x3", 2, "swap"),
+    "3x3-q4-mu-1-frobenius": ("3x3", 4, "mu-1-frobenius"),
+    "Z7:Z3-q4-mu-1": ("Z7:Z3", 4, "mu-1"),
+    "Z7:Z3-q2-mu-1": ("Z7:Z3", 2, "mu-1"),
+}
+
+
+@functools.cache
+def axiom_cell(name: str):
+    """(field, group, mu, idempotents, cycles of mu on the nontrivial ones)."""
+    spec, q, mu_name = _AXIOM_CELLS[name]
+    if spec == "3x3":
+        group = group_abelian([3, 3])
+    elif spec == "Z7:Z3":
+        group = group_from_cayley(frobenius21_table())
+    else:
+        group = cyclic_group(spec)
+    field = field_from_order(q)
+    if mu_name == "swap":
+        mu = builtin_mu_swap(group, q)
+    elif mu_name.startswith("mu-1"):
+        mu = Antiautomorphism(group, group.inverse, int(mu_name.endswith("frobenius")))
+    else:
+        mu = multiplier(group, int(mu_name[1:]))
+    members = list(split_primitive_central_idempotents(field, group))
+    images = [members.index(apply_antiauto(mu, h)) for h in members]
+    cycles, done = [], {members.index(hat_group(field, group))}
+    for start in range(len(members)):
+        if start not in done:
+            cycles.append([start])
+            while images[cycles[-1][-1]] != start:
+                cycles[-1].append(images[cycles[-1][-1]])
+            done.update(cycles[-1])
+    return field, group, mu, members, cycles
 
 
 @pytest.fixture(scope="module")
@@ -218,6 +277,81 @@ class TestConstructPairs:
         e = AlgebraElement.from_coeff_list(f2, g, [(1, 1), (2, 1), (4, 1)])
         with pytest.raises(VerificationError, match="axioms"):
             DuadicPair(f2, g, e, e, builtin_mu_minus1(g))
+
+    def test_mu_permutation_follows_the_cycles(self):
+        for name in _AXIOM_CELLS:
+            field, group, mu, _, cycles = axiom_cell(name)
+            perm = check_splitting(mu, field, group).mu_permutation
+            for cycle in cycles:
+                assert [perm[i] for i in cycle] == cycle[1:] + cycle[:1], name
+
+    @pytest.mark.parametrize("cell", ["13-q3-x7", "13-q3-x2"])
+    @pytest.mark.parametrize("mode", ["canonical", "enumerate-all"])
+    def test_four_cycle_gives_one_pair_of_alternate_idempotents(self, cell, mode):
+        # once "idempotent pairing failed", or a pair failing A1 under enumerate-all
+        field, group, mu, members, cycles = axiom_cell(cell)
+        (cycle,) = cycles
+        assert len(cycle) == 4
+        (pair,) = construct_pairs(mu, field, group, mode=mode)
+        assert reference_pair_axioms(pair.e, pair.f, mu) == []
+        even, odd = members[cycle[0]] + members[cycle[2]], members[cycle[1]] + members[cycle[3]]
+        assert (pair.e, pair.f) == (even, odd) or (mode == "enumerate-all" and (pair.e, pair.f) == (odd, even))
+
+    def test_odd_cycle_raises_no_splitting(self):
+        # no idempotent is fixed, yet the 3-cycle leaves no pair
+        field, group, mu, _, cycles = axiom_cell("13-q5-x2")
+        assert [len(c) for c in cycles] == [3] and check_splitting(mu, field, group).ok
+        for mode in ("canonical", "enumerate-all"):
+            with pytest.raises(NoSplittingError, match="in a cycle of odd length 3$"):
+                construct_pairs(mu, field, group, mode=mode)
+
+
+@st.composite
+def axiom_cases(draw):
+    """(field, group, mu, e, f): e every other idempotent of each cycle, or any
+    sum of idempotents; f = 1 - Ghat - e or mu(e); then perhaps one
+    coefficient of e or f changed."""
+    field, group, mu, members, cycles = axiom_cell(draw(st.sampled_from(sorted(_AXIOM_CELLS))))
+    if draw(st.booleans()):
+        chosen = [i for cycle in cycles for i in cycle[draw(st.integers(0, 1)) :: 2]]
+    else:
+        chosen = [i for i in range(len(members)) if draw(st.booleans())]
+    e = sum((members[i] for i in chosen), AlgebraElement.zero(field, group))
+    if draw(st.booleans()):
+        f = AlgebraElement.one(field, group) - hat_group(field, group) - e
+    else:
+        f = apply_antiauto(mu, e)
+    target = draw(st.sampled_from(["none", "none", "e", "f"]))
+    if target != "none":
+        g, delta = draw(st.integers(0, group.order - 1)), draw(st.integers(1, field.q - 1))
+        bump = AlgebraElement.basis(field, group, g, delta)
+        e, f = (e + bump, f) if target == "e" else (e, f + bump)
+    return field, group, mu, e, f
+
+
+AXIOM_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+
+
+class TestPairAxiomReduction:
+    """The four axioms `DuadicPair` checks reject exactly the (e, f, mu)
+    that violate one of all eleven (`reference_pair_axioms`)."""
+
+    @AXIOM_SETTINGS
+    @given(case=axiom_cases())
+    def test_raises_iff_an_axiom_is_violated(self, case):
+        field, group, mu, e, f = case
+        violated = reference_pair_axioms(e, f, mu)
+        if not violated:
+            DuadicPair(field, group, e, f, mu)
+            return
+        with pytest.raises(VerificationError, match="^duadic axioms violated: ") as info:
+            DuadicPair(field, group, e, f, mu)
+        named = str(info.value).split(": ", 1)[1].split(", ")
+        assert set(named) <= set(violated)
+
+    @pytest.mark.parametrize("valid", [True, False])
+    def test_cases_reach_both_outcomes(self, valid):
+        find(axiom_cases(), lambda c: (not reference_pair_axioms(c[3], c[4], c[2])) == valid, settings=AXIOM_SETTINGS)
 
 
 class TestDuadicCodes:

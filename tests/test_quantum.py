@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
-from duadic import _linalg, quantum
+from duadic import _linalg, algebra, quantum
+from duadic import duadic as duadic_module
+from duadic.algebra import split_primitive_central_idempotents
 from duadic.codes import LinearCode, dual, weight_distribution
 from duadic.duadic import (
+    DuadicPair,
     classify_duality,
     construct_pairs,
     duadic_codes,
@@ -287,3 +292,49 @@ class TestAnalyzePair:
         assert analysis.degeneracy == degeneracy_report(analysis.css)
         assert analysis.degeneracy.degenerate
         assert not any(side.exact for side in analysis.degeneracy.sides)
+
+
+def record_calls(monkeypatch, owners, name: str) -> list:
+    """Wrap `name` in each owner module; each call appends (caller file, positional arguments)."""
+    calls = []
+    for owner in owners:
+        original = getattr(owner, name)
+
+        def wrapper(*args, _original=original, **kwargs):
+            calls.append((sys._getframe(1).f_code.co_filename, args))
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+class TestWorkCounts:
+    """Each pair fact is checked once, where it is established."""
+
+    def test_a_pair_costs_one_product(self, f2, monkeypatch):
+        group = group_abelian([3, 3])
+        pair = construct_pairs(builtin_mu_swap(group, 2), f2, group)[0]
+        products = record_calls(monkeypatch, [algebra, duadic_module], "alg_mul")
+        DuadicPair(f2, group, pair.e, pair.f, pair.mu)
+        assert len(products) == 1
+
+    def test_bound_cell_checks_one_inclusion_and_no_stabilizer_product(self, f2, monkeypatch):
+        group = cyclic_group(23)
+        pair = construct_pairs(builtin_mu_minus1(group), f2, group)[0]
+        inclusions = record_calls(monkeypatch, [_linalg], "in_row_space")
+        products = record_calls(monkeypatch, [_linalg], "matmul")
+        analysis = analyze_pair(pair, cap=100)
+        assert not analysis.css.distance.exact
+        assert len(inclusions) == 1  # C_e inside D_e, by CssCode
+        assert not [caller for caller, _ in products if caller == quantum.__file__]
+
+    @pytest.mark.parametrize("mode", ["canonical", "enumerate-all"])
+    def test_pairing_applies_mu_to_no_idempotent(self, f2, monkeypatch, mode):
+        # two cycles, so neither e nor f is itself one of the idempotents
+        group = group_abelian([3, 3])
+        members = {h.vec.tobytes() for h in split_primitive_central_idempotents(f2, group)}
+        applied = record_calls(monkeypatch, [duadic_module], "apply_antiauto")
+        pairs = construct_pairs(builtin_mu_swap(group, 2), f2, group, mode=mode)
+        assert len(pairs) == (1 if mode == "canonical" else 2)
+        # once per idempotent, for the permutation check_splitting records
+        assert sum(a.vec.tobytes() in members for _, (_, a) in applied) == len(members)
