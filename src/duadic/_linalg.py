@@ -14,6 +14,10 @@ from .gf import FiniteField
 
 # int64 cells (256 KB) per temporary of a chunked GF(2^m) product
 _PRODUCT_CELLS = 1 << 15
+# r k c below which elementwise products beat the plane kernel (2-vCPU x86,
+# numpy 2.4, OpenBLAS): up to 2^10 it takes 11-12, 20-23 and 30-35 us over
+# prime fields, GF(4) and GF(9), the elementwise kernel 3-4, 6-12 and 15-30
+_SMALL_PRODUCT = 1 << 10
 # the float64 product is exact and reduced exactly while every sum of digit
 # products, at most k (p-1)^2 for inner dimension k, stays below this bound
 # (at the caps, k = 512 and p = 65521, it is below 2^41)
@@ -83,14 +87,16 @@ def right_kernel(field: FiniteField, mat: np.ndarray) -> np.ndarray:
 
 
 def matmul(field: FiniteField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact matrix product over the field, the kernel chosen by the field.
-
-    Over GF(2^m) with m >= 3 the products a[i, k] * b[k, j] come from the log
-    tables for a slice of k at a time, at most _PRODUCT_CELLS per slice, and
-    are summed by XOR.  Every other field takes one float64 BLAS product of
-    GF(p) digit planes: with a = sum_i x^i a_i, the planes a_i stacked
-    (m r x k) times the digits of b side by side (k x c m) are the digits of
-    every a_i b.  Their entries are integers below _EXACT_SUM, exact in any
+    """Exact matrix product over the field, the kernel chosen by the field
+    and the size r k c (a r x k, b k x c).  Over GF(2^m) with m >= 3 the
+    products a[i, k] * b[k, j] come from the log tables for a slice of k at
+    a time, at most _PRODUCT_CELLS per slice, and are summed by XOR.  Other
+    fields take them elementwise too below r k c = _SMALL_PRODUCT = 2^10
+    (int64 mod p, or log tables), where the plane kernel's 15 numpy calls
+    cost more.  Every larger product is one float64 BLAS product of GF(p)
+    digit planes: with a = sum_i x^i a_i, the planes a_i stacked (m r x k)
+    times the digits of b side by side (k x c m) are the digits of every
+    a_i b.  Their entries are integers below _EXACT_SUM, exact in any
     summation order; they are reduced mod p, packed, and combined with m - 1
     table products by x^i (the index p^i).  A prime field is the case m = 1,
     where an element is its own digit.
@@ -109,6 +115,8 @@ def matmul(field: FiniteField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return out
     if k * (p - 1) ** 2 >= _EXACT_SUM:
         raise ValueError(f"inner dimension {k} is too large for an exact product over {field!r}")
+    if r * k * c < _SMALL_PRODUCT:
+        return a @ b % p if m == 1 else field.vsum(field.vmul(a[:, :, None], b[None]), axis=1)
     if m == 1:
         prod = a.astype(np.float64) @ b.astype(np.float64)
     else:

@@ -12,6 +12,7 @@ import math
 import sys
 import time
 from dataclasses import asdict, dataclass, fields as dataclass_fields
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .algebra import AlgebraElement
@@ -86,7 +87,26 @@ class CodeReport:
 
 
 def emit_json(reports: list[CodeReport]) -> str:
-    return json.dumps([r.to_dict() for r in reports], indent=2) + "\n"
+    return _json_text([r.to_dict() for r in reports], "") + "\n"
+
+
+_JSON_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, bool: {False: "false", True: "true"}.get}
+_JSON_SCALARS[type(None)] = lambda x: "null"
+
+
+def _json_text(x, pad: str) -> str:
+    """json.dumps(x, indent=2) at indentation pad, byte for byte, without its
+    pure-Python encoder for the types a report holds (scalars by exact type,
+    so a bool is no int); others go to json.dumps."""
+    if (scalar := _JSON_SCALARS.get(type(x))) is not None:
+        return scalar(x)
+    inner = pad + "  "
+    if type(x) in (list, tuple) and x:
+        return "[\n" + inner + (",\n" + inner).join([_json_text(v, inner) for v in x]) + "\n" + pad + "]"
+    if type(x) is dict and x and all(type(k) is str for k in x):
+        items = [encode_basestring_ascii(k) + ": " + _json_text(v, inner) for k, v in x.items()]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    return json.dumps(x, indent=2).replace("\n", "\n" + pad)
 
 
 # ---------------------------------------------------------------------------
@@ -141,9 +161,12 @@ def parse_mu_spec(spec: str, group: Group, q: int) -> Antiautomorphism:
 
 def _parse_int_list(text: str, option: str, form: str = "a comma list of integers") -> list[int]:
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
+        values = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        raise ValueError(f"{option} expects {form}, got {text!r}") from None
+        values = []
+    if not values:
+        raise ValueError(f"{option} expects {form}, got {text!r}")
+    return values
 
 
 def _parse_range(text: str) -> list[int] | range:

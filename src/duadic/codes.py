@@ -3,7 +3,8 @@ Euclidean duals, and exhaustive weight computations, each with its cap rule.
 
 Generator matrices are kept in RREF (leftmost pivots, monic, eliminated above
 and below), so two codes are equal iff their matrices are equal.  Coordinates
-are indexed by group element id for ideal-generated codes.
+are indexed by group element id for ideal-generated codes, which are shared
+while in use; `duadic_codes` derives three of a pair's four from C_e.
 
 Exhaustive enumeration splits each coset word into head + tail; the word is
 zero at j exactly where tail[j] == -head[j], so weights come from comparing
@@ -40,15 +41,13 @@ class LinearCode:
     Codes from code_from_ideal and dual are shared: never mutate one."""
 
     def __init__(self, field: FiniteField, rows, provenance: AlgebraElement | None = None):
-        mat = _linalg.as_matrix(rows)
-        if mat.size:
-            red, pivots = _linalg.rref(field, mat)
-        else:
-            red, pivots = np.zeros((0, mat.shape[1]), dtype=np.int64), []
+        self._set_rref(field, *_linalg.rref(field, rows), provenance)
+
+    def _set_rref(self, field: FiniteField, red: np.ndarray, pivots, provenance) -> None:
         red = red.copy()
         red.flags.writeable = False
         self.field = field
-        self.n = int(mat.shape[1])
+        self.n = int(red.shape[1])
         self.k = int(red.shape[0])
         self.gen = red
         self.pivots = list(pivots)
@@ -76,13 +75,50 @@ class LinearCode:
         return _linalg.in_row_space(self.field, self.gen, self.pivots, v)
 
 
+def _shared_ideal_code(a: AlgebraElement, build) -> LinearCode:
+    """The code of the ideal Ra still in use, else build(a) registered as it."""
+    built = _IDEAL_CODES.setdefault(a.group, weakref.WeakValueDictionary())
+    key = (a.field, a.vec.tobytes())
+    if (code := built.get(key)) is None:
+        code = built[key] = build(a)
+    return code
+
+
 def code_from_ideal(e: AlgebraElement) -> LinearCode:
     """Row space of {g*e : g in G}; a code of e still in use is returned again."""
-    built = _IDEAL_CODES.setdefault(e.group, weakref.WeakValueDictionary())
-    key = (e.field, e.vec.tobytes())
-    if (code := built.get(key)) is None:
-        code = built[key] = LinearCode(e.field, e.vec[e.group.left_translation], provenance=e)
+    return _shared_ideal_code(e, lambda e: LinearCode(e.field, e.vec[e.group.left_translation], provenance=e))
+
+
+def _in_ideal(code: LinearCode) -> LinearCode:
+    """The code, checked to lie in Ra for its idempotent provenance a: x a = x for its rows."""
+    a = code.provenance
+    if not np.array_equal(_linalg.matmul(a.field, code.gen, a.vec[a.group.left_translation]), code.gen):
+        raise VerificationError("a derived code does not lie in the ideal of its idempotent")
     return code
+
+
+def _mu_image(code: LinearCode, mu, a: AlgebraElement) -> LinearCode:
+    """mu(code), re-reduced, as the code of the ideal Ra, checked."""
+    rows = np.zeros_like(code.gen)
+    rows[:, mu.mu_star] = code.field.vfrobenius(code.gen, mu.frobenius_power)
+    return _in_ideal(LinearCode(code.field, rows, a))
+
+
+def _plus_vector(code: LinearCode, v: np.ndarray, a: AlgebraElement) -> LinearCode:
+    """code + span(v) as the code of the ideal Ra, checked: v reduced by the
+    basis, made monic at its leading column c and cleared from the other
+    rows there joins the RREF at the position of c, with no pivot loop."""
+    field, gen, pivots = code.field, code.gen, code.pivots
+    row = field.vsub(v, _linalg.matmul(field, v[pivots], gen)[0])
+    if not row.any():
+        raise VerificationError("the added vector already lies in the code")
+    c = int(np.flatnonzero(row)[0])
+    row = field.vmul(row, field.inv(int(row[c])))
+    at = int(np.searchsorted(pivots, c))
+    red = np.insert(field.vsub(gen, field.vmul(gen[:, c : c + 1], row[None])), at, row, axis=0)
+    out = LinearCode.__new__(LinearCode)  # already in RREF: no elimination
+    out._set_rref(field, red, [*pivots[:at], c, *pivots[at:]], a)
+    return _in_ideal(out)
 
 
 def dual(code: LinearCode) -> LinearCode:

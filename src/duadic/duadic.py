@@ -4,8 +4,8 @@ codes, duality classification, odd-like weight bounds, and product pairs.
 A duadic pair is a pair of even-like central idempotents (e, f) with
 e + f = 1 - Ghat that an isometric antiautomorphism mu swaps.  Each fact is
 checked once, where it is established: `DuadicPair` checks the four axioms
-that imply the rest, `duadic_codes` the four dimensions, and the inclusions
-of the codes follow from the axioms without a check of their own.
+that imply the rest, and `duadic_codes` the four dimensions and that each
+code derived from C_e lies in its ideal.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .algebra import (
     is_idempotent,
     split_primitive_central_idempotents,
 )
-from .codes import LinearCode, code_from_ideal, dual
+from .codes import LinearCode, _mu_image, _plus_vector, _shared_ideal_code, code_from_ideal, dual
 from .errors import NoSplittingError, VerificationError
 from .gf import FiniteField, multiplicative_order_mod
 from .groups import (
@@ -265,18 +265,21 @@ class DuadicCodes:
 
 
 def duadic_codes(pair: DuadicPair) -> DuadicCodes:
-    """Build C_e = Re, C_f = Rf, D_e = R(1-f), D_f = R(1-e) and verify
-    their dimensions.
+    """Build C_e = Re, C_f = Rf, D_e = R(1-f) and D_f = R(1-e) and verify them.
 
-    The inclusions are not re-checked: ef = 0 = f Ghat gives e = e(1-f) and
-    Ghat = Ghat(1-f), so C_e and Ghat lie in D_e, and C_f and Ghat in D_f
-    the same way (`DuadicPair` checks the axioms these follow from)."""
+    Only C_e is eliminated (or reused, like every code still in use).  mu is
+    a semilinear bijection of R with mu(g e) = f mu(g), so C_f = mu(C_e),
+    re-reduced (k rows, not n); 1 - f = e + Ghat with e Ghat = 0, so D_e =
+    C_e + span(Ghat) and D_f = C_f + span(Ghat), one row inserted into the
+    RREF.  A derived code X of the idempotent a lies in Ra (x a = x for its
+    rows, checked); R = Re + Rf + F Ghat is direct, so with dim C_e =
+    (n-1)/2 the dimensions checked below are the ideals' and make X = Ra."""
     field, group = pair.field, pair.group
     one = AlgebraElement.one(field, group)
     c_e = code_from_ideal(pair.e)
-    c_f = code_from_ideal(pair.f)
-    d_e = code_from_ideal(one - pair.f)
-    d_f = code_from_ideal(one - pair.e)
+    c_f = _shared_ideal_code(pair.f, lambda a: _mu_image(c_e, pair.mu, a))
+    d_e = _shared_ideal_code(one - pair.f, lambda a: _plus_vector(c_e, pair.ghat.vec, a))
+    d_f = _shared_ideal_code(one - pair.e, lambda a: _plus_vector(c_f, pair.ghat.vec, a))
     n = group.order
     expected = {
         "dim C_e": (c_e.k, (n - 1) // 2),

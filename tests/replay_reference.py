@@ -1,0 +1,69 @@
+"""Replay every request recorded in `bench/reference.json` and compare outputs.
+
+Run from anywhere with `src` importable:
+
+    PYTHONPATH=src python tests/replay_reference.py
+
+The Cayley tables the requests name are written into a temporary directory,
+which is the working directory while the requests run, so the checkout is
+never written to.  Every request is served through `duadic.cli.main` in this
+one interpreter.  The script prints one line per request whose exit code or
+sha256 digest of the `--json` output differs from the recorded one (or that
+raises), and exits 1 if there is any, else 0.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def main() -> int:
+    sys.path.insert(0, str(BENCH))
+    try:
+        import pools
+    finally:
+        sys.path.remove(str(BENCH))
+    from duadic.cli import main as cli_main
+
+    reference = json.loads((BENCH / "reference.json").read_text(encoding="utf-8"))["requests"]
+    bad = []
+    start = time.perf_counter()
+    here = os.getcwd()
+    with tempfile.TemporaryDirectory() as root:
+        pools.write_cayley_files(Path(root))
+        os.chdir(root)
+        try:
+            for key in sorted(reference):
+                want = reference[key]
+                out = io.StringIO()
+                try:
+                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                        code = cli_main(key.split(" "))
+                except Exception as exc:  # a raising request is a mismatch, listed with the rest
+                    bad.append(f"{key}: raised {type(exc).__name__}: {exc}")
+                    continue
+                digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+                if code != want["summary"]["exit"]:
+                    bad.append(f"{key}: exit {code}, recorded {want['summary']['exit']}")
+                elif digest != want["stdout_sha256"]:
+                    bad.append(f"{key}: output digest {digest[:12]}, recorded {want['stdout_sha256'][:12]}")
+        finally:
+            os.chdir(here)
+    for line in bad:
+        print(line)
+    print(f"{len(reference) - len(bad)}/{len(reference)} requests match in {time.perf_counter() - start:.1f} s")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

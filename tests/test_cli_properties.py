@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from duadic.cli import EXIT_NO_SPLITTING, EXIT_USAGE, main
+from duadic.cli import EXIT_NO_SPLITTING, EXIT_USAGE, CodeReport, emit_json, main
 from duadic.groups import group_from_cayley
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -48,12 +48,15 @@ MU_SPECS = st.one_of(
     st.sampled_from(["mu-1", "*", "mu-1*", "@", "@missing.perm", ""]),
     JUNK,
 )
-Q_LISTS = st.one_of(st.lists(Q, min_size=1, max_size=3).map(",".join), JUNK)
+# lists that hold no integer at all
+EMPTY_LISTS = st.sampled_from(["", ",", ",,", " , "])
+Q_LISTS = st.one_of(st.lists(Q, min_size=1, max_size=3).map(",".join), JUNK, EMPTY_LISTS)
 N_SPECS = st.one_of(
     st.tuples(ODD, ODD).map("-".join),
     st.tuples(NUMBERS, NUMBERS).map("-".join),
     st.lists(st.one_of(ODD, NUMBERS), min_size=1, max_size=3).map(",".join),
     JUNK,
+    EMPTY_LISTS,
 )
 
 
@@ -97,6 +100,39 @@ class TestSpecGrammar:
     @given(p=Q_LISTS, q=Q_LISTS, mu=MU_SPECS)
     def test_scan_pxp(self, p, q, mu):
         assert_clean(["scan", "--family", "pxp", "--p", p, "--q", q, "--mu", mu, "--json"])
+
+
+# JSON values as the reports hold them, and what they never hold: strings with
+# quotes, backslashes, control and non-ASCII characters, ints beyond int64,
+# floats (nan and infinities included), tuples, and dicts with int keys
+STRINGS = st.one_of(
+    st.text(max_size=6),
+    st.text(alphabet='"\\\n\t\x00\x1f\x7f/e\u00e9\u2028\U0001f600', max_size=6),
+)
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(2**63 - 2, 2**70), st.integers(-(2**70), -(2**63)),
+    st.floats(), STRINGS,
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(STRINGS, inner, max_size=4),
+        st.dictionaries(st.integers(-3, 3), inner, max_size=2),
+    ),
+    max_leaves=24,
+)
+
+
+@SETTINGS
+@given(value=JSON_VALUES, pairs=st.lists(JSON_VALUES, max_size=3), dims=st.dictionaries(STRINGS, JSON_VALUES, max_size=3))
+@example(value=[], pairs=[[["a^0", 1], ["a^3", True]]], dims={})
+@example(value={}, pairs=[[]], dims={"": {"": []}})
+def test_emit_json_matches_the_indenting_encoder(value, pairs, dims):
+    report = CodeReport("7", 2, "mu-1", existence=value, pairs=pairs, dims=dims, timing_ms=1.5)
+    assert emit_json([report]) == json.dumps([report.to_dict()], indent=2) + "\n"
+    assert emit_json([report, report]) == json.dumps([report.to_dict()] * 2, indent=2) + "\n"
 
 
 TOKENS = st.sampled_from(["-1", "x", "1.5", "10" * 10, "#"])
@@ -251,6 +287,28 @@ def test_long_n_range_stops_at_the_cap():
     # the range was listed in full before any order was checked
     argv = ["scan", "--n", f"3-{10**15}", "--q", "2"]
     assert run(argv) == (EXIT_USAGE, "duadic: error: group order 513 exceeds the validation cap 512\n")
+
+
+@pytest.mark.parametrize("text", ["", ","])
+def test_empty_q_list_exits_1(text):
+    # scan --q '' and --q , printed an empty table and exited 0
+    argv = ["scan", "--n", "7", "--q", text, "--mu", "mu-1"]
+    assert run(argv) == (EXIT_USAGE, f"duadic: error: --q expects a comma list of integers, got {text!r}\n")
+
+
+@pytest.mark.parametrize("text", ["", ","])
+def test_empty_p_list_exits_1(text):
+    # scan --family pxp --p '' printed [] and exited 0
+    argv = ["scan", "--family", "pxp", "--p", text, "--q", "2", "--mu", "swap", "--json"]
+    assert run(argv) == (EXIT_USAGE, f"duadic: error: --p expects a comma list of integers, got {text!r}\n")
+
+
+@pytest.mark.parametrize("text", ["", ","])
+def test_empty_n_list_exits_1(text):
+    # an --n list with no integer is named as such, not as a list of even orders
+    argv = ["scan", "--n", text, "--q", "2", "--mu", "mu-1", "--json"]
+    message = f"duadic: error: --n expects a range like 3-45 or a comma list of integers, got {text!r}\n"
+    assert run(argv) == (EXIT_USAGE, message)
 
 
 # x -> 7x and x -> 2x on Z_13

@@ -20,8 +20,9 @@ from duadic.algebra import (
     is_idempotent,
     split_primitive_central_idempotents,
 )
+from duadic import _linalg
 from duadic import duadic as duadic_module
-from duadic.codes import odd_like_min_weight
+from duadic.codes import LinearCode, odd_like_min_weight
 from duadic.duadic import (
     DuadicPair,
     check_splitting,
@@ -43,8 +44,9 @@ from duadic.groups import (
     group_abelian,
     group_from_cayley,
 )
+from duadic.quantum import analyze_pair
 
-from conftest import frobenius21_table
+from conftest import frobenius21_table, metacyclic_table
 from oracles import reference_pair_axioms
 
 
@@ -369,6 +371,98 @@ class TestDuadicCodes:
         codes = duadic_codes(z33_swap_pair)
         assert codes.d_e.contains(z33_swap_pair.ghat.vec)
         assert codes.d_e.k == codes.c_e.k + 1
+
+
+def twisted(group) -> Antiautomorphism:
+    """x -> x^-1 composed with the Frobenius a -> a^p."""
+    return Antiautomorphism(group, group.inverse, frobenius_power=1)
+
+
+def identity_twisted(group) -> Antiautomorphism:
+    """The identity group map composed with the Frobenius a -> a^p."""
+    return Antiautomorphism(group, np.arange(group.order), frobenius_power=1)
+
+
+# (group, q, mu, mode): splitting cells on cyclic, 3x3 and 5x5 swap,
+# metacyclic and Frobenius-twisted antiautomorphisms over every q in
+# {2, 3, 4, 5, 7, 8, 9}; the order-81 product is built apart
+_DERIVATION_CELLS = {
+    "7-q2": (lambda: cyclic_group(7), 2, builtin_mu_minus1, "canonical"),
+    "23-q2": (lambda: cyclic_group(23), 2, builtin_mu_minus1, "canonical"),
+    "11-q3": (lambda: cyclic_group(11), 3, builtin_mu_minus1, "canonical"),
+    "23-q3": (lambda: cyclic_group(23), 3, builtin_mu_minus1, "canonical"),
+    "19-q4": (lambda: cyclic_group(19), 4, builtin_mu_minus1, "canonical"),
+    "19-q5": (lambda: cyclic_group(19), 5, builtin_mu_minus1, "canonical"),
+    "19-q7": (lambda: cyclic_group(19), 7, builtin_mu_minus1, "enumerate-all"),
+    "7-q8": (lambda: cyclic_group(7), 8, builtin_mu_minus1, "enumerate-all"),
+    "23-q9": (lambda: cyclic_group(23), 9, builtin_mu_minus1, "canonical"),
+    "3x3-q2-swap": (lambda: group_abelian([3, 3]), 2, None, "enumerate-all"),
+    "3x3-q8-swap": (lambda: group_abelian([3, 3]), 8, None, "enumerate-all"),
+    "5x5-q3-swap": (lambda: group_abelian([5, 5]), 3, None, "enumerate-all"),
+    "5x5-q7-swap": (lambda: group_abelian([5, 5]), 7, None, "enumerate-all"),
+    "5x5-q9-swap": (lambda: group_abelian([5, 5]), 9, None, "canonical"),
+    "Z7:Z3-q4": (lambda: group_from_cayley(metacyclic_table(7, 2)), 4, builtin_mu_minus1, "enumerate-all"),
+    "Z19:Z3-q7": (lambda: group_from_cayley(metacyclic_table(19, 7)), 7, builtin_mu_minus1, "enumerate-all"),
+    "7-q4-twisted": (lambda: cyclic_group(7), 4, twisted, "canonical"),
+    "7-q8-twisted": (lambda: cyclic_group(7), 8, twisted, "canonical"),
+    "13-q9-twisted": (lambda: cyclic_group(13), 9, twisted, "enumerate-all"),
+    "9-q4-identity-twisted": (lambda: cyclic_group(9), 4, identity_twisted, "enumerate-all"),
+}
+
+
+def derivation_pairs(name: str) -> list[DuadicPair]:
+    if name == "3x3,3x3-q2-product":
+        group = group_abelian([3, 3])
+        (pair,) = construct_pairs(builtin_mu_swap(group, 2), field_from_order(2), group)
+        return [product_duadic(pair, pair)]
+    make_group, q, make_mu, mode = _DERIVATION_CELLS[name]
+    group = make_group()
+    mu = builtin_mu_swap(group, q) if make_mu is None else make_mu(group)
+    return construct_pairs(mu, field_from_order(q), group, mode)
+
+
+class TestCodeDerivation:
+    """C_f, D_e and D_f come from C_e by mu and by one inserted row."""
+
+    @pytest.mark.parametrize("name", [*_DERIVATION_CELLS, "3x3,3x3-q2-product"])
+    def test_derived_codes_equal_their_elimination(self, name):
+        for pair in derivation_pairs(name):
+            codes = duadic_codes(pair)
+            one = AlgebraElement.one(pair.field, pair.group)
+            for code, a in ((codes.c_f, pair.f), (codes.d_e, one - pair.f), (codes.d_f, one - pair.e)):
+                eliminated = LinearCode(pair.field, a.vec[pair.group.left_translation])
+                assert code == eliminated and code.pivots == eliminated.pivots, (pair, a)
+                assert code.provenance == a
+
+    @pytest.mark.parametrize("name", ["7-q2", "7-q4-twisted", "5x5-q3-swap", "Z7:Z3-q4"])
+    def test_wrong_mu_star_raises(self, name, monkeypatch):
+        pair = derivation_pairs(name)[0]
+        monkeypatch.setattr(pair.mu, "mu_star", np.arange(pair.group.order))
+        with pytest.raises(VerificationError, match="does not lie in the ideal"):
+            duadic_codes(pair)
+
+    def test_wrong_ghat_raises(self, monkeypatch):
+        pair = derivation_pairs("23-q2")[0]
+        vec = pair.ghat.vec.copy()
+        vec[3] = pair.field.add(int(vec[3]), 1)
+        monkeypatch.setattr(pair, "ghat", AlgebraElement(pair.field, pair.group, vec))
+        with pytest.raises(VerificationError, match="does not lie in the ideal"):
+            duadic_codes(pair)
+
+    @pytest.mark.parametrize("name,case", [("23-q2", "i"), ("3x3-q2-swap", "ii"), ("19-q4", "i"), ("5x5-q3-swap", "ii")])
+    def test_one_full_and_one_short_elimination(self, name, case, monkeypatch):
+        pair = derivation_pairs(name)[0]
+        rows = []
+        rref = _linalg.rref
+        monkeypatch.setattr(_linalg, "rref", lambda field, mat: rows.append(len(mat)) or rref(field, mat))
+        codes = duadic_codes(pair)
+        n, k = pair.group.order, (pair.group.order - 1) // 2
+        assert rows == [n, k]
+        report = classify_duality(pair, codes)
+        assert report.case == case and report.verified
+        analysis = analyze_pair(pair, cap=1 << 12)
+        assert analysis.codes.c_e is codes.c_e and analysis.codes.d_f is codes.d_f
+        assert rows == [n, k]
 
 
 class TestClassifyDuality:

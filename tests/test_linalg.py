@@ -148,12 +148,20 @@ def test_rref_and_kernel_against_loop_oracle(q):
 def test_matmul_against_loop_oracle(q, monkeypatch):
     field = field_from_order(q)
     rng = np.random.default_rng(q + 1)
-    # square-ish, one row, one column, an outer product, zero inner dimension
-    shapes = [(5, 13, 7), (1, 13, 7), (5, 13, 1), (5, 1, 7), (5, 0, 7)]
+    # square-ish, one row, one column, an outer product, both sides of
+    # the size rule, zero inner dimension
+    shapes = [(5, 13, 7), (1, 13, 7), (5, 13, 1), (5, 1, 7), (1, 1023, 1), (1, 1024, 1), (9, 13, 11), (5, 0, 7)]
     pairs = [(rng.integers(0, q, (r, k)), rng.integers(0, q, (k, c))) for r, k, c in shapes]
     for a, b in pairs:
         assert np.array_equal(_linalg.matmul(field, a, b), reference_matmul(field, a, b)), a.shape
     assert not _linalg.matmul(field, *pairs[-1]).any()
+    # every kernel of the field on both sides of the size rule: the
+    # elementwise kernel for all sizes, then the plane kernel for all sizes
+    for bound in (1 << 62, 0):
+        monkeypatch.setattr(_linalg, "_SMALL_PRODUCT", bound)
+        for a, b in pairs:
+            assert np.array_equal(_linalg.matmul(field, a, b), reference_matmul(field, a, b)), (bound, a.shape)
+    monkeypatch.undo()
     if field.p == 2 and field.m >= 3:  # the chunked kernel, one inner index per slice
         monkeypatch.setattr(_linalg, "_PRODUCT_CELLS", 1)
         for a, b in pairs:
