@@ -282,6 +282,8 @@ def cmd_scan(args) -> tuple[int, list[CodeReport]]:
                 timing_ms=(time.perf_counter() - start) * 1e3,
             )
             reports.append(report)
+    if not reports:
+        raise ValueError("every group order shares a factor with every --q; no cell has gcd(|G|, q) = 1")
     return EXIT_OK, reports
 
 

@@ -134,9 +134,8 @@ def _fixed_ids(
         raise ValueError("antiautomorphism lives on a different group")
     idempotents = split_primitive_central_idempotents(field, group)
     partition = idempotents.partition
-    fixed_classes = tuple(
-        cid for cid in range(len(partition)) if mu_action_on_class(mu, partition, cid) == cid
-    )
+    cids = np.arange(len(partition))
+    fixed_classes = tuple(np.flatnonzero(mu_action_on_class(mu, partition, cids) == cids).tolist())
     index = {h.vec.tobytes(): i for i, h in enumerate(idempotents)}
     images = tuple(index.get(apply_antiauto(mu, h).vec.tobytes(), -1) for h in idempotents)
     if -1 in images:

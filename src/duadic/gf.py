@@ -85,8 +85,6 @@ class FiniteField:
         self.modulus = modulus
         self._key = (p, m, modulus)
         # lazy tables
-        self._log: list[int] | None = None
-        self._exp: list[int] | None = None
         self._np_log: np.ndarray | None = None
         self._np_exp: np.ndarray | None = None
         self._np_digits: np.ndarray | None = None
@@ -161,7 +159,7 @@ class FiniteField:
         over GF(p) whose row j is the coefficient vector of c x^j, so the
         digit rows of gen^0, ..., gen^(q-2) come from log2(q) doublings
         block -> [block; block @ G^len(block)], and log is their scatter."""
-        if self.m == 1 or self._log is not None:
+        if self.m == 1 or self._np_log is not None:
             return
         p, m, q = self.p, self.m, self.q
         times_x = np.eye(m, k=1, dtype=np.int64)
@@ -192,10 +190,8 @@ class FiniteField:
         exp = self._pack_digits(block[:period])
         log = np.zeros(q, dtype=np.int64)
         log[exp] = np.arange(period)
-        self._exp = exp.tolist()
-        self._log = log.tolist()
-        # vector forms without a modulo or a zero test: log[0] = 2(q-1),
-        # exp runs two periods and is 0 from 2(q-1) on
+        # no modulo or zero test on the vector paths: log[0] = 2(q-1), exp
+        # runs two periods and is 0 from 2(q-1) on; the scalar ops skip 0
         log[0] = 2 * period
         self._np_log = log
         self._np_exp = np.zeros(4 * period + 1, dtype=np.int64)
@@ -207,16 +203,16 @@ class FiniteField:
             return (a * b) % self.p
         if a == 0 or b == 0:
             return 0
-        self._ensure_tables()
-        return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
+        log, exp = self._log_tables_np()
+        return int(exp[log[a] + log[b]])
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError(f"inversion of zero in {self!r}")
         if self.m == 1:
             return pow(a, -1, self.p)
-        self._ensure_tables()
-        return self._exp[(-self._log[a]) % (self.q - 1)]
+        log, exp = self._log_tables_np()
+        return int(exp[self.q - 1 - log[a]])
 
     def power(self, a: int, e: int) -> int:
         """a^e for integer e >= 0 (e < 0 rejected; invert explicitly)."""
@@ -226,8 +222,8 @@ class FiniteField:
             return pow(a, e, self.p)
         if a == 0:
             return 0 if e else 1
-        self._ensure_tables()
-        return self._exp[(self._log[a] * e) % (self.q - 1)]
+        log, exp = self._log_tables_np()
+        return int(exp[int(log[a]) * e % (self.q - 1)])
 
     def frobenius(self, a: int, t: int = 1) -> int:
         """a^(p^t)."""

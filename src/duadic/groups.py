@@ -92,13 +92,12 @@ class Group:
                 )
 
     def _build_inverse(self) -> np.ndarray:
-        n = self.order
-        inv = np.full(n, -1, dtype=np.int64)
+        inv = np.full(self.order, -1, dtype=np.int64)
         rows, cols = np.nonzero(self.table == 0)
         inv[rows] = cols
-        for g in range(n):
-            if self.table[inv[g], g] != 0:
-                raise ValueError(f"not a group (inverses): element {g} lacks a two-sided inverse")
+        bad = (inv < 0) | (self.table[inv, np.arange(self.order)] != 0)
+        if bad.any():
+            raise ValueError(f"not a group (inverses): element {np.argmax(bad)} lacks a two-sided inverse")
         return inv
 
     # -- identity and equality --------------------------------------------
@@ -122,29 +121,27 @@ class Group:
     def inv(self, a: int) -> int:
         return int(self.inverse[a])
 
-    def power(self, g: int, e: int) -> int:
+    def power(self, g: int | np.ndarray, e: int) -> int | np.ndarray:
+        """g^e through the table, elementwise over an id array; an int id gives an int."""
+        ids = np.asarray(g, dtype=np.int64)
         if e < 0:
-            g = self.inv(g)
-            e = -e
-        out = 0
-        base = g
+            ids, e = self.inverse[ids], -e
+        out, base = np.zeros_like(ids), ids
         while e:
             if e & 1:
-                out = int(self.table[out, base])
-            base = int(self.table[base, base])
+                out = self.table[out, base]
+            base = self.table[base, base]
             e >>= 1
-        return out
+        return int(out) if np.ndim(out) == 0 else out
 
     @property
     def element_orders(self) -> np.ndarray:
+        """The least divisor d of n with g^d = 1, for every id g."""
         if self._orders is None:
-            ids = np.arange(self.order)
-            orders = np.zeros(self.order, dtype=np.int64)
-            power, k = ids, 1  # power[g] = g^k
-            while not orders.all():
-                orders[(power == 0) & (orders == 0)] = k
-                power, k = self.table[power, ids], k + 1
-            self._orders = orders
+            n, ids = self.order, np.arange(self.order)
+            divisors = [d for d in range(1, n + 1) if n % d == 0]
+            ones = [self.power(ids, d) == 0 for d in divisors]  # ones[i][g]: g^(divisors[i]) = 1
+            self._orders = np.array(divisors)[np.argmax(ones, axis=0)]
         return self._orders
 
     @property
@@ -306,42 +303,23 @@ class FqClassPartition:
 
 
 def fq_classes(group: Group, q: int) -> FqClassPartition:
+    """The closure of g under conjugation and x -> x^q is the union of the
+    conjugacy classes of the g^(q^i), so its least id is the least conjugate
+    of some g^(q^i).  After k doublings low[g] is the minimum over i < 2^k and
+    step[g] = g^(q^(2^k)); the orbit of g under x -> x^q has at most
+    max(1, n - 1) elements, so bit_length(n - 1) doublings cover it."""
     n = group.order
     if math.gcd(q, n) != 1:
         raise ValueError(f"gcd(q={q}, |G|={n}) != 1")
-    table = group.table
-    inv = group.inverse
-    seen = np.zeros(n, dtype=bool)
-    classes = []
-    abelian = group.is_abelian
-    for seed in range(n):
-        if seen[seed]:
-            continue
-        orbit = {seed}
-        stack = [seed]
-        while stack:
-            x = stack.pop()
-            y = group.power(x, q)
-            if y not in orbit:
-                orbit.add(y)
-                stack.append(y)
-            if not abelian:
-                for h in range(n):
-                    z = int(table[table[inv[h], x], h])
-                    if z not in orbit:
-                        orbit.add(z)
-                        stack.append(z)
-        cls = tuple(sorted(orbit))
-        for x in cls:
-            seen[x] = True
-        classes.append(cls)
-    class_of = np.zeros(n, dtype=np.int64)
-    reps = []
-    for i, cls in enumerate(classes):
-        reps.append(cls[0])
-        for x in cls:
-            class_of[x] = i
-    return FqClassPartition(group, q, tuple(classes), class_of, tuple(reps))
+    ids, t = np.arange(n), group.table
+    # the least conjugate: x itself if G is abelian, else a column minimum of [h, x] = h^-1 x h
+    low = ids if group.is_abelian else t[t[group.inverse[:, None], ids], ids[:, None]].min(axis=0)
+    step = group.power(ids, q)
+    for _ in range((n - 1).bit_length()):
+        low, step = np.minimum(low, low[step]), step[step]
+    reps, class_of = np.unique(low, return_inverse=True)
+    members = np.split(np.argsort(class_of, kind="stable"), np.cumsum(np.bincount(class_of))[:-1])
+    return FqClassPartition(group, q, tuple(tuple(c.tolist()) for c in members), class_of, tuple(reps.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -472,16 +450,18 @@ def product_antiauto(mu1: Antiautomorphism, mu2: Antiautomorphism, product: Grou
     )
 
 
-def mu_action_on_class(mu: Antiautomorphism, partition: FqClassPartition, class_id: int) -> int:
-    """Image class id under K -> K(mu_star(rep)^l)."""
+def mu_action_on_class(mu: Antiautomorphism, partition: FqClassPartition, class_id: int | np.ndarray):
+    """Image class id under K -> K(mu_star(rep)^l), elementwise over an array of class ids."""
     if mu.group != partition.group:
         raise ValueError("antiautomorphism and partition live on different groups")
-    if not 0 <= class_id < len(partition.classes):
-        raise ValueError(f"class id {class_id} out of range")
+    cids = np.asarray(class_id, dtype=np.int64)
+    bad = (cids < 0) | (cids >= len(partition))
+    if bad.any():
+        raise ValueError(f"class id {cids[bad].flat[0]} out of range")
     _, ell = mu.galois_exponents(partition.q)
-    rep = partition.reps[class_id]
-    img = partition.group.power(mu.map(rep), ell)
-    return int(partition.class_of[img])
+    reps = np.asarray(partition.reps, dtype=np.int64)[cids]
+    img = partition.class_of[partition.group.power(mu.mu_star[reps], ell)]
+    return int(img) if np.ndim(img) == 0 else img
 
 
 # ---------------------------------------------------------------------------

@@ -589,6 +589,34 @@ def reference_conjugacy_classes(group):
     return tuple(classes)
 
 
+def reference_fq_classes(group: Group, q: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], np.ndarray]:
+    """(classes, reps, class_of) of the F_q-conjugacy classes, by closing each
+    seed under x -> x^q (repeated products) and conjugation by every h."""
+    n, table, inv = group.order, group.table, group.inverse
+    seen = np.zeros(n, dtype=bool)
+    classes = []
+    for seed in range(n):
+        if seen[seed]:
+            continue
+        orbit, stack = {seed}, [seed]
+        while stack:
+            x = stack.pop()
+            y = x
+            for _ in range(q - 1):
+                y = int(table[y, x])
+            for z in [y] + table[table[inv, x], np.arange(n)].tolist():
+                if z not in orbit:
+                    orbit.add(z)
+                    stack.append(z)
+        cls = tuple(sorted(orbit))
+        seen[list(cls)] = True
+        classes.append(cls)
+    class_of = np.zeros(n, dtype=np.int64)
+    for i, cls in enumerate(classes):
+        class_of[list(cls)] = i
+    return tuple(classes), tuple(cls[0] for cls in classes), class_of
+
+
 # ---------------------------------------------------------------------------
 # centrally primitive idempotents: structural checks
 # ---------------------------------------------------------------------------

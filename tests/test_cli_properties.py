@@ -60,18 +60,25 @@ N_SPECS = st.one_of(
 )
 
 
-def run(argv: list[str]) -> tuple[int, str]:
+def run_io(argv: list[str]) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def run(argv: list[str]) -> tuple[int, str]:
+    code, _, err = run_io(argv)
+    return code, err
 
 
 def assert_clean(argv: list[str]) -> None:
-    code, err = run(argv)
+    code, out, err = run_io(argv)
     assert code in (0, 1, 2), (argv, code, err)
     assert err.count("\n") <= 1 and err.endswith("\n") == bool(err), (argv, err)
     assert bool(err) == (code != 0), (argv, code, err)
+    if code == 0 and argv[0] == "scan" and "--json" in argv:
+        assert json.loads(out), (argv, out)
 
 
 @pytest.fixture(scope="module")
@@ -311,6 +318,31 @@ def test_empty_n_list_exits_1(text):
     assert run(argv) == (EXIT_USAGE, message)
 
 
+NO_COPRIME_CELL = "duadic: error: every group order shares a factor with every --q; no cell has gcd(|G|, q) = 1\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--n", "5-5", "--q", "5", "--mu", "mu-1", "--json"],
+        ["scan", "--family", "pxp", "--p", "3", "--q", "3", "--mu", "swap"],
+    ],
+    ids=["cyclic", "pxp"],
+)
+def test_scan_with_no_coprime_cell_exits_1(argv):
+    # every cell was skipped: the scan printed [] or a bare header and exited 0
+    assert run(argv) == (EXIT_USAGE, NO_COPRIME_CELL)
+
+
+def test_scan_skips_cells_beside_coprime_ones():
+    code, out, err = run_io(["scan", "--n", "3-5", "--q", "5,9", "--mu", "mu-1", "--json"])
+    assert (code, err) == (0, "")
+    assert [(r["group"], r["q"]) for r in json.loads(out)] == [("3", 5), ("5", 9)]
+    code, out, err = run_io(["scan", "--family", "pxp", "--p", "3,5", "--q", "3", "--mu", "swap", "--json"])
+    assert (code, err) == (0, "")
+    assert [(r["group"], r["q"]) for r in json.loads(out)] == [("5x5", 3)]
+
+
 # x -> 7x and x -> 2x on Z_13
 X7_TEXT = "13\n0 7 1 8 2 9 3 10 4 11 5 12 6\n"
 X2_TEXT = "13\n0 2 4 6 8 10 12 1 3 5 7 9 11\n"
@@ -319,11 +351,7 @@ X2_TEXT = "13\n0 2 4 6 8 10 12 1 3 5 7 9 11\n"
 def construct_z13(tmp_path, text: str, q: str, *extra: str) -> tuple[int, str, str]:
     path = tmp_path / "mu.perm"
     path.write_text(text, encoding="utf-8")
-    out, err = io.StringIO(), io.StringIO()
-    argv = ["construct", "--group", "13", "--q", q, "--mu", f"@{path}", "--json", *extra]
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    return code, out.getvalue(), err.getvalue()
+    return run_io(["construct", "--group", "13", "--q", q, "--mu", f"@{path}", "--json", *extra])
 
 
 @pytest.mark.parametrize(

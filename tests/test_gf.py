@@ -192,7 +192,11 @@ def test_log_tables_match_scalar_construction(p, m):
     field = field_make(p, m)
     exp, log, frobenius = reference_log_tables(field)
     field._ensure_tables()
-    assert field._exp == exp and field._log == log
+    period = field.q - 1
+    assert field._np_exp[:period].tolist() == exp and field._np_log[1:].tolist() == log[1:]
+    # the vector layout: a second period, zeros after it, log[0] pointing into them
+    assert np.array_equal(field._np_exp[period : 2 * period], field._np_exp[:period])
+    assert not field._np_exp[2 * period :].any() and field._np_log[0] == 2 * period
     x = np.arange(field.q)
     assert sorted(frobenius) == list(range(1, m))
     for t, images in frobenius.items():

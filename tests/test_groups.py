@@ -3,12 +3,18 @@
 from __future__ import annotations
 
 import gc
+import sys
 import weakref
+from collections import Counter
+from functools import cache
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from duadic.duadic import check_splitting
 from duadic.errors import CayleyFormatError
+from duadic.gf import field_make
 from duadic.groups import (
     Antiautomorphism,
     Group,
@@ -26,8 +32,8 @@ from duadic.groups import (
     product_antiauto,
 )
 
-from conftest import metacyclic_table
-from oracles import format_cayley, reference_conjugacy_classes
+from conftest import heisenberg27_table, metacyclic_table
+from oracles import format_cayley, reference_conjugacy_classes, reference_fq_classes
 
 
 class TestGroupConstruction:
@@ -101,6 +107,12 @@ class TestGroupConstruction:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="closure"):
             group_from_cayley([[0, 1], [1, 7]])
+
+    def test_rejects_element_without_inverse(self):
+        # row 1 holds no identity: its inverse stayed -1, and table[-1, 1]
+        # (the last row, by negative indexing) happened to be 0
+        with pytest.raises(ValueError, match=r"^not a group \(inverses\): element 1 lacks a two-sided inverse$"):
+            Group([[0, 1, 2], [1, 1, 1], [2, 0, 0]])
 
     @pytest.mark.parametrize(
         "build",
@@ -442,3 +454,102 @@ class TestGroupRoutinesAgainstLoops:
     def test_is_subgroup_rejects_ids_outside_the_group(self, oracle_group):
         assert not is_subgroup(oracle_group, [0, oracle_group.order])
         assert not is_subgroup(oracle_group, [0, -1])
+
+
+# ---------------------------------------------------------------------------
+# the table routines against their oracles, on the benchmark's groups
+# ---------------------------------------------------------------------------
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+sys.path.insert(0, str(BENCH))
+try:
+    import pools
+finally:
+    sys.path.remove(str(BENCH))
+
+TABLE_GROUPS = {
+    **{f"z{n}": lambda n=n: cyclic_group(n) for n in (1, 3, 45, 199, 255, 511)},
+    **{f"{p}x{p}": lambda p=p: group_abelian([p, p]) for p in (3, 5, 7, 11, 13)},
+    "3x3,3x3": lambda: group_product(group_abelian([3, 3]), group_abelian([3, 3])),
+    "7:3,5": lambda: group_product(group_from_cayley(metacyclic_table(7, 2)), cyclic_group(5)),
+    "heisenberg27": lambda: group_from_cayley(heisenberg27_table()),
+    # the benchmark pools' metacyclic groups; 7:3 is frobenius21
+    **{
+        f"{p}:{r}": lambda p=p, r=r: parse_cayley_text(pools.metacyclic_cayley_text(p, r))
+        for p, r in pools.EXACT_METACYCLIC + pools.BOUND_METACYCLIC
+    },
+}
+TABLE_QS = (2, 3, 4, 5, 7, 8, 9, 16)
+
+
+@cache
+def table_group(name: str) -> Group:
+    return TABLE_GROUPS[name]()
+
+
+def coprime_qs(group: Group) -> list[int]:
+    return [q for q in TABLE_QS if np.gcd(q, group.order) == 1]
+
+
+@pytest.mark.parametrize("name", TABLE_GROUPS)
+class TestTableRoutinesAgainstOracles:
+    def test_fq_classes(self, name):
+        g = table_group(name)
+        for q in coprime_qs(g):
+            p = fq_classes(g, q)
+            classes, reps, class_of = reference_fq_classes(g, q)
+            assert (p.classes, p.reps, p.class_of.tolist()) == (classes, reps, class_of.tolist()), q
+
+    def test_element_orders(self, name):
+        g = table_group(name)
+        assert g.element_orders.tolist() == reference_element_orders(g).tolist()
+
+    def test_power_is_elementwise(self, name):
+        g = table_group(name)
+        ids = np.arange(g.order)
+        assert g.power(ids, 0).tolist() == [0] * g.order
+        assert g.power(ids, -1).tolist() == g.inverse.tolist()
+        assert g.power(ids, 3).tolist() == g.table[g.table[ids, ids], ids].tolist()
+        for e in (-(2**40) - 3, -g.order - 1, -2, 2, g.order + 1, 2**40 + 3):
+            per_id = [g.power(x, e) for x in range(g.order)]
+            assert all(type(x) is int for x in per_id)
+            assert g.power(ids, e).tolist() == per_id, e
+
+    def test_class_action_is_elementwise(self, name):
+        g = table_group(name)
+        for q in coprime_qs(g):
+            p = fq_classes(g, q)
+            cids = np.arange(len(p))
+            mus = [builtin_mu_minus1(g), Antiautomorphism(g, g.inverse, frobenius_power=1)]
+            if name in ("3x3", "5x5", "7x7", "11x11", "13x13"):
+                mus.append(builtin_mu_swap(g, q))
+            for mu in mus:
+                per_id = [mu_action_on_class(mu, p, c) for c in range(len(p))]
+                assert all(type(x) is int for x in per_id)
+                assert mu_action_on_class(mu, p, cids).tolist() == per_id, (q, mu)
+
+
+@pytest.fixture
+def calls(monkeypatch) -> Counter:
+    """Counts of Group.power and Antiautomorphism.galois_exponents calls."""
+    counts = Counter()
+    for cls, name in ((Group, "power"), (Antiautomorphism, "galois_exponents")):
+        def counted(*args, _name=name, _method=getattr(cls, name)):
+            counts[_name] += 1
+            return _method(*args)
+
+        monkeypatch.setattr(cls, name, counted)
+    return counts
+
+
+def test_fq_classes_calls_power_once(calls):
+    # the closure called power once per element
+    assert len(fq_classes(cyclic_group(45), 2)) == 8
+    assert calls["power"] == 1
+
+
+def test_check_splitting_calls_galois_exponents_once(calls):
+    # the class action computed the Galois exponents once per class
+    g = cyclic_group(7)
+    assert len(check_splitting(builtin_mu_minus1(g), field_make(2, 1), g).partition) == 3
+    assert calls["galois_exponents"] == 1
