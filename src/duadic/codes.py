@@ -3,8 +3,8 @@ Euclidean duals, and exhaustive weight computations, each with its cap rule.
 
 Generator matrices are kept in RREF (leftmost pivots, monic, eliminated above
 and below), so two codes are equal iff their matrices are equal.  Coordinates
-are indexed by group element id for ideal-generated codes, which are shared
-while in use; `duadic_codes` derives three of a pair's four from C_e.
+are indexed by group element id for ideal-generated codes; `duadic_codes`
+derives three of a pair's four from C_e.
 
 Exhaustive enumeration splits each coset word into head + tail; the word is
 zero at j exactly where tail[j] == -head[j], so weights come from comparing
@@ -14,15 +14,13 @@ field indexes, with no field addition per word.
 from __future__ import annotations
 
 import itertools
-import weakref
 
 import numpy as np
 
 from . import _linalg
-from .algebra import AlgebraElement, apply_antiauto, is_idempotent
+from .algebra import AlgebraElement
 from .errors import EnumerationCapError, VerificationError
 from .gf import FiniteField
-from .groups import builtin_mu_minus1
 
 DEFAULT_ENUM_CAP = 1 << 24
 
@@ -31,19 +29,14 @@ DEFAULT_ENUM_CAP = 1 << 24
 _BLOCK_WORDS = 1 << 14
 _CHUNK_CELLS = 1 << 21
 
-# ideal codes still in use, per group (equal tables share one entry) and then
-# by (field, element bytes); weak at both levels, so nothing outlives its user
-_IDEAL_CODES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
 
 class LinearCode:
-    """An [n, k] linear code over F_q as a canonical generator matrix.
-    Codes from code_from_ideal and dual are shared: never mutate one."""
+    """An [n, k] linear code over F_q as a canonical generator matrix."""
 
-    def __init__(self, field: FiniteField, rows, provenance: AlgebraElement | None = None):
-        self._set_rref(field, *_linalg.rref(field, rows), provenance)
+    def __init__(self, field: FiniteField, rows):
+        self._set_rref(field, *_linalg.rref(field, rows))
 
-    def _set_rref(self, field: FiniteField, red: np.ndarray, pivots, provenance) -> None:
+    def _set_rref(self, field: FiniteField, red: np.ndarray, pivots) -> None:
         red = red.copy()
         red.flags.writeable = False
         self.field = field
@@ -51,7 +44,6 @@ class LinearCode:
         self.k = int(red.shape[0])
         self.gen = red
         self.pivots = list(pivots)
-        self.provenance = provenance
 
     def __eq__(self, other) -> bool:
         return (
@@ -75,23 +67,13 @@ class LinearCode:
         return _linalg.in_row_space(self.field, self.gen, self.pivots, v)
 
 
-def _shared_ideal_code(a: AlgebraElement, build) -> LinearCode:
-    """The code of the ideal Ra still in use, else build(a) registered as it."""
-    built = _IDEAL_CODES.setdefault(a.group, weakref.WeakValueDictionary())
-    key = (a.field, a.vec.tobytes())
-    if (code := built.get(key)) is None:
-        code = built[key] = build(a)
-    return code
-
-
 def code_from_ideal(e: AlgebraElement) -> LinearCode:
-    """Row space of {g*e : g in G}; a code of e still in use is returned again."""
-    return _shared_ideal_code(e, lambda e: LinearCode(e.field, e.vec[e.group.left_translation], provenance=e))
+    """Row space of {g*e : g in G}."""
+    return LinearCode(e.field, e.vec[e.group.left_translation])
 
 
-def _in_ideal(code: LinearCode) -> LinearCode:
-    """The code, checked to lie in Ra for its idempotent provenance a: x a = x for its rows."""
-    a = code.provenance
+def _in_ideal(code: LinearCode, a: AlgebraElement) -> LinearCode:
+    """The code, checked to lie in Ra for the idempotent a: x a = x for its rows."""
     if not np.array_equal(_linalg.matmul(a.field, code.gen, a.vec[a.group.left_translation]), code.gen):
         raise VerificationError("a derived code does not lie in the ideal of its idempotent")
     return code
@@ -101,7 +83,7 @@ def _mu_image(code: LinearCode, mu, a: AlgebraElement) -> LinearCode:
     """mu(code), re-reduced, as the code of the ideal Ra, checked."""
     rows = np.zeros_like(code.gen)
     rows[:, mu.mu_star] = code.field.vfrobenius(code.gen, mu.frobenius_power)
-    return _in_ideal(LinearCode(code.field, rows, a))
+    return _in_ideal(LinearCode(code.field, rows), a)
 
 
 def _plus_vector(code: LinearCode, v: np.ndarray, a: AlgebraElement) -> LinearCode:
@@ -117,29 +99,22 @@ def _plus_vector(code: LinearCode, v: np.ndarray, a: AlgebraElement) -> LinearCo
     at = int(np.searchsorted(pivots, c))
     red = np.insert(field.vsub(gen, field.vmul(gen[:, c : c + 1], row[None])), at, row, axis=0)
     out = LinearCode.__new__(LinearCode)  # already in RREF: no elimination
-    out._set_rref(field, red, [*pivots[:at], c, *pivots[at:]], a)
-    return _in_ideal(out)
+    out._set_rref(field, red, [*pivots[:at], c, *pivots[at:]])
+    return _in_ideal(out, a)
 
 
 def dual(code: LinearCode) -> LinearCode:
-    """Euclidean dual; verifies the inversion-dual identity for ideal codes.
+    """Euclidean dual: the right kernel of the generator matrix."""
+    return LinearCode(code.field, _linalg.right_kernel(code.field, code.gen))
 
-    For a code generated by an idempotent e the dual is the shared ideal code
-    of 1 - mu_-1(e) (in cases i and ii, D_e or D_f itself), checked exactly: a
-    code of dimension n - k orthogonal to every generator is the whole dual,
-    else VerificationError.  Other codes take the right kernel.
-    """
-    prov = code.provenance
-    if prov is None or not is_idempotent(prov):
-        kernel = _linalg.right_kernel(code.field, code.gen) if code.k else np.eye(code.n, dtype=np.int64)
-        return LinearCode(code.field, kernel)
-    mu1 = builtin_mu_minus1(prov.group)
-    out = code_from_ideal(AlgebraElement.one(prov.field, prov.group) - apply_antiauto(mu1, prov))
-    if (out.field, out.n, out.k) != (code.field, code.n, code.n - code.k) or np.any(
-        _linalg.matmul(code.field, code.gen, out.gen.T)
+
+def check_dual(code: LinearCode, other: LinearCode) -> None:
+    """VerificationError unless other is code-perp: a code of dimension
+    n - k orthogonal to every generator of code is the whole dual."""
+    if (other.field, other.n, other.k) != (code.field, code.n, code.n - code.k) or np.any(
+        _linalg.matmul(code.field, code.gen, other.gen.T)
     ):
         raise VerificationError("dual of an ideal code violates the inversion-dual identity")
-    return out
 
 
 def subcode_check(inner: LinearCode, outer: LinearCode) -> bool:

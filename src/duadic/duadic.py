@@ -26,7 +26,7 @@ from .algebra import (
     is_idempotent,
     split_primitive_central_idempotents,
 )
-from .codes import LinearCode, _mu_image, _plus_vector, _shared_ideal_code, code_from_ideal, dual
+from .codes import LinearCode, _mu_image, _plus_vector, check_dual, code_from_ideal
 from .errors import NoSplittingError, VerificationError
 from .gf import FiniteField, multiplicative_order_mod
 from .groups import (
@@ -266,19 +266,18 @@ class DuadicCodes:
 def duadic_codes(pair: DuadicPair) -> DuadicCodes:
     """Build C_e = Re, C_f = Rf, D_e = R(1-f) and D_f = R(1-e) and verify them.
 
-    Only C_e is eliminated (or reused, like every code still in use).  mu is
-    a semilinear bijection of R with mu(g e) = f mu(g), so C_f = mu(C_e),
-    re-reduced (k rows, not n); 1 - f = e + Ghat with e Ghat = 0, so D_e =
-    C_e + span(Ghat) and D_f = C_f + span(Ghat), one row inserted into the
-    RREF.  A derived code X of the idempotent a lies in Ra (x a = x for its
+    Only C_e is eliminated.  mu is a semilinear bijection of R with mu(g e)
+    = f mu(g), so C_f = mu(C_e), re-reduced (k rows, not n); 1 - f = e +
+    Ghat with e Ghat = 0, so D_e = C_e + span(Ghat) and D_f = C_f +
+    span(Ghat), one row inserted into the RREF.  A derived code X of the idempotent a lies in Ra (x a = x for its
     rows, checked); R = Re + Rf + F Ghat is direct, so with dim C_e =
     (n-1)/2 the dimensions checked below are the ideals' and make X = Ra."""
     field, group = pair.field, pair.group
     one = AlgebraElement.one(field, group)
     c_e = code_from_ideal(pair.e)
-    c_f = _shared_ideal_code(pair.f, lambda a: _mu_image(c_e, pair.mu, a))
-    d_e = _shared_ideal_code(one - pair.f, lambda a: _plus_vector(c_e, pair.ghat.vec, a))
-    d_f = _shared_ideal_code(one - pair.e, lambda a: _plus_vector(c_f, pair.ghat.vec, a))
+    c_f = _mu_image(c_e, pair.mu, pair.f)
+    d_e = _plus_vector(c_e, pair.ghat.vec, one - pair.f)
+    d_f = _plus_vector(c_f, pair.ghat.vec, one - pair.e)
     n = group.order
     expected = {
         "dim C_e": (c_e.k, (n - 1) // 2),
@@ -294,43 +293,47 @@ def duadic_codes(pair: DuadicPair) -> DuadicCodes:
 
 @dataclass(frozen=True)
 class DualityReport:
-    """Which inversion-duality case applies and the verified equalities."""
+    """Which inversion-duality case applies, the verified equalities, and
+    the duals of C_e and D_e they give."""
 
     case: str  # "i" (mu_-1 swaps e and f), "ii" (mu_-1 fixes them), or "mixed"
     equalities: tuple[tuple[str, bool], ...]
     verified: bool
+    c_e_perp: LinearCode
+    d_e_perp: LinearCode
 
 
 def classify_duality(pair: DuadicPair, codes: DuadicCodes | None = None) -> DualityReport:
     """Check the dual identities C_e-perp = D_e (case i) / D_f (case ii).
 
-    Pairs where mu_-1 sends e to neither e nor f are classified "mixed"; the
-    general inversion-dual identity is still verified for them.  `dual` checks
-    each identity exactly; the equalities below name the built code it gives.
+    For a central idempotent a, (Ra)-perp = R(1 - mu_-1(a)) = mu_-1(R(1 - a)).
+    When mu_-1 swaps e and f (case i) or fixes them (case ii) the duals are
+    codes already built.  Otherwise ("mixed") C_e-perp = mu_-1(D_f) and
+    D_e-perp = mu_-1(C_f), each a built code's rows mapped and re-reduced.
+    Each identity is checked once by `check_dual` (VerificationError if it
+    fails); D_e-perp = C_e in case i and = C_f in case ii follow from the
+    C_e and C_f identities by taking duals.
     """
     if codes is None:
         codes = duadic_codes(pair)
-    dual_ce = dual(codes.c_e)
-    dual_cf = dual(codes.c_f)
+    c_e, c_f, d_e, d_f = codes.c_e, codes.c_f, codes.d_e, codes.d_f
     if pair.swapped_by_mu_minus1:
-        eqs = (
-            ("C_e-perp = D_e", dual_ce == codes.d_e),
-            ("C_f-perp = D_f", dual_cf == codes.d_f),
-        )
-        case = "i"
+        case, c_e_perp, d_e_perp = "i", d_e, c_e
+        checks = {"C_e-perp = D_e": (c_e, d_e), "C_f-perp = D_f": (c_f, d_f)}
     elif pair.fixed_by_mu_minus1:
-        eqs = (
-            ("C_e-perp = D_f", dual_ce == codes.d_f),
-            ("C_f-perp = D_e", dual_cf == codes.d_e),
-        )
-        case = "ii"
+        case, c_e_perp, d_e_perp = "ii", d_f, c_f
+        checks = {"C_e-perp = D_f": (c_e, d_f), "C_f-perp = D_e": (c_f, d_e)}
     else:
         mu1 = builtin_mu_minus1(pair.group)
-        one = AlgebraElement.one(pair.field, pair.group)
-        ideal = code_from_ideal(one - apply_antiauto(mu1, pair.e))
-        eqs = (("C_e-perp = R(1 - mu_-1(e))", dual_ce == ideal),)
+        m1f = apply_antiauto(mu1, pair.f)
         case = "mixed"
-    return DualityReport(case, eqs, all(ok for _, ok in eqs))
+        c_e_perp = _mu_image(d_f, mu1, m1f + pair.ghat)  # mu_-1(1 - e) = mu_-1(f) + Ghat
+        d_e_perp = _mu_image(c_f, mu1, m1f)
+        checks = {"C_e-perp = R(1 - mu_-1(e))": (c_e, c_e_perp)}
+        check_dual(d_e_perp, d_e)  # the C_f identity, mapped by mu_-1
+    for code, other in checks.values():
+        check_dual(code, other)
+    return DualityReport(case, tuple((name, True) for name in checks), True, c_e_perp, d_e_perp)
 
 
 def odd_like_bound(pair: DuadicPair) -> tuple[str, int]:

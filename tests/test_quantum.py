@@ -126,22 +126,24 @@ class TestCssDistance:
             css_distance(code)
 
     @pytest.mark.parametrize(
-        "group,mu_name,cap,dual_calls",
+        "group,mu_name,cap,build_calls",
         [
-            (cyclic_group(7), "mu-1", 1 << 24, 0),  # case i: D-perp = C, one difference
-            (cyclic_group(23), "mu-1", 100, 0),  # case i above the cap
-            (group_abelian([3, 3]), "swap", 1 << 24, 1),  # case ii: C-perp is needed
-            (group_abelian([3, 3]), "swap", 16, 0),  # case ii above the cap
+            (cyclic_group(7), "mu-1", 1 << 24, 1),  # case i: D-perp = C, so C-perp = D
+            (cyclic_group(23), "mu-1", 100, 1),  # case i above the cap
+            (group_abelian([3, 3]), "swap", 1 << 24, 2),  # case ii: C-perp is a kernel of its own
+            (group_abelian([3, 3]), "swap", 16, 2),  # case ii above the cap
         ],
     )
-    def test_dual_only_for_an_enumerated_uncollapsed_code(self, f2, monkeypatch, group, mu_name, cap, dual_calls):
+    def test_duals_come_from_css_build_alone(self, f2, monkeypatch, group, mu_name, cap, build_calls):
         mu = builtin_mu_minus1(group) if mu_name == "mu-1" else builtin_mu_swap(group, 2)
         codes = duadic_codes(construct_pairs(mu, f2, group)[0])
-        code = css_build(codes.c_e, codes.d_e)
         calls = []
         monkeypatch.setattr(quantum, "dual", lambda c: calls.append(c) or dual(c))
+        code = css_build(codes.c_e, codes.d_e)
+        assert len(calls) == build_calls
+        assert code.dual_c == dual(codes.c_e) and code.dual_d == dual(codes.d_e)
         record = css_distance(code, cap=cap, fallback=DistanceRecord(1, False, "odd-like-square-bound"))
-        assert len(calls) == dual_calls
+        assert len(calls) == build_calls
         if record.exact:
             assert record.value == naive_css_distance(code)
 
