@@ -75,17 +75,6 @@ def in_row_space(field: FiniteField, red: np.ndarray, pivots: list[int], v: np.n
     return bool(np.array_equal(matmul(field, v[:, pivots], red), v))
 
 
-def right_kernel(field: FiniteField, mat: np.ndarray) -> np.ndarray:
-    """Rows spanning {v : mat @ v = 0}, in RREF."""
-    red, pivots = rref(field, mat)
-    cols = as_matrix(mat).shape[1]
-    free = np.setdiff1d(np.arange(cols), pivots)
-    basis = np.zeros((free.size, cols), dtype=np.int64)
-    basis[np.arange(free.size), free] = 1
-    basis[:, pivots] = field.vneg(red[:, free].T)
-    return rref(field, basis)[0]
-
-
 def matmul(field: FiniteField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact matrix product over the field, the kernel chosen by the field
     and the size r k c (a r x k, b k x c).  Over GF(2^m) with m >= 3 the

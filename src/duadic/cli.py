@@ -23,7 +23,6 @@ from .duadic import (
     check_splitting,
     construct_pairs,
     product_duadic,
-    require_pairs,
     splitting_exists_mu_minus1,
 )
 from .errors import (
@@ -137,18 +136,15 @@ def parse_group_spec(spec: str) -> Group:
 
 
 def parse_mu_spec(spec: str, group: Group, q: int) -> Antiautomorphism:
-    """`mu-1`, `swap`, `A*B` componentwise on an outer product, `@file`."""
+    """`mu-1`, `swap`, `A*B` componentwise on the two factors of an outer
+    product (split at the first `*`), `@file`."""
     spec = spec.strip()
     if "*" in spec:
-        left, right = spec.split("*", 1)
-        d1 = group.descriptor.split(",")
-        if len(d1) != 2:
+        if group.factors is None:
             raise ValueError("product mu spec needs an outer-product group spec")
-        g1 = parse_group_spec(d1[0])
-        g2 = parse_group_spec(d1[1])
-        return product_antiauto(
-            parse_mu_spec(left, g1, q), parse_mu_spec(right, g2, q), group
-        )
+        left, right = spec.split("*", 1)
+        g1, g2 = group.factors
+        return product_antiauto(parse_mu_spec(left, g1, q), parse_mu_spec(right, g2, q), group)
     if spec == "mu-1":
         return builtin_mu_minus1(group)
     if spec == "swap":
@@ -248,7 +244,7 @@ def _analysis_fields(analysis: PairAnalysis) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def cmd_scan(args) -> tuple[int, list[CodeReport]]:
+def cmd_scan(args) -> list[CodeReport]:
     qs = _parse_int_list(args.q, "--q")
     reports = []
     if args.family == "cyclic":
@@ -284,10 +280,10 @@ def cmd_scan(args) -> tuple[int, list[CodeReport]]:
             reports.append(report)
     if not reports:
         raise ValueError("every group order shares a factor with every --q; no cell has gcd(|G|, q) = 1")
-    return EXIT_OK, reports
+    return reports
 
 
-def cmd_construct(args) -> tuple[int, list[CodeReport]]:
+def cmd_construct(args) -> list[CodeReport]:
     q = args.q
     field = field_from_order(q)
     cap = args.max_enum
@@ -299,40 +295,29 @@ def cmd_construct(args) -> tuple[int, list[CodeReport]]:
             raise ValueError("--product needs an outer-product group spec (G1,G2)")
         if args.enumerate_all:
             raise ValueError("--enumerate-all does not combine with --product, which builds one canonical pair")
-        left_spec, right_spec = args.group.split(",", 1)
-        if "*" in args.mu:
-            mu_left, mu_right = args.mu.split("*", 1)
-        else:
-            mu_left = mu_right = args.mu
-        g1, g2 = _odd_order(parse_group_spec(left_spec)), _odd_order(parse_group_spec(right_spec))
+        # G1,G2 split at the first comma; A*B at the first star, else one map on both
+        g1, g2 = (_odd_order(parse_group_spec(spec)) for spec in args.group.split(",", 1))
+        mu_left, mu_right = args.mu.split("*", 1) if "*" in args.mu else (args.mu, args.mu)
         mu1, mu2 = parse_mu_spec(mu_left, g1, q), parse_mu_spec(mu_right, g2, q)
-        pair1 = require_pairs(construct_pairs(mu1, field, g1))[0]
-        pair2 = require_pairs(construct_pairs(mu2, field, g2))[0]
-        pair = product_duadic(pair1, pair2)
-        group = pair.group
-        mu = pair.mu
-        existence = {"class_criterion": True, "ord_criterion": None, "agree": None}
-        pairs = [pair]
+        pairs = [product_duadic(construct_pairs(mu1, field, g1)[0], construct_pairs(mu2, field, g2)[0])]
     else:
         group = _odd_order(parse_group_spec(args.group))
         mu = parse_mu_spec(args.mu, group, q)
-        mode = "enumerate-all" if args.enumerate_all else "canonical"
-        pairs = require_pairs(construct_pairs(mu, field, group, mode=mode))
-        existence = _existence_fields(group, q, mu, True)
-        pair = pairs[0]
+        pairs = construct_pairs(mu, field, group, mode="enumerate-all" if args.enumerate_all else "canonical")
+    pair = pairs[0]
     analysis = analyze_pair(pair, cap)
     report = CodeReport(
         group=args.group,
         q=q,
         mu=args.mu,
-        existence=existence,
+        existence=_existence_fields(pair.group, q, pair.mu, True),
         pairs=[_pair_dict(p) for p in pairs],
         **_analysis_fields(analysis),
         timing_ms=(time.perf_counter() - start) * 1e3,
     )
     if args.emit_matrices:
         _emit_matrices(Path(args.emit_matrices), analysis.codes, analysis.css)
-    return EXIT_OK, [report]
+    return [report]
 
 
 def _emit_matrices(directory: Path, codes: DuadicCodes, css: CssCode) -> None:
@@ -399,9 +384,7 @@ def _suite_key_prop(log) -> bool:
 
     ok = True
     for group, q, mu_name in _key_prop_cells():
-        field = field_from_order(q)
-        mu = builtin_mu_minus1(group) if mu_name == "mu-1" else builtin_mu_swap(group, q)
-        classes, idems = verify_key_proposition(mu, field, group)
+        classes, idems = verify_key_proposition(parse_mu_spec(mu_name, group, q), field_from_order(q), group)
         if classes != idems:
             ok = False
             log(f"FAIL key-prop {group.descriptor} q={q} mu={mu_name}: {classes} != {idems}")
@@ -410,27 +393,20 @@ def _suite_key_prop(log) -> bool:
 
 
 def _suite_structure(log) -> bool:
+    """Every cell splits; a failed duality or dimension check raises."""
     ok = True
-    cells = [(7, 2), (7, 4), (11, 3), (13, 3), (19, 4), (23, 2), (31, 2)]
-    for n, q in cells:
-        if math.gcd(n, q) != 1 or not splitting_exists_mu_minus1(n, q):
-            continue
-        field = field_from_order(q)
+    for n, q in [(7, 2), (7, 4), (11, 3), (13, 3), (19, 4), (23, 2), (31, 2)]:
         group = cyclic_group(n)
-        mu = builtin_mu_minus1(group)
-        analysis = analyze_pair(construct_pairs(mu, field, group)[0], cap=1 << 16)
-        good = analysis.duality.verified
+        pair = construct_pairs(builtin_mu_minus1(group), field_from_order(q), group)[0]
+        analysis = analyze_pair(pair, cap=1 << 16)
         d_e = analysis.odd_like[0]
-        if d_e.exact:
-            good &= d_e.value >= analysis.bound[1]
+        good = not d_e.exact or d_e.value >= analysis.bound[1]
         ok &= good
         if not good:
             log(f"FAIL structure n={n} q={q}")
     z33 = group_abelian([3, 3])
-    f2 = field_from_order(2)
-    pair9 = construct_pairs(builtin_mu_swap(z33, 2), f2, z33)[0]
-    rep9 = analyze_pair(pair9).duality
-    ok &= rep9.case == "ii" and rep9.verified
+    pair9 = construct_pairs(builtin_mu_swap(z33, 2), field_from_order(2), z33)[0]
+    ok &= analyze_pair(pair9).duality.case == "ii"
     log(f"{'PASS' if ok else 'FAIL'} structure: dims, inclusions, duality, bounds")
     return ok
 
@@ -448,12 +424,11 @@ def _suite_paper81(log) -> bool:
     )
     try:
         pair1 = DuadicPair(f2, z33, e1, f1, mu)
-        pair2 = DuadicPair(f2, z33, e1, f1, mu)
     except VerificationError as exc:
         log(f"FAIL paper-81: component pair invalid: {exc}")
         return False
     ok &= pair1.fixed_by_mu_minus1
-    product = product_duadic(pair1, pair2)
+    product = product_duadic(pair1, pair1)
     analysis = analyze_pair(product)
     ok &= (analysis.codes.c_e.k, analysis.codes.d_e.k) == (40, 41)
     ok &= any(w.weight() == 4 for w in product.witnesses)
@@ -584,24 +559,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     try:
-        if args.command == "scan":
-            code, reports = cmd_scan(args)
-            if args.json:
-                sys.stdout.write(emit_json(reports))
-            else:
-                _print_scan_table(reports)
-            return code
-        if args.command == "construct":
-            code, reports = cmd_construct(args)
-            if args.json:
-                sys.stdout.write(emit_json(reports))
-            else:
-                for r in reports:
-                    _print_construct_report(r)
-            return code
         if args.command == "verify":
             return cmd_verify(args)
-        raise _UsageError(f"unknown command {args.command!r}")  # pragma: no cover
+        reports = cmd_scan(args) if args.command == "scan" else cmd_construct(args)
+        if args.json:
+            sys.stdout.write(emit_json(reports))
+        elif args.command == "scan":
+            _print_scan_table(reports)
+        else:
+            for r in reports:
+                _print_construct_report(r)
+        return EXIT_OK
     except NoSplittingError as exc:
         print(f"duadic: {exc}", file=sys.stderr)
         return EXIT_NO_SPLITTING

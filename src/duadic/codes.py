@@ -104,8 +104,15 @@ def _plus_vector(code: LinearCode, v: np.ndarray, a: AlgebraElement) -> LinearCo
 
 
 def dual(code: LinearCode) -> LinearCode:
-    """Euclidean dual: the right kernel of the generator matrix."""
-    return LinearCode(code.field, _linalg.right_kernel(code.field, code.gen))
+    """Euclidean dual: the right kernel of the generator matrix, read off its
+    RREF.  Each free column j gives the kernel vector with 1 at j and
+    -gen[:, j] at the pivot columns; one elimination makes that basis canonical."""
+    field, gen, pivots = code.field, code.gen, code.pivots
+    free = np.setdiff1d(np.arange(code.n), pivots)
+    basis = np.zeros((free.size, code.n), dtype=np.int64)
+    basis[np.arange(free.size), free] = 1
+    basis[:, pivots] = field.vneg(gen[:, free].T)
+    return LinearCode(field, basis)
 
 
 def check_dual(code: LinearCode, other: LinearCode) -> None:

@@ -174,14 +174,6 @@ def verify_key_proposition(
     return len(fixed_classes), len(fixed_idems)
 
 
-def require_pairs(pairs: list[DuadicPair]) -> list[DuadicPair]:
-    """The pairs of `construct_pairs`, or NoSplittingError when there are
-    none, as for the trivial group."""
-    if not pairs:
-        raise NoSplittingError("the trivial group carries no duadic pairs")
-    return pairs
-
-
 def construct_pairs(
     mu: Antiautomorphism,
     field: FiniteField,
@@ -195,10 +187,10 @@ def construct_pairs(
     starts at its smallest index (idempotents are sorted by coefficient
     tuple): canonical mode gives e the idempotents at even positions, and
     enumerate-all yields both phases of every cycle but the first, one of
-    each e <-> f swap, 2^(l-1) pairs for l cycles.  The trivial group yields
-    no pairs (`require_pairs` turns that into NoSplittingError).  Without a
-    splitting the NoSplittingError names the cell and the idempotents mu
-    fixes, or the odd cycle length.
+    each e <-> f swap, 2^(l-1) pairs for l cycles, so the list is never
+    empty.  NoSplittingError names the cell and the idempotents mu fixes, or
+    the odd cycle length, when mu gives no splitting; the trivial group,
+    whose only idempotent is 1 = Ghat, carries no pairs and raises it too.
     """
     if mode not in ("canonical", "enumerate-all"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -231,7 +223,7 @@ def construct_pairs(
             )
         halves.append(tuple(sum((members[i] for i in cycle[phase::2]), zero) for phase in (0, 1)))
     if not halves:
-        return []
+        raise NoSplittingError("the trivial group carries no duadic pairs")
     if mode == "canonical":
         e, f = (sum((half[phase] for half in halves), zero) for phase in (0, 1))
         return [DuadicPair(field, group, e, f, mu)]

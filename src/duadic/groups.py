@@ -43,7 +43,8 @@ class Group:
 
     The constructor checks the shape, the order cap and two-sided inverses;
     it trusts the table to be a group.  Outside tables enter through
-    `group_from_cayley`, which checks every group axiom first."""
+    `group_from_cayley`, which checks every group axiom first.  A direct
+    product made by `group_product` keeps its two factors in `factors`."""
 
     def __init__(self, table, descriptor: str = "", abelian_orders: tuple[int, ...] | None = None):
         t = _square_table(table)
@@ -52,6 +53,7 @@ class Group:
         self.order = n
         self.descriptor = descriptor or f"cayley(n={n})"
         self.abelian_orders = tuple(abelian_orders) if abelian_orders else None
+        self.factors: tuple[Group, Group] | None = None
         self.inverse = self._build_inverse()
         self._orders: np.ndarray | None = None
         self._exponent: int | None = None
@@ -258,7 +260,8 @@ def group_from_cayley(table, descriptor: str = "") -> Group:
 
 
 def group_product(g1: Group, g2: Group) -> Group:
-    """Direct product G1 x G2 with ids packed as g1 * |G2| + g2."""
+    """Direct product G1 x G2 with ids packed as g1 * |G2| + g2 and
+    `factors` = (G1, G2)."""
     n1, n2 = g1.order, g2.order
     if n1 * n2 > GROUP_ORDER_CAP:
         raise ValueError(f"product order {n1 * n2} exceeds the validation cap {GROUP_ORDER_CAP}")
@@ -266,7 +269,9 @@ def group_product(g1: Group, g2: Group) -> Group:
     orders = None
     if g1.abelian_orders is not None and g2.abelian_orders is not None:
         orders = g1.abelian_orders + g2.abelian_orders
-    return Group(table, descriptor=f"{g1.descriptor},{g2.descriptor}", abelian_orders=orders)
+    product = Group(table, descriptor=f"{g1.descriptor},{g2.descriptor}", abelian_orders=orders)
+    product.factors = (g1, g2)
+    return product
 
 
 def is_subgroup(group: Group, ids) -> bool:
@@ -500,19 +505,24 @@ def parse_cayley_text(text: str, descriptor: str = "") -> Group:
             raise CayleyFormatError(
                 f"expected {n} entries in table row {r}, found {len(parts)}", line=no
             )
-        for c, tok in enumerate(parts):
-            try:
-                v = int(tok)
-            except ValueError:
-                raise CayleyFormatError(
-                    f"non-integer table entry {tok!r}", line=no, column=c + 1
-                ) from None
-            if not 0 <= v < n:
-                raise CayleyFormatError(
-                    f"table entry {v} out of range [0, {n})", line=no, column=c + 1
-                )
-            table[r, c] = v
+        try:
+            table[r] = list(map(int, parts))
+        except (ValueError, OverflowError):
+            _row_fault(parts, n, no)
+        if (table[r].view(np.uint64) >= n).any():  # a negative id wraps past n
+            _row_fault(parts, n, no)
     return group_from_cayley(table, descriptor=descriptor or f"cayley(n={n})")
+
+
+def _row_fault(parts: list[str], n: int, no: int) -> None:
+    """Raise the CayleyFormatError of the first bad entry of a table row."""
+    for c, tok in enumerate(parts):
+        try:
+            v = int(tok)
+        except ValueError:
+            raise CayleyFormatError(f"non-integer table entry {tok!r}", line=no, column=c + 1) from None
+        if not 0 <= v < n:
+            raise CayleyFormatError(f"table entry {v} out of range [0, {n})", line=no, column=c + 1)
 
 
 def read_cayley_file(path) -> Group:

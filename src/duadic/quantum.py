@@ -15,7 +15,7 @@ from .codes import (
     weight_distribution,
 )
 from .duadic import DuadicCodes, DuadicPair, DualityReport, classify_duality
-from .duadic import construct_pairs, duadic_codes, odd_like_bound, require_pairs
+from .duadic import construct_pairs, duadic_codes, odd_like_bound
 from .errors import EnumerationCapError
 from .gf import FiniteField
 from .groups import Antiautomorphism, Group
@@ -55,7 +55,6 @@ class CssCode:
         dual_d: LinearCode,
         distance: DistanceRecord | None = None,
         witnesses: tuple = (),
-        pair: DuadicPair | None = None,
     ):
         if code_c.field != code_d.field or code_c.n != code_d.n:
             raise ValueError("C and D live in different spaces")
@@ -72,7 +71,6 @@ class CssCode:
         self.z_stabilizers = dual_d.gen
         self.distance = distance
         self.witnesses = tuple(witnesses)
-        self.pair = pair
 
     def params(self) -> str:
         if self.distance is None:
@@ -90,13 +88,12 @@ def css_build(
     code_d: LinearCode,
     distance: DistanceRecord | None = None,
     witnesses: tuple = (),
-    pair: DuadicPair | None = None,
 ) -> CssCode:
     """The CSS code of any nested codes C inside D, with both duals computed
-    (one right kernel when D-perp = C, since then C-perp = D)."""
+    (one `dual` when D-perp = C, since then C-perp = D)."""
     dual_d = dual(code_d)
     dual_c = code_d if dual_d == code_c else dual(code_c)
-    return CssCode(code_c, code_d, dual_c, dual_d, distance=distance, witnesses=witnesses, pair=pair)
+    return CssCode(code_c, code_d, dual_c, dual_d, distance=distance, witnesses=witnesses)
 
 
 def css_distance(
@@ -134,7 +131,7 @@ def quantum_duadic(
 ) -> CssCode:
     """End-to-end pipeline: splitting check, canonical pair, duadic codes,
     CSS code on (C_e, D_e) with an exact or bound-tagged distance."""
-    return analyze_pair(require_pairs(construct_pairs(mu, field, group))[0], cap).css
+    return analyze_pair(construct_pairs(mu, field, group)[0], cap).css
 
 
 @dataclass(frozen=True)
@@ -217,7 +214,7 @@ def analyze_pair(pair: DuadicPair, cap: int = DEFAULT_ENUM_CAP) -> PairAnalysis:
             odd_like.append(fallback)
         else:
             odd_like.append(DistanceRecord(d, True, "coset-enumeration"))
-    css = CssCode(codes.c_e, codes.d_e, duality.c_e_perp, duality.d_e_perp, witnesses=pair.witnesses, pair=pair)
+    css = CssCode(codes.c_e, codes.d_e, duality.c_e_perp, duality.d_e_perp, witnesses=pair.witnesses)
     css.distance = css_distance(css, cap=cap, fallback=fallback)
     degeneracy = degeneracy_report(css, cap=cap)
     return PairAnalysis(codes, duality, (bound_type, bound_d), tuple(odd_like), css, degeneracy)

@@ -197,7 +197,7 @@ def test_criterion_6_order81_product_reproduction():
     assert codes.c_e.contains(witness.vec)
     kind, bound = odd_like_bound(product)
     assert (kind, bound) == ("square", 9)
-    css = css_build(codes.c_e, codes.d_e, witnesses=product.witnesses, pair=product)
+    css = css_build(codes.c_e, codes.d_e, witnesses=product.witnesses)
     css.distance = css_distance(
         css, cap=DEFAULT_ENUM_CAP, fallback=DistanceRecord(9, False, "odd-like-square-bound")
     )

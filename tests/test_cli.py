@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import duadic
-from duadic import cli
+from duadic import cli, groups
 from duadic.cli import (
     EXIT_INTERRUPTED,
     EXIT_NO_SPLITTING,
@@ -25,7 +25,7 @@ from duadic.cli import (
     parse_group_spec,
     parse_mu_spec,
 )
-from duadic.groups import group_abelian, cyclic_group
+from duadic.groups import builtin_mu_minus1, group_abelian, cyclic_group
 
 from conftest import frobenius21_table
 from oracles import format_cayley
@@ -65,6 +65,22 @@ class TestSpecParsing:
         path.write_text("7\n0 6 5 4 3 2 1\n0\n", encoding="utf-8")
         mu = parse_mu_spec(f"@{path}", g, 2)
         assert mu.map(3) == 4
+
+    def test_product_mu_reuses_the_parsed_factors(self, tmp_path, monkeypatch):
+        # A*B maps the factors the outer product kept: each Cayley file is read once
+        specs = []
+        for name in "ab":
+            path = tmp_path / f"{name}.cayley"
+            path.write_text(format_cayley(cyclic_group(7)), encoding="utf-8")
+            specs.append(f"@{path}")
+        calls = []
+        parse = groups.parse_cayley_text
+        monkeypatch.setattr(groups, "parse_cayley_text", lambda *a, **kw: calls.append(a) or parse(*a, **kw))
+        group = parse_group_spec(",".join(specs))
+        mu = parse_mu_spec("mu-1*mu-1", group, 2)
+        assert len(calls) == 2
+        assert [g.descriptor for g in group.factors] == specs
+        assert mu.descriptor == "mu-1*mu-1" and mu == builtin_mu_minus1(group)
 
 
 class TestScan:
@@ -237,6 +253,38 @@ class TestConstruct:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "duadic: the trivial group carries no duadic pairs\n"
+
+    @pytest.mark.parametrize(
+        "argv,code,err",
+        [
+            # G1,G2 splits at the first comma: 7 x (7,7), the one map on both factors
+            (["--group", "7,7,7", "--q", "2", "--mu", "mu-1"], EXIT_OK, ""),
+            (
+                ["--group", "23,25", "--q", "2", "--mu", "mu-1"],
+                EXIT_NO_SPLITTING,
+                "duadic: no splitting for mu=mu-1 on 25 over GF(2); ord_25(2) = 20 is even; "
+                "2 nontrivial fixed idempotent(s)\n",
+            ),
+            (
+                ["--group", "4,201", "--q", "3", "--mu", "mu-1"],
+                EXIT_USAGE,
+                "duadic: error: group 4 has even order 4; duadic codes need odd order\n",
+            ),
+        ],
+        ids=["three-factors", "right-factor-no-splitting", "even-left-factor"],
+    )
+    def test_product_edges(self, capsys, argv, code, err):
+        assert main(["construct", *argv, "--product", "--json"]) == code
+        captured = capsys.readouterr()
+        assert captured.err == err
+        if code != EXIT_OK:
+            assert captured.out == ""
+            return
+        (row,) = json.loads(captured.out)
+        assert (row["group"], row["mu"]) == ("7,7,7", "mu-1")
+        assert row["existence"] == {"class_criterion": True, "ord_criterion": None, "agree": None}
+        assert row["dims"] == {"c_e": 171, "c_f": 171, "d_e": 172, "d_f": 172}
+        assert row["quantum"]["params"] == "[[343,1,>=19]]_2"
 
     def test_product_refuses_enumerate_all(self, capsys):
         argv = ["construct", "--group", "3x3,3x3", "--q", "2", "--mu", "swap", "--product", "--enumerate-all"]

@@ -121,6 +121,17 @@ class TestDual:
         )
         assert dual(c_e) == ideal
 
+    def test_one_elimination(self, z33_codes, monkeypatch):
+        # the kernel basis comes off the kept RREF; only LinearCode reduces it
+        d_e = z33_codes.d_e
+        assert (d_e.n, d_e.k) == (9, 5)
+        rows = []
+        rref = _linalg.rref
+        monkeypatch.setattr(_linalg, "rref", lambda field, mat: rows.append(len(mat)) or rref(field, mat))
+        perp = dual(d_e)
+        assert rows == [4]
+        assert perp == LinearCode(d_e.field, reference_right_kernel(d_e.field, d_e.gen))
+
 
     @pytest.mark.parametrize(
         "field,group,mu",

@@ -242,7 +242,9 @@ class TestConstructPairs:
 
     def test_trivial_group_yields_nothing(self, f2):
         g = group_from_cayley([[0]])
-        assert construct_pairs(builtin_mu_minus1(g), f2, g) == []
+        for mode in ("canonical", "enumerate-all"):
+            with pytest.raises(NoSplittingError, match="^the trivial group carries no duadic pairs$"):
+                construct_pairs(builtin_mu_minus1(g), f2, g, mode=mode)
 
     def test_no_splitting_raises(self, f2):
         g = cyclic_group(9)

@@ -190,7 +190,7 @@ class TestQuantumDuadic:
         pair = construct_pairs(builtin_mu_swap(g, 2), f2, g)[0]
         prod = product_duadic(pair, pair)
         codes = duadic_codes(prod)
-        code = css_build(codes.c_e, codes.d_e, witnesses=prod.witnesses, pair=prod)
+        code = css_build(codes.c_e, codes.d_e, witnesses=prod.witnesses)
         code.distance = css_distance(
             code, fallback=DistanceRecord(9, False, "odd-like-square-bound")
         )
@@ -209,7 +209,7 @@ class TestDegeneracy:
         pair = construct_pairs(builtin_mu_swap(g, 2), f2, g)[0]
         prod = product_duadic(pair, pair)
         codes = duadic_codes(prod)
-        code = css_build(codes.c_e, codes.d_e, witnesses=prod.witnesses, pair=prod)
+        code = css_build(codes.c_e, codes.d_e, witnesses=prod.witnesses)
         code.distance = DistanceRecord(9, False, "odd-like-square-bound")
         report = degeneracy_report(code)
         assert report.degenerate
@@ -249,7 +249,7 @@ class TestAnalyzePair:
             assert analysis.bound == odd_like_bound(pair)
             for side, record in zip("ef", analysis.odd_like):
                 assert record == DistanceRecord(reference_odd_like_min_weight(codes, side), True, "coset-enumeration")
-            code = css_build(codes.c_e, codes.d_e, witnesses=pair.witnesses, pair=pair)
+            code = css_build(codes.c_e, codes.d_e, witnesses=pair.witnesses)
             code.distance = css_distance(code)
             assert analysis.css.distance == code.distance
             assert analysis.css.params() == code.params()
@@ -280,7 +280,7 @@ class TestAnalyzePair:
             except EnumerationCapError:
                 odd = fallback
             assert record == odd
-        code = css_build(codes.c_e, codes.d_e, witnesses=pair.witnesses, pair=pair)
+        code = css_build(codes.c_e, codes.d_e, witnesses=pair.witnesses)
         code.distance = css_distance(code, cap=cap, fallback=fallback)
         assert analysis.css.distance == code.distance
         assert analysis.degeneracy == degeneracy_report(code, cap=cap)
