@@ -263,12 +263,15 @@ def cmd_scan(args) -> list[CodeReport]:
     else:
         raise ValueError(f"unknown family {args.family!r}")
     fields = [field_from_order(q) for q in qs]
+    per_q = args.mu.strip() == "swap"  # the one spec that reads q; others are parsed once per group
     for label, group in groups:
+        mu = None
         for q, field in zip(qs, fields):
             if math.gcd(group.order, q) != 1:
                 continue
             start = time.perf_counter()
-            mu = parse_mu_spec(args.mu, group, q)
+            if mu is None or per_q:
+                mu = parse_mu_spec(args.mu, group, q)
             check = check_splitting(mu, field, group)
             report = CodeReport(
                 group=label,
@@ -549,10 +552,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _PARSER
+    if _PARSER is None:  # built once per process: parse_args keeps no state between calls
+        _PARSER = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except _UsageError as exc:
         print(f"duadic: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -137,12 +137,31 @@ def subcode_check(inner: LinearCode, outer: LinearCode) -> bool:
 
 
 def _combination_table(field: FiniteField, rows: np.ndarray, n: int) -> np.ndarray:
-    """All q^len(rows) combinations of the given rows, in message-rank order."""
-    table = np.zeros((1, n), dtype=np.int64)
-    for r in rows:
-        multiples = field.vmul(np.arange(field.q, dtype=np.int64)[:, None], r.reshape(1, -1))
-        table = field.vadd(multiples[:, None], table[None]).reshape(-1, n)
-    return table
+    """All q^t combinations of the t given rows, in message-rank order: the
+    combination with coefficient indexes a_i has rank sum_i a_i q^i, so the
+    last row is the most significant.
+
+    GF(2^m) adds by XOR.  Other fields add unreduced and reduce once: each
+    element stands for its digit vector read in base b = t(p-1) + 1, so the
+    sums of t codes carry no digit across, and one lookup maps each sum to
+    its reduced index (a prime field's code is the index itself).
+    """
+    p, m, t = field.p, field.m, len(rows)
+    multiples = field.vmul(np.arange(field.q, dtype=np.int64)[:, None, None], np.reshape(rows, (1, t, n)))
+    if p == 2:
+        codes = multiples.astype(np.min_scalar_type(field.q - 1))
+        add, lookup = np.bitwise_xor, None
+    else:
+        b = t * (p - 1) + 1
+        sums = np.arange(b**m, dtype=np.int64)
+        lookup = sum((sums // b**i % b % p) * p**i for i in range(m))
+        digit_codes = field._digit_table() @ b ** np.arange(m, dtype=np.int64)
+        codes = digit_codes.astype(np.min_scalar_type(b**m - 1))[multiples]
+        add = np.add
+    table = np.zeros((1, n), dtype=codes.dtype)
+    for j in range(t):
+        table = add(codes[:, j, None], table[None]).reshape(-1, n)
+    return table.astype(np.int64) if lookup is None else lookup[table]
 
 
 def _coset_chunks(field: FiniteField, gen: np.ndarray, offset: np.ndarray):
@@ -158,7 +177,7 @@ def _coset_chunks(field: FiniteField, gen: np.ndarray, offset: np.ndarray):
     t = max(i for i in range(k + 1) if q**i <= _BLOCK_WORDS)
     s = max(i for i in range(k - t + 1) if i == 0 or q ** (i + t) * n <= _CHUNK_CELLS)
     tail = _combination_table(field, gen[k - t :], n)
-    neg_table = field.vneg(_combination_table(field, gen[k - t - s : k - t][::-1], n))
+    neg_table = _combination_table(field, field.vneg(gen[k - t - s : k - t][::-1]), n)
     index_type = np.min_scalar_type(q - 1)
     tail_t = np.ascontiguousarray(tail.T, dtype=index_type)
     outer = gen[: k - t - s]
@@ -206,12 +225,19 @@ def difference_min_weight(
 ) -> tuple[int, np.ndarray]:
     """Minimum weight over big \\ small for nested codes, with a witness.
 
-    The nonzero combinations of the big rows whose pivot columns small lacks
-    offset the nonzero cosets of small, which cover big \\ small once:
+    The nonzero combinations of the Delta big rows whose pivot columns small
+    lacks offset the nonzero cosets of small, which cover big \\ small once:
     q^k_big - q^k_small words, counted against the cap before any is scanned.
+    Since wt(a w) = wt(w), the cosets of v and a v share their minimum, so
+    only the (q^Delta - 1)/(q - 1) offsets whose most significant nonzero
+    coefficient is 1 are scanned: ext[j] + span(ext[:j]), j = 0..Delta-1, in
+    rank order.  The cap still counts all q^k_big - q^k_small words.  Each
+    scanned offset ranks first in its scalar class, so the first minimal
+    offset, and with it the witness, is the one a scan of all q^Delta - 1
+    offsets finds.
     """
-    q = big.field.q
-    size = q**big.k - q**small.k
+    field = big.field
+    size = field.q**big.k - field.q**small.k
     if size > cap:
         raise EnumerationCapError(f"q^k_big - q^k_small = {size} words exceed the cap {cap}")
     if not subcode_check(small, big):
@@ -220,8 +246,8 @@ def difference_min_weight(
         raise ValueError("set difference is empty: the codes are equal")
     small_pivots = set(small.pivots)
     ext = big.gen[[i for i, c in enumerate(big.pivots) if c not in small_pivots]]
-    offsets = _combination_table(big.field, ext, big.n)[1:]
-    return min((coset_min_weight(big.field, small.gen, offset) for offset in offsets), key=lambda r: r[0])
+    offsets = (v for j in range(len(ext)) for v in field.vadd(ext[j], _combination_table(field, ext[:j], big.n)))
+    return min((coset_min_weight(field, small.gen, offset) for offset in offsets), key=lambda r: r[0])
 
 
 def odd_like_min_weight(duadic_codes, which: str = "e", cap: int = DEFAULT_ENUM_CAP) -> tuple[int, np.ndarray]:

@@ -38,6 +38,25 @@ def _square_table(table) -> np.ndarray:
     return t
 
 
+def _right_generators(t: np.ndarray):
+    """Yield a generating set of the Latin square t with identity 0, built
+    greedily: each element is the least id not yet reached from 0 by right
+    multiplication with the ones before it, so that every id is a product
+    of yielded elements once the generator is exhausted."""
+    reached = np.zeros(len(t), dtype=bool)
+    reached[0] = True
+    gens: list[int] = []
+    while not reached.all():
+        gens.append(int(np.argmin(reached)))
+        yield gens[-1]
+        frontier = np.flatnonzero(reached)
+        while frontier.size:
+            hit = np.zeros(len(t), dtype=bool)
+            hit[t[np.ix_(frontier, gens)]] = True
+            frontier = np.flatnonzero(hit & ~reached)
+            reached |= hit
+
+
 class Group:
     """Finite group of order n as an n x n multiplication table.
 
@@ -84,6 +103,11 @@ class Group:
             raise ValueError("not a group (inverses): some row is not a permutation")
         if not np.array_equal(np.sort(t, axis=0), np.broadcast_to(ids[:, None], t.shape)):
             raise ValueError("not a group (inverses): some column is not a permutation")
+        # Light's test: the g with (x g) y = x (g y) for all x, y form a
+        # closed set, so a generating set decides associativity; the
+        # exhaustive loop only names the first failing triple
+        if all(np.array_equal(t[t[:, g]], t[:, t[g]]) for g in _right_generators(t)):
+            return
         for a in range(n):
             lhs = t[t[a], :]
             rhs = t[a][t]

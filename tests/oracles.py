@@ -106,6 +106,50 @@ def reference_odd_like_min_weight(duadic_codes, which: str = "e", cap: int = DEF
     return min(coset_min_weight(field, even.gen, field.vmul(np.int64(a), ghat))[0] for a in range(1, field.q))
 
 
+def reference_combination_table(field, rows, n):
+    """All q^len(rows) combinations of the rows in message-rank order (the
+    last row most significant), reduced by one field addition per row."""
+    table = np.zeros((1, n), dtype=np.int64)
+    for r in rows:
+        multiples = field.vmul(np.arange(field.q, dtype=np.int64)[:, None], r.reshape(1, -1))
+        table = field.vadd(multiples[:, None], table[None]).reshape(-1, n)
+    return table
+
+
+def reference_blocks(field, gen, offset, block_words=1 << 14):
+    """Blocks of offset + span(gen), covering each word once, in the order
+    `codes.coset_min_weight` scans them: the last rows, as many as fill a
+    block, make a combination table, and the others step through in
+    odometer order, each word built with field additions."""
+    k, n = gen.shape if gen.size else (0, len(offset))
+    q = field.q
+    t = 0
+    while t < k and q ** (t + 1) <= block_words:
+        t += 1
+    block = reference_combination_table(field, gen[k - t :] if k else gen, n)
+    prefix = gen[: k - t]
+    for message in itertools.product(range(q), repeat=k - t):
+        base = offset
+        for c, row in zip(message, prefix):
+            base = field.vadd(base, field.vmul(np.int64(c), row))
+        yield field.vadd(base.reshape(1, -1), block)
+
+
+def reference_difference_min_weight(small, big):
+    """Minimum weight over big \\ small with a witness: every word of the
+    q^Delta - 1 nonzero cosets, the offsets in rank order and each coset in
+    scan order, and the first word of least weight."""
+    field, n = big.field, big.n
+    small_pivots = set(small.pivots)
+    ext = big.gen[[i for i, c in enumerate(big.pivots) if c not in small_pivots]]
+    offsets = reference_combination_table(field, ext, n)[1:]
+    span = np.vstack(list(reference_blocks(field, small.gen, np.zeros(n, dtype=np.int64))))
+    words = field.vadd(offsets[:, None], span[None]).reshape(-1, n)
+    weights = np.count_nonzero(words, axis=1)  # no word is zero: every offset lies outside small
+    i = int(np.argmin(weights))
+    return int(weights[i]), words[i]
+
+
 # ---------------------------------------------------------------------------
 # linear algebra: the loop forms of what _linalg vectorizes
 # ---------------------------------------------------------------------------
@@ -566,6 +610,17 @@ def format_cayley(group: Group) -> str:
     for row in group.table:
         lines.append(" ".join(str(int(x)) for x in row))
     return "\n".join(lines) + "\n"
+
+
+def reference_associativity_failure(table) -> tuple[int, int, int] | None:
+    """The first (a, b, c) in lexicographic order with (ab)c != a(bc), or
+    None: every triple, one n x n comparison per a."""
+    t = np.asarray(table)
+    for a in range(len(t)):
+        differ = np.argwhere(t[t[a]] != t[a][t])
+        if differ.size:
+            return a, int(differ[0, 0]), int(differ[0, 1])
+    return None
 
 
 def reference_conjugacy_classes(group):

@@ -9,11 +9,13 @@ which is the working directory while the requests run, so the checkout is
 never written to.  Every request is served through `duadic.cli.main` in this
 one interpreter.  The script prints one line per request whose exit code or
 sha256 digest of the `--json` output differs from the recorded one (or that
-raises), and exits 1 if there is any, else 0.
+raises), then one line per benchmark workload with the time its requests
+took, and exits 1 if there is any mismatch, else 0.
 """
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import hashlib
 import io
@@ -36,6 +38,8 @@ def main() -> int:
     from duadic.cli import main as cli_main
 
     reference = json.loads((BENCH / "reference.json").read_text(encoding="utf-8"))["requests"]
+    workload_of = {r.key: name for name, pool in pools.POOLS.items() for r in pool()}
+    spent = collections.defaultdict(list)  # workload -> its request times
     bad = []
     start = time.perf_counter()
     here = os.getcwd()
@@ -46,12 +50,15 @@ def main() -> int:
             for key in sorted(reference):
                 want = reference[key]
                 out = io.StringIO()
+                begun = time.perf_counter()
                 try:
                     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
                         code = cli_main(key.split(" "))
                 except Exception as exc:  # a raising request is a mismatch, listed with the rest
                     bad.append(f"{key}: raised {type(exc).__name__}: {exc}")
                     continue
+                finally:
+                    spent[workload_of.get(key, "no workload")].append(time.perf_counter() - begun)
                 digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
                 if code != want["summary"]["exit"]:
                     bad.append(f"{key}: exit {code}, recorded {want['summary']['exit']}")
@@ -61,6 +68,8 @@ def main() -> int:
             os.chdir(here)
     for line in bad:
         print(line)
+    for workload, times in sorted(spent.items()):
+        print(f"{workload}: {len(times)} requests in {sum(times):.2f} s")
     print(f"{len(reference) - len(bad)}/{len(reference)} requests match in {time.perf_counter() - start:.1f} s")
     return 1 if bad else 0
 

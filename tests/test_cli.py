@@ -158,6 +158,30 @@ class TestScan:
         assert captured.err.startswith("duadic: error: ") and message in captured.err
         assert captured.err.count("\n") == 1
 
+    def test_perm_file_mu_is_parsed_once_per_group(self, tmp_path, capsys, monkeypatch):
+        # only swap reads q: a permutation file is read and checked once for all five fields
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "inv.perm").write_text("7\n0 6 5 4 3 2 1\n0\n", encoding="utf-8")
+        calls = []
+        parse = cli.parse_permutation_text
+        monkeypatch.setattr(cli, "parse_permutation_text", lambda *a, **kw: calls.append(a) or parse(*a, **kw))
+        assert main(["scan", "--n", "7", "--q", "2,3,4,5,9", "--mu", "@inv.perm", "--json"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert len(calls) == 1
+        # the cells of five one-field scans, each of which reads the file itself
+        cells = []
+        for q in "2,3,4,5,9".split(","):
+            assert main(["scan", "--n", "7", "--q", q, "--mu", "@inv.perm", "--json"]) == EXIT_OK
+            cells += json.loads(capsys.readouterr().out)
+        assert out == emit_json([CodeReport(**cell) for cell in cells])
+
+    def test_swap_is_parsed_per_field(self, capsys, monkeypatch):
+        calls = []
+        swap = cli.builtin_mu_swap
+        monkeypatch.setattr(cli, "builtin_mu_swap", lambda g, q: calls.append(q) or swap(g, q))
+        assert main(["scan", "--family", "pxp", "--p", "3,5", "--q", "2,4", "--mu", "swap", "--json"]) == EXIT_OK
+        assert calls == [2, 4, 2, 4]
+
     def test_byte_identical_runs(self, capsys):
         argv = ["scan", "--family", "cyclic", "--n", "3-45", "--q", "2,3,4,5,7,9", "--mu", "mu-1", "--json"]
         assert main(argv) == EXIT_OK
@@ -452,6 +476,42 @@ class TestVerify:
 
     def test_unknown_suite_is_usage_error(self, capsys):
         assert main(["verify", "bogus"]) == EXIT_USAGE
+
+
+class TestOneParserPerProcess:
+    REQUESTS = [
+        ["scan", "--n", "3-15", "--q", "2,4", "--json"],
+        ["construct", "--group", "7", "--q", "2", "--mu", "mu-1", "--json"],
+        ["scan", "--n", "3-9", "--bogus"],
+        ["construct", "--group", "7", "--q", "3", "--mu", "mu-1", "--json"],
+        ["construct", "--group", "7"],
+        ["scan", "--help"],
+        ["scan", "--family", "pxp", "--p", "3", "--q", "2,5", "--mu", "swap", "--json"],
+    ]
+
+    def _serve(self, capsys, fresh: bool):
+        out = []
+        for argv in self.REQUESTS:
+            if fresh:
+                cli._PARSER = None
+            code = main(argv)
+            captured = capsys.readouterr()
+            out.append((code, captured.out, captured.err))
+        return out
+
+    def test_shared_parser_answers_as_fresh_ones(self, capsys, monkeypatch):
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        monkeypatch.setattr(cli, "_PARSER", None)
+        fresh = self._serve(capsys, fresh=True)
+        assert len(built) == len(self.REQUESTS)
+        built.clear()
+        cli._PARSER = None
+        shared = self._serve(capsys, fresh=False)
+        assert len(built) == 1
+        assert shared == fresh
+        assert [c for c, _, _ in shared] == [EXIT_OK, EXIT_OK, EXIT_USAGE, EXIT_NO_SPLITTING, EXIT_USAGE, EXIT_OK, EXIT_OK]
 
 
 class TestModuleEntryPoint:

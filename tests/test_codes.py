@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 
@@ -16,6 +15,7 @@ from duadic import codes as codes_module
 from duadic.algebra import AlgebraElement, apply_antiauto, hat_group
 from duadic.codes import (
     LinearCode,
+    _combination_table,
     _coset_chunks,
     check_dual,
     code_from_ideal,
@@ -33,7 +33,16 @@ from duadic.groups import builtin_mu_minus1, builtin_mu_swap, cyclic_group, grou
 from duadic.quantum import css_build, css_distance
 
 from conftest import enumerable_cells
-from oracles import macwilliams, naive_codewords, naive_min_weight, reference_right_kernel
+from oracles import (
+    macwilliams,
+    naive_codewords,
+    naive_min_weight,
+    reference_blocks,
+    reference_combination_table,
+    reference_difference_min_weight,
+    reference_odd_like_min_weight,
+    reference_right_kernel,
+)
 
 
 @pytest.fixture(scope="module")
@@ -288,24 +297,49 @@ def _nested_pair(q: int, n: int, k_big: int, extra: int, seed: int):
     while True:
         big = LinearCode(field, [[rng.randrange(q) for _ in range(n)] for _ in range(k_big)])
         mix = np.array([[rng.randrange(q) for _ in range(big.k)] for _ in range(k_big - extra)], dtype=np.int64)
+        mix = mix.reshape(k_big - extra, big.k)  # also when the subcode is zero
         small = LinearCode(field, _linalg.matmul(field, mix, big.gen))
         if big.k == k_big and small.k == k_big - extra:
             return field, small, big
 
 
 class TestDifferenceMinWeight:
-    @pytest.mark.parametrize("q", [2, 3, 4])
-    @pytest.mark.parametrize("extra", [1, 2, 3])
-    @pytest.mark.parametrize("seed", range(3))
-    def test_matches_naive_set_difference(self, q, extra, seed):
-        field, small, big = _nested_pair(q, 7, 4, extra, seed + 10 * q + 100 * extra)
-        words = [np.array(w, dtype=np.int64) for w in naive_codewords(field, big.gen)]
-        outside = [w for w in words if not small.contains(w)]
+    @pytest.mark.parametrize(
+        "seed,extra,q",
+        [(seed, extra, q) for q in (2, 3, 4, 5, 7, 8, 9, 25) for extra in (1, 2, 3) for seed in range(1 if q > 9 else 3)],
+    )
+    def test_matches_naive_set_difference(self, seed, extra, q):
+        # k_big = 3 above GF(4), and one seed for GF(25), keep the naive enumeration small
+        field, small, big = _nested_pair(q, 7, 4 if q <= 4 else 3, extra, seed + 10 * q + 100 * extra)
+        inside = {tuple(w) for w in naive_codewords(field, small.gen)}
+        outside = [np.array(w, dtype=np.int64) for w in naive_codewords(field, big.gen) if tuple(w) not in inside]
         assert len(outside) == q**big.k - q**small.k
         w, witness = difference_min_weight(small, big)
         assert w == min(int(np.count_nonzero(v)) for v in outside)
         assert np.count_nonzero(witness) == w
         assert big.contains(witness) and not small.contains(witness)
+        # one coset per scalar class finds the word the scan of all q^Delta - 1 cosets finds
+        assert witness.tolist() == reference_difference_min_weight(small, big)[1].tolist()
+
+    @pytest.mark.parametrize("field,group,mu", enumerable_cells((3, 4, 5, 7, 8, 9, 25)))
+    def test_odd_like_matches_every_ghat_coset(self, field, group, mu):
+        codes = duadic_codes(construct_pairs(mu, field, group)[0])
+        for side, small, big in (("e", codes.c_e, codes.d_e), ("f", codes.c_f, codes.d_f)):
+            w, witness = difference_min_weight(small, big)
+            assert w == reference_odd_like_min_weight(codes, side)
+            assert witness.tolist() == reference_difference_min_weight(small, big)[1].tolist()
+
+    @pytest.mark.parametrize("q,extra", [(25, 1), (4, 2), (3, 3)])
+    def test_one_coset_per_scalar_class(self, q, extra, monkeypatch):
+        # (q^Delta - 1)/(q - 1) cosets: one for Delta = 1 over GF(25), as for
+        # the odd-like words of a duadic pair, where a scan of every nonzero
+        # offset makes 24
+        field, small, big = _nested_pair(q, 9, 4, extra, 7)
+        calls = []
+        real = codes_module.coset_min_weight
+        monkeypatch.setattr(codes_module, "coset_min_weight", lambda *a: calls.append(a) or real(*a))
+        difference_min_weight(small, big)
+        assert len(calls) == (q**extra - 1) // (q - 1)
 
     def test_zero_subcode_gives_the_minimum_distance(self, z33_codes):
         zero = LinearCode(z33_codes.d_e.field, np.zeros((0, 9), dtype=np.int64))
@@ -333,38 +367,12 @@ class TestDifferenceMinWeight:
 # ---------------------------------------------------------------------------
 # oracle: the block enumeration the comparison kernel replaced, which builds
 # every word with field additions and counts its nonzero entries
+# (`oracles.reference_blocks`)
 # ---------------------------------------------------------------------------
-
-_REFERENCE_BLOCK_WORDS = 1 << 14
-
-
-def _reference_table(field, rows, n):
-    table = np.zeros((1, n), dtype=np.int64)
-    for r in rows:
-        parts = [field.vadd(table, field.vmul(np.int64(c), r.reshape(1, -1))) for c in range(field.q)]
-        table = np.vstack(parts)
-    return table
-
-
-def _reference_blocks(field, gen, offset, block_words=_REFERENCE_BLOCK_WORDS):
-    """Blocks of offset + span(gen), covering each word once."""
-    k, n = gen.shape if gen.size else (0, len(offset))
-    q = field.q
-    t = 0
-    while t < k and q ** (t + 1) <= block_words:
-        t += 1
-    block = _reference_table(field, gen[k - t :] if k else gen, n)
-    prefix = gen[: k - t]
-    for message in itertools.product(range(q), repeat=k - t):
-        base = offset
-        for c, row in zip(message, prefix):
-            base = field.vadd(base, field.vmul(np.int64(c), row))
-        yield field.vadd(base.reshape(1, -1), block)
-
 
 def reference_coset_min_weight(field, gen, offset):
     best, witness = None, None
-    for block in _reference_blocks(field, gen, offset):
+    for block in reference_blocks(field, gen, offset):
         weights = np.count_nonzero(block, axis=1)
         nz = np.nonzero(weights)[0]
         if nz.size == 0:
@@ -380,7 +388,7 @@ def reference_coset_min_weight(field, gen, offset):
 def reference_weight_distribution(code):
     counts = np.zeros(code.n + 1, dtype=np.int64)
     zero = np.zeros(code.n, dtype=np.int64)
-    for block in _reference_blocks(code.field, code.gen, zero):
+    for block in reference_blocks(code.field, code.gen, zero):
         counts += np.bincount(np.count_nonzero(block, axis=1), minlength=code.n + 1)
     return counts
 
@@ -478,7 +486,19 @@ class TestKernelAgainstOracle:
         offset = np.array([rng.randrange(q) for _ in range(n)], dtype=np.int64)
         chunks = _coset_chunks(field, gen, offset)
         words = [field.vsub(tail[None], neg[:, None]).reshape(-1, n) for neg, tail, _ in chunks]
-        assert np.array_equal(np.vstack(words), np.vstack(list(_reference_blocks(field, gen, offset, q * q))))
+        assert np.array_equal(np.vstack(words), np.vstack(list(reference_blocks(field, gen, offset, q * q))))
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 25, 27, 257])
+    def test_combination_table_matches_the_vadd_loop(self, q):
+        # one reduction at the end gives the table of one field addition per row
+        field = field_from_order(q)
+        rng = np.random.default_rng(q)
+        for t in range(max(i for i in range(5) if q**i <= 1 << 14) + 1):
+            rows = rng.integers(0, q, (t, 6))
+            rows[:, 0] = q - 1  # the largest digits, so the unreduced sums peak
+            table = _combination_table(field, rows, 6)
+            assert table.dtype == np.int64
+            assert np.array_equal(table, reference_combination_table(field, rows, 6))
 
 
 # ---------------------------------------------------------------------------

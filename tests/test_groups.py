@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import random
 import sys
 import weakref
 from collections import Counter
@@ -18,6 +19,7 @@ from duadic.gf import field_make
 from duadic.groups import (
     Antiautomorphism,
     Group,
+    _right_generators,
     builtin_mu_minus1,
     builtin_mu_swap,
     cyclic_group,
@@ -33,7 +35,12 @@ from duadic.groups import (
 )
 
 from conftest import heisenberg27_table, metacyclic_table
-from oracles import format_cayley, reference_conjugacy_classes, reference_fq_classes
+from oracles import (
+    format_cayley,
+    reference_associativity_failure,
+    reference_conjugacy_classes,
+    reference_fq_classes,
+)
 
 
 class TestGroupConstruction:
@@ -553,3 +560,127 @@ def test_check_splitting_calls_galois_exponents_once(calls):
     g = cyclic_group(7)
     assert len(check_splitting(builtin_mu_minus1(g), field_make(2, 1), g).partition) == 3
     assert calls["galois_exponents"] == 1
+
+
+# ---------------------------------------------------------------------------
+# the associativity check on a generating set against the exhaustive one
+# ---------------------------------------------------------------------------
+
+
+def random_loop(n: int, rng: random.Random) -> np.ndarray:
+    """A random Latin square of order n with identity 0, filled cell by cell
+    with backtracking."""
+    t = np.zeros((n, n), dtype=np.int64)
+    t[0] = t[:, 0] = np.arange(n)
+    cells = [(r, c) for r in range(1, n) for c in range(1, n)]
+
+    def fill(i: int) -> bool:
+        if i == len(cells):
+            return True
+        r, c = cells[i]
+        used = set(t[r, :c].tolist()) | set(t[:r, c].tolist())
+        for s in rng.sample(range(n), n):
+            if s not in used:
+                t[r, c] = s
+                if fill(i + 1):
+                    return True
+        return False
+
+    assert fill(0)
+    return t
+
+
+def cycle_switch(table: np.ndarray, a: int, b: int) -> np.ndarray | None:
+    """The Latin square with rows a, b != 0 exchanged on one cycle of the
+    column map c -> (the column where row b holds table[a, c]) that misses
+    column 0, so the identity stays; None if every cycle meets column 0."""
+    pi = np.argsort(table[b])[table[a]]
+    cycle, c = [], 0
+    while True:
+        c = pi[c]
+        cycle.append(c)
+        if c == 0:
+            break
+    rest = sorted(set(range(1, len(table))) - set(cycle))
+    if not rest:
+        return None
+    cycle, c = [], rest[0]
+    while c not in cycle:
+        cycle.append(c)
+        c = pi[c]
+    t = table.copy()
+    t[a, cycle], t[b, cycle] = table[b, cycle], table[a, cycle]
+    return t
+
+
+def _assert_validate_matches_exhaustive(table: np.ndarray) -> bool:
+    """Group._validate raises for exactly the tables the exhaustive check
+    rejects, naming its first failing triple; True iff it raised."""
+    failure = reference_associativity_failure(table)
+    if failure is None:
+        Group._validate(table)
+        return False
+    a, b, c = failure
+    with pytest.raises(ValueError, match=rf"^not a group \(associativity\): \({a}\*{b}\)\*{c} != {a}\*\({b}\*{c}\)$"):
+        Group._validate(table)
+    return True
+
+
+BENCH_TABLES = [f"{p}:{r}" for p, r in pools.EXACT_METACYCLIC + pools.BOUND_METACYCLIC]
+
+
+class TestAssociativityOnGenerators:
+    def test_random_loops(self):
+        rng = random.Random(17)
+        rejected = sum(_assert_validate_matches_exhaustive(random_loop(n, rng)) for n in range(2, 10) for _ in range(12))
+        assert rejected > 50  # most random loops of order >= 5 are not groups
+
+    def test_groups_with_one_cycle_switched(self):
+        # loops one Latin trade away from a group: most triples still associate
+        rng = random.Random(29)
+        tables = [table_group(name).table for name in ("z45", "5x5", "7:3,5", "heisenberg27")]
+        tables += [table_group(name).table for name in BENCH_TABLES]
+        tables += [np.arange(16)[:, None] ^ np.arange(16)]  # Z_2^4, full of intercalates
+        rejected = 0
+        for table in tables:
+            for _ in range(4):
+                a, b = rng.sample(range(1, len(table)), 2)
+                switched = cycle_switch(table, a, b)
+                if switched is not None:
+                    rejected += _assert_validate_matches_exhaustive(switched)
+        assert rejected > 20
+
+    def test_loops_whose_first_generator_associates(self):
+        # Z_k x Q with ids q * k + z: the first generator, id 1, spans Z_k,
+        # which associates with everything, so a later generator must fail
+        rng = random.Random(41)
+        rejected = 0
+        for k in (3, 4, 5):
+            z = (np.arange(k)[:, None] + np.arange(k)) % k
+            for _ in range(5):
+                loop = random_loop(6, rng)
+                table = (loop[:, None, :, None] * k + z[None, :, None, :]).reshape(6 * k, 6 * k)
+                assert np.array_equal(table[table[:, 1]], table[:, table[1]])
+                rejected += _assert_validate_matches_exhaustive(table)
+        assert rejected > 10
+
+    @pytest.mark.parametrize("name", BENCH_TABLES)
+    def test_bench_tables(self, name):
+        table = table_group(name).table
+        assert reference_associativity_failure(table) is None
+        Group._validate(table)
+
+    @pytest.mark.parametrize(
+        "build,size",
+        [
+            (lambda: cyclic_group(511), 1),
+            (lambda: group_abelian([7, 73]), 2),
+            (lambda: group_abelian([3] * 5), 5),
+            (lambda: group_from_cayley(heisenberg27_table()), 3),
+        ],
+    )
+    def test_generating_set_is_small(self, build, size):
+        # greedy over a group: each new generator at least doubles the subgroup reached
+        table = build().table
+        gens = list(_right_generators(table))
+        assert len(gens) == size and 2 ** len(gens) <= len(table)
