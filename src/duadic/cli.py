@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass, fields as dataclass_fields
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
+from . import _linalg
 from .algebra import AlgebraElement
 from .codes import DEFAULT_ENUM_CAP
 from .duadic import (
@@ -101,11 +102,31 @@ def _json_text(x, pad: str) -> str:
         return scalar(x)
     inner = pad + "  "
     if type(x) in (list, tuple) and x:
-        return "[\n" + inner + (",\n" + inner).join([_json_text(v, inner) for v in x]) + "\n" + pad + "]"
+        items = _scalar_rows(x, inner)
+        if items is None:
+            items = [_json_text(v, inner) for v in x]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
     if type(x) is dict and x and all(type(k) is str for k in x):
         items = [encode_basestring_ascii(k) + ": " + _json_text(v, inner) for k, v in x.items()]
         return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
     return json.dumps(x, indent=2).replace("\n", "\n" + pad)
+
+
+def _scalar_rows(x, pad: str) -> list[str] | None:
+    """The texts of x's items at indentation pad when each is a non-empty
+    list of scalars (the [label, coefficient] rows of e and f), one join per
+    item; None when some item is not."""
+    inner = pad + "  "
+    head, sep, tail = "[\n" + inner, ",\n" + inner, "\n" + pad + "]"
+    rows = []
+    for row in x:
+        if type(row) not in (list, tuple) or not row:
+            return None
+        try:
+            rows.append(head + sep.join([_JSON_SCALARS[type(v)](v) for v in row]) + tail)
+        except KeyError:
+            return None
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -333,9 +354,10 @@ def _emit_matrices(directory: Path, codes: DuadicCodes, css: CssCode) -> None:
         "x_stabilizers.mat": css.x_stabilizers,
         "z_stabilizers.mat": css.z_stabilizers,
     }
-    q = css.field.q
+    field = css.field
     for name, mat in named.items():
-        lines = [f"# {mat.shape[0]} x {mat.shape[1]} over GF({q})"]
+        mat = _linalg.rref(field, mat)[0]  # derived codes are systematic; the files hold the canonical form
+        lines = [f"# {mat.shape[0]} x {mat.shape[1]} over GF({field.q})"]
         for row in mat:
             lines.append(" ".join(str(int(x)) for x in row))
         (directory / name).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -1,10 +1,16 @@
-"""Linear codes over F_q as canonical row spaces: ideal-generated codes,
+"""Linear codes over F_q as systematic row spaces: ideal-generated codes,
 Euclidean duals, and exhaustive weight computations, each with its cap rule.
 
-Generator matrices are kept in RREF (leftmost pivots, monic, eliminated above
-and below), so two codes are equal iff their matrices are equal.  Coordinates
-are indexed by group element id for ideal-generated codes; `duadic_codes`
-derives three of a pair's four from C_e.
+A generator matrix is systematic: gen[:, pivots] is the identity, with the
+pivots in row order.  `LinearCode(field, rows)` eliminates once, to the
+canonical RREF (leftmost pivots, monic, eliminated above and below); the
+derived codes keep the systematic form they come in, with no elimination:
+a mu image moves the pivots with the columns, an added vector joins as one
+row, and a dual's kernel basis is systematic on the free columns.  Two codes
+are equal iff their row spaces are, which is their RREFs being equal.
+Coordinates are indexed by group element id for ideal-generated codes;
+`duadic_codes` eliminates C_e alone, from k + 4 translates, and derives the
+other three codes of a pair from it.
 
 Exhaustive enumeration splits each coset word into head + tail; the word is
 zero at j exactly where tail[j] == -head[j], so weights come from comparing
@@ -14,6 +20,7 @@ field indexes, with no field addition per word.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -31,31 +38,38 @@ _CHUNK_CELLS = 1 << 21
 
 
 class LinearCode:
-    """An [n, k] linear code over F_q as a canonical generator matrix."""
+    """An [n, k] linear code over F_q as a systematic generator matrix:
+    gen[:, pivots] is the identity."""
 
     def __init__(self, field: FiniteField, rows):
-        self._set_rref(field, *_linalg.rref(field, rows))
+        self._set_basis(field, *_linalg.rref(field, rows))
 
-    def _set_rref(self, field: FiniteField, red: np.ndarray, pivots) -> None:
-        red = red.copy()
-        red.flags.writeable = False
+    @classmethod
+    def _systematic(cls, field: FiniteField, gen: np.ndarray, pivots) -> LinearCode:
+        """The code of a basis already systematic on pivots: no elimination."""
+        code = cls.__new__(cls)
+        code._set_basis(field, gen, pivots)
+        return code
+
+    def _set_basis(self, field: FiniteField, gen: np.ndarray, pivots) -> None:
+        gen = gen.copy()
+        gen.flags.writeable = False
         self.field = field
-        self.n = int(red.shape[1])
-        self.k = int(red.shape[0])
-        self.gen = red
-        self.pivots = list(pivots)
+        self.n = int(gen.shape[1])
+        self.k = int(gen.shape[0])
+        self.gen = gen
+        self.pivots = [int(c) for c in pivots]
 
     def __eq__(self, other) -> bool:
-        return (
+        """Row-space equality: same space and dimension, and one inclusion."""
+        return other is self or (
             isinstance(other, LinearCode)
-            and self.field == other.field
-            and self.n == other.n
-            and self.k == other.k
-            and np.array_equal(self.gen, other.gen)
+            and (self.field, self.n, self.k) == (other.field, other.n, other.k)
+            and _linalg.in_row_space(self.field, other.gen, other.pivots, self.gen)
         )
 
     def __hash__(self) -> int:
-        return hash((self.field, self.n, self.gen.tobytes()))
+        return hash((self.field, self.n, self.k))
 
     def __repr__(self) -> str:
         return f"[{self.n}, {self.k}] code over {self.field!r}"
@@ -67,9 +81,23 @@ class LinearCode:
         return _linalg.in_row_space(self.field, self.gen, self.pivots, v)
 
 
-def code_from_ideal(e: AlgebraElement) -> LinearCode:
-    """Row space of {g*e : g in G}."""
-    return LinearCode(e.field, e.vec[e.group.left_translation])
+def code_from_ideal(e: AlgebraElement, dim: int | None = None) -> LinearCode:
+    """Row space of {g*e : g in G}.  Given dim Re, only dim + 4 translates
+    are eliminated, and all n only when their rank falls short.  They are
+    the translates by the ids j s mod n, j = 0, 1, ..., with s the integer
+    coprime to n nearest n/phi (phi the golden ratio): in a cyclic group
+    these are powers of a generator, any dim of them consecutive span Re,
+    and in a product group they spread over the factors rather than fill a
+    box of the first."""
+    translates = e.vec[e.group.left_translation]
+    if dim is not None:
+        n = len(translates)
+        target = n / ((1 + 5**0.5) / 2)
+        stride = min((s for s in range(1, n) if math.gcd(s, n) == 1), key=lambda s: abs(s - target), default=1)
+        code = LinearCode(e.field, translates[np.arange(min(dim + 4, n)) * stride % n])
+        if code.k >= dim:
+            return code
+    return LinearCode(e.field, translates)
 
 
 def _in_ideal(code: LinearCode, a: AlgebraElement) -> LinearCode:
@@ -80,39 +108,38 @@ def _in_ideal(code: LinearCode, a: AlgebraElement) -> LinearCode:
 
 
 def _mu_image(code: LinearCode, mu, a: AlgebraElement) -> LinearCode:
-    """mu(code), re-reduced, as the code of the ideal Ra, checked."""
+    """mu(code) as the code of the ideal Ra, checked.  mu moves column j to
+    mu_star[j] and its Frobenius power fixes 0 and 1, so the mapped basis is
+    systematic on mu_star[pivots]."""
     rows = np.zeros_like(code.gen)
     rows[:, mu.mu_star] = code.field.vfrobenius(code.gen, mu.frobenius_power)
-    return _in_ideal(LinearCode(code.field, rows), a)
+    return _in_ideal(LinearCode._systematic(code.field, rows, [mu.mu_star[c] for c in code.pivots]), a)
 
 
 def _plus_vector(code: LinearCode, v: np.ndarray, a: AlgebraElement) -> LinearCode:
     """code + span(v) as the code of the ideal Ra, checked: v reduced by the
-    basis, made monic at its leading column c and cleared from the other
-    rows there joins the RREF at the position of c, with no pivot loop."""
+    basis (so zero at the pivots), made monic at its first nonzero column c
+    and cleared from the other rows there joins the basis as its last row."""
     field, gen, pivots = code.field, code.gen, code.pivots
     row = field.vsub(v, _linalg.matmul(field, v[pivots], gen)[0])
     if not row.any():
         raise VerificationError("the added vector already lies in the code")
     c = int(np.flatnonzero(row)[0])
     row = field.vmul(row, field.inv(int(row[c])))
-    at = int(np.searchsorted(pivots, c))
-    red = np.insert(field.vsub(gen, field.vmul(gen[:, c : c + 1], row[None])), at, row, axis=0)
-    out = LinearCode.__new__(LinearCode)  # already in RREF: no elimination
-    out._set_rref(field, red, [*pivots[:at], c, *pivots[at:]])
-    return _in_ideal(out, a)
+    basis = np.vstack([field.vsub(gen, field.vmul(gen[:, c : c + 1], row[None])), row[None]])
+    return _in_ideal(LinearCode._systematic(field, basis, [*pivots, c]), a)
 
 
 def dual(code: LinearCode) -> LinearCode:
-    """Euclidean dual: the right kernel of the generator matrix, read off its
-    RREF.  Each free column j gives the kernel vector with 1 at j and
-    -gen[:, j] at the pivot columns; one elimination makes that basis canonical."""
+    """Euclidean dual: the right kernel of the generator matrix.  Each free
+    column j gives the kernel vector with 1 at j and -gen[:, j] at the pivot
+    columns, so the basis is systematic on the free columns as it stands."""
     field, gen, pivots = code.field, code.gen, code.pivots
     free = np.setdiff1d(np.arange(code.n), pivots)
     basis = np.zeros((free.size, code.n), dtype=np.int64)
     basis[np.arange(free.size), free] = 1
     basis[:, pivots] = field.vneg(gen[:, free].T)
-    return LinearCode(field, basis)
+    return LinearCode._systematic(field, basis, free)
 
 
 def check_dual(code: LinearCode, other: LinearCode) -> None:
@@ -164,40 +191,50 @@ def _combination_table(field: FiniteField, rows: np.ndarray, n: int) -> np.ndarr
     return table.astype(np.int64) if lookup is None else lookup[table]
 
 
-def _coset_chunks(field: FiniteField, gen: np.ndarray, offset: np.ndarray):
-    """Cover offset + span(gen) once, in chunks of words head + tail.
-
-    Yields (neg_heads, tail, weights), weights[i, j] being the Hamming weight
-    of tail[j] - neg_heads[i].  The tail spans the last t rows (q^t <=
-    _BLOCK_WORDS), the heads offset + the other rows in odometer order.
-    """
-    n, q = len(offset), field.q
+def _coset_tables(field: FiniteField, gen: np.ndarray, n: int):
+    """What `_coset_chunks` needs of span(gen), for any coset of it: the
+    outer rows, the negated head table, the tail table and its transpose as
+    field indexes.  The tail spans the last t rows (q^t <= _BLOCK_WORDS), the
+    head table the s rows before them, and the outer rows step in odometer
+    order."""
+    q = field.q
     gen = np.asarray(gen, dtype=np.int64).reshape(-1, n)
     k = len(gen)
     t = max(i for i in range(k + 1) if q**i <= _BLOCK_WORDS)
     s = max(i for i in range(k - t + 1) if i == 0 or q ** (i + t) * n <= _CHUNK_CELLS)
     tail = _combination_table(field, gen[k - t :], n)
     neg_table = _combination_table(field, field.vneg(gen[k - t - s : k - t][::-1]), n)
-    index_type = np.min_scalar_type(q - 1)
-    tail_t = np.ascontiguousarray(tail.T, dtype=index_type)
-    outer = gen[: k - t - s]
-    for message in itertools.product(range(q), repeat=len(outer)):
+    tail_t = np.ascontiguousarray(tail.T, dtype=np.min_scalar_type(q - 1))
+    return gen[: k - t - s], neg_table, tail, tail_t
+
+
+def _coset_chunks(field: FiniteField, gen: np.ndarray, offset: np.ndarray, tables=None):
+    """Cover offset + span(gen) once, in chunks of words head + tail.
+
+    Yields (neg_heads, tail, weights), weights[i, j] being the Hamming weight
+    of tail[j] - neg_heads[i].  tables are `_coset_tables(field, gen, n)`,
+    built here unless the cosets of one span share them.
+    """
+    n = len(offset)
+    outer, neg_table, tail, tail_t = _coset_tables(field, gen, n) if tables is None else tables
+    for message in itertools.product(range(field.q), repeat=len(outer)):
         scaled = field.vmul(np.array(message, dtype=np.int64)[:, None], outer)
         base = field.vsum(np.vstack([offset, scaled]), axis=0)
-        neg_heads = field.vsub(neg_table, base).astype(index_type)
+        neg_heads = field.vsub(neg_table, base).astype(tail_t.dtype)
         differ = tail_t[None] != neg_heads[:, :, None]
         # the weight type leaves room for the skip value n + 1 of the zero word
         yield neg_heads, tail, differ.view(np.uint8).sum(axis=1, dtype=np.min_scalar_type(n + 1))
 
 
-def coset_min_weight(field: FiniteField, gen: np.ndarray, offset: np.ndarray) -> tuple[int, np.ndarray]:
+def coset_min_weight(field: FiniteField, gen: np.ndarray, offset: np.ndarray, tables=None) -> tuple[int, np.ndarray]:
     """Minimum nonzero Hamming weight over offset + span(gen), with a witness.
 
     The zero word (present only when the offset lies in the span) is skipped.
+    tables, from `_coset_tables`, are shared by the cosets of one span.
     """
     n = len(offset)
     best, witness = n + 1, None
-    for neg_heads, tail, weights in _coset_chunks(field, gen, offset):
+    for neg_heads, tail, weights in _coset_chunks(field, gen, offset, tables):
         flat = weights.ravel()
         flat[flat == 0] = n + 1
         i = int(flat.argmin())
@@ -225,16 +262,19 @@ def difference_min_weight(
 ) -> tuple[int, np.ndarray]:
     """Minimum weight over big \\ small for nested codes, with a witness.
 
-    The nonzero combinations of the Delta big rows whose pivot columns small
-    lacks offset the nonzero cosets of small, which cover big \\ small once:
-    q^k_big - q^k_small words, counted against the cap before any is scanned.
-    Since wt(a w) = wt(w), the cosets of v and a v share their minimum, so
-    only the (q^Delta - 1)/(q - 1) offsets whose most significant nonzero
-    coefficient is 1 are scanned: ext[j] + span(ext[:j]), j = 0..Delta-1, in
-    rank order.  The cap still counts all q^k_big - q^k_small words.  Each
-    scanned offset ranks first in its scalar class, so the first minimal
-    offset, and with it the witness, is the one a scan of all q^Delta - 1
-    offsets finds.
+    When small's pivots lie among big's (always so for RREFs, and for the
+    codes of a duadic pair, which gain pivots as they grow; other codes are
+    reduced to their RREFs first), the nonzero combinations of the Delta big
+    rows whose pivot columns small lacks offset the nonzero cosets of small,
+    which cover big \\ small once: q^k_big - q^k_small words, counted against
+    the cap before any is scanned.  Since wt(a w) = wt(w), the cosets of v
+    and a v share their minimum, so only the (q^Delta - 1)/(q - 1) offsets
+    whose most significant nonzero coefficient is 1 are scanned: ext[j] +
+    span(ext[:j]), j = 0..Delta-1, in rank order, all with the one set of
+    coset tables of small.  The cap still counts all q^k_big - q^k_small
+    words.  Each scanned offset ranks first in its scalar class, so the first
+    minimal offset, and with it the witness, is the one a scan of all
+    q^Delta - 1 offsets finds.
     """
     field = big.field
     size = field.q**big.k - field.q**small.k
@@ -244,10 +284,13 @@ def difference_min_weight(
         raise VerificationError("codes are not nested")
     if size == 0:
         raise ValueError("set difference is empty: the codes are equal")
+    if not set(small.pivots) <= set(big.pivots):
+        small, big = LinearCode(field, small.gen), LinearCode(field, big.gen)  # RREF pivots nest
     small_pivots = set(small.pivots)
     ext = big.gen[[i for i, c in enumerate(big.pivots) if c not in small_pivots]]
     offsets = (v for j in range(len(ext)) for v in field.vadd(ext[j], _combination_table(field, ext[:j], big.n)))
-    return min((coset_min_weight(field, small.gen, offset) for offset in offsets), key=lambda r: r[0])
+    tables = _coset_tables(field, small.gen, big.n)
+    return min((coset_min_weight(field, small.gen, offset, tables) for offset in offsets), key=lambda r: r[0])
 
 
 def odd_like_min_weight(duadic_codes, which: str = "e", cap: int = DEFAULT_ENUM_CAP) -> tuple[int, np.ndarray]:

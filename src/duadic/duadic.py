@@ -5,7 +5,7 @@ A duadic pair is a pair of even-like central idempotents (e, f) with
 e + f = 1 - Ghat that an isometric antiautomorphism mu swaps.  Each fact is
 checked once, where it is established: `DuadicPair` checks the four axioms
 that imply the rest, and `duadic_codes` the four dimensions and that each
-code derived from C_e lies in its ideal.
+code derived from C_e, the pair's one elimination, lies in its ideal.
 """
 
 from __future__ import annotations
@@ -258,19 +258,24 @@ class DuadicCodes:
 def duadic_codes(pair: DuadicPair) -> DuadicCodes:
     """Build C_e = Re, C_f = Rf, D_e = R(1-f) and D_f = R(1-e) and verify them.
 
-    Only C_e is eliminated.  mu is a semilinear bijection of R with mu(g e)
-    = f mu(g), so C_f = mu(C_e), re-reduced (k rows, not n); 1 - f = e +
+    C_e is the pair's one elimination.  The axioms DuadicPair checks make e,
+    f and Ghat orthogonal idempotents with sum 1, and mu maps Re onto Rf, so
+    R = Re + Rf + F Ghat is direct with dim Re = k = (n-1)/2: any k
+    independent translates of e span Re, and k + 4 of them are eliminated
+    (all n only when their rank falls short; `code_from_ideal`).  The other codes keep the
+    systematic form they are derived in.  mu is a semilinear bijection of R
+    with mu(g e) = f mu(g), so C_f = mu(C_e), its k rows mapped; 1 - f = e +
     Ghat with e Ghat = 0, so D_e = C_e + span(Ghat) and D_f = C_f +
-    span(Ghat), one row inserted into the RREF.  A derived code X of the idempotent a lies in Ra (x a = x for its
-    rows, checked); R = Re + Rf + F Ghat is direct, so with dim C_e =
-    (n-1)/2 the dimensions checked below are the ideals' and make X = Ra."""
+    span(Ghat), one row added.  A derived code X of the idempotent a lies in
+    Ra (x a = x for its rows, checked), and the dimensions checked below are
+    the ideals', which make C_e = Re and X = Ra."""
     field, group = pair.field, pair.group
+    n = group.order
     one = AlgebraElement.one(field, group)
-    c_e = code_from_ideal(pair.e)
+    c_e = code_from_ideal(pair.e, (n - 1) // 2)
     c_f = _mu_image(c_e, pair.mu, pair.f)
     d_e = _plus_vector(c_e, pair.ghat.vec, one - pair.f)
     d_f = _plus_vector(c_f, pair.ghat.vec, one - pair.e)
-    n = group.order
     expected = {
         "dim C_e": (c_e.k, (n - 1) // 2),
         "dim C_f": (c_f.k, (n - 1) // 2),
@@ -301,7 +306,7 @@ def classify_duality(pair: DuadicPair, codes: DuadicCodes | None = None) -> Dual
     For a central idempotent a, (Ra)-perp = R(1 - mu_-1(a)) = mu_-1(R(1 - a)).
     When mu_-1 swaps e and f (case i) or fixes them (case ii) the duals are
     codes already built.  Otherwise ("mixed") C_e-perp = mu_-1(D_f) and
-    D_e-perp = mu_-1(C_f), each a built code's rows mapped and re-reduced.
+    D_e-perp = mu_-1(C_f), each a built code's rows mapped.
     Each identity is checked once by `check_dual` (VerificationError if it
     fails); D_e-perp = C_e in case i and = C_f in case ii follow from the
     C_e and C_f identities by taking duals.

@@ -357,6 +357,52 @@ class TestConstruct:
         assert lines[0].startswith("#")
         assert len(lines) == 4  # header + 3 generator rows
 
+    @pytest.mark.parametrize(
+        "argv,digests",
+        [
+            (
+                ["7", "--q", "2", "--mu", "mu-1"],  # case i
+                {
+                    "c_e.mat": "4196c0533f24f90c7c5230a34c4e6000d2586f997db7af35283bc9652f8f497f",
+                    "c_f.mat": "c2809e674cbf1bbb85e1113584ebe76e5b4d59be4a60b3e3184f79ca3d6016f5",
+                    "d_e.mat": "9f934c3b892853a45d19a35ae75d9f55075e3a87e76f9c16914cdac39b9583a6",
+                    "d_f.mat": "9f7056068ef7682bb9e360c556c1bb58f00ed78b890b5a86683b16b4356a810f",
+                    "x_stabilizers.mat": "4196c0533f24f90c7c5230a34c4e6000d2586f997db7af35283bc9652f8f497f",
+                    "z_stabilizers.mat": "4196c0533f24f90c7c5230a34c4e6000d2586f997db7af35283bc9652f8f497f",
+                },
+            ),
+            (
+                ["3x3", "--q", "2", "--mu", "swap"],  # case ii
+                {
+                    "c_e.mat": "5535355f5a253c7488716a59441d2f1b1cbc652fe760e3996e7a010063fcfa1c",
+                    "c_f.mat": "2903b345c697103be40c4525cca7b858ff878e54e43fa9944fc9283dfaa69217",
+                    "d_e.mat": "f24eab69506f43eeb3bbe71dc9e973eea244ccd700831b5703127fb7e79ebcaf",
+                    "d_f.mat": "0252e13ce122282d132725c149d25968a6808ed150f8e38952c83a8fd73033ef",
+                    "x_stabilizers.mat": "5535355f5a253c7488716a59441d2f1b1cbc652fe760e3996e7a010063fcfa1c",
+                    "z_stabilizers.mat": "2903b345c697103be40c4525cca7b858ff878e54e43fa9944fc9283dfaa69217",
+                },
+            ),
+            (
+                ["3x3,7", "--q", "2", "--mu", "swap*mu-1", "--product"],  # mixed
+                {
+                    "c_e.mat": "dd19fe3a1d83590c7b22cbec934c0233cf4073158881ba03ede56836533ff904",
+                    "c_f.mat": "59ef2b0b5e85db7ef3f9b9a3d09b0475e5d874f98123671579d9e9044a2892af",
+                    "d_e.mat": "4e8a2efc16825bcd3fd77b6e10e7374cf002571aaa59850422cdb2eab8408510",
+                    "d_f.mat": "4f0d40ef51dd2e40f366bf6700ea6f485e3c6795806498719b0f1194720ad183",
+                    "x_stabilizers.mat": "dd19fe3a1d83590c7b22cbec934c0233cf4073158881ba03ede56836533ff904",
+                    "z_stabilizers.mat": "d2afaf6fbc3324d999fe06922a62ceee8ca4248e18fdb9ce7ef0fd71b86e439f",
+                },
+            ),
+        ],
+        ids=["case-i", "case-ii", "mixed"],
+    )
+    def test_emit_matrices_bytes(self, tmp_path, capsys, argv, digests):
+        # each file holds the canonical RREF of its matrix, whatever form the code keeps
+        out = tmp_path / "mats"
+        assert main(["construct", "--group", *argv, "--emit-matrices", str(out), "--json"]) == EXIT_OK
+        capsys.readouterr()
+        assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()} == digests
+
     def test_cayley_group_construct(self, tmp_path, capsys):
         from duadic.groups import group_from_cayley
 

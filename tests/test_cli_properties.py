@@ -132,12 +132,33 @@ JSON_VALUES = st.recursive(
 )
 
 
+# lists of scalar lists, as e and f are written: mostly rows of str, int,
+# bool and None, with one-item rows, empty rows, tuples and the odd float
+ROW_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.integers(2**63 - 2, 2**70), STRINGS)
+SCALAR_ROWS = st.lists(
+    st.one_of(
+        st.lists(ROW_SCALARS, min_size=1, max_size=3),
+        st.lists(ROW_SCALARS, min_size=1, max_size=1),
+        st.lists(ROW_SCALARS, min_size=1, max_size=2).map(tuple),
+        st.lists(st.one_of(ROW_SCALARS, st.floats()), min_size=1, max_size=2),
+        st.just([]),
+    ),
+    max_size=4,
+)
+
+
 @SETTINGS
-@given(value=JSON_VALUES, pairs=st.lists(JSON_VALUES, max_size=3), dims=st.dictionaries(STRINGS, JSON_VALUES, max_size=3))
-@example(value=[], pairs=[[["a^0", 1], ["a^3", True]]], dims={})
-@example(value={}, pairs=[[]], dims={"": {"": []}})
-def test_emit_json_matches_the_indenting_encoder(value, pairs, dims):
-    report = CodeReport("7", 2, "mu-1", existence=value, pairs=pairs, dims=dims, timing_ms=1.5)
+@given(
+    value=JSON_VALUES,
+    pairs=st.lists(JSON_VALUES, max_size=3),
+    dims=st.dictionaries(STRINGS, JSON_VALUES, max_size=3),
+    rows=st.lists(SCALAR_ROWS, max_size=3),
+)
+@example(value=[], pairs=[[["a^0", 1], ["a^3", True]]], dims={}, rows=[])
+@example(value={}, pairs=[[]], dims={"": {"": []}}, rows=[])
+@example(value=None, pairs=[], dims={}, rows=[[["e"], [None, False, -7, "x"]], [["a", 1], []], [["a", 1.5]], [[2]]])
+def test_emit_json_matches_the_indenting_encoder(value, pairs, dims, rows):
+    report = CodeReport("7", 2, "mu-1", existence=value, pairs=pairs, dims=dims, distances=rows, timing_ms=1.5)
     assert emit_json([report]) == json.dumps([report.to_dict()], indent=2) + "\n"
     assert emit_json([report, report]) == json.dumps([report.to_dict()] * 2, indent=2) + "\n"
 

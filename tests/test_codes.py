@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -17,6 +18,8 @@ from duadic.codes import (
     LinearCode,
     _combination_table,
     _coset_chunks,
+    _mu_image,
+    _plus_vector,
     check_dual,
     code_from_ideal,
     coset_min_weight,
@@ -29,7 +32,7 @@ from duadic.codes import (
 from duadic.duadic import classify_duality, construct_pairs, duadic_codes, product_duadic
 from duadic.errors import EnumerationCapError, VerificationError
 from duadic.gf import field_from_order
-from duadic.groups import builtin_mu_minus1, builtin_mu_swap, cyclic_group, group_abelian
+from duadic.groups import Antiautomorphism, builtin_mu_minus1, builtin_mu_swap, cyclic_group, group_abelian
 from duadic.quantum import css_build, css_distance
 
 from conftest import enumerable_cells
@@ -130,15 +133,15 @@ class TestDual:
         )
         assert dual(c_e) == ideal
 
-    def test_one_elimination(self, z33_codes, monkeypatch):
-        # the kernel basis comes off the kept RREF; only LinearCode reduces it
+    def test_no_elimination(self, z33_codes, monkeypatch):
+        # the kernel basis comes off the kept systematic basis and is itself systematic
         d_e = z33_codes.d_e
         assert (d_e.n, d_e.k) == (9, 5)
         rows = []
         rref = _linalg.rref
         monkeypatch.setattr(_linalg, "rref", lambda field, mat: rows.append(len(mat)) or rref(field, mat))
         perp = dual(d_e)
-        assert rows == [4]
+        assert rows == []
         assert perp == LinearCode(d_e.field, reference_right_kernel(d_e.field, d_e.gen))
 
 
@@ -341,6 +344,33 @@ class TestDifferenceMinWeight:
         difference_min_weight(small, big)
         assert len(calls) == (q**extra - 1) // (q - 1)
 
+    def test_cosets_share_one_set_of_tables(self, monkeypatch):
+        # Delta = 3 over GF(4): 21 cosets, against the per-coset scan, which
+        # builds the two tables of small once for each of them
+        field, small, big = _nested_pair(4, 20, 10, 3, 5)
+        assert (big.n, small.k, big.k - small.k) == (20, 7, 3)
+        small_pivots = set(small.pivots)
+        ext = big.gen[[i for i, c in enumerate(big.pivots) if c not in small_pivots]]
+        offsets = [v for j in range(3) for v in field.vadd(ext[j], _combination_table(field, ext[:j], 20))]
+        assert len(offsets) == 21
+        per_coset = min((coset_min_weight(field, small.gen, offset) for offset in offsets), key=lambda r: r[0])
+        tables = []
+        real = codes_module._combination_table
+        monkeypatch.setattr(codes_module, "_combination_table", lambda *a: tables.append(a) or real(*a))
+        w, witness = difference_min_weight(small, big)
+        assert len(tables) == 2 + 3  # small's tail and head tables, and the offsets for j = 0, 1, 2
+        assert w == per_coset[0]
+        assert witness.tolist() == per_coset[1].tolist()
+
+    def test_pivots_that_do_not_nest(self, gf2):
+        # small = span{11000} is kept systematic on column 1, as a dual is, and
+        # big's RREF has pivots 0 and 2: big \\ small = {00111, 11111}
+        small = dual(LinearCode(gf2, [[1, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]]))
+        big = LinearCode(gf2, [[1, 1, 0, 0, 0], [0, 0, 1, 1, 1]])
+        assert (small.pivots, big.pivots) == ([1], [0, 2])
+        w, witness = difference_min_weight(small, big)
+        assert (w, witness.tolist()) == (3, [0, 0, 1, 1, 1])
+
     def test_zero_subcode_gives_the_minimum_distance(self, z33_codes):
         zero = LinearCode(z33_codes.d_e.field, np.zeros((0, 9), dtype=np.int64))
         assert difference_min_weight(zero, z33_codes.d_e)[0] == min_weight(z33_codes.d_e)[0]
@@ -370,7 +400,8 @@ class TestDifferenceMinWeight:
 # (`oracles.reference_blocks`)
 # ---------------------------------------------------------------------------
 
-def reference_coset_min_weight(field, gen, offset):
+def reference_coset_min_weight(field, gen, offset, tables=None):
+    # builds every word itself, so the shared coset tables go unused
     best, witness = None, None
     for block in reference_blocks(field, gen, offset):
         weights = np.count_nonzero(block, axis=1)
@@ -528,3 +559,48 @@ class TestWeightDistributionProperties:
             naive[sum(1 for x in word if x)] += 1
         assert counts.tolist() == naive.tolist()
         assert macwilliams(counts, q, code.k) == weight_distribution(dual(code)).tolist()
+
+
+# ---------------------------------------------------------------------------
+# the systematic invariant: every route to a code keeps gen[:, pivots] = I,
+# and equality is row-space equality whatever form two bases are in
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def codes_by_every_route(draw):
+    """Codes of one space over a cyclic group: from LinearCode, `_mu_image`
+    (mu_-1, or mu_-1 with the Frobenius), `_plus_vector` and `dual`, each
+    next to the elimination of its own basis, which is the same code in
+    canonical form, and an unrelated code."""
+    q = draw(st.sampled_from([2, 3, 4, 8, 9]))
+    n = draw(st.sampled_from([3, 5, 7, 9]))
+    field, group = field_from_order(q), cyclic_group(n)
+    one = AlgebraElement.one(field, group)
+    words = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
+    rows = np.array(draw(st.lists(words, max_size=n)), dtype=np.int64).reshape(-1, n)
+    frobenius_power = draw(st.integers(0, 1))
+    mu = Antiautomorphism(group, group.inverse, frobenius_power=frobenius_power)
+    code = LinearCode(field, rows)
+    image, perp = _mu_image(code, mu, one), dual(code)
+    codes = [code, image, LinearCode(field, image.gen), perp, LinearCode(field, perp.gen), dual(perp)]
+    v = np.array(draw(words), dtype=np.int64)
+    for base in (code, image, perp):
+        if not base.contains(v):
+            codes += [_plus_vector(base, v, one), LinearCode(field, np.vstack([base.gen, v]))]
+    codes.append(LinearCode(field, np.array(draw(st.lists(words, max_size=n)), dtype=np.int64).reshape(-1, n)))
+    return codes
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(codes_by_every_route())
+def test_systematic_invariant_and_row_space_equality(codes):
+    canonical = [_linalg.rref(code.field, code.gen)[0] for code in codes]
+    for code in codes:
+        assert code.gen.shape == (code.k, code.n) and len(code.pivots) == code.k
+        assert np.array_equal(code.gen[:, code.pivots], np.eye(code.k, dtype=np.int64))
+    for (a, red_a), (b, red_b) in itertools.product(zip(codes, canonical), repeat=2):
+        same = red_a.shape == red_b.shape and np.array_equal(red_a, red_b)
+        assert (a == b) == same
+        if same:
+            assert hash(a) == hash(b)

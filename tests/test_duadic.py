@@ -427,16 +427,20 @@ def derivation_pairs(name: str) -> list[DuadicPair]:
 
 
 class TestCodeDerivation:
-    """C_f, D_e and D_f come from C_e by mu and by one inserted row."""
+    """C_e comes from k + 4 translates, and C_f, D_e and D_f from C_e by mu
+    and by one added row."""
 
     @pytest.mark.parametrize("name", [*_DERIVATION_CELLS, "3x3,3x3-q2-product"])
     def test_derived_codes_equal_their_elimination(self, name):
         for pair in derivation_pairs(name):
             codes = duadic_codes(pair)
             one = AlgebraElement.one(pair.field, pair.group)
-            for code, a in ((codes.c_f, pair.f), (codes.d_e, one - pair.f), (codes.d_f, one - pair.e)):
+            derived = ((codes.c_e, pair.e), (codes.c_f, pair.f), (codes.d_e, one - pair.f), (codes.d_f, one - pair.e))
+            for code, a in derived:
                 eliminated = LinearCode(pair.field, a.vec[pair.group.left_translation])
-                assert code == eliminated and code.pivots == eliminated.pivots, (pair, a)
+                red, pivots = _linalg.rref(pair.field, code.gen)
+                assert red.tobytes() == eliminated.gen.tobytes() and pivots == eliminated.pivots, (pair, a)
+                assert code == eliminated, (pair, a)
 
     @pytest.mark.parametrize("name", ["7-q2", "7-q4-twisted", "5x5-q3-swap", "Z7:Z3-q4"])
     def test_wrong_mu_star_raises(self, name, monkeypatch):
@@ -457,16 +461,15 @@ class TestCodeDerivation:
         "name,case",
         [("23-q2", "i"), ("3x3-q2-swap", "ii"), ("19-q4", "i"), ("5x5-q3-swap", "ii"), ("3x3,7-q2-product", "mixed")],
     )
-    def test_one_full_and_one_short_elimination(self, name, case, monkeypatch):
+    def test_one_elimination_of_k_plus_4_translates(self, name, case, monkeypatch):
         pair = derivation_pairs(name)[0]
         rows = []
         rref = _linalg.rref
         monkeypatch.setattr(_linalg, "rref", lambda field, mat: rows.append(len(mat)) or rref(field, mat))
         analysis = analyze_pair(pair, cap=1 << 12)
         assert analysis.duality.case == case and analysis.duality.verified
-        n, k = pair.group.order, (pair.group.order - 1) // 2
-        # the mixed duals are the images mu_-1(D_f) and mu_-1(C_f), 32 and 31 rows
-        assert rows == ([n, k] if case != "mixed" else [63, 31, 32, 31])
+        # C_e alone is eliminated; the mixed duals mu_-1(D_f) and mu_-1(C_f) are mapped rows
+        assert rows == [(pair.group.order - 1) // 2 + 4]
 
 
 class TestClassifyDuality:
