@@ -109,7 +109,7 @@ def matmul(field: FiniteField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if m == 1:
         prod = a.astype(np.float64) @ b.astype(np.float64)
     else:
-        digits, powers = field._float_digits()
+        digits, powers = field._float_digits
         prod = digits.T.take(a, axis=1).reshape(m * r, k) @ digits.take(b, axis=0).reshape(k, c * m)
     _reduce(prod, p)
     if m == 1:

@@ -79,9 +79,6 @@ class AlgebraElement:
     def weight(self) -> int:
         return int(np.count_nonzero(self.vec))
 
-    def support(self) -> tuple[int, ...]:
-        return tuple(int(g) for g in np.nonzero(self.vec)[0])
-
     def coefficient_sum(self) -> int:
         return self.field.vsum(self.vec)
 
@@ -90,7 +87,7 @@ class AlgebraElement:
         return [(labels[g], c) for g, c in zip(support.tolist(), self.vec[support].tolist())]
 
     def __repr__(self) -> str:
-        if not self.support():
+        if not self.vec.any():
             return "0"
         return " + ".join(
             label if c == 1 else f"{c}*{label}" for label, c in self.to_pairs()
@@ -223,9 +220,6 @@ class IdempotentSet:
 
     def __hash__(self) -> int:
         return hash((self.field, self.group, self.members))
-
-    def nontrivial(self) -> list[AlgebraElement]:
-        return [e for i, e in enumerate(self.members) if i != self.trivial_index]
 
 
 def split_primitive_central_idempotents(field: FiniteField, group: Group) -> IdempotentSet:

@@ -182,7 +182,7 @@ def _combination_table(field: FiniteField, rows: np.ndarray, n: int) -> np.ndarr
         b = t * (p - 1) + 1
         sums = np.arange(b**m, dtype=np.int64)
         lookup = sum((sums // b**i % b % p) * p**i for i in range(m))
-        digit_codes = field._digit_table() @ b ** np.arange(m, dtype=np.int64)
+        digit_codes = field._digit_table @ b ** np.arange(m, dtype=np.int64)
         codes = digit_codes.astype(np.min_scalar_type(b**m - 1))[multiples]
         add = np.add
     table = np.zeros((1, n), dtype=codes.dtype)

@@ -31,7 +31,6 @@ from .errors import NoSplittingError, VerificationError
 from .gf import FiniteField, multiplicative_order_mod
 from .groups import (
     Antiautomorphism,
-    FqClassPartition,
     Group,
     builtin_mu_minus1,
     group_product,
@@ -97,22 +96,14 @@ class DuadicPair:
 
 @dataclass(frozen=True)
 class SplittingCheck:
-    """Joint idempotent-level and class-level splitting test results."""
+    """Joint idempotent-level and class-level splitting test results; the
+    F_q-classes are ``idempotents.partition``."""
 
     ok: bool
     fixed_class_ids: tuple[int, ...]
     fixed_idempotent_ids: tuple[int, ...]
     idempotents: IdempotentSet
-    partition: FqClassPartition
     mu_permutation: tuple[int, ...]  # mu(idempotents[i]) = idempotents[mu_permutation[i]]
-
-    @property
-    def fixed_class_count(self) -> int:
-        return len(self.fixed_class_ids)
-
-    @property
-    def fixed_idempotent_count(self) -> int:
-        return len(self.fixed_idempotent_ids)
 
 
 def splitting_exists_mu_minus1(n: int, q: int) -> bool:
@@ -126,10 +117,10 @@ def splitting_exists_mu_minus1(n: int, q: int) -> bool:
 
 def _fixed_ids(
     mu: Antiautomorphism, field: FiniteField, group: Group
-) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], IdempotentSet, FqClassPartition]:
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], IdempotentSet]:
     """Ids of the F_q-classes and of the centrally primitive idempotents that
     mu fixes (trivial ones included), the permutation mu induces on the
-    idempotents, the idempotents and the partition."""
+    idempotents, and the idempotents."""
     if mu.group != group:
         raise ValueError("antiautomorphism lives on a different group")
     idempotents = split_primitive_central_idempotents(field, group)
@@ -141,7 +132,7 @@ def _fixed_ids(
     if -1 in images:
         raise VerificationError("antiautomorphism does not permute the idempotent set")
     fixed_idems = tuple(i for i, j in enumerate(images) if i == j)
-    return fixed_classes, fixed_idems, images, idempotents, partition
+    return fixed_classes, fixed_idems, images, idempotents
 
 
 def check_splitting(mu: Antiautomorphism, field: FiniteField, group: Group) -> SplittingCheck:
@@ -153,13 +144,13 @@ def check_splitting(mu: Antiautomorphism, field: FiniteField, group: Group) -> S
     theorem.  Both are necessary for a duadic pair; when mu is not an
     involution on the idempotents they are not sufficient (`construct_pairs`).
     """
-    fixed_classes, fixed_idems, images, idempotents, partition = _fixed_ids(mu, field, group)
+    fixed_classes, fixed_idems, images, idempotents = _fixed_ids(mu, field, group)
     if len(fixed_classes) != len(fixed_idems):
         raise VerificationError(
             f"fixed-class count {len(fixed_classes)} != fixed-idempotent count {len(fixed_idems)}"
         )
     ok = fixed_idems == (idempotents.trivial_index,)
-    return SplittingCheck(ok, fixed_classes, fixed_idems, idempotents, partition, images)
+    return SplittingCheck(ok, fixed_classes, fixed_idems, idempotents, images)
 
 
 def verify_key_proposition(
@@ -170,7 +161,7 @@ def verify_key_proposition(
     The two numbers must be equal; this operation reports them without
     enforcing it, as the test oracle.
     """
-    fixed_classes, fixed_idems, _, _, _ = _fixed_ids(mu, field, group)
+    fixed_classes, fixed_idems, _, _ = _fixed_ids(mu, field, group)
     return len(fixed_classes), len(fixed_idems)
 
 
@@ -185,12 +176,14 @@ def construct_pairs(
     mu(e) = f and e + f = 1 - Ghat hold iff e takes every other idempotent
     of each cycle, so a cycle of odd length leaves no pair.  Each cycle
     starts at its smallest index (idempotents are sorted by coefficient
-    tuple): canonical mode gives e the idempotents at even positions, and
-    enumerate-all yields both phases of every cycle but the first, one of
-    each e <-> f swap, 2^(l-1) pairs for l cycles, so the list is never
-    empty.  NoSplittingError names the cell and the idempotents mu fixes, or
-    the odd cycle length, when mu gives no splitting; the trivial group,
-    whose only idempotent is 1 = Ghat, carries no pairs and raises it too.
+    tuple), and a choice of phase per cycle gives e the idempotents at the
+    positions of that parity, f the others, each one field sum of the
+    stacked idempotent vectors.  Canonical mode is the all-zero choice;
+    enumerate-all takes every choice whose first phase is 0, one of each
+    e <-> f swap, 2^(l-1) pairs for l cycles, so the list is never empty.
+    NoSplittingError names the cell and the idempotents mu fixes, or the
+    odd cycle length, when mu gives no splitting; the trivial group, whose
+    only idempotent is 1 = Ghat, carries no pairs and raises it too.
     """
     if mode not in ("canonical", "enumerate-all"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -203,12 +196,11 @@ def construct_pairs(
         if mu.descriptor == "mu-1":
             t = multiplicative_order_mod(field.q, group.order)
             parts.append(f"ord_{group.order}({field.q}) = {t} is even")
-        parts.append(f"{check.fixed_idempotent_count - 1} nontrivial fixed idempotent(s)")
+        parts.append(f"{len(check.fixed_idempotent_ids) - 1} nontrivial fixed idempotent(s)")
         raise NoSplittingError("; ".join(parts), diagnostics=check)
     perm, members = check.mu_permutation, check.idempotents
-    zero = AlgebraElement.zero(field, group)
     done = {members.trivial_index}
-    halves: list[tuple[AlgebraElement, AlgebraElement]] = []
+    cycles: list[list[int]] = []
     for start in range(len(members)):
         if start in done:
             continue
@@ -221,23 +213,22 @@ def construct_pairs(
                 f"{cell}; mu permutes the nontrivial idempotents in a cycle of odd length {len(cycle)}",
                 diagnostics=check,
             )
-        halves.append(tuple(sum((members[i] for i in cycle[phase::2]), zero) for phase in (0, 1)))
-    if not halves:
+        cycles.append(cycle)
+    if not cycles:
         raise NoSplittingError("the trivial group carries no duadic pairs")
-    if mode == "canonical":
-        e, f = (sum((half[phase] for half in halves), zero) for phase in (0, 1))
-        return [DuadicPair(field, group, e, f, mu)]
-    if len(halves) > _ENUMERATE_ALL_MAX_PAIRS:
+    if mode == "enumerate-all" and len(cycles) > _ENUMERATE_ALL_MAX_PAIRS:
         raise ValueError(
-            f"enumerate-all over 2^{len(halves)} choices refused; use canonical mode"
+            f"enumerate-all over 2^{len(cycles)} choices refused; use canonical mode"
         )
+    vecs = np.array([h.vec for h in members])
+    choices = [(0,) * len(cycles)]
+    if mode == "enumerate-all":
+        choices = ((0, *rest) for rest in itertools.product((0, 1), repeat=len(cycles) - 1))
     pairs = []
-    for choice in itertools.product((0, 1), repeat=len(halves) - 1):
-        phases = (0, *choice)
-        e, f = (
-            sum((half[phase ^ flip] for half, phase in zip(halves, phases)), zero) for flip in (0, 1)
-        )
-        if e.key() > f.key():
+    for phases in choices:
+        halves = [[i for c, ph in zip(cycles, phases) for i in c[ph ^ flip :: 2]] for flip in (0, 1)]
+        e, f = (AlgebraElement(field, group, field.vsum(vecs[ids], axis=0)) for ids in halves)
+        if mode == "enumerate-all" and e.key() > f.key():
             e, f = f, e
         pairs.append(DuadicPair(field, group, e, f, mu))
     pairs.sort(key=lambda p: p.e.key())

@@ -16,7 +16,7 @@ GF(p) with no root in any GF(p^d), d <= m/2.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -84,12 +84,6 @@ class FiniteField:
         self.q = q
         self.modulus = modulus
         self._key = (p, m, modulus)
-        # lazy tables
-        self._np_log: np.ndarray | None = None
-        self._np_exp: np.ndarray | None = None
-        self._np_digits: np.ndarray | None = None
-        self._np_fdigits: tuple[np.ndarray, np.ndarray] | None = None
-        self._np_inv: np.ndarray | None = None
         self._frob_maps: dict[int, np.ndarray] = {}
 
     # -- identity ------------------------------------------------------
@@ -153,14 +147,15 @@ class FiniteField:
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
-    def _ensure_tables(self) -> None:
-        """Log and exp tables from the powers of the generator, the smallest
-        index of multiplicative order q - 1.  y -> c*y is the m x m matrix
-        over GF(p) whose row j is the coefficient vector of c x^j, so the
-        digit rows of gen^0, ..., gen^(q-2) come from log2(q) doublings
-        block -> [block; block @ G^len(block)], and log is their scatter."""
-        if self.m == 1 or self._np_log is not None:
-            return
+    @cached_property
+    def _log_exp(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (log, exp) tables of an extension field, built on first use
+        (prime fields multiply mod p and never read them), from the powers
+        of the generator, the smallest index of multiplicative order q - 1.
+        y -> c*y is the m x m matrix over GF(p) whose row j is the
+        coefficient vector of c x^j, so the digit rows of gen^0, ...,
+        gen^(q-2) come from log2(q) doublings block -> [block; block @
+        G^len(block)], and log is their scatter."""
         p, m, q = self.p, self.m, self.q
         times_x = np.eye(m, k=1, dtype=np.int64)
         times_x[-1] = np.negative(self.modulus[:m]) % p  # x^m = -sum_i c_i x^i
@@ -187,23 +182,20 @@ class FiniteField:
             block = np.vstack([block, block @ step % p])
             step = step @ step % p
         period = q - 1
-        exp = self._pack_digits(block[:period])
-        log = np.zeros(q, dtype=np.int64)
-        log[exp] = np.arange(period)
         # no modulo or zero test on the vector paths: log[0] = 2(q-1), exp
         # runs two periods and is 0 from 2(q-1) on; the scalar ops skip 0
-        log[0] = 2 * period
-        self._np_log = log
-        self._np_exp = np.zeros(4 * period + 1, dtype=np.int64)
-        self._np_exp[:period] = exp
-        self._np_exp[period : 2 * period] = exp
+        exp = np.zeros(4 * period + 1, dtype=np.int64)
+        exp[:period] = exp[period : 2 * period] = self._pack_digits(block[:period])
+        log = np.full(q, 2 * period, dtype=np.int64)
+        log[exp[:period]] = np.arange(period)
+        return log, exp
 
     def mul(self, a: int, b: int) -> int:
         if self.m == 1:
             return (a * b) % self.p
         if a == 0 or b == 0:
             return 0
-        log, exp = self._log_tables_np()
+        log, exp = self._log_exp
         return int(exp[log[a] + log[b]])
 
     def inv(self, a: int) -> int:
@@ -211,7 +203,7 @@ class FiniteField:
             raise ZeroDivisionError(f"inversion of zero in {self!r}")
         if self.m == 1:
             return pow(a, -1, self.p)
-        log, exp = self._log_tables_np()
+        log, exp = self._log_exp
         return int(exp[self.q - 1 - log[a]])
 
     def power(self, a: int, e: int) -> int:
@@ -222,7 +214,7 @@ class FiniteField:
             return pow(a, e, self.p)
         if a == 0:
             return 0 if e else 1
-        log, exp = self._log_tables_np()
+        log, exp = self._log_exp
         return int(exp[int(log[a]) * e % (self.q - 1)])
 
     def frobenius(self, a: int, t: int = 1) -> int:
@@ -234,23 +226,26 @@ class FiniteField:
 
     # -- vectorized arithmetic on numpy index arrays ----------------------
 
+    @cached_property
     def _digit_table(self) -> np.ndarray:
-        if self._np_digits is None:
-            idx = np.arange(self.q, dtype=np.int64)
-            digits = np.empty((self.q, self.m), dtype=np.int64)
-            for i in range(self.m):
-                digits[:, i] = idx % self.p
-                idx = idx // self.p
-            self._np_digits = digits
-        return self._np_digits
+        """Row a: the m base-p digits of the index a, little-endian."""
+        idx = np.arange(self.q, dtype=np.int64)
+        digits = np.empty((self.q, self.m), dtype=np.int64)
+        for i in range(self.m):
+            digits[:, i] = idx % self.p
+            idx = idx // self.p
+        return digits
 
+    @cached_property
     def _float_digits(self) -> tuple[np.ndarray, np.ndarray]:
         """The (q, m) digit table in float64, for exact BLAS products of
         digits, and the powers p^i that pack a digit row."""
-        if self._np_fdigits is None:
-            powers = self.p ** np.arange(self.m, dtype=np.float64)
-            self._np_fdigits = (self._digit_table().astype(np.float64), powers)
-        return self._np_fdigits
+        return self._digit_table.astype(np.float64), self.p ** np.arange(self.m, dtype=np.float64)
+
+    @cached_property
+    def _prime_inverses(self) -> np.ndarray:
+        """Index a -> a^-1 in a prime field, with 0 -> 0."""
+        return np.array([0] + [pow(i, -1, self.p) for i in range(1, self.p)], dtype=np.int64)
 
     def _pack_digits(self, digits: np.ndarray) -> np.ndarray:
         powers = self.p ** np.arange(self.m, dtype=np.int64)
@@ -261,7 +256,7 @@ class FiniteField:
             return (a + b) % self.p
         if self.p == 2:
             return a ^ b
-        d = self._digit_table()
+        d = self._digit_table
         return self._pack_digits((d[a] + d[b]) % self.p)
 
     def vneg(self, a: np.ndarray) -> np.ndarray:
@@ -269,7 +264,7 @@ class FiniteField:
             return (-a) % self.p
         if self.p == 2:
             return a.copy() if isinstance(a, np.ndarray) else a
-        d = self._digit_table()
+        d = self._digit_table
         return self._pack_digits((-d[a]) % self.p)
 
     def vsub(self, a: np.ndarray, b) -> np.ndarray:
@@ -277,18 +272,13 @@ class FiniteField:
             return (a - b) % self.p
         if self.p == 2:
             return a ^ b
-        d = self._digit_table()
+        d = self._digit_table
         return self._pack_digits((d[a] - d[b]) % self.p)
-
-    def _log_tables_np(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._np_log is None:
-            self._ensure_tables()
-        return self._np_log, self._np_exp
 
     def vmul(self, a: np.ndarray, b) -> np.ndarray:
         if self.m == 1:
             return (a * b) % self.p
-        log, exp = self._log_tables_np()
+        log, exp = self._log_exp
         return exp[log[a] + log[b]]
 
     def vinv(self, a: np.ndarray) -> np.ndarray:
@@ -296,10 +286,8 @@ class FiniteField:
         if np.any(a == 0):
             raise ZeroDivisionError(f"inversion of zero in {self!r}")
         if self.m == 1:
-            if self._np_inv is None:
-                self._np_inv = np.array([0] + [pow(i, -1, self.p) for i in range(1, self.p)], dtype=np.int64)
-            return self._np_inv[a]
-        log, exp = self._log_tables_np()
+            return self._prime_inverses[a]
+        log, exp = self._log_exp
         return exp[(-log[a]) % (self.q - 1)]
 
     def vfrobenius(self, a: np.ndarray, t: int = 1) -> np.ndarray:
@@ -308,7 +296,7 @@ class FiniteField:
         if t == 0:
             return np.asarray(a)
         if t not in self._frob_maps:
-            log, exp = self._log_tables_np()
+            log, exp = self._log_exp
             frob = exp[log * self.p**t % (self.q - 1)]
             frob[0] = 0
             self._frob_maps[t] = frob
@@ -325,7 +313,7 @@ class FiniteField:
         elif self.p == 2:  # addition in GF(2^m) is XOR
             out = np.bitwise_xor.reduce(arr, axis=axis)
         else:
-            d = self._digit_table()
+            d = self._digit_table
             digits = d[arr].reshape(-1, self.m).sum(axis=0) if axis is None else d[arr].sum(axis=axis)
             out = self._pack_digits(digits % self.p)
         return int(out) if axis is None else out

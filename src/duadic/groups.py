@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
+from functools import cached_property
 from string import ascii_lowercase
 
 import numpy as np
@@ -74,11 +75,6 @@ class Group:
         self.abelian_orders = tuple(abelian_orders) if abelian_orders else None
         self.factors: tuple[Group, Group] | None = None
         self.inverse = self._build_inverse()
-        self._orders: np.ndarray | None = None
-        self._exponent: int | None = None
-        self._left: np.ndarray | None = None
-        self._right: np.ndarray | None = None
-        self._labels: tuple[str, ...] | None = None
         self._mu_minus1: weakref.ref | None = None
         self._hash: int | None = None
 
@@ -141,12 +137,6 @@ class Group:
 
     # -- structure ---------------------------------------------------------
 
-    def mul(self, a: int, b: int) -> int:
-        return int(self.table[a, b])
-
-    def inv(self, a: int) -> int:
-        return int(self.inverse[a])
-
     def power(self, g: int | np.ndarray, e: int) -> int | np.ndarray:
         """g^e through the table, elementwise over an id array; an int id gives an int."""
         ids = np.asarray(g, dtype=np.int64)
@@ -160,41 +150,35 @@ class Group:
             e >>= 1
         return int(out) if np.ndim(out) == 0 else out
 
-    @property
+    @cached_property
     def element_orders(self) -> np.ndarray:
         """The least divisor d of n with g^d = 1, for every id g."""
-        if self._orders is None:
-            n, ids = self.order, np.arange(self.order)
-            divisors = [d for d in range(1, n + 1) if n % d == 0]
-            ones = [self.power(ids, d) == 0 for d in divisors]  # ones[i][g]: g^(divisors[i]) = 1
-            self._orders = np.array(divisors)[np.argmax(ones, axis=0)]
-        return self._orders
+        n, ids = self.order, np.arange(self.order)
+        divisors = [d for d in range(1, n + 1) if n % d == 0]
+        ones = [self.power(ids, d) == 0 for d in divisors]  # ones[i][g]: g^(divisors[i]) = 1
+        return np.array(divisors)[np.argmax(ones, axis=0)]
 
-    @property
+    @cached_property
     def exponent(self) -> int:
-        if self._exponent is None:
-            self._exponent = int(np.lcm.reduce(self.element_orders))
-        return self._exponent
+        return int(np.lcm.reduce(self.element_orders))
 
     @property
     def is_abelian(self) -> bool:
         return bool(np.array_equal(self.table, self.table.T))
 
-    @property
+    @cached_property
     def left_translation(self) -> np.ndarray:
         """L[g, x] = id of g^-1 * x, so (g*a) has coefficients a[L[g]]."""
-        if self._left is None:
-            self._left = self.table[self.inverse]
-            self._left.flags.writeable = False
-        return self._left
+        left = self.table[self.inverse]
+        left.flags.writeable = False
+        return left
 
-    @property
+    @cached_property
     def right_translation(self) -> np.ndarray:
         """R[g, x] = id of x * g^-1, so (a*g) has coefficients a[R[g]]."""
-        if self._right is None:
-            self._right = self.table[:, self.inverse].T.copy()
-            self._right.flags.writeable = False
-        return self._right
+        right = self.table[:, self.inverse].T.copy()
+        right.flags.writeable = False
+        return right
 
     # -- labels --------------------------------------------------------------
 
@@ -218,23 +202,17 @@ class Group:
             g = g * n_i + e % n_i
         return g
 
-    @property
+    @cached_property
     def labels(self) -> tuple[str, ...]:
         """The label of every element id, built once: raw ids for Cayley-table
         groups, exponent words such as a^1*b^2 for abelian products."""
-        if self._labels is None:
-            if self.abelian_orders is None:
-                self._labels = tuple(str(g) for g in range(self.order))
-            else:
-                letters = _generator_letters(len(self.abelian_orders))
-                self._labels = tuple(
-                    "*".join(f"{x}^{e}" for x, e in zip(letters, self.element_tuple(g)))
-                    for g in range(self.order)
-                )
-        return self._labels
-
-    def element_label(self, g: int) -> str:
-        return self.labels[g]
+        if self.abelian_orders is None:
+            return tuple(str(g) for g in range(self.order))
+        letters = _generator_letters(len(self.abelian_orders))
+        return tuple(
+            "*".join(f"{x}^{e}" for x, e in zip(letters, self.element_tuple(g)))
+            for g in range(self.order)
+        )
 
 
 def _generator_letters(k: int) -> list[str]:
@@ -403,9 +381,6 @@ class Antiautomorphism:
     def __repr__(self) -> str:
         return f"Antiautomorphism({self.descriptor}, t={self.frobenius_power})"
 
-    def map(self, g: int) -> int:
-        return int(self.mu_star[g])
-
     def galois_exponents(self, q: int) -> tuple[int, int]:
         """(k, l) with k = p^t mod exponent and k*l = 1 mod exponent.
 
@@ -512,7 +487,7 @@ def parse_cayley_text(text: str, descriptor: str = "") -> Group:
         raise CayleyFormatError("empty Cayley file")
     no, header = rows[0]
     try:
-        n = int(header.split()[0])
+        n = int(header)
     except ValueError:
         raise CayleyFormatError(f"expected group order, got {header!r}", line=no) from None
     if n < 1:
@@ -558,7 +533,7 @@ def parse_permutation_text(text: str, group: Group, descriptor: str = "") -> Ant
     """Parse the explicit-antiautomorphism format.
 
     Line 1 holds n, line 2 the n images of mu_star, line 3 the Frobenius
-    power (optional, default 0).
+    power (optional, default 0); no data line may follow it.
     """
     rows = [
         (i + 1, ln.strip())
@@ -594,4 +569,7 @@ def parse_permutation_text(text: str, group: Group, descriptor: str = "") -> Ant
             t = int(ln)
         except ValueError:
             raise CayleyFormatError(f"expected Frobenius power, got {ln!r}", line=no) from None
+    if len(rows) > 3:
+        no, ln = rows[3]
+        raise CayleyFormatError(f"unexpected line after the Frobenius power: {ln!r}", line=no)
     return Antiautomorphism(group, perm, t, descriptor=descriptor or "perm")

@@ -27,6 +27,7 @@ from duadic.algebra import (
     is_idempotent,
 )
 from duadic.codes import DEFAULT_ENUM_CAP, coset_min_weight
+from duadic.duadic import DuadicPair, check_splitting
 from duadic.errors import EnumerationCapError, VerificationError
 from duadic.gf import FiniteField, _prime_factors, multiplicative_order_mod
 from duadic.groups import Group
@@ -48,7 +49,7 @@ def naive_mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     ca, cb = a.vec.tolist(), b.vec.tolist()
     for g in range(group.order):
         for h in range(group.order):
-            k = group.mul(g, h)
+            k = group.table[g, h]
             out[k] = field.add(out[k], field.mul(ca[g], cb[h]))
     return AlgebraElement(field, group, out)
 
@@ -436,7 +437,7 @@ def _np_poly_mul(field: FiniteField, a, b) -> list[int]:
     if field.m == 1:
         return [int(x) for x in np.convolve(a_arr, b_arr) % field.p]
     p, m = field.p, field.m
-    digits = field._digit_table()
+    digits = field._digit_table
     da = digits[a_arr]
     db = digits[b_arr]
     wide = np.zeros((len(a) + len(b) - 1, 2 * m - 1), dtype=np.int64)
@@ -634,7 +635,7 @@ def reference_conjugacy_classes(group):
         orbit, stack = {seed}, [seed]
         while stack:
             x = stack.pop()
-            for y in (group.mul(group.mul(group.inv(h), x), h) for h in range(n)):
+            for y in (int(group.table[group.table[group.inverse[h], x], h]) for h in range(n)):
                 if y not in orbit:
                     orbit.add(y)
                     stack.append(y)
@@ -719,7 +720,7 @@ def reference_pair_axioms(e: AlgebraElement, f: AlgebraElement, mu) -> list[str]
     def apply(a: AlgebraElement) -> AlgebraElement:
         out = [0] * group.order
         for g, c in enumerate(a.vec.tolist()):
-            out[mu.map(g)] = field.power(c, power)
+            out[mu.mu_star[g]] = field.power(c, power)
         return AlgebraElement(field, group, out)
 
     def even_like(a: AlgebraElement) -> bool:
@@ -742,6 +743,40 @@ def reference_pair_axioms(e: AlgebraElement, f: AlgebraElement, mu) -> list[str]
         ("f*Ghat = 0", vanishes(f, ghat)),
     ]
     return [name for name, ok in checks if not ok]
+
+
+def reference_pairs_from_cycles(mu, field: FiniteField, group: Group, mode: str = "canonical") -> list:
+    """The duadic pairs `construct_pairs` gives, by `AlgebraElement` sums:
+    the two halves of each cycle of mu on the nontrivial idempotents summed
+    one idempotent at a time, then canonical mode's sum of the even halves,
+    or enumerate-all's sum for every phase choice but the first cycle's,
+    e <-> f swapped by key and the pairs sorted.  The cell must split with
+    cycles of even length."""
+    check = check_splitting(mu, field, group)
+    perm, members = check.mu_permutation, check.idempotents
+    zero = AlgebraElement.zero(field, group)
+    done = {members.trivial_index}
+    halves = []
+    for start in range(len(members)):
+        if start in done:
+            continue
+        cycle = [start]
+        while perm[cycle[-1]] != start:
+            cycle.append(perm[cycle[-1]])
+        done.update(cycle)
+        halves.append(tuple(sum((members[i] for i in cycle[phase::2]), zero) for phase in (0, 1)))
+    if mode == "canonical":
+        e, f = (sum((half[phase] for half in halves), zero) for phase in (0, 1))
+        return [DuadicPair(field, group, e, f, mu)]
+    pairs = []
+    for choice in itertools.product((0, 1), repeat=len(halves) - 1):
+        phases = (0, *choice)
+        e, f = (sum((half[phase ^ flip] for half, phase in zip(halves, phases)), zero) for flip in (0, 1))
+        if e.key() > f.key():
+            e, f = f, e
+        pairs.append(DuadicPair(field, group, e, f, mu))
+    pairs.sort(key=lambda p: p.e.key())
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -843,8 +878,8 @@ def _abelian_basis_from_table(group: Group) -> tuple[list[int], list[int]]:
             for (bg, bord), c in zip(local, exps):
                 if c % d != 0:
                     raise VerificationError("abelian basis adjustment failed")
-                adjust = group.mul(adjust, group.power(bg, (c // d) % bord))
-            g = group.mul(g, group.inv(adjust))
+                adjust = int(group.table[adjust, group.power(bg, (c // d) % bord)])
+            g = int(group.table[g, group.inverse[adjust]])
             if group.power(g, d) != 0:
                 raise VerificationError("adjusted generator has wrong order")
             local.append((g, d))
@@ -853,7 +888,7 @@ def _abelian_basis_from_table(group: Group) -> tuple[list[int], list[int]]:
                 acc = h
                 for j in range(d):
                     new_span[acc] = tup + (j,)
-                    acc = group.mul(acc, g)
+                    acc = int(group.table[acc, g])
             span_tuples = new_span
             span = set(span_tuples)
         gens.extend(g for g, _ in local)
@@ -871,7 +906,7 @@ def _quotient_order(group: Group, g: int, span: set[int]) -> int:
     d = 1
     x = g
     while x not in span:
-        x = group.mul(x, g)
+        x = int(group.table[x, g])
         d += 1
     return d
 
@@ -892,7 +927,7 @@ def _element_exponents(group: Group, gens: list[int], gen_orders: list[int]) -> 
         x = acc
         for e in range(gen_orders[i]):
             rec(i + 1, x, tup + (e,))
-            x = group.mul(x, gens[i])
+            x = int(group.table[x, gens[i]])
 
     rec(0, 0, ())
     if len(ids) != n:

@@ -373,7 +373,7 @@ class TestSplitAgainstFrobeniusKernel:
         # class representatives, read at the representatives, is a matrix whose
         # minimal polynomial on the unit is x^2, which has one root only
         reps = fq_classes(z7, 2).reps
-        matrix = np.array([[int(z7.mul(x, 1) == y) for y in reps] for x in reps])
+        matrix = np.array([[int(z7.table[x, 1] == y) for y in reps] for x in reps])
         unit = np.eye(1, len(reps), dtype=np.int64)[0]
         with pytest.raises(VerificationError, match="not split squarefree") as info:
             _refine_component(gf2, unit, lambda rows: _linalg.matmul(gf2, rows, matrix))

@@ -64,7 +64,7 @@ class TestSpecParsing:
         path = tmp_path / "inv.perm"
         path.write_text("7\n0 6 5 4 3 2 1\n0\n", encoding="utf-8")
         mu = parse_mu_spec(f"@{path}", g, 2)
-        assert mu.map(3) == 4
+        assert mu.mu_star[3] == 4
 
     def test_product_mu_reuses_the_parsed_factors(self, tmp_path, monkeypatch):
         # A*B maps the factors the outer product kept: each Cayley file is read once
@@ -338,6 +338,24 @@ class TestConstruct:
         path.write_text(format_cayley(cyclic_group(4)), encoding="utf-8")
         assert main(["construct", "--group", f"@{path}", "--q", "3", "--mu", "mu-1"]) == EXIT_USAGE
         assert "has even order 4" in capsys.readouterr().err
+
+    def test_cayley_order_line_with_trailing_tokens_exits_1(self, tmp_path, capsys):
+        # "3 junk" was once read as the order 3
+        path = tmp_path / "z3.cayley"
+        path.write_text("3 junk\n0 1 2\n1 2 0\n2 0 1\n", encoding="utf-8")
+        assert main(["construct", "--group", f"@{path}", "--q", "2", "--mu", "mu-1"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert "expected group order, got '3 junk' (line 1)" in captured.err
+
+    def test_perm_file_line_after_frobenius_power_exits_1(self, tmp_path, capsys):
+        # the fourth line was once ignored, and the cell built and analysed
+        path = tmp_path / "z3.perm"
+        path.write_text("3\n0 2 1\n0\n5 5 5\n", encoding="utf-8")
+        assert main(["construct", "--group", "3", "--q", "2", "--mu", f"@{path}"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert "unexpected line after the Frobenius power: '5 5 5' (line 4)" in captured.err
 
     def test_usage_error_exit_1(self, capsys):
         assert main(["construct", "--group", "7", "--mu", "mu-1"]) == EXIT_USAGE

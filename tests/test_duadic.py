@@ -35,7 +35,7 @@ from duadic.duadic import (
     verify_key_proposition,
 )
 from duadic.errors import NoSplittingError, VerificationError
-from duadic.gf import field_from_order
+from duadic.gf import FiniteField, field_from_order
 from duadic.groups import (
     Antiautomorphism,
     builtin_mu_minus1,
@@ -47,7 +47,7 @@ from duadic.groups import (
 from duadic.quantum import analyze_pair
 
 from conftest import frobenius21_table, metacyclic_table
-from oracles import reference_pair_axioms
+from oracles import reference_pair_axioms, reference_pairs_from_cycles
 
 
 def tuple_elem(field, group, tuples):
@@ -143,14 +143,14 @@ class TestCheckSplitting:
         g = cyclic_group(7)
         chk = check_splitting(builtin_mu_minus1(g), f2, g)
         assert chk.ok
-        assert chk.fixed_class_count == chk.fixed_idempotent_count == 1
+        assert len(chk.fixed_class_ids) == len(chk.fixed_idempotent_ids) == 1
 
     def test_z33_mu_minus1_fails_with_all_classes_fixed(self, f2):
         g = group_abelian([3, 3])
         chk = check_splitting(builtin_mu_minus1(g), f2, g)
         assert not chk.ok
         assert chk.fixed_class_ids == (0, 1, 2, 3, 4)
-        assert chk.fixed_idempotent_count == 5
+        assert len(chk.fixed_idempotent_ids) == 5
 
     def test_z33_swap_ok(self, f2):
         g = group_abelian([3, 3])
@@ -162,7 +162,7 @@ class TestCheckSplitting:
         g = group_abelian([7, 7])
         chk = check_splitting(builtin_mu_swap(g, 2), f2, g)
         assert not chk.ok
-        assert chk.fixed_class_count == chk.fixed_idempotent_count > 1
+        assert len(chk.fixed_class_ids) == len(chk.fixed_idempotent_ids) > 1
 
     def test_context_mismatch(self, f2):
         g = cyclic_group(7)
@@ -227,8 +227,8 @@ class TestConstructPairs:
         pairs = construct_pairs(builtin_mu_minus1(g), f2, g)
         assert len(pairs) == 1
         e, f = pairs[0].e, pairs[0].f
-        assert sorted(e.support()) == [0, 3, 5, 6]
-        assert sorted(f.support()) == [0, 1, 2, 4]
+        assert np.flatnonzero(e.vec).tolist() == [0, 3, 5, 6]
+        assert np.flatnonzero(f.vec).tolist() == [0, 1, 2, 4]
         assert pairs[0].swapped_by_mu_minus1 and not pairs[0].fixed_by_mu_minus1
 
     def test_z33_swap_enumerate_all_contains_paper_pair(self, f2):
@@ -300,6 +300,58 @@ class TestConstructPairs:
         assert reference_pair_axioms(pair.e, pair.f, mu) == []
         even, odd = members[cycle[0]] + members[cycle[2]], members[cycle[1]] + members[cycle[3]]
         assert (pair.e, pair.f) == (even, odd) or (mode == "enumerate-all" and (pair.e, pair.f) == (odd, even))
+
+    @pytest.mark.parametrize("mode", ["canonical", "enumerate-all"])
+    @pytest.mark.parametrize("cell", ["13-q3-x7", "13-q3-x2", "3x3-q2-swap", "31-q2-mu-1"])
+    def test_pairs_equal_the_sums_of_cycle_halves(self, cell, mode):
+        if cell == "31-q2-mu-1":
+            field, group = field_from_order(2), cyclic_group(31)
+            mu = builtin_mu_minus1(group)
+        else:
+            field, group, mu, _, _ = axiom_cell(cell)
+        pairs = construct_pairs(mu, field, group, mode=mode)
+        expected = reference_pairs_from_cycles(mu, field, group, mode=mode)
+        assert [(p.e, p.f) for p in pairs] == [(p.e, p.f) for p in expected]
+        if cell == "31-q2-mu-1":
+            # three 2-cycles of mu_-1: one pair, or 2^2 under enumerate-all
+            assert len(pairs) == (1 if mode == "canonical" else 4)
+
+    def test_pair_loop_adds_no_elements_and_sums_twice_per_pair(self, monkeypatch):
+        # once a Python sum of AlgebraElements per cycle half and per pair;
+        # the calls inside check_splitting and the DuadicPair axiom checks
+        # are not the loop's and are not counted
+        counts, inside = {"__add__": 0, "vsum": 0}, [0]
+
+        def counted(cls, name):
+            method = getattr(cls, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += not inside[0]
+                return method(*args, **kwargs)
+
+            monkeypatch.setattr(cls, name, wrapper)
+
+        def uncounted(owner, name):
+            call = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                inside[0] += 1
+                try:
+                    return call(*args, **kwargs)
+                finally:
+                    inside[0] -= 1
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(AlgebraElement, "__add__")
+        counted(FiniteField, "vsum")
+        uncounted(duadic_module, "check_splitting")
+        uncounted(DuadicPair, "__init__")
+        field, group = field_from_order(2), cyclic_group(31)
+        for mode, size in (("canonical", 1), ("enumerate-all", 4)):
+            counts.update({"__add__": 0, "vsum": 0})
+            assert len(construct_pairs(builtin_mu_minus1(group), field, group, mode=mode)) == size
+            assert counts == {"__add__": 0, "vsum": 2 * size}, mode
 
     def test_odd_cycle_raises_no_splitting(self):
         # no idempotent is fixed, yet the 3-cycle leaves no pair

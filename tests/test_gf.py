@@ -191,16 +191,36 @@ TABLE_FIELDS = [
 def test_log_tables_match_scalar_construction(p, m):
     field = field_make(p, m)
     exp, log, frobenius = reference_log_tables(field)
-    field._ensure_tables()
+    log_table, exp_table = field._log_exp
     period = field.q - 1
-    assert field._np_exp[:period].tolist() == exp and field._np_log[1:].tolist() == log[1:]
+    assert exp_table[:period].tolist() == exp and log_table[1:].tolist() == log[1:]
     # the vector layout: a second period, zeros after it, log[0] pointing into them
-    assert np.array_equal(field._np_exp[period : 2 * period], field._np_exp[:period])
-    assert not field._np_exp[2 * period :].any() and field._np_log[0] == 2 * period
+    assert np.array_equal(exp_table[period : 2 * period], exp_table[:period])
+    assert not exp_table[2 * period :].any() and log_table[0] == 2 * period
     x = np.arange(field.q)
     assert sorted(frobenius) == list(range(1, m))
     for t, images in frobenius.items():
         assert field.vfrobenius(x, t).tolist() == images, t
+
+
+def test_lazy_tables_are_built_once_per_field():
+    for field, names in [
+        (FiniteField(3, 2, field_make(3, 2).modulus), ["_log_exp", "_digit_table", "_float_digits"]),
+        (FiniteField(7, 1, None), ["_prime_inverses", "_digit_table", "_float_digits"]),
+    ]:
+        for name in names:
+            assert name not in vars(field)
+            value = getattr(field, name)
+            assert vars(field)[name] is value and getattr(field, name) is value, (field, name)
+
+
+def test_prime_fields_never_build_log_tables():
+    field, x = FiniteField(7, 1, None), np.arange(7)
+    assert field.mul(3, 5) == 1 and field.inv(3) == 5 and field.power(3, 6) == 1
+    assert field.frobenius(3) == 3 and field.vfrobenius(x).tolist() == x.tolist()
+    assert field.vmul(x, x).tolist() == [0, 1, 4, 2, 2, 4, 1]
+    assert field.vinv(x[1:]).tolist() == [1, 4, 5, 2, 3, 6]
+    assert "_log_exp" not in vars(field)
 
 
 def _random_irreducibles(field, d, count, rng):

@@ -34,7 +34,7 @@ from duadic.groups import (
     product_antiauto,
 )
 
-from conftest import heisenberg27_table, metacyclic_table
+from conftest import frobenius21_table, heisenberg27_table, metacyclic_table
 from oracles import (
     format_cayley,
     reference_associativity_failure,
@@ -47,14 +47,14 @@ class TestGroupConstruction:
     def test_cyclic7(self):
         g = group_abelian([7])
         assert g.order == 7 and g.exponent == 7
-        assert g.mul(3, 5) == 1
-        assert g.inv(3) == 4
+        assert g.table[3, 5] == 1
+        assert g.inverse[3] == 4
 
     def test_z3z3(self):
         g = group_abelian([3, 3])
         assert g.order == 9 and g.exponent == 3
         assert g.element_tuple(0) == (0, 0)
-        assert g.element_id((1, 2)) == g.mul(g.element_id((1, 0)), g.element_id((0, 2)))
+        assert g.element_id((1, 2)) == g.table[g.element_id((1, 0)), g.element_id((0, 2))]
 
     def test_order81(self):
         g = group_abelian([3, 3, 3, 3])
@@ -155,16 +155,26 @@ class TestGroupConstruction:
 
     def test_element_labels(self, frobenius21):
         g = group_abelian([3, 3])
-        assert g.element_label(g.element_id((1, 2))) == "a^1*b^2"
+        assert g.labels[g.element_id((1, 2))] == "a^1*b^2"
         # Cayley-table groups label by raw id
-        assert frobenius21.element_label(5) == "5"
+        assert frobenius21.labels[5] == "5"
 
     def test_label_table_is_built_once(self, frobenius21):
         for g in (group_abelian([3, 5, 3]), frobenius21):
             assert g.labels is g.labels and len(g.labels) == g.order
-            assert [g.element_label(x) for x in range(g.order)] == list(g.labels)
+        assert list(frobenius21.labels) == [str(x) for x in range(21)]
         g = group_abelian([3, 5, 3])
         assert g.labels[g.element_id((2, 4, 1))] == "a^2*b^4*c^1"
+        assert list(g.labels) == [f"a^{i}*b^{j}*c^{k}" for i in range(3) for j in range(5) for k in range(3)]
+
+    @pytest.mark.parametrize(
+        "name", ["element_orders", "exponent", "left_translation", "right_translation", "labels"]
+    )
+    def test_lazy_attribute_is_built_once(self, name):
+        for g in (group_abelian([3, 5]), group_from_cayley(frobenius21_table())):
+            assert name not in vars(g)
+            value = getattr(g, name)
+            assert vars(g)[name] is value and getattr(g, name) is value
 
     def test_subgroup_check(self):
         g = group_abelian([3, 3])
@@ -213,7 +223,7 @@ class TestFqClasses:
             for x in cls:
                 assert g.power(x, q) in members
                 for h in range(g.order):
-                    assert g.mul(g.mul(g.inv(h), x), h) in members
+                    assert g.table[g.table[g.inverse[h], x], h] in members
 
     def test_identity_class_is_trivial(self, frobenius21):
         assert fq_classes(frobenius21, 2).classes[0] == (0,)
@@ -237,11 +247,11 @@ class TestAntiautomorphisms:
     def test_mu_minus1_trivial_group(self):
         g = group_from_cayley([[0]])
         mu = builtin_mu_minus1(g)
-        assert mu.map(0) == 0
+        assert mu.mu_star[0] == 0
 
     def test_mu_minus1_z7(self):
         mu = builtin_mu_minus1(cyclic_group(7))
-        assert mu.map(3) == 4
+        assert mu.mu_star[3] == 4
 
     def test_mu_minus1_is_built_once_per_group(self, frobenius21):
         for group in (cyclic_group(7), frobenius21):
@@ -269,18 +279,18 @@ class TestAntiautomorphisms:
         t = frobenius21.table
         for g in range(21):
             for h in range(21):
-                assert mu.map(t[g, h]) == t[mu.map(h), mu.map(g)]
+                assert mu.mu_star[t[g, h]] == t[mu.mu_star[h], mu.mu_star[g]]
 
     def test_swap_examples(self):
         g = group_abelian([3, 3])
         mu = builtin_mu_swap(g, 2)
-        assert g.element_tuple(mu.map(g.element_id((1, 1)))) == (2, 1)
-        assert mu.map(0) == 0
+        assert g.element_tuple(mu.mu_star[g.element_id((1, 1))]) == (2, 1)
+        assert mu.mu_star[0] == 0
 
     def test_swap_z5z5_q3(self):
         g = group_abelian([5, 5])
         mu = builtin_mu_swap(g, 3)
-        assert g.element_tuple(mu.map(g.element_id((1, 0)))) == (0, 1)
+        assert g.element_tuple(mu.mu_star[g.element_id((1, 0))]) == (0, 1)
 
     def test_swap_rejects_bad_groups(self):
         with pytest.raises(ValueError, match="Z_p x Z_p"):
@@ -362,7 +372,7 @@ class TestClassAction:
         for cid, cls in enumerate(p.classes):
             target = mu_action_on_class(mu, p, cid)
             for x in cls:
-                assert p.class_of[frobenius21.power(mu.map(x), ell)] == target
+                assert p.class_of[frobenius21.power(mu.mu_star[x], ell)] == target
 
     def test_action_is_permutation_and_involution(self, frobenius21):
         p = fq_classes(frobenius21, 2)
@@ -558,7 +568,7 @@ def test_fq_classes_calls_power_once(calls):
 def test_check_splitting_calls_galois_exponents_once(calls):
     # the class action computed the Galois exponents once per class
     g = cyclic_group(7)
-    assert len(check_splitting(builtin_mu_minus1(g), field_make(2, 1), g).partition) == 3
+    assert len(check_splitting(builtin_mu_minus1(g), field_make(2, 1), g).idempotents.partition) == 3
     assert calls["galois_exponents"] == 1
 
 

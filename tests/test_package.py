@@ -3,6 +3,7 @@ defined in it."""
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import pkgutil
 
@@ -97,3 +98,36 @@ def test_no_oracle_name_is_defined_in_the_package():
     ]
     for module in modules:
         assert not oracle_names & set(vars(module)), module.__name__
+
+
+# the public names of the core types, as EXPECTED_ALL pins the exports: a
+# wrapper that restates an array index is re-added by editing this on purpose
+EXPECTED_SURFACE = {
+    "FiniteField": [
+        "add", "coeffs_of", "frobenius", "from_int", "inv", "mul", "neg", "power", "sub",
+        "vadd", "vfrobenius", "vinv", "vmul", "vneg", "vsub", "vsum",
+    ],
+    "Group": [
+        "element_id", "element_orders", "element_tuple", "exponent", "is_abelian", "labels",
+        "left_translation", "power", "right_translation",
+    ],
+    "Antiautomorphism": ["galois_exponents", "is_inversion_for"],
+    "AlgebraElement": [
+        "basis", "coefficient_sum", "field", "from_coeff_list", "group", "key", "one", "scale",
+        "to_pairs", "vec", "weight", "zero",
+    ],
+    "IdempotentSet": [],
+}
+
+EXPECTED_SPLITTING_CHECK_FIELDS = ["ok", "fixed_class_ids", "fixed_idempotent_ids", "idempotents", "mu_permutation"]
+
+
+def test_core_type_surfaces_are_the_expected_lists():
+    for name, expected in EXPECTED_SURFACE.items():
+        cls = getattr(duadic, name)
+        assert sorted(attr for attr in dir(cls) if not attr.startswith("_")) == expected, name
+
+
+def test_splitting_check_fields_are_the_expected_list():
+    assert [field.name for field in dataclasses.fields(duadic.SplittingCheck)] == EXPECTED_SPLITTING_CHECK_FIELDS
+    assert not [attr for attr in dir(duadic.SplittingCheck) if not attr.startswith("_")]
