@@ -83,8 +83,8 @@ class AlgebraElement:
         return self.field.vsum(self.vec)
 
     def to_pairs(self) -> list[tuple[str, int]]:
-        labels, support = self.group.labels, np.nonzero(self.vec)[0]
-        return [(labels[g], c) for g, c in zip(support.tolist(), self.vec[support].tolist())]
+        support = np.flatnonzero(self.vec)
+        return list(zip(map(self.group.labels.__getitem__, support.tolist()), self.vec[support].tolist()))
 
     def __repr__(self) -> str:
         if not self.vec.any():
@@ -128,9 +128,13 @@ class AlgebraElement:
 def alg_mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Convolution product: coefficient of g is sum_h a_h * b_{h^-1 g}."""
     a._same_context(b)
-    support = np.flatnonzero(a.vec)
-    shifted = b.vec[a.group.left_translation[support]]
-    return AlgebraElement(a.field, a.group, _linalg.matmul(a.field, a.vec[support], shifted)[0])
+    return AlgebraElement(a.field, a.group, _convolve(a.field, a.group, a.vec, b.vec))
+
+
+def _convolve(field: FiniteField, group: Group, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The coefficient vector of alg_mul on coefficient vectors a and b."""
+    support = np.flatnonzero(a)
+    return _linalg.matmul(field, a[support], b[group.left_translation[support]])[0]
 
 
 def _inverse_size(field: FiniteField, size: int) -> int:
@@ -175,9 +179,15 @@ def apply_antiauto(mu: Antiautomorphism, a: AlgebraElement) -> AlgebraElement:
     """mu(sum a_g g) = sum sigma(a_g) mu_star(g)."""
     if mu.group != a.group:
         raise ValueError("antiautomorphism and element live on different groups")
-    out = np.zeros_like(a.vec)
-    out[mu.mu_star] = a.field.vfrobenius(a.vec, mu.frobenius_power)
-    return AlgebraElement(a.field, a.group, out)
+    return AlgebraElement(a.field, a.group, _antiauto_rows(mu, a.field, a.vec))
+
+
+def _antiauto_rows(mu: Antiautomorphism, field: FiniteField, rows: np.ndarray) -> np.ndarray:
+    """mu applied to every coefficient vector of a stack (the last axis
+    indexes group elements): one scatter and one vfrobenius."""
+    out = np.empty_like(rows)
+    out[..., mu.mu_star] = field.vfrobenius(rows, mu.frobenius_power)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -87,46 +87,78 @@ class CodeReport:
 
 
 def emit_json(reports: list[CodeReport]) -> str:
-    return _json_text([r.to_dict() for r in reports], "") + "\n"
+    out: list[str] = []
+    _write_json([r.to_dict() for r in reports], "", out, {})
+    out.append("\n")
+    return "".join(out)
 
 
 _JSON_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, bool: {False: "false", True: "true"}.get}
 _JSON_SCALARS[type(None)] = lambda x: "null"
+_ROW_TYPES = {list, tuple}
 
 
-def _json_text(x, pad: str) -> str:
-    """json.dumps(x, indent=2) at indentation pad, byte for byte, without its
-    pure-Python encoder for the types a report holds (scalars by exact type,
-    so a bool is no int); others go to json.dumps."""
+def _write_json(x, pad: str, out: list[str], row_texts: dict) -> None:
+    """Append json.dumps(x, indent=2) at indentation pad to out, byte for
+    byte, without its pure-Python encoder for the types a report holds
+    (scalars by exact type, so a bool is no int); others go to json.dumps.
+    The texts are joined once, by `emit_json`; row_texts memoises the
+    texts of `_scalar_rows` for that one call."""
     if (scalar := _JSON_SCALARS.get(type(x))) is not None:
-        return scalar(x)
+        out.append(scalar(x))
+        return
     inner = pad + "  "
-    if type(x) in (list, tuple) and x:
-        items = _scalar_rows(x, inner)
-        if items is None:
-            items = [_json_text(v, inner) for v in x]
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
-    if type(x) is dict and x and all(type(k) is str for k in x):
-        items = [encode_basestring_ascii(k) + ": " + _json_text(v, inner) for k, v in x.items()]
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
-    return json.dumps(x, indent=2).replace("\n", "\n" + pad)
+    sep = ",\n" + inner
+    if type(x) in _ROW_TYPES and x:
+        out.append("[\n" + inner)
+        texts = _scalar_rows(x, inner, row_texts)
+        if texts is not None:
+            out.append(sep.join(texts))
+        else:
+            for i, v in enumerate(x):
+                if i:
+                    out.append(sep)
+                _write_json(v, inner, out, row_texts)
+        out.append("\n" + pad + "]")
+    elif type(x) is dict and x and all(type(k) is str for k in x):
+        out.append("{\n" + inner)
+        for i, (k, v) in enumerate(x.items()):
+            out.append((sep if i else "") + encode_basestring_ascii(k) + ": ")
+            _write_json(v, inner, out, row_texts)
+        out.append("\n" + pad + "}")
+    else:
+        out.append(json.dumps(x, indent=2).replace("\n", "\n" + pad))
 
 
-def _scalar_rows(x, pad: str) -> list[str] | None:
+def _scalar_rows(x, pad: str, row_texts: dict) -> list[str] | None:
     """The texts of x's items at indentation pad when each is a non-empty
-    list of scalars (the [label, coefficient] rows of e and f), one join per
-    item; None when some item is not."""
+    list of scalars, one join per item; None when some item is not.  When
+    every item is a [str, int] row, as the [label, coefficient] rows of e
+    and f are, each distinct row's text is made once per pad and kept in
+    row_texts, since the pairs of one report share most of their rows."""
+    if not set(map(type, x)) <= _ROW_TYPES:
+        return None
     inner = pad + "  "
     head, sep, tail = "[\n" + inner, ",\n" + inner, "\n" + pad + "]"
-    rows = []
-    for row in x:
-        if type(row) not in (list, tuple) or not row:
-            return None
-        try:
-            rows.append(head + sep.join([_JSON_SCALARS[type(v)](v) for v in row]) + tail)
-        except KeyError:
-            return None
-    return rows
+    try:
+        labels, coeffs = zip(*x, strict=True)
+    except ValueError:  # rows of unequal lengths, or not of two items
+        labels = coeffs = ()
+    if set(map(type, labels)) == {str} and set(map(type, coeffs)) == {int}:
+        known = row_texts.setdefault(pad, {})
+        keys = list(zip(labels, coeffs))
+        texts = list(map(known.get, keys))
+        if None in texts:
+            for label, c in set(keys).difference(known):
+                known[label, c] = head + encode_basestring_ascii(label) + sep + repr(c) + tail
+            texts = list(map(known.__getitem__, keys))
+        return texts
+    if not all(x):
+        return None
+    try:
+        return [head + sep.join([_JSON_SCALARS[type(v)](v) for v in row]) + tail for row in x]
+    except KeyError:
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -223,10 +255,7 @@ def _existence_fields(group: Group, q: int, mu: Antiautomorphism, ok: bool) -> d
 
 
 def _pair_dict(pair: DuadicPair) -> dict:
-    return {
-        "e": [[label, c] for label, c in pair.e.to_pairs()],
-        "f": [[label, c] for label, c in pair.f.to_pairs()],
-    }
+    return {"e": list(map(list, pair.e.to_pairs())), "f": list(map(list, pair.f.to_pairs()))}
 
 
 def _analysis_fields(analysis: PairAnalysis) -> dict:

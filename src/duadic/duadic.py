@@ -10,20 +10,20 @@ code derived from C_e, the pair's one elimination, lies in its ideal.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _linalg
 from .algebra import (
     AlgebraElement,
     IdempotentSet,
+    _antiauto_rows,
+    _convolve,
     alg_mul,
     apply_antiauto,
     hat_group,
-    is_even_like,
-    is_idempotent,
     split_primitive_central_idempotents,
 )
 from .codes import LinearCode, _mu_image, _plus_vector, check_dual, code_from_ideal
@@ -38,7 +38,7 @@ from .groups import (
     product_antiauto,
 )
 
-_ENUMERATE_ALL_MAX_PAIRS = 20
+_ENUMERATE_ALL_MAX_CYCLES = 20  # enumerate-all builds 2^(l-1) pairs for l cycles
 
 
 class DuadicPair:
@@ -49,7 +49,9 @@ class DuadicPair:
     f = mu(e) is idempotent since mu(e)^2 = mu(e^2); f is even-like since
     eps(f) = eps(1) - eps(Ghat) - eps(e) = 1 - 1 - 0; mu fixes 1 and Ghat,
     so mu(f) = 1 - Ghat - f = e; e Ghat = eps(e) Ghat = 0 and f Ghat = 0;
-    and ef = e - e Ghat - e^2 = 0, fe = 0 the same way.
+    and ef = e - e Ghat - e^2 = 0, fe = 0 the same way.  The check is
+    `_pair_axioms` on a stack of one row, the one `construct_pairs` runs on
+    the stack of all its pairs.
     """
 
     def __init__(
@@ -66,32 +68,54 @@ class DuadicPair:
         if math.gcd(group.order, field.q) != 1:
             raise ValueError(f"gcd(|G|={group.order}, q={field.q}) != 1")
         ghat = hat_group(field, group)
-        checks = [
-            ("e idempotent", is_idempotent(e)),
-            ("e even-like", is_even_like(e)),
-            ("A1: e + f = 1 - Ghat", e + f == AlgebraElement.one(field, group) - ghat),
-            ("A2: mu(e) = f", apply_antiauto(mu, e) == f),
-        ]
-        failed = [name for name, ok in checks if not ok]
-        if failed:
-            raise VerificationError(f"duadic axioms violated: {', '.join(failed)}")
+        (fixed,), (swapped,) = _pair_axioms(field, group, mu, ghat, e.vec[None], f.vec[None])
+        self._set(field, group, e, f, mu, ghat, fixed, swapped, witnesses)
+
+    def _set(self, field, group, e, f, mu, ghat, fixed, swapped, witnesses=()) -> "DuadicPair":
+        """Store a pair whose axioms `_pair_axioms` has checked."""
         self.field = field
         self.group = group
         self.e = e
         self.f = f
         self.mu = mu
         self.ghat = ghat
-        mu1 = builtin_mu_minus1(group)
-        m1e = apply_antiauto(mu1, e)
-        self.fixed_by_mu_minus1 = m1e == e
-        self.swapped_by_mu_minus1 = m1e == f
+        self.fixed_by_mu_minus1 = fixed
+        self.swapped_by_mu_minus1 = swapped
         self.witnesses = tuple(witnesses)
+        return self
 
     def __repr__(self) -> str:
         return (
             f"DuadicPair(n={self.group.order}, q={self.field.q}, "
             f"mu={self.mu.descriptor})"
         )
+
+
+def _pair_axioms(
+    field: FiniteField,
+    group: Group,
+    mu: Antiautomorphism,
+    ghat: AlgebraElement,
+    es: np.ndarray,
+    fs: np.ndarray,
+) -> tuple[list[bool], list[bool]]:
+    """Check `DuadicPair`'s four axioms on every row of the (P, n) stacks es
+    and fs, (e, f) = (es[i], fs[i]): e^2 = e by one product per row, and
+    even-like, A1 and A2 (one scatter and one vfrobenius) by one comparison
+    over the stack each.  VerificationError names every axiom some row
+    violates.  Returns, per row, whether mu_-1 fixes e and whether it swaps
+    e and f, from one more scatter."""
+    checks = [
+        ("e idempotent", all(np.array_equal(_convolve(field, group, e, e), e) for e in es)),
+        ("e even-like", not field.vsum(es, axis=1).any()),
+        ("A1: e + f = 1 - Ghat", (field.vadd(es, fs) == (AlgebraElement.one(field, group) - ghat).vec).all()),
+        ("A2: mu(e) = f", np.array_equal(_antiauto_rows(mu, field, es), fs)),
+    ]
+    failed = [name for name, ok in checks if not ok]
+    if failed:
+        raise VerificationError(f"duadic axioms violated: {', '.join(failed)}")
+    m1e = _antiauto_rows(builtin_mu_minus1(group), field, es)
+    return (m1e == es).all(axis=1).tolist(), (m1e == fs).all(axis=1).tolist()
 
 
 @dataclass(frozen=True)
@@ -127,8 +151,9 @@ def _fixed_ids(
     partition = idempotents.partition
     cids = np.arange(len(partition))
     fixed_classes = tuple(np.flatnonzero(mu_action_on_class(mu, partition, cids) == cids).tolist())
-    index = {h.vec.tobytes(): i for i, h in enumerate(idempotents)}
-    images = tuple(index.get(apply_antiauto(mu, h).vec.tobytes(), -1) for h in idempotents)
+    vecs = np.array([h.vec for h in idempotents])
+    index = {v.tobytes(): i for i, v in enumerate(vecs)}
+    images = tuple(index.get(v.tobytes(), -1) for v in _antiauto_rows(mu, field, vecs))
     if -1 in images:
         raise VerificationError("antiautomorphism does not permute the idempotent set")
     fixed_idems = tuple(i for i, j in enumerate(images) if i == j)
@@ -177,10 +202,15 @@ def construct_pairs(
     of each cycle, so a cycle of odd length leaves no pair.  Each cycle
     starts at its smallest index (idempotents are sorted by coefficient
     tuple), and a choice of phase per cycle gives e the idempotents at the
-    positions of that parity, f the others, each one field sum of the
-    stacked idempotent vectors.  Canonical mode is the all-zero choice;
-    enumerate-all takes every choice whose first phase is 0, one of each
-    e <-> f swap, 2^(l-1) pairs for l cycles, so the list is never empty.
+    positions of that parity, f the others.  Canonical mode is the all-zero
+    choice; enumerate-all takes every choice whose first phase is 0, one of
+    each e <-> f swap, 2^(l-1) pairs for l cycles, so the list is never
+    empty.  The P choices are built as one stack: a P x r 0/1 selection
+    matrix for each side times the r stacked idempotents is the (P, n)
+    matrix of every e, and of every f; enumerate-all swaps the rows where
+    f comes first by coefficient tuple and sorts them by e.  The whole stack
+    is checked at once (`_pair_axioms`, the check `DuadicPair` runs on one
+    row), and a violated axiom raises VerificationError naming it.
     NoSplittingError names the cell and the idempotents mu fixes, or the
     odd cycle length, when mu gives no splitting; the trivial group, whose
     only idempotent is 1 = Ghat, carries no pairs and raises it too.
@@ -199,40 +229,52 @@ def construct_pairs(
         parts.append(f"{len(check.fixed_idempotent_ids) - 1} nontrivial fixed idempotent(s)")
         raise NoSplittingError("; ".join(parts), diagnostics=check)
     perm, members = check.mu_permutation, check.idempotents
-    done = {members.trivial_index}
-    cycles: list[list[int]] = []
+    cycle_of = np.full(len(members), -1)  # the cycle of each idempotent, -1 for Ghat
+    parity = np.zeros(len(members), dtype=np.int64)  # its position in the cycle, mod 2
+    l = 0
     for start in range(len(members)):
-        if start in done:
+        if start == members.trivial_index or cycle_of[start] >= 0:
             continue
         cycle = [start]
         while perm[cycle[-1]] != start:
             cycle.append(perm[cycle[-1]])
-        done.update(cycle)
         if len(cycle) % 2:
             raise NoSplittingError(
                 f"{cell}; mu permutes the nontrivial idempotents in a cycle of odd length {len(cycle)}",
                 diagnostics=check,
             )
-        cycles.append(cycle)
-    if not cycles:
+        cycle_of[cycle], parity[cycle] = l, np.arange(len(cycle)) % 2
+        l += 1
+    if l == 0:
         raise NoSplittingError("the trivial group carries no duadic pairs")
-    if mode == "enumerate-all" and len(cycles) > _ENUMERATE_ALL_MAX_PAIRS:
+    if mode == "enumerate-all" and l > _ENUMERATE_ALL_MAX_CYCLES:
         raise ValueError(
-            f"enumerate-all over 2^{len(cycles)} choices refused; use canonical mode"
+            f"enumerate-all over the {l} cycles of mu would build 2^{l - 1} = {2 ** (l - 1)} pairs, "
+            f"more than 2^{_ENUMERATE_ALL_MAX_CYCLES - 1}; use canonical mode"
         )
+    count = 2 ** (l - 1) if mode == "enumerate-all" else 1
+    # row i's phases: 0 for the first cycle, then the bits of i, highest first
+    phases = np.arange(count)[:, None] >> np.arange(l - 1, -1, -1) & 1
+    in_e = (phases[:, cycle_of] == parity) & (cycle_of >= 0)
+    in_f = ~in_e & (cycle_of >= 0)
     vecs = np.array([h.vec for h in members])
-    choices = [(0,) * len(cycles)]
+    es = _linalg.matmul(field, in_e.astype(np.int64), vecs)
+    fs = _linalg.matmul(field, in_f.astype(np.int64), vecs)
     if mode == "enumerate-all":
-        choices = ((0, *rest) for rest in itertools.product((0, 1), repeat=len(cycles) - 1))
-    pairs = []
-    for phases in choices:
-        halves = [[i for c, ph in zip(cycles, phases) for i in c[ph ^ flip :: 2]] for flip in (0, 1)]
-        e, f = (AlgebraElement(field, group, field.vsum(vecs[ids], axis=0)) for ids in halves)
-        if mode == "enumerate-all" and e.key() > f.key():
-            e, f = f, e
-        pairs.append(DuadicPair(field, group, e, f, mu))
-    pairs.sort(key=lambda p: p.e.key())
-    return pairs
+        rows = np.arange(count)
+        first = (es != fs).argmax(axis=1)  # the first coefficient where e and f differ
+        swap = (es[rows, first] > fs[rows, first])[:, None]
+        es, fs = np.where(swap, fs, es), np.where(swap, es, fs)
+        order = np.lexsort(es.T[::-1])
+        es, fs = es[order], fs[order]
+    ghat = hat_group(field, group)
+    fixed, swapped = _pair_axioms(field, group, mu, ghat, es, fs)
+    return [
+        DuadicPair.__new__(DuadicPair)._set(
+            field, group, AlgebraElement(field, group, e), AlgebraElement(field, group, f), mu, ghat, fx, sw
+        )
+        for e, f, fx, sw in zip(es, fs, fixed, swapped)
+    ]
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,8 @@ never written to.  Every request is served through `duadic.cli.main` in this
 one interpreter.  The script prints one line per request whose exit code or
 sha256 digest of the `--json` output differs from the recorded one (or that
 raises), then one line per benchmark workload with the time its requests
-took, and exits 1 if there is any mismatch, else 0.
+took, then the five slowest requests with their times, and exits 1 if
+there is any mismatch, else 0.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ def main() -> int:
     reference = json.loads((BENCH / "reference.json").read_text(encoding="utf-8"))["requests"]
     workload_of = {r.key: name for name, pool in pools.POOLS.items() for r in pool()}
     spent = collections.defaultdict(list)  # workload -> its request times
+    took = {}  # request -> its time
     bad = []
     start = time.perf_counter()
     here = os.getcwd()
@@ -58,7 +60,8 @@ def main() -> int:
                     bad.append(f"{key}: raised {type(exc).__name__}: {exc}")
                     continue
                 finally:
-                    spent[workload_of.get(key, "no workload")].append(time.perf_counter() - begun)
+                    took[key] = time.perf_counter() - begun
+                    spent[workload_of.get(key, "no workload")].append(took[key])
                 digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
                 if code != want["summary"]["exit"]:
                     bad.append(f"{key}: exit {code}, recorded {want['summary']['exit']}")
@@ -70,6 +73,8 @@ def main() -> int:
         print(line)
     for workload, times in sorted(spent.items()):
         print(f"{workload}: {len(times)} requests in {sum(times):.2f} s")
+    for key in sorted(took, key=took.get, reverse=True)[:5]:
+        print(f"slow: {took[key] * 1e3:.0f} ms {key}")
     print(f"{len(reference) - len(bad)}/{len(reference)} requests match in {time.perf_counter() - start:.1f} s")
     return 1 if bad else 0
 

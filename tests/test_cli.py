@@ -318,6 +318,18 @@ class TestConstruct:
         assert captured.err.startswith("duadic: error: --enumerate-all")
         assert captured.err.count("\n") == 1
 
+    def test_enumerate_all_over_the_cycle_cap_exits_1(self, capsys, monkeypatch):
+        # mu_-1 on Z31 over GF(2) has 3 cycles, so 4 pairs; the cap lowered to 2 cycles
+        monkeypatch.setattr(duadic.duadic, "_ENUMERATE_ALL_MAX_CYCLES", 2)
+        assert main(["construct", "--group", "31", "--q", "2", "--mu", "mu-1", "--enumerate-all"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "duadic: error: enumerate-all over the 3 cycles of mu would build 2^2 = 4 pairs, "
+            "more than 2^1; use canonical mode\n"
+        )
+        assert main(["construct", "--group", "31", "--q", "2", "--mu", "mu-1"]) == EXIT_OK
+
     @pytest.mark.parametrize(
         "argv,message",
         [
@@ -515,6 +527,22 @@ class TestJsonRoundTrip:
         deep["timing_ms"] = None
         assert report.to_dict() == deep
         assert json.dumps([deep], indent=2) + "\n" == emit_json([report]) == text
+
+    @pytest.mark.parametrize("spec", ["31", "@z31.cayley"])
+    def test_shared_pair_rows_emit_what_the_indenting_encoder_emits(self, spec, capsys, tmp_path, monkeypatch):
+        # 16 pairs over GF(5) share most [label, coefficient] rows; the Cayley
+        # file's labels are numeric strings
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "z31.cayley").write_text(format_cayley(cyclic_group(31)), encoding="utf-8")
+        argv = ["construct", "--group", spec, "--q", "5", "--mu", "mu-1", "--enumerate-all", "--json"]
+        assert main(argv) == EXIT_OK
+        text = capsys.readouterr().out
+        (row,) = json.loads(text)
+        rows = [tuple(r) for pair in row["pairs"] for side in ("e", "f") for r in pair[side]]
+        assert len(row["pairs"]) == 16 and len(set(rows)) < len(rows) / 4
+        assert all(label.isdigit() != (spec == "31") for label, _ in rows)
+        assert json.dumps([row], indent=2) + "\n" == text
+        assert emit_json([CodeReport(**row)]) == text
 
     def test_unknown_field_rejected(self):
         with pytest.raises(TypeError, match="bogus"):

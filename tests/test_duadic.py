@@ -3,8 +3,11 @@ and product pairs."""
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -35,7 +38,7 @@ from duadic.duadic import (
     verify_key_proposition,
 )
 from duadic.errors import NoSplittingError, VerificationError
-from duadic.gf import FiniteField, field_from_order
+from duadic.gf import field_from_order
 from duadic.groups import (
     Antiautomorphism,
     builtin_mu_minus1,
@@ -73,6 +76,18 @@ _AXIOM_CELLS = {
     "3x3-q4-mu-1-frobenius": ("3x3", 4, "mu-1-frobenius"),
     "Z7:Z3-q4-mu-1": ("Z7:Z3", 4, "mu-1"),
     "Z7:Z3-q2-mu-1": ("Z7:Z3", 2, "mu-1"),
+}
+
+
+# cyclic mu_-1 cells over every q in {2, 3, 4, 5, 7, 8, 9}, each with two
+# pairs or more under enumerate-all: (n, q, pair count)
+_CYCLIC_STACK_CELLS = {
+    "31-q2-mu-1": (31, 2, 4),
+    "21-q4-mu-1": (21, 4, 8),
+    "31-q5-mu-1": (31, 5, 16),
+    "19-q7-mu-1": (19, 7, 4),
+    "7-q8-mu-1": (7, 8, 4),
+    "13-q9-mu-1": (13, 9, 2),
 }
 
 
@@ -302,56 +317,58 @@ class TestConstructPairs:
         assert (pair.e, pair.f) == (even, odd) or (mode == "enumerate-all" and (pair.e, pair.f) == (odd, even))
 
     @pytest.mark.parametrize("mode", ["canonical", "enumerate-all"])
-    @pytest.mark.parametrize("cell", ["13-q3-x7", "13-q3-x2", "3x3-q2-swap", "31-q2-mu-1"])
+    @pytest.mark.parametrize(
+        "cell", ["13-q3-x7", "13-q3-x2", "3x3-q2-swap", "Z7:Z3-q4-mu-1", "13-q3-mu-1", *_CYCLIC_STACK_CELLS]
+    )
     def test_pairs_equal_the_sums_of_cycle_halves(self, cell, mode):
-        if cell == "31-q2-mu-1":
-            field, group = field_from_order(2), cyclic_group(31)
+        if cell in _CYCLIC_STACK_CELLS:
+            n, q, size = _CYCLIC_STACK_CELLS[cell]
+            field, group = field_from_order(q), cyclic_group(n)
             mu = builtin_mu_minus1(group)
         else:
             field, group, mu, _, _ = axiom_cell(cell)
+            size = None
         pairs = construct_pairs(mu, field, group, mode=mode)
         expected = reference_pairs_from_cycles(mu, field, group, mode=mode)
         assert [(p.e, p.f) for p in pairs] == [(p.e, p.f) for p in expected]
-        if cell == "31-q2-mu-1":
-            # three 2-cycles of mu_-1: one pair, or 2^2 under enumerate-all
-            assert len(pairs) == (1 if mode == "canonical" else 4)
+        # mu_-1(e) has coefficient e_g at g^-1: here a gather, where the construction scatters
+        inverse = group.inverse
+        assert [(p.fixed_by_mu_minus1, p.swapped_by_mu_minus1) for p in pairs] == [
+            (np.array_equal(p.e.vec[inverse], p.e.vec), np.array_equal(p.e.vec[inverse], p.f.vec)) for p in expected
+        ]
+        if size is not None:
+            assert len(pairs) == (1 if mode == "canonical" else size)
 
-    def test_pair_loop_adds_no_elements_and_sums_twice_per_pair(self, monkeypatch):
-        # once a Python sum of AlgebraElements per cycle half and per pair;
-        # the calls inside check_splitting and the DuadicPair axiom checks
-        # are not the loop's and are not counted
-        counts, inside = {"__add__": 0, "vsum": 0}, [0]
+    def test_pairs_are_built_as_one_stack(self, monkeypatch):
+        # once a DuadicPair per pair, each e and f a field sum of its own:
+        # now one product per side for the whole stack, mu applied to the
+        # idempotents and to the pairs as stacks, and one product per pair
+        # for e^2 = e, in either mode
+        calls = collections.Counter()
 
-        def counted(cls, name):
-            method = getattr(cls, name)
-
-            def wrapper(*args, **kwargs):
-                counts[name] += not inside[0]
-                return method(*args, **kwargs)
-
-            monkeypatch.setattr(cls, name, wrapper)
-
-        def uncounted(owner, name):
+        def counted(owner, name):
             call = getattr(owner, name)
 
             def wrapper(*args, **kwargs):
-                inside[0] += 1
-                try:
-                    return call(*args, **kwargs)
-                finally:
-                    inside[0] -= 1
+                calls[name, sys._getframe(1).f_code.co_name] += 1
+                return call(*args, **kwargs)
 
             monkeypatch.setattr(owner, name, wrapper)
 
-        counted(AlgebraElement, "__add__")
-        counted(FiniteField, "vsum")
-        uncounted(duadic_module, "check_splitting")
-        uncounted(DuadicPair, "__init__")
+        counted(_linalg, "matmul")
+        for name in ("_antiauto_rows", "_convolve"):
+            counted(duadic_module, name)
+        counted(DuadicPair, "__init__")
         field, group = field_from_order(2), cyclic_group(31)
         for mode, size in (("canonical", 1), ("enumerate-all", 4)):
-            counts.update({"__add__": 0, "vsum": 0})
+            calls.clear()
             assert len(construct_pairs(builtin_mu_minus1(group), field, group, mode=mode)) == size
-            assert counts == {"__add__": 0, "vsum": 2 * size}, mode
+            assert calls["matmul", "construct_pairs"] == 2, mode
+            assert {key: count for key, count in calls.items() if key[0] != "matmul"} == {
+                ("_antiauto_rows", "_fixed_ids"): 1,
+                ("_antiauto_rows", "_pair_axioms"): 2,
+                ("_convolve", "<genexpr>"): size,
+            }, mode
 
     def test_odd_cycle_raises_no_splitting(self):
         # no idempotent is fixed, yet the 3-cycle leaves no pair
@@ -360,6 +377,39 @@ class TestConstructPairs:
         for mode in ("canonical", "enumerate-all"):
             with pytest.raises(NoSplittingError, match="in a cycle of odd length 3$"):
                 construct_pairs(mu, field, group, mode=mode)
+
+
+class TestStackedAxioms:
+    """`_pair_axioms` on the stack of the four pairs of 31-q2: a row changed
+    so that it breaks one of the four axioms alone raises VerificationError
+    naming that axiom, whatever the other rows."""
+
+    AXIOMS = ["e idempotent", "e even-like", "A1: e + f = 1 - Ghat", "A2: mu(e) = f"]
+
+    @pytest.mark.parametrize("axiom", AXIOMS)
+    def test_one_corrupted_row_names_its_axiom(self, axiom):
+        field, group = field_from_order(2), cyclic_group(31)
+        mu = builtin_mu_minus1(group)
+        pairs = construct_pairs(mu, field, group, mode="enumerate-all")
+        es, fs = np.array([p.e.vec for p in pairs]), np.array([p.f.vec for p in pairs])
+        ghat = pairs[0].ghat
+        h = next(h for h in split_primitive_central_idempotents(field, group) if h != ghat)
+        e, f = pairs[2].e, pairs[2].f
+        if axiom == "e idempotent":
+            # x = g + g^-1 has mu_-1(x) = x = -x and coefficient sum 0, and x^2 != x
+            x = AlgebraElement.basis(field, group, 1) + AlgebraElement.basis(field, group, 30)
+            e, f = e + x, f - x
+        elif axiom == "e even-like":
+            # in characteristic 2, e + Ghat and f + Ghat keep e^2 = e, A1 and A2
+            e, f = e + ghat, f + ghat
+        elif axiom == "A1: e + f = 1 - Ghat":
+            e, f = h, apply_antiauto(mu, h)
+        else:
+            e, f = h, AlgebraElement.one(field, group) - ghat - h
+        assert [name for name in reference_pair_axioms(e, f, mu) if name in self.AXIOMS] == [axiom]
+        es[2], fs[2] = e.vec, f.vec
+        with pytest.raises(VerificationError, match=f"^duadic axioms violated: {re.escape(axiom)}$"):
+            duadic_module._pair_axioms(field, group, mu, ghat, es, fs)
 
 
 @st.composite

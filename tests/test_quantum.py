@@ -316,7 +316,7 @@ class TestWorkCounts:
     def test_a_pair_costs_one_product(self, f2, monkeypatch):
         group = group_abelian([3, 3])
         pair = construct_pairs(builtin_mu_swap(group, 2), f2, group)[0]
-        products = record_calls(monkeypatch, [algebra, duadic_module], "alg_mul")
+        products = record_calls(monkeypatch, [algebra, duadic_module], "_convolve")
         DuadicPair(f2, group, pair.e, pair.f, pair.mu)
         assert len(products) == 1
 
@@ -334,9 +334,13 @@ class TestWorkCounts:
     def test_pairing_applies_mu_to_no_idempotent(self, f2, monkeypatch, mode):
         # two cycles, so neither e nor f is itself one of the idempotents
         group = group_abelian([3, 3])
-        members = {h.vec.tobytes() for h in split_primitive_central_idempotents(f2, group)}
+        members = np.array([h.vec for h in split_primitive_central_idempotents(f2, group)])
         applied = record_calls(monkeypatch, [duadic_module], "apply_antiauto")
+        stacks = record_calls(monkeypatch, [duadic_module], "_antiauto_rows")
         pairs = construct_pairs(builtin_mu_swap(group, 2), f2, group, mode=mode)
         assert len(pairs) == (1 if mode == "canonical" else 2)
-        # once per idempotent, for the permutation check_splitting records
-        assert sum(a.vec.tobytes() in members for _, (_, a) in applied) == len(members)
+        assert not applied
+        # once to the stacked idempotents, for the permutation check_splitting
+        # records, then to the stacked e of every pair, for A2 and mu_-1
+        assert [rows.shape for _, (_, _, rows) in stacks] == [members.shape] + [(len(pairs), 9)] * 2
+        assert np.array_equal(stacks[0][1][2], members)
