@@ -11,7 +11,7 @@ import numpy as np
 
 from . import _linalg
 from .errors import VerificationError
-from .gf import FiniteField, roots
+from .gf import FiniteField, lagrange_rows, roots
 from .groups import Antiautomorphism, FqClassPartition, Group, fq_classes, is_subgroup
 
 
@@ -241,11 +241,9 @@ def split_primitive_central_idempotents(field: FiniteField, group: Group) -> Ide
     by the F_q-class sums K_j: a split algebra F_q^r whose elements are
     r-vectors, their values at the class representatives, and in which
     multiplication by K_j is an r x r matrix M_j (`_class_sum_action`).  The
-    stacked component units are multiplied by each K_j at once; a unit with
-    u K_j = lambda u (the scalar pre-check) is kept, any other is split by
-    the roots of the minimal polynomial of K_j on it, read from one RREF of
-    its Krylov rows (`_refine_component`).  Each idempotent is expanded to
-    length n once, through ``partition.class_of``.
+    stack of component units is split by each K_j in one step
+    (`_split_units`).  Each idempotent is expanded to length n once, through
+    ``partition.class_of``.
     """
     n, q = group.order, field.q
     if math.gcd(n, q) != 1:
@@ -256,11 +254,7 @@ def split_primitive_central_idempotents(field: FiniteField, group: Group) -> Ide
     for j in range(1, r):
         if len(units) == r:
             break
-        times = _class_sum_action(field, partition, j)
-        scalar = _scalar_rows(field, units, times(units))
-        units = np.vstack(
-            [u[None] if s else _refine_component(field, u, times) for u, s in zip(units, scalar)]
-        )
+        units = _split_units(field, units, _class_sum_action(field, partition, j))
     if len(units) != r:
         raise VerificationError(f"splitting produced {len(units)} components, expected {r}")
     members = [AlgebraElement(field, group, v) for v in units[:, partition.class_of]]
@@ -293,12 +287,57 @@ def _class_sum_action(field: FiniteField, partition: FqClassPartition, j: int):
     return times
 
 
-def _refine_component(field: FiniteField, unit: np.ndarray, times) -> np.ndarray:
-    """The parts of a component unit u (an r-vector) under the linear map
-    ``times`` (rows -> rows @ M), one row per root of the minimal polynomial,
-    read from one RREF of the transposed Krylov rows u, c = u M, c^2, ...
-    Its degree d is at most r, and at most q if it splits squarefree; the
-    rows grow to 2d + 1 until a dependence shows, so d <= 2 takes one RREF."""
+def _by_minimal_polynomial(q: int, stack: np.ndarray) -> bool:
+    """Whether the k x r stack is split by the minimal polynomial of its sum,
+    not x^q - x, whose q k Krylov rows outnumber the 2r + 1 that the sum's
+    Krylov rows can need."""
+    return q * len(stack) > 2 * stack.shape[1] + 1
+
+
+def _split_units(field: FiniteField, units: np.ndarray, times) -> np.ndarray:
+    """The units (stacked orthogonal idempotents, r-vectors) split by the
+    linear map ``times`` (rows -> rows @ M): a unit with u M = lambda u (the
+    scalar pre-check) is kept, any other becomes its nonzero parts
+    u b(M) / b(lambda), lambda ascending, for the roots lambda of a split
+    squarefree f with f(M) = 0 on the moved units and b = f / (x - lambda):
+    one product of their table (`lagrange_rows`) with the moved units'
+    Krylov stack U, U M, U M^2, ...  f is x^q - x, the product of x - lambda
+    over F_q (table ``field._point_projections``, check U M^q = U M), or,
+    where `_by_minimal_polynomial`, the minimal polynomial of M on the moved
+    units' sum, the lcm of theirs.  Where M is not split squarefree,
+    VerificationError names the minimal polynomial of the first moved unit
+    it does not split."""
+    product = times(units)
+    moved = ~_scalar_rows(field, units, product)
+    if not moved.any():
+        return units
+    stack, powers = units[moved], [units[moved], product[moved]]
+    by_minimal_polynomial = _by_minimal_polynomial(field.q, stack)
+    if by_minimal_polynomial:
+        try:
+            table = lagrange_rows(field, *_split_values(field, field.vsum(stack, axis=0), times))
+        except VerificationError:
+            for unit in stack:
+                _split_values(field, unit, times)
+            raise
+    else:
+        table = field._point_projections
+    while len(powers) < len(table):
+        powers.append(times(powers[-1]))
+    if not by_minimal_polynomial:  # u M^q = u M iff x^q - x kills u
+        for unit in stack[(times(powers[-1]) != powers[1]).any(axis=1)]:
+            _split_values(field, unit, times)
+    d, (k, r) = len(table), stack.shape
+    parts = _linalg.matmul(field, table, np.array(powers[:d]).reshape(d, -1))
+    parts = parts.reshape(d, k, r).swapaxes(0, 1).reshape(-1, r)
+    return np.vstack([units[~moved], parts[parts.any(axis=1)]])
+
+
+def _split_values(field: FiniteField, unit: np.ndarray, times) -> tuple[list[int], list[int]]:
+    """The minimal polynomial of ``times`` on ``unit`` and its roots, from one
+    RREF of the transposed Krylov rows u, u M, ... (grown to 2d + 1 until a
+    dependence shows, so d <= 2 takes one).  VerificationError unless it
+    splits squarefree, which needs d <= q."""
     limit = min(len(unit), field.q) + 1
     powers, d = [unit], 1
     while d == len(powers) < limit:
@@ -308,23 +347,13 @@ def _refine_component(field: FiniteField, unit: np.ndarray, times) -> np.ndarray
         d = len(pivots)
     if d == limit:
         raise VerificationError(f"minimal polynomial of degree > {field.q} is not split squarefree")
-    coeffs = field.vneg(red[:, d])
-    minpoly = coeffs.tolist() + [1]
-    lam = np.array(roots(field, minpoly), dtype=np.int64)
-    if len(lam) != d:
+    minpoly = field.vneg(red[:, d]).tolist() + [1]
+    values = roots(field, minpoly)
+    if len(values) != d:
         raise VerificationError(
             f"minimal polynomial {_poly_text(minpoly)} in the fixed subalgebra is not split squarefree"
         )
-    # part(lambda) = b(c) / b(lambda), b = minpoly / (x - lambda): synthetic
-    # division and Horner for all roots at once, then one product with the powers
-    b = value = np.ones(d, dtype=np.int64)
-    quotients = [b]
-    for a in coeffs[:0:-1]:
-        b = field.vadd(np.int64(a), field.vmul(lam, b))
-        value = field.vadd(field.vmul(value, lam), b)
-        quotients.append(b)
-    scaled = field.vmul(np.array(quotients[::-1]).T, field.vinv(value)[:, None])
-    return _linalg.matmul(field, scaled, np.array(powers[:d]))
+    return minpoly, values
 
 
 def _poly_text(coeffs: list[int]) -> str:

@@ -9,7 +9,8 @@ discrete log/antilog tables, built lazily once per field.
 
 A polynomial is a plain little-endian sequence of coefficient indexes, with no
 arithmetic of its own: `roots` evaluates one at every element of a field,
-and the modulus of GF(p^m) is the lex-smallest monic degree-m polynomial over
+`lagrange_rows` divides one by x - lambda for each of its roots, and the
+modulus of GF(p^m) is the lex-smallest monic degree-m polynomial over
 GF(p) with no root in any GF(p^d), d <= m/2.
 """
 
@@ -247,6 +248,12 @@ class FiniteField:
         """Index a -> a^-1 in a prime field, with 0 -> 0."""
         return np.array([0] + [pow(i, -1, self.p) for i in range(1, self.p)], dtype=np.int64)
 
+    @cached_property
+    def _point_projections(self) -> np.ndarray:
+        """Row lambda: 1 - (x - lambda)^(q-1) = -(x^q - x)/(x - lambda), 1 at
+        lambda and 0 elsewhere (`lagrange_rows` of x^q - x), q x q."""
+        return lagrange_rows(self, [0, self.neg(1)] + [0] * (self.q - 2) + [1], np.arange(self.q))
+
     def _pack_digits(self, digits: np.ndarray) -> np.ndarray:
         powers = self.p ** np.arange(self.m, dtype=np.int64)
         return digits @ powers
@@ -348,6 +355,20 @@ def roots(field: FiniteField, coeffs) -> list[int]:
     for c in reversed(coeffs):
         acc = field.vadd(field.vmul(acc, xs), np.int64(c))
     return np.flatnonzero(acc == 0).tolist()
+
+
+def lagrange_rows(field: FiniteField, coeffs, values) -> np.ndarray:
+    """Row i: b / b(values[i]) for b = f / (x - values[i]), f monic with
+    coefficients `coeffs` and distinct roots `values`, one per degree (1 at
+    values[i], 0 at the other roots): synthetic division for all at once."""
+    values = np.asarray(values, dtype=np.int64)
+    b = at = np.ones(len(values), dtype=np.int64)
+    quotients = [b]
+    for c in coeffs[-2:0:-1]:
+        b = field.vadd(np.int64(c), field.vmul(values, b))
+        at = field.vadd(field.vmul(at, values), b)
+        quotients.append(b)
+    return field.vmul(np.array(quotients[::-1]).T, field.vinv(at)[:, None])
 
 
 def _is_irreducible(p: int, coeffs: tuple[int, ...]) -> bool:

@@ -6,16 +6,18 @@ import math
 import random
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from duadic import _linalg
+from duadic import _linalg, algebra
 from duadic.algebra import (
     AlgebraElement,
+    _by_minimal_polynomial,
     _class_sum_action,
-    _refine_component,
     _scalar_rows,
+    _split_units,
     alg_mul,
     apply_antiauto,
     hat_group,
@@ -355,9 +357,15 @@ class TestSplitIdempotents:
         assert sum(code_from_ideal(e).k for e in s) == 21
 
 
+def _force_values(monkeypatch, by_minimal_polynomial: bool) -> None:
+    """Split every stack through the minimal polynomial of its sum, or
+    through x^q - x, whatever its size."""
+    monkeypatch.setattr(algebra, "_by_minimal_polynomial", lambda q, stack: by_minimal_polynomial)
+
+
 class TestSplitAgainstFrobeniusKernel:
     @pytest.mark.parametrize("q,group", list(_reference_cells()))
-    def test_matches_frobenius_kernel_oracle(self, q, group):
+    def test_matches_frobenius_kernel_oracle(self, q, group, monkeypatch):
         field = field_from_order(q)
         reference, fixed_center = reference_split_idempotents(field, group)
         partition = fq_classes(group, q)
@@ -367,17 +375,23 @@ class TestSplitAgainstFrobeniusKernel:
         class_sums = (partition.class_of == np.arange(r)[:, None]).astype(np.int64)
         assert np.array_equal(reference_rref(field, fixed_center)[0], reference_rref(field, class_sums)[0])
         assert split_primitive_central_idempotents(field, group) == reference
+        # each value set on every stack: x^q - x, and the minimal polynomial
+        for by_minimal_polynomial in (False, True):
+            _force_values(monkeypatch, by_minimal_polynomial)
+            assert split_primitive_central_idempotents(field, group) == reference, by_minimal_polynomial
 
-    def test_refining_outside_the_fixed_subalgebra_raises(self, gf2, z7):
+    def test_refining_outside_the_fixed_subalgebra_raises(self, gf2, z7, monkeypatch):
         # g is central but not Frobenius-fixed: multiplication by g on the
         # class representatives, read at the representatives, is a matrix whose
         # minimal polynomial on the unit is x^2, which has one root only
         reps = fq_classes(z7, 2).reps
         matrix = np.array([[int(z7.table[x, 1] == y) for y in reps] for x in reps])
-        unit = np.eye(1, len(reps), dtype=np.int64)[0]
-        with pytest.raises(VerificationError, match="not split squarefree") as info:
-            _refine_component(gf2, unit, lambda rows: _linalg.matmul(gf2, rows, matrix))
-        assert "polynomial x^2 in" in str(info.value)
+        units = np.eye(1, len(reps), dtype=np.int64)
+        for by_minimal_polynomial in (False, True):
+            _force_values(monkeypatch, by_minimal_polynomial)
+            with pytest.raises(VerificationError, match="not split squarefree") as info:
+                _split_units(gf2, units, lambda rows: _linalg.matmul(gf2, rows, matrix))
+            assert "polynomial x^2 in" in str(info.value)
 
     @pytest.mark.parametrize(
         "shift,message",
@@ -389,14 +403,109 @@ class TestSplitAgainstFrobeniusKernel:
         ],
         ids=["degree-above-q", "irreducible"],
     )
-    def test_refining_by_a_non_class_sum_raises(self, gf2, z7, shift, message):
+    def test_refining_by_a_non_class_sum_raises(self, gf2, z7, shift, message, monkeypatch):
         # reps (0, 1, 3) of Z7 over GF(2); class(z_k g^-1) = (2, 0, 1)
         def times(rows):
             out = rows[:, [2, 0, 1]]
             return gf2.vadd(out, rows[:, list(shift)]) if shift else out
 
-        with pytest.raises(VerificationError, match=re.escape(message)):
-            _refine_component(gf2, np.eye(1, 3, dtype=np.int64)[0], times)
+        for by_minimal_polynomial in (False, True):
+            _force_values(monkeypatch, by_minimal_polynomial)
+            with pytest.raises(VerificationError, match=re.escape(message)):
+                _split_units(gf2, np.eye(1, 3, dtype=np.int64), times)
+
+    def test_refining_names_the_first_unit_not_split(self, gf2, monkeypatch):
+        # coordinates (0, 1): diag(0, 1); (2, 3): the companion matrix of the
+        # irreducible x^2 + x + 1.  Unit e0 + e1 splits by x^2 + x; e2 does not,
+        # and the sum's minimal polynomial x^4 + x has degree above q
+        matrix = np.zeros((4, 4), dtype=np.int64)
+        matrix[1, 1] = matrix[2, 3] = matrix[3, 2] = matrix[3, 3] = 1
+        units = np.array([[1, 1, 0, 0], [0, 0, 1, 0]])
+        for by_minimal_polynomial in (False, True):
+            _force_values(monkeypatch, by_minimal_polynomial)
+            with pytest.raises(VerificationError) as info:
+                _split_units(gf2, units, lambda rows: _linalg.matmul(gf2, rows, matrix))
+            assert str(info.value) == (
+                "minimal polynomial x^2 + x + 1 in the fixed subalgebra is not split squarefree"
+            ), by_minimal_polynomial
+
+    @pytest.mark.parametrize("n,q", [(7, 257), (7, 65521), (7, 65536), (25, 251)])
+    def test_small_groups_over_large_fields_match_characters(self, n, q, monkeypatch):
+        field, group = field_from_order(q), cyclic_group(n)
+        want = abelian_character_idempotents(field, group)
+        assert split_primitive_central_idempotents(field, group) == want
+        if q <= 257:  # a q x q table on the x^q - x side
+            for by_minimal_polynomial in (False, True):
+                _force_values(monkeypatch, by_minimal_polynomial)
+                assert split_primitive_central_idempotents(field, group) == want, by_minimal_polynomial
+
+
+class TestSplitWork:
+    @pytest.mark.parametrize(
+        "q,group,minimal_polynomial_steps",
+        [
+            pytest.param(2, cyclic_group(33), 0, id="z33-q2"),
+            pytest.param(4, group_from_cayley(metacyclic_table(7, 2)), 0, id="z7:z3-q4"),
+            pytest.param(9, group_abelian([5, 5]), 1, id="z5xz5-q9"),
+        ],
+    )
+    def test_small_fields_split_by_x_q_minus_x(self, q, group, minimal_polynomial_steps, monkeypatch):
+        # x^q - x gives every value of a class sum while q k <= 2r + 1 for the
+        # k moved units: no elimination and no root search there; a larger
+        # stack takes one root search for its class sum; at most q + 1
+        # products per class sum either way
+        calls = {"rref": 0, "roots": 0}
+        steps = []
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        def class_sum_action(field, partition, j):
+            times = _class_sum_action(field, partition, j)
+            steps.append({"products": 0, "rref": calls["rref"]})
+
+            def counted_times(rows):
+                steps[-1]["products"] += 1
+                return times(rows)
+
+            return counted_times
+
+        def by_minimal_polynomial(q, stack):
+            steps[-1]["minimal_polynomial"] = _by_minimal_polynomial(q, stack)
+            return steps[-1]["minimal_polynomial"]
+
+        monkeypatch.setattr(_linalg, "rref", counted("rref", _linalg.rref))
+        monkeypatch.setattr(algebra, "roots", counted("roots", algebra.roots))
+        monkeypatch.setattr(algebra, "_class_sum_action", class_sum_action)
+        monkeypatch.setattr(algebra, "_by_minimal_polynomial", by_minimal_polynomial)
+        field = field_from_order(q)
+        split = split_primitive_central_idempotents(field, group)
+        assert len(split) == len(fq_classes(group, q))
+        assert sum(step.get("minimal_polynomial", False) for step in steps) == minimal_polynomial_steps
+        assert calls["roots"] == minimal_polynomial_steps
+        # every elimination runs in a class sum split by its minimal polynomial
+        ends = [step["rref"] for step in steps[1:]] + [calls["rref"]]
+        assert all(end == step["rref"] or step["minimal_polynomial"] for step, end in zip(steps, ends))
+        assert steps and max(step["products"] for step in steps) <= q + 1
+
+    def test_field_order_cap_builds_no_q_row_stack(self):
+        # a q-row Krylov stack of one unit alone holds 8 q r bytes
+        field, group = field_from_order(65521), cyclic_group(7)
+        want = abelian_character_idempotents(field, group)
+        assert split_primitive_central_idempotents(field, group) == want  # the field's tables
+        tracemalloc.start()
+        try:
+            split = split_primitive_central_idempotents(field, group)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert split == want
+        assert "_point_projections" not in vars(field)
+        assert peak < 8 * field.q * len(split)
 
 
 CLASS_QS = (2, 3, 4, 5, 8, 9, 25)
@@ -452,11 +561,14 @@ class TestClassCoordinates:
         assert _scalar_rows(field, units, products).tolist() == want
         assert 0 < sum(want) < len(want)
 
-    def test_fully_split_z63_over_gf64_matches_characters(self):
+    def test_fully_split_z63_over_gf64_matches_characters(self, monkeypatch):
         field, group = field_from_order(64), cyclic_group(63)
         split = split_primitive_central_idempotents(field, group)
         assert len(split) == 63
         assert split == abelian_character_idempotents(field, group)
+        for by_minimal_polynomial in (False, True):
+            _force_values(monkeypatch, by_minimal_polynomial)
+            assert split_primitive_central_idempotents(field, group) == split, by_minimal_polynomial
 
     def test_fully_split_z255_over_gf256(self):
         field, group = field_from_order(256), cyclic_group(255)

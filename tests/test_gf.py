@@ -17,6 +17,7 @@ from duadic.gf import (
     field_from_order,
     field_make,
     is_prime,
+    lagrange_rows,
     multiplicative_order_mod,
     roots,
 )
@@ -311,6 +312,33 @@ class TestPolynomials:
         for _ in range(10):
             coeffs = [rng.randrange(q) for _ in range(rng.randrange(1, 6))]
             assert roots(field, coeffs) == [x for x in range(q) if evaluate(Polynomial(field, coeffs), x) == 0]
+
+    @pytest.mark.parametrize("q", [2, 4, 7, 9, 27])
+    def test_lagrange_rows_against_products_of_factors(self, q):
+        # row i is prod_{j != i} (x - v_j) / (v_i - v_j), built factor by factor
+        field = field_from_order(q)
+        rng = random.Random(q)
+        for _ in range(5):
+            values = sorted(rng.sample(range(q), rng.randrange(1, q + 1)))
+            f = functools.reduce(Polynomial.__mul__, [Polynomial(field, (field.neg(v), 1)) for v in values])
+            want = []
+            for i, v in enumerate(values):
+                row = Polynomial.one(field)
+                for u in values[:i] + values[i + 1 :]:
+                    row = row * Polynomial(field, (field.neg(u), 1)).scale(field.inv(field.sub(v, u)))
+                want.append(list(row.coeffs) + [0] * (len(values) - 1 - row.degree()))
+            assert lagrange_rows(field, list(f.coeffs), values).tolist() == want
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 25])
+    def test_point_projections_are_the_indicators_of_the_field(self, q):
+        # row lambda is 1 - (x - lambda)^(q-1): 1 at lambda, 0 elsewhere
+        field = field_from_order(q)
+        table = field._point_projections
+        assert table.shape == (q, q)
+        for lam in range(q):
+            poly = Polynomial(field, [int(c) for c in table[lam]])
+            assert [evaluate(poly, x) for x in range(q)] == [int(x == lam) for x in range(q)]
+        assert field._point_projections is table
 
     def test_str(self, gf2):
         assert str(Polynomial(gf2, (1, 1, 0, 1))) == "x^3 + x + 1"
