@@ -87,11 +87,7 @@ class AlgebraElement:
         return list(zip(map(self.group.labels.__getitem__, support.tolist()), self.vec[support].tolist()))
 
     def __repr__(self) -> str:
-        if not self.vec.any():
-            return "0"
-        return " + ".join(
-            label if c == 1 else f"{c}*{label}" for label, c in self.to_pairs()
-        )
+        return _terms_text(self.to_pairs())
 
     # -- ring operations -------------------------------------------------------
 
@@ -123,6 +119,12 @@ class AlgebraElement:
             base = alg_mul(base, base)
             e >>= 1
         return out
+
+
+def _terms_text(pairs) -> str:
+    """The sum of (label, coefficient) terms as text, a coefficient of 1
+    left out: [("a^1", 1), ("a^2", 2)] is "a^1 + 2*a^2", no terms "0"."""
+    return " + ".join(label if c == 1 else f"{c}*{label}" for label, c in pairs) or "0"
 
 
 def alg_mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:

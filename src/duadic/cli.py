@@ -16,7 +16,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import _linalg
-from .algebra import AlgebraElement
+from .algebra import AlgebraElement, _terms_text
 from .codes import DEFAULT_ENUM_CAP
 from .duadic import (
     DuadicCodes,
@@ -103,7 +103,7 @@ def _write_json(x, pad: str, out: list[str], row_texts: dict) -> None:
     byte, without its pure-Python encoder for the types a report holds
     (scalars by exact type, so a bool is no int); others go to json.dumps.
     The texts are joined once, by `emit_json`; row_texts memoises the
-    texts of `_scalar_rows` for that one call."""
+    texts of `_label_rows` for that one call."""
     if (scalar := _JSON_SCALARS.get(type(x))) is not None:
         out.append(scalar(x))
         return
@@ -111,7 +111,7 @@ def _write_json(x, pad: str, out: list[str], row_texts: dict) -> None:
     sep = ",\n" + inner
     if type(x) in _ROW_TYPES and x:
         out.append("[\n" + inner)
-        texts = _scalar_rows(x, inner, row_texts)
+        texts = _label_rows(x, inner, row_texts)
         if texts is not None:
             out.append(sep.join(texts))
         else:
@@ -130,35 +130,29 @@ def _write_json(x, pad: str, out: list[str], row_texts: dict) -> None:
         out.append(json.dumps(x, indent=2).replace("\n", "\n" + pad))
 
 
-def _scalar_rows(x, pad: str, row_texts: dict) -> list[str] | None:
-    """The texts of x's items at indentation pad when each is a non-empty
-    list of scalars, one join per item; None when some item is not.  When
-    every item is a [str, int] row, as the [label, coefficient] rows of e
-    and f are, each distinct row's text is made once per pad and kept in
+def _label_rows(x, pad: str, row_texts: dict) -> list[str] | None:
+    """The texts of x's items at indentation pad when every item is a
+    [str, int] row, as the [label, coefficient] rows of e and f are; None
+    otherwise.  Each distinct row's text is made once per pad and kept in
     row_texts, since the pairs of one report share most of their rows."""
     if not set(map(type, x)) <= _ROW_TYPES:
         return None
-    inner = pad + "  "
-    head, sep, tail = "[\n" + inner, ",\n" + inner, "\n" + pad + "]"
     try:
         labels, coeffs = zip(*x, strict=True)
     except ValueError:  # rows of unequal lengths, or not of two items
-        labels = coeffs = ()
-    if set(map(type, labels)) == {str} and set(map(type, coeffs)) == {int}:
-        known = row_texts.setdefault(pad, {})
-        keys = list(zip(labels, coeffs))
-        texts = list(map(known.get, keys))
-        if None in texts:
-            for label, c in set(keys).difference(known):
-                known[label, c] = head + encode_basestring_ascii(label) + sep + repr(c) + tail
-            texts = list(map(known.__getitem__, keys))
-        return texts
-    if not all(x):
         return None
-    try:
-        return [head + sep.join([_JSON_SCALARS[type(v)](v) for v in row]) + tail for row in x]
-    except KeyError:
+    if set(map(type, labels)) != {str} or set(map(type, coeffs)) != {int}:
         return None
+    inner = pad + "  "
+    head, sep, tail = "[\n" + inner, ",\n" + inner, "\n" + pad + "]"
+    known = row_texts.setdefault(pad, {})
+    keys = list(zip(labels, coeffs))
+    texts = list(map(known.get, keys))
+    if None in texts:
+        for label, c in set(keys).difference(known):
+            known[label, c] = head + encode_basestring_ascii(label) + sep + repr(c) + tail
+        texts = list(map(known.__getitem__, keys))
+    return texts
 
 
 # ---------------------------------------------------------------------------
@@ -246,11 +240,8 @@ def _odd_order(group: Group) -> Group:
 
 
 def _existence_fields(group: Group, q: int, mu: Antiautomorphism, ok: bool) -> dict:
-    ord_crit = None
-    agree = None
-    if mu.descriptor == "mu-1" and group.order % 2 == 1:
-        ord_crit = splitting_exists_mu_minus1(group.order, q)
-        agree = ord_crit == ok
+    ord_crit = splitting_exists_mu_minus1(group.order, q) if mu.descriptor == "mu-1" else None
+    agree = None if ord_crit is None else ord_crit == ok
     return {"class_criterion": ok, "ord_criterion": ord_crit, "agree": agree}
 
 
@@ -535,10 +526,8 @@ def _print_construct_report(r: CodeReport) -> None:
         f"ord-criterion={ex.get('ord_criterion')} agree={ex.get('agree')}"
     )
     for i, pd in enumerate(r.pairs or []):
-        e_text = " + ".join(lbl if c == 1 else f"{c}*{lbl}" for lbl, c in pd["e"])
-        f_text = " + ".join(lbl if c == 1 else f"{c}*{lbl}" for lbl, c in pd["f"])
-        print(f"pair {i}: e = {e_text}")
-        print(f"         f = {f_text}")
+        print(f"pair {i}: e = {_terms_text(pd['e'])}")
+        print(f"         f = {_terms_text(pd['f'])}")
     if r.dims:
         print(
             f"dims: C_e={r.dims['c_e']} C_f={r.dims['c_f']} "

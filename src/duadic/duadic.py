@@ -384,15 +384,10 @@ def odd_like_bound(pair: DuadicPair) -> tuple[str, int]:
     return "square", d
 
 
-def _embed_left(a: AlgebraElement, product: Group, n2: int) -> AlgebraElement:
+def _embed(a: AlgebraElement, product: Group, ids) -> AlgebraElement:
+    """a on the product's ids `ids`: np.s_[::n2] for G1 (ids g1 * n2), np.s_[:n2] for G2."""
     vec = np.zeros(product.order, dtype=np.int64)
-    vec[::n2] = a.vec
-    return AlgebraElement(a.field, product, vec)
-
-
-def _embed_right(a: AlgebraElement, product: Group) -> AlgebraElement:
-    vec = np.zeros(product.order, dtype=np.int64)
-    vec[: a.group.order] = a.vec
+    vec[ids] = a.vec
     return AlgebraElement(a.field, product, vec)
 
 
@@ -401,22 +396,17 @@ def product_duadic(pair1: DuadicPair, pair2: DuadicPair) -> DuadicPair:
     if pair1.field != pair2.field:
         raise ValueError("pairs live over different fields")
     field = pair1.field
-    g1, g2 = pair1.group, pair2.group
-    product = group_product(g1, g2)
-    if math.gcd(product.order, field.q) != 1:
-        raise ValueError(f"gcd(|G1 x G2|={product.order}, q={field.q}) != 1")
-    n2 = g2.order
-    e1 = _embed_left(pair1.e, product, n2)
-    f1 = _embed_left(pair1.f, product, n2)
-    e2 = _embed_right(pair2.e, product)
-    f2 = _embed_right(pair2.f, product)
+    product = group_product(pair1.group, pair2.group)
+    left, right = np.s_[:: pair2.group.order], np.s_[: pair2.group.order]
+    e1, f1 = _embed(pair1.e, product, left), _embed(pair1.f, product, left)
+    e2, f2 = _embed(pair2.e, product, right), _embed(pair2.f, product, right)
     e = e1 + e2 - alg_mul(e1, e2) - alg_mul(f1, e2)
     f = f1 + f2 - alg_mul(f1, f2) - alg_mul(e1, f2)
     mu = product_antiauto(pair1.mu, pair2.mu, product)
     # low-weight members of Re or Rf, kept as degeneracy evidence
     candidates = [e1, f1, e2, f2]
-    candidates += [_embed_left(w, product, n2) for w in pair1.witnesses]
-    candidates += [_embed_right(w, product) for w in pair2.witnesses]
+    candidates += [_embed(w, product, left) for w in pair1.witnesses]
+    candidates += [_embed(w, product, right) for w in pair2.witnesses]
     witnesses = []
     seen = set()
     for w in candidates:

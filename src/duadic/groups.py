@@ -18,7 +18,7 @@ from string import ascii_lowercase
 import numpy as np
 
 from .errors import CayleyFormatError
-from .gf import _prime_factors, is_prime
+from .gf import field_from_order, is_prime
 
 GROUP_ORDER_CAP = 512
 
@@ -76,7 +76,6 @@ class Group:
         self.factors: tuple[Group, Group] | None = None
         self.inverse = self._build_inverse()
         self._mu_minus1: weakref.ref | None = None
-        self._hash: int | None = None
 
     # -- validation -------------------------------------------------------
 
@@ -128,9 +127,7 @@ class Group:
         return other is self or (isinstance(other, Group) and np.array_equal(self.table, other.table))
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(self.table.tobytes())
-        return self._hash
+        return hash(self.table.tobytes())
 
     def __repr__(self) -> str:
         return f"Group({self.descriptor}, n={self.order})"
@@ -208,17 +205,10 @@ class Group:
         groups, exponent words such as a^1*b^2 for abelian products."""
         if self.abelian_orders is None:
             return tuple(str(g) for g in range(self.order))
-        letters = _generator_letters(len(self.abelian_orders))
         return tuple(
-            "*".join(f"{x}^{e}" for x, e in zip(letters, self.element_tuple(g)))
+            "*".join(f"{x}^{e}" for x, e in zip(ascii_lowercase, self.element_tuple(g)))
             for g in range(self.order)
         )
-
-
-def _generator_letters(k: int) -> list[str]:
-    if k <= len(ascii_lowercase):
-        return list(ascii_lowercase[:k])
-    return [f"g{i}" for i in range(k)]
 
 
 # ---------------------------------------------------------------------------
@@ -386,20 +376,13 @@ class Antiautomorphism:
 
         k is the exponent by which the extension of x -> x^(p^t) acts on
         m-th roots of unity; l is its inverse used in the class action.
+        p and the degree of GF(q) come from `field_from_order`, so a q that
+        is not a prime power raises ValueError.
         """
-        if q < 2:
-            raise ValueError(f"invalid field order {q}")
-        p = _prime_factors(q)[0]
-        e = 0
-        qq = q
-        while qq > 1:
-            qq //= p
-            e += 1
-        t = self.frobenius_power % e
+        field = field_from_order(q)
         m = self.group.exponent
-        k = pow(p, t, m)
-        ell = pow(k, -1, m)
-        return k, ell
+        k = pow(field.p, self.frobenius_power % field.m, m)
+        return k, pow(k, -1, m)
 
     def is_inversion_for(self, field) -> bool:
         """True iff this map is exactly mu_-1 on F_q[G] (sigma trivial on F_q)."""

@@ -210,6 +210,11 @@ class TestScan:
         assert captured.err.count("\n") == 1
 
 
+def _without_time(out: str) -> str:
+    """A text report without its `time:` line, the one line that varies between runs."""
+    return "".join(line for line in out.splitlines(keepends=True) if not line.startswith("time: "))
+
+
 class TestConstruct:
     def test_steane(self, capsys):
         code = main(["construct", "--group", "7", "--q", "2", "--mu", "mu-1", "--json"])
@@ -360,6 +365,14 @@ class TestConstruct:
         assert captured.out == "" and captured.err.count("\n") == 1
         assert "expected group order, got '3 junk' (line 1)" in captured.err
 
+    def test_cayley_non_integer_entry_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "z2.cayley"
+        path.write_text("2\n0 x\n1 0\n", encoding="utf-8")
+        assert main(["construct", "--group", f"@{path}", "--q", "3", "--mu", "mu-1"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "duadic: error: non-integer table entry 'x' (line 2, column 2)\n"
+
     def test_perm_file_line_after_frobenius_power_exits_1(self, tmp_path, capsys):
         # the fourth line was once ignored, and the cell built and analysed
         path = tmp_path / "z3.perm"
@@ -456,6 +469,50 @@ class TestConstruct:
         out = capsys.readouterr().out
         assert "odd_like_d_f: 6 (lower-bound, odd-like-" in out
         assert "quantum: [[23,1,>=6]]_2 d=6 (lower-bound, odd-like-" in out
+
+    def test_human_output_degeneracy_lines(self, capsys):
+        argv = ["construct", "--group", "3,3", "--q", "4", "--mu", "mu-1", "--product"]
+        assert main(argv) == EXIT_OK
+        assert _without_time(capsys.readouterr().out) == (
+            "group 3,3  q=4  mu=mu-1\n"
+            "existence: class-criterion=True ord-criterion=None agree=None\n"
+            "pair 0: e = 2*a^0*b^1 + 3*a^0*b^2 + 3*a^1*b^0 + 2*a^1*b^1 + 3*a^1*b^2"
+            " + 2*a^2*b^0 + 2*a^2*b^1 + 3*a^2*b^2\n"
+            "         f = 3*a^0*b^1 + 2*a^0*b^2 + 2*a^1*b^0 + 3*a^1*b^1 + 2*a^1*b^2"
+            " + 3*a^2*b^0 + 3*a^2*b^1 + 2*a^2*b^2\n"
+            "dims: C_e=4 C_f=4 D_e=5 D_f=5\n"
+            "duality: case i verified=True\n"
+            "odd_like_d_e: 4 (exact, coset-enumeration)\n"
+            "odd_like_d_f: 4 (exact, coset-enumeration)\n"
+            "quantum: [[9,1,4]]_4 d=4 (exact, coset-enumeration)\n"
+            "degenerate: True\n"
+            "  C: exactly weight 3: 9\n"
+            "  D-perp: exactly weight 3: 9\n"
+        )
+
+    def test_human_output_of_the_paper_product(self, capsys):
+        # the pair lines hold the 40 labels of e and of f, as the JSON report lists them
+        argv = ["construct", "--group", "3x3,3x3", "--q", "2", "--mu", "swap", "--product"]
+        assert main(argv + ["--json"]) == EXIT_OK
+        (pair,) = json.loads(capsys.readouterr().out)[0]["pairs"]
+        e_text, f_text = (" + ".join(label for label, _ in pair[side]) for side in "ef")
+        assert main(argv) == EXIT_OK
+        assert _without_time(capsys.readouterr().out) == (
+            "group 3x3,3x3  q=2  mu=swap\n"
+            "existence: class-criterion=True ord-criterion=None agree=None\n"
+            f"pair 0: e = {e_text}\n"
+            f"         f = {f_text}\n"
+            "dims: C_e=40 C_f=40 D_e=41 D_f=41\n"
+            "duality: case ii verified=True\n"
+            "odd_like_d_e: 9 (lower-bound, odd-like-square-bound)\n"
+            "odd_like_d_f: 9 (lower-bound, odd-like-square-bound)\n"
+            "quantum: [[81,1,>=9]]_2 d=9 (lower-bound, odd-like-square-bound)\n"
+            "degenerate: True\n"
+            "  C: at least weight 4: 81\n"
+            "  D-perp: at least weight 4: 81\n"
+        )
+        assert {c for side in "ef" for _, c in pair[side]} == {1}
+        assert e_text.startswith("a^0*b^0*c^0*d^1 + a^0*b^0*c^0*d^2 + ")
 
     def test_construct_json_is_deterministic(self, capsys):
         argv = ["construct", "--group", "3x3", "--q", "2", "--mu", "swap", "--enumerate-all", "--json"]

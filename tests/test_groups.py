@@ -341,6 +341,16 @@ class TestAntiautomorphisms:
         k0, ell0 = builtin_mu_minus1(z7).galois_exponents(4)
         assert (k0, ell0) == (1, 1)
 
+    def test_galois_exponents_needs_a_prime_power(self):
+        # 6 is no field order: p and the degree were once read off its least
+        # prime factor, and the Frobenius power 1 gave (2, 4) with no error
+        z7 = cyclic_group(7)
+        mu = Antiautomorphism(z7, z7.inverse.copy(), frobenius_power=1)
+        with pytest.raises(ValueError, match="6 is not a prime power"):
+            mu.galois_exponents(6)
+        with pytest.raises(ValueError, match="6 is not a prime power"):
+            mu_action_on_class(mu, fq_classes(z7, 6), 1)
+
 
 class TestClassAction:
     def test_mu_minus1_z7(self):
@@ -398,6 +408,12 @@ class TestTextFormats:
             parse_cayley_text("2\n0 1\n1 9")
         with pytest.raises(CayleyFormatError, match="empty"):
             parse_cayley_text("\n\n")
+
+    def test_cayley_non_integer_entry(self):
+        with pytest.raises(CayleyFormatError) as caught:
+            parse_cayley_text("2\n0 x\n1 0\n")
+        assert str(caught.value) == "non-integer table entry 'x' (line 2, column 2)"
+        assert (caught.value.line, caught.value.column) == (2, 2)
 
     def test_permutation_format(self):
         g = cyclic_group(7)
