@@ -32,7 +32,7 @@ from .errors import (
     NoSplittingError,
     VerificationError,
 )
-from .gf import field_from_order
+from .gf import FiniteField, field_from_order
 from .groups import (
     Antiautomorphism,
     Group,
@@ -239,8 +239,8 @@ def _odd_order(group: Group) -> Group:
 # ---------------------------------------------------------------------------
 
 
-def _existence_fields(group: Group, q: int, mu: Antiautomorphism, ok: bool) -> dict:
-    ord_crit = splitting_exists_mu_minus1(group.order, q) if mu.descriptor == "mu-1" else None
+def _existence_fields(mu: Antiautomorphism, field: FiniteField, ok: bool) -> dict:
+    ord_crit = splitting_exists_mu_minus1(mu.group.order, field.q) if mu.is_inversion_for(field) else None
     agree = None if ord_crit is None else ord_crit == ok
     return {"class_criterion": ok, "ord_criterion": ord_crit, "agree": agree}
 
@@ -318,7 +318,7 @@ def cmd_scan(args) -> list[CodeReport]:
                 group=label,
                 q=q,
                 mu=mu.descriptor,
-                existence=_existence_fields(group, q, mu, check.ok),
+                existence=_existence_fields(mu, field, check.ok),
                 timing_ms=(time.perf_counter() - start) * 1e3,
             )
             reports.append(report)
@@ -354,7 +354,7 @@ def cmd_construct(args) -> list[CodeReport]:
         group=args.group,
         q=q,
         mu=args.mu,
-        existence=_existence_fields(pair.group, q, pair.mu, True),
+        existence=_existence_fields(pair.mu, field, True),
         pairs=[_pair_dict(p) for p in pairs],
         **_analysis_fields(analysis),
         timing_ms=(time.perf_counter() - start) * 1e3,

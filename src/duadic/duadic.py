@@ -104,7 +104,8 @@ def _pair_axioms(
     even-like, A1 and A2 (one scatter and one vfrobenius) by one comparison
     over the stack each.  VerificationError names every axiom some row
     violates.  Returns, per row, whether mu_-1 fixes e and whether it swaps
-    e and f, from one more scatter."""
+    e and f: mu_-1(e) is e with its columns taken at the inverses, since
+    inversion is an involution and mu_-1 has no field part."""
     checks = [
         ("e idempotent", all(np.array_equal(_convolve(field, group, e, e), e) for e in es)),
         ("e even-like", not field.vsum(es, axis=1).any()),
@@ -114,7 +115,7 @@ def _pair_axioms(
     failed = [name for name, ok in checks if not ok]
     if failed:
         raise VerificationError(f"duadic axioms violated: {', '.join(failed)}")
-    m1e = _antiauto_rows(builtin_mu_minus1(group), field, es)
+    m1e = es[:, group.inverse]
     return (m1e == es).all(axis=1).tolist(), (m1e == fs).all(axis=1).tolist()
 
 
@@ -223,7 +224,7 @@ def construct_pairs(
     cell = f"no splitting for mu={mu.descriptor} on {group.descriptor} over GF({field.q})"
     if not check.ok:
         parts = [cell]
-        if mu.descriptor == "mu-1":
+        if mu.is_inversion_for(field):
             t = multiplicative_order_mod(field.q, group.order)
             parts.append(f"ord_{group.order}({field.q}) = {t} is even")
         parts.append(f"{len(check.fixed_idempotent_ids) - 1} nontrivial fixed idempotent(s)")

@@ -10,7 +10,6 @@ Cayley-table groups label elements by raw id.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from string import ascii_lowercase
@@ -64,18 +63,18 @@ class Group:
     The constructor checks the shape, the order cap and two-sided inverses;
     it trusts the table to be a group.  Outside tables enter through
     `group_from_cayley`, which checks every group axiom first.  A direct
-    product made by `group_product` keeps its two factors in `factors`."""
+    product made by `group_product` keeps its two factors in `factors`; only
+    the constructors set `abelian_orders`, the orders of its cyclic factors."""
 
-    def __init__(self, table, descriptor: str = "", abelian_orders: tuple[int, ...] | None = None):
+    def __init__(self, table, descriptor: str = ""):
         t = _square_table(table)
         n = t.shape[0]
         self.table = t
         self.order = n
         self.descriptor = descriptor or f"cayley(n={n})"
-        self.abelian_orders = tuple(abelian_orders) if abelian_orders else None
+        self.abelian_orders: tuple[int, ...] | None = None
         self.factors: tuple[Group, Group] | None = None
         self.inverse = self._build_inverse()
-        self._mu_minus1: weakref.ref | None = None
 
     # -- validation -------------------------------------------------------
 
@@ -233,7 +232,9 @@ def group_abelian(orders) -> Group:
         block = (np.arange(o)[:, None] + np.arange(o)[None, :]) % o
         m = table.shape[0]
         table = (table[:, None, :, None] * o + block[None, :, None, :]).reshape(m * o, m * o)
-    return Group(table, descriptor="x".join(str(o) for o in ords), abelian_orders=ords)
+    group = Group(table, descriptor="x".join(str(o) for o in ords))
+    group.abelian_orders = tuple(ords)
+    return group
 
 
 def cyclic_group(n: int) -> Group:
@@ -258,11 +259,10 @@ def group_product(g1: Group, g2: Group) -> Group:
     if n1 * n2 > GROUP_ORDER_CAP:
         raise ValueError(f"product order {n1 * n2} exceeds the validation cap {GROUP_ORDER_CAP}")
     table = (g1.table[:, None, :, None] * n2 + g2.table[None, :, None, :]).reshape(n1 * n2, n1 * n2)
-    orders = None
-    if g1.abelian_orders is not None and g2.abelian_orders is not None:
-        orders = g1.abelian_orders + g2.abelian_orders
-    product = Group(table, descriptor=f"{g1.descriptor},{g2.descriptor}", abelian_orders=orders)
+    product = Group(table, descriptor=f"{g1.descriptor},{g2.descriptor}")
     product.factors = (g1, g2)
+    if g1.abelian_orders is not None and g2.abelian_orders is not None:
+        product.abelian_orders = g1.abelian_orders + g2.abelian_orders
     return product
 
 
@@ -393,16 +393,8 @@ class Antiautomorphism:
 
 
 def builtin_mu_minus1(group: Group) -> Antiautomorphism:
-    """The inversion map g -> g^-1 with trivial field part.
-
-    The group holds it by weak reference, so every call returns the same map
-    while anything keeps it alive; a strong reference would form a cycle with
-    mu.group, and a finished group would then wait for the cyclic collector."""
-    mu = group._mu_minus1() if group._mu_minus1 is not None else None
-    if mu is None:
-        mu = Antiautomorphism(group, group.inverse.copy(), 0, descriptor="mu-1")
-        group._mu_minus1 = weakref.ref(mu)
-    return mu
+    """The inversion map g -> g^-1 with trivial field part; every call builds a new, equal map."""
+    return Antiautomorphism(group, group.inverse.copy(), 0, descriptor="mu-1")
 
 
 def builtin_mu_swap(group: Group, q: int) -> Antiautomorphism:
@@ -456,55 +448,62 @@ def mu_action_on_class(mu: Antiautomorphism, partition: FqClassPartition, class_
 # ---------------------------------------------------------------------------
 
 
+def _id_lines(text: str, need: int, missing: str) -> tuple[int, list[tuple[int, str]]]:
+    """The order on the first data line of an id file, and its data lines as
+    (line number, stripped text), header first, without blank lines and #
+    comments; fewer than `need` of them raise CayleyFormatError(missing)."""
+    rows = [(i + 1, ln.strip()) for i, ln in enumerate(text.splitlines())]
+    rows = [(no, ln) for no, ln in rows if ln and not ln.startswith("#")]
+    if len(rows) < need:
+        raise CayleyFormatError(missing)
+    no, header = rows[0]
+    try:
+        return int(header), rows
+    except ValueError:
+        raise CayleyFormatError(f"expected group order, got {header!r}", line=no) from None
+
+
+def _id_row(no: int, line: str, n: int, entry: str, expected: str) -> np.ndarray:
+    """The n ids in [0, n) of data line no.  Another count raises
+    CayleyFormatError(f"{expected}, found ..."); a bad id raises one that
+    names the `entry` and its column, found by walking the tokens only then."""
+    parts = line.split()
+    if len(parts) != n:
+        raise CayleyFormatError(f"{expected}, found {len(parts)}", line=no)
+    try:
+        ids = np.array(list(map(int, parts)), dtype=np.int64)
+        if (ids.view(np.uint64) < n).all():  # a negative id wraps past n
+            return ids
+    except (ValueError, OverflowError):
+        pass
+    for c, tok in enumerate(parts, 1):
+        try:
+            v = int(tok)
+        except ValueError:
+            raise CayleyFormatError(f"non-integer {entry} {tok!r}", line=no, column=c) from None
+        if not 0 <= v < n:
+            raise CayleyFormatError(f"{entry} {v} out of range [0, {n})", line=no, column=c)
+
+
 def parse_cayley_text(text: str, descriptor: str = "") -> Group:
     """Parse the Cayley-table text format.
 
     Line 1 holds n; lines 2..n+1 hold n whitespace-separated ids each
     (row g, column h, entry g*h).  Raises CayleyFormatError with line and
-    column positions on malformed input.
+    column positions on malformed input, and ValueError at the order line
+    for an n over the order cap.
     """
-    lines = text.splitlines()
-    stripped = [(i + 1, ln.strip()) for i, ln in enumerate(lines)]
-    rows = [(no, ln) for no, ln in stripped if ln and not ln.startswith("#")]
-    if not rows:
-        raise CayleyFormatError("empty Cayley file")
-    no, header = rows[0]
-    try:
-        n = int(header)
-    except ValueError:
-        raise CayleyFormatError(f"expected group order, got {header!r}", line=no) from None
+    n, rows = _id_lines(text, 1, "empty Cayley file")
     if n < 1:
-        raise CayleyFormatError(f"group order must be >= 1, got {n}", line=no)
+        raise CayleyFormatError(f"group order must be >= 1, got {n}", line=rows[0][0])
+    check_order_cap(n)
     if len(rows) - 1 != n:
-        raise CayleyFormatError(
-            f"expected {n} table rows, found {len(rows) - 1}", line=rows[-1][0]
-        )
-    table = np.zeros((n, n), dtype=np.int64)
-    for r in range(n):
-        no, ln = rows[1 + r]
-        parts = ln.split()
-        if len(parts) != n:
-            raise CayleyFormatError(
-                f"expected {n} entries in table row {r}, found {len(parts)}", line=no
-            )
-        try:
-            table[r] = list(map(int, parts))
-        except (ValueError, OverflowError):
-            _row_fault(parts, n, no)
-        if (table[r].view(np.uint64) >= n).any():  # a negative id wraps past n
-            _row_fault(parts, n, no)
-    return group_from_cayley(table, descriptor=descriptor or f"cayley(n={n})")
-
-
-def _row_fault(parts: list[str], n: int, no: int) -> None:
-    """Raise the CayleyFormatError of the first bad entry of a table row."""
-    for c, tok in enumerate(parts):
-        try:
-            v = int(tok)
-        except ValueError:
-            raise CayleyFormatError(f"non-integer table entry {tok!r}", line=no, column=c + 1) from None
-        if not 0 <= v < n:
-            raise CayleyFormatError(f"table entry {v} out of range [0, {n})", line=no, column=c + 1)
+        raise CayleyFormatError(f"expected {n} table rows, found {len(rows) - 1}", line=rows[-1][0])
+    table = [
+        _id_row(no, ln, n, "table entry", f"expected {n} entries in table row {r}")
+        for r, (no, ln) in enumerate(rows[1:])
+    ]
+    return group_from_cayley(np.array(table), descriptor=descriptor or f"cayley(n={n})")
 
 
 def read_cayley_file(path) -> Group:
@@ -518,33 +517,10 @@ def parse_permutation_text(text: str, group: Group, descriptor: str = "") -> Ant
     Line 1 holds n, line 2 the n images of mu_star, line 3 the Frobenius
     power (optional, default 0); no data line may follow it.
     """
-    rows = [
-        (i + 1, ln.strip())
-        for i, ln in enumerate(text.splitlines())
-        if ln.strip() and not ln.strip().startswith("#")
-    ]
-    if len(rows) < 2:
-        raise CayleyFormatError("permutation file needs an order line and an image line")
-    no, header = rows[0]
-    try:
-        n = int(header)
-    except ValueError:
-        raise CayleyFormatError(f"expected group order, got {header!r}", line=no) from None
+    n, rows = _id_lines(text, 2, "permutation file needs an order line and an image line")
     if n != group.order:
-        raise CayleyFormatError(
-            f"permutation is for order {n}, group has order {group.order}", line=no
-        )
-    no, ln = rows[1]
-    parts = ln.split()
-    if len(parts) != n:
-        raise CayleyFormatError(f"expected {n} images, found {len(parts)}", line=no)
-    try:
-        perm = [int(tok) for tok in parts]
-    except ValueError:
-        raise CayleyFormatError("non-integer permutation image", line=no) from None
-    for c, v in enumerate(perm):
-        if not 0 <= v < n:
-            raise CayleyFormatError(f"permutation image {v} out of range [0, {n})", line=no, column=c + 1)
+        raise CayleyFormatError(f"permutation is for order {n}, group has order {group.order}", line=rows[0][0])
+    perm = _id_row(*rows[1], n, "permutation image", f"expected {n} images")
     t = 0
     if len(rows) > 2:
         no, ln = rows[2]

@@ -266,6 +266,58 @@ class TestConstruct:
         assert captured.out == ""
         assert captured.err == f"duadic: no splitting for mu=mu-1 {message} fixed idempotent(s)\n"
 
+    def test_inversion_from_a_perm_file_has_the_ord_criterion(self, tmp_path, capsys):
+        # the ord criterion belongs to the inversion map, whatever spec names it
+        path = tmp_path / "inv7.perm"
+        path.write_text("7\n0 6 5 4 3 2 1\n", encoding="utf-8")
+        assert main(["construct", "--group", "7", "--q", "2", "--mu", f"@{path}", "--json"]) == EXIT_OK
+        (row,) = json.loads(capsys.readouterr().out)
+        assert row["existence"] == {"class_criterion": True, "ord_criterion": True, "agree": True}
+        assert main(["construct", "--group", "7", "--q", "3", "--mu", f"@{path}"]) == EXIT_NO_SPLITTING
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"duadic: no splitting for mu=@{path} on 7 over GF(3); ord_7(3) = 6 is even; "
+            "1 nontrivial fixed idempotent(s)\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv,files,message",
+        [
+            (["--group", "3,3,3", "--q", "2", "--mu", "mu-1"], {}, "outer products take exactly two factors"),
+            (
+                ["--group", "7", "--q", "2", "--mu", "mu-1*mu-1"],
+                {},
+                "product mu spec needs an outer-product group spec",
+            ),
+            (
+                ["--group", "3", "--q", "2", "--mu", "@m.perm"],
+                {"m.perm": "3\n1 0 2\n"},
+                "mu_star must fix the identity",
+            ),
+            (
+                ["--group", "@g.cayley", "--q", "2", "--mu", "mu-1"],
+                {"g.cayley": "0\n"},
+                "group order must be >= 1, got 0 (line 1)",
+            ),
+            # refused at the order line, before any row is read or counted
+            (
+                ["--group", "@g.cayley", "--q", "2", "--mu", "mu-1"],
+                {"g.cayley": "513\n"},
+                "group order 513 exceeds the validation cap 512",
+            ),
+        ],
+        ids=["three-factors", "product-mu", "identity-moved", "order-0", "order-over-cap"],
+    )
+    def test_input_guard_exits_1_with_one_line(self, tmp_path, monkeypatch, capsys, argv, files, message):
+        monkeypatch.chdir(tmp_path)
+        for name, text in files.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        assert main(["construct", *argv, "--json"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"duadic: error: {message}\n"
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -311,7 +363,7 @@ class TestConstruct:
             return
         (row,) = json.loads(captured.out)
         assert (row["group"], row["mu"]) == ("7,7,7", "mu-1")
-        assert row["existence"] == {"class_criterion": True, "ord_criterion": None, "agree": None}
+        assert row["existence"] == {"class_criterion": True, "ord_criterion": True, "agree": True}
         assert row["dims"] == {"c_e": 171, "c_f": 171, "d_e": 172, "d_f": 172}
         assert row["quantum"]["params"] == "[[343,1,>=19]]_2"
 
@@ -475,7 +527,7 @@ class TestConstruct:
         assert main(argv) == EXIT_OK
         assert _without_time(capsys.readouterr().out) == (
             "group 3,3  q=4  mu=mu-1\n"
-            "existence: class-criterion=True ord-criterion=None agree=None\n"
+            "existence: class-criterion=True ord-criterion=True agree=True\n"
             "pair 0: e = 2*a^0*b^1 + 3*a^0*b^2 + 3*a^1*b^0 + 2*a^1*b^1 + 3*a^1*b^2"
             " + 2*a^2*b^0 + 2*a^2*b^1 + 3*a^2*b^2\n"
             "         f = 3*a^0*b^1 + 2*a^0*b^2 + 2*a^1*b^0 + 3*a^1*b^1 + 2*a^1*b^2"

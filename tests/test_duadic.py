@@ -342,8 +342,8 @@ class TestConstructPairs:
     def test_pairs_are_built_as_one_stack(self, monkeypatch):
         # once a DuadicPair per pair, each e and f a field sum of its own:
         # now one product per side for the whole stack, mu applied to the
-        # idempotents and to the pairs as stacks, and one product per pair
-        # for e^2 = e, in either mode
+        # idempotents and to the stack of every e for A2 (mu_-1 is a column
+        # gather), and one product per pair for e^2 = e, in either mode
         calls = collections.Counter()
 
         def counted(owner, name):
@@ -366,7 +366,7 @@ class TestConstructPairs:
             assert calls["matmul", "construct_pairs"] == 2, mode
             assert {key: count for key, count in calls.items() if key[0] != "matmul"} == {
                 ("_antiauto_rows", "_fixed_ids"): 1,
-                ("_antiauto_rows", "_pair_axioms"): 2,
+                ("_antiauto_rows", "_pair_axioms"): 1,
                 ("_convolve", "<genexpr>"): size,
             }, mode
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import random
+import re
 import sys
 import weakref
 from collections import Counter
@@ -147,6 +148,30 @@ class TestGroupConstruction:
         assert g.abelian_orders == (3, 3, 3, 3)
         assert g == group_abelian([3, 3, 3, 3])
 
+    def test_abelian_orders_come_from_the_constructors(self):
+        # a caller cannot label a table with another group's cyclic factors
+        with pytest.raises(TypeError):
+            Group(cyclic_group(7).table, abelian_orders=(3, 3))
+        assert Group(cyclic_group(7).table).abelian_orders is None
+        assert group_abelian([3, 3]).abelian_orders == (3, 3)
+        assert group_abelian([3, 3]).labels[5] == "a^1*b^2"
+        product = group_product(cyclic_group(3), group_abelian([3, 3]))
+        assert product.abelian_orders == (3, 3, 3) and product.labels[5] == "a^0*b^1*c^2"
+        assert group_product(cyclic_group(3), group_from_cayley(cyclic_group(3).table)).abelian_orders is None
+
+    @pytest.mark.parametrize(
+        "table,message",
+        [
+            ([[0, 1]], r"must be square, got shape \(1, 2\)"),
+            (np.zeros((0, 0), dtype=np.int64), "empty Cayley table"),
+        ],
+        ids=["non-square", "empty"],
+    )
+    def test_rejects_unsquare_and_empty_tables(self, table, message):
+        for build in (Group, group_from_cayley):
+            with pytest.raises(ValueError, match=message):
+                build(table)
+
     def test_power(self):
         g = cyclic_group(7)
         assert g.power(3, 0) == 0
@@ -255,8 +280,7 @@ class TestAntiautomorphisms:
 
     def test_mu_minus1_is_built_once_per_group(self, frobenius21):
         for group in (cyclic_group(7), frobenius21):
-            mu = builtin_mu_minus1(group)
-            assert builtin_mu_minus1(group) is mu
+            assert builtin_mu_minus1(group) == builtin_mu_minus1(group)
         assert builtin_mu_minus1(cyclic_group(7)) == builtin_mu_minus1(cyclic_group(7))
 
     def test_mu_minus1_does_not_keep_its_group_alive(self):
@@ -308,6 +332,10 @@ class TestAntiautomorphisms:
         with pytest.raises(ValueError, match="antiautomorphism"):
             Antiautomorphism(g, perm)
 
+    def test_rejects_wrong_length(self):
+        with pytest.raises(ValueError, match="^mu_star must be a length-3 permutation$"):
+            Antiautomorphism(cyclic_group(3), [0, 2])
+
     def test_rejects_non_bijection(self):
         with pytest.raises(ValueError, match="bijection"):
             Antiautomorphism(cyclic_group(3), [0, 1, 1])
@@ -324,6 +352,11 @@ class TestAntiautomorphisms:
         mu2 = Antiautomorphism(z7, z7.inverse.copy(), frobenius_power=1)
         with pytest.raises(ValueError, match="Frobenius"):
             product_antiauto(mu1, mu2)
+
+    def test_product_on_a_group_of_another_order(self):
+        z3 = cyclic_group(3)
+        with pytest.raises(ValueError, match="product group does not match"):
+            product_antiauto(builtin_mu_minus1(z3), builtin_mu_minus1(z3), cyclic_group(7))
 
     def test_product_with_trivial_factor(self):
         z7 = cyclic_group(7)
@@ -384,6 +417,15 @@ class TestClassAction:
             for x in cls:
                 assert p.class_of[frobenius21.power(mu.mu_star[x], ell)] == target
 
+    def test_action_rejects_another_group_and_class_ids_out_of_range(self):
+        z7 = cyclic_group(7)
+        mu, partition = builtin_mu_minus1(z7), fq_classes(z7, 2)
+        with pytest.raises(ValueError, match="different groups"):
+            mu_action_on_class(mu, fq_classes(cyclic_group(9), 2), 0)
+        for cid in (-1, len(partition)):
+            with pytest.raises(ValueError, match=f"^class id {cid} out of range$"):
+                mu_action_on_class(mu, partition, np.array([0, cid]))
+
     def test_action_is_permutation_and_involution(self, frobenius21):
         p = fq_classes(frobenius21, 2)
         mu = builtin_mu_minus1(frobenius21)
@@ -421,6 +463,20 @@ class TestTextFormats:
         assert np.array_equal(mu.mu_star, g.inverse)
         with pytest.raises(CayleyFormatError, match="order 5"):
             parse_permutation_text("5\n0 1 2 3 4\n", g)
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("3\n0 x 2\n", "non-integer permutation image 'x' (line 2, column 2)"),
+            ("3\n0 1 -1\n", "permutation image -1 out of range [0, 3) (line 2, column 3)"),
+            ("3\n0 99999999999999999999 1\n", "permutation image 99999999999999999999 out of range [0, 3) (line 2, column 2)"),
+            ("3\n0 1\n", "expected 3 images, found 2 (line 2)"),
+        ],
+    )
+    def test_permutation_diagnostics(self, text, message):
+        # one reader for both id files: an image is reported as a table entry is
+        with pytest.raises(CayleyFormatError, match=f"^{re.escape(message)}$"):
+            parse_permutation_text(text, cyclic_group(3))
 
 
 # ---------------------------------------------------------------------------

@@ -341,6 +341,6 @@ class TestWorkCounts:
         assert len(pairs) == (1 if mode == "canonical" else 2)
         assert not applied
         # once to the stacked idempotents, for the permutation check_splitting
-        # records, then to the stacked e of every pair, for A2 and mu_-1
-        assert [rows.shape for _, (_, _, rows) in stacks] == [members.shape] + [(len(pairs), 9)] * 2
+        # records, then to the stacked e of every pair, for A2
+        assert [rows.shape for _, (_, _, rows) in stacks] == [members.shape, (len(pairs), 9)]
         assert np.array_equal(stacks[0][1][2], members)
