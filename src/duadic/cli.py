@@ -15,12 +15,15 @@ from dataclasses import asdict, dataclass, fields as dataclass_fields
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
+import numpy as np
+
 from . import _linalg
 from .algebra import AlgebraElement, _terms_text
 from .codes import DEFAULT_ENUM_CAP
 from .duadic import (
     DuadicCodes,
     DuadicPair,
+    _pair_stacks,
     check_splitting,
     construct_pairs,
     product_duadic,
@@ -60,18 +63,68 @@ EXIT_INTERRUPTED = 130
 # ---------------------------------------------------------------------------
 
 
+class _PairRows:
+    """The pairs of a constructed report as their (P, n) e and f stacks over
+    the group's labels.  The JSON text is rendered from the stacks
+    (`chunks`); the [label, coefficient] lists of each pair are built only
+    where the rows are iterated, by `CodeReport.to_dict` and the text
+    report."""
+
+    def __init__(self, labels: tuple[str, ...], es: np.ndarray, fs: np.ndarray):
+        self.labels, self.es, self.fs = labels, es, fs
+
+    def __len__(self) -> int:
+        return len(self.es)
+
+    def __iter__(self):
+        for e, f in zip(self.es, self.fs):
+            yield {"e": self._terms(e), "f": self._terms(f)}
+
+    def _terms(self, vec: np.ndarray) -> list:
+        support = np.flatnonzero(vec)
+        return [[self.labels[g], c] for g, c in zip(support.tolist(), vec[support].tolist())]
+
+    def chunks(self, pad: str):
+        """json.dumps(list(self), indent=2) at indentation pad, one chunk per
+        pair (a report has at least one).  The terms of a row are its nonzero
+        columns, keyed by (column, coefficient): the text of each key that
+        occurs is made once, and each row joins the texts of its keys."""
+        p1, p2, p3, p4 = (pad + "  " * i for i in range(1, 5))
+        rows = np.stack((self.es, self.fs), axis=1).reshape(2 * len(self), -1)
+        at = np.flatnonzero(rows)
+        base = int(rows.max()) + 1
+        keys, key_of = np.unique(at % rows.shape[1] * base + rows.reshape(-1)[at], return_inverse=True)
+        texts = [
+            f"[\n{p4}{encode_basestring_ascii(self.labels[k // base])},\n{p4}{k % base}\n{p3}]"
+            for k in keys.tolist()
+        ]
+        ends = np.cumsum(np.count_nonzero(rows, axis=1)).tolist()
+        sep = ",\n" + p3
+
+        def side(i: int) -> str:
+            start, end = ends[i - 1] if i else 0, ends[i]
+            if start == end:
+                return "[]"
+            return f"[\n{p3}{sep.join(map(texts.__getitem__, key_of[start:end].tolist()))}\n{p2}]"
+
+        for i in range(len(self)):
+            yield f'{"," if i else "["}\n{p1}{{\n{p2}"e": {side(2 * i)},\n{p2}"f": {side(2 * i + 1)}\n{p1}}}'
+        yield f"\n{pad}]"
+
+
 @dataclass
 class CodeReport:
     """One (group, q, mu) cell: existence verdicts and, when constructed,
     idempotents, dimensions, tagged distances, quantum parameters, and the
     degeneracy summary.  timing_ms is emitted as null in JSON so reports are
-    byte-identical across runs."""
+    byte-identical across runs.  A constructed report keeps its pairs as
+    `_PairRows`; one read from JSON holds them as lists."""
 
     group: str
     q: int
     mu: str
     existence: dict | None = None
-    pairs: list | None = None
+    pairs: list | _PairRows | None = None
     dims: dict | None = None
     duality: dict | None = None
     distances: list | None = None
@@ -80,6 +133,12 @@ class CodeReport:
     timing_ms: float | None = None
 
     def to_dict(self) -> dict:
+        d = self._json_fields()
+        if type(self.pairs) is _PairRows:
+            d["pairs"] = list(self.pairs)
+        return d
+
+    def _json_fields(self) -> dict:
         # shallow: the fields hold plain JSON values, which asdict would deep-copy
         d = {f.name: getattr(self, f.name) for f in dataclass_fields(self)}
         d["timing_ms"] = None
@@ -87,10 +146,25 @@ class CodeReport:
 
 
 def emit_json(reports: list[CodeReport]) -> str:
-    out: list[str] = []
-    _write_json([r.to_dict() for r in reports], "", out, {})
+    return "".join(_json_chunks(reports))
+
+
+def _json_chunks(reports: list[CodeReport]):
+    """json.dumps([r.to_dict() for r in reports], indent=2) + "\n" in
+    chunks: the text around the pair lists, and each pair list's own
+    chunks, which `main` writes as they come."""
+    out: list = []
+    _write_json([r._json_fields() for r in reports], "", out)
     out.append("\n")
-    return "".join(out)
+    text: list[str] = []
+    for piece in out:
+        if type(piece) is str:
+            text.append(piece)
+        else:
+            yield "".join(text)
+            text = []
+            yield from piece
+    yield "".join(text)
 
 
 _JSON_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, bool: {False: "false", True: "true"}.get}
@@ -98,61 +172,34 @@ _JSON_SCALARS[type(None)] = lambda x: "null"
 _ROW_TYPES = {list, tuple}
 
 
-def _write_json(x, pad: str, out: list[str], row_texts: dict) -> None:
+def _write_json(x, pad: str, out: list) -> None:
     """Append json.dumps(x, indent=2) at indentation pad to out, byte for
     byte, without its pure-Python encoder for the types a report holds
     (scalars by exact type, so a bool is no int); others go to json.dumps.
-    The texts are joined once, by `emit_json`; row_texts memoises the
-    texts of `_label_rows` for that one call."""
+    A `_PairRows` is appended as the generator of its chunks, which
+    `_json_chunks` expands in place."""
     if (scalar := _JSON_SCALARS.get(type(x))) is not None:
         out.append(scalar(x))
         return
     inner = pad + "  "
     sep = ",\n" + inner
-    if type(x) in _ROW_TYPES and x:
+    if type(x) is _PairRows:
+        out.append(x.chunks(pad))
+    elif type(x) in _ROW_TYPES and x:
         out.append("[\n" + inner)
-        texts = _label_rows(x, inner, row_texts)
-        if texts is not None:
-            out.append(sep.join(texts))
-        else:
-            for i, v in enumerate(x):
-                if i:
-                    out.append(sep)
-                _write_json(v, inner, out, row_texts)
+        for i, v in enumerate(x):
+            if i:
+                out.append(sep)
+            _write_json(v, inner, out)
         out.append("\n" + pad + "]")
     elif type(x) is dict and x and all(type(k) is str for k in x):
         out.append("{\n" + inner)
         for i, (k, v) in enumerate(x.items()):
             out.append((sep if i else "") + encode_basestring_ascii(k) + ": ")
-            _write_json(v, inner, out, row_texts)
+            _write_json(v, inner, out)
         out.append("\n" + pad + "}")
     else:
         out.append(json.dumps(x, indent=2).replace("\n", "\n" + pad))
-
-
-def _label_rows(x, pad: str, row_texts: dict) -> list[str] | None:
-    """The texts of x's items at indentation pad when every item is a
-    [str, int] row, as the [label, coefficient] rows of e and f are; None
-    otherwise.  Each distinct row's text is made once per pad and kept in
-    row_texts, since the pairs of one report share most of their rows."""
-    if not set(map(type, x)) <= _ROW_TYPES:
-        return None
-    try:
-        labels, coeffs = zip(*x, strict=True)
-    except ValueError:  # rows of unequal lengths, or not of two items
-        return None
-    if set(map(type, labels)) != {str} or set(map(type, coeffs)) != {int}:
-        return None
-    inner = pad + "  "
-    head, sep, tail = "[\n" + inner, ",\n" + inner, "\n" + pad + "]"
-    known = row_texts.setdefault(pad, {})
-    keys = list(zip(labels, coeffs))
-    texts = list(map(known.get, keys))
-    if None in texts:
-        for label, c in set(keys).difference(known):
-            known[label, c] = head + encode_basestring_ascii(label) + sep + repr(c) + tail
-        texts = list(map(known.__getitem__, keys))
-    return texts
 
 
 # ---------------------------------------------------------------------------
@@ -243,10 +290,6 @@ def _existence_fields(mu: Antiautomorphism, field: FiniteField, ok: bool) -> dic
     ord_crit = splitting_exists_mu_minus1(mu.group.order, field.q) if mu.is_inversion_for(field) else None
     agree = None if ord_crit is None else ord_crit == ok
     return {"class_criterion": ok, "ord_criterion": ord_crit, "agree": agree}
-
-
-def _pair_dict(pair: DuadicPair) -> dict:
-    return {"e": list(map(list, pair.e.to_pairs())), "f": list(map(list, pair.f.to_pairs()))}
 
 
 def _analysis_fields(analysis: PairAnalysis) -> dict:
@@ -343,19 +386,20 @@ def cmd_construct(args) -> list[CodeReport]:
         g1, g2 = (_odd_order(parse_group_spec(spec)) for spec in args.group.split(",", 1))
         mu_left, mu_right = args.mu.split("*", 1) if "*" in args.mu else (args.mu, args.mu)
         mu1, mu2 = parse_mu_spec(mu_left, g1, q), parse_mu_spec(mu_right, g2, q)
-        pairs = [product_duadic(construct_pairs(mu1, field, g1)[0], construct_pairs(mu2, field, g2)[0])]
+        pair = product_duadic(construct_pairs(mu1, field, g1)[0], construct_pairs(mu2, field, g2)[0])
+        es, fs = pair.e.vec[None], pair.f.vec[None]
     else:
         group = _odd_order(parse_group_spec(args.group))
         mu = parse_mu_spec(args.mu, group, q)
-        pairs = construct_pairs(mu, field, group, mode="enumerate-all" if args.enumerate_all else "canonical")
-    pair = pairs[0]
+        stacks = _pair_stacks(mu, field, group, "enumerate-all" if args.enumerate_all else "canonical")
+        pair, es, fs = stacks.pair(0), stacks.es, stacks.fs
     analysis = analyze_pair(pair, cap)
     report = CodeReport(
         group=args.group,
         q=q,
         mu=args.mu,
         existence=_existence_fields(pair.mu, field, True),
-        pairs=[_pair_dict(p) for p in pairs],
+        pairs=_PairRows(pair.group.labels, es, fs),
         **_analysis_fields(analysis),
         timing_ms=(time.perf_counter() - start) * 1e3,
     )
@@ -611,7 +655,8 @@ def main(argv=None) -> int:
             return cmd_verify(args)
         reports = cmd_scan(args) if args.command == "scan" else cmd_construct(args)
         if args.json:
-            sys.stdout.write(emit_json(reports))
+            for chunk in _json_chunks(reports):
+                sys.stdout.write(chunk)
         elif args.command == "scan":
             _print_scan_table(reports)
         else:

@@ -254,6 +254,12 @@ class FiniteField:
         lambda and 0 elsewhere (`lagrange_rows` of x^q - x), q x q."""
         return lagrange_rows(self, [0, self.neg(1)] + [0] * (self.q - 2) + [1], np.arange(self.q))
 
+    @cached_property
+    def _byte_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """The q x q tables a * b and a - b in uint8, for q <= 256."""
+        idx = np.arange(self.q)
+        return self.vmul(idx[:, None], idx).astype(np.uint8), self.vsub(idx[:, None], idx).astype(np.uint8)
+
     def _pack_digits(self, digits: np.ndarray) -> np.ndarray:
         powers = self.p ** np.arange(self.m, dtype=np.int64)
         return digits @ powers

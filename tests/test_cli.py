@@ -653,6 +653,27 @@ class TestJsonRoundTrip:
         assert json.dumps([row], indent=2) + "\n" == text
         assert emit_json([CodeReport(**row)]) == text
 
+    def test_constructed_pairs_become_lists_only_in_to_dict(self, capsys):
+        argv = ["construct", "--group", "31", "--q", "5", "--mu", "mu-1", "--enumerate-all", "--json"]
+        (report,) = cli.cmd_construct(cli.build_parser().parse_args(argv))
+        assert type(report.pairs) is cli._PairRows and len(report.pairs) == 16
+        deep = report.to_dict()
+        assert type(deep["pairs"]) is list and all(type(pair["e"][0]) is list for pair in deep["pairs"])
+        assert main(argv) == EXIT_OK
+        (row,) = json.loads(capsys.readouterr().out)
+        assert deep["pairs"] == row["pairs"]
+        assert [CodeReport(**d) for d in json.loads(emit_json([report]))][0].pairs == row["pairs"]
+
+    def test_pairs_are_written_as_they_come(self, monkeypatch):
+        # the text before the pairs, one write per pair, the list's close and
+        # the text after it: never the text of the whole report at once
+        writes = []
+        monkeypatch.setattr(sys, "stdout", type("Out", (), {"write": lambda self, text: writes.append(text)})())
+        argv = ["construct", "--group", "31", "--q", "5", "--mu", "mu-1", "--enumerate-all", "--json"]
+        assert main(argv) == EXIT_OK
+        (report,) = cli.cmd_construct(cli.build_parser().parse_args(argv))
+        assert len(writes) == 1 + 16 + 2 and "".join(writes) == emit_json([report])
+
     def test_unknown_field_rejected(self):
         with pytest.raises(TypeError, match="bogus"):
             CodeReport(**json.loads('{"group": "7", "q": 2, "mu": "mu-1", "bogus": 1}'))

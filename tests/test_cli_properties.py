@@ -17,8 +17,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from duadic.cli import EXIT_NO_SPLITTING, EXIT_USAGE, CodeReport, emit_json, main
-from duadic.groups import group_from_cayley
+from duadic.cli import EXIT_NO_SPLITTING, EXIT_USAGE, CodeReport, _PairRows, emit_json, main
+from duadic.groups import cyclic_group, group_abelian, group_from_cayley
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -164,6 +164,45 @@ def test_emit_json_matches_the_indenting_encoder(value, pairs, dims, rows):
 
 
 TOKENS = st.sampled_from(["-1", "x", "1.5", "10" * 10, "#"])
+
+
+# the labels of a cyclic group (a^i), of an abelian product (a^i*b^j) and
+# of a Cayley table (its ids)
+PAIR_LABELS = st.sampled_from(
+    [cyclic_group(7).labels, group_abelian([3, 5]).labels, tuple(str(g) for g in range(15))]
+)
+
+
+@st.composite
+def pair_stacks(draw):
+    """(labels, es, fs): P = 1..5 pairs whose rows come from a pool of at
+    most three vectors, so that rows repeat and share their terms, over a
+    field of order 2, 4, 9 or 2^16 (multi-digit coefficients); zero rows too."""
+    labels = draw(PAIR_LABELS)
+    q = draw(st.sampled_from([2, 4, 9, 65536]))
+    entry = st.one_of(st.just(0), st.integers(0, q - 1))
+    vector = st.one_of(st.lists(entry, min_size=len(labels), max_size=len(labels)), st.just([0] * len(labels)))
+    pool = draw(st.lists(vector, min_size=1, max_size=3))
+    count = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.sampled_from(pool), min_size=2 * count, max_size=2 * count))
+    stack = np.array(rows, dtype=np.int64).reshape(count, 2, len(labels))
+    return labels, stack[:, 0], stack[:, 1]
+
+
+@SETTINGS
+@given(stacks=pair_stacks())
+def test_pair_stacks_emit_their_list_form(stacks):
+    labels, es, fs = stacks
+
+    def terms(vec):
+        return [[labels[g], int(c)] for g, c in enumerate(vec) if c]
+
+    listed = [{"e": terms(e), "f": terms(f)} for e, f in zip(es, fs)]
+    report = CodeReport("7", 2, "mu-1", pairs=_PairRows(labels, es, fs), dims={"c_e": 3}, timing_ms=1.5)
+    assert report.to_dict()["pairs"] == listed
+    deep = dict(report.to_dict(), pairs=listed)
+    assert emit_json([report]) == json.dumps([deep], indent=2) + "\n"
+    assert emit_json([report, report]) == json.dumps([deep] * 2, indent=2) + "\n"
 
 
 @st.composite

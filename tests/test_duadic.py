@@ -88,6 +88,9 @@ _CYCLIC_STACK_CELLS = {
     "19-q7-mu-1": (19, 7, 4),
     "7-q8-mu-1": (7, 8, 4),
     "13-q9-mu-1": (13, 9, 2),
+    # r^2 <= 4P: e^2 = e through the products of the units
+    "71-q5-mu-1": (71, 5, 64),
+    "99-q4-mu-1": (99, 4, 64),
 }
 
 
@@ -343,7 +346,9 @@ class TestConstructPairs:
         # once a DuadicPair per pair, each e and f a field sum of its own:
         # now one product per side for the whole stack, mu applied to the
         # idempotents and to the stack of every e for A2 (mu_-1 is a column
-        # gather), and one product per pair for e^2 = e, in either mode
+        # gather), and e^2 = e by one product per pair while the pairs are
+        # few next to the idempotents, by two products for the whole stack
+        # once r^2 <= 4P
         calls = collections.Counter()
 
         def counted(owner, name):
@@ -363,12 +368,23 @@ class TestConstructPairs:
         for mode, size in (("canonical", 1), ("enumerate-all", 4)):
             calls.clear()
             assert len(construct_pairs(builtin_mu_minus1(group), field, group, mode=mode)) == size
-            assert calls["matmul", "construct_pairs"] == 2, mode
+            assert calls["matmul", "_pair_stacks"] == 2, mode
             assert {key: count for key, count in calls.items() if key[0] != "matmul"} == {
                 ("_antiauto_rows", "_fixed_ids"): 1,
                 ("_antiauto_rows", "_pair_axioms"): 1,
                 ("_convolve", "<genexpr>"): size,
             }, mode
+        # 256 pairs of the 19 idempotents of 127-q2: the products of the
+        # units, 8 at a time, and the check of the claimed selections
+        group = cyclic_group(127)
+        calls.clear()
+        assert len(construct_pairs(builtin_mu_minus1(group), field, group, mode="enumerate-all")) == 256
+        assert duadic_module._UNIT_PRODUCT_CELLS // 127**2 == 8
+        assert calls["matmul", "_pair_stacks"] == 2 and calls["matmul", "_idempotent_rows"] == 3 + 1
+        assert {key: count for key, count in calls.items() if key[0] != "matmul"} == {
+            ("_antiauto_rows", "_fixed_ids"): 1,
+            ("_antiauto_rows", "_pair_axioms"): 1,
+        }
 
     def test_odd_cycle_raises_no_splitting(self):
         # no idempotent is fixed, yet the 3-cycle leaves no pair
@@ -410,6 +426,52 @@ class TestStackedAxioms:
         es[2], fs[2] = e.vec, f.vec
         with pytest.raises(VerificationError, match=f"^duadic axioms violated: {re.escape(axiom)}$"):
             duadic_module._pair_axioms(field, group, mu, ghat, es, fs)
+
+
+class TestIdempotentRows:
+    """`_idempotent_rows` decides e^2 = e for every row of a stack of sums of
+    the 9 idempotents of 21-q4, given the claimed selections or not, and
+    whatever the units: a row that is not the sum it claims, and every row
+    once the units are not orthogonal idempotents, is squared directly."""
+
+    def run(self, monkeypatch, es, parts):
+        squared = []
+        convolve = duadic_module._convolve
+        monkeypatch.setattr(duadic_module, "_convolve", lambda *args: squared.append(1) or convolve(*args))
+        field, group = field_from_order(4), cyclic_group(21)
+        return duadic_module._idempotent_rows(field, group, es, parts), len(squared)
+
+    def stack(self):
+        field, group = field_from_order(4), cyclic_group(21)
+        units = np.array([h.vec for h in split_primitive_central_idempotents(field, group)])
+        sel = np.random.default_rng(21).integers(0, 2, (12, len(units)))
+        return sel, units, _linalg.matmul(field, sel, units)
+
+    def test_sums_of_units_take_no_product_per_row(self, monkeypatch):
+        sel, units, es = self.stack()
+        assert self.run(monkeypatch, es, (sel, units)) == (True, 0)
+        assert self.run(monkeypatch, es, None) == (True, 12)
+
+    @pytest.mark.parametrize("corrupt_row", [False, True])
+    @pytest.mark.parametrize("where", ["claim", "unit"])
+    def test_every_row_is_decided(self, monkeypatch, where, corrupt_row):
+        sel, units, es = self.stack()
+        if where == "claim":  # row 3 claims another sum
+            sel[3] ^= 1
+        else:  # a unit that is no idempotent: every row is squared
+            units[1] = units[1] ^ units[2]
+        if corrupt_row:  # (e + g)^2 = e + g^2 in characteristic 2, for central e
+            es[3, 5] ^= 1
+        # squared: row 3 alone, or every row up to the first that fails
+        squared = {"claim": 1, "unit": 4 if corrupt_row else 12}[where]
+        assert self.run(monkeypatch, es, (sel, units)) == (not corrupt_row, squared)
+
+    def test_a_claim_beyond_0_1_is_no_selection(self, monkeypatch):
+        # row 3 is x times a sum of units, as it claims, and no idempotent
+        sel, units, es = self.stack()
+        sel[3] *= 2
+        es[3] = _linalg.matmul(field_from_order(4), sel[3:4], units)[0]
+        assert self.run(monkeypatch, es, (sel, units)) == (False, 4)
 
 
 @st.composite

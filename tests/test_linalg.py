@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -232,3 +233,71 @@ def test_row_space_membership_and_solve_against_loop_oracle(q):
         assert _linalg.in_row_space(field, red, pivots, np.vstack([mat, candidates[1]])) == (
             reference_in_row_space(field, red, pivots, candidates[1])
         )
+
+
+# GF(2) and the extension fields eliminate on the pivot row's multiples: the
+# table of all q multiples while q <= rows (2, 4, 8, 9 at 40 rows, 256 at 260
+# rows), the multiples of the factors that occur above (3 rows, and every
+# shape at 2^16); over GF(9) the differences come from the 9 x 9 table (the
+# `vsub` of odd orders above 256 is 3^10 in ORACLE_FIELDS)
+MULTIPLES_FIELDS = [2, 4, 8, 9, 256, 65536]
+
+
+def _multiples_matrices(field, rng):
+    yield np.zeros((5, 8), dtype=np.int64)
+    yield random_rank_deficient(field, 12, 20, 5, rng)
+    yield rng.integers(0, field.q, (1, 9))
+    yield rng.integers(0, field.q, (9, 1))
+    yield rng.integers(0, field.q, (3, 30))
+    yield random_rank_deficient(field, 40, 50, 30, rng)
+    if field.q == 256:
+        yield rng.integers(0, field.q, (260, 12))
+
+
+@pytest.mark.parametrize("q", MULTIPLES_FIELDS)
+def test_rref_on_the_pivot_multiples_against_loop_oracle(q):
+    field = field_from_order(q)
+    for mat in _multiples_matrices(field, np.random.default_rng(q + 5)):
+        before = mat.copy()
+        red, pivots = _linalg.rref(field, mat)
+        ref_red, ref_pivots = reference_rref(field, mat)
+        assert pivots == ref_pivots and np.array_equal(red, ref_red), mat.shape
+        assert red.dtype == np.int64 and np.array_equal(mat, before)
+
+
+def test_rref_temporaries_at_the_largest_field():
+    # the multiples of the 64 rows' own factors, not a table of all 2^16
+    # multiples of the pivot row (16 MB at 128 columns in uint16)
+    field = field_from_order(65536)
+    mat = np.random.default_rng(7).integers(0, field.q, (64, 128))
+    field._log_exp  # the field's own tables, built once per field
+    tracemalloc.start()
+    try:
+        _linalg.rref(field, mat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * mat.nbytes
+
+
+@pytest.mark.parametrize("q", [4, 9, 25, 27, 81])
+def test_matmul_kernels_agree_across_the_inner_dimension_rule(q, monkeypatch):
+    # over GF(p^m) an inner dimension below 4 (m - 1) takes the elementwise
+    # kernel above r k c = 2^10; at the rule, the plane kernel (one _reduce)
+    field = field_from_order(q)
+    rng = np.random.default_rng(q)
+    rule = _linalg._INNER_PER_DEGREE
+    limit = rule * (field.m - 1)
+    reduce = _linalg._reduce
+    reduced = []
+    monkeypatch.setattr(_linalg, "_reduce", lambda x, p: reduced.append(x.shape) or reduce(x, p))
+    for k in (limit - 1, limit):
+        a, b = rng.integers(0, q, (3, k)), rng.integers(0, q, (k, 400))
+        want = reference_matmul(field, a, b)
+        reduced.clear()
+        assert np.array_equal(_linalg.matmul(field, a, b), want)
+        assert len(reduced) == (k == limit), k
+        for bound in (0, 1 << 20):  # the plane kernel, then the elementwise one, forced
+            monkeypatch.setattr(_linalg, "_INNER_PER_DEGREE", bound)
+            assert np.array_equal(_linalg.matmul(field, a, b), want), (k, bound)
+        monkeypatch.setattr(_linalg, "_INNER_PER_DEGREE", rule)
