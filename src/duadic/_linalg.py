@@ -18,12 +18,6 @@ _PRODUCT_CELLS = 1 << 15
 # numpy 2.4, OpenBLAS): up to 2^10 it takes 11-12, 20-23 and 30-35 us over
 # prime fields, GF(4) and GF(9), the elementwise kernel 3-4, 6-12 and 15-30
 _SMALL_PRODUCT = 1 << 10
-# over GF(p^m), m > 1, also inner dimensions k < 4 (m - 1), up to 2^21
-# entries r k c m: the elementwise kernel breaks even with the plane kernel
-# at k = 3 over GF(9), GF(25), GF(49), 8 over GF(27), GF(125), 12 over
-# GF(81), 20 over GF(729) and 7 over GF(4); over prime fields never
-_INNER_PER_DEGREE = 4
-_ELEMENTWISE_CELLS = 1 << 21
 # the float64 product is exact and reduced exactly while every sum of digit
 # products, at most k (p-1)^2 for inner dimension k, stays below this bound
 # (at the caps, k = 512 and p = 65521, it is below 2^41)
@@ -43,17 +37,13 @@ def rref(field: FiniteField, mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Reduced row-echelon form and pivot columns.
 
     Columns left of pivot column c are final, so step c touches m[:, c:],
-    and the steps end once the rows left hold no nonzero entry.  Over an odd
-    prime field entries are int64, reduced mod p only where read: each step
-    moves an entry by less than p^2, so p^2 * min(rows, cols) bounds them,
-    which int64 holds for every p below the field-order cap 2^16.  Over
-    GF(2) and every extension field the matrix is stored in
-    np.min_scalar_type(q - 1): each step takes every row's multiple of the
-    pivot row from `_multiples` and subtracts it, one XOR in characteristic
-    2, one read of the q x q difference table while q <= _BYTE_FIELD, else
-    one `vsub`."""
-    lazy = field.m == 1 and field.p != 2
-    m = as_matrix(mat).astype(np.int64 if lazy else np.min_scalar_type(field.q - 1))
+    and the steps end once the rows left hold no nonzero entry.  The matrix
+    is stored in np.min_scalar_type(q - 1) over every field: each step takes
+    every row's multiple of the pivot row from `_multiples` and subtracts
+    it, one XOR in characteristic 2, one read of the q x q difference table
+    while q <= _BYTE_FIELD, else one `vsub` on int64 (a prime field's
+    (a - b) % p would wrap in uint16)."""
+    m = as_matrix(mat).astype(np.min_scalar_type(field.q - 1))
     rows, cols = m.shape
     pivots: list[int] = []
     for c in range(cols):
@@ -61,46 +51,37 @@ def rref(field: FiniteField, mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
         if r == rows:
             break
         blk = m[:, c:]
-        hits = np.flatnonzero(blk[r:, 0] % field.p if lazy else blk[r:, 0])
+        hits = np.flatnonzero(blk[r:, 0])
         if hits.size == 0:
-            if not (blk[r:] % field.p if lazy else blk[r:]).any():
+            if not blk[r:].any():
                 break
             continue
         i = r + int(hits[0])
         if i != r:
             blk[[r, i]] = blk[[i, r]]
-        if lazy:
-            pivot_row = blk[r] % field.p
-            blk[r] = field.vmul(pivot_row, field.inv(int(pivot_row[0])))
-            factors = blk[:, :1] % field.p
-            factors[r] = 0
-            others = np.flatnonzero(factors)
-            blk[others] -= factors[others] * blk[r]
+        if blk[r, 0] != 1:
+            blk[r] = _multiples(field, np.array([field.inv(int(blk[r, 0]))]), blk[r])
+        factors = blk[:, 0].copy()
+        factors[r] = 0
+        steps = _multiples(field, factors, blk[r])
+        if field.p == 2:
+            blk ^= steps
+        elif field.q <= _BYTE_FIELD:  # a - b at a q + b
+            at = blk.astype(np.intp)
+            at *= field.q
+            at += steps
+            blk[...] = field._byte_tables[1].take(at)
         else:
-            if blk[r, 0] != 1:
-                blk[r] = _multiples(field, np.array([field.inv(int(blk[r, 0]))]), blk[r])
-            factors = blk[:, 0].copy()
-            factors[r] = 0
-            steps = _multiples(field, factors, blk[r])
-            if field.p == 2:
-                blk ^= steps
-            elif field.q <= _BYTE_FIELD:  # a - b at a q + b
-                at = blk.astype(np.intp)
-                at *= field.q
-                at += steps
-                blk[...] = field._byte_tables[1].take(at)
-            else:
-                blk[...] = field.vsub(blk, steps)
+            blk[...] = field.vsub(blk.astype(np.int64), steps)
         pivots.append(c)
-    red = m[: len(pivots)]
-    return red % field.p if lazy else red.astype(np.int64), pivots
+    return m[: len(pivots)].astype(np.int64), pivots
 
 
 def _multiples(field: FiniteField, factors: np.ndarray, row: np.ndarray) -> np.ndarray:
     """Row i: factors[i] * row, in row's dtype.  While q <= _BYTE_FIELD they
     come from the q x q product table: the table of the q multiples of row,
     read at each factor, while q <= len(factors), else the table's rows of
-    the factors that occur, read at row; above it, from the log tables.
+    the factors that occur, read at row; above it, from `vmul`.
     Either way the temporaries hold min(q, len(factors)) x len(row) entries."""
     if field.q > _BYTE_FIELD:
         return field.vmul(factors[:, None].astype(np.int64), row).astype(row.dtype)
@@ -125,14 +106,13 @@ def matmul(field: FiniteField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a time, at most _PRODUCT_CELLS per slice, and are summed by XOR.  Other
     fields take them elementwise too below r k c = _SMALL_PRODUCT = 2^10
     (int64 mod p, or log tables), where the plane kernel's 15 numpy calls
-    cost more, and over GF(p^m) for an inner dimension k below
-    _INNER_PER_DEGREE (m - 1).  Every larger product is one float64 BLAS
-    product of GF(p) digit planes: with a = sum_i x^i a_i, the planes a_i
-    stacked (m r x k) times the digits of b side by side (k x c m) are the
-    digits of every a_i b.  Their entries are integers below _EXACT_SUM,
-    exact in any summation order; they are reduced mod p, packed, and
-    combined with m - 1 table products by x^i (the index p^i).  A prime
-    field is the case m = 1, where an element is its own digit.
+    cost more.  Every larger product is one float64 BLAS product of GF(p)
+    digit planes: with a = sum_i x^i a_i, the planes a_i stacked (m r x k)
+    times the digits of b side by side (k x c m) are the digits of every
+    a_i b.  Their entries are integers below _EXACT_SUM, exact in any
+    summation order; they are reduced mod p, packed, and combined with
+    m - 1 table products by x^i (the index p^i).  A prime field is the case
+    m = 1, where an element is its own digit.
     """
     a = as_matrix(a)
     b = as_matrix(b)
@@ -148,8 +128,7 @@ def matmul(field: FiniteField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return out
     if k * (p - 1) ** 2 >= _EXACT_SUM:
         raise ValueError(f"inner dimension {k} is too large for an exact product over {field!r}")
-    small = m > 1 and k < _INNER_PER_DEGREE * (m - 1) and r * k * c * m <= _ELEMENTWISE_CELLS
-    if small or r * k * c < _SMALL_PRODUCT:
+    if r * k * c < _SMALL_PRODUCT:
         return a @ b % p if m == 1 else field.vsum(field.vmul(a[:, :, None], b[None]), axis=1)
     if m == 1:
         prod = a.astype(np.float64) @ b.astype(np.float64)

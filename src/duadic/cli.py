@@ -149,57 +149,28 @@ def emit_json(reports: list[CodeReport]) -> str:
     return "".join(_json_chunks(reports))
 
 
+# the JSON text of a `_PairRows` until its own chunks replace it: a NUL,
+# which no argv string carries, so no other report string encodes to it
+_PAIRS_MARK = "\0pairs"
+
+
 def _json_chunks(reports: list[CodeReport]):
     """json.dumps([r.to_dict() for r in reports], indent=2) + "\n" in
-    chunks: the text around the pair lists, and each pair list's own
-    chunks, which `main` writes as they come."""
-    out: list = []
-    _write_json([r._json_fields() for r in reports], "", out)
-    out.append("\n")
-    text: list[str] = []
-    for piece in out:
-        if type(piece) is str:
-            text.append(piece)
-        else:
-            yield "".join(text)
-            text = []
-            yield from piece
-    yield "".join(text)
-
-
-_JSON_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, bool: {False: "false", True: "true"}.get}
-_JSON_SCALARS[type(None)] = lambda x: "null"
-_ROW_TYPES = {list, tuple}
-
-
-def _write_json(x, pad: str, out: list) -> None:
-    """Append json.dumps(x, indent=2) at indentation pad to out, byte for
-    byte, without its pure-Python encoder for the types a report holds
-    (scalars by exact type, so a bool is no int); others go to json.dumps.
-    A `_PairRows` is appended as the generator of its chunks, which
-    `_json_chunks` expands in place."""
-    if (scalar := _JSON_SCALARS.get(type(x))) is not None:
-        out.append(scalar(x))
-        return
-    inner = pad + "  "
-    sep = ",\n" + inner
-    if type(x) is _PairRows:
-        out.append(x.chunks(pad))
-    elif type(x) in _ROW_TYPES and x:
-        out.append("[\n" + inner)
-        for i, v in enumerate(x):
-            if i:
-                out.append(sep)
-            _write_json(v, inner, out)
-        out.append("\n" + pad + "]")
-    elif type(x) is dict and x and all(type(k) is str for k in x):
-        out.append("{\n" + inner)
-        for i, (k, v) in enumerate(x.items()):
-            out.append((sep if i else "") + encode_basestring_ascii(k) + ": ")
-            _write_json(v, inner, out)
-        out.append("\n" + pad + "}")
-    else:
-        out.append(json.dumps(x, indent=2).replace("\n", "\n" + pad))
+    chunks, which `main` writes as they come: json.dumps writes the report
+    fields with each `_PairRows` as _PAIRS_MARK, and each mark's place is
+    filled by that stack's `chunks`, at the indentation of the mark's line."""
+    stacks = []
+    fields = [r._json_fields() for r in reports]
+    for d in fields:
+        if type(d["pairs"]) is _PairRows:
+            stacks.append(d["pairs"])
+            d["pairs"] = _PAIRS_MARK
+    texts = (json.dumps(fields, indent=2) + "\n").split(json.dumps(_PAIRS_MARK))
+    for text, rows in zip(texts, stacks):
+        yield text
+        line = text[text.rfind("\n") + 1 :]
+        yield from rows.chunks(line[: len(line) - len(line.lstrip(" "))])
+    yield texts[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +302,10 @@ def _analysis_fields(analysis: PairAnalysis) -> dict:
 def cmd_scan(args) -> list[CodeReport]:
     qs = _parse_int_list(args.q, "--q")
     reports = []
-    if args.family == "cyclic":
+    if args.family == "pxp":
+        ps = _parse_int_list(args.p, "--p")
+        groups = [(f"{p}x{p}", _odd_order(group_abelian([p, p]))) for p in ps]
+    else:  # cyclic, the other choice of --family
         ns = []
         for n in _parse_range(args.n):  # a long range stops at its first odd order over the cap
             if n % 2 == 1:
@@ -341,11 +315,6 @@ def cmd_scan(args) -> list[CodeReport]:
             raise ValueError(f"--n {args.n!r} holds no odd order; duadic codes need odd order")
         # built one per step: a group is dropped once its cells are done
         groups = ((str(n), cyclic_group(n)) for n in ns)
-    elif args.family == "pxp":
-        ps = _parse_int_list(args.p, "--p")
-        groups = [(f"{p}x{p}", _odd_order(group_abelian([p, p]))) for p in ps]
-    else:
-        raise ValueError(f"unknown family {args.family!r}")
     fields = [field_from_order(q) for q in qs]
     per_q = args.mu.strip() == "swap"  # the one spec that reads q; others are parsed once per group
     for label, group in groups:

@@ -672,3 +672,18 @@ class TestElementSurface:
             AlgebraElement(gf2, z7, [0, 1])
         with pytest.raises(ValueError, match="range"):
             AlgebraElement(gf2, z7, [0, 1, 2, 0, 0, 0, 0])
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (
+            lambda f: apply_antiauto(builtin_mu_minus1(cyclic_group(5)), AlgebraElement.one(f, cyclic_group(7))),
+            "antiautomorphism and element live on different groups",
+        ),
+        (lambda f: AlgebraElement.one(f, cyclic_group(7)) ** -1, "negative powers not supported"),
+    ],
+)
+def test_public_input_guards_raise(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(field_from_order(2))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -19,12 +20,14 @@ from duadic.cli import (
     EXIT_NO_SPLITTING,
     EXIT_OK,
     EXIT_USAGE,
+    EXIT_VERIFY_FAILED,
     CodeReport,
     emit_json,
     main,
     parse_group_spec,
     parse_mu_spec,
 )
+from duadic.errors import VerificationError
 from duadic.groups import builtin_mu_minus1, group_abelian, cyclic_group
 
 from conftest import frobenius21_table
@@ -149,6 +152,7 @@ class TestScan:
             (["--n", "3-9", "--q", "2,x"], "--q expects a comma list of integers, got '2,x'"),
             (["--n", "3-9", "--q", "0"], "0 is not a prime power"),
             (["--n", "3-9", "--q", "2,0"], "0 is not a prime power"),
+            (["--family", "bogus", "--q", "2"], "argument --family: invalid choice: 'bogus'"),
         ],
     )
     def test_bad_input_exits_1_with_one_line(self, capsys, argv, message):
@@ -617,6 +621,19 @@ class TestConstruct:
         assert capsys.readouterr().err == "duadic: interrupted\n"
 
 
+    def test_verification_failure_exits_3_with_one_line(self, capsys, monkeypatch):
+        def failing(pair, cap):
+            raise VerificationError("a derived code does not lie in the ideal of its idempotent")
+
+        monkeypatch.setattr(cli, "analyze_pair", failing)
+        assert main(["construct", "--group", "7", "--q", "2", "--mu", "mu-1", "--json"]) == EXIT_VERIFY_FAILED == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "duadic: verification failure: a derived code does not lie in the ideal of its idempotent\n"
+        )
+
+
 class TestJsonRoundTrip:
     def test_reports_roundtrip(self, capsys):
         argv = ["scan", "--family", "cyclic", "--n", "3-15", "--q", "2,4", "--mu", "mu-1", "--json"]
@@ -695,6 +712,17 @@ class TestVerify:
     def test_structure_suite(self, capsys):
         assert main(["verify", "structure"]) == EXIT_OK
         assert "PASS structure" in capsys.readouterr().out
+
+    def test_existence_suite_failure_exits_3(self, capsys, monkeypatch):
+        # the order criterion negated: every cell's construction disagrees with it
+        real = cli.splitting_exists_mu_minus1
+        monkeypatch.setattr(cli, "splitting_exists_mu_minus1", lambda n, q: not real(n, q))
+        assert main(["verify", "existence"]) == EXIT_VERIFY_FAILED
+        *cells, summary = capsys.readouterr().out.splitlines()
+        cell_count = sum(math.gcd(n, q) == 1 for n in range(3, 46, 2) for q in cli._EXISTENCE_Q)
+        assert len(cells) == cell_count and all(line.startswith("FAIL existence n=") for line in cells)
+        assert "FAIL existence n=7 q=2: construction True, ord test False" in cells
+        assert summary.startswith("FAIL existence: ")
 
     def test_unknown_suite_is_usage_error(self, capsys):
         assert main(["verify", "bogus"]) == EXIT_USAGE

@@ -604,3 +604,10 @@ def test_systematic_invariant_and_row_space_equality(codes):
         assert (a == b) == same
         if same:
             assert hash(a) == hash(b)
+
+
+@pytest.mark.parametrize("word", [[0] * 6, [0] * 8, [[0] * 7]])
+def test_public_input_guards_raise(word):
+    code = LinearCode(field_from_order(2), np.eye(3, 7, dtype=np.int64))
+    with pytest.raises(ValueError, match=r"word length \(.*\) != 7"):
+        code.contains(word)

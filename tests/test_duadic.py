@@ -772,3 +772,25 @@ class TestNonabelian:
         # the class criterion must agree with the order-of-q test
         chk = check_splitting(builtin_mu_minus1(heisenberg27), field, heisenberg27)
         assert chk.ok == splitting_exists_mu_minus1(27, q)
+
+
+def _zero_pair(order, q):
+    field, group = field_from_order(q), cyclic_group(order)
+    zero = AlgebraElement.zero(field, group)
+    return DuadicPair(field, group, zero, zero, builtin_mu_minus1(group))
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: _zero_pair(8, 3), "group order 8 must be odd"),
+        (lambda: _zero_pair(9, 3), re.escape("gcd(|G|=9, q=3) != 1")),
+        (
+            lambda: construct_pairs(builtin_mu_minus1(cyclic_group(7)), field_from_order(2), cyclic_group(7), mode="bogus"),
+            "unknown mode 'bogus'",
+        ),
+    ],
+)
+def test_public_input_guards_raise(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -358,3 +358,26 @@ class TestMultiplicativeOrder:
         t = multiplicative_order_mod(q, n)
         assert pow(q, t, n) == 1
         assert all(pow(q, s, n) != 1 for s in range(1, t))
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda: FiniteField(4, 1, None), ValueError, "characteristic 4 is not prime"),
+        (lambda: FiniteField(3, 0, None), ValueError, "extension degree must be >= 1, got 0"),
+        (lambda: FiniteField(2, 17, None), ValueError, re.escape("field order 2^17 exceeds the cap 65536")),
+        (lambda: FiniteField(5, 1, (0, 1)), ValueError, "prime fields carry no modulus"),
+        (lambda: FiniteField(3, 2, (2, 1)), ValueError, "extension fields need a monic degree-m modulus"),
+        (lambda: multiplicative_order_mod(2, 0), ValueError, "modulus must be >= 1, got 0"),
+        (lambda: field_from_order(9).power(3, -1), ValueError, "negative exponents not supported; use inv"),
+        (lambda: field_from_order(5).vinv(np.array([1, 0])), ZeroDivisionError, re.escape("inversion of zero in GF(5)")),
+    ],
+)
+def test_public_input_guards_raise(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+@pytest.mark.parametrize("n", [-3, 0, 1])
+def test_no_integer_below_2_is_prime(n):
+    assert is_prime(n) is False

@@ -766,3 +766,15 @@ class TestAssociativityOnGenerators:
         table = build().table
         gens = list(_right_generators(table))
         assert len(gens) == size and 2 ** len(gens) <= len(table)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: group_abelian([]), "need at least one cyclic factor"),
+        (lambda: group_product(cyclic_group(23), cyclic_group(23)), "product order 529 exceeds the validation cap 512"),
+    ],
+)
+def test_public_input_guards_raise(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -104,11 +104,11 @@ def test_equal_row_spaces_have_equal_rref():
 # the vectorized routines against their loop forms (oracles module)
 # ---------------------------------------------------------------------------
 
-# 65521, the largest prime under the field-order cap: entries of the lazy
-# prime-field elimination pass 2^31 before they are reduced; 8, 16, 256 and
-# 2^16 take the chunked XOR product, the rest the float64 digit planes (3^10
-# the most planes)
-ORACLE_FIELDS = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 256, 257, 59049, 65521, 65536]
+# 65521, the largest prime under the field-order cap: the elimination
+# subtracts its multiples by `vsub` on int64, where uint16 operands would
+# wrap; 8, 16, 256 and 2^16 take the chunked XOR product, the rest the
+# float64 digit planes (3^10 the most planes)
+ORACLE_FIELDS = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 81, 256, 257, 59049, 65521, 65536]
 # (rows, cols, rank bound): wide, tall, square, one row, full rank, larger
 SHAPES = [(6, 9, 3), (9, 6, 4), (12, 12, 5), (1, 5, 1), (7, 7, 7), (20, 31, 11)]
 
@@ -154,6 +154,8 @@ def test_matmul_against_loop_oracle(q, monkeypatch):
     # square-ish, one row, one column, an outer product, both sides of
     # the size rule, zero inner dimension
     shapes = [(5, 13, 7), (1, 13, 7), (5, 13, 1), (5, 1, 7), (1, 1023, 1), (1, 1024, 1), (9, 13, 11), (5, 0, 7)]
+    if field.m > 1:  # wide, with inner dimensions near where both kernels cost the same
+        shapes[-1:-1] = [(3, 4 * (field.m - 1) - 1, 400), (3, 4 * (field.m - 1), 400)]
     pairs = [(rng.integers(0, q, (r, k)), rng.integers(0, q, (k, c))) for r, k, c in shapes]
     for a, b in pairs:
         assert np.array_equal(_linalg.matmul(field, a, b), reference_matmul(field, a, b)), a.shape
@@ -235,12 +237,12 @@ def test_row_space_membership_and_solve_against_loop_oracle(q):
         )
 
 
-# GF(2) and the extension fields eliminate on the pivot row's multiples: the
-# table of all q multiples while q <= rows (2, 4, 8, 9 at 40 rows, 256 at 260
-# rows), the multiples of the factors that occur above (3 rows, and every
-# shape at 2^16); over GF(9) the differences come from the 9 x 9 table (the
-# `vsub` of odd orders above 256 is 3^10 in ORACLE_FIELDS)
-MULTIPLES_FIELDS = [2, 4, 8, 9, 256, 65536]
+# every field eliminates on the pivot row's multiples: the table of all q
+# multiples while q <= rows (2, 3, 4, 8, 9 at 40 rows, 256 at 260 rows), the
+# multiples of the factors that occur above (3 rows, and every shape at 257
+# and up); the differences are an XOR in characteristic 2, a read of the
+# q x q table while q <= 256, and `vsub` on int64 above (257, 65521)
+MULTIPLES_FIELDS = [2, 3, 4, 8, 9, 256, 257, 65521, 65536]
 
 
 def _multiples_matrices(field, rng):
@@ -278,26 +280,3 @@ def test_rref_temporaries_at_the_largest_field():
     finally:
         tracemalloc.stop()
     assert peak < 16 * mat.nbytes
-
-
-@pytest.mark.parametrize("q", [4, 9, 25, 27, 81])
-def test_matmul_kernels_agree_across_the_inner_dimension_rule(q, monkeypatch):
-    # over GF(p^m) an inner dimension below 4 (m - 1) takes the elementwise
-    # kernel above r k c = 2^10; at the rule, the plane kernel (one _reduce)
-    field = field_from_order(q)
-    rng = np.random.default_rng(q)
-    rule = _linalg._INNER_PER_DEGREE
-    limit = rule * (field.m - 1)
-    reduce = _linalg._reduce
-    reduced = []
-    monkeypatch.setattr(_linalg, "_reduce", lambda x, p: reduced.append(x.shape) or reduce(x, p))
-    for k in (limit - 1, limit):
-        a, b = rng.integers(0, q, (3, k)), rng.integers(0, q, (k, 400))
-        want = reference_matmul(field, a, b)
-        reduced.clear()
-        assert np.array_equal(_linalg.matmul(field, a, b), want)
-        assert len(reduced) == (k == limit), k
-        for bound in (0, 1 << 20):  # the plane kernel, then the elementwise one, forced
-            monkeypatch.setattr(_linalg, "_INNER_PER_DEGREE", bound)
-            assert np.array_equal(_linalg.matmul(field, a, b), want), (k, bound)
-        monkeypatch.setattr(_linalg, "_INNER_PER_DEGREE", rule)

@@ -344,3 +344,13 @@ class TestWorkCounts:
         # records, then to the stacked e of every pair, for A2
         assert [rows.shape for _, (_, _, rows) in stacks] == [members.shape, (len(pairs), 9)]
         assert np.array_equal(stacks[0][1][2], members)
+
+
+@pytest.mark.parametrize("field_c,n_c", [(2, 6), (2, 8), (3, 7)])
+def test_public_input_guards_raise(field_c, n_c):
+    # a CssCode's C and D share one field and one length
+    f2 = field_from_order(2)
+    code_d = LinearCode(f2, np.eye(4, 7, dtype=np.int64))
+    code_c = LinearCode(field_from_order(field_c), np.eye(1, n_c, dtype=np.int64))
+    with pytest.raises(ValueError, match="C and D live in different spaces"):
+        quantum.CssCode(code_c, code_d, dual(code_c), dual(code_d))
