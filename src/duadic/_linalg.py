@@ -79,16 +79,12 @@ def rref(field: FiniteField, mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
 
 def _multiples(field: FiniteField, factors: np.ndarray, row: np.ndarray) -> np.ndarray:
     """Row i: factors[i] * row, in row's dtype.  While q <= _BYTE_FIELD they
-    come from the q x q product table: the table of the q multiples of row,
-    read at each factor, while q <= len(factors), else the table's rows of
-    the factors that occur, read at row; above it, from `vmul`.
-    Either way the temporaries hold min(q, len(factors)) x len(row) entries."""
+    come from the q x q product table: the table of the q multiples of row
+    (at most _BYTE_FIELD x len(row) bytes), read at each factor; above it,
+    from `vmul`."""
     if field.q > _BYTE_FIELD:
         return field.vmul(factors[:, None].astype(np.int64), row).astype(row.dtype)
-    product = field._byte_tables[0]
-    if field.q <= len(factors):
-        return product.take(row, axis=1).take(factors, axis=0)
-    return product.take(factors, axis=0).take(row, axis=1)
+    return field._byte_tables[0].take(row, axis=1).take(factors, axis=0)
 
 
 def in_row_space(field: FiniteField, red: np.ndarray, pivots: list[int], v: np.ndarray) -> bool:

@@ -23,7 +23,6 @@ from .codes import DEFAULT_ENUM_CAP
 from .duadic import (
     DuadicCodes,
     DuadicPair,
-    _pair_stacks,
     check_splitting,
     construct_pairs,
     product_duadic,
@@ -360,8 +359,8 @@ def cmd_construct(args) -> list[CodeReport]:
     else:
         group = _odd_order(parse_group_spec(args.group))
         mu = parse_mu_spec(args.mu, group, q)
-        stacks = _pair_stacks(mu, field, group, "enumerate-all" if args.enumerate_all else "canonical")
-        pair, es, fs = stacks.pair(0), stacks.es, stacks.fs
+        pairs = construct_pairs(mu, field, group, "enumerate-all" if args.enumerate_all else "canonical")
+        pair, es, fs = pairs[0], pairs.es, pairs.fs
     analysis = analyze_pair(pair, cap)
     report = CodeReport(
         group=args.group,
@@ -522,46 +521,41 @@ def _print_scan_table(reports: list[CodeReport]) -> None:
     header = f"{'group':>10} {'q':>3} {'mu':>10} {'class':>6} {'ord':>5} {'agree':>6} {'ms':>8}"
     print(header)
     for r in reports:
-        ex = r.existence or {}
+        ex = r.existence
         fmt = lambda v: "-" if v is None else ("yes" if v else "no")
-        ms = f"{r.timing_ms:.1f}" if r.timing_ms is not None else "-"
+        ms = f"{r.timing_ms:.1f}"
         print(
-            f"{r.group:>10} {r.q:>3} {r.mu:>10} {fmt(ex.get('class_criterion')):>6} "
-            f"{fmt(ex.get('ord_criterion')):>5} {fmt(ex.get('agree')):>6} {ms:>8}"
+            f"{r.group:>10} {r.q:>3} {r.mu:>10} {fmt(ex['class_criterion']):>6} "
+            f"{fmt(ex['ord_criterion']):>5} {fmt(ex['agree']):>6} {ms:>8}"
         )
 
 
 def _print_construct_report(r: CodeReport) -> None:
     print(f"group {r.group}  q={r.q}  mu={r.mu}")
-    ex = r.existence or {}
+    ex = r.existence
     print(
-        f"existence: class-criterion={ex.get('class_criterion')} "
-        f"ord-criterion={ex.get('ord_criterion')} agree={ex.get('agree')}"
+        f"existence: class-criterion={ex['class_criterion']} "
+        f"ord-criterion={ex['ord_criterion']} agree={ex['agree']}"
     )
-    for i, pd in enumerate(r.pairs or []):
+    for i, pd in enumerate(r.pairs):
         print(f"pair {i}: e = {_terms_text(pd['e'])}")
         print(f"         f = {_terms_text(pd['f'])}")
-    if r.dims:
-        print(
-            f"dims: C_e={r.dims['c_e']} C_f={r.dims['c_f']} "
-            f"D_e={r.dims['d_e']} D_f={r.dims['d_f']}"
-        )
-    if r.duality:
-        print(f"duality: case {r.duality['case']} verified={r.duality['verified']}")
-    for row in r.distances or []:
+    print(
+        f"dims: C_e={r.dims['c_e']} C_f={r.dims['c_f']} "
+        f"D_e={r.dims['d_e']} D_f={r.dims['d_f']}"
+    )
+    print(f"duality: case {r.duality['case']} verified={r.duality['verified']}")
+    for row in r.distances:
         print(f"{row['name']}: {DistanceRecord(row['value'], row['exact'], row['provenance'])}")
-    if r.quantum:
-        record = DistanceRecord(r.quantum["d"], r.quantum["exact"], r.quantum["provenance"])
-        print(f"quantum: {r.quantum['params']} d={record}")
-    if r.degeneracy:
-        print(f"degenerate: {r.degeneracy['degenerate']}")
-        for side in r.degeneracy["sides"]:
-            if side["counts"]:
-                pretty = ", ".join(f"weight {w}: {c}" for w, c in side["counts"])
-                kind = "exactly" if side["exact"] else "at least"
-                print(f"  {side['side']}: {kind} {pretty}")
-    if r.timing_ms is not None:
-        print(f"time: {r.timing_ms:.1f} ms")
+    record = DistanceRecord(r.quantum["d"], r.quantum["exact"], r.quantum["provenance"])
+    print(f"quantum: {r.quantum['params']} d={record}")
+    print(f"degenerate: {r.degeneracy['degenerate']}")
+    for side in r.degeneracy["sides"]:
+        if side["counts"]:
+            pretty = ", ".join(f"weight {w}: {c}" for w, c in side["counts"])
+            kind = "exactly" if side["exact"] else "at least"
+            print(f"  {side['side']}: {kind} {pretty}")
+    print(f"time: {r.timing_ms:.1f} ms")
 
 
 # ---------------------------------------------------------------------------

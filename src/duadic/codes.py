@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from . import _linalg
-from .algebra import AlgebraElement
+from .algebra import AlgebraElement, _antiauto_rows
 from .errors import EnumerationCapError, VerificationError
 from .gf import FiniteField
 
@@ -111,8 +111,7 @@ def _mu_image(code: LinearCode, mu, a: AlgebraElement) -> LinearCode:
     """mu(code) as the code of the ideal Ra, checked.  mu moves column j to
     mu_star[j] and its Frobenius power fixes 0 and 1, so the mapped basis is
     systematic on mu_star[pivots]."""
-    rows = np.zeros_like(code.gen)
-    rows[:, mu.mu_star] = code.field.vfrobenius(code.gen, mu.frobenius_power)
+    rows = _antiauto_rows(mu, code.field, code.gen)
     return _in_ideal(LinearCode._systematic(code.field, rows, [mu.mu_star[c] for c in code.pivots]), a)
 
 

@@ -11,6 +11,7 @@ code derived from C_e, the pair's one elimination, lies in its ideal.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -230,7 +231,7 @@ def construct_pairs(
     field: FiniteField,
     group: Group,
     mode: str = "canonical",
-) -> list[DuadicPair]:
+) -> _PairStacks:
     """Duadic pairs from the cycles of mu on the nontrivial idempotents.
 
     mu(e) = f and e + f = 1 - Ghat hold iff e takes every other idempotent
@@ -239,46 +240,18 @@ def construct_pairs(
     tuple), and a choice of phase per cycle gives e the idempotents at the
     positions of that parity, f the others.  Canonical mode is the all-zero
     choice; enumerate-all takes every choice whose first phase is 0, one of
-    each e <-> f swap, 2^(l-1) pairs for l cycles, so the list is never
+    each e <-> f swap, 2^(l-1) pairs for l cycles, so the result is never
     empty.  The P choices are built as one stack: a P x r 0/1 selection
     matrix for each side times the r stacked idempotents is the (P, n)
     matrix of every e, and of every f; enumerate-all swaps the rows where
     f comes first by coefficient tuple and sorts them by e.  The whole stack
     is checked at once (`_pair_axioms`, the check `DuadicPair` runs on one
-    row), and a violated axiom raises VerificationError naming it.
-    NoSplittingError names the cell and the idempotents mu fixes, or the
-    odd cycle length, when mu gives no splitting; the trivial group, whose
-    only idempotent is 1 = Ghat, carries no pairs and raises it too.
+    row), and a violated axiom raises VerificationError naming it.  The
+    checked stacks are returned as a sequence whose items are built as they
+    are read.  NoSplittingError names the cell and the idempotents mu fixes,
+    or the odd cycle length, when mu gives no splitting; the trivial group,
+    whose only idempotent is 1 = Ghat, carries no pairs and raises it too.
     """
-    stacks = _pair_stacks(mu, field, group, mode)
-    return [stacks.pair(i) for i in range(len(stacks.es))]
-
-
-@dataclass(frozen=True)
-class _PairStacks:
-    """The checked pairs of `construct_pairs` as stacks: row i of es and fs
-    is pair i's e and f, fixed[i] and swapped[i] its mu_-1 flags."""
-
-    field: FiniteField
-    group: Group
-    mu: Antiautomorphism
-    ghat: AlgebraElement
-    es: np.ndarray
-    fs: np.ndarray
-    fixed: list[bool]
-    swapped: list[bool]
-
-    def pair(self, i: int) -> DuadicPair:
-        """Pair i as a DuadicPair, stored without a second check."""
-        field, group = self.field, self.group
-        e, f = AlgebraElement(field, group, self.es[i]), AlgebraElement(field, group, self.fs[i])
-        return DuadicPair.__new__(DuadicPair)._set(
-            field, group, e, f, self.mu, self.ghat, self.fixed[i], self.swapped[i]
-        )
-
-
-def _pair_stacks(mu: Antiautomorphism, field: FiniteField, group: Group, mode: str) -> _PairStacks:
-    """The checked stacks of `construct_pairs`, which wraps their rows."""
     if mode not in ("canonical", "enumerate-all"):
         raise ValueError(f"unknown mode {mode!r}")
     if group.order % 2 == 0:
@@ -291,7 +264,7 @@ def _pair_stacks(mu: Antiautomorphism, field: FiniteField, group: Group, mode: s
             t = multiplicative_order_mod(field.q, group.order)
             parts.append(f"ord_{group.order}({field.q}) = {t} is even")
         parts.append(f"{len(check.fixed_idempotent_ids) - 1} nontrivial fixed idempotent(s)")
-        raise NoSplittingError("; ".join(parts), diagnostics=check)
+        raise NoSplittingError("; ".join(parts))
     perm, members = check.mu_permutation, check.idempotents
     cycle_of = np.full(len(members), -1)  # the cycle of each idempotent, -1 for Ghat
     parity = np.zeros(len(members), dtype=np.int64)  # its position in the cycle, mod 2
@@ -304,8 +277,7 @@ def _pair_stacks(mu: Antiautomorphism, field: FiniteField, group: Group, mode: s
             cycle.append(perm[cycle[-1]])
         if len(cycle) % 2:
             raise NoSplittingError(
-                f"{cell}; mu permutes the nontrivial idempotents in a cycle of odd length {len(cycle)}",
-                diagnostics=check,
+                f"{cell}; mu permutes the nontrivial idempotents in a cycle of odd length {len(cycle)}"
             )
         cycle_of[cycle], parity[cycle] = l, np.arange(len(cycle)) % 2
         l += 1
@@ -336,6 +308,32 @@ def _pair_stacks(mu: Antiautomorphism, field: FiniteField, group: Group, mode: s
     selection = (sel, vecs) if _PARTS_ROWS * len(sel) >= len(vecs) ** 2 else None
     fixed, swapped = _pair_axioms(field, group, mu, ghat, es, fs, selection)
     return _PairStacks(field, group, mu, ghat, es, fs, fixed, swapped)
+
+
+@dataclass(frozen=True, eq=False)
+class _PairStacks(Sequence):
+    """The checked pairs of `construct_pairs` as stacks: row i of es and fs
+    is pair i's e and f, fixed[i] and swapped[i] its mu_-1 flags."""
+
+    field: FiniteField
+    group: Group
+    mu: Antiautomorphism
+    ghat: AlgebraElement
+    es: np.ndarray
+    fs: np.ndarray
+    fixed: list[bool]
+    swapped: list[bool]
+
+    def __len__(self) -> int:
+        return len(self.es)
+
+    def __getitem__(self, i: int) -> DuadicPair:
+        """Pair i as a DuadicPair, stored without a second check."""
+        field, group = self.field, self.group
+        e, f = AlgebraElement(field, group, self.es[i]), AlgebraElement(field, group, self.fs[i])
+        return DuadicPair.__new__(DuadicPair)._set(
+            field, group, e, f, self.mu, self.ghat, self.fixed[i], self.swapped[i]
+        )
 
 
 @dataclass(frozen=True)

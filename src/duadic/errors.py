@@ -8,10 +8,6 @@ class DuadicError(Exception):
 class NoSplittingError(DuadicError):
     """No splitting exists for the requested (group, field, antiautomorphism)."""
 
-    def __init__(self, message: str, diagnostics=None):
-        super().__init__(message)
-        self.diagnostics = diagnostics
-
 
 class VerificationError(DuadicError):
     """An internal invariant that should hold by theorem failed; indicates a bug."""

@@ -25,18 +25,7 @@ FIELD_ORDER_CAP = 1 << 16
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return n >= 2 and _prime_factors(n) == (n,)
 
 
 def multiplicative_order_mod(q: int, n: int) -> int:

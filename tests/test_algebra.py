@@ -14,6 +14,7 @@ import pytest
 from duadic import _linalg, algebra
 from duadic.algebra import (
     AlgebraElement,
+    IdempotentSet,
     _by_minimal_polynomial,
     _class_sum_action,
     _scalar_rows,
@@ -672,6 +673,21 @@ class TestElementSurface:
             AlgebraElement(gf2, z7, [0, 1])
         with pytest.raises(ValueError, match="range"):
             AlgebraElement(gf2, z7, [0, 1, 2, 0, 0, 0, 0])
+
+    def test_negation_and_hash(self, z7):
+        f3 = field_from_order(3)
+        a = AlgebraElement.from_coeff_list(f3, z7, [(1, 1), (2, 2)])
+        assert -a == AlgebraElement.from_coeff_list(f3, z7, [(1, 2), (2, 1)])
+        assert -a + a == AlgebraElement.zero(f3, z7)
+        assert hash(a) == hash(AlgebraElement(f3, z7, a.vec.copy())) and len({a, -a, -(-a)}) == 2
+
+    def test_idempotent_set_hash_and_its_trivial_member(self, gf2, z7):
+        idempotents = split_primitive_central_idempotents(gf2, z7)
+        again = IdempotentSet(gf2, z7, reversed(idempotents.members))
+        assert again == idempotents and hash(again) == hash(idempotents)
+        nontrivial = [h for i, h in enumerate(idempotents) if i != idempotents.trivial_index]
+        with pytest.raises(VerificationError, match="trivial idempotent missing"):
+            IdempotentSet(gf2, z7, nontrivial)
 
 
 @pytest.mark.parametrize(

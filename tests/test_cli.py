@@ -29,6 +29,7 @@ from duadic.cli import (
 )
 from duadic.errors import VerificationError
 from duadic.groups import builtin_mu_minus1, group_abelian, cyclic_group
+from duadic.quantum import DistanceRecord
 
 from conftest import frobenius21_table
 from oracles import format_cayley
@@ -634,6 +635,37 @@ class TestConstruct:
         )
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["construct", "--group", "@adir", "--q", "2", "--mu", "mu-1"], "Is a directory: 'adir'"),
+        (["construct", "--group", "3x", "--q", "2", "--mu", "mu-1"], "bad group spec '3x'"),
+        (["construct", "--group", "1x3", "--q", "2", "--mu", "mu-1"], "cyclic factor orders must be >= 2"),
+        (["construct", "--group", "7", "--q", "-2", "--mu", "mu-1"], "-2 is not a prime power"),
+        (["scan", "--n", "2-2"], "--n '2-2' holds no odd order"),
+        (["construct", "--group", "3x3,3x3,3x3", "--q", "2", "--mu", "mu-1"], "outer products take exactly two"),
+        (
+            ["construct", "--group", "3x3,3x3", "--q", "2", "--mu", "swap*swap*swap", "--product"],
+            "product mu spec needs an outer-product group spec",
+        ),
+        (
+            ["construct", "--group", "7", "--q", "2", "--mu", "mu-1", "--emit-matrices", "afile/sub"],
+            "Not a directory: 'afile/sub'",
+        ),
+    ],
+    ids=["group-dir", "group-3x", "group-1x3", "q-negative", "n-even", "three-factors", "three-maps", "below-a-file"],
+)
+def test_malformed_input_exits_1_with_one_line(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "afile").write_text("", encoding="utf-8")
+    assert main([*argv, "--json"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("duadic: error: ") and message in captured.err
+    assert captured.err.count("\n") == 1
+
+
 class TestJsonRoundTrip:
     def test_reports_roundtrip(self, capsys):
         argv = ["scan", "--family", "cyclic", "--n", "3-15", "--q", "2,4", "--mu", "mu-1", "--json"]
@@ -723,6 +755,39 @@ class TestVerify:
         assert len(cells) == cell_count and all(line.startswith("FAIL existence n=") for line in cells)
         assert "FAIL existence n=7 q=2: construction True, ord test False" in cells
         assert summary.startswith("FAIL existence: ")
+
+    def test_key_prop_suite_failure_exits_3(self, capsys, monkeypatch):
+        # the suite imports verify_key_proposition where it runs
+        monkeypatch.setattr(duadic.duadic, "verify_key_proposition", lambda mu, field, group: (1, 2))
+        assert main(["verify", "key-prop"]) == EXIT_VERIFY_FAILED
+        *cells, summary = capsys.readouterr().out.splitlines()
+        assert len(cells) == len(list(cli._key_prop_cells()))
+        assert all(line.startswith("FAIL key-prop ") and line.endswith(": 1 != 2") for line in cells)
+        assert summary.startswith("FAIL key-prop: ")
+
+    def test_structure_suite_failure_exits_3(self, capsys, monkeypatch):
+        # every odd-like distance of D_e read as exact and 1, below each bound
+        real = cli.analyze_pair
+
+        def low(*args, **kwargs):
+            analysis = real(*args, **kwargs)
+            return dataclasses.replace(analysis, odd_like=(DistanceRecord(1, True, "x"), analysis.odd_like[1]))
+
+        monkeypatch.setattr(cli, "analyze_pair", low)
+        assert main(["verify", "structure"]) == EXIT_VERIFY_FAILED
+        *cells, summary = capsys.readouterr().out.splitlines()
+        cell_ids = [(7, 2), (7, 4), (11, 3), (13, 3), (19, 4), (23, 2), (31, 2)]
+        assert cells == [f"FAIL structure n={n} q={q}" for n, q in cell_ids]
+        assert summary.startswith("FAIL structure: ")
+
+    def test_paper81_suite_failure_exits_3(self, capsys, monkeypatch):
+        def invalid(*args):
+            raise VerificationError("duadic axioms violated: A2: mu(e) = f")
+
+        monkeypatch.setattr(cli, "DuadicPair", invalid)
+        assert main(["verify", "paper-81"]) == EXIT_VERIFY_FAILED
+        out = capsys.readouterr().out
+        assert out == "FAIL paper-81: component pair invalid: duadic axioms violated: A2: mu(e) = f\n"
 
     def test_unknown_suite_is_usage_error(self, capsys):
         assert main(["verify", "bogus"]) == EXIT_USAGE

@@ -159,7 +159,7 @@ class TestDual:
                 )
             ]
         else:
-            pairs = construct_pairs(mu, field, group) + construct_pairs(mu, field, group, mode="enumerate-all")
+            pairs = [*construct_pairs(mu, field, group), *construct_pairs(mu, field, group, mode="enumerate-all")]
         for pair in pairs:
             codes = duadic_codes(pair)
             mu1 = builtin_mu_minus1(pair.group)
@@ -611,3 +611,11 @@ def test_public_input_guards_raise(word):
     code = LinearCode(field_from_order(2), np.eye(3, 7, dtype=np.int64))
     with pytest.raises(ValueError, match=r"word length \(.*\) != 7"):
         code.contains(word)
+
+
+def test_repr_and_an_added_vector_already_in_the_code():
+    f2 = field_from_order(2)
+    code = LinearCode(f2, np.eye(3, 7, dtype=np.int64))
+    assert repr(code) == "[7, 3] code over GF(2)"
+    with pytest.raises(VerificationError, match="already lies in the code"):
+        _plus_vector(code, code.gen[1] ^ code.gen[2], AlgebraElement.one(f2, cyclic_group(7)))

@@ -248,6 +248,7 @@ class TestConstructPairs:
         assert np.flatnonzero(e.vec).tolist() == [0, 3, 5, 6]
         assert np.flatnonzero(f.vec).tolist() == [0, 1, 2, 4]
         assert pairs[0].swapped_by_mu_minus1 and not pairs[0].fixed_by_mu_minus1
+        assert repr(pairs[-1]) == "DuadicPair(n=7, q=2, mu=mu-1)"
 
     def test_z33_swap_enumerate_all_contains_paper_pair(self, f2):
         g = group_abelian([3, 3])
@@ -368,7 +369,7 @@ class TestConstructPairs:
         for mode, size in (("canonical", 1), ("enumerate-all", 4)):
             calls.clear()
             assert len(construct_pairs(builtin_mu_minus1(group), field, group, mode=mode)) == size
-            assert calls["matmul", "_pair_stacks"] == 2, mode
+            assert calls["matmul", "construct_pairs"] == 2, mode
             assert {key: count for key, count in calls.items() if key[0] != "matmul"} == {
                 ("_antiauto_rows", "_fixed_ids"): 1,
                 ("_antiauto_rows", "_pair_axioms"): 1,
@@ -380,11 +381,34 @@ class TestConstructPairs:
         calls.clear()
         assert len(construct_pairs(builtin_mu_minus1(group), field, group, mode="enumerate-all")) == 256
         assert duadic_module._UNIT_PRODUCT_CELLS // 127**2 == 8
-        assert calls["matmul", "_pair_stacks"] == 2 and calls["matmul", "_idempotent_rows"] == 3 + 1
+        assert calls["matmul", "construct_pairs"] == 2 and calls["matmul", "_idempotent_rows"] == 3 + 1
         assert {key: count for key, count in calls.items() if key[0] != "matmul"} == {
             ("_antiauto_rows", "_fixed_ids"): 1,
             ("_antiauto_rows", "_pair_axioms"): 1,
         }
+
+    def test_pairs_are_built_as_they_are_read(self, monkeypatch):
+        # the 256 pairs of 127-q2 cost only the elements the construction
+        # itself makes (the 19 idempotents among them); each pair read makes
+        # its e and f, where a list of every pair made 2 x 256 more
+        made = collections.Counter()
+        init = AlgebraElement.__init__
+
+        def counted(self, *args, **kwargs):
+            made["elements"] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(AlgebraElement, "__init__", counted)
+        field, group = field_from_order(2), cyclic_group(127)
+        pairs = construct_pairs(builtin_mu_minus1(group), field, group, "enumerate-all")
+        assert len(pairs) == 256 and made["elements"] <= 23
+        made.clear()
+        last = pairs[-1]
+        assert made["elements"] == 2
+        assert np.array_equal(last.e.vec, pairs.es[255]) and np.array_equal(last.f.vec, pairs.fs[255])
+        assert (last.fixed_by_mu_minus1, last.swapped_by_mu_minus1) == (pairs.fixed[255], pairs.swapped[255])
+        with pytest.raises(IndexError):
+            pairs[256]
 
     def test_odd_cycle_raises_no_splitting(self):
         # no idempotent is fixed, yet the 3-cycle leaves no pair

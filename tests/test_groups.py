@@ -778,3 +778,21 @@ class TestAssociativityOnGenerators:
 def test_public_input_guards_raise(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def test_element_tuples_need_an_abelian_product():
+    cayley = group_from_cayley(cyclic_group(7).table)
+    for call in (lambda: cayley.element_tuple(1), lambda: cayley.element_id((1,))):
+        with pytest.raises(ValueError, match="element tuples only exist for abelian product groups"):
+            call()
+    with pytest.raises(ValueError, match="wrong tuple length"):
+        group_abelian([3, 3]).element_id((1, 2, 0))
+
+
+def test_hashes_follow_equality():
+    z33 = group_abelian([3, 3])
+    same = group_from_cayley(z33.table)
+    assert same == z33 and hash(same) == hash(z33) and len({z33, same, cyclic_group(9)}) == 2
+    swap = builtin_mu_swap(group_abelian([3, 3]), 2)
+    assert swap == builtin_mu_swap(z33, 2) and hash(swap) == hash(builtin_mu_swap(z33, 2))
+    assert len({swap, builtin_mu_swap(z33, 2), builtin_mu_minus1(z33)}) == 2

@@ -196,6 +196,11 @@ def test_matmul_large_enough_to_thread():
     assert np.array_equal(_linalg.matmul(field, a, b), a @ b % p)
 
 
+def test_matmul_rejects_mismatched_shapes():
+    with pytest.raises(ValueError, match=r"shape mismatch: \(2, 3\) @ \(2, 3\)"):
+        _linalg.matmul(field_from_order(2), np.zeros((2, 3)), np.zeros((2, 3)))
+
+
 def test_matmul_rejects_inexact_inner_dimension():
     field = field_from_order(65521)
     k = -(-_linalg._EXACT_SUM // 65520**2)  # the least k with k (p-1)^2 >= the bound

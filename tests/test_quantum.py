@@ -239,7 +239,7 @@ class TestDegeneracy:
 class TestAnalyzePair:
     @pytest.mark.parametrize("field,group,mu", enumerable_cells((2, 3, 4, 5, 7, 8, 9, 11, 13, 16)))
     def test_matches_generic_oracles(self, field, group, mu):
-        pairs = construct_pairs(mu, field, group) + construct_pairs(mu, field, group, mode="enumerate-all")
+        pairs = [*construct_pairs(mu, field, group), *construct_pairs(mu, field, group, mode="enumerate-all")]
         cases = set()
         for pair in pairs:
             analysis = analyze_pair(pair)
@@ -344,6 +344,13 @@ class TestWorkCounts:
         # records, then to the stacked e of every pair, for A2
         assert [rows.shape for _, (_, _, rows) in stacks] == [members.shape, (len(pairs), 9)]
         assert np.array_equal(stacks[0][1][2], members)
+
+
+def test_css_code_without_a_distance(f2):
+    code_d = LinearCode(f2, np.eye(4, 7, dtype=np.int64))
+    code_c = LinearCode(f2, np.eye(1, 7, dtype=np.int64))
+    css = quantum.CssCode(code_c, code_d, dual(code_c), dual(code_d))
+    assert css.params() == "[[7,3,?]]_2" and repr(css) == "CssCode([[7,3,?]]_2)"
 
 
 @pytest.mark.parametrize("field_c,n_c", [(2, 6), (2, 8), (3, 7)])
