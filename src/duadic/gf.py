@@ -103,39 +103,16 @@ class FiniteField:
         """Index of the prime-subfield element n mod p."""
         return n % self.p
 
-    # -- scalar arithmetic on indexes ------------------------------------
+    # -- scalar arithmetic on indexes: the vector kernels on one index ----
 
     def add(self, a: int, b: int) -> int:
-        p = self.p
-        if self.m == 1:
-            return (a + b) % p
-        if p == 2:
-            return a ^ b
-        out = 0
-        mult = 1
-        for _ in range(self.m):
-            out += ((a + b) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
+        return int(self.vadd(a, b))
 
     def neg(self, a: int) -> int:
-        p = self.p
-        if self.m == 1:
-            return (-a) % p
-        if p == 2:
-            return a
-        out = 0
-        mult = 1
-        for _ in range(self.m):
-            out += ((-a) % p) * mult
-            a //= p
-            mult *= p
-        return out
+        return int(self.vneg(a))
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        return int(self.vsub(a, b))
 
     @cached_property
     def _log_exp(self) -> tuple[np.ndarray, np.ndarray]:
@@ -173,7 +150,7 @@ class FiniteField:
             step = step @ step % p
         period = q - 1
         # no modulo or zero test on the vector paths: log[0] = 2(q-1), exp
-        # runs two periods and is 0 from 2(q-1) on; the scalar ops skip 0
+        # runs two periods and is 0 from 2(q-1) on; `inv` and `power` skip 0
         exp = np.zeros(4 * period + 1, dtype=np.int64)
         exp[:period] = exp[period : 2 * period] = self._pack_digits(block[:period])
         log = np.full(q, 2 * period, dtype=np.int64)
@@ -181,18 +158,13 @@ class FiniteField:
         return log, exp
 
     def mul(self, a: int, b: int) -> int:
-        if self.m == 1:
-            return (a * b) % self.p
-        if a == 0 or b == 0:
-            return 0
-        log, exp = self._log_exp
-        return int(exp[log[a] + log[b]])
+        return int(self.vmul(a, b))
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError(f"inversion of zero in {self!r}")
         if self.m == 1:
-            return pow(a, -1, self.p)
+            return pow(int(a), -1, self.p)
         log, exp = self._log_exp
         return int(exp[self.q - 1 - log[a]])
 
@@ -201,7 +173,7 @@ class FiniteField:
         if e < 0:
             raise ValueError("negative exponents not supported; use inv()")
         if self.m == 1:
-            return pow(a, e, self.p)
+            return pow(int(a), e, self.p)
         if a == 0:
             return 0 if e else 1
         log, exp = self._log_exp
@@ -209,10 +181,7 @@ class FiniteField:
 
     def frobenius(self, a: int, t: int = 1) -> int:
         """a^(p^t)."""
-        t = t % self.m
-        if t == 0:
-            return a
-        return self.power(a, self.p**t)
+        return int(self.vfrobenius(a, t))
 
     # -- vectorized arithmetic on numpy index arrays ----------------------
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import duadic
-from duadic import cli, groups
+from duadic import algebra, cli, codes, groups
 from duadic.cli import (
     EXIT_INTERRUPTED,
     EXIT_NO_SPLITTING,
@@ -633,6 +633,40 @@ class TestConstruct:
         assert captured.err == (
             "duadic: verification failure: a derived code does not lie in the ideal of its idempotent\n"
         )
+
+    @pytest.mark.parametrize(
+        "guard,q,message",
+        [
+            ("component-count", "2", "splitting produced 1 components, expected 3"),
+            ("sum-retry", "11", "the stack sum is not split"),
+            ("mu-permutes", "2", "antiautomorphism does not permute the idempotent set"),
+            ("code-dimension", "2", "dim C_e: 2 != 3; dim C_f: 2 != 3; dim D_e: 3 != 4; dim D_f: 3 != 4"),
+        ],
+    )
+    def test_result_guard_exits_3_with_one_line(self, capsys, monkeypatch, guard, q, message):
+        # each check of an intermediate result, tripped by one patched step
+        split_values, from_ideal, calls = algebra._split_values, duadic.duadic.code_from_ideal, []
+
+        def fail_on_sum(field, unit, times):  # q = 11 > 2r + 1: the first call splits the stack sum
+            calls.append(unit)
+            if len(calls) == 1:
+                raise VerificationError("the stack sum is not split")
+            return split_values(field, unit, times)
+
+        def drop_a_row(e, dim=None):
+            return codes.LinearCode(e.field, from_ideal(e, dim).gen[1:])
+
+        patches = {
+            "component-count": (algebra, "_split_units", lambda field, units, times: units),
+            "sum-retry": (algebra, "_split_values", fail_on_sum),
+            "mu-permutes": (duadic.duadic, "_antiauto_rows", lambda mu, field, rows: 0 * rows),
+            "code-dimension": (duadic.duadic, "code_from_ideal", drop_a_row),
+        }
+        monkeypatch.setattr(*patches[guard])
+        assert main(["construct", "--group", "7", "--q", q, "--mu", "mu-1", "--json"]) == EXIT_VERIFY_FAILED
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"duadic: verification failure: {message}\n"
+        assert (guard == "sum-retry") == (len(calls) > 1)  # the units were retried one by one
 
 
 @pytest.mark.parametrize(

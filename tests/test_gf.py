@@ -24,6 +24,7 @@ from duadic.gf import (
 
 from oracles import (
     Polynomial,
+    _raw_mul,
     equal_degree_factors,
     evaluate,
     reference_log_tables,
@@ -39,6 +40,17 @@ ALL_PRIME_POWERS_256 = sorted(
     for m in range(1, 9)
     if p**m <= 256
 )
+
+# every extension field of order <= 2^10, and the largest binary and ternary
+TABLE_FIELDS = [
+    (p, m) for p in [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31] for m in range(2, 11) if p**m <= 1 << 10
+] + [(2, 16), (3, 10)]
+
+
+def _digitwise(field, a: int, b: int, sign: int = 1) -> int:
+    """a + sign * b, digit by digit mod p on the coefficient vectors."""
+    pairs = zip(field.coeffs_of(a), field.coeffs_of(b))
+    return sum((x + sign * y) % field.p * field.p**i for i, (x, y) in enumerate(pairs))
 
 
 class TestFieldMake:
@@ -147,45 +159,44 @@ class TestArithmetic:
                 s = gf9.frobenius(gf9.add(a, b))
                 assert s == gf9.add(gf9.frobenius(a), gf9.frobenius(b))
 
+    @pytest.mark.parametrize("q", [5, 8, 9])
+    def test_scalar_ops_return_python_ints(self, q):
+        f = field_from_order(q)
+        for a, b in [(3, 2), (np.int64(3), np.int64(2))]:
+            values = [f.add(a, b), f.neg(a), f.sub(a, b), f.mul(a, b), f.inv(a), f.frobenius(a), f.power(a, 2)]
+            assert all(type(v) is int for v in values), (q, values)
+
     @pytest.mark.parametrize("q", [4, 8, 9, 16, 27, 64])
     def test_vmul_and_vsum_exhaustive(self, q):
         # every product, zero factors included, and sums along each axis
         f = field_from_order(q)
-        x = np.arange(q, dtype=np.int64)
+        add, x = functools.partial(_digitwise, f), np.arange(q, dtype=np.int64)
         table = f.vmul(x[:, None], x[None, :])
-        assert table.tolist() == [[f.mul(a, b) for b in range(q)] for a in range(q)]
+        assert table.tolist() == [[_raw_mul(f.p, f.modulus, a, b) for b in range(q)] for a in range(q)]
         for axis in (0, 1):
-            expected = [0] * q
-            for a in range(q):
-                for b in range(q):
-                    j = b if axis == 0 else a
-                    expected[j] = f.add(expected[j], int(table[a, b]))
+            lines = table.T if axis == 0 else table
+            expected = [functools.reduce(add, line, 0) for line in lines.tolist()]
             assert f.vsum(table, axis=axis).tolist() == expected
-        assert f.vsum(table) == functools.reduce(f.add, expected, 0)
-
-    @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 25])
-    def test_vector_ops_match_scalar(self, q):
-        f = field_from_order(q)
-        rng = random.Random(q)
-        a = np.array([rng.randrange(q) for _ in range(64)], dtype=np.int64)
-        b = np.array([rng.randrange(q) for _ in range(64)], dtype=np.int64)
-        assert all(int(x) == f.add(int(u), int(v)) for x, u, v in zip(f.vadd(a, b), a, b))
-        assert all(int(x) == f.sub(int(u), int(v)) for x, u, v in zip(f.vsub(a, b), a, b))
-        assert all(int(x) == f.mul(int(u), int(v)) for x, u, v in zip(f.vmul(a, b), a, b))
-        assert all(int(x) == f.neg(int(u)) for x, u in zip(f.vneg(a), a))
-        nz = a.copy()
-        nz[nz == 0] = 1
-        assert all(int(x) == f.inv(int(u)) for x, u in zip(f.vinv(nz), nz))
-        total = 0
-        for u in a:
-            total = f.add(total, int(u))
-        assert f.vsum(a) == total
+        assert f.vsum(table) == functools.reduce(add, expected, 0)
 
 
-# every extension field of order <= 2^10, and the largest binary and ternary
-TABLE_FIELDS = [
-    (p, m) for p in [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31] for m in range(2, 11) if p**m <= 1 << 10
-] + [(2, 16), (3, 10)]
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (5, 1), (7, 1)] + TABLE_FIELDS)
+def test_vector_ops_match_oracles(p, m):
+    # every pair for q <= 64, else 512 random pairs; vfrobenius is checked
+    # against the reference maps in test_log_tables_match_scalar_construction
+    f = field_make(p, m)
+    if f.q <= 64:
+        a, b = (x.ravel() for x in np.meshgrid(np.arange(f.q), np.arange(f.q)))
+    else:
+        a, b = np.random.default_rng(f.q).integers(0, f.q, (2, 512))
+    modulus, pairs = f.modulus or (0, 1), list(zip(a.tolist(), b.tolist()))  # (0, 1): x, for mod-p products
+    assert f.vadd(a, b).tolist() == [_digitwise(f, u, v) for u, v in pairs]
+    assert f.vsub(a, b).tolist() == [_digitwise(f, u, v, -1) for u, v in pairs]
+    assert f.vneg(a).tolist() == [_digitwise(f, 0, u, -1) for u in a.tolist()]
+    assert f.vmul(a, b).tolist() == [_raw_mul(p, modulus, u, v) for u, v in pairs]
+    nz = a[a != 0]
+    assert all(_raw_mul(p, modulus, u, v) == 1 for u, v in zip(nz.tolist(), f.vinv(nz).tolist()))
+    assert f.vsum(a) == functools.reduce(functools.partial(_digitwise, f), a.tolist(), 0)
 
 
 @pytest.mark.parametrize("p,m", TABLE_FIELDS)
