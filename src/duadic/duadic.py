@@ -22,7 +22,6 @@ from .algebra import (
     IdempotentSet,
     _antiauto_rows,
     _convolve,
-    alg_mul,
     apply_antiauto,
     hat_group,
     split_primitive_central_idempotents,
@@ -443,33 +442,25 @@ def odd_like_bound(pair: DuadicPair) -> tuple[str, int]:
     return "square", d
 
 
-def _embed(a: AlgebraElement, product: Group, ids) -> AlgebraElement:
-    """a on the product's ids `ids`: np.s_[::n2] for G1 (ids g1 * n2), np.s_[:n2] for G2."""
-    vec = np.zeros(product.order, dtype=np.int64)
-    vec[ids] = a.vec
-    return AlgebraElement(a.field, product, vec)
-
-
 def product_duadic(pair1: DuadicPair, pair2: DuadicPair) -> DuadicPair:
-    """Duadic pair on G1 x G2 with e = e1 + e2 - e1*e2 - f1*e2 and mu = mu1 x mu2."""
+    """Duadic pair on G1 x G2 with e = e1 x 1 + Ghat1 x e2, f = f1 x 1 + Ghat1 x f2
+    and mu = mu1 x mu2; a x b has a_g1 b_g2 at id g1 * n2 + g2, and e is the
+    e1 + e2 - e1 e2 - f1 e2 of the embedded factors as Ghat1 = 1 - e1 - f1.
+    The witnesses, members of Re or Rf kept as degeneracy evidence, are u x 1
+    for u in (e1, f1, *pair1.witnesses): f1 x 1 kills Re and e1 x 1 kills Rf
+    but send 1 x u to f1 x u and e1 x u, so no nonzero 1 x u lies in either.
+    """
     if pair1.field != pair2.field:
         raise ValueError("pairs live over different fields")
     field = pair1.field
     product = group_product(pair1.group, pair2.group)
-    left, right = np.s_[:: pair2.group.order], np.s_[: pair2.group.order]
-    e1, f1 = _embed(pair1.e, product, left), _embed(pair1.f, product, left)
-    e2, f2 = _embed(pair2.e, product, right), _embed(pair2.f, product, right)
-    e = e1 + e2 - alg_mul(e1, e2) - alg_mul(f1, e2)
-    f = f1 + f2 - alg_mul(f1, f2) - alg_mul(e1, f2)
+    one2 = AlgebraElement.one(field, pair2.group)
+
+    def tensor(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
+        return AlgebraElement(field, product, field.vmul(a.vec[:, None], b.vec[None]).reshape(-1))
+
+    e = tensor(pair1.e, one2) + tensor(pair1.ghat, pair2.e)
+    f = tensor(pair1.f, one2) + tensor(pair1.ghat, pair2.f)
     mu = product_antiauto(pair1.mu, pair2.mu, product)
-    # low-weight members of Re or Rf, kept as degeneracy evidence
-    candidates = [e1, f1, e2, f2]
-    candidates += [_embed(w, product, left) for w in pair1.witnesses]
-    candidates += [_embed(w, product, right) for w in pair2.witnesses]
-    witnesses = []
-    seen = set()
-    for w in candidates:
-        if (alg_mul(e, w) == w or alg_mul(f, w) == w) and w.key() not in seen:
-            witnesses.append(w)
-            seen.add(w.key())
+    witnesses = dict.fromkeys(tensor(u, one2) for u in (pair1.e, pair1.f, *pair1.witnesses))
     return DuadicPair(field, product, e, f, mu, witnesses=tuple(witnesses))

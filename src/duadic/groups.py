@@ -179,13 +179,10 @@ class Group:
     # -- labels --------------------------------------------------------------
 
     def element_tuple(self, g: int) -> tuple[int, ...]:
+        """The exponent tuple of id g; an id outside [0, n) raises ValueError."""
         if self.abelian_orders is None:
             raise ValueError("element tuples only exist for abelian product groups")
-        out = []
-        for n_i in reversed(self.abelian_orders):
-            out.append(g % n_i)
-            g //= n_i
-        return tuple(reversed(out))
+        return tuple(int(e) for e in np.unravel_index(g, self.abelian_orders))
 
     def element_id(self, exponents) -> int:
         if self.abelian_orders is None:
@@ -193,10 +190,7 @@ class Group:
         exps = list(exponents)
         if len(exps) != len(self.abelian_orders):
             raise ValueError("wrong tuple length")
-        g = 0
-        for e, n_i in zip(exps, self.abelian_orders):
-            g = g * n_i + e % n_i
-        return g
+        return int(np.ravel_multi_index(exps, self.abelian_orders, mode="wrap"))
 
     @cached_property
     def labels(self) -> tuple[str, ...]:
@@ -204,10 +198,12 @@ class Group:
         groups, exponent words such as a^1*b^2 for abelian products."""
         if self.abelian_orders is None:
             return tuple(str(g) for g in range(self.order))
-        return tuple(
-            "*".join(f"{x}^{e}" for x, e in zip(ascii_lowercase, self.element_tuple(g)))
-            for g in range(self.order)
-        )
+        digits = np.unravel_index(np.arange(self.order), self.abelian_orders)
+        words = [
+            np.array([f"{x}^{e}" for e in range(n_i)], dtype=object)[d]
+            for x, n_i, d in zip(ascii_lowercase, self.abelian_orders, digits)
+        ]
+        return tuple(map("*".join, zip(*words)))
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ import functools
 import itertools
 import math
 import random
+from string import ascii_lowercase
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from duadic.codes import DEFAULT_ENUM_CAP, coset_min_weight
 from duadic.duadic import DuadicPair, check_splitting
 from duadic.errors import EnumerationCapError, VerificationError
 from duadic.gf import FiniteField, _prime_factors, multiplicative_order_mod
-from duadic.groups import Group
+from duadic.groups import Group, group_product, product_antiauto
 
 # Fixed seed for the equal-degree splitting step of the factorization, so
 # repeated runs pick identical splitting elements.
@@ -601,7 +602,7 @@ def _equal_degree_split(f: Polynomial, d: int, rng: random.Random) -> list[Polyn
 
 
 # ---------------------------------------------------------------------------
-# groups: the Cayley text format and ordinary conjugacy classes
+# groups: the Cayley text format, exponent tuples and ordinary conjugacy classes
 # ---------------------------------------------------------------------------
 
 
@@ -611,6 +612,32 @@ def format_cayley(group: Group) -> str:
     for row in group.table:
         lines.append(" ".join(str(int(x)) for x in row))
     return "\n".join(lines) + "\n"
+
+
+def reference_element_tuple(group: Group, g: int) -> tuple[int, ...]:
+    """The exponent tuple of id g, one digit at a time from the last factor;
+    an id outside [0, n) wraps."""
+    out = []
+    for n_i in reversed(group.abelian_orders):
+        out.append(g % n_i)
+        g //= n_i
+    return tuple(reversed(out))
+
+
+def reference_element_id(group: Group, exponents) -> int:
+    """The id of an exponent tuple by Horner's rule over the factor orders."""
+    g = 0
+    for e, n_i in zip(exponents, group.abelian_orders):
+        g = g * n_i + e % n_i
+    return g
+
+
+def reference_labels(group: Group) -> tuple[str, ...]:
+    """Every id's exponent word, a^1*b^2, from `reference_element_tuple`."""
+    return tuple(
+        "*".join(f"{x}^{e}" for x, e in zip(ascii_lowercase, reference_element_tuple(group, g)))
+        for g in range(group.order)
+    )
 
 
 def reference_associativity_failure(table) -> tuple[int, int, int] | None:
@@ -703,7 +730,7 @@ def validate_idempotent_set(s: IdempotentSet) -> None:
 
 
 # ---------------------------------------------------------------------------
-# duadic pair axioms, all eleven
+# duadic pairs: the eleven axioms, pairs from cycles and product pairs
 # ---------------------------------------------------------------------------
 
 
@@ -777,6 +804,36 @@ def reference_pairs_from_cycles(mu, field: FiniteField, group: Group, mode: str 
         pairs.append(DuadicPair(field, group, e, f, mu))
     pairs.sort(key=lambda p: p.e.key())
     return pairs
+
+
+def reference_product_duadic(pair1: DuadicPair, pair2: DuadicPair) -> DuadicPair:
+    """The product pair by group-algebra products on G1 x G2: e1, f1 on the
+    ids g1 * n2 and e2, f2 on the ids g2 embedded, e = e1 + e2 - e1 e2 - f1 e2
+    and f = f1 + f2 - f1 f2 - e1 f2, and as witnesses each embedded e1, f1,
+    e2, f2 and factor witness that e or f fixes, first occurrences in order."""
+    field = pair1.field
+    product = group_product(pair1.group, pair2.group)
+
+    def embed(a: AlgebraElement, ids) -> AlgebraElement:
+        vec = np.zeros(product.order, dtype=np.int64)
+        vec[ids] = a.vec
+        return AlgebraElement(field, product, vec)
+
+    left, right = np.s_[:: pair2.group.order], np.s_[: pair2.group.order]
+    e1, f1 = embed(pair1.e, left), embed(pair1.f, left)
+    e2, f2 = embed(pair2.e, right), embed(pair2.f, right)
+    e = e1 + e2 - alg_mul(e1, e2) - alg_mul(f1, e2)
+    f = f1 + f2 - alg_mul(f1, f2) - alg_mul(e1, f2)
+    candidates = [e1, f1, e2, f2]
+    candidates += [embed(w, left) for w in pair1.witnesses]
+    candidates += [embed(w, right) for w in pair2.witnesses]
+    witnesses, seen = [], set()
+    for w in candidates:
+        if (alg_mul(e, w) == w or alg_mul(f, w) == w) and w.key() not in seen:
+            witnesses.append(w)
+            seen.add(w.key())
+    mu = product_antiauto(pair1.mu, pair2.mu, product)
+    return DuadicPair(field, product, e, f, mu, witnesses=tuple(witnesses))
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ from duadic.groups import (
 from duadic.quantum import analyze_pair
 
 from conftest import frobenius21_table, metacyclic_table
-from oracles import reference_pair_axioms, reference_pairs_from_cycles
+from oracles import reference_pair_axioms, reference_pairs_from_cycles, reference_product_duadic
 
 
 def tuple_elem(field, group, tuples):
@@ -730,6 +730,39 @@ class TestProductDuadic:
         assert prod.group.order == 49
         codes = duadic_codes(prod)
         assert (codes.c_e.k, codes.d_e.k) == (24, 25)
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 8, 9])
+    def test_matches_reference_product(self, q):
+        """e, f and the witnesses, byte for byte and in order, equal the pair
+        built by group-algebra products: every pairing of order <= 512 of the
+        first two enumerate-all pairs of each factor cell, and a product of a
+        product on either side."""
+        field = field_from_order(q)
+        factors = []
+        for group, mu in [
+            (group_abelian([3, 3]), builtin_mu_swap),
+            (group_abelian([5, 5]), builtin_mu_swap),
+            (cyclic_group(7), None),
+            (cyclic_group(11), None),
+            (cyclic_group(23), None),
+        ]:
+            try:
+                split = builtin_mu_minus1(group) if mu is None else mu(group, q)
+                pairs = construct_pairs(split, field, group, "enumerate-all")
+            except (ValueError, NoSplittingError):  # gcd(n, q) > 1, or no splitting
+                continue
+            factors += [pairs[i] for i in range(min(2, len(pairs)))]
+        pairings = [(a, b) for a in factors for b in factors if a.group.order * b.group.order <= 512]
+        z7 = next((pair for pair in factors if pair.group.order == 7), None)
+        if z7 is not None:
+            z49 = product_duadic(z7, z7)
+            pairings += [(z49, z7), (z7, z49)]
+        assert pairings
+        for a, b in pairings:
+            got, want = product_duadic(a, b), reference_product_duadic(a, b)
+            assert got.e.vec.tobytes() == want.e.vec.tobytes() and got.f.vec.tobytes() == want.f.vec.tobytes()
+            assert [w.vec.tobytes() for w in got.witnesses] == [w.vec.tobytes() for w in want.witnesses]
+            assert got.mu == want.mu and got.group == want.group
 
     def test_field_mismatch(self, f2, paper_pair):
         f4 = field_from_order(4)

@@ -40,7 +40,10 @@ from oracles import (
     format_cayley,
     reference_associativity_failure,
     reference_conjugacy_classes,
+    reference_element_id,
+    reference_element_tuple,
     reference_fq_classes,
+    reference_labels,
 )
 
 
@@ -787,6 +790,39 @@ def test_element_tuples_need_an_abelian_product():
             call()
     with pytest.raises(ValueError, match="wrong tuple length"):
         group_abelian([3, 3]).element_id((1, 2, 0))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: group_abelian([3, 3, 3, 3, 3]),
+        lambda: group_abelian([7, 73]),
+        lambda: group_abelian([13, 13]),
+        lambda: group_abelian([511]),
+        lambda: group_product(group_abelian([3, 3]), group_abelian([5, 5])),
+    ],
+    ids=["3x3x3x3x3", "7x73", "13x13", "511", "3x3,5x5"],
+)
+def test_ids_and_labels_match_the_digit_loops(build):
+    g = build()
+    orders = np.array(g.abelian_orders)
+    for i in range(g.order):
+        t = g.element_tuple(i)
+        assert t == reference_element_tuple(g, i) and all(type(e) is int for e in t)
+        assert g.element_id(t) == reference_element_id(g, t) == i
+        # exponents are taken mod their factor's order
+        for shifted in (np.array(t) + orders, np.array(t) - 2 * orders):
+            assert g.element_id(shifted.tolist()) == reference_element_id(g, shifted.tolist()) == i
+    assert g.labels == reference_labels(g)
+
+
+def test_ids_outside_the_group_raise():
+    g = group_abelian([3, 3])
+    for bad in (9, -1):
+        with pytest.raises(ValueError):
+            g.element_tuple(bad)
+    with pytest.raises(TypeError):
+        g.element_id((1.5, 0))
 
 
 def test_hashes_follow_equality():
