@@ -14,13 +14,15 @@ other three codes of a pair from it.
 
 Exhaustive enumeration splits each coset word into head + tail; the word is
 zero at j exactly where tail[j] == -head[j], so weights come from comparing
-field indexes, with no field addition per word.
+field indexes, with no field addition per word.  A code builds its head and
+tail tables once, for all its cosets; a coset subtracts its offset from the
+heads once, not per chunk.  Weight distributions scan one word per scalar class.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -73,6 +75,11 @@ class LinearCode:
 
     def __repr__(self) -> str:
         return f"[{self.n}, {self.k}] code over {self.field!r}"
+
+    @cached_property
+    def _tables(self):
+        """`_coset_tables` of the basis, built on first use for all its cosets."""
+        return _coset_tables(self.field, self.gen, self.n)
 
     def contains(self, vec) -> bool:
         v = np.asarray(vec, dtype=np.int64)
@@ -162,10 +169,10 @@ def subcode_check(inner: LinearCode, outer: LinearCode) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _combination_table(field: FiniteField, rows: np.ndarray, n: int) -> np.ndarray:
+def _combination_table(field: FiniteField, rows: np.ndarray, n: int, dtype=np.int64) -> np.ndarray:
     """All q^t combinations of the t given rows, in message-rank order: the
     combination with coefficient indexes a_i has rank sum_i a_i q^i, so the
-    last row is the most significant.
+    last row is the most significant.  Field indexes come in dtype.
 
     GF(2^m) adds by XOR.  Other fields add unreduced and reduce once: each
     element stands for its digit vector read in base b = t(p-1) + 1, so the
@@ -187,42 +194,45 @@ def _combination_table(field: FiniteField, rows: np.ndarray, n: int) -> np.ndarr
     table = np.zeros((1, n), dtype=codes.dtype)
     for j in range(t):
         table = add(codes[:, j, None], table[None]).reshape(-1, n)
-    return table.astype(np.int64) if lookup is None else lookup[table]
+    return table.astype(dtype, copy=False) if lookup is None else lookup.astype(dtype)[table]
 
 
 def _coset_tables(field: FiniteField, gen: np.ndarray, n: int):
-    """What `_coset_chunks` needs of span(gen), for any coset of it: the
-    outer rows, the negated head table, the tail table and its transpose as
-    field indexes.  The tail spans the last t rows (q^t <= _BLOCK_WORDS), the
-    head table the s rows before them, and the outer rows step in odometer
-    order."""
-    q = field.q
+    """What `_coset_chunks` needs of span(gen), for any coset of it, as field
+    indexes of the smallest type: the negated head table, about q^k /
+    _BLOCK_WORDS rows, and the transposed tail table.  The tail spans the last
+    t rows (q^t <= _BLOCK_WORDS); the heads span the rows before them, the
+    first row most significant (odometer order)."""
     gen = np.asarray(gen, dtype=np.int64).reshape(-1, n)
     k = len(gen)
-    t = max(i for i in range(k + 1) if q**i <= _BLOCK_WORDS)
-    s = max(i for i in range(k - t + 1) if i == 0 or q ** (i + t) * n <= _CHUNK_CELLS)
-    tail = _combination_table(field, gen[k - t :], n)
-    neg_table = _combination_table(field, field.vneg(gen[k - t - s : k - t][::-1]), n)
-    tail_t = np.ascontiguousarray(tail.T, dtype=np.min_scalar_type(q - 1))
-    return gen[: k - t - s], neg_table, tail, tail_t
+    t = max(i for i in range(k + 1) if field.q**i <= _BLOCK_WORDS)
+    dtype = np.min_scalar_type(field.q - 1)
+    neg_heads = _combination_table(field, field.vneg(gen[: k - t][::-1]), n, dtype)
+    return neg_heads, np.ascontiguousarray(_combination_table(field, gen[k - t :], n, dtype).T)
 
 
 def _coset_chunks(field: FiniteField, gen: np.ndarray, offset: np.ndarray, tables=None):
     """Cover offset + span(gen) once, in chunks of words head + tail.
 
     Yields (neg_heads, tail, weights), weights[i, j] being the Hamming weight
-    of tail[j] - neg_heads[i].  tables are `_coset_tables(field, gen, n)`,
-    built here unless the cosets of one span share them.
+    of tail[j] - neg_heads[i], for the largest power of q of heads that makes
+    at most _CHUNK_CELLS comparisons (or one head).  tables, from
+    `_coset_tables`, are built here unless given; the offset is subtracted
+    from blocks of about _BLOCK_WORDS heads, with no field operation per chunk.
     """
     n = len(offset)
-    outer, neg_table, tail, tail_t = _coset_tables(field, gen, n) if tables is None else tables
-    for message in itertools.product(range(field.q), repeat=len(outer)):
-        scaled = field.vmul(np.array(message, dtype=np.int64)[:, None], outer)
-        base = field.vsum(np.vstack([offset, scaled]), axis=0)
-        neg_heads = field.vsub(neg_table, base).astype(tail_t.dtype)
-        differ = tail_t[None] != neg_heads[:, :, None]
-        # the weight type leaves room for the skip value n + 1 of the zero word
-        yield neg_heads, tail, differ.view(np.uint8).sum(axis=1, dtype=np.min_scalar_type(n + 1))
+    heads, tail_t = _coset_tables(field, gen, n) if tables is None else tables
+    step = 1
+    while step * field.q * n * tail_t.shape[1] <= _CHUNK_CELLS:
+        step *= field.q
+    block = step * max(1, _BLOCK_WORDS // step)
+    for start in range(0, len(heads), block):
+        neg_block = field.vsub(heads[start : start + block], offset).astype(tail_t.dtype)
+        for i in range(0, len(neg_block), step):
+            neg_heads = neg_block[i : i + step]
+            differ = tail_t[None] != neg_heads[:, :, None]
+            # the weight type leaves room for the skip value n + 1 of the zero word
+            yield neg_heads, tail_t.T, differ.view(np.uint8).sum(axis=1, dtype=np.min_scalar_type(n + 1))
 
 
 def coset_min_weight(field: FiniteField, gen: np.ndarray, offset: np.ndarray, tables=None) -> tuple[int, np.ndarray]:
@@ -239,20 +249,30 @@ def coset_min_weight(field: FiniteField, gen: np.ndarray, offset: np.ndarray, ta
         i = int(flat.argmin())
         if flat[i] < best:
             head, j = divmod(i, len(tail))
-            best, witness = int(flat[i]), field.vsub(tail[j], neg_heads[head])
+            best, witness = int(flat[i]), field.vsub(tail[j].astype(np.int64), neg_heads[head])
     if best > n:
         raise ValueError("coset contains only the zero word")
     return best, witness
 
 
 def weight_distribution(code: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
-    """Counts A_w of codewords by weight, w = 0..n."""
-    size = code.field.q**code.k
-    if size > cap:
-        raise EnumerationCapError(f"q^k = {size} exceeds the cap {cap}")
-    counts = np.zeros(code.n + 1, dtype=np.int64)
-    for _, _, weights in _coset_chunks(code.field, code.gen, np.zeros(code.n, dtype=np.int64)):
-        counts += np.bincount(weights.ravel(), minlength=code.n + 1)
+    """Counts A_w of codewords by weight, w = 0..n.
+
+    Of the q - 1 nonzero multiples of a word with a nonzero tail, all of its
+    weight, one has most significant tail coefficient 1, a tail rank in
+    [q^j, 2 q^j): only those tails and the zero tail are scanned, and all but
+    the zero tail count q - 1 times."""
+    field, n, q = code.field, code.n, code.field.q
+    if q**code.k > cap:
+        raise EnumerationCapError(f"q^k = {q**code.k} exceeds the cap {cap}")
+    heads, tail_t = code._tables
+    if q > 2:  # rank 0 and the ranks [q^j, 2 q^j), j < t
+        leads = q ** np.arange(round(math.log(tail_t.shape[1], q)))
+        tail_t = tail_t.take(np.concatenate([[0], *(np.arange(r, 2 * r) for r in leads)]), axis=1)
+    counts = np.zeros(n + 1, dtype=np.int64)
+    for _, _, weights in _coset_chunks(field, code.gen, np.zeros(n, dtype=np.int64), (heads, tail_t)):
+        counts += (q - 1) * np.bincount(weights.ravel(), minlength=n + 1)
+        counts -= (q - 2) * np.bincount(weights[:, 0], minlength=n + 1)
     return counts
 
 
@@ -269,11 +289,10 @@ def difference_min_weight(
     the cap before any is scanned.  Since wt(a w) = wt(w), the cosets of v
     and a v share their minimum, so only the (q^Delta - 1)/(q - 1) offsets
     whose most significant nonzero coefficient is 1 are scanned: ext[j] +
-    span(ext[:j]), j = 0..Delta-1, in rank order, all with the one set of
-    coset tables of small.  The cap still counts all q^k_big - q^k_small
-    words.  Each scanned offset ranks first in its scalar class, so the first
-    minimal offset, and with it the witness, is the one a scan of all
-    q^Delta - 1 offsets finds.
+    span(ext[:j]), j = 0..Delta-1, in rank order, all with small's tables.
+    The cap still counts all q^k_big - q^k_small words.  Each scanned offset
+    ranks first in its scalar class, so the first minimal offset, and with it
+    the witness, is the one a scan of all q^Delta - 1 offsets finds.
     """
     field = big.field
     size = field.q**big.k - field.q**small.k
@@ -288,8 +307,7 @@ def difference_min_weight(
     small_pivots = set(small.pivots)
     ext = big.gen[[i for i, c in enumerate(big.pivots) if c not in small_pivots]]
     offsets = (v for j in range(len(ext)) for v in field.vadd(ext[j], _combination_table(field, ext[:j], big.n)))
-    tables = _coset_tables(field, small.gen, big.n)
-    return min((coset_min_weight(field, small.gen, offset, tables) for offset in offsets), key=lambda r: r[0])
+    return min((coset_min_weight(field, small.gen, offset, small._tables) for offset in offsets), key=lambda r: r[0])
 
 
 def odd_like_min_weight(duadic_codes, which: str = "e", cap: int = DEFAULT_ENUM_CAP) -> tuple[int, np.ndarray]:

@@ -68,6 +68,8 @@ class DuadicPair:
         mu: Antiautomorphism,
         witnesses: tuple[AlgebraElement, ...] = (),
     ):
+        if group.order == 1:
+            raise NoSplittingError("the trivial group carries no duadic pairs")
         if group.order % 2 == 0:
             raise ValueError(f"group order {group.order} must be odd")
         if math.gcd(group.order, field.q) != 1:

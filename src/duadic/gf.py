@@ -239,8 +239,8 @@ class FiniteField:
         return self._pack_digits((-d[a]) % self.p)
 
     def vsub(self, a: np.ndarray, b) -> np.ndarray:
-        if self.m == 1:
-            return (a - b) % self.p
+        if self.m == 1:  # in int64, so unsigned indexes do not wrap
+            return np.subtract(a, b, dtype=np.int64) % self.p
         if self.p == 2:
             return a ^ b
         d = self._digit_table

@@ -31,9 +31,9 @@ from duadic.codes import (
 )
 from duadic.duadic import classify_duality, construct_pairs, duadic_codes, product_duadic
 from duadic.errors import EnumerationCapError, VerificationError
-from duadic.gf import field_from_order
+from duadic.gf import FiniteField, field_from_order
 from duadic.groups import Antiautomorphism, builtin_mu_minus1, builtin_mu_swap, cyclic_group, group_abelian
-from duadic.quantum import css_build, css_distance
+from duadic.quantum import analyze_pair, css_build, css_distance
 
 from conftest import enumerable_cells
 from oracles import (
@@ -358,7 +358,10 @@ class TestDifferenceMinWeight:
         real = codes_module._combination_table
         monkeypatch.setattr(codes_module, "_combination_table", lambda *a: tables.append(a) or real(*a))
         w, witness = difference_min_weight(small, big)
-        assert len(tables) == 2 + 3  # small's tail and head tables, and the offsets for j = 0, 1, 2
+        # small's two coset tables, its tail and its one head table over all
+        # the rows before the tail (here none: small's 4^7 words fill the
+        # tail), then the offsets for j = 0, 1, 2
+        assert len(tables) == 2 + 3
         assert w == per_coset[0]
         assert witness.tolist() == per_coset[1].tolist()
 
@@ -505,6 +508,43 @@ class TestKernelAgainstOracle:
         offset = np.array([rng.randrange(q) for _ in range(n)], dtype=np.int64)
         _assert_coset_min_weight(field, code.gen[1:], offset, LinearCode(field, code.gen[1:]))
 
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+    def test_distribution_over_one_word_per_scalar_class(self, q, monkeypatch):
+        # over q > 2 only rank 0 and the tail ranks [q^j, 2 q^j) are scanned
+        field = field_from_order(q)
+        rng = np.random.default_rng(q)
+        n = 7
+
+        def code_of_dimension(k):
+            return LinearCode(field, np.hstack([np.eye(k, dtype=np.int64), rng.integers(0, q, (k, n - k))]))
+
+        tail_only = code_of_dimension(3)
+        assert len(tail_only._tables[0]) == 1
+        assert weight_distribution(tail_only).tolist() == reference_weight_distribution(tail_only).tolist()
+        # the sizes count when a code builds its tables, on its first
+        # enumeration: a 2-row tail, q^3 heads in blocks of q^2, chunks of q
+        monkeypatch.setattr(codes_module, "_BLOCK_WORDS", q * q)
+        monkeypatch.setattr(codes_module, "_CHUNK_CELLS", q**3 * n)
+        code = code_of_dimension(5)
+        assert weight_distribution(code).tolist() == reference_weight_distribution(code).tolist()
+        heads, tail_t = code._tables
+        assert heads.shape == (q**3, n) and tail_t.shape == (n, q * q)
+
+    def test_no_field_operation_per_chunk(self, monkeypatch):
+        # 3^4 heads in blocks of 9 and chunks of 3: one vsub per block
+        q, n = 3, 8
+        monkeypatch.setattr(codes_module, "_BLOCK_WORDS", q * q)
+        monkeypatch.setattr(codes_module, "_CHUNK_CELLS", q**3 * n)
+        field = field_from_order(q)
+        code = LinearCode(field, np.hstack([np.eye(6, dtype=np.int64), np.ones((6, 2), dtype=np.int64)]))
+        tables = code._tables
+        calls = []
+        for name in ("vadd", "vsub", "vneg", "vmul", "vsum"):
+            counted = lambda self, *a, real=getattr(FiniteField, name), name=name: calls.append(name) or real(self, *a)
+            monkeypatch.setattr(FiniteField, name, counted)
+        chunks = list(_coset_chunks(field, code.gen, np.ones(n, dtype=np.int64), tables))
+        assert len(chunks) == q**3 and calls == ["vsub"] * q**2
+
     @pytest.mark.parametrize("q,k,n", [(2, 7, 9), (3, 5, 6), (4, 5, 5)])
     def test_words_come_in_the_oracle_order(self, q, k, n, monkeypatch):
         # 2-row tail and head tables, k - 4 outer rows; the same order as the
@@ -530,6 +570,23 @@ class TestKernelAgainstOracle:
             table = _combination_table(field, rows, 6)
             assert table.dtype == np.int64
             assert np.array_equal(table, reference_combination_table(field, rows, 6))
+
+
+@pytest.mark.parametrize("group,mu_name,case", [("7", "mu-1", "i"), ("3x3", "swap", "ii")])
+def test_a_pair_builds_two_sets_of_coset_tables(group, mu_name, case, monkeypatch):
+    # C_e's and C_f's: the odd-like words, the CSS differences and both
+    # degeneracy sides all enumerate cosets of one of them (D_e-perp is C_e
+    # in case i and C_f in case ii); rebuilt per call, they were 5 and 6
+    field = field_from_order(2)
+    g = cyclic_group(7) if group == "7" else group_abelian([3, 3])
+    mu = builtin_mu_minus1(g) if mu_name == "mu-1" else builtin_mu_swap(g, 2)
+    built = []
+    real = codes_module._coset_tables
+    monkeypatch.setattr(codes_module, "_coset_tables", lambda *a: built.append(a) or real(*a))
+    analysis = analyze_pair(construct_pairs(mu, field, g)[0])
+    assert analysis.duality.case == case and analysis.css.distance.exact
+    assert all(side.exact for side in analysis.degeneracy.sides)
+    assert len(built) == 2
 
 
 # ---------------------------------------------------------------------------

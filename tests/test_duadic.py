@@ -265,6 +265,14 @@ class TestConstructPairs:
             with pytest.raises(NoSplittingError, match="^the trivial group carries no duadic pairs$"):
                 construct_pairs(builtin_mu_minus1(g), f2, g, mode=mode)
 
+    def test_trivial_group_pair_refused(self, f2):
+        # e = f = 0 and Ghat = 1 meet all four axioms, but the group has no
+        # nontrivial idempotent to split, as construct_pairs says
+        g = cyclic_group(1)
+        zero = AlgebraElement.zero(f2, g)
+        with pytest.raises(NoSplittingError, match="^the trivial group carries no duadic pairs$"):
+            DuadicPair(f2, g, zero, zero, builtin_mu_minus1(g))
+
     def test_no_splitting_raises(self, f2):
         g = cyclic_group(9)
         with pytest.raises(NoSplittingError, match="no splitting"):
