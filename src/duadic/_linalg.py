@@ -41,8 +41,7 @@ def rref(field: FiniteField, mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
     is stored in np.min_scalar_type(q - 1) over every field: each step takes
     every row's multiple of the pivot row from `_multiples` and subtracts
     it, one XOR in characteristic 2, one read of the q x q difference table
-    while q <= _BYTE_FIELD, else one `vsub` on int64 (a prime field's
-    (a - b) % p would wrap in uint16)."""
+    while q <= _BYTE_FIELD, else one `vsub`."""
     m = as_matrix(mat).astype(np.min_scalar_type(field.q - 1))
     rows, cols = m.shape
     pivots: list[int] = []
@@ -72,7 +71,7 @@ def rref(field: FiniteField, mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
             at += steps
             blk[...] = field._byte_tables[1].take(at)
         else:
-            blk[...] = field.vsub(blk.astype(np.int64), steps)
+            blk[...] = field.vsub(blk, steps)
         pivots.append(c)
     return m[: len(pivots)].astype(np.int64), pivots
 
@@ -83,7 +82,7 @@ def _multiples(field: FiniteField, factors: np.ndarray, row: np.ndarray) -> np.n
     (at most _BYTE_FIELD x len(row) bytes), read at each factor; above it,
     from `vmul`."""
     if field.q > _BYTE_FIELD:
-        return field.vmul(factors[:, None].astype(np.int64), row).astype(row.dtype)
+        return field.vmul(factors[:, None], row).astype(row.dtype)
     return field._byte_tables[0].take(row, axis=1).take(factors, axis=0)
 
 
@@ -137,7 +136,7 @@ def matmul(field: FiniteField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     parts = (prod.reshape(-1, m) @ powers).astype(np.int64).reshape(m, r, c)
     out = parts[0]
     for i in range(1, m):
-        out = field.vadd(out, field.vmul(parts[i], np.int64(p**i)))
+        out = field.vadd(out, field.vmul(parts[i], p**i))
     return out
 
 

@@ -103,7 +103,7 @@ class AlgebraElement:
         return AlgebraElement(self.field, self.group, self.field.vneg(self.vec))
 
     def scale(self, s: int) -> "AlgebraElement":
-        return AlgebraElement(self.field, self.group, self.field.vmul(np.int64(s), self.vec))
+        return AlgebraElement(self.field, self.group, self.field.vmul(s, self.vec))
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         return alg_mul(self, other)

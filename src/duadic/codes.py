@@ -169,20 +169,20 @@ def subcode_check(inner: LinearCode, outer: LinearCode) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _combination_table(field: FiniteField, rows: np.ndarray, n: int, dtype=np.int64) -> np.ndarray:
+def _combination_table(field: FiniteField, rows: np.ndarray, n: int) -> np.ndarray:
     """All q^t combinations of the t given rows, in message-rank order: the
     combination with coefficient indexes a_i has rank sum_i a_i q^i, so the
-    last row is the most significant.  Field indexes come in dtype.
+    last row is the most significant.  Field indexes come in the smallest type.
 
     GF(2^m) adds by XOR.  Other fields add unreduced and reduce once: each
     element stands for its digit vector read in base b = t(p-1) + 1, so the
     sums of t codes carry no digit across, and one lookup maps each sum to
     its reduced index (a prime field's code is the index itself).
     """
-    p, m, t = field.p, field.m, len(rows)
+    p, m, t, dtype = field.p, field.m, len(rows), np.min_scalar_type(field.q - 1)
     multiples = field.vmul(np.arange(field.q, dtype=np.int64)[:, None, None], np.reshape(rows, (1, t, n)))
     if p == 2:
-        codes = multiples.astype(np.min_scalar_type(field.q - 1))
+        codes = multiples.astype(dtype)
         add, lookup = np.bitwise_xor, None
     else:
         b = t * (p - 1) + 1
@@ -194,7 +194,7 @@ def _combination_table(field: FiniteField, rows: np.ndarray, n: int, dtype=np.in
     table = np.zeros((1, n), dtype=codes.dtype)
     for j in range(t):
         table = add(codes[:, j, None], table[None]).reshape(-1, n)
-    return table.astype(dtype, copy=False) if lookup is None else lookup.astype(dtype)[table]
+    return table if lookup is None else lookup.astype(dtype)[table]
 
 
 def _coset_tables(field: FiniteField, gen: np.ndarray, n: int):
@@ -206,9 +206,8 @@ def _coset_tables(field: FiniteField, gen: np.ndarray, n: int):
     gen = np.asarray(gen, dtype=np.int64).reshape(-1, n)
     k = len(gen)
     t = max(i for i in range(k + 1) if field.q**i <= _BLOCK_WORDS)
-    dtype = np.min_scalar_type(field.q - 1)
-    neg_heads = _combination_table(field, field.vneg(gen[: k - t][::-1]), n, dtype)
-    return neg_heads, np.ascontiguousarray(_combination_table(field, gen[k - t :], n, dtype).T)
+    neg_heads = _combination_table(field, field.vneg(gen[: k - t][::-1]), n)
+    return neg_heads, np.ascontiguousarray(_combination_table(field, gen[k - t :], n).T)
 
 
 def _coset_chunks(field: FiniteField, gen: np.ndarray, offset: np.ndarray, tables=None):
@@ -249,7 +248,7 @@ def coset_min_weight(field: FiniteField, gen: np.ndarray, offset: np.ndarray, ta
         i = int(flat.argmin())
         if flat[i] < best:
             head, j = divmod(i, len(tail))
-            best, witness = int(flat[i]), field.vsub(tail[j].astype(np.int64), neg_heads[head])
+            best, witness = int(flat[i]), field.vsub(tail[j], neg_heads[head])
     if best > n:
         raise ValueError("coset contains only the zero word")
     return best, witness

@@ -295,18 +295,17 @@ def construct_pairs(
     in_e = (phases[:, cycle_of] == parity) & (cycle_of >= 0)
     in_f = ~in_e & (cycle_of >= 0)
     vecs = np.array([h.vec for h in members])
-    sel = in_e.astype(np.int64)
-    es = _linalg.matmul(field, sel, vecs)
-    fs = _linalg.matmul(field, in_f.astype(np.int64), vecs)
+    es = _linalg.matmul(field, in_e, vecs)
+    fs = _linalg.matmul(field, in_f, vecs)
     if mode == "enumerate-all":
         rows = np.arange(count)
         first = (es != fs).argmax(axis=1)  # the first coefficient where e and f differ
         swap = (es[rows, first] > fs[rows, first])[:, None]
         es, fs = np.where(swap, fs, es), np.where(swap, es, fs)
         order = np.lexsort(es.T[::-1])
-        es, fs, sel = es[order], fs[order], np.where(swap, in_f, in_e)[order].astype(np.int64)
+        es, fs, in_e = es[order], fs[order], np.where(swap, in_f, in_e)[order]
     ghat = hat_group(field, group)
-    selection = (sel, vecs) if _PARTS_ROWS * len(sel) >= len(vecs) ** 2 else None
+    selection = (in_e, vecs) if _PARTS_ROWS * len(in_e) >= len(vecs) ** 2 else None
     fixed, swapped = _pair_axioms(field, group, mu, ghat, es, fs, selection)
     return _PairStacks(field, group, mu, ghat, es, fs, fixed, swapped)
 

@@ -3,9 +3,8 @@
 Field elements are encoded as integer indexes: the element with coefficient
 vector (c_0, ..., c_{m-1}) over the prime field (little-endian in the root of
 the modulus) has index sum(c_i * p^i).  Index 0 is zero and index 1 is one.
-All scalar operations work on indexes; vectorized operations accept numpy
-integer arrays of indexes.  Multiplication in extension fields goes through
-discrete log/antilog tables, built lazily once per field.
+All operations work on indexes.  Multiplication in extension fields goes
+through discrete log/antilog tables, built lazily once per field.
 
 A polynomial is a plain little-endian sequence of coefficient indexes, with no
 arithmetic of its own: `roots` evaluates one at every element of a field,
@@ -50,6 +49,10 @@ class FiniteField:
     Use :func:`field_make` to construct one; the constructor itself trusts its
     arguments apart from basic checks.  Two fields with equal (p, m, modulus)
     compare equal and their elements interoperate.
+
+    The vector kernels take indexes as numpy arrays, 0-d arrays or numpy
+    scalars of any integer type and return int64 indexes (`vsum` over every
+    axis: a Python int); on Python ints they use Python arithmetic.
     """
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...] | None):
@@ -222,33 +225,38 @@ class FiniteField:
         powers = self.p ** np.arange(self.m, dtype=np.int64)
         return digits @ powers
 
+    @staticmethod
+    def _wide(a):
+        """Numpy indexes of any type but int64 as int64; Python ints as they are."""
+        return a if isinstance(a, int) or a.dtype == np.int64 else a.astype(np.int64)
+
     def vadd(self, a: np.ndarray, b) -> np.ndarray:
         if self.m == 1:
-            return (a + b) % self.p
+            return (self._wide(a) + self._wide(b)) % self.p
         if self.p == 2:
-            return a ^ b
+            return self._wide(a) ^ self._wide(b)
         d = self._digit_table
         return self._pack_digits((d[a] + d[b]) % self.p)
 
     def vneg(self, a: np.ndarray) -> np.ndarray:
         if self.m == 1:
-            return (-a) % self.p
+            return (-self._wide(a)) % self.p
         if self.p == 2:
-            return a.copy() if isinstance(a, np.ndarray) else a
+            return np.array(a, dtype=np.int64) if isinstance(a, np.ndarray) else self._wide(a)
         d = self._digit_table
         return self._pack_digits((-d[a]) % self.p)
 
     def vsub(self, a: np.ndarray, b) -> np.ndarray:
-        if self.m == 1:  # in int64, so unsigned indexes do not wrap
-            return np.subtract(a, b, dtype=np.int64) % self.p
+        if self.m == 1:
+            return (self._wide(a) - self._wide(b)) % self.p
         if self.p == 2:
-            return a ^ b
+            return self._wide(a) ^ self._wide(b)
         d = self._digit_table
         return self._pack_digits((d[a] - d[b]) % self.p)
 
     def vmul(self, a: np.ndarray, b) -> np.ndarray:
         if self.m == 1:
-            return (a * b) % self.p
+            return (self._wide(a) * self._wide(b)) % self.p
         log, exp = self._log_exp
         return exp[log[a] + log[b]]
 
@@ -265,7 +273,7 @@ class FiniteField:
         """Vectorized a^(p^t) via a cached permutation of indexes, exp[p^t log a]."""
         t = t % self.m
         if t == 0:
-            return np.asarray(a)
+            return np.asarray(a, dtype=np.int64)
         if t not in self._frob_maps:
             log, exp = self._log_exp
             frob = exp[log * self.p**t % (self.q - 1)]
@@ -278,7 +286,7 @@ class FiniteField:
 
         Axis indexes the input array; it must be non-negative.
         """
-        arr = np.asarray(a)
+        arr = np.asarray(a, dtype=np.int64)
         if self.m == 1:
             out = np.sum(arr, axis=axis) % self.p
         elif self.p == 2:  # addition in GF(2^m) is XOR
@@ -317,7 +325,7 @@ def roots(field: FiniteField, coeffs) -> list[int]:
     xs = np.arange(field.q, dtype=np.int64)
     acc = np.zeros(field.q, dtype=np.int64)
     for c in reversed(coeffs):
-        acc = field.vadd(field.vmul(acc, xs), np.int64(c))
+        acc = field.vadd(field.vmul(acc, xs), c)
     return np.flatnonzero(acc == 0).tolist()
 
 
@@ -329,7 +337,7 @@ def lagrange_rows(field: FiniteField, coeffs, values) -> np.ndarray:
     b = at = np.ones(len(values), dtype=np.int64)
     quotients = [b]
     for c in coeffs[-2:0:-1]:
-        b = field.vadd(np.int64(c), field.vmul(values, b))
+        b = field.vadd(c, field.vmul(values, b))
         at = field.vadd(field.vmul(at, values), b)
         quotients.append(b)
     return field.vmul(np.array(quotients[::-1]).T, field.vinv(at)[:, None])
@@ -346,19 +354,14 @@ def _is_irreducible(p: int, coeffs: tuple[int, ...]) -> bool:
 
 @lru_cache(maxsize=None)
 def _smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
-    """Lexicographically smallest monic irreducible of degree m over GF(p).
+    """Lexicographically smallest monic irreducible of degree m >= 2 over GF(p).
 
     Coefficient vectors (c_0, ..., c_{m-1}) are compared low-degree-first.
     The constant term of an irreducible of degree >= 2 is nonzero, so the
-    scan starts at c_0 = 1.
+    scan starts at c_0 = 1; every degree has an irreducible, so it ends.
     """
-    count = p**m
-    start = p ** (m - 1) if m >= 2 else 0
-    for v in range(start, count):
-        coeffs = tuple(v // p ** (m - 1 - i) % p for i in range(m)) + (1,)
-        if _is_irreducible(p, coeffs):
-            return coeffs
-    raise RuntimeError(f"no irreducible of degree {m} over GF({p})")  # pragma: no cover
+    candidates = (tuple(v // p ** (m - 1 - i) % p for i in range(m)) + (1,) for v in range(p ** (m - 1), p**m))
+    return next(c for c in candidates if _is_irreducible(p, c))
 
 
 @lru_cache(maxsize=None)

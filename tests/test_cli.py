@@ -11,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import duadic
@@ -28,10 +29,10 @@ from duadic.cli import (
     parse_mu_spec,
 )
 from duadic.errors import VerificationError
-from duadic.groups import builtin_mu_minus1, group_abelian, cyclic_group
+from duadic.groups import builtin_mu_minus1, group_abelian, group_from_cayley, cyclic_group
 from duadic.quantum import DistanceRecord
 
-from conftest import frobenius21_table
+from conftest import frobenius21_table, metacyclic_table
 from oracles import format_cayley
 
 
@@ -504,8 +505,6 @@ class TestConstruct:
         assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()} == digests
 
     def test_cayley_group_construct(self, tmp_path, capsys):
-        from duadic.groups import group_from_cayley
-
         path = tmp_path / "f21.cayley"
         group = group_from_cayley(frobenius21_table())
         path.write_text(format_cayley(group), encoding="utf-8")
@@ -667,6 +666,58 @@ class TestConstruct:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"duadic: verification failure: {message}\n"
         assert (guard == "sum-retry") == (len(calls) > 1)  # the units were retried one by one
+
+
+class TestRelabeledGroups:
+    """Renaming the non-identity ids of Z_p : Z_3 (r of order 3 mod p)
+    changes neither the exit code nor any field of the report but the group
+    name, the pairs' coefficients and the timing."""
+
+    @staticmethod
+    def construct(capsys, path, table, q, mu="mu-1"):
+        path.write_text(format_cayley(group_from_cayley(table)), encoding="utf-8")
+        code = main(["construct", "--group", f"@{path}", "--q", str(q), "--mu", mu, "--json"])
+        captured = capsys.readouterr()
+        if code != EXIT_OK:
+            assert captured.out == ""
+            return code, captured.err.replace(str(path), "G")
+        (row,) = json.loads(captured.out)
+        return code, {key: value for key, value in row.items() if key not in ("group", "mu", "pairs", "timing_ms")}
+
+    @staticmethod
+    def relabel(table, seed):
+        """The table under a seeded permutation s of the ids with s(0) = 0,
+        with s(x) s(y) = s(xy), and s."""
+        s = np.concatenate([[0], 1 + np.random.default_rng(seed).permutation(len(table) - 1)])
+        out = np.empty_like(table)
+        out[np.ix_(s, s)] = s[table]
+        return out, s
+
+    @pytest.mark.parametrize(
+        "p,r,q,code",
+        [(7, 2, q, EXIT_OK) for q in (4, 16)]
+        + [(19, 7, 4, EXIT_OK), (19, 7, 7, EXIT_OK), (37, 10, 7, EXIT_OK), (43, 6, 4, EXIT_OK)]
+        + [(7, 2, q, EXIT_NO_SPLITTING) for q in (2, 8)]
+        + [(31, 5, q, EXIT_NO_SPLITTING) for q in (2, 5)]
+        + [(13, 3, 4, EXIT_NO_SPLITTING), (37, 10, 4, EXIT_NO_SPLITTING)],
+    )
+    def test_relabeled_group_gives_the_same_report(self, tmp_path, capsys, p, r, q, code):
+        table = metacyclic_table(p, r)
+        expected = self.construct(capsys, tmp_path / "g.cayley", table, q)
+        assert expected[0] == code
+        for seed in (1, 2):
+            relabeled, _ = self.relabel(table, [p, q, seed])
+            assert self.construct(capsys, tmp_path / "g.cayley", relabeled, q) == expected, seed
+
+    def test_relabeled_inversion_from_a_perm_file(self, tmp_path, capsys):
+        table = metacyclic_table(7, 2)
+        expected = self.construct(capsys, tmp_path / "g.cayley", table, 4)
+        relabeled, s = self.relabel(table, 3)
+        inverse = np.empty_like(s)
+        inverse[s] = s[np.argmin(table, axis=1)]  # s(x)^-1 = s(x^-1); x x^-1 is the id 0
+        perm = tmp_path / "inv.perm"
+        perm.write_text(f"{len(s)}\n{' '.join(map(str, inverse))}\n", encoding="utf-8")
+        assert self.construct(capsys, tmp_path / "g.cayley", relabeled, 4, f"@{perm}") == expected
 
 
 @pytest.mark.parametrize(

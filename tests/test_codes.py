@@ -568,7 +568,7 @@ class TestKernelAgainstOracle:
             rows = rng.integers(0, q, (t, 6))
             rows[:, 0] = q - 1  # the largest digits, so the unreduced sums peak
             table = _combination_table(field, rows, 6)
-            assert table.dtype == np.int64
+            assert table.dtype == np.min_scalar_type(q - 1)
             assert np.array_equal(table, reference_combination_table(field, rows, 6))
 
 

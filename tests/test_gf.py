@@ -199,6 +199,48 @@ def test_vector_ops_match_oracles(p, m):
     assert f.vsum(a) == functools.reduce(functools.partial(_digitwise, f), a.tolist(), 0)
 
 
+def test_prime_field_kernels_do_not_wrap_unsigned_indexes():
+    # computed in the operands' type, these gave [0, 2], 44 and 88
+    gf3, gf251 = field_make(3, 1), field_make(251, 1)
+    assert gf3.vneg(np.array([1, 2], np.uint8)).tolist() == [2, 1]
+    assert gf251.vadd(np.uint8(200), np.uint8(100)) == 49
+    assert gf251.vmul(np.uint8(200), np.uint8(3)) == 98
+
+
+INDEX_TYPES = [np.uint8, np.uint16, np.uint32, np.int16, np.int32, np.int64]
+KERNELS = {
+    "vadd": lambda f, a, b: f.vadd(a, b),
+    "vsub": lambda f, a, b: f.vsub(a, b),
+    "vneg": lambda f, a, b: f.vneg(a),
+    "vmul": lambda f, a, b: f.vmul(a, b),
+    "vinv": lambda f, a, b: f.vinv(b),
+    "vfrobenius": lambda f, a, b: f.vfrobenius(a),
+    "vsum": lambda f, a, b: f.vsum(np.stack([a, b]), axis=0),
+}
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (251, 1), (257, 1), (65521, 1)] + TABLE_FIELDS)
+def test_vector_kernels_take_any_integer_type(p, m):
+    # arrays, 0-d arrays and numpy scalars of every integer type that holds
+    # the indexes give the int64 result of the int64 call
+    f = field_make(p, m)
+    a, b = np.random.default_rng(f.q).integers(0, f.q, (2, 16))
+    a[:2], b[:2] = f.q - 1, [f.q - 1, 1]  # the largest index, where narrow types wrap
+    b[b == 0] = 1  # vinv inverts b
+    for name, kernel in KERNELS.items():
+        expected = kernel(f, a, b)
+        for dtype in (t for t in INDEX_TYPES if np.iinfo(t).max >= f.q - 1):
+            x, y = a.astype(dtype), b.astype(dtype)
+            calls = [(kernel(f, x, y), expected)] + [
+                (kernel(f, wrap(x[i]), wrap(y[i])), expected[i])
+                for wrap in (np.asarray, dtype)
+                for i in range(3)
+            ]
+            for out, want in calls:
+                assert isinstance(out, (np.ndarray, np.generic)) and out.dtype == np.int64, (name, dtype, out)
+                assert np.array_equal(out, want), (name, dtype)
+
+
 @pytest.mark.parametrize("p,m", TABLE_FIELDS)
 def test_log_tables_match_scalar_construction(p, m):
     field = field_make(p, m)
