@@ -5,8 +5,6 @@ center.  Elements store a length-n vector of field-element indexes.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import _linalg
@@ -234,7 +232,7 @@ class IdempotentSet:
         return hash((self.field, self.group, self.members))
 
 
-def split_primitive_central_idempotents(field: FiniteField, group: Group) -> IdempotentSet:
+def split_primitive_central_idempotents(field: FiniteField, group: Group, partition=None) -> IdempotentSet:
     """All centrally primitive idempotents of F_q[G], split in F_q-class coordinates.
 
     With gcd(|G|, q) = 1, the q-th power of a class sum is the class sum of
@@ -245,12 +243,13 @@ def split_primitive_central_idempotents(field: FiniteField, group: Group) -> Ide
     multiplication by K_j is an r x r matrix M_j (`_class_sum_action`).  The
     stack of component units is split by each K_j in one step
     (`_split_units`).  Each idempotent is expanded to length n once, through
-    ``partition.class_of``.
+    ``partition.class_of``.  partition, when given, is ``fq_classes(group,
+    field.q)`` computed already.
     """
-    n, q = group.order, field.q
-    if math.gcd(n, q) != 1:
-        raise ValueError(f"gcd(|G|={n}, q={q}) != 1")
-    partition = fq_classes(group, q)
+    if partition is None:
+        partition = fq_classes(group, field.q)
+    elif (partition.group, partition.q) != (group, field.q):
+        raise ValueError("partition belongs to another group or field")
     r = len(partition)
     units = np.eye(1, r, dtype=np.int64)
     for j in range(1, r):

@@ -2,10 +2,12 @@
 codes, duality classification, odd-like weight bounds, and product pairs.
 
 A duadic pair is a pair of even-like central idempotents (e, f) with
-e + f = 1 - Ghat that an isometric antiautomorphism mu swaps.  Each fact is
-checked once, where it is established: `DuadicPair` checks the four axioms
-that imply the rest, and `duadic_codes` the four dimensions and that each
-code derived from C_e, the pair's one elimination, lies in its ideal.
+e + f = 1 - Ghat that an isometric antiautomorphism mu swaps.  The class
+criterion alone decides whether mu splits (`check_splitting`).  Each fact
+is checked once, where it is established: `construct_pairs` that mu fixes
+as many idempotents as classes, `DuadicPair` the four axioms that imply
+the rest, and `duadic_codes` the four dimensions and that each code
+derived from C_e, the pair's one elimination, lies in its ideal.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import numpy as np
 from . import _linalg
 from .algebra import (
     AlgebraElement,
-    IdempotentSet,
     _antiauto_rows,
     _convolve,
     apply_antiauto,
@@ -31,8 +32,10 @@ from .errors import NoSplittingError, VerificationError
 from .gf import FiniteField, multiplicative_order_mod
 from .groups import (
     Antiautomorphism,
+    FqClassPartition,
     Group,
     builtin_mu_minus1,
+    fq_classes,
     group_product,
     mu_action_on_class,
     product_antiauto,
@@ -157,62 +160,45 @@ def _idempotent_rows(
 
 @dataclass(frozen=True)
 class SplittingCheck:
-    """Joint idempotent-level and class-level splitting test results; the
-    F_q-classes are ``idempotents.partition``."""
+    """The class criterion, which decides whether mu splits, and the F_q-classes
+    it read; no idempotent is built for it (the counts: `construct_pairs`,
+    `verify_key_proposition`)."""
 
     ok: bool
     fixed_class_ids: tuple[int, ...]
-    fixed_idempotent_ids: tuple[int, ...]
-    idempotents: IdempotentSet
-    mu_permutation: tuple[int, ...]  # mu(idempotents[i]) = idempotents[mu_permutation[i]]
+    partition: FqClassPartition
 
 
 def splitting_exists_mu_minus1(n: int, q: int) -> bool:
-    """The order-of-q criterion for an inversion splitting on any group of odd order n."""
+    """The order-of-q criterion for an inversion splitting on any group of
+    odd order n; the trivial group (n = 1) has none."""
     if n % 2 == 0:
         raise ValueError(f"group order must be odd, got {n}")
     if math.gcd(n, q) != 1:
         raise ValueError(f"gcd({n}, {q}) != 1")
-    return multiplicative_order_mod(q, n) % 2 == 1
-
-
-def _fixed_ids(
-    mu: Antiautomorphism, field: FiniteField, group: Group
-) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], IdempotentSet]:
-    """Ids of the F_q-classes and of the centrally primitive idempotents that
-    mu fixes (trivial ones included), the permutation mu induces on the
-    idempotents, and the idempotents."""
-    if mu.group != group:
-        raise ValueError("antiautomorphism lives on a different group")
-    idempotents = split_primitive_central_idempotents(field, group)
-    partition = idempotents.partition
-    cids = np.arange(len(partition))
-    fixed_classes = tuple(np.flatnonzero(mu_action_on_class(mu, partition, cids) == cids).tolist())
-    vecs = np.array([h.vec for h in idempotents])
-    index = {v.tobytes(): i for i, v in enumerate(vecs)}
-    images = tuple(index.get(v.tobytes(), -1) for v in _antiauto_rows(mu, field, vecs))
-    if -1 in images:
-        raise VerificationError("antiautomorphism does not permute the idempotent set")
-    fixed_idems = tuple(i for i, j in enumerate(images) if i == j)
-    return fixed_classes, fixed_idems, images, idempotents
+    return n > 1 and multiplicative_order_mod(q, n) % 2 == 1
 
 
 def check_splitting(mu: Antiautomorphism, field: FiniteField, group: Group) -> SplittingCheck:
-    """Decide whether mu gives a splitting, by both available criteria.
+    """Whether mu fixes no F_q-class but the identity's, class 0, of at least
+    two: by the key proposition, no nontrivial idempotent.  Necessary for a
+    duadic pair, and sufficient when mu is an involution on the idempotents
+    (`construct_pairs`)."""
+    if mu.group != group:
+        raise ValueError("antiautomorphism lives on a different group")
+    partition = fq_classes(group, field.q)
+    cids = np.arange(len(partition))
+    fixed = tuple(np.flatnonzero(mu_action_on_class(mu, partition, cids) == cids).tolist())
+    return SplittingCheck(fixed == (0,) and len(partition) > 1, fixed, partition)
 
-    The idempotent-level test (no nontrivial centrally primitive idempotent
-    fixed) is the ground truth; the class-level test must agree with it, and
-    a disagreement raises VerificationError since the two counts coincide by
-    theorem.  Both are necessary for a duadic pair; when mu is not an
-    involution on the idempotents they are not sufficient (`construct_pairs`).
-    """
-    fixed_classes, fixed_idems, images, idempotents = _fixed_ids(mu, field, group)
-    if len(fixed_classes) != len(fixed_idems):
-        raise VerificationError(
-            f"fixed-class count {len(fixed_classes)} != fixed-idempotent count {len(fixed_idems)}"
-        )
-    ok = fixed_idems == (idempotents.trivial_index,)
-    return SplittingCheck(ok, fixed_classes, fixed_idems, idempotents, images)
+
+def _mu_permutation(mu: Antiautomorphism, field: FiniteField, vecs: np.ndarray) -> list[int]:
+    """perm with mu(vecs[i]) = vecs[perm[i]] on the stacked idempotents vecs."""
+    index = {v.tobytes(): i for i, v in enumerate(vecs)}
+    images = [index.get(v.tobytes(), -1) for v in _antiauto_rows(mu, field, vecs)]
+    if -1 in images:
+        raise VerificationError("antiautomorphism does not permute the idempotent set")
+    return images
 
 
 def verify_key_proposition(
@@ -223,8 +209,9 @@ def verify_key_proposition(
     The two numbers must be equal; this operation reports them without
     enforcing it, as the test oracle.
     """
-    fixed_classes, fixed_idems, _, _ = _fixed_ids(mu, field, group)
-    return len(fixed_classes), len(fixed_idems)
+    check = check_splitting(mu, field, group)
+    vecs = np.array([h.vec for h in split_primitive_central_idempotents(field, group, check.partition)])
+    return len(check.fixed_class_ids), sum(i == j for i, j in enumerate(_mu_permutation(mu, field, vecs)))
 
 
 def construct_pairs(
@@ -249,14 +236,19 @@ def construct_pairs(
     is checked at once (`_pair_axioms`, the check `DuadicPair` runs on one
     row), and a violated axiom raises VerificationError naming it.  The
     checked stacks are returned as a sequence whose items are built as they
-    are read.  NoSplittingError names the cell and the idempotents mu fixes,
-    or the odd cycle length, when mu gives no splitting; the trivial group,
-    whose only idempotent is 1 = Ghat, carries no pairs and raises it too.
+    are read.  NoSplittingError names the cell and the classes (as many as
+    idempotents) mu fixes, before any idempotent is built, or the odd cycle
+    length; the trivial group, whose only idempotent is 1 = Ghat, carries
+    no pairs and raises it too.  A cell that splits is split once, on the
+    check's classes, and VerificationError refuses other fixed-idempotent
+    and fixed-class counts.
     """
     if mode not in ("canonical", "enumerate-all"):
         raise ValueError(f"unknown mode {mode!r}")
     if group.order % 2 == 0:
         raise ValueError(f"group order {group.order} must be odd")
+    if group.order == 1:
+        raise NoSplittingError("the trivial group carries no duadic pairs")
     check = check_splitting(mu, field, group)
     cell = f"no splitting for mu={mu.descriptor} on {group.descriptor} over GF({field.q})"
     if not check.ok:
@@ -264,9 +256,14 @@ def construct_pairs(
         if mu.is_inversion_for(field):
             t = multiplicative_order_mod(field.q, group.order)
             parts.append(f"ord_{group.order}({field.q}) = {t} is even")
-        parts.append(f"{len(check.fixed_idempotent_ids) - 1} nontrivial fixed idempotent(s)")
+        parts.append(f"{len(check.fixed_class_ids) - 1} nontrivial fixed idempotent(s)")
         raise NoSplittingError("; ".join(parts))
-    perm, members = check.mu_permutation, check.idempotents
+    members = split_primitive_central_idempotents(field, group, check.partition)
+    vecs = np.array([h.vec for h in members])
+    perm = _mu_permutation(mu, field, vecs)
+    fixed = sum(i == j for i, j in enumerate(perm))
+    if fixed != len(check.fixed_class_ids):
+        raise VerificationError(f"fixed-class count {len(check.fixed_class_ids)} != fixed-idempotent count {fixed}")
     cycle_of = np.full(len(members), -1)  # the cycle of each idempotent, -1 for Ghat
     parity = np.zeros(len(members), dtype=np.int64)  # its position in the cycle, mod 2
     l = 0
@@ -282,8 +279,6 @@ def construct_pairs(
             )
         cycle_of[cycle], parity[cycle] = l, np.arange(len(cycle)) % 2
         l += 1
-    if l == 0:
-        raise NoSplittingError("the trivial group carries no duadic pairs")
     if mode == "enumerate-all" and l > _ENUMERATE_ALL_MAX_CYCLES:
         raise ValueError(
             f"enumerate-all over the {l} cycles of mu would build 2^{l - 1} = {2 ** (l - 1)} pairs, "
@@ -294,7 +289,6 @@ def construct_pairs(
     phases = np.arange(count)[:, None] >> np.arange(l - 1, -1, -1) & 1
     in_e = (phases[:, cycle_of] == parity) & (cycle_of >= 0)
     in_f = ~in_e & (cycle_of >= 0)
-    vecs = np.array([h.vec for h in members])
     es = _linalg.matmul(field, in_e, vecs)
     fs = _linalg.matmul(field, in_f, vecs)
     if mode == "enumerate-all":

@@ -303,7 +303,7 @@ def fq_classes(group: Group, q: int) -> FqClassPartition:
     max(1, n - 1) elements, so bit_length(n - 1) doublings cover it."""
     n = group.order
     if math.gcd(q, n) != 1:
-        raise ValueError(f"gcd(q={q}, |G|={n}) != 1")
+        raise ValueError(f"gcd(|G|={n}, q={q}) != 1")
     ids, t = np.arange(n), group.table
     # the least conjugate: x itself if G is abelian, else a column minimum of [h, x] = h^-1 x h
     low = ids if group.is_abelian else t[t[group.inverse[:, None], ids], ids[:, None]].min(axis=0)

@@ -24,11 +24,13 @@ from duadic.algebra import (
     AlgebraElement,
     IdempotentSet,
     alg_mul,
+    apply_antiauto,
     is_central,
     is_idempotent,
+    split_primitive_central_idempotents,
 )
 from duadic.codes import DEFAULT_ENUM_CAP, coset_min_weight
-from duadic.duadic import DuadicPair, check_splitting
+from duadic.duadic import DuadicPair
 from duadic.errors import EnumerationCapError, VerificationError
 from duadic.gf import FiniteField, _prime_factors, multiplicative_order_mod
 from duadic.groups import Group, group_product, product_antiauto
@@ -384,14 +386,25 @@ class Polynomial:
         return a.monic()
 
     def pow_mod(self, e: int, mod: "Polynomial") -> "Polynomial":
-        out = Polynomial.one(self.field)
-        base = self % mod
+        """self^e mod `mod` (of degree d >= 1) by squaring, on length-d
+        coefficient arrays: a product c of two of them reduces to c[:d] +
+        c[d:] @ `_reduction_table(mod)`, one field product."""
+        F, table = self.field, _reduction_table(mod)
+        d = table.shape[1]
+
+        def times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+            c = np.array(_np_poly_mul(F, a, b), dtype=np.int64)
+            return F.vadd(c[:d], _linalg.matmul(F, c[None, d:], table)[0])
+
+        out, base = np.eye(1, d, dtype=np.int64)[0], np.zeros(d, dtype=np.int64)
+        rest = (self % mod).coeffs
+        base[: len(rest)] = rest
         while e:
             if e & 1:
-                out = (out * base) % mod
-            base = (base * base) % mod
+                out = times(out, base)
+            base = times(base, base)
             e >>= 1
-        return out
+        return Polynomial(F, out.tolist())
 
     def roots(self) -> list[int]:
         """Distinct roots in the base field, sorted: one vectorized Horner
@@ -467,6 +480,20 @@ def _np_poly_divmod(field: FiniteField, a, b) -> tuple[list[int], list[int]]:
         if c:
             rem[k : k + db] = field.vsub(rem[k : k + db], field.vmul(np.int64(c), b_arr))
     return quot, [int(x) for x in rem]
+
+
+@functools.lru_cache(maxsize=64)
+def _reduction_table(mod: Polynomial) -> np.ndarray:
+    """Rows i = 0..d-2: the coefficients of x^(d+i) mod `mod`, d = deg mod,
+    each row x times the one before with its x^d term folded back by
+    x^d = -(monic mod)[:d]."""
+    F, d = mod.field, mod.degree()
+    low = np.array(mod.monic().coeffs[:d], dtype=np.int64)
+    rows = [F.vneg(low)]
+    for _ in range(d - 2):
+        row = rows[-1]
+        rows.append(F.vsub(np.concatenate([[0], row[:-1]]), F.vmul(row[-1], low)))
+    return np.array(rows[: d - 1], dtype=np.int64).reshape(d - 1, d)
 
 
 @functools.lru_cache(maxsize=None)
@@ -779,8 +806,8 @@ def reference_pairs_from_cycles(mu, field: FiniteField, group: Group, mode: str 
     or enumerate-all's sum for every phase choice but the first cycle's,
     e <-> f swapped by key and the pairs sorted.  The cell must split with
     cycles of even length."""
-    check = check_splitting(mu, field, group)
-    perm, members = check.mu_permutation, check.idempotents
+    members = split_primitive_central_idempotents(field, group)
+    perm = [members.members.index(apply_antiauto(mu, h)) for h in members]
     zero = AlgebraElement.zero(field, group)
     done = {members.trivial_index}
     halves = []

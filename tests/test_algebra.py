@@ -328,6 +328,15 @@ class TestSplitIdempotents:
         with pytest.raises(ValueError, match="gcd"):
             split_primitive_central_idempotents(f3, z33)
 
+    def test_given_partition(self, gf2, z7, z33):
+        # the classes a caller has computed already, as construct_pairs
+        # passes its check's; those of another field or group are refused
+        want = split_primitive_central_idempotents(gf2, z7)
+        assert split_primitive_central_idempotents(gf2, z7, fq_classes(z7, 2)) == want
+        for partition in (fq_classes(z7, 4), fq_classes(z33, 2)):
+            with pytest.raises(ValueError, match="^partition belongs to another group or field$"):
+                split_primitive_central_idempotents(gf2, z7, partition)
+
     @pytest.mark.parametrize(
         "q,orders",
         [(2, [15]), (3, [11]), (4, [9]), (5, [9]), (9, [7]), (4, [3, 3]), (2, [9, 3])],

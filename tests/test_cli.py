@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import hashlib
 import json
@@ -29,7 +30,7 @@ from duadic.cli import (
     parse_mu_spec,
 )
 from duadic.errors import VerificationError
-from duadic.groups import builtin_mu_minus1, group_abelian, group_from_cayley, cyclic_group
+from duadic.groups import builtin_mu_minus1, builtin_mu_swap, group_abelian, group_from_cayley, cyclic_group
 from duadic.quantum import DistanceRecord
 
 from conftest import frobenius21_table, metacyclic_table
@@ -639,6 +640,7 @@ class TestConstruct:
             ("component-count", "2", "splitting produced 1 components, expected 3"),
             ("sum-retry", "11", "the stack sum is not split"),
             ("mu-permutes", "2", "antiautomorphism does not permute the idempotent set"),
+            ("class-count", "2", "fixed-class count 1 != fixed-idempotent count 3"),
             ("code-dimension", "2", "dim C_e: 2 != 3; dim C_f: 2 != 3; dim D_e: 3 != 4; dim D_f: 3 != 4"),
         ],
     )
@@ -659,6 +661,8 @@ class TestConstruct:
             "component-count": (algebra, "_split_units", lambda field, units, times: units),
             "sum-retry": (algebra, "_split_values", fail_on_sum),
             "mu-permutes": (duadic.duadic, "_antiauto_rows", lambda mu, field, rows: 0 * rows),
+            # every idempotent fixed, where the class criterion counts one
+            "class-count": (duadic.duadic, "_antiauto_rows", lambda mu, field, rows: rows),
             "code-dimension": (duadic.duadic, "code_from_ideal", drop_a_row),
         }
         monkeypatch.setattr(*patches[guard])
@@ -668,10 +672,65 @@ class TestConstruct:
         assert (guard == "sum-retry") == (len(calls) > 1)  # the units were retried one by one
 
 
+class TestSplittingWork:
+    """The class criterion decides without an idempotent: `scan` splits no
+    center, and `construct` splits the center of a cell that splits once, on
+    the F_q-classes of its check, and of a refused cell never."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch) -> collections.Counter:
+        counts = collections.Counter()
+        for name, home in (("split_primitive_central_idempotents", algebra), ("fq_classes", groups)):
+
+            def counted(*args, _name=name, _real=getattr(home, name)):
+                counts[_name] += 1
+                return _real(*args)
+
+            for module in (groups, algebra, duadic.duadic):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted)
+        return counts
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--n", "1-45", "--q", "2,3,4,5,7,8,9", "--mu", "mu-1"],
+            ["--family", "pxp", "--p", "3,5,7", "--q", "2,3,4,5", "--mu", "swap"],
+        ],
+    )
+    def test_scan_splits_no_center(self, capsys, calls, argv):
+        assert main(["scan", *argv, "--json"]) == EXIT_OK
+        assert calls == {"fq_classes": len(json.loads(capsys.readouterr().out))}
+
+    @pytest.mark.parametrize(
+        "argv,code,splits,checks",
+        [
+            (["--group", "7", "--q", "2", "--mu", "mu-1"], EXIT_OK, 1, 1),
+            (["--group", "3x3", "--q", "2", "--mu", "swap", "--enumerate-all"], EXIT_OK, 1, 1),
+            # one split and one check per factor
+            (["--group", "7,3x3", "--q", "2", "--mu", "mu-1*swap", "--product"], EXIT_OK, 2, 2),
+            (["--group", "9", "--q", "2", "--mu", "mu-1"], EXIT_NO_SPLITTING, 0, 1),
+            (["--group", "3x3", "--q", "2", "--mu", "mu-1"], EXIT_NO_SPLITTING, 0, 1),
+            # refused before the check
+            (["--group", "1", "--q", "2", "--mu", "mu-1"], EXIT_NO_SPLITTING, 0, 0),
+        ],
+        ids=["7-q2", "3x3-q2-swap", "product", "9-q2", "3x3-q2-mu-1", "trivial"],
+    )
+    def test_construct_splits_a_splitting_cell_once(self, capsys, calls, argv, code, splits, checks):
+        assert main(["construct", *argv, "--max-enum", "1", "--json"]) == code
+        capsys.readouterr()
+        assert (calls["split_primitive_central_idempotents"], calls["fq_classes"]) == (splits, checks)
+
+
 class TestRelabeledGroups:
     """Renaming the non-identity ids of Z_p : Z_3 (r of order 3 mod p)
     changes neither the exit code nor any field of the report but the group
-    name, the pairs' coefficients and the timing."""
+    name, the pairs' coefficients and the timing.  On Z_p x Z_p, Z_7 x Z_3
+    and Z_3 x Z_7 it changes neither the exit code, nor the message of a
+    refusal, nor the existence fields and dimensions: the class criterion
+    does not depend on labels.  The canonical pair is chosen by coefficient
+    tuples, so where mu has several cycles it can be another pair of the
+    relabeled group, with other distances or degeneracy counts."""
 
     @staticmethod
     def construct(capsys, path, table, q, mu="mu-1"):
@@ -683,6 +742,12 @@ class TestRelabeledGroups:
             return code, captured.err.replace(str(path), "G")
         (row,) = json.loads(captured.out)
         return code, {key: value for key, value in row.items() if key not in ("group", "mu", "pairs", "timing_ms")}
+
+    @staticmethod
+    def verdict(code, report):
+        """The exit code with the refusal's message, or with the existence
+        fields and dimensions of the report."""
+        return (code, report) if code != EXIT_OK else (code, report["existence"], report["dims"])
 
     @staticmethod
     def relabel(table, seed):
@@ -718,6 +783,34 @@ class TestRelabeledGroups:
         perm = tmp_path / "inv.perm"
         perm.write_text(f"{len(s)}\n{' '.join(map(str, inverse))}\n", encoding="utf-8")
         assert self.construct(capsys, tmp_path / "g.cayley", relabeled, 4, f"@{perm}") == expected
+
+    @pytest.mark.parametrize(
+        "spec,q,code",
+        [("3x3", 4, EXIT_OK), ("3x3", 2, EXIT_NO_SPLITTING), ("5x5", 11, EXIT_OK), ("5x5", 2, EXIT_NO_SPLITTING)]
+        + [(spec, q, code) for spec in ("7,3", "3,7") for q, code in ((4, EXIT_OK), (2, EXIT_NO_SPLITTING))],
+    )
+    def test_relabeled_abelian_and_product_groups(self, tmp_path, capsys, spec, q, code):
+        table = parse_group_spec(spec).table
+        expected = self.verdict(*self.construct(capsys, tmp_path / "g.cayley", table, q))
+        assert expected[0] == code
+        for seed in (1, 2):
+            relabeled, _ = self.relabel(table, [len(table), q, seed])
+            assert self.verdict(*self.construct(capsys, tmp_path / "g.cayley", relabeled, q)) == expected, seed
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_relabeled_swap_from_a_perm_file(self, tmp_path, capsys, p):
+        group = group_abelian([p, p])
+        swap = builtin_mu_swap(group, 2).mu_star
+        perm = tmp_path / "swap.perm"
+        perm.write_text(f"{p * p}\n{' '.join(map(str, swap))}\n", encoding="utf-8")
+        expected = self.verdict(*self.construct(capsys, tmp_path / "g.cayley", group.table, 2, f"@{perm}"))
+        assert expected[0] == EXIT_OK
+        for seed in (1, 2):
+            relabeled, s = self.relabel(group.table, [p, seed])
+            image = np.empty_like(s)
+            image[s] = s[swap]  # the swap of s(x) is s(swap(x))
+            perm.write_text(f"{p * p}\n{' '.join(map(str, image))}\n", encoding="utf-8")
+            assert self.verdict(*self.construct(capsys, tmp_path / "g.cayley", relabeled, 2, f"@{perm}")) == expected
 
 
 @pytest.mark.parametrize(

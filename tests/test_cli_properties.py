@@ -11,10 +11,11 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from duadic.cli import EXIT_NO_SPLITTING, EXIT_USAGE, CodeReport, _PairRows, emit_json, main
@@ -435,3 +436,17 @@ def test_odd_cycle_multiplier_exits_2(tmp_path):
     code, out, err = construct_z13(tmp_path, X2_TEXT, "5")
     assert (code, out) == (EXIT_NO_SPLITTING, "")
     assert err.count("\n") == 1 and err.endswith("mu permutes the nontrivial idempotents in a cycle of odd length 3\n")
+
+
+@SETTINGS
+@given(n=st.integers(0, 40).map(lambda i: 2 * i + 1), q=st.sampled_from([2, 3, 4, 5, 7, 8, 9]))
+@example(n=1, q=2)
+def test_scan_class_criterion_iff_construct_builds(n, q):
+    # scan read the class criterion `yes` on the trivial group, which
+    # construct refuses with exit 2
+    assume(math.gcd(n, q) == 1)
+    code, out, _ = run_io(["scan", "--n", str(n), "--q", str(q), "--mu", "mu-1", "--json"])
+    (row,) = json.loads(out)
+    built, _ = run(["construct", "--group", str(n), "--q", str(q), "--mu", "mu-1", "--max-enum", "1", "--json"])
+    assert code == 0 and built in (0, EXIT_NO_SPLITTING)
+    assert row["existence"]["class_criterion"] == (built == 0), (n, q)

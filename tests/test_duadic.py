@@ -143,7 +143,7 @@ def paper_pair(f2):
 
 
 class TestSplittingExists:
-    @pytest.mark.parametrize("n,q,expected", [(7, 2, True), (9, 2, False), (1, 5, True), (23, 2, True)])
+    @pytest.mark.parametrize("n,q,expected", [(7, 2, True), (9, 2, False), (1, 5, False), (23, 2, True)])
     def test_examples(self, n, q, expected):
         assert splitting_exists_mu_minus1(n, q) is expected
 
@@ -161,14 +161,23 @@ class TestCheckSplitting:
         g = cyclic_group(7)
         chk = check_splitting(builtin_mu_minus1(g), f2, g)
         assert chk.ok
-        assert len(chk.fixed_class_ids) == len(chk.fixed_idempotent_ids) == 1
+        assert chk.fixed_class_ids == (0,)
+        assert chk.partition.classes == ((0,), (1, 2, 4), (3, 5, 6))
 
     def test_z33_mu_minus1_fails_with_all_classes_fixed(self, f2):
         g = group_abelian([3, 3])
         chk = check_splitting(builtin_mu_minus1(g), f2, g)
         assert not chk.ok
         assert chk.fixed_class_ids == (0, 1, 2, 3, 4)
-        assert len(chk.fixed_idempotent_ids) == 5
+        assert verify_key_proposition(builtin_mu_minus1(g), f2, g) == (5, 5)
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5])
+    def test_trivial_group_has_no_splitting(self, q):
+        # its one class is the identity's, fixed by every mu
+        g = cyclic_group(1)
+        chk = check_splitting(builtin_mu_minus1(g), field_from_order(q), g)
+        assert not chk.ok and chk.fixed_class_ids == (0,) and len(chk.partition) == 1
+        assert not splitting_exists_mu_minus1(1, q)
 
     def test_z33_swap_ok(self, f2):
         g = group_abelian([3, 3])
@@ -180,7 +189,8 @@ class TestCheckSplitting:
         g = group_abelian([7, 7])
         chk = check_splitting(builtin_mu_swap(g, 2), f2, g)
         assert not chk.ok
-        assert len(chk.fixed_class_ids) == len(chk.fixed_idempotent_ids) > 1
+        assert verify_key_proposition(builtin_mu_swap(g, 2), f2, g) == (len(chk.fixed_class_ids),) * 2
+        assert len(chk.fixed_class_ids) > 1
 
     def test_context_mismatch(self, f2):
         g = cyclic_group(7)
@@ -227,16 +237,55 @@ class TestKeyProposition:
                 counts = verify_key_proposition(builtin_mu_swap(group, q), field, group)
                 assert counts[0] == counts[1], (p, q, counts)
 
+    def test_every_scan_pool_cell(self):
+        # the cells of the benchmark's scan pool: cyclic odd n in [3, 199]
+        # with mu_-1 and Z_p x Z_p, p <= 13, with the swap map, over each q
+        # of 2, 3, 4, 5, 7, 8, 9 prime to the order; Ghat is always fixed
+        specs = [(cyclic_group(n), "mu-1") for n in range(3, 200, 2)]
+        specs += [(group_abelian([p, p]), "swap") for p in (3, 5, 7, 11, 13)]
+        cells = 0
+        for group, mu_name in specs:
+            for q in (2, 3, 4, 5, 7, 8, 9):
+                if math.gcd(group.order, q) != 1:
+                    continue
+                field = field_from_order(q)
+                mu = builtin_mu_minus1(group) if mu_name == "mu-1" else builtin_mu_swap(group, q)
+                classes, idempotents = verify_key_proposition(mu, field, group)
+                assert classes == idempotents, (group.descriptor, q)
+                ok = check_splitting(mu, field, group).ok
+                assert ok == (idempotents == 1), (group.descriptor, q)
+                assert mu_name == "swap" or ok == splitting_exists_mu_minus1(group.order, q)
+                cells += 1
+        assert cells == 624
+
     def test_counts_reported_not_enforced(self, monkeypatch):
         # a class action that fixes every class breaks the count equality:
-        # the oracle reports both counts, check_splitting refuses them
+        # the oracle reports both counts, and the class criterion, which
+        # decides alone, refuses the cell before any idempotent is built
         field = field_from_order(2)
         group = cyclic_group(7)
         mu = builtin_mu_minus1(group)
         monkeypatch.setattr(duadic_module, "mu_action_on_class", lambda mu, partition, cid: cid)
         assert verify_key_proposition(mu, field, group) == (3, 1)
-        with pytest.raises(VerificationError, match="fixed-class count 3 != fixed-idempotent count 1"):
-            check_splitting(mu, field, group)
+        assert check_splitting(mu, field, group).fixed_class_ids == (0, 1, 2)
+        splits, split = [], duadic_module.split_primitive_central_idempotents
+        monkeypatch.setattr(duadic_module, split.__name__, lambda *a: splits.append(a) or split(*a))
+        with pytest.raises(NoSplittingError, match="2 nontrivial fixed idempotent"):
+            construct_pairs(mu, field, group)
+        assert not splits
+
+    def test_construct_enforces_the_counts(self, monkeypatch):
+        # a class action that fixes only the identity's class on Z9 over
+        # GF(2), whose three idempotents mu_-1 all fixes: the class
+        # criterion accepts the cell, and the split's count refuses it
+        field = field_from_order(2)
+        group = cyclic_group(9)
+        mu = builtin_mu_minus1(group)
+        monkeypatch.setattr(duadic_module, "mu_action_on_class", lambda mu, partition, cids: np.array([0, 2, 1]))
+        assert check_splitting(mu, field, group).ok
+        assert verify_key_proposition(mu, field, group) == (1, 3)
+        with pytest.raises(VerificationError, match="^fixed-class count 1 != fixed-idempotent count 3$"):
+            construct_pairs(mu, field, group)
 
 
 class TestConstructPairs:
@@ -312,7 +361,8 @@ class TestConstructPairs:
     def test_mu_permutation_follows_the_cycles(self):
         for name in _AXIOM_CELLS:
             field, group, mu, _, cycles = axiom_cell(name)
-            perm = check_splitting(mu, field, group).mu_permutation
+            vecs = np.array([h.vec for h in split_primitive_central_idempotents(field, group)])
+            perm = duadic_module._mu_permutation(mu, field, vecs)
             for cycle in cycles:
                 assert [perm[i] for i in cycle] == cycle[1:] + cycle[:1], name
 
@@ -379,7 +429,7 @@ class TestConstructPairs:
             assert len(construct_pairs(builtin_mu_minus1(group), field, group, mode=mode)) == size
             assert calls["matmul", "construct_pairs"] == 2, mode
             assert {key: count for key, count in calls.items() if key[0] != "matmul"} == {
-                ("_antiauto_rows", "_fixed_ids"): 1,
+                ("_antiauto_rows", "_mu_permutation"): 1,
                 ("_antiauto_rows", "_pair_axioms"): 1,
                 ("_convolve", "<genexpr>"): size,
             }, mode
@@ -391,7 +441,7 @@ class TestConstructPairs:
         assert duadic_module._UNIT_PRODUCT_CELLS // 127**2 == 8
         assert calls["matmul", "construct_pairs"] == 2 and calls["matmul", "_idempotent_rows"] == 3 + 1
         assert {key: count for key, count in calls.items() if key[0] != "matmul"} == {
-            ("_antiauto_rows", "_fixed_ids"): 1,
+            ("_antiauto_rows", "_mu_permutation"): 1,
             ("_antiauto_rows", "_pair_axioms"): 1,
         }
 

@@ -119,7 +119,7 @@ EXPECTED_SURFACE = {
     "IdempotentSet": [],
 }
 
-EXPECTED_SPLITTING_CHECK_FIELDS = ["ok", "fixed_class_ids", "fixed_idempotent_ids", "idempotents", "mu_permutation"]
+EXPECTED_SPLITTING_CHECK_FIELDS = ["ok", "fixed_class_ids", "partition"]
 
 
 def test_core_type_surfaces_are_the_expected_lists():

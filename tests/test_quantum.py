@@ -340,8 +340,8 @@ class TestWorkCounts:
         pairs = construct_pairs(builtin_mu_swap(group, 2), f2, group, mode=mode)
         assert len(pairs) == (1 if mode == "canonical" else 2)
         assert not applied
-        # once to the stacked idempotents, for the permutation check_splitting
-        # records, then to the stacked e of every pair, for A2
+        # once to the stacked idempotents, for the permutation construct_pairs
+        # works out, then to the stacked e of every pair, for A2
         assert [rows.shape for _, (_, _, rows) in stacks] == [members.shape, (len(pairs), 9)]
         assert np.array_equal(stacks[0][1][2], members)
 
