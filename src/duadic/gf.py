@@ -199,10 +199,15 @@ class FiniteField:
         return digits
 
     @cached_property
-    def _float_digits(self) -> tuple[np.ndarray, np.ndarray]:
-        """The (q, m) digit table in float64, for exact BLAS products of
-        digits, and the powers p^i that pack a digit row."""
-        return self._digit_table.astype(np.float64), self.p ** np.arange(self.m, dtype=np.float64)
+    def _float_digits(self) -> dict[type, tuple[np.ndarray, ...]]:
+        """For exact BLAS products of digits, in float32 and in float64: the
+        digit planes (m, q) and the digit table (q, m), the powers p^i that
+        pack a digit row, and the (m, m, m) shifts whose row j of matrix i
+        is the digits of x^(i+j), so a digit row d times matrix i is the
+        digits of x^i d (unreduced)."""
+        x = self.p ** np.arange(self.m)  # the index of x^i
+        tables = (self._digit_table.T, self._digit_table, x, self._digit_table[self.vmul(x[:, None], x)])
+        return {t: tuple(np.ascontiguousarray(a, dtype=t) for a in tables) for t in (np.float32, np.float64)}
 
     @cached_property
     def _prime_inverses(self) -> np.ndarray:
@@ -216,10 +221,16 @@ class FiniteField:
         return lagrange_rows(self, [0, self.neg(1)] + [0] * (self.q - 2) + [1], np.arange(self.q))
 
     @cached_property
-    def _byte_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """The q x q tables a * b and a - b in uint8, for q <= 256."""
+    def _byte_products(self) -> np.ndarray:
+        """The q x q table a * b in uint8, for q <= 256."""
         idx = np.arange(self.q)
-        return self.vmul(idx[:, None], idx).astype(np.uint8), self.vsub(idx[:, None], idx).astype(np.uint8)
+        return self.vmul(idx[:, None], idx).astype(np.uint8)
+
+    @cached_property
+    def _byte_differences(self) -> np.ndarray:
+        """The q x q table a - b in uint8, for q <= 256."""
+        idx = np.arange(self.q)
+        return self.vsub(idx[:, None], idx).astype(np.uint8)
 
     def _pack_digits(self, digits: np.ndarray) -> np.ndarray:
         powers = self.p ** np.arange(self.m, dtype=np.int64)

@@ -104,10 +104,10 @@ def test_equal_row_spaces_have_equal_rref():
 # the vectorized routines against their loop forms (oracles module)
 # ---------------------------------------------------------------------------
 
-# 65521, the largest prime under the field-order cap: the elimination
-# subtracts its multiples by `vsub` on int64, where uint16 operands would
-# wrap; 8, 16, 256 and 2^16 take the chunked XOR product, the rest the
-# float64 digit planes (3^10 the most planes)
+# 65521, the largest prime under the field-order cap: the elimination adds
+# its multiples in uint32, where uint16 sums would wrap; 8, 16, 256 and 2^16
+# take the chunked XOR product, the rest the float digit planes (3^10 the
+# most planes)
 ORACLE_FIELDS = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 81, 256, 257, 59049, 65521, 65536]
 # (rows, cols, rank bound): wide, tall, square, one row, full rank, larger
 SHAPES = [(6, 9, 3), (9, 6, 4), (12, 12, 5), (1, 5, 1), (7, 7, 7), (20, 31, 11)]
@@ -209,16 +209,42 @@ def test_matmul_rejects_inexact_inner_dimension():
         _linalg.matmul(field, np.zeros((0, k)), np.zeros((k, 0)))
 
 
-@pytest.mark.parametrize("p", [2, 3, 251, 65521])
+@pytest.mark.parametrize("p", [2, 3, 7, 251, 65521])
 def test_float_reduction_exact_up_to_the_bound(p):
-    # residues 0, 1 and p - 1 of the largest multiples of p below the bound,
-    # where a float quotient is nearest to an integer, and random values
-    top = (_linalg._EXACT_SUM - 1) // p * p
-    edges = np.array([top - p * j + s for j in range(1, 50) for s in (0, 1, p - 1)] + [0, 1, p - 1])
-    values = np.concatenate([edges, np.random.default_rng(p).integers(0, _linalg._EXACT_SUM, 10000)])
-    x = values.astype(np.float64)
-    _linalg._reduce(x, p)
-    assert np.array_equal(x.astype(np.int64), values % p)
+    # below _EXACT_SUM in float64 and below _SINGLE_SUM in float32: residues
+    # 0, 1 and p - 1 of the largest multiples of p below the bound, where a
+    # float quotient is nearest to an integer, and random values
+    rng = np.random.default_rng(p)
+    # the quotient's error, about 3u x / p for the unit roundoff u, stays
+    # below the 1/(2p) to the nearest integer
+    assert 3 * _linalg._EXACT_SUM < 2**52 and 3 * _linalg._SINGLE_SUM < 2**23
+    for bound, dtype in ((_linalg._EXACT_SUM, np.float64), (_linalg._SINGLE_SUM, np.float32)):
+        top = (bound - 1) // p * p
+        edges = np.array([top - p * j + s for j in range(1, 50) for s in (0, 1, p - 1)] + [0, 1, p - 1])
+        values = np.concatenate([edges[edges >= 0], rng.integers(0, bound, 10000)])
+        x = values.astype(dtype)
+        _linalg._reduce(x, p)
+        assert x.dtype == dtype and np.array_equal(x.astype(np.int64), values % p), dtype
+
+
+@pytest.mark.parametrize("q", [2, 3, 7, 4, 9])
+def test_matmul_exact_at_the_largest_single_sums(q, monkeypatch):
+    # every digit p - 1: the largest inner dimension k whose sums, at most
+    # k (p-1)^2, or m^2 k (p-1)^3 once the planes are combined, stay below
+    # _SINGLE_SUM takes float32, and k + 1 takes float64
+    field = field_from_order(q)
+    p, m = field.p, field.m
+    most = (p - 1) ** 2 * (1 if m == 1 else m * m * (p - 1))
+    largest = (_linalg._SINGLE_SUM - 1) // most
+    dtypes = []
+    reduce = _linalg._reduce
+    monkeypatch.setattr(_linalg, "_reduce", lambda x, p: (dtypes.append(x.dtype), reduce(x, p)))
+    for k in (largest, largest + 1):
+        a = np.full((1, k), q - 1)
+        b = np.full((k, 2), q - 1)
+        # k equal terms sum to k mod p of them
+        assert np.array_equal(_linalg.matmul(field, a, b), reference_matmul(field, a[:, : k % p], b[: k % p])), k
+    assert dtypes == [np.float32, np.float64]
 
 
 @pytest.mark.parametrize("q", ORACLE_FIELDS)
@@ -245,9 +271,13 @@ def test_row_space_membership_and_solve_against_loop_oracle(q):
 # every field eliminates on the pivot row's multiples: the table of all q
 # multiples while q <= rows (2, 3, 4, 8, 9 at 40 rows, 256 at 260 rows), the
 # multiples of the factors that occur above (3 rows, and every shape at 257
-# and up); the differences are an XOR in characteristic 2, a read of the
-# q x q table while q <= 256, and `vsub` on int64 above (257, 65521)
-MULTIPLES_FIELDS = [2, 3, 4, 8, 9, 256, 257, 65521, 65536]
+# and up).  An odd prime field adds the multiples by -factor and wraps sums
+# up to 2 (p - 1), stored in uint8 up to 127 (sums up to 252), in uint16
+# from 131 (sums from 260) to 257 and in uint32 at 65521; the rows full of
+# p - 1 under a first row [1, p - 1, ...] reach those sums.  Otherwise the
+# differences are an XOR in characteristic 2 and a read of the q x q table
+# over GF(9)
+MULTIPLES_FIELDS = [2, 3, 4, 8, 9, 127, 131, 251, 256, 257, 65521, 65536]
 
 
 def _multiples_matrices(field, rng):
@@ -257,6 +287,12 @@ def _multiples_matrices(field, rng):
     yield rng.integers(0, field.q, (9, 1))
     yield rng.integers(0, field.q, (3, 30))
     yield random_rank_deficient(field, 40, 50, 30, rng)
+    full = np.full((7, 12), field.q - 1)
+    full[0, 0] = 1
+    mixed = full.copy()
+    mixed[3:, 5:] = rng.integers(0, field.q, (4, 7))
+    yield full
+    yield mixed
     if field.q == 256:
         yield rng.integers(0, field.q, (260, 12))
 
