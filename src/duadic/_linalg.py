@@ -14,8 +14,6 @@ import numpy as np
 
 from .gf import FiniteField
 
-# int64 cells (256 KB) per temporary of a chunked GF(2^m) product
-_PRODUCT_CELLS = 1 << 15
 # r k c below which elementwise products beat the plane kernel (2-vCPU x86,
 # numpy 2.4, OpenBLAS): at 2^10 it takes 4.5-5, 8-9.5 and 8-9.5 us over
 # prime fields, GF(4) and GF(9), the elementwise kernel 2.3-2.7, 5.6-7 and
@@ -106,22 +104,19 @@ def in_row_space(field: FiniteField, red: np.ndarray, pivots: list[int], v: np.n
 
 
 def matmul(field: FiniteField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact matrix product over the field, the kernel chosen by the field
-    and the size r k c (a r x k, b k x c).  Over GF(2^m) with m >= 3 the
-    products a[i, k] * b[k, j] come from the log tables for a slice of k at
-    a time, at most _PRODUCT_CELLS per slice, and are summed by XOR.  Other
-    fields take them elementwise too below r k c = _SMALL_PRODUCT = 2^10
-    (int64 mod p, or log tables), where the plane kernel's 10-15 numpy
-    calls cost more.  Every larger product is one BLAS product of GF(p) digit
-    planes: with a = sum_i x^i a_i, the planes a_i stacked (m r x k) times
-    the digits of b side by side (k x c m) are the digits of every a_i b,
-    and the digits of a b are their sum over i, each times the shift matrix
-    of x^i (`FiniteField._float_digits`).  Every entry is an integer of at
-    most k (p-1)^2, and m^2 k (p-1)^3 once combined: the product is taken
-    in float32 while that bound is below _SINGLE_SUM = 2^21 and in float64
-    below _EXACT_SUM = 2^50, exact in any summation order; it is reduced
-    mod p once and packed.  A prime field is the case m = 1, where an
-    element is its own digit.
+    """Exact matrix product over the field (a r x k, b k x c), the kernel
+    chosen by the size r k c alone.  Below _SMALL_PRODUCT = 2^10 the
+    products a[i, k] * b[k, j] are taken elementwise (int64 mod p, or log
+    tables), where the plane kernel's 10-15 numpy calls cost more.  Above,
+    it is one BLAS product of GF(p) digit planes: with a = sum_i x^i a_i,
+    the planes a_i stacked (m r x k) times the digits of b side by side
+    (k x c m) are the digits of every a_i b, and the digits of a b are their
+    sum over i, each times the shift matrix of x^i (`_float_digits`).  Every
+    entry is an integer of at most k (p-1)^2, and m^2 k (p-1)^3 once
+    combined: the product is taken in float32 while that bound is below
+    _SINGLE_SUM = 2^21 and in float64 below _EXACT_SUM = 2^50, exact in any
+    summation order, then reduced mod p once and packed.  A prime field is
+    the case m = 1, where an element is its own digit.
     """
     a = as_matrix(a)
     b = as_matrix(b)
@@ -129,12 +124,6 @@ def matmul(field: FiniteField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError(f"shape mismatch: {a.shape} @ {b.shape}")
     p, m = field.p, field.m
     (r, k), c = a.shape, b.shape[1]
-    if p == 2 and m >= 3:
-        step = max(1, _PRODUCT_CELLS // max(1, r * c))
-        out = np.zeros((r, c), dtype=np.int64)
-        for j in range(0, k, step):
-            out ^= np.bitwise_xor.reduce(field.vmul(a[:, j : j + step, None], b[None, j : j + step]), axis=1)
-        return out
     most = k * (p - 1) ** 2 * (1 if m == 1 else m * m * (p - 1))
     if most >= _EXACT_SUM:
         raise ValueError(f"inner dimension {k} is too large for an exact product over {field!r}")

@@ -41,15 +41,15 @@ class AlgebraElement:
 
     @classmethod
     def basis(cls, field: FiniteField, group: Group, g: int, coeff: int = 1) -> "AlgebraElement":
-        v = np.zeros(group.order, dtype=np.int64)
-        v[g] = coeff
-        return cls(field, group, v)
+        return cls.from_coeff_list(field, group, [(g, coeff)])
 
     @classmethod
     def from_coeff_list(cls, field: FiniteField, group: Group, pairs) -> "AlgebraElement":
         """Build from (element id, coefficient index) pairs, summing duplicates."""
         v = np.zeros(group.order, dtype=np.int64)
         for g, c in pairs:
+            if not (0 <= g < group.order and 0 <= c < field.q):
+                raise ValueError(f"pair ({g}, {c}) out of range: ids < {group.order}, coefficients < {field.q}")
             v[g] = field.add(int(v[g]), c)
         return cls(field, group, v)
 
@@ -269,6 +269,11 @@ def _scalar_rows(field: FiniteField, units: np.ndarray, products: np.ndarray) ->
     return (products == field.vmul(lam[:, None], units)).all(axis=1)
 
 
+# entries (256 KB of int64) that `_class_sum_action` gathers at once: a
+# block of members of C_j, each the size of the stacked rows, at least one
+_PRODUCT_CELLS = 1 << 15
+
+
 def _class_sum_action(field: FiniteField, partition: FqClassPartition, j: int):
     """u -> u M_j on stacked r-vectors, M_j[i, k] = #{y in C_j : class(z_k y^-1)
     = i} mod p with z_k the representative of class k: the sum over y in C_j
@@ -279,7 +284,7 @@ def _class_sum_action(field: FiniteField, partition: FqClassPartition, j: int):
     hits = partition.class_of[group.table[np.array(partition.reps)[None, :], members[:, None]]]
 
     def times(rows: np.ndarray) -> np.ndarray:
-        step = max(1, _linalg._PRODUCT_CELLS // rows.size)
+        step = max(1, _PRODUCT_CELLS // rows.size)
         out = field.vsum(rows[:, hits[:step]], axis=1)
         for i in range(step, len(hits), step):
             out = field.vadd(out, field.vsum(rows[:, hits[i : i + step]], axis=1))

@@ -44,6 +44,9 @@ class LinearCode:
     gen[:, pivots] is the identity."""
 
     def __init__(self, field: FiniteField, rows):
+        rows = _linalg.as_matrix(rows)
+        if rows.size and (rows.min() < 0 or rows.max() >= field.q):
+            raise ValueError("entry index out of field range")
         self._set_basis(field, *_linalg.rref(field, rows))
 
     @classmethod

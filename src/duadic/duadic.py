@@ -77,6 +77,8 @@ class DuadicPair:
             raise ValueError(f"group order {group.order} must be odd")
         if math.gcd(group.order, field.q) != 1:
             raise ValueError(f"gcd(|G|={group.order}, q={field.q}) != 1")
+        if mu.group != group or any(x.field != field or x.group != group for x in (e, f)):
+            raise ValueError(f"e, f and mu must live over {field!r} and {group!r}")
         ghat = hat_group(field, group)
         (fixed,), (swapped,) = _pair_axioms(field, group, mu, ghat, e.vec[None], f.vec[None])
         self._set(field, group, e, f, mu, ghat, fixed, swapped, witnesses)

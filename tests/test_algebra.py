@@ -171,7 +171,7 @@ class TestAlgMul:
 
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 257])
     @pytest.mark.parametrize("group_fixture", ["frobenius21", "heisenberg27"])
-    def test_against_loop_oracle(self, q, group_fixture, request, monkeypatch):
+    def test_against_loop_oracle(self, q, group_fixture, request):
         g = request.getfixturevalue(group_fixture)
         field = field_from_order(q)
         rng = np.random.default_rng(q * g.order)
@@ -182,10 +182,6 @@ class TestAlgMul:
             )
             expected = reference_alg_mul(a, b)
             assert alg_mul(a, b) == expected
-            if field.p == 2 and field.m >= 3:  # one support row per slice of the chunked product
-                with monkeypatch.context() as patch:
-                    patch.setattr(_linalg, "_PRODUCT_CELLS", 1)
-                    assert alg_mul(a, b) == expected
 
     def test_pow(self, gf2, z7):
         a = poly_elem(gf2, z7, [1])
@@ -548,8 +544,8 @@ class TestClassCoordinates:
         want = [np.array([alg_mul(k_i, k_j).vec[reps] for k_i in sums]) for k_j in sums]
         identity = np.eye(r, dtype=np.int64)
         # the default blocks, then one member of C_j per gathered block
-        for cells in (_linalg._PRODUCT_CELLS, 1):
-            monkeypatch.setattr(_linalg, "_PRODUCT_CELLS", cells)
+        for cells in (algebra._PRODUCT_CELLS, 1):
+            monkeypatch.setattr(algebra, "_PRODUCT_CELLS", cells)
             for j in range(r):
                 assert np.array_equal(_class_sum_action(field, partition, j)(identity), want[j]), j
 
@@ -682,6 +678,31 @@ class TestElementSurface:
             AlgebraElement(gf2, z7, [0, 1])
         with pytest.raises(ValueError, match="range"):
             AlgebraElement(gf2, z7, [0, 1, 2, 0, 0, 0, 0])
+
+    @pytest.mark.parametrize("g", [-1, 7])
+    def test_basis_rejects_an_element_id_out_of_range(self, gf2, z7, g):
+        # a negative id would index from the end: -1 would set the coefficient of a^6
+        message = rf"^pair \({g}, 1\) out of range: ids < 7, coefficients < 2$"
+        with pytest.raises(ValueError, match=message):
+            AlgebraElement.basis(gf2, z7, g)
+        with pytest.raises(ValueError, match=message):
+            AlgebraElement.from_coeff_list(gf2, z7, [(0, 1), (g, 1)])
+
+    @pytest.mark.parametrize("q,coeff", [(3, 5), (3, -1), (3, 3), (9, 10), (9, -1), (4, 4)])
+    def test_coefficient_list_rejects_an_index_out_of_range(self, z7, q, coeff):
+        # over GF(3), 5 and -1 would reduce to 2; over GF(9), 10 would read past the digit table
+        field = field_from_order(q)
+        message = rf"^pair \(1, {coeff}\) out of range: ids < 7, coefficients < {q}$"
+        with pytest.raises(ValueError, match=message):
+            AlgebraElement.from_coeff_list(field, z7, [(1, coeff)])
+        with pytest.raises(ValueError, match=message):
+            AlgebraElement.basis(field, z7, 1, coeff)
+
+    def test_coefficient_list_sums_duplicates_in_the_field(self, z7):
+        f3 = field_from_order(3)
+        a = AlgebraElement.from_coeff_list(f3, z7, [(1, 2), (1, 2), (6, 1)])
+        assert a.vec.tolist() == [0, 1, 0, 0, 0, 0, 1]
+        assert AlgebraElement.basis(f3, z7, 6, 0) == AlgebraElement.zero(f3, z7)
 
     def test_negation_and_hash(self, z7):
         f3 = field_from_order(3)

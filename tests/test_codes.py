@@ -670,6 +670,14 @@ def test_public_input_guards_raise(word):
         code.contains(word)
 
 
+@pytest.mark.parametrize("q,entry", [(4, -1), (4, 4), (3, 3), (3, -1), (9, 9), (2, 2**40)])
+def test_linear_code_rejects_an_entry_out_of_range(q, entry):
+    # over GF(4), -1 would read index 255 of the byte tables, and 2^40 would
+    # wrap to 0 in the uint8 elimination
+    with pytest.raises(ValueError, match="^entry index out of field range$"):
+        LinearCode(field_from_order(q), [[0, entry, 1]])
+
+
 def test_repr_and_an_added_vector_already_in_the_code():
     f2 = field_from_order(2)
     code = LinearCode(f2, np.eye(3, 7, dtype=np.int64))

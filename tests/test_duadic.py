@@ -358,6 +358,26 @@ class TestConstructPairs:
         with pytest.raises(VerificationError, match="axioms"):
             DuadicPair(f2, g, e, e, builtin_mu_minus1(g))
 
+    def test_pair_from_another_field_rejected(self, f2):
+        # a GF(2) pair is no pair over GF(4): without the check, analyze_pair
+        # would refuse it only later, with mismatched contexts
+        g = cyclic_group(7)
+        pair = construct_pairs(builtin_mu_minus1(g), f2, g)[0]
+        with pytest.raises(ValueError, match=r"^e, f and mu must live over GF\(2\^2\) and Group\(7, n=7\)$"):
+            DuadicPair(field_from_order(4), g, pair.e, pair.f, pair.mu)
+
+    def test_pair_from_another_group_rejected(self, f2):
+        z3, z7 = cyclic_group(3), cyclic_group(7)
+        pair = construct_pairs(builtin_mu_minus1(z7), f2, z7)[0]
+        with pytest.raises(ValueError, match=r"^e, f and mu must live over GF\(2\) and Group\(3, n=3\)$"):
+            DuadicPair(f2, z3, pair.e, pair.f, builtin_mu_minus1(z3))
+
+    def test_mu_on_another_group_rejected(self, f2):
+        z3, z7 = cyclic_group(3), cyclic_group(7)
+        pair = construct_pairs(builtin_mu_minus1(z7), f2, z7)[0]
+        with pytest.raises(ValueError, match=r"^e, f and mu must live over GF\(2\) and Group\(7, n=7\)$"):
+            DuadicPair(f2, z7, pair.e, pair.f, builtin_mu_minus1(z3))
+
     def test_mu_permutation_follows_the_cycles(self):
         for name in _AXIOM_CELLS:
             field, group, mu, _, cycles = axiom_cell(name)

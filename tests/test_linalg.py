@@ -105,9 +105,8 @@ def test_equal_row_spaces_have_equal_rref():
 # ---------------------------------------------------------------------------
 
 # 65521, the largest prime under the field-order cap: the elimination adds
-# its multiples in uint32, where uint16 sums would wrap; 8, 16, 256 and 2^16
-# take the chunked XOR product, the rest the float digit planes (3^10 the
-# most planes)
+# its multiples in uint32, where uint16 sums would wrap; 2^16 and 3^10 have
+# the most digit planes
 ORACLE_FIELDS = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 81, 256, 257, 59049, 65521, 65536]
 # (rows, cols, rank bound): wide, tall, square, one row, full rank, larger
 SHAPES = [(6, 9, 3), (9, 6, 4), (12, 12, 5), (1, 5, 1), (7, 7, 7), (20, 31, 11)]
@@ -154,7 +153,7 @@ def test_matmul_against_loop_oracle(q, monkeypatch):
     # square-ish, one row, one column, an outer product, both sides of
     # the size rule, zero inner dimension
     shapes = [(5, 13, 7), (1, 13, 7), (5, 13, 1), (5, 1, 7), (1, 1023, 1), (1, 1024, 1), (9, 13, 11), (5, 0, 7)]
-    if field.m > 1:  # wide, with inner dimensions near where both kernels cost the same
+    if field.m > 1:  # wide, short and long inner dimensions by the plane count
         shapes[-1:-1] = [(3, 4 * (field.m - 1) - 1, 400), (3, 4 * (field.m - 1), 400)]
     pairs = [(rng.integers(0, q, (r, k)), rng.integers(0, q, (k, c))) for r, k, c in shapes]
     for a, b in pairs:
@@ -166,11 +165,6 @@ def test_matmul_against_loop_oracle(q, monkeypatch):
         monkeypatch.setattr(_linalg, "_SMALL_PRODUCT", bound)
         for a, b in pairs:
             assert np.array_equal(_linalg.matmul(field, a, b), reference_matmul(field, a, b)), (bound, a.shape)
-    monkeypatch.undo()
-    if field.p == 2 and field.m >= 3:  # the chunked kernel, one inner index per slice
-        monkeypatch.setattr(_linalg, "_PRODUCT_CELLS", 1)
-        for a, b in pairs:
-            assert np.array_equal(_linalg.matmul(field, a, b), reference_matmul(field, a, b)), a.shape
 
 
 def test_matmul_exact_at_the_largest_sums():
@@ -182,6 +176,24 @@ def test_matmul_exact_at_the_largest_sums():
     b = np.full((512, 4), p - 1)
     assert (_linalg.matmul(field, a, b) == 512).all()
     assert np.array_equal(_linalg.matmul(field, a, b), reference_matmul(field, a, b))
+
+
+@pytest.mark.parametrize("q", [65536, 59049])
+def test_matmul_exact_at_the_largest_extension_sums(q, monkeypatch):
+    # every digit p - 1 at the group-order cap: the combined planes sum to
+    # m^2 512 (p-1)^3 before they are reduced, 2^17 over GF(2^16) and about
+    # 2^18.6 over GF(3^10), both in float32; k = 511 and 512 give the two
+    # nonzero multiples of (q-1)^2 over GF(3^10), and (q-1)^2 and 0 over
+    # GF(2^16)
+    field = field_from_order(q)
+    dtypes = []
+    reduce = _linalg._reduce
+    monkeypatch.setattr(_linalg, "_reduce", lambda x, p: (dtypes.append(x.dtype), reduce(x, p)))
+    for k in (511, 512):
+        a = np.full((3, k), q - 1)
+        b = np.full((k, 4), q - 1)
+        assert np.array_equal(_linalg.matmul(field, a, b), reference_matmul(field, a, b)), k
+    assert dtypes == [np.float32, np.float32]
 
 
 def test_matmul_large_enough_to_thread():
