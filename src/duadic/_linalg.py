@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gf import FiniteField
+from .gf import FiniteField, as_indexes
 
 # r k c below which elementwise products beat the plane kernel (2-vCPU x86,
 # numpy 2.4, OpenBLAS): at 2^10 it takes 4.5-5, 8-9.5 and 8-9.5 us over
@@ -29,10 +29,8 @@ _BYTE_FIELD = 1 << 8
 
 
 def as_matrix(rows) -> np.ndarray:
-    arr = np.asarray(rows, dtype=np.int64)
-    if arr.ndim == 1:
-        arr = arr.reshape(1, -1)
-    return arr
+    arr = as_indexes(rows)
+    return arr.reshape(1, -1) if arr.ndim == 1 else arr
 
 
 def rref(field: FiniteField, mat: np.ndarray) -> tuple[np.ndarray, list[int]]:

@@ -9,7 +9,7 @@ import numpy as np
 
 from . import _linalg
 from .errors import VerificationError
-from .gf import FiniteField, lagrange_rows, roots
+from .gf import FiniteField, as_indexes, lagrange_rows, roots
 from .groups import Antiautomorphism, FqClassPartition, Group, fq_classes, is_subgroup
 
 
@@ -19,7 +19,7 @@ class AlgebraElement:
     __slots__ = ("field", "group", "vec")
 
     def __init__(self, field: FiniteField, group: Group, vec):
-        v = np.array(vec, dtype=np.int64)
+        v = as_indexes(vec).copy()
         if v.shape != (group.order,):
             raise ValueError(f"coefficient vector must have length {group.order}")
         if v.size and (v.min() < 0 or v.max() >= field.q):
@@ -47,7 +47,7 @@ class AlgebraElement:
     def from_coeff_list(cls, field: FiniteField, group: Group, pairs) -> "AlgebraElement":
         """Build from (element id, coefficient index) pairs, summing duplicates."""
         v = np.zeros(group.order, dtype=np.int64)
-        for g, c in pairs:
+        for g, c in as_indexes(list(pairs)).tolist():
             if not (0 <= g < group.order and 0 <= c < field.q):
                 raise ValueError(f"pair ({g}, {c}) out of range: ids < {group.order}, coefficients < {field.q}")
             v[g] = field.add(int(v[g]), c)
@@ -69,10 +69,6 @@ class AlgebraElement:
 
     def __hash__(self) -> int:
         return hash((self.field, self.group, self.vec.tobytes()))
-
-    def key(self) -> tuple[int, ...]:
-        """Coefficient tuple, used for deterministic (lexicographic) ordering."""
-        return tuple(self.vec.tolist())
 
     def weight(self) -> int:
         return int(np.count_nonzero(self.vec))
@@ -145,7 +141,7 @@ def _inverse_size(field: FiniteField, size: int) -> int:
 
 def hat_subgroup(field: FiniteField, group: Group, subgroup_ids) -> AlgebraElement:
     """The idempotent |N|^-1 sum_{g in N} g for a subgroup N."""
-    ids = sorted(set(int(g) for g in subgroup_ids))
+    ids = np.unique(as_indexes(list(subgroup_ids)))
     if not is_subgroup(group, ids):
         raise ValueError("ids do not form a subgroup")
     coeff = _inverse_size(field, len(ids))
@@ -195,45 +191,9 @@ def _antiauto_rows(mu: Antiautomorphism, field: FiniteField, rows: np.ndarray) -
 # ---------------------------------------------------------------------------
 
 
-class IdempotentSet:
-    """The complete set of centrally primitive idempotents of F_q[G], sorted by
-    coefficient tuple; ``trivial_index`` locates Ghat, ``partition`` the F_q-classes."""
-
-    def __init__(self, field: FiniteField, group: Group, members, partition=None):
-        ms = sorted(members, key=lambda e: e.key())
-        self.field = field
-        self.group = group
-        self.partition = fq_classes(group, field.q) if partition is None else partition
-        self.members = tuple(ms)
-        ghat = hat_group(field, group)
-        try:
-            self.trivial_index = ms.index(ghat)
-        except ValueError:
-            raise VerificationError("trivial idempotent missing from idempotent set") from None
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __getitem__(self, i: int) -> AlgebraElement:
-        return self.members[i]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, IdempotentSet)
-            and self.field == other.field
-            and self.group == other.group
-            and self.members == other.members
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.group, self.members))
-
-
-def split_primitive_central_idempotents(field: FiniteField, group: Group, partition=None) -> IdempotentSet:
-    """All centrally primitive idempotents of F_q[G], split in F_q-class coordinates.
+def split_primitive_central_idempotents(field: FiniteField, group: Group, partition=None) -> np.ndarray:
+    """The read-only (r, n) int64 stack of all centrally primitive
+    idempotents of F_q[G], split in F_q-class coordinates, rows sorted.
 
     With gcd(|G|, q) = 1, the q-th power of a class sum is the class sum of
     the q-th powers (x -> x^p is additive modulo [A, A], which meets the
@@ -242,9 +202,11 @@ def split_primitive_central_idempotents(field: FiniteField, group: Group, partit
     r-vectors, their values at the class representatives, and in which
     multiplication by K_j is an r x r matrix M_j (`_class_sum_action`).  The
     stack of component units is split by each K_j in one step
-    (`_split_units`).  Each idempotent is expanded to length n once, through
-    ``partition.class_of``.  partition, when given, is ``fq_classes(group,
-    field.q)`` computed already.
+    (`_split_units`), then sorted by coefficient tuple in class
+    coordinates (class j first occurs at its least id, which grows with j)
+    and expanded to length n once, through ``partition.class_of``.
+    partition, when given, is ``fq_classes(group, field.q)`` computed
+    already.  VerificationError unless r idempotents, Ghat among them.
     """
     if partition is None:
         partition = fq_classes(group, field.q)
@@ -258,8 +220,12 @@ def split_primitive_central_idempotents(field: FiniteField, group: Group, partit
         units = _split_units(field, units, _class_sum_action(field, partition, j))
     if len(units) != r:
         raise VerificationError(f"splitting produced {len(units)} components, expected {r}")
-    members = [AlgebraElement(field, group, v) for v in units[:, partition.class_of]]
-    return IdempotentSet(field, group, members, partition)
+    units = units[np.lexsort(units.T[::-1])]
+    if not (units == _inverse_size(field, group.order)).all(axis=1).any():
+        raise VerificationError("trivial idempotent missing from idempotent set")
+    stack = units[:, partition.class_of]
+    stack.flags.writeable = False
+    return stack
 
 
 def _scalar_rows(field: FiniteField, units: np.ndarray, products: np.ndarray) -> np.ndarray:

@@ -29,7 +29,7 @@ import numpy as np
 from . import _linalg
 from .algebra import AlgebraElement, _antiauto_rows
 from .errors import EnumerationCapError, VerificationError
-from .gf import FiniteField
+from .gf import FiniteField, as_indexes
 
 DEFAULT_ENUM_CAP = 1 << 24
 
@@ -85,7 +85,7 @@ class LinearCode:
         return _coset_tables(self.field, self.gen, self.n)
 
     def contains(self, vec) -> bool:
-        v = np.asarray(vec, dtype=np.int64)
+        v = as_indexes(vec)
         if v.shape != (self.n,):
             raise ValueError(f"word length {v.shape} != {self.n}")
         return _linalg.in_row_space(self.field, self.gen, self.pivots, v)

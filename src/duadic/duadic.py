@@ -212,7 +212,7 @@ def verify_key_proposition(
     enforcing it, as the test oracle.
     """
     check = check_splitting(mu, field, group)
-    vecs = np.array([h.vec for h in split_primitive_central_idempotents(field, group, check.partition)])
+    vecs = split_primitive_central_idempotents(field, group, check.partition)
     return len(check.fixed_class_ids), sum(i == j for i, j in enumerate(_mu_permutation(mu, field, vecs)))
 
 
@@ -260,17 +260,18 @@ def construct_pairs(
             parts.append(f"ord_{group.order}({field.q}) = {t} is even")
         parts.append(f"{len(check.fixed_class_ids) - 1} nontrivial fixed idempotent(s)")
         raise NoSplittingError("; ".join(parts))
-    members = split_primitive_central_idempotents(field, group, check.partition)
-    vecs = np.array([h.vec for h in members])
+    vecs = split_primitive_central_idempotents(field, group, check.partition)
     perm = _mu_permutation(mu, field, vecs)
     fixed = sum(i == j for i, j in enumerate(perm))
     if fixed != len(check.fixed_class_ids):
         raise VerificationError(f"fixed-class count {len(check.fixed_class_ids)} != fixed-idempotent count {fixed}")
-    cycle_of = np.full(len(members), -1)  # the cycle of each idempotent, -1 for Ghat
-    parity = np.zeros(len(members), dtype=np.int64)  # its position in the cycle, mod 2
+    ghat = hat_group(field, group)
+    trivial = (vecs == ghat.vec).all(axis=1).argmax()
+    cycle_of = np.full(len(vecs), -1)  # the cycle of each idempotent, -1 for Ghat
+    parity = np.zeros(len(vecs), dtype=np.int64)  # its position in the cycle, mod 2
     l = 0
-    for start in range(len(members)):
-        if start == members.trivial_index or cycle_of[start] >= 0:
+    for start in range(len(vecs)):
+        if start == trivial or cycle_of[start] >= 0:
             continue
         cycle = [start]
         while perm[cycle[-1]] != start:
@@ -300,7 +301,6 @@ def construct_pairs(
         es, fs = np.where(swap, fs, es), np.where(swap, es, fs)
         order = np.lexsort(es.T[::-1])
         es, fs, in_e = es[order], fs[order], np.where(swap, in_f, in_e)[order]
-    ghat = hat_group(field, group)
     selection = (in_e, vecs) if _PARTS_ROWS * len(in_e) >= len(vecs) ** 2 else None
     fixed, swapped = _pair_axioms(field, group, mu, ghat, es, fs, selection)
     return _PairStacks(field, group, mu, ghat, es, fs, fixed, swapped)

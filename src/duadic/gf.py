@@ -43,6 +43,14 @@ def multiplicative_order_mod(q: int, n: int) -> int:
     return t
 
 
+def as_indexes(values) -> np.ndarray:
+    """Ids or field indexes as int64, an int64 array as it is; ValueError unless integers or bools."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "biu" and arr.size:
+        raise ValueError(f"indexes must be integers, got {arr.dtype} entries")
+    return arr.astype(np.int64, copy=False)
+
+
 class FiniteField:
     """Arithmetic context for GF(p^m).
 

@@ -17,7 +17,7 @@ from string import ascii_lowercase
 import numpy as np
 
 from .errors import CayleyFormatError
-from .gf import field_from_order, is_prime
+from .gf import as_indexes, field_from_order, is_prime
 
 GROUP_ORDER_CAP = 512
 
@@ -29,7 +29,7 @@ def check_order_cap(n: int) -> None:
 
 
 def _square_table(table) -> np.ndarray:
-    t = np.asarray(table, dtype=np.int64)
+    t = as_indexes(table)
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
         raise ValueError(f"Cayley table must be square, got shape {t.shape}")
     if t.shape[0] == 0:
@@ -135,7 +135,7 @@ class Group:
 
     def power(self, g: int | np.ndarray, e: int) -> int | np.ndarray:
         """g^e through the table, elementwise over an id array; an int id gives an int."""
-        ids = np.asarray(g, dtype=np.int64)
+        ids = as_indexes(g)
         if e < 0:
             ids, e = self.inverse[ids], -e
         out, base = np.zeros_like(ids), ids
@@ -264,7 +264,7 @@ def group_product(g1: Group, g2: Group) -> Group:
 
 def is_subgroup(group: Group, ids) -> bool:
     """True iff ids is nonempty, contains the identity, and is closed."""
-    ids = np.unique(np.array([int(x) for x in ids], dtype=np.int64))
+    ids = np.unique(as_indexes(list(ids)))
     if not ids.size or ids[0] != 0 or ids[-1] >= group.order:
         return False
     mask = np.zeros(group.order, dtype=bool)
@@ -329,7 +329,7 @@ class Antiautomorphism:
     """
 
     def __init__(self, group: Group, mu_star, frobenius_power: int = 0, descriptor: str = ""):
-        perm = np.array(mu_star, dtype=np.int64)
+        perm = as_indexes(mu_star).copy()
         n = group.order
         if perm.shape != (n,):
             raise ValueError(f"mu_star must be a length-{n} permutation")
@@ -429,7 +429,7 @@ def mu_action_on_class(mu: Antiautomorphism, partition: FqClassPartition, class_
     """Image class id under K -> K(mu_star(rep)^l), elementwise over an array of class ids."""
     if mu.group != partition.group:
         raise ValueError("antiautomorphism and partition live on different groups")
-    cids = np.asarray(class_id, dtype=np.int64)
+    cids = as_indexes(class_id)
     bad = (cids < 0) | (cids >= len(partition))
     if bad.any():
         raise ValueError(f"class id {cids[bad].flat[0]} out of range")

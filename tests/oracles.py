@@ -22,7 +22,6 @@ import numpy as np
 from duadic import _linalg
 from duadic.algebra import (
     AlgebraElement,
-    IdempotentSet,
     alg_mul,
     apply_antiauto,
     is_central,
@@ -33,7 +32,7 @@ from duadic.codes import DEFAULT_ENUM_CAP, coset_min_weight
 from duadic.duadic import DuadicPair
 from duadic.errors import EnumerationCapError, VerificationError
 from duadic.gf import FiniteField, _prime_factors, multiplicative_order_mod
-from duadic.groups import Group, group_product, product_antiauto
+from duadic.groups import Group, fq_classes, group_product, product_antiauto
 
 # Fixed seed for the equal-degree splitting step of the factorization, so
 # repeated runs pick identical splitting elements.
@@ -732,11 +731,29 @@ def reference_fq_classes(group: Group, q: int) -> tuple[tuple[tuple[int, ...], .
 # ---------------------------------------------------------------------------
 
 
-def validate_idempotent_set(s: IdempotentSet) -> None:
+def sorted_stack(field: FiniteField, group: Group, vecs) -> np.ndarray:
+    """The read-only stack of the coefficient vectors, sorted as Python
+    tuples; VerificationError unless Ghat is one of them."""
+    rows = sorted(tuple(int(c) for c in vec) for vec in vecs)
+    if (field.inv(field.from_int(group.order)),) * group.order not in rows:
+        raise VerificationError("trivial idempotent missing from idempotent set")
+    stack = np.array(rows, dtype=np.int64).reshape(len(rows), group.order)
+    stack.flags.writeable = False
+    return stack
+
+
+def validate_idempotent_set(field: FiniteField, group: Group, stack: np.ndarray) -> None:
     """Exact structural checks of a complete set of centrally primitive
-    idempotents; raises VerificationError on any failure."""
-    total = AlgebraElement.zero(s.field, s.group)
-    for e in s.members:
+    idempotents, given as `split_primitive_central_idempotents` returns it:
+    a read-only int64 stack, rows sorted and Ghat among them; raises
+    VerificationError on any failure."""
+    if stack.dtype != np.int64 or stack.flags.writeable:
+        raise VerificationError("idempotent set is not a read-only int64 stack")
+    if not np.array_equal(stack, sorted_stack(field, group, stack)):
+        raise VerificationError("idempotent set is not sorted by coefficient tuple")
+    members = [AlgebraElement(field, group, row) for row in stack]
+    total = AlgebraElement.zero(field, group)
+    for e in members:
         if e.weight() == 0:
             raise VerificationError("zero member in idempotent set")
         if not is_idempotent(e):
@@ -744,16 +761,16 @@ def validate_idempotent_set(s: IdempotentSet) -> None:
         if not is_central(e):
             raise VerificationError(f"not central: {e!r}")
         total = total + e
-    if total != AlgebraElement.one(s.field, s.group):
+    if total != AlgebraElement.one(field, group):
         raise VerificationError("idempotents do not sum to 1")
-    for i, e in enumerate(s.members):
-        for f in s.members[i + 1 :]:
+    for i, e in enumerate(members):
+        for f in members[i + 1 :]:
             prod = alg_mul(e, f)
             if prod.weight() or alg_mul(f, e).weight():
                 raise VerificationError("idempotents are not pairwise orthogonal")
-    count = len(s.partition)
-    if len(s.members) != count:
-        raise VerificationError(f"{len(s.members)} idempotents vs {count} F_q-conjugacy classes")
+    count = len(fq_classes(group, field.q))
+    if len(members) != count:
+        raise VerificationError(f"{len(members)} idempotents vs {count} F_q-conjugacy classes")
 
 
 # ---------------------------------------------------------------------------
@@ -804,12 +821,13 @@ def reference_pairs_from_cycles(mu, field: FiniteField, group: Group, mode: str 
     the two halves of each cycle of mu on the nontrivial idempotents summed
     one idempotent at a time, then canonical mode's sum of the even halves,
     or enumerate-all's sum for every phase choice but the first cycle's,
-    e <-> f swapped by key and the pairs sorted.  The cell must split with
-    cycles of even length."""
-    members = split_primitive_central_idempotents(field, group)
-    perm = [members.members.index(apply_antiauto(mu, h)) for h in members]
+    e <-> f swapped by coefficient tuple and the pairs sorted.  The cell
+    must split with cycles of even length."""
+    members = [AlgebraElement(field, group, row) for row in split_primitive_central_idempotents(field, group)]
+    perm = [members.index(apply_antiauto(mu, h)) for h in members]
     zero = AlgebraElement.zero(field, group)
-    done = {members.trivial_index}
+    ghat = AlgebraElement(field, group, [field.inv(field.from_int(group.order))] * group.order)
+    done = {members.index(ghat)}
     halves = []
     for start in range(len(members)):
         if start in done:
@@ -826,10 +844,10 @@ def reference_pairs_from_cycles(mu, field: FiniteField, group: Group, mode: str 
     for choice in itertools.product((0, 1), repeat=len(halves) - 1):
         phases = (0, *choice)
         e, f = (sum((half[phase ^ flip] for half, phase in zip(halves, phases)), zero) for flip in (0, 1))
-        if e.key() > f.key():
+        if e.vec.tolist() > f.vec.tolist():
             e, f = f, e
         pairs.append(DuadicPair(field, group, e, f, mu))
-    pairs.sort(key=lambda p: p.e.key())
+    pairs.sort(key=lambda p: p.e.vec.tolist())
     return pairs
 
 
@@ -856,9 +874,9 @@ def reference_product_duadic(pair1: DuadicPair, pair2: DuadicPair) -> DuadicPair
     candidates += [embed(w, right) for w in pair2.witnesses]
     witnesses, seen = [], set()
     for w in candidates:
-        if (alg_mul(e, w) == w or alg_mul(f, w) == w) and w.key() not in seen:
+        if (alg_mul(e, w) == w or alg_mul(f, w) == w) and w.vec.tobytes() not in seen:
             witnesses.append(w)
-            seen.add(w.key())
+            seen.add(w.vec.tobytes())
     mu = product_antiauto(pair1.mu, pair2.mu, product)
     return DuadicPair(field, product, e, f, mu, witnesses=tuple(witnesses))
 
@@ -885,15 +903,16 @@ def reference_fixed_center(field, group):
 
 
 def reference_split_idempotents(field, group):
-    """(idempotent set, fixed-center basis): the unit split against each
-    fixed-center basis vector through the roots of its minimal polynomial,
-    the roots found by scalar evaluation at every field element."""
+    """(`sorted_stack` of the idempotents, fixed-center basis): the unit
+    split against each fixed-center basis vector through the roots of its
+    minimal polynomial, the roots found by scalar evaluation at every field
+    element."""
     basis, reps = reference_fixed_center(field, group)
     components = [AlgebraElement.one(field, group)]
     for row in basis:
         b = AlgebraElement(field, group, row)
         components = [part for unit in components for part in _reference_refine(field, reps, unit, b)]
-    return IdempotentSet(field, group, components), basis
+    return sorted_stack(field, group, [c.vec for c in components]), basis
 
 
 def _reference_refine(field, reps, unit, b):
@@ -1019,14 +1038,14 @@ def _element_exponents(group: Group, gens: list[int], gen_orders: list[int]) -> 
     return exps
 
 
-def abelian_character_idempotents(field: FiniteField, group: Group) -> IdempotentSet:
+def abelian_character_idempotents(field: FiniteField, group: Group) -> np.ndarray:
     """Centrally primitive idempotents of an abelian F_q[G] via characters.
 
     Characters take values among m-th roots of unity (m the exponent), which
     live in GF(q^s) realized as F_q[y]/(h) for a deterministic irreducible
     factor h of y^m - 1 with roots of order exactly m.  Galois orbits of
     characters are summed and every resulting coefficient is checked to land
-    in the base field.
+    in the base field.  Returns their `sorted_stack`.
     """
     if not group.is_abelian:
         raise ValueError("character construction requires an abelian group")
@@ -1035,7 +1054,7 @@ def abelian_character_idempotents(field: FiniteField, group: Group) -> Idempoten
     if math.gcd(n, q) != 1:
         raise ValueError(f"gcd(|G|={n}, q={q}) != 1")
     if n == 1:
-        return IdempotentSet(field, group, [AlgebraElement.one(field, group)])
+        return sorted_stack(field, group, [AlgebraElement.one(field, group).vec])
     if group.abelian_orders is not None:
         gens, gen_orders = _natural_abelian_basis(group)
     else:
@@ -1087,8 +1106,8 @@ def abelian_character_idempotents(field: FiniteField, group: Group) -> Idempoten
                 "character-orbit sum left the base field; internal error"
             )
         coeff = field.vmul(np.int64(inv_n), values[:, 0])
-        members.append(AlgebraElement(field, group, coeff))
-    return IdempotentSet(field, group, members)
+        members.append(AlgebraElement(field, group, coeff).vec)
+    return sorted_stack(field, group, members)
 
 
 def _tuple_id(u: np.ndarray, orders: np.ndarray) -> int:

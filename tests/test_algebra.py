@@ -14,7 +14,6 @@ import pytest
 from duadic import _linalg, algebra
 from duadic.algebra import (
     AlgebraElement,
-    IdempotentSet,
     _by_minimal_polynomial,
     _class_sum_action,
     _scalar_rows,
@@ -54,6 +53,7 @@ from oracles import (
 )
 
 REFERENCE_QS = (2, 3, 4, 5, 7, 8, 9, 16, 25, 27)
+NOT_INTEGERS = r"^indexes must be integers, got (float64|<U1) entries$"
 
 
 def _reference_cells():
@@ -297,27 +297,26 @@ class TestApplyAntiauto:
 class TestSplitIdempotents:
     def test_z7_exact_set(self, gf2, z7):
         s = split_primitive_central_idempotents(gf2, z7)
-        supports = {e.key() for e in s}
+        supports = set(map(tuple, s.tolist()))
         want = {
             tuple(np.bincount([0, 1, 2, 4], minlength=7)),
             tuple(np.bincount([0, 3, 5, 6], minlength=7)),
             (1,) * 7,
         }
         assert supports == want
-        validate_idempotent_set(s)
+        validate_idempotent_set(gf2, z7, s)
 
     def test_z33_count_and_dims(self, gf2, z33):
         s = split_primitive_central_idempotents(gf2, z33)
         assert len(s) == 5
-        dims = sorted(code_from_ideal(e).k for e in s)
+        dims = sorted(code_from_ideal(AlgebraElement(gf2, z33, e)).k for e in s)
         assert dims == [1, 2, 2, 2, 2]
-        validate_idempotent_set(s)
+        validate_idempotent_set(gf2, z33, s)
 
     def test_trivial_group(self, gf9):
         g = group_from_cayley([[0]])
         s = split_primitive_central_idempotents(gf9, g)
-        assert len(s) == 1
-        assert s[0] == AlgebraElement.one(gf9, g)
+        assert s.tolist() == [[1]]
 
     def test_gcd_violation(self, z33):
         f3 = field_from_order(3)
@@ -328,7 +327,7 @@ class TestSplitIdempotents:
         # the classes a caller has computed already, as construct_pairs
         # passes its check's; those of another field or group are refused
         want = split_primitive_central_idempotents(gf2, z7)
-        assert split_primitive_central_idempotents(gf2, z7, fq_classes(z7, 2)) == want
+        assert np.array_equal(split_primitive_central_idempotents(gf2, z7, fq_classes(z7, 2)), want)
         for partition in (fq_classes(z7, 4), fq_classes(z33, 2)):
             with pytest.raises(ValueError, match="^partition belongs to another group or field$"):
                 split_primitive_central_idempotents(gf2, z7, partition)
@@ -342,25 +341,25 @@ class TestSplitIdempotents:
         group = group_abelian(orders)
         s = split_primitive_central_idempotents(field, group)
         assert len(s) == len(fq_classes(group, q))
-        validate_idempotent_set(s)
+        validate_idempotent_set(field, group, s)
 
     @pytest.mark.parametrize("q", [2, 4, 5])
     def test_nonabelian_frobenius21(self, frobenius21, q):
         field = field_from_order(q)
         s = split_primitive_central_idempotents(field, frobenius21)
         assert len(s) == len(fq_classes(frobenius21, q))
-        validate_idempotent_set(s)
+        validate_idempotent_set(field, frobenius21, s)
 
     def test_mu_stability(self, gf2, z33):
         s = split_primitive_central_idempotents(gf2, z33)
         for mu in (builtin_mu_minus1(z33), builtin_mu_swap(z33, 2)):
             for e in s:
-                assert apply_antiauto(mu, e) in s.members
+                assert apply_antiauto(mu, AlgebraElement(gf2, z33, e)).vec.tolist() in s.tolist()
 
     def test_component_dimensions_sum_to_n(self, frobenius21):
         field = field_from_order(2)
         s = split_primitive_central_idempotents(field, frobenius21)
-        assert sum(code_from_ideal(e).k for e in s) == 21
+        assert sum(code_from_ideal(AlgebraElement(field, frobenius21, e)).k for e in s) == 21
 
 
 def _force_values(monkeypatch, by_minimal_polynomial: bool) -> None:
@@ -380,11 +379,11 @@ class TestSplitAgainstFrobeniusKernel:
         assert fixed_center.shape[0] == r
         class_sums = (partition.class_of == np.arange(r)[:, None]).astype(np.int64)
         assert np.array_equal(reference_rref(field, fixed_center)[0], reference_rref(field, class_sums)[0])
-        assert split_primitive_central_idempotents(field, group) == reference
+        assert np.array_equal(split_primitive_central_idempotents(field, group), reference)
         # each value set on every stack: x^q - x, and the minimal polynomial
         for by_minimal_polynomial in (False, True):
             _force_values(monkeypatch, by_minimal_polynomial)
-            assert split_primitive_central_idempotents(field, group) == reference, by_minimal_polynomial
+            assert np.array_equal(split_primitive_central_idempotents(field, group), reference), by_minimal_polynomial
 
     def test_refining_outside_the_fixed_subalgebra_raises(self, gf2, z7, monkeypatch):
         # g is central but not Frobenius-fixed: multiplication by g on the
@@ -439,11 +438,11 @@ class TestSplitAgainstFrobeniusKernel:
     def test_small_groups_over_large_fields_match_characters(self, n, q, monkeypatch):
         field, group = field_from_order(q), cyclic_group(n)
         want = abelian_character_idempotents(field, group)
-        assert split_primitive_central_idempotents(field, group) == want
+        assert np.array_equal(split_primitive_central_idempotents(field, group), want)
         if q <= 257:  # a q x q table on the x^q - x side
             for by_minimal_polynomial in (False, True):
                 _force_values(monkeypatch, by_minimal_polynomial)
-                assert split_primitive_central_idempotents(field, group) == want, by_minimal_polynomial
+                assert np.array_equal(split_primitive_central_idempotents(field, group), want), by_minimal_polynomial
 
 
 class TestSplitWork:
@@ -502,14 +501,14 @@ class TestSplitWork:
         # a q-row Krylov stack of one unit alone holds 8 q r bytes
         field, group = field_from_order(65521), cyclic_group(7)
         want = abelian_character_idempotents(field, group)
-        assert split_primitive_central_idempotents(field, group) == want  # the field's tables
+        assert np.array_equal(split_primitive_central_idempotents(field, group), want)  # the field's tables
         tracemalloc.start()
         try:
             split = split_primitive_central_idempotents(field, group)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert split == want
+        assert np.array_equal(split, want)
         assert "_point_projections" not in vars(field)
         assert peak < 8 * field.q * len(split)
 
@@ -571,10 +570,10 @@ class TestClassCoordinates:
         field, group = field_from_order(64), cyclic_group(63)
         split = split_primitive_central_idempotents(field, group)
         assert len(split) == 63
-        assert split == abelian_character_idempotents(field, group)
+        assert np.array_equal(split, abelian_character_idempotents(field, group))
         for by_minimal_polynomial in (False, True):
             _force_values(monkeypatch, by_minimal_polynomial)
-            assert split_primitive_central_idempotents(field, group) == split, by_minimal_polynomial
+            assert np.array_equal(split_primitive_central_idempotents(field, group), split), by_minimal_polynomial
 
     def test_fully_split_z255_over_gf256(self):
         field, group = field_from_order(256), cyclic_group(255)
@@ -584,7 +583,7 @@ class TestClassCoordinates:
         assert len(split) == 255
         total = AlgebraElement.zero(field, group)
         for e in split:
-            total = total + e
+            total = total + AlgebraElement(field, group, e)
         assert total == AlgebraElement.one(field, group)
         assert elapsed < 20.0, f"Z255 over GF(256) took {elapsed:.1f}s"
 
@@ -612,14 +611,14 @@ class TestCharacterOracle:
     def test_z7_orbit_idempotent(self, gf2, z7):
         s = abelian_character_idempotents(gf2, z7)
         qr = poly_elem(gf2, z7, [0, 1, 2, 4])
-        assert qr in s.members
+        assert qr.vec.tolist() in s.tolist()
 
     def test_trivial_orbit_gives_ghat(self, gf2, z33):
         s = abelian_character_idempotents(gf2, z33)
-        assert s[s.trivial_index] == hat_group(gf2, z33)
+        assert hat_group(gf2, z33).vec.tolist() in s.tolist()
 
     def test_matches_splitting_z33(self, gf2, z33):
-        assert abelian_character_idempotents(gf2, z33) == split_primitive_central_idempotents(gf2, z33)
+        assert np.array_equal(abelian_character_idempotents(gf2, z33), split_primitive_central_idempotents(gf2, z33))
 
     @pytest.mark.parametrize(
         "q,orders",
@@ -629,7 +628,9 @@ class TestCharacterOracle:
     def test_matches_splitting_grid(self, q, orders):
         field = field_from_order(q)
         group = group_abelian(orders)
-        assert abelian_character_idempotents(field, group) == split_primitive_central_idempotents(field, group)
+        assert np.array_equal(
+            abelian_character_idempotents(field, group), split_primitive_central_idempotents(field, group)
+        )
 
     def test_rejects_nonabelian(self, frobenius21, gf2):
         with pytest.raises(ValueError, match="abelian"):
@@ -642,7 +643,9 @@ class TestCharacterOracle:
     def test_matches_splitting_beyond_81(self, q, orders):
         field = field_from_order(q)
         group = group_abelian(orders)
-        assert abelian_character_idempotents(field, group) == split_primitive_central_idempotents(field, group)
+        assert np.array_equal(
+            abelian_character_idempotents(field, group), split_primitive_central_idempotents(field, group)
+        )
 
     @pytest.mark.parametrize("orders", [[9], [3, 3], [9, 3], [5, 25]])
     def test_table_built_group_uses_greedy_basis(self, orders):
@@ -653,7 +656,7 @@ class TestCharacterOracle:
         assert stripped.abelian_orders is None
         got = abelian_character_idempotents(field, stripped)
         want = split_primitive_central_idempotents(field, stripped)
-        assert got == want
+        assert np.array_equal(got, want)
 
 
 class TestElementSurface:
@@ -678,6 +681,27 @@ class TestElementSurface:
             AlgebraElement(gf2, z7, [0, 1])
         with pytest.raises(ValueError, match="range"):
             AlgebraElement(gf2, z7, [0, 1, 2, 0, 0, 0, 0])
+
+    @pytest.mark.parametrize("vec", [[1.7, 0, 0], ["1", "0", "0"]], ids=["float", "str"])
+    def test_rejects_coefficients_that_are_not_integers(self, gf2, vec):
+        # each was truncated or parsed to the element 1
+        with pytest.raises(ValueError, match=NOT_INTEGERS):
+            AlgebraElement(gf2, cyclic_group(3), vec)
+
+    def test_basis_rejects_an_id_that_is_not_an_integer(self, gf2):
+        # numpy's IndexError before
+        with pytest.raises(ValueError, match=NOT_INTEGERS):
+            AlgebraElement.basis(gf2, cyclic_group(3), 1.5)
+
+    def test_coefficient_list_rejects_a_coefficient_that_is_not_an_integer(self, gf4):
+        # an AttributeError from the field's addition before
+        with pytest.raises(ValueError, match=NOT_INTEGERS):
+            AlgebraElement.from_coeff_list(gf4, cyclic_group(3), [(0, 1.5)])
+
+    def test_hat_subgroup_rejects_ids_that_are_not_integers(self, gf2):
+        # truncated to 0, 1, 2: the hat of the whole group
+        with pytest.raises(ValueError, match=NOT_INTEGERS):
+            hat_subgroup(gf2, cyclic_group(3), [0.0, 1.2, 2.7])
 
     @pytest.mark.parametrize("g", [-1, 7])
     def test_basis_rejects_an_element_id_out_of_range(self, gf2, z7, g):
@@ -711,13 +735,25 @@ class TestElementSurface:
         assert -a + a == AlgebraElement.zero(f3, z7)
         assert hash(a) == hash(AlgebraElement(f3, z7, a.vec.copy())) and len({a, -a, -(-a)}) == 2
 
-    def test_idempotent_set_hash_and_its_trivial_member(self, gf2, z7):
-        idempotents = split_primitive_central_idempotents(gf2, z7)
-        again = IdempotentSet(gf2, z7, reversed(idempotents.members))
-        assert again == idempotents and hash(again) == hash(idempotents)
-        nontrivial = [h for i, h in enumerate(idempotents) if i != idempotents.trivial_index]
-        with pytest.raises(VerificationError, match="trivial idempotent missing"):
-            IdempotentSet(gf2, z7, nontrivial)
+    @pytest.mark.parametrize(
+        "q,group",
+        [(2, cyclic_group(7)), (4, group_abelian([3, 3])), (5, group_from_cayley(metacyclic_table(7, 2)))],
+        ids=["z7-q2", "z3xz3-q4", "z7:z3-q5"],
+    )
+    def test_idempotent_stack_is_read_only_sorted_with_ghat(self, q, group):
+        field = field_from_order(q)
+        s = split_primitive_central_idempotents(field, group)
+        assert s.dtype == np.int64 and s.shape == (len(fq_classes(group, q)), group.order)
+        with pytest.raises(ValueError, match="read-only"):
+            s[0, 0] = 0
+        assert s.tolist() == sorted(s.tolist())
+        assert hat_group(field, group).vec.tolist() in s.tolist()
+
+    def test_idempotent_stack_without_ghat_raises(self, gf2, z7, monkeypatch):
+        # units that split into the three class sums of Z7 over GF(2), none Ghat
+        monkeypatch.setattr(algebra, "_split_units", lambda field, units, times: np.eye(3, dtype=np.int64))
+        with pytest.raises(VerificationError, match="^trivial idempotent missing from idempotent set$"):
+            split_primitive_central_idempotents(gf2, z7)
 
 
 @pytest.mark.parametrize(

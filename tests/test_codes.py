@@ -678,6 +678,16 @@ def test_linear_code_rejects_an_entry_out_of_range(q, entry):
         LinearCode(field_from_order(q), [[0, entry, 1]])
 
 
+@pytest.mark.parametrize("rows", [[[0, 1.5, 2.9]], [["0", "1", "2"]]], ids=["float", "str"])
+def test_linear_code_rejects_entries_that_are_not_integers(rows):
+    # the floats were truncated to the code of [[0, 1, 2]]; a word to test, likewise
+    field = field_from_order(4)
+    with pytest.raises(ValueError, match=r"^indexes must be integers, got (float64|<U1) entries$"):
+        LinearCode(field, rows)
+    with pytest.raises(ValueError, match=r"^indexes must be integers, got (float64|<U1) entries$"):
+        LinearCode(field, [[0, 1, 2]]).contains(rows[0])
+
+
 def test_repr_and_an_added_vector_already_in_the_code():
     f2 = field_from_order(2)
     code = LinearCode(f2, np.eye(3, 7, dtype=np.int64))

@@ -111,7 +111,7 @@ def axiom_cell(name: str):
         mu = Antiautomorphism(group, group.inverse, int(mu_name.endswith("frobenius")))
     else:
         mu = multiplier(group, int(mu_name[1:]))
-    members = list(split_primitive_central_idempotents(field, group))
+    members = [AlgebraElement(field, group, h) for h in split_primitive_central_idempotents(field, group)]
     images = [members.index(apply_antiauto(mu, h)) for h in members]
     cycles, done = [], {members.index(hat_group(field, group))}
     for start in range(len(members)):
@@ -381,7 +381,7 @@ class TestConstructPairs:
     def test_mu_permutation_follows_the_cycles(self):
         for name in _AXIOM_CELLS:
             field, group, mu, _, cycles = axiom_cell(name)
-            vecs = np.array([h.vec for h in split_primitive_central_idempotents(field, group)])
+            vecs = split_primitive_central_idempotents(field, group)
             perm = duadic_module._mu_permutation(mu, field, vecs)
             for cycle in cycles:
                 assert [perm[i] for i in cycle] == cycle[1:] + cycle[:1], name
@@ -511,7 +511,11 @@ class TestStackedAxioms:
         pairs = construct_pairs(mu, field, group, mode="enumerate-all")
         es, fs = np.array([p.e.vec for p in pairs]), np.array([p.f.vec for p in pairs])
         ghat = pairs[0].ghat
-        h = next(h for h in split_primitive_central_idempotents(field, group) if h != ghat)
+        h = next(
+            AlgebraElement(field, group, h)
+            for h in split_primitive_central_idempotents(field, group)
+            if not np.array_equal(h, ghat.vec)
+        )
         e, f = pairs[2].e, pairs[2].f
         if axiom == "e idempotent":
             # x = g + g^-1 has mu_-1(x) = x = -x and coefficient sum 0, and x^2 != x
@@ -545,7 +549,7 @@ class TestIdempotentRows:
 
     def stack(self):
         field, group = field_from_order(4), cyclic_group(21)
-        units = np.array([h.vec for h in split_primitive_central_idempotents(field, group)])
+        units = split_primitive_central_idempotents(field, group).copy()  # a test corrupts a unit
         sel = np.random.default_rng(21).integers(0, 2, (12, len(units)))
         return sel, units, _linalg.matmul(field, sel, units)
 

@@ -783,6 +783,30 @@ def test_public_input_guards_raise(call, message):
         call()
 
 
+def test_antiautomorphism_rejects_images_that_are_not_integers():
+    # truncated to the inversion [0, 2, 1] before
+    with pytest.raises(ValueError, match="^indexes must be integers, got float64 entries$"):
+        Antiautomorphism(cyclic_group(3), [0, 2.2, 1.1])
+
+
+def test_cayley_tables_and_subgroups_reject_ids_that_are_not_integers():
+    # the table was truncated to Z3's, and [0.5] to the subgroup {0}
+    table = cyclic_group(3).table.astype(float)
+    table[1, 1] += 0.5
+    for call in (lambda: group_from_cayley(table), lambda: is_subgroup(cyclic_group(3), [0.5])):
+        with pytest.raises(ValueError, match="^indexes must be integers, got float64 entries$"):
+            call()
+
+
+def test_powers_and_class_images_reject_ids_that_are_not_integers():
+    # 1.5 was truncated to the id, or the class id, 1
+    z3 = cyclic_group(3)
+    partition = fq_classes(z3, 2)
+    for call in (lambda: z3.power(1.5, 2), lambda: mu_action_on_class(builtin_mu_minus1(z3), partition, 1.5)):
+        with pytest.raises(ValueError, match="^indexes must be integers, got float64 entries$"):
+            call()
+
+
 def test_element_tuples_need_an_abelian_product():
     cayley = group_from_cayley(cyclic_group(7).table)
     for call in (lambda: cayley.element_tuple(1), lambda: cayley.element_id((1,))):

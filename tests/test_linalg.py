@@ -210,7 +210,7 @@ def test_matmul_large_enough_to_thread():
 
 def test_matmul_rejects_mismatched_shapes():
     with pytest.raises(ValueError, match=r"shape mismatch: \(2, 3\) @ \(2, 3\)"):
-        _linalg.matmul(field_from_order(2), np.zeros((2, 3)), np.zeros((2, 3)))
+        _linalg.matmul(field_from_order(2), np.zeros((2, 3), dtype=np.int64), np.zeros((2, 3), dtype=np.int64))
 
 
 def test_matmul_rejects_inexact_inner_dimension():

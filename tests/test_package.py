@@ -25,7 +25,6 @@ EXPECTED_ALL = [
     "FiniteField",
     "FqClassPartition",
     "Group",
-    "IdempotentSet",
     "LinearCode",
     "NoSplittingError",
     "PairAnalysis",
@@ -113,10 +112,9 @@ EXPECTED_SURFACE = {
     ],
     "Antiautomorphism": ["galois_exponents", "is_inversion_for"],
     "AlgebraElement": [
-        "basis", "coefficient_sum", "field", "from_coeff_list", "group", "key", "one", "scale",
+        "basis", "coefficient_sum", "field", "from_coeff_list", "group", "one", "scale",
         "to_pairs", "vec", "weight", "zero",
     ],
-    "IdempotentSet": [],
 }
 
 EXPECTED_SPLITTING_CHECK_FIELDS = ["ok", "fixed_class_ids", "partition"]

@@ -334,7 +334,7 @@ class TestWorkCounts:
     def test_pairing_applies_mu_to_no_idempotent(self, f2, monkeypatch, mode):
         # two cycles, so neither e nor f is itself one of the idempotents
         group = group_abelian([3, 3])
-        members = np.array([h.vec for h in split_primitive_central_idempotents(f2, group)])
+        members = split_primitive_central_idempotents(f2, group)
         applied = record_calls(monkeypatch, [duadic_module], "apply_antiauto")
         stacks = record_calls(monkeypatch, [duadic_module], "_antiauto_rows")
         pairs = construct_pairs(builtin_mu_swap(group, 2), f2, group, mode=mode)
