@@ -64,7 +64,7 @@ def rref(field: FiniteField, mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
         if i != r:
             blk[[r, i]] = blk[[i, r]]
         if blk[r, 0] != 1:
-            blk[r] = _multiples(field, np.array([field.inv(int(blk[r, 0]))]), blk[r])
+            blk[r] = _multiples(field, field._inverses[blk[r, :1]], blk[r])
         factors = blk[:, 0].copy()
         factors[r] = 0
         if prime:

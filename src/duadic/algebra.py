@@ -9,7 +9,7 @@ import numpy as np
 
 from . import _linalg
 from .errors import VerificationError
-from .gf import FiniteField, as_indexes, lagrange_rows, roots
+from .gf import FiniteField, as_indexes, as_int, lagrange_rows, roots
 from .groups import Antiautomorphism, FqClassPartition, Group, fq_classes, is_subgroup
 
 
@@ -19,11 +19,9 @@ class AlgebraElement:
     __slots__ = ("field", "group", "vec")
 
     def __init__(self, field: FiniteField, group: Group, vec):
-        v = as_indexes(vec).copy()
+        v = as_indexes(vec, field.q, "coefficient").copy()
         if v.shape != (group.order,):
             raise ValueError(f"coefficient vector must have length {group.order}")
-        if v.size and (v.min() < 0 or v.max() >= field.q):
-            raise ValueError("coefficient index out of field range")
         v.flags.writeable = False
         self.field = field
         self.group = group
@@ -41,16 +39,15 @@ class AlgebraElement:
 
     @classmethod
     def basis(cls, field: FiniteField, group: Group, g: int, coeff: int = 1) -> "AlgebraElement":
-        return cls.from_coeff_list(field, group, [(g, coeff)])
+        return cls.from_coeff_list(field, group, [(as_indexes(g), as_indexes(coeff))])
 
     @classmethod
     def from_coeff_list(cls, field: FiniteField, group: Group, pairs) -> "AlgebraElement":
         """Build from (element id, coefficient index) pairs, summing duplicates."""
+        ids, coeffs = as_indexes(list(pairs) or np.empty((0, 2))).T
         v = np.zeros(group.order, dtype=np.int64)
-        for g, c in as_indexes(list(pairs)).tolist():
-            if not (0 <= g < group.order and 0 <= c < field.q):
-                raise ValueError(f"pair ({g}, {c}) out of range: ids < {group.order}, coefficients < {field.q}")
-            v[g] = field.add(int(v[g]), c)
+        for g, c in zip(as_indexes(ids, group.order, "id"), as_indexes(coeffs, field.q, "coefficient")):
+            v[g] = field.vadd(v[g], c)
         return cls(field, group, v)
 
     # -- basics --------------------------------------------------------------
@@ -97,15 +94,13 @@ class AlgebraElement:
         return AlgebraElement(self.field, self.group, self.field.vneg(self.vec))
 
     def scale(self, s: int) -> "AlgebraElement":
-        return AlgebraElement(self.field, self.group, self.field.vmul(s, self.vec))
+        return AlgebraElement(self.field, self.group, self.field.vmul(as_indexes(s, self.field.q), self.vec))
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         return alg_mul(self, other)
 
     def __pow__(self, e: int) -> "AlgebraElement":
-        if e < 0:
-            raise ValueError("negative powers not supported")
-        out = AlgebraElement.one(self.field, self.group)
+        e, out = as_int(e, "exponent", lo=0), AlgebraElement.one(self.field, self.group)
         base = self
         while e:
             if e & 1:

@@ -29,7 +29,7 @@ import numpy as np
 from . import _linalg
 from .algebra import AlgebraElement, _antiauto_rows
 from .errors import EnumerationCapError, VerificationError
-from .gf import FiniteField, as_indexes
+from .gf import FiniteField, as_indexes, as_int
 
 DEFAULT_ENUM_CAP = 1 << 24
 
@@ -44,10 +44,7 @@ class LinearCode:
     gen[:, pivots] is the identity."""
 
     def __init__(self, field: FiniteField, rows):
-        rows = _linalg.as_matrix(rows)
-        if rows.size and (rows.min() < 0 or rows.max() >= field.q):
-            raise ValueError("entry index out of field range")
-        self._set_basis(field, *_linalg.rref(field, rows))
+        self._set_basis(field, *_linalg.rref(field, as_indexes(rows, field.q, "entry")))
 
     @classmethod
     def _systematic(cls, field: FiniteField, gen: np.ndarray, pivots) -> LinearCode:
@@ -85,7 +82,7 @@ class LinearCode:
         return _coset_tables(self.field, self.gen, self.n)
 
     def contains(self, vec) -> bool:
-        v = as_indexes(vec)
+        v = as_indexes(vec, self.field.q, "entry")
         if v.shape != (self.n,):
             raise ValueError(f"word length {v.shape} != {self.n}")
         return _linalg.in_row_space(self.field, self.gen, self.pivots, v)
@@ -104,7 +101,7 @@ def code_from_ideal(e: AlgebraElement, dim: int | None = None) -> LinearCode:
         n = len(translates)
         target = n / ((1 + 5**0.5) / 2)
         stride = min((s for s in range(1, n) if math.gcd(s, n) == 1), key=lambda s: abs(s - target), default=1)
-        code = LinearCode(e.field, translates[np.arange(min(dim + 4, n)) * stride % n])
+        code = LinearCode(e.field, translates[np.arange(min(as_int(dim, "dimension", lo=0) + 4, n)) * stride % n])
         if code.k >= dim:
             return code
     return LinearCode(e.field, translates)
@@ -265,7 +262,7 @@ def weight_distribution(code: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> np.nda
     [q^j, 2 q^j): only those tails and the zero tail are scanned, and all but
     the zero tail count q - 1 times."""
     field, n, q = code.field, code.n, code.field.q
-    if q**code.k > cap:
+    if q**code.k > as_int(cap, "cap", lo=1):
         raise EnumerationCapError(f"q^k = {q**code.k} exceeds the cap {cap}")
     heads, tail_t = code._tables
     if q > 2:  # rank 0 and the ranks [q^j, 2 q^j), j < t
@@ -298,7 +295,7 @@ def difference_min_weight(
     """
     field = big.field
     size = field.q**big.k - field.q**small.k
-    if size > cap:
+    if size > as_int(cap, "cap", lo=1):
         raise EnumerationCapError(f"q^k_big - q^k_small = {size} words exceed the cap {cap}")
     if not subcode_check(small, big):
         raise VerificationError("codes are not nested")

@@ -29,7 +29,7 @@ from .algebra import (
 )
 from .codes import LinearCode, _mu_image, _plus_vector, check_dual, code_from_ideal
 from .errors import NoSplittingError, VerificationError
-from .gf import FiniteField, multiplicative_order_mod
+from .gf import FiniteField, as_int, multiplicative_order_mod
 from .groups import (
     Antiautomorphism,
     FqClassPartition,
@@ -71,12 +71,7 @@ class DuadicPair:
         mu: Antiautomorphism,
         witnesses: tuple[AlgebraElement, ...] = (),
     ):
-        if group.order == 1:
-            raise NoSplittingError("the trivial group carries no duadic pairs")
-        if group.order % 2 == 0:
-            raise ValueError(f"group order {group.order} must be odd")
-        if math.gcd(group.order, field.q) != 1:
-            raise ValueError(f"gcd(|G|={group.order}, q={field.q}) != 1")
+        _check_cell(group.order, field.q)
         if mu.group != group or any(x.field != field or x.group != group for x in (e, f)):
             raise ValueError(f"e, f and mu must live over {field!r} and {group!r}")
         ghat = hat_group(field, group)
@@ -101,6 +96,14 @@ class DuadicPair:
             f"DuadicPair(n={self.group.order}, q={self.field.q}, "
             f"mu={self.mu.descriptor})"
         )
+
+
+def _check_cell(n: int, q: int) -> None:
+    """ValueError unless the group order n is odd and prime to q, NoSplittingError if n = 1."""
+    if n % 2 == 0 or math.gcd(n, q) != 1:
+        raise ValueError(f"group order {n} must be odd" if n % 2 == 0 else f"gcd(|G|={n}, q={q}) != 1")
+    if n == 1:
+        raise NoSplittingError("the trivial group carries no duadic pairs")
 
 
 def _pair_axioms(
@@ -174,11 +177,11 @@ class SplittingCheck:
 def splitting_exists_mu_minus1(n: int, q: int) -> bool:
     """The order-of-q criterion for an inversion splitting on any group of
     odd order n; the trivial group (n = 1) has none."""
-    if n % 2 == 0:
-        raise ValueError(f"group order must be odd, got {n}")
-    if math.gcd(n, q) != 1:
-        raise ValueError(f"gcd({n}, {q}) != 1")
-    return n > 1 and multiplicative_order_mod(q, n) % 2 == 1
+    n, q = as_int(n, "group order", lo=1), as_int(q, "q")
+    if n == 1:
+        return False
+    _check_cell(n, q)
+    return multiplicative_order_mod(q, n) % 2 == 1
 
 
 def check_splitting(mu: Antiautomorphism, field: FiniteField, group: Group) -> SplittingCheck:
@@ -247,10 +250,7 @@ def construct_pairs(
     """
     if mode not in ("canonical", "enumerate-all"):
         raise ValueError(f"unknown mode {mode!r}")
-    if group.order % 2 == 0:
-        raise ValueError(f"group order {group.order} must be odd")
-    if group.order == 1:
-        raise NoSplittingError("the trivial group carries no duadic pairs")
+    _check_cell(group.order, field.q)
     check = check_splitting(mu, field, group)
     cell = f"no splitting for mu={mu.descriptor} on {group.descriptor} over GF({field.q})"
     if not check.ok:

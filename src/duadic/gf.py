@@ -28,9 +28,9 @@ def is_prime(n: int) -> bool:
 
 
 def multiplicative_order_mod(q: int, n: int) -> int:
-    """Smallest t >= 1 with q^t = 1 (mod n); 1 when n == 1."""
-    if n < 1:
-        raise ValueError(f"modulus must be >= 1, got {n}")
+    """Smallest t >= 1 with q^t = 1 (mod n); 1 when n == 1.  The loop takes up to n
+    steps, so n is capped at FIELD_ORDER_CAP."""
+    q, n = as_int(q, "q"), as_int(n, "modulus", lo=1, hi=FIELD_ORDER_CAP)
     if math.gcd(q, n) != 1:
         raise ValueError(f"gcd({q}, {n}) != 1; multiplicative order undefined")
     if n == 1:
@@ -43,20 +43,38 @@ def multiplicative_order_mod(q: int, n: int) -> int:
     return t
 
 
-def as_indexes(values) -> np.ndarray:
-    """Ids or field indexes as int64, an int64 array as it is; ValueError unless integers or bools."""
-    arr = np.asarray(values)
-    if arr.dtype.kind not in "biu" and arr.size:
-        raise ValueError(f"indexes must be integers, got {arr.dtype} entries")
-    return arr.astype(np.int64, copy=False)
+def as_int(value, name: str, lo: int | None = None, hi: int | None = None) -> int:
+    """A count, order, exponent or cap as a Python int; ValueError unless a Python or
+    numpy integer (a bool is a flag, not a number), at least lo and at most the cap hi."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if lo is not None and value < lo:
+        raise ValueError(f"{name} must be >= {lo}, got {value}")
+    if hi is not None and value > hi:
+        raise ValueError(f"{name} {value} exceeds the cap {hi}")
+    return value
+
+
+def as_indexes(values, below: int | None = None, name: str = "index") -> np.ndarray:
+    """Ids or field indexes as int64, an int64 array as it is; ValueError unless integers
+    (a bool array is a 0/1 matrix, a lone bool a flag) and, given below, in [0, below)."""
+    raw = np.asarray(values)
+    if raw.dtype.kind not in ("biu" if raw.ndim else "iu") and raw.size:
+        raise ValueError(f"indexes must be integers, got {raw.dtype} entries")
+    arr = raw.astype(np.int64, copy=False)
+    if below is not None and arr.size and arr.view(np.uint64).max() >= below:  # a negative index wraps past below
+        raise ValueError(f"{name} {raw[arr.view(np.uint64) >= below].flat[0]} out of range [0, {below})")
+    return arr
 
 
 class FiniteField:
     """Arithmetic context for GF(p^m).
 
-    Use :func:`field_make` to construct one; the constructor itself trusts its
-    arguments apart from basic checks.  Two fields with equal (p, m, modulus)
-    compare equal and their elements interoperate.
+    Use :func:`field_make` to construct one, with the lex-smallest modulus
+    that a modulus of None stands for; the constructor checks p, m and the
+    modulus it is given.  Two fields with equal (p, m, modulus) compare equal
+    and their elements interoperate.
 
     The vector kernels take indexes as numpy arrays, 0-d arrays or numpy
     scalars of any integer type and return int64 indexes (`vsum` over every
@@ -64,25 +82,25 @@ class FiniteField:
     """
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...] | None):
+        p = as_int(p, "characteristic")
         if not is_prime(p):
             raise ValueError(f"characteristic {p} is not prime")
-        if m < 1:
-            raise ValueError(f"extension degree must be >= 1, got {m}")
-        q = p**m
-        if q > FIELD_ORDER_CAP:
+        m = as_int(m, "extension degree", lo=1)
+        if p ** min(m, FIELD_ORDER_CAP.bit_length()) > FIELD_ORDER_CAP:  # p >= 2: no p**m for a huge m
             raise ValueError(f"field order {p}^{m} exceeds the cap {FIELD_ORDER_CAP}")
         if m == 1:
             if modulus is not None:
                 raise ValueError("prime fields carry no modulus")
         else:
-            if modulus is None or len(modulus) != m + 1 or modulus[-1] != 1:
+            modulus = _smallest_irreducible(p, m) if modulus is None else modulus
+            if len(modulus) != m + 1 or modulus[-1] != 1:
                 raise ValueError("extension fields need a monic degree-m modulus")
             modulus = tuple(int(c) % p for c in modulus)
             if not _is_irreducible(p, modulus):
                 raise ValueError(f"modulus {modulus} is reducible over GF({p})")
         self.p = p
         self.m = m
-        self.q = q
+        self.q = p**m
         self.modulus = modulus
         self._key = (p, m, modulus)
         self._frob_maps: dict[int, np.ndarray] = {}
@@ -102,28 +120,29 @@ class FiniteField:
 
     # -- element encoding ----------------------------------------------
 
+    def _index(self, a) -> int:
+        """The index a of a scalar op, checked by `as_indexes` unless an int in [0, q)."""
+        return a if type(a) is int and 0 <= a < self.q else int(as_indexes(a, self.q))
+
     def coeffs_of(self, a: int) -> tuple[int, ...]:
         """Little-endian coefficient vector of the element with index a."""
-        out = []
-        for _ in range(self.m):
-            out.append(a % self.p)
-            a //= self.p
-        return tuple(out)
+        a = self._index(a)
+        return tuple(a // self.p**i % self.p for i in range(self.m))
 
     def from_int(self, n: int) -> int:
         """Index of the prime-subfield element n mod p."""
-        return n % self.p
+        return as_int(n, "n") % self.p
 
-    # -- scalar arithmetic on indexes: the vector kernels on one index ----
+    # -- scalar arithmetic on indexes: the vector kernels on one checked index
 
     def add(self, a: int, b: int) -> int:
-        return int(self.vadd(a, b))
+        return int(self.vadd(self._index(a), self._index(b)))
 
     def neg(self, a: int) -> int:
-        return int(self.vneg(a))
+        return int(self.vneg(self._index(a)))
 
     def sub(self, a: int, b: int) -> int:
-        return int(self.vsub(a, b))
+        return int(self.vsub(self._index(a), self._index(b)))
 
     @cached_property
     def _log_exp(self) -> tuple[np.ndarray, np.ndarray]:
@@ -161,7 +180,7 @@ class FiniteField:
             step = step @ step % p
         period = q - 1
         # no modulo or zero test on the vector paths: log[0] = 2(q-1), exp
-        # runs two periods and is 0 from 2(q-1) on; `inv` and `power` skip 0
+        # runs two periods and is 0 from 2(q-1) on; `power` skips 0, `_inverses` reads 0 from the end
         exp = np.zeros(4 * period + 1, dtype=np.int64)
         exp[:period] = exp[period : 2 * period] = self._pack_digits(block[:period])
         log = np.full(q, 2 * period, dtype=np.int64)
@@ -169,22 +188,16 @@ class FiniteField:
         return log, exp
 
     def mul(self, a: int, b: int) -> int:
-        return int(self.vmul(a, b))
+        return int(self.vmul(self._index(a), self._index(b)))
 
     def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError(f"inversion of zero in {self!r}")
-        if self.m == 1:
-            return pow(int(a), -1, self.p)
-        log, exp = self._log_exp
-        return int(exp[self.q - 1 - log[a]])
+        return int(self.vinv(self._index(a)))
 
     def power(self, a: int, e: int) -> int:
         """a^e for integer e >= 0 (e < 0 rejected; invert explicitly)."""
-        if e < 0:
-            raise ValueError("negative exponents not supported; use inv()")
+        a, e = self._index(a), as_int(e, "exponent", lo=0)
         if self.m == 1:
-            return pow(int(a), e, self.p)
+            return pow(a, e, self.p)
         if a == 0:
             return 0 if e else 1
         log, exp = self._log_exp
@@ -192,7 +205,7 @@ class FiniteField:
 
     def frobenius(self, a: int, t: int = 1) -> int:
         """a^(p^t)."""
-        return int(self.vfrobenius(a, t))
+        return int(self.vfrobenius(self._index(a), t))
 
     # -- vectorized arithmetic on numpy index arrays ----------------------
 
@@ -218,9 +231,12 @@ class FiniteField:
         return {t: tuple(np.ascontiguousarray(a, dtype=t) for a in tables) for t in (np.float32, np.float64)}
 
     @cached_property
-    def _prime_inverses(self) -> np.ndarray:
-        """Index a -> a^-1 in a prime field, with 0 -> 0."""
-        return np.array([0] + [pow(i, -1, self.p) for i in range(1, self.p)], dtype=np.int64)
+    def _inverses(self) -> np.ndarray:
+        """Index a -> a^-1, with 0 -> 0: by pow in a prime field, else exp[-log a]."""
+        if self.m == 1:
+            return np.array([0] + [pow(i, -1, self.p) for i in range(1, self.p)], dtype=np.int64)
+        log, exp = self._log_exp
+        return exp[self.q - 1 - log]  # log[0] = 2(q-1) reads a zero of exp from its end
 
     @cached_property
     def _point_projections(self) -> np.ndarray:
@@ -281,16 +297,13 @@ class FiniteField:
 
     def vinv(self, a: np.ndarray) -> np.ndarray:
         a = np.asarray(a)
-        if np.any(a == 0):
+        if not a.all():
             raise ZeroDivisionError(f"inversion of zero in {self!r}")
-        if self.m == 1:
-            return self._prime_inverses[a]
-        log, exp = self._log_exp
-        return exp[(-log[a]) % (self.q - 1)]
+        return self._inverses[a]
 
     def vfrobenius(self, a: np.ndarray, t: int = 1) -> np.ndarray:
         """Vectorized a^(p^t) via a cached permutation of indexes, exp[p^t log a]."""
-        t = t % self.m
+        t = as_int(t, "frobenius power") % self.m
         if t == 0:
             return np.asarray(a, dtype=np.int64)
         if t not in self._frob_maps:
@@ -383,24 +396,15 @@ def _smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
     return next(c for c in candidates if _is_irreducible(p, c))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: field_make(2, 2.0) is refused, not a hit
 def field_make(p: int, m: int) -> FiniteField:
     """Construct GF(p^m) with the deterministic (lex-smallest) modulus."""
-    if not is_prime(p):
-        raise ValueError(f"characteristic {p} is not prime")
-    if m < 1:
-        raise ValueError(f"extension degree must be >= 1, got {m}")
-    if p**m > FIELD_ORDER_CAP:
-        raise ValueError(f"field order {p}^{m} exceeds the cap {FIELD_ORDER_CAP}")
-    if m == 1:
-        return FiniteField(p, 1, None)
-    return FiniteField(p, m, _smallest_irreducible(p, m))
+    return FiniteField(p, m, None)
 
 
 def field_from_order(q: int) -> FiniteField:
     """GF(q) for a prime power q."""
-    if q > FIELD_ORDER_CAP:  # before trial division, which a large prime q would stall
-        raise ValueError(f"field order {q} exceeds the cap {FIELD_ORDER_CAP}")
+    q = as_int(q, "field order", hi=FIELD_ORDER_CAP)  # before trial division, which a large prime q would stall
     for p in _prime_factors(q):
         m = 0
         n = q

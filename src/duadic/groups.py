@@ -17,7 +17,7 @@ from string import ascii_lowercase
 import numpy as np
 
 from .errors import CayleyFormatError
-from .gf import as_indexes, field_from_order, is_prime
+from .gf import as_indexes, as_int, field_from_order, is_prime
 
 GROUP_ORDER_CAP = 512
 
@@ -135,7 +135,11 @@ class Group:
 
     def power(self, g: int | np.ndarray, e: int) -> int | np.ndarray:
         """g^e through the table, elementwise over an id array; an int id gives an int."""
-        ids = as_indexes(g)
+        out = self._power(as_indexes(g, self.order, "id"), as_int(e, "exponent"))
+        return int(out) if np.ndim(out) == 0 else out
+
+    def _power(self, ids: np.ndarray, e: int) -> np.ndarray:
+        """`power` of ids its caller built in range, unchecked."""
         if e < 0:
             ids, e = self.inverse[ids], -e
         out, base = np.zeros_like(ids), ids
@@ -144,14 +148,14 @@ class Group:
                 out = self.table[out, base]
             base = self.table[base, base]
             e >>= 1
-        return int(out) if np.ndim(out) == 0 else out
+        return out
 
     @cached_property
     def element_orders(self) -> np.ndarray:
         """The least divisor d of n with g^d = 1, for every id g."""
         n, ids = self.order, np.arange(self.order)
         divisors = [d for d in range(1, n + 1) if n % d == 0]
-        ones = [self.power(ids, d) == 0 for d in divisors]  # ones[i][g]: g^(divisors[i]) = 1
+        ones = [self._power(ids, d) == 0 for d in divisors]  # ones[i][g]: g^(divisors[i]) = 1
         return np.array(divisors)[np.argmax(ones, axis=0)]
 
     @cached_property
@@ -182,12 +186,12 @@ class Group:
         """The exponent tuple of id g; an id outside [0, n) raises ValueError."""
         if self.abelian_orders is None:
             raise ValueError("element tuples only exist for abelian product groups")
-        return tuple(int(e) for e in np.unravel_index(g, self.abelian_orders))
+        return tuple(int(e) for e in np.unravel_index(as_indexes(g, self.order, "id"), self.abelian_orders))
 
     def element_id(self, exponents) -> int:
         if self.abelian_orders is None:
             raise ValueError("element tuples only exist for abelian product groups")
-        exps = list(exponents)
+        exps = as_indexes(list(exponents))
         if len(exps) != len(self.abelian_orders):
             raise ValueError("wrong tuple length")
         return int(np.ravel_multi_index(exps, self.abelian_orders, mode="wrap"))
@@ -217,7 +221,7 @@ def group_abelian(orders) -> Group:
     Element ids are the row-major mixed-radix encoding of exponent tuples
     (last factor varies fastest); the identity is the all-zero tuple, id 0.
     """
-    ords = [int(x) for x in orders]
+    ords = [as_int(x, "cyclic factor order") for x in orders]
     if not ords:
         raise ValueError("need at least one cyclic factor")
     if any(o < 2 for o in ords):
@@ -235,7 +239,7 @@ def group_abelian(orders) -> Group:
 
 def cyclic_group(n: int) -> Group:
     # n = 1 is allowed here (degenerate scans); group_abelian itself rejects it
-    if n == 1:
+    if as_int(n, "group order") == 1:
         return Group([[0]], descriptor="1")
     return group_abelian([n])
 
@@ -301,13 +305,13 @@ def fq_classes(group: Group, q: int) -> FqClassPartition:
     of some g^(q^i).  After k doublings low[g] is the minimum over i < 2^k and
     step[g] = g^(q^(2^k)); the orbit of g under x -> x^q has at most
     max(1, n - 1) elements, so bit_length(n - 1) doublings cover it."""
-    n = group.order
+    n, q = group.order, as_int(q, "q")
     if math.gcd(q, n) != 1:
         raise ValueError(f"gcd(|G|={n}, q={q}) != 1")
     ids, t = np.arange(n), group.table
     # the least conjugate: x itself if G is abelian, else a column minimum of [h, x] = h^-1 x h
     low = ids if group.is_abelian else t[t[group.inverse[:, None], ids], ids[:, None]].min(axis=0)
-    step = group.power(ids, q)
+    step = group._power(ids, q)
     for _ in range((n - 1).bit_length()):
         low, step = np.minimum(low, low[step]), step[step]
     reps, class_of = np.unique(low, return_inverse=True)
@@ -345,12 +349,12 @@ class Antiautomorphism:
             raise ValueError(
                 f"mu_star is not an antiautomorphism: mu({g}*{h}) != mu({h})*mu({g})"
             )
-        if frobenius_power < 0:
+        if (power := as_int(frobenius_power, "frobenius power")) < 0:
             raise ValueError("frobenius power must be >= 0")
         self.group = group
         self.mu_star = perm
         self.mu_star.flags.writeable = False
-        self.frobenius_power = int(frobenius_power)
+        self.frobenius_power = power
         self.descriptor = descriptor or "perm"
 
     def __eq__(self, other) -> bool:
@@ -398,13 +402,13 @@ def builtin_mu_swap(group: Group, q: int) -> Antiautomorphism:
     orders = group.abelian_orders
     if orders is None or len(orders) != 2 or orders[0] != orders[1]:
         raise ValueError("swap antiautomorphism needs a group built as Z_p x Z_p")
-    p = orders[0]
+    p, q = orders[0], as_int(q, "q")
     if p % 2 == 0 or not is_prime(p):
         raise ValueError(f"swap antiautomorphism needs an odd prime p, got {p}")
     if math.gcd(p, q) != 1:
         raise ValueError(f"gcd(p={p}, q={q}) != 1")
     xs, ys = np.divmod(np.arange(p * p), p)
-    perm = (q * ys % p) * p + xs
+    perm = (q % p * ys % p) * p + xs
     return Antiautomorphism(group, perm, 0, descriptor="swap")
 
 
@@ -429,13 +433,10 @@ def mu_action_on_class(mu: Antiautomorphism, partition: FqClassPartition, class_
     """Image class id under K -> K(mu_star(rep)^l), elementwise over an array of class ids."""
     if mu.group != partition.group:
         raise ValueError("antiautomorphism and partition live on different groups")
-    cids = as_indexes(class_id)
-    bad = (cids < 0) | (cids >= len(partition))
-    if bad.any():
-        raise ValueError(f"class id {cids[bad].flat[0]} out of range")
+    cids = as_indexes(class_id, len(partition), "class id")
     _, ell = mu.galois_exponents(partition.q)
     reps = np.asarray(partition.reps, dtype=np.int64)[cids]
-    img = partition.class_of[partition.group.power(mu.mu_star[reps], ell)]
+    img = partition.class_of[partition.group._power(mu.mu_star[reps], ell)]
     return int(img) if np.ndim(img) == 0 else img
 
 

@@ -17,7 +17,7 @@ from .codes import (
 from .duadic import DuadicCodes, DuadicPair, DualityReport, classify_duality
 from .duadic import construct_pairs, duadic_codes, odd_like_bound
 from .errors import EnumerationCapError
-from .gf import FiniteField
+from .gf import FiniteField, as_int
 from .groups import Antiautomorphism, Group
 
 
@@ -113,7 +113,7 @@ def css_distance(
     total = q**d.k - q**c.k
     if not collapsed:
         total += q ** (n - c.k) - q ** (n - d.k)
-    if total > cap:
+    if total > as_int(cap, "cap", lo=1):
         if fallback is not None:
             return fallback
         raise EnumerationCapError(f"distance enumeration of {total} words exceeds cap {cap}")

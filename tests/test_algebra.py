@@ -706,7 +706,7 @@ class TestElementSurface:
     @pytest.mark.parametrize("g", [-1, 7])
     def test_basis_rejects_an_element_id_out_of_range(self, gf2, z7, g):
         # a negative id would index from the end: -1 would set the coefficient of a^6
-        message = rf"^pair \({g}, 1\) out of range: ids < 7, coefficients < 2$"
+        message = rf"^id {g} out of range \[0, 7\)$"
         with pytest.raises(ValueError, match=message):
             AlgebraElement.basis(gf2, z7, g)
         with pytest.raises(ValueError, match=message):
@@ -716,7 +716,7 @@ class TestElementSurface:
     def test_coefficient_list_rejects_an_index_out_of_range(self, z7, q, coeff):
         # over GF(3), 5 and -1 would reduce to 2; over GF(9), 10 would read past the digit table
         field = field_from_order(q)
-        message = rf"^pair \(1, {coeff}\) out of range: ids < 7, coefficients < {q}$"
+        message = rf"^coefficient {coeff} out of range \[0, {q}\)$"
         with pytest.raises(ValueError, match=message):
             AlgebraElement.from_coeff_list(field, z7, [(1, coeff)])
         with pytest.raises(ValueError, match=message):
@@ -763,7 +763,9 @@ class TestElementSurface:
             lambda f: apply_antiauto(builtin_mu_minus1(cyclic_group(5)), AlgebraElement.one(f, cyclic_group(7))),
             "antiautomorphism and element live on different groups",
         ),
-        (lambda f: AlgebraElement.one(f, cyclic_group(7)) ** -1, "negative powers not supported"),
+        (lambda f: AlgebraElement.one(f, cyclic_group(7)) ** -1, "^exponent must be >= 0, got -1$"),
+        # an AttributeError before
+        (lambda f: AlgebraElement.one(f, cyclic_group(7)).scale(1.5), "^indexes must be integers, got float64 entries$"),
     ],
 )
 def test_public_input_guards_raise(call, message):

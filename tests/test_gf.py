@@ -260,7 +260,7 @@ def test_log_tables_match_scalar_construction(p, m):
 def test_lazy_tables_are_built_once_per_field():
     for field, names in [
         (FiniteField(3, 2, field_make(3, 2).modulus), ["_log_exp", "_digit_table", "_float_digits"]),
-        (FiniteField(7, 1, None), ["_prime_inverses", "_digit_table", "_float_digits"]),
+        (FiniteField(7, 1, None), ["_inverses", "_digit_table", "_float_digits"]),
     ]:
         for name in names:
             assert name not in vars(field)
@@ -422,8 +422,17 @@ class TestMultiplicativeOrder:
         (lambda: FiniteField(5, 1, (0, 1)), ValueError, "prime fields carry no modulus"),
         (lambda: FiniteField(3, 2, (2, 1)), ValueError, "extension fields need a monic degree-m modulus"),
         (lambda: multiplicative_order_mod(2, 0), ValueError, "modulus must be >= 1, got 0"),
-        (lambda: field_from_order(9).power(3, -1), ValueError, "negative exponents not supported; use inv"),
+        (lambda: field_from_order(9).power(3, -1), ValueError, "^exponent must be >= 0, got -1$"),
         (lambda: field_from_order(5).vinv(np.array([1, 0])), ZeroDivisionError, re.escape("inversion of zero in GF(5)")),
+        # these built GF(4) twice, raised AttributeError, and raised numpy's IndexError twice
+        (lambda: field_from_order(4.0), ValueError, "^field order must be an integer, got 4.0$"),
+        (lambda: field_make(2, 2.0), ValueError, "^extension degree must be an integer, got 2.0$"),
+        (lambda: field_from_order(2).add(1.5, 0), ValueError, "^indexes must be integers, got float64 entries$"),
+        (lambda: field_from_order(4).frobenius(2, 1.5), ValueError, "^frobenius power must be an integer, got 1.5$"),
+        (lambda: field_from_order(4).inv(1.5), ValueError, "^indexes must be integers, got float64 entries$"),
+        # these did not end: 2^(2^70), and 2^68 steps to the order of 3
+        (lambda: FiniteField(2, 2**70, None), ValueError, re.escape(f"field order 2^{2**70} exceeds the cap 65536")),
+        (lambda: multiplicative_order_mod(3, 2**70), ValueError, f"^modulus {2**70} exceeds the cap 65536$"),
     ],
 )
 def test_public_input_guards_raise(call, error, message):

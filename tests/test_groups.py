@@ -426,7 +426,7 @@ class TestClassAction:
         with pytest.raises(ValueError, match="different groups"):
             mu_action_on_class(mu, fq_classes(cyclic_group(9), 2), 0)
         for cid in (-1, len(partition)):
-            with pytest.raises(ValueError, match=f"^class id {cid} out of range$"):
+            with pytest.raises(ValueError, match=rf"^class id {cid} out of range \[0, {len(partition)}\)$"):
                 mu_action_on_class(mu, partition, np.array([0, cid]))
 
     def test_action_is_permutation_and_involution(self, frobenius21):
@@ -623,9 +623,9 @@ class TestTableRoutinesAgainstOracles:
 
 @pytest.fixture
 def calls(monkeypatch) -> Counter:
-    """Counts of Group.power and Antiautomorphism.galois_exponents calls."""
+    """Counts of Group._power (the kernel of every power) and Antiautomorphism.galois_exponents calls."""
     counts = Counter()
-    for cls, name in ((Group, "power"), (Antiautomorphism, "galois_exponents")):
+    for cls, name in ((Group, "_power"), (Antiautomorphism, "galois_exponents")):
         def counted(*args, _name=name, _method=getattr(cls, name)):
             counts[_name] += 1
             return _method(*args)
@@ -637,7 +637,7 @@ def calls(monkeypatch) -> Counter:
 def test_fq_classes_calls_power_once(calls):
     # the closure called power once per element
     assert len(fq_classes(cyclic_group(45), 2)) == 8
-    assert calls["power"] == 1
+    assert calls["_power"] == 1
 
 
 def test_check_splitting_calls_galois_exponents_once(calls):
@@ -776,11 +776,29 @@ class TestAssociativityOnGenerators:
     [
         (lambda: group_abelian([]), "need at least one cyclic factor"),
         (lambda: group_product(cyclic_group(23), cyclic_group(23)), "product order 529 exceeds the validation cap 512"),
+        # these built Z3, stored Frobenius power 1, built Z7 and built the trivial group
+        (lambda: group_abelian([3.5]), "^cyclic factor order must be an integer, got 3.5$"),
+        (
+            lambda: Antiautomorphism(cyclic_group(3), [0, 2, 1], frobenius_power=1.5),
+            "^frobenius power must be an integer, got 1.5$",
+        ),
+        (lambda: cyclic_group(7.0), "^group order must be an integer, got 7.0$"),
+        (lambda: cyclic_group(True), "^group order must be an integer, got True$"),
     ],
 )
 def test_public_input_guards_raise(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize("g", [-1, 7, np.array([0, 7])])
+def test_power_rejects_an_id_out_of_range_and_an_exponent_that_is_not_an_integer(g):
+    # power(-1, 2) read id -1 as 6 and returned 5, and id 7 raised numpy's IndexError
+    with pytest.raises(ValueError, match=r"^id (-1|7) out of range \[0, 7\)$"):
+        cyclic_group(7).power(g, 2)
+    # a TypeError from `e & 1` before
+    with pytest.raises(ValueError, match="^exponent must be an integer, got 1.5$"):
+        cyclic_group(7).power(2, 1.5)
 
 
 def test_antiautomorphism_rejects_images_that_are_not_integers():
@@ -845,7 +863,7 @@ def test_ids_outside_the_group_raise():
     for bad in (9, -1):
         with pytest.raises(ValueError):
             g.element_tuple(bad)
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="^indexes must be integers, got float64 entries$"):  # numpy's TypeError before
         g.element_id((1.5, 0))
 
 
