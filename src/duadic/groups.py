@@ -10,8 +10,10 @@ Cayley-table groups label elements by raw id.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from io import StringIO
 from string import ascii_lowercase
 
 import numpy as np
@@ -61,13 +63,18 @@ class Group:
     """Finite group of order n as an n x n multiplication table.
 
     The constructor checks the shape, the order cap and two-sided inverses;
-    it trusts the table to be a group.  Outside tables enter through
-    `group_from_cayley`, which checks every group axiom first.  A direct
-    product made by `group_product` keeps its two factors in `factors`; only
-    the constructors set `abelian_orders`, the orders of its cyclic factors."""
+    it trusts the table to be a group, and keeps it read-only, copying a
+    caller's array once.  Outside tables enter through `group_from_cayley`,
+    which checks every group axiom first.  A direct product made by
+    `group_product` keeps its two factors in `factors`; only the
+    constructors set `abelian_orders`, the orders of its cyclic factors, and
+    `_generators`."""
 
     def __init__(self, table, descriptor: str = ""):
         t = _square_table(table)
+        if t is table or not t.flags.owndata:
+            t = t.copy()
+        t.flags.writeable = False
         n = t.shape[0]
         self.table = t
         self.order = n
@@ -79,9 +86,10 @@ class Group:
     # -- validation -------------------------------------------------------
 
     @staticmethod
-    def _validate(t: np.ndarray) -> None:
+    def _validate(t: np.ndarray) -> tuple[int, ...]:
         """Every group axiom of a square id table: closure, id 0 a two-sided
-        identity, rows and columns permutations, and associativity."""
+        identity, rows and columns permutations, and associativity; returns
+        the generating set associativity was checked on."""
         n = len(t)
         if t.min() < 0 or t.max() >= n:
             bad = np.argwhere((t < 0) | (t >= n))[0]
@@ -100,8 +108,9 @@ class Group:
         # Light's test: the g with (x g) y = x (g y) for all x, y form a
         # closed set, so a generating set decides associativity; the
         # exhaustive loop only names the first failing triple
-        if all(np.array_equal(t[t[:, g]], t[:, t[g]]) for g in _right_generators(t)):
-            return
+        gens = tuple(_right_generators(t))
+        if all(np.array_equal(t[t[:, g]], t[:, t[g]]) for g in gens):
+            return gens
         for a in range(n):
             lhs = t[t[a], :]
             rhs = t[a][t]
@@ -162,9 +171,16 @@ class Group:
     def exponent(self) -> int:
         return int(np.lcm.reduce(self.element_orders))
 
-    @property
+    @cached_property
     def is_abelian(self) -> bool:
         return bool(np.array_equal(self.table, self.table.T))
+
+    @cached_property
+    def _generators(self) -> tuple[int, ...]:
+        """A generating set, found greedily on the table where no constructor
+        set one: `group_abelian` and `group_product` take theirs from the
+        construction, `group_from_cayley` the one its validation found."""
+        return tuple(_right_generators(self.table))
 
     @cached_property
     def left_translation(self) -> np.ndarray:
@@ -229,18 +245,23 @@ def group_abelian(orders) -> Group:
     check_order_cap(math.prod(ords))
     table = np.zeros((1, 1), dtype=np.int64)
     for o in ords:
-        block = (np.arange(o)[:, None] + np.arange(o)[None, :]) % o
+        # row a of Z_o's table, (a + b) % o, is ring[a:a + o]: a read-only view, no n x n temporary
+        ring = np.arange(2 * o) % o
+        block = np.lib.stride_tricks.as_strided(ring, (o, o), ring.strides * 2, writeable=False)
         m = table.shape[0]
         table = (table[:, None, :, None] * o + block[None, :, None, :]).reshape(m * o, m * o)
     group = Group(table, descriptor="x".join(str(o) for o in ords))
     group.abelian_orders = tuple(ords)
+    group._generators = tuple(math.prod(ords[i + 1 :]) for i in range(len(ords)))  # the unit tuples
     return group
 
 
 def cyclic_group(n: int) -> Group:
     # n = 1 is allowed here (degenerate scans); group_abelian itself rejects it
     if as_int(n, "group order") == 1:
-        return Group([[0]], descriptor="1")
+        trivial = Group([[0]], descriptor="1")
+        trivial._generators = ()
+        return trivial
     return group_abelian([n])
 
 
@@ -248,8 +269,10 @@ def group_from_cayley(table, descriptor: str = "") -> Group:
     """Group from an explicit n x n id matrix, the one entry for outside
     tables: every group axiom is checked before the group is built."""
     t = _square_table(table)
-    Group._validate(t)
-    return Group(t, descriptor=descriptor)
+    gens = Group._validate(t)
+    group = Group(t, descriptor=descriptor)
+    group._generators = gens
+    return group
 
 
 def group_product(g1: Group, g2: Group) -> Group:
@@ -261,6 +284,7 @@ def group_product(g1: Group, g2: Group) -> Group:
     table = (g1.table[:, None, :, None] * n2 + g2.table[None, :, None, :]).reshape(n1 * n2, n1 * n2)
     product = Group(table, descriptor=f"{g1.descriptor},{g2.descriptor}")
     product.factors = (g1, g2)
+    product._generators = tuple(s * n2 for s in g1._generators) + g2._generators
     if g1.abelian_orders is not None and g2.abelian_orders is not None:
         product.abelian_orders = g1.abelian_orders + g2.abelian_orders
     return product
@@ -287,16 +311,26 @@ class FqClassPartition:
 
     Each class is the closure of a seed under conjugation and g -> g^q;
     classes are sorted by (and represented by) their smallest element id.
+    `class_of` maps each id to its class; the member lists, `classes`, are
+    built from it on first read.
     """
 
     group: Group
     q: int
-    classes: tuple[tuple[int, ...], ...]
     class_of: np.ndarray
     reps: tuple[int, ...]
 
+    def __post_init__(self):
+        as_int(self.q, "q")
+
     def __len__(self) -> int:
-        return len(self.classes)
+        return len(self.reps)
+
+    @cached_property
+    def classes(self) -> tuple[tuple[int, ...], ...]:
+        """The ids of each class in increasing order, classes in the order of `reps`."""
+        members = np.split(np.argsort(self.class_of, kind="stable"), np.cumsum(np.bincount(self.class_of))[:-1])
+        return tuple(tuple(c.tolist()) for c in members)
 
 
 def fq_classes(group: Group, q: int) -> FqClassPartition:
@@ -315,8 +349,7 @@ def fq_classes(group: Group, q: int) -> FqClassPartition:
     for _ in range((n - 1).bit_length()):
         low, step = np.minimum(low, low[step]), step[step]
     reps, class_of = np.unique(low, return_inverse=True)
-    members = np.split(np.argsort(class_of, kind="stable"), np.cumsum(np.bincount(class_of))[:-1])
-    return FqClassPartition(group, q, tuple(tuple(c.tolist()) for c in members), class_of, tuple(reps.tolist()))
+    return FqClassPartition(group, q, class_of, tuple(reps.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -341,11 +374,13 @@ class Antiautomorphism:
             raise ValueError("mu_star is not a bijection")
         if perm[0] != 0:
             raise ValueError("mu_star must fix the identity")
-        t = group.table
-        lhs = perm[t]
-        rhs = t[np.ix_(perm, perm)].T
-        if not np.array_equal(lhs, rhs):
-            g, h = np.argwhere(lhs != rhs)[0]
+        # the g with mu(g*h) = mu(h)*mu(g) for every h are closed under
+        # products (mu(g*g'*h) = mu(g'*h)*mu(g) = mu(h)*mu(g*g')), so a
+        # generating set decides the law; only a failure takes the n x n
+        # law, to name its first failing pair
+        t, gens = group.table, list(group._generators)
+        if not np.array_equal(perm[t[gens]], t[np.ix_(perm, perm[gens])].T):
+            g, h = np.argwhere(perm[t] != t[np.ix_(perm, perm)].T)[0]
             raise ValueError(
                 f"mu_star is not an antiautomorphism: mu({g}*{h}) != mu({h})*mu({g})"
             )
@@ -394,7 +429,7 @@ class Antiautomorphism:
 
 def builtin_mu_minus1(group: Group) -> Antiautomorphism:
     """The inversion map g -> g^-1 with trivial field part; every call builds a new, equal map."""
-    return Antiautomorphism(group, group.inverse.copy(), 0, descriptor="mu-1")
+    return Antiautomorphism(group, group.inverse, 0, descriptor="mu-1")
 
 
 def builtin_mu_swap(group: Group, q: int) -> Antiautomorphism:
@@ -488,7 +523,9 @@ def parse_cayley_text(text: str, descriptor: str = "") -> Group:
     Line 1 holds n; lines 2..n+1 hold n whitespace-separated ids each
     (row g, column h, entry g*h).  Raises CayleyFormatError with line and
     column positions on malformed input, and ValueError at the order line
-    for an n over the order cap.
+    for an n over the order cap.  The data lines are read in one numpy call;
+    only a table that call refuses, or one with an id out of range, is read
+    again row by row, which gives the same table or names the first fault.
     """
     n, rows = _id_lines(text, 1, "empty Cayley file")
     if n < 1:
@@ -496,11 +533,18 @@ def parse_cayley_text(text: str, descriptor: str = "") -> Group:
     check_order_cap(n)
     if len(rows) - 1 != n:
         raise CayleyFormatError(f"expected {n} table rows, found {len(rows) - 1}", line=rows[-1][0])
-    table = [
-        _id_row(no, ln, n, "table entry", f"expected {n} entries in table row {r}")
-        for r, (no, ln) in enumerate(rows[1:])
-    ]
-    return group_from_cayley(np.array(table), descriptor=descriptor or f"cayley(n={n})")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # older numpy reads an integer via a float with a warning
+            table = np.loadtxt(StringIO("\n".join(ln for _, ln in rows[1:])), dtype=np.int64, ndmin=2, comments=None)
+    except Exception:  # whatever numpy refuses (1_0, which int() takes, among it), the row reader decides
+        table = None
+    if table is None or table.shape != (n, n) or (table.view(np.uint64) >= n).any():  # a negative id wraps past n
+        table = np.array([
+            _id_row(no, ln, n, "table entry", f"expected {n} entries in table row {r}")
+            for r, (no, ln) in enumerate(rows[1:])
+        ])
+    return group_from_cayley(table, descriptor=descriptor or f"cayley(n={n})")
 
 
 def read_cayley_file(path) -> Group:

@@ -29,6 +29,9 @@ class DistanceRecord:
     exact: bool
     provenance: str
 
+    def __post_init__(self):
+        as_int(self.value, "distance", lo=0)
+
     def tag(self) -> str:
         return "exact" if self.exact else "lower-bound"
 

@@ -677,6 +677,17 @@ def reference_associativity_failure(table) -> tuple[int, int, int] | None:
     return None
 
 
+def reference_antiautomorphism_failure(table, perm) -> tuple[int, int] | None:
+    """The first (g, h) in lexicographic order with mu(g*h) != mu(h)*mu(g),
+    or None: every pair, one Python comparison each."""
+    n = len(table)
+    for g in range(n):
+        for h in range(n):
+            if perm[table[g][h]] != table[perm[h]][perm[g]]:
+                return g, h
+    return None
+
+
 def reference_conjugacy_classes(group):
     """Orbits under conjugation, by closure."""
     n = group.order

@@ -13,7 +13,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from duadic import groups
 from duadic.duadic import check_splitting
 from duadic.errors import CayleyFormatError
 from duadic.gf import field_make
@@ -38,6 +41,7 @@ from duadic.groups import (
 from conftest import frobenius21_table, heisenberg27_table, metacyclic_table
 from oracles import (
     format_cayley,
+    reference_antiautomorphism_failure,
     reference_associativity_failure,
     reference_conjugacy_classes,
     reference_element_id,
@@ -438,6 +442,14 @@ class TestClassAction:
             assert mu_action_on_class(mu, p, images[c]) == c
 
 
+def z11_text(cell=None, token=None, sep=" ") -> str:
+    """The Cayley text of Z11, with the entry at cell = (row, column) written as token."""
+    rows = [[str((a + b) % 11) for b in range(11)] for a in range(11)]
+    if cell is not None:
+        rows[cell[0]][cell[1]] = token
+    return "11\n" + "\n".join(sep.join(row) for row in rows) + "\n"
+
+
 class TestTextFormats:
     def test_cayley_roundtrip(self, frobenius21):
         text = format_cayley(frobenius21)
@@ -459,6 +471,40 @@ class TestTextFormats:
             parse_cayley_text("2\n0 x\n1 0\n")
         assert str(caught.value) == "non-integer table entry 'x' (line 2, column 2)"
         assert (caught.value.line, caught.value.column) == (2, 2)
+
+    @pytest.mark.parametrize(
+        "cell,token",
+        [((2, 8), "+10"), ((1, 10), "-0"), ((2, 8), "1_0"), ((1, 2), "\u0663"), ((1, 2), "+3")],
+        ids=["plus", "minus-zero", "underscore", "arabic-indic-digit", "plus-digit"],
+    )
+    def test_cayley_tokens_that_int_takes_read_as_it_reads_them(self, cell, token):
+        # numpy's one-call reader refuses 1_0 and the Arabic-Indic 3, which
+        # int() takes: the table is read again row by row
+        assert parse_cayley_text(z11_text(cell, token)) == cyclic_group(11)
+
+    def test_cayley_rows_split_by_tabs(self):
+        assert parse_cayley_text(z11_text(sep="\t")) == cyclic_group(11)
+
+    @pytest.mark.parametrize(
+        "token,message",
+        [
+            ("1.0", "non-integer table entry '1.0' (line 3, column 1)"),
+            ("1e3", "non-integer table entry '1e3' (line 3, column 1)"),
+            ("-1", "table entry -1 out of range [0, 11) (line 3, column 1)"),
+            ("99999999999999999999", "table entry 99999999999999999999 out of range [0, 11) (line 3, column 1)"),
+        ],
+    )
+    def test_cayley_tokens_that_int_refuses_are_named(self, token, message):
+        with pytest.raises(CayleyFormatError, match=f"^{re.escape(message)}$"):
+            parse_cayley_text(z11_text((1, 0), token))
+
+    def test_cayley_row_too_long_next_to_one_too_short(self):
+        # the same number of tokens in all, so only the row counts tell
+        lines = z11_text().splitlines()
+        lines[2] += " 0"
+        lines[3] = lines[3].rsplit(" ", 1)[0]
+        with pytest.raises(CayleyFormatError, match=r"^expected 11 entries in table row 1, found 12 \(line 3\)$"):
+            parse_cayley_text("\n".join(lines))
 
     def test_permutation_format(self):
         g = cyclic_group(7)
@@ -874,3 +920,173 @@ def test_hashes_follow_equality():
     swap = builtin_mu_swap(group_abelian([3, 3]), 2)
     assert swap == builtin_mu_swap(z33, 2) and hash(swap) == hash(builtin_mu_swap(z33, 2))
     assert len({swap, builtin_mu_swap(z33, 2), builtin_mu_minus1(z33)}) == 2
+
+
+# ---------------------------------------------------------------------------
+# the antiautomorphism law on a generating set, and the state a group caches
+# ---------------------------------------------------------------------------
+
+LAW_GROUPS = {
+    "z9": lambda: cyclic_group(9),
+    "z15": lambda: cyclic_group(15),
+    "3x3x3": lambda: group_abelian([3, 3, 3]),
+    "5x5": lambda: group_abelian([5, 5]),
+    "3x3,7": lambda: group_product(group_abelian([3, 3]), cyclic_group(7)),
+    "7:3": lambda: group_from_cayley(frobenius21_table()),
+    "13:3": lambda: group_from_cayley(metacyclic_table(13, 3)),
+    "3,7:3": lambda: group_product(cyclic_group(3), group_from_cayley(frobenius21_table())),
+    "heisenberg27": lambda: group_from_cayley(heisenberg27_table()),
+}
+
+
+@cache
+def law_group(name: str) -> Group:
+    return LAW_GROUPS[name]()
+
+
+def generated(table: np.ndarray, gens) -> set[int]:
+    """The subgroup generated by gens, by closure under right multiplication."""
+    reached, frontier = {0}, [0]
+    while frontier:
+        x = frontier.pop()
+        for s in gens:
+            if (y := int(table[x, s])) not in reached:
+                reached.add(y)
+                frontier.append(y)
+    return reached
+
+
+def right_cosets(table: np.ndarray, s: int) -> list[list[int]]:
+    """The right cosets <s>h, each as h, s*h, s^2*h, ..., the identity's first."""
+    cosets, seen = [], set()
+    for h in range(len(table)):
+        if h not in seen:
+            orbit = [h]
+            while (x := int(table[s, orbit[-1]])) != h:
+                orbit.append(x)
+            seen.update(orbit)
+            cosets.append(orbit)
+    return cosets
+
+
+@st.composite
+def law_cases(draw):
+    """(group, perm fixing 0).  The group is a fresh copy with a random
+    generating set S half the time.  The perm is nu, inversion after an inner
+    automorphism (after a power map too, if abelian); nu with two images
+    swapped; nu after a map rho with rho(s*h) = s*rho(h) for the first s in S,
+    so the law holds for g = s and may fail for the rest of S; or any perm."""
+    group = law_group(draw(st.sampled_from(sorted(LAW_GROUPS))))
+    n, t, inv = group.order, group.table, group.inverse
+    if draw(st.booleans()):
+        gens = []
+        for g in draw(st.permutations(range(1, n))):
+            if len(reached := generated(t, gens)) == n:
+                break
+            if g not in reached:
+                gens.append(g)
+        group = Group(t)
+        group._generators = tuple(gens)
+    c = draw(st.integers(0, n - 1))
+    perm = t[t[c, inv], inv[c]]  # x -> c x^-1 c^-1
+    if group.is_abelian:
+        k = draw(st.sampled_from([k for k in range(1, n) if np.gcd(k, n) == 1]))
+        perm = perm[group.power(np.arange(n), k)]
+    kind = draw(st.sampled_from(["anti", "swapped", "first-generator", "any"]))
+    if kind == "swapped":
+        a, b = draw(st.lists(st.integers(1, n - 1), min_size=2, max_size=2, unique=True))
+        perm[[a, b]] = perm[[b, a]]
+    elif kind == "first-generator":
+        # rho moves the coset <s>h to another, turned by s^k; it keeps <s>
+        cosets = right_cosets(t, group._generators[0])
+        rho = np.zeros(n, dtype=np.int64)
+        for src, i in zip(cosets, [0, *draw(st.permutations(range(1, len(cosets))))]):
+            rho[src] = np.roll(cosets[i], -draw(st.integers(0, len(src) - 1)) if i else 0)
+        perm = perm[rho]
+    elif kind == "any":
+        perm = np.array([0, *draw(st.permutations(range(1, n)))])
+    return group, perm
+
+
+def assert_law_matches_the_full_check(group: Group, perm) -> None:
+    failure = reference_antiautomorphism_failure(group.table.tolist(), perm.tolist())
+    if failure is None:
+        assert np.array_equal(Antiautomorphism(group, perm).mu_star, perm)
+        return
+    g, h = failure
+    message = rf"^mu_star is not an antiautomorphism: mu\({g}\*{h}\) != mu\({h}\)\*mu\({g}\)$"
+    with pytest.raises(ValueError, match=message):
+        Antiautomorphism(group, perm)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(case=law_cases())
+def test_the_law_on_a_generating_set_accepts_what_the_full_law_accepts(case):
+    assert_law_matches_the_full_check(*case)
+
+
+def test_a_failure_outside_the_generating_set_is_named_as_before():
+    # with S = {3} on Z7 the first failing pair, (1, 1), has g outside S
+    group = Group(cyclic_group(7).table)
+    group._generators = (3,)
+    perm = np.array([0, 2, 1, 3, 4, 5, 6])
+    assert reference_antiautomorphism_failure(group.table.tolist(), perm.tolist()) == (1, 1)
+    with pytest.raises(ValueError, match=r"^mu_star is not an antiautomorphism: mu\(1\*1\) != mu\(1\)\*mu\(1\)$"):
+        Antiautomorphism(group, perm)
+
+
+def test_constructed_groups_take_their_generators_from_their_construction(monkeypatch):
+    def search(table):
+        raise AssertionError("searched a constructed group's table for generators")
+
+    monkeypatch.setattr(groups, "_right_generators", search)
+    z3, z7, z5z5 = cyclic_group(3), cyclic_group(7), group_abelian([5, 5])
+    maps = [builtin_mu_minus1(cyclic_group(n)) for n in (1, 7, 199, 511)]
+    maps += [builtin_mu_swap(z5z5, 2), builtin_mu_minus1(group_abelian([3, 3, 7]))]
+    maps += [product_antiauto(builtin_mu_minus1(z3), builtin_mu_minus1(z7))]
+    maps += [product_antiauto(builtin_mu_swap(z5z5, 2), builtin_mu_minus1(group_product(z3, cyclic_group(5))))]
+    for mu in maps:
+        assert generated(mu.group.table, mu.group._generators) == set(range(mu.group.order))
+        assert check_splitting(mu, field_make(2, 1), mu.group).partition.group is mu.group
+    assert group_abelian([3, 5, 7])._generators == (35, 7, 1)  # the unit exponent tuples
+
+
+def test_the_classes_are_built_on_first_read(frobenius21):
+    partition = check_splitting(builtin_mu_minus1(frobenius21), field_make(2, 1), frobenius21).partition
+    assert "classes" not in vars(partition)
+    assert len(partition) == len(partition.reps) == 4
+    assert partition.classes == reference_fq_classes(frobenius21, 2)[0]
+    assert vars(partition)["classes"] is partition.classes
+
+
+def test_is_abelian_reads_the_table_once_per_group(monkeypatch, frobenius21):
+    array_equal, reads = np.array_equal, []
+    for group in (Group(frobenius21.table), cyclic_group(45)):
+        monkeypatch.setattr(np, "array_equal", lambda a, b, **kw: reads.append(a is group.table) or array_equal(a, b, **kw))
+        for q in (2, 4, 8, 11, 13):
+            fq_classes(group, q)
+        assert reads.count(True) == 1
+        reads.clear()
+    assert not Group(frobenius21.table).is_abelian and cyclic_group(45).is_abelian
+
+
+@pytest.mark.parametrize("build", [Group, group_from_cayley])
+def test_a_group_keeps_its_table_when_the_callers_array_changes(build):
+    wide = np.zeros((7, 9), dtype=np.int64)
+    wide[:, :7] = cyclic_group(7).table
+    for table in (cyclic_group(7).table.copy(), wide[:, :7]):  # the caller's int64 array and a view of one
+        group = build(table)
+        table[1] = table[2]
+        assert group == cyclic_group(7) and builtin_mu_minus1(group).mu_star.tolist() == [0, 6, 5, 4, 3, 2, 1]
+        with pytest.raises(ValueError, match="read-only"):
+            group.table[1, 1] = 0
+
+
+def test_a_cayley_group_searches_for_generators_once(monkeypatch):
+    # the associativity check's generating set is the one the law is checked on
+    calls, search = [], groups._right_generators
+    monkeypatch.setattr(groups, "_right_generators", lambda t: calls.append(len(t)) or search(t))
+    group = group_from_cayley(frobenius21_table())
+    builtin_mu_minus1(group)
+    builtin_mu_minus1(group)
+    assert calls == [21] and generated(group.table, group._generators) == set(range(21))

@@ -25,7 +25,9 @@ import duadic
 from duadic import (
     AlgebraElement,
     Antiautomorphism,
+    DistanceRecord,
     FiniteField,
+    FqClassPartition,
     analyze_pair,
     builtin_mu_minus1,
     builtin_mu_swap,
@@ -69,6 +71,8 @@ CASES = {
     ("AlgebraElement.__pow__", "e"): (lambda v: ONE**v, -1, False),
     ("Antiautomorphism.__init__", "frobenius_power"): (lambda v: Antiautomorphism(Z7, Z7.inverse, v), -1, False),
     ("Antiautomorphism.galois_exponents", "q"): (lambda v: MU.galois_exponents(v), 6, False),
+    ("DistanceRecord.__init__", "value"): (lambda v: DistanceRecord(v, True, "x"), None, False),
+    ("FqClassPartition.__init__", "q"): (lambda v: FqClassPartition(Z7, v, PARTITION.class_of, PARTITION.reps), None, True),
     ("FiniteField.__init__", "p"): (lambda v: FiniteField(v, 1, None), 65537, False),
     ("FiniteField.__init__", "m"): (lambda v: FiniteField(3, v, None), 0, False),
     ("FiniteField.coeffs_of", "a"): (lambda v: GF9.coeffs_of(v), 9, False),
@@ -110,13 +114,10 @@ CASES = {
     ("weight_distribution", "cap"): (lambda v: weight_distribution(CODES.c_e, v), 0, False),
 }
 
-# records that store what the library computed, and the positions of a
-# parse error, kept for its message: no computation reads them as counts
+# the positions of a parse error, kept for its message: no computation reads them as counts
 EXEMPT = {
     ("CayleyFormatError.__init__", "line"),
     ("CayleyFormatError.__init__", "column"),
-    ("DistanceRecord.__init__", "value"),
-    ("FqClassPartition.__init__", "q"),
 }
 
 NOT_INTEGERS = st.one_of(
