@@ -149,7 +149,7 @@ def emit_json(reports: list[CodeReport]) -> str:
 
 
 # the JSON text of a `_PairRows` until its own chunks replace it: a NUL,
-# which no argv string carries, so no other report string encodes to it
+# which no argv string carries; a library-built report may hold it
 _PAIRS_MARK = "\0pairs"
 
 
@@ -165,6 +165,9 @@ def _json_chunks(reports: list[CodeReport]):
             stacks.append(d["pairs"])
             d["pairs"] = _PAIRS_MARK
     texts = (json.dumps(fields, indent=2) + "\n").split(json.dumps(_PAIRS_MARK))
+    if len(texts) != len(stacks) + 1:  # a report string that is the mark itself
+        yield json.dumps([r.to_dict() for r in reports], indent=2) + "\n"
+        return
     for text, rows in zip(texts, stacks):
         yield text
         line = text[text.rfind("\n") + 1 :]

@@ -16,7 +16,11 @@ Exhaustive enumeration splits each coset word into head + tail; the word is
 zero at j exactly where tail[j] == -head[j], so weights come from comparing
 field indexes, with no field addition per word.  A code builds its head and
 tail tables once, for all its cosets; a coset subtracts its offset from the
-heads once, not per chunk.  Weight distributions scan one word per scalar class.
+heads once, not per chunk.  Only the columns that both head rows and tail
+rows touch (about n - k of a systematic basis) are compared word by word: a
+column no tail row touches adds one count per head, and a column only tail
+rows touch one count per tail.  Weight distributions scan one word per
+scalar class, once per code, which keeps the counts.
 """
 
 from __future__ import annotations
@@ -77,9 +81,14 @@ class LinearCode:
         return f"[{self.n}, {self.k}] code over {self.field!r}"
 
     @cached_property
-    def _tables(self):
+    def _tables(self) -> _CosetTables:
         """`_coset_tables` of the basis, built on first use for all its cosets."""
         return _coset_tables(self.field, self.gen, self.n)
+
+    @cached_property
+    def _distribution(self) -> np.ndarray:
+        """The weight distribution, read-only, scanned on first use."""
+        return _distribution(self)
 
     def contains(self, vec) -> bool:
         v = as_indexes(vec, self.field.q, "entry")
@@ -178,9 +187,12 @@ def _combination_table(field: FiniteField, rows: np.ndarray, n: int) -> np.ndarr
     element stands for its digit vector read in base b = t(p-1) + 1, so the
     sums of t codes carry no digit across, and one lookup maps each sum to
     its reduced index (a prime field's code is the index itself).
+
+    The table is built transposed, one column per combination, and comes as
+    the transpose of that C-ordered array, so the tail table takes no copy.
     """
     p, m, t, dtype = field.p, field.m, len(rows), np.min_scalar_type(field.q - 1)
-    multiples = field.vmul(np.arange(field.q, dtype=np.int64)[:, None, None], np.reshape(rows, (1, t, n)))
+    multiples = field.vmul(np.reshape(rows, (t, n, 1)), np.arange(field.q, dtype=np.int64))  # [j, col, a] = a row_j[col]
     if p == 2:
         codes = multiples.astype(dtype)
         add, lookup = np.bitwise_xor, None
@@ -191,47 +203,91 @@ def _combination_table(field: FiniteField, rows: np.ndarray, n: int) -> np.ndarr
         digit_codes = field._digit_table @ b ** np.arange(m, dtype=np.int64)
         codes = digit_codes.astype(np.min_scalar_type(b**m - 1))[multiples]
         add = np.add
-    table = np.zeros((1, n), dtype=codes.dtype)
+    table = np.zeros((n, 1), dtype=codes.dtype)
     for j in range(t):
-        table = add(codes[:, j, None], table[None]).reshape(-1, n)
-    return table if lookup is None else lookup.astype(dtype)[table]
+        table = add(codes[j, :, :, None], table[:, None]).reshape(n, -1)
+    return (table if lookup is None else lookup.astype(dtype).take(table)).T
 
 
-def _coset_tables(field: FiniteField, gen: np.ndarray, n: int):
+class _CosetTables:
     """What `_coset_chunks` needs of span(gen), for any coset of it, as field
-    indexes of the smallest type: the negated head table, about q^k /
-    _BLOCK_WORDS rows, and the transposed tail table.  The tail spans the last
-    t rows (q^t <= _BLOCK_WORDS); the heads span the rows before them, the
-    first row most significant (odometer order)."""
+    indexes of the smallest type, with the columns permuted: column i of the
+    tables is column cols[i] of the code.
+
+    neg_heads holds the negated combinations of the head rows, the first row
+    most significant (odometer order), and tail_t the transposed table of the
+    tail rows.  With head rows, the permuted columns come in three runs: the
+    first `mixed`, which both halves touch, then `tail_only`, which only tail
+    rows touch, then the rest, which no tail row touches.  A code with no
+    head rows has nothing to hoist: its columns keep their order, and all of
+    them are mixed.
+    """
+
+    def __init__(self, neg_heads: np.ndarray, tail_t: np.ndarray, cols: np.ndarray, mixed: int, tail_only: int):
+        self.neg_heads, self.tail_t, self.cols, self.mixed, self.tail_only = neg_heads, tail_t, cols, mixed, tail_only
+
+
+def _coset_tables(field: FiniteField, gen: np.ndarray, n: int) -> _CosetTables:
+    """The `_CosetTables` of span(gen).  The tail spans the last t rows
+    (q^t <= _BLOCK_WORDS), the heads the rows before them, about q^k /
+    _BLOCK_WORDS combinations."""
     gen = np.asarray(gen, dtype=np.int64).reshape(-1, n)
     k = len(gen)
     t = max(i for i in range(k + 1) if field.q**i <= _BLOCK_WORDS)
-    neg_heads = _combination_table(field, field.vneg(gen[: k - t][::-1]), n)
-    return neg_heads, np.ascontiguousarray(_combination_table(field, gen[k - t :], n).T)
+    if k == t:
+        cols, mixed, tail_only = np.arange(n), n, 0
+    else:
+        in_heads, in_tail = gen[: k - t].any(axis=0), gen[k - t :].any(axis=0)
+        runs = [np.flatnonzero(run) for run in (in_heads & in_tail, in_tail & ~in_heads, ~in_tail)]
+        cols, mixed, tail_only = np.concatenate(runs), len(runs[0]), len(runs[1])
+        gen = gen[:, cols]
+    neg_heads = np.ascontiguousarray(_combination_table(field, field.vneg(gen[: k - t][::-1]), n))
+    return _CosetTables(neg_heads, _combination_table(field, gen[k - t :], n).T, cols, mixed, tail_only)
 
 
-def _coset_chunks(field: FiniteField, gen: np.ndarray, offset: np.ndarray, tables=None):
-    """Cover offset + span(gen) once, in chunks of words head + tail.
+def _coset_chunks(field: FiniteField, offset: np.ndarray, tables: _CosetTables):
+    """Cover the coset offset + span once, for the span whose `_coset_tables`
+    are given, in chunks of words head + tail.  The offset comes in the
+    code's column order, the words go out in the tables'.
 
     Yields (neg_heads, tail, weights), weights[i, j] being the Hamming weight
     of tail[j] - neg_heads[i], for the largest power of q of heads that makes
-    at most _CHUNK_CELLS comparisons (or one head).  tables, from
-    `_coset_tables`, are built here unless given; the offset is subtracted
-    from blocks of about _BLOCK_WORDS heads, with no field operation per chunk.
+    at most _CHUNK_CELLS comparisons (or one head).  The offset is subtracted
+    from blocks of about _BLOCK_WORDS heads, with no field operation per
+    chunk.
+
+    Only the mixed columns are compared word by word.  On a column no tail
+    row touches, the word is zero where its negated head is, which gives one
+    count per head, taken once per block; on a tail-only column it is zero
+    where the tail equals -offset, the negated head of head 0 (the zero
+    combination), which gives one count per tail, taken once per coset.
     """
     n = len(offset)
-    heads, tail_t = _coset_tables(field, gen, n) if tables is None else tables
+    heads, tail_t = tables.neg_heads, tables.tail_t
+    # the weight type leaves room for the skip value n + 1 of the zero word
+    weight_type = np.min_scalar_type(n + 1)
+    if len(heads) == 1:  # no head rows, and the columns in their order
+        neg_heads = field.vsub(heads, offset).astype(tail_t.dtype)
+        yield neg_heads, tail_t.T, (tail_t != neg_heads.T).view(np.uint8).sum(axis=0, dtype=weight_type)[None]
+        return
+    m, hoisted = tables.mixed, tables.mixed + tables.tail_only
+    mixed_t, offset = tail_t[:m], offset[tables.cols]
     step = 1
-    while step * field.q * n * tail_t.shape[1] <= _CHUNK_CELLS:
+    while step < len(heads) and step * field.q * max(m, 1) * tail_t.shape[1] <= _CHUNK_CELLS:
         step *= field.q
     block = step * max(1, _BLOCK_WORDS // step)
+    differ = np.empty((step, *mixed_t.shape), dtype=bool)  # reused: a new array per chunk costs page faults
     for start in range(0, len(heads), block):
         neg_block = field.vsub(heads[start : start + block], offset).astype(tail_t.dtype)
+        if not start:
+            tail_counts = (tail_t[m:hoisted] != neg_block[0, m:hoisted, None]).view(np.uint8).sum(axis=0, dtype=weight_type)
+        head_counts = (neg_block[:, hoisted:] != 0).view(np.uint8).sum(axis=1, dtype=weight_type)
         for i in range(0, len(neg_block), step):
-            neg_heads = neg_block[i : i + step]
-            differ = tail_t[None] != neg_heads[:, :, None]
-            # the weight type leaves room for the skip value n + 1 of the zero word
-            yield neg_heads, tail_t.T, differ.view(np.uint8).sum(axis=1, dtype=np.min_scalar_type(n + 1))
+            np.not_equal(mixed_t, neg_block[i : i + step, :m, None], out=differ)
+            weights = differ.view(np.uint8).sum(axis=1, dtype=weight_type)
+            weights += head_counts[i : i + step, None]
+            weights += tail_counts
+            yield neg_block[i : i + step], tail_t.T, weights
 
 
 def coset_min_weight(field: FiniteField, gen: np.ndarray, offset: np.ndarray, tables=None) -> tuple[int, np.ndarray]:
@@ -241,8 +297,9 @@ def coset_min_weight(field: FiniteField, gen: np.ndarray, offset: np.ndarray, ta
     tables, from `_coset_tables`, are shared by the cosets of one span.
     """
     n = len(offset)
+    tables = _coset_tables(field, gen, n) if tables is None else tables
     best, witness = n + 1, None
-    for neg_heads, tail, weights in _coset_chunks(field, gen, offset, tables):
+    for neg_heads, tail, weights in _coset_chunks(field, offset, tables):
         flat = weights.ravel()
         flat[flat == 0] = n + 1
         i = int(flat.argmin())
@@ -251,28 +308,39 @@ def coset_min_weight(field: FiniteField, gen: np.ndarray, offset: np.ndarray, ta
             best, witness = int(flat[i]), field.vsub(tail[j], neg_heads[head])
     if best > n:
         raise ValueError("coset contains only the zero word")
-    return best, witness
+    word = np.empty_like(witness)
+    word[tables.cols] = witness
+    return best, word
 
 
-def weight_distribution(code: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
-    """Counts A_w of codewords by weight, w = 0..n.
+def _distribution(code: LinearCode) -> np.ndarray:
+    """Counts A_w of codewords by weight, w = 0..n, by one scan.
 
     Of the q - 1 nonzero multiples of a word with a nonzero tail, all of its
     weight, one has most significant tail coefficient 1, a tail rank in
     [q^j, 2 q^j): only those tails and the zero tail are scanned, and all but
     the zero tail count q - 1 times."""
-    field, n, q = code.field, code.n, code.field.q
-    if q**code.k > as_int(cap, "cap", lo=1):
-        raise EnumerationCapError(f"q^k = {q**code.k} exceeds the cap {cap}")
-    heads, tail_t = code._tables
+    n, q, tables = code.n, code.field.q, code._tables
     if q > 2:  # rank 0 and the ranks [q^j, 2 q^j), j < t
-        leads = q ** np.arange(round(math.log(tail_t.shape[1], q)))
-        tail_t = tail_t.take(np.concatenate([[0], *(np.arange(r, 2 * r) for r in leads)]), axis=1)
+        leads = q ** np.arange(round(math.log(tables.tail_t.shape[1], q)))
+        ranks = np.concatenate([[0], *(np.arange(r, 2 * r) for r in leads)])
+        tail_t = tables.tail_t.take(ranks, axis=1)
+        tables = _CosetTables(tables.neg_heads, tail_t, tables.cols, tables.mixed, tables.tail_only)
     counts = np.zeros(n + 1, dtype=np.int64)
-    for _, _, weights in _coset_chunks(field, code.gen, np.zeros(n, dtype=np.int64), (heads, tail_t)):
+    for _, _, weights in _coset_chunks(code.field, np.zeros(n, dtype=np.int64), tables):
         counts += (q - 1) * np.bincount(weights.ravel(), minlength=n + 1)
         counts -= (q - 2) * np.bincount(weights[:, 0], minlength=n + 1)
+    counts.flags.writeable = False
     return counts
+
+
+def weight_distribution(code: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
+    """Counts A_w of codewords by weight, w = 0..n, as a new array.  The
+    code scans its words once, on the first call under the cap, and keeps
+    the counts."""
+    if code.field.q**code.k > as_int(cap, "cap", lo=1):
+        raise EnumerationCapError(f"q^k = {code.field.q**code.k} exceeds the cap {cap}")
+    return code._distribution.copy()
 
 
 def difference_min_weight(

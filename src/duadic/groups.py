@@ -40,6 +40,15 @@ def _square_table(table) -> np.ndarray:
     return t
 
 
+def _search_inverse(t: np.ndarray) -> np.ndarray:
+    """The h with g * h = 0 for each row g of the square table t, -1 where
+    the row holds no identity: a search of all n^2 entries."""
+    inv = np.full(len(t), -1, dtype=np.int64)
+    rows, cols = np.nonzero(t == 0)
+    inv[rows] = cols
+    return inv
+
+
 def _right_generators(t: np.ndarray):
     """Yield a generating set of the Latin square t with identity 0, built
     greedily: each element is the least id not yet reached from 0 by right
@@ -68,9 +77,22 @@ class Group:
     which checks every group axiom first.  A direct product made by
     `group_product` keeps its two factors in `factors`; only the
     constructors set `abelian_orders`, the orders of its cyclic factors, and
-    `_generators`."""
+    `_generators`, and hand over the inverse map their construction gives,
+    which is checked rather than searched for."""
 
     def __init__(self, table, descriptor: str = ""):
+        self._set_table(table, descriptor)
+        self._set_inverse(_search_inverse(self.table))
+
+    @classmethod
+    def _constructed(cls, table, descriptor: str, inverse: np.ndarray) -> Group:
+        """The group of a constructor's table, with the inverse map of its construction."""
+        group = cls.__new__(cls)
+        group._set_table(table, descriptor)
+        group._set_inverse(inverse)
+        return group
+
+    def _set_table(self, table, descriptor: str) -> None:
         t = _square_table(table)
         if t is table or not t.flags.owndata:
             t = t.copy()
@@ -81,7 +103,6 @@ class Group:
         self.descriptor = descriptor or f"cayley(n={n})"
         self.abelian_orders: tuple[int, ...] | None = None
         self.factors: tuple[Group, Group] | None = None
-        self.inverse = self._build_inverse()
 
     # -- validation -------------------------------------------------------
 
@@ -120,14 +141,12 @@ class Group:
                     f"not a group (associativity): ({a}*{b})*{c} != {a}*({b}*{c})"
                 )
 
-    def _build_inverse(self) -> np.ndarray:
-        inv = np.full(self.order, -1, dtype=np.int64)
-        rows, cols = np.nonzero(self.table == 0)
-        inv[rows] = cols
+    def _set_inverse(self, inv: np.ndarray) -> None:
+        """Keep inv once an O(n) gather shows inv[g] * g is the identity for every g."""
         bad = (inv < 0) | (self.table[inv, np.arange(self.order)] != 0)
         if bad.any():
             raise ValueError(f"not a group (inverses): element {np.argmax(bad)} lacks a two-sided inverse")
-        return inv
+        self.inverse = inv
 
     # -- identity and equality --------------------------------------------
 
@@ -243,14 +262,15 @@ def group_abelian(orders) -> Group:
     if any(o < 2 for o in ords):
         raise ValueError(f"cyclic factor orders must be >= 2, got {ords}")
     check_order_cap(math.prod(ords))
-    table = np.zeros((1, 1), dtype=np.int64)
+    table, inverse = np.zeros((1, 1), dtype=np.int64), np.zeros(1, dtype=np.int64)
     for o in ords:
         # row a of Z_o's table, (a + b) % o, is ring[a:a + o]: a read-only view, no n x n temporary
         ring = np.arange(2 * o) % o
         block = np.lib.stride_tricks.as_strided(ring, (o, o), ring.strides * 2, writeable=False)
         m = table.shape[0]
         table = (table[:, None, :, None] * o + block[None, :, None, :]).reshape(m * o, m * o)
-    group = Group(table, descriptor="x".join(str(o) for o in ords))
+        inverse = (inverse[:, None] * o + ring[o:0:-1]).reshape(-1)  # -a mod o, in the same digit
+    group = Group._constructed(table, "x".join(str(o) for o in ords), inverse)
     group.abelian_orders = tuple(ords)
     group._generators = tuple(math.prod(ords[i + 1 :]) for i in range(len(ords)))  # the unit tuples
     return group
@@ -259,7 +279,7 @@ def group_abelian(orders) -> Group:
 def cyclic_group(n: int) -> Group:
     # n = 1 is allowed here (degenerate scans); group_abelian itself rejects it
     if as_int(n, "group order") == 1:
-        trivial = Group([[0]], descriptor="1")
+        trivial = Group._constructed(np.zeros((1, 1), dtype=np.int64), "1", np.zeros(1, dtype=np.int64))
         trivial._generators = ()
         return trivial
     return group_abelian([n])
@@ -282,7 +302,8 @@ def group_product(g1: Group, g2: Group) -> Group:
     if n1 * n2 > GROUP_ORDER_CAP:
         raise ValueError(f"product order {n1 * n2} exceeds the validation cap {GROUP_ORDER_CAP}")
     table = (g1.table[:, None, :, None] * n2 + g2.table[None, :, None, :]).reshape(n1 * n2, n1 * n2)
-    product = Group(table, descriptor=f"{g1.descriptor},{g2.descriptor}")
+    inverse = (g1.inverse[:, None] * n2 + g2.inverse[None, :]).reshape(-1)
+    product = Group._constructed(table, f"{g1.descriptor},{g2.descriptor}", inverse)
     product.factors = (g1, g2)
     product._generators = tuple(s * n2 for s in g1._generators) + g2._generators
     if g1.abelian_orders is not None and g2.abelian_orders is not None:
@@ -305,14 +326,15 @@ def is_subgroup(group: Group, ids) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FqClassPartition:
     """Partition of a group into F_q-conjugacy classes.
 
     Each class is the closure of a seed under conjugation and g -> g^q;
     classes are sorted by (and represented by) their smallest element id.
     `class_of` maps each id to its class; the member lists, `classes`, are
-    built from it on first read.
+    built from it on first read.  Two partitions are equal when their group,
+    q and `class_of` are.
     """
 
     group: Group
@@ -322,6 +344,16 @@ class FqClassPartition:
 
     def __post_init__(self):
         as_int(self.q, "q")
+
+    def __eq__(self, other) -> bool:
+        return other is self or (
+            isinstance(other, FqClassPartition)
+            and (self.group, self.q) == (other.group, other.q)
+            and np.array_equal(self.class_of, other.class_of)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.group, self.q))
 
     def __len__(self) -> int:
         return len(self.reps)

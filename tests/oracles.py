@@ -138,6 +138,28 @@ def reference_blocks(field, gen, offset, block_words=1 << 14):
         yield field.vadd(base.reshape(1, -1), block)
 
 
+def reference_coset_weights(field, gen, offset, block_words=1 << 14):
+    """The Hamming weight of every word of offset + span(gen), in the order
+    of `reference_blocks` (message rank, the head rows in odometer order
+    before the tail ranks), by the full comparison on every column: the word
+    tail + head + offset is zero at j exactly where tail[j] equals
+    -(head + offset)[j], the negated base built with field additions."""
+    gen = np.asarray(gen, dtype=np.int64)
+    k, n = gen.shape if gen.size else (0, len(offset))
+    q = field.q
+    t = 0
+    while t < k and q ** (t + 1) <= block_words:
+        t += 1
+    tails = reference_combination_table(field, gen[k - t :] if k else gen, n)
+    weights = []
+    for message in itertools.product(range(q), repeat=k - t):
+        base = offset
+        for c, row in zip(message, gen[: k - t]):
+            base = field.vadd(base, field.vmul(np.int64(c), row))
+        weights.append((tails != field.vneg(base)).sum(axis=1))
+    return np.concatenate(weights)
+
+
 def reference_difference_min_weight(small, big):
     """Minimum weight over big \\ small with a witness: every word of the
     q^Delta - 1 nonzero cosets, the offsets in rank order and each coset in

@@ -158,6 +158,7 @@ SCALAR_ROWS = st.lists(
 @example(value=[], pairs=[[["a^0", 1], ["a^3", True]]], dims={}, rows=[])
 @example(value={}, pairs=[[]], dims={"": {"": []}}, rows=[])
 @example(value=None, pairs=[], dims={}, rows=[[["e"], [None, False, -7, "x"]], [["a", 1], []], [["a", 1.5]], [[2]]])
+@example(value="\0pairs", pairs=[], dims={"pairs": "\0pairs"}, rows=[])  # the mark of a pair stack, as a report string
 def test_emit_json_matches_the_indenting_encoder(value, pairs, dims, rows):
     report = CodeReport("7", 2, "mu-1", existence=value, pairs=pairs, dims=dims, distances=rows, timing_ms=1.5)
     assert emit_json([report]) == json.dumps([report.to_dict()], indent=2) + "\n"

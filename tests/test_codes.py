@@ -41,6 +41,7 @@ from oracles import (
     naive_codewords,
     naive_min_weight,
     reference_blocks,
+    reference_coset_weights,
     reference_combination_table,
     reference_difference_min_weight,
     reference_odd_like_min_weight,
@@ -473,7 +474,7 @@ class TestKernelAgainstOracle:
         rng = random.Random(257)
         rows = np.array([[rng.randrange(257) for _ in range(5)] for _ in range(2)], dtype=np.int64)
         code = LinearCode(field, rows)
-        neg_heads, _, _ = next(_coset_chunks(field, code.gen, np.zeros(5, dtype=np.int64)))
+        neg_heads, _, _ = next(_coset_chunks(field, np.zeros(5, dtype=np.int64), code._tables))
         assert neg_heads.dtype == np.uint16
         assert weight_distribution(code).tolist() == reference_weight_distribution(code).tolist()
         offset = np.array([3, 0, 256, 1, 0], dtype=np.int64)
@@ -494,15 +495,18 @@ class TestKernelAgainstOracle:
         "q,k,n", [(2, 9, 11), (3, 6, 9), (4, 5, 8), (8, 4, 7), (9, 4, 6), (16, 4, 6), (25, 4, 5), (27, 4, 5)]
     )
     def test_outer_rows_head_table_and_tail(self, q, k, n, monkeypatch):
-        # a 2-row tail and 1-row head tables leave k - 3 rows to the outer odometer
+        # a 2-row tail and 1-row head tables leave k - 3 rows to the outer
+        # odometer; a chunk compares q heads with the tails on the mixed columns
         monkeypatch.setattr(codes_module, "_BLOCK_WORDS", q * q)
-        monkeypatch.setattr(codes_module, "_CHUNK_CELLS", q**3 * n)
         field = field_from_order(q)
         rng = random.Random(q * k * n)
         rows = np.array([[rng.randrange(q) for _ in range(n)] for _ in range(k)], dtype=np.int64)
         code = LinearCode(field, rows)
         assert code.k == k
-        chunks = list(_coset_chunks(field, code.gen, np.zeros(n, dtype=np.int64)))
+        mixed = code._tables.mixed
+        assert 0 < mixed <= n - k
+        monkeypatch.setattr(codes_module, "_CHUNK_CELLS", q**3 * mixed)
+        chunks = list(_coset_chunks(field, np.zeros(n, dtype=np.int64), code._tables))
         assert len(chunks) == q ** (k - 3) and chunks[0][2].shape == (q, q * q)
         assert weight_distribution(code).tolist() == reference_weight_distribution(code).tolist()
         offset = np.array([rng.randrange(q) for _ in range(n)], dtype=np.int64)
@@ -519,7 +523,7 @@ class TestKernelAgainstOracle:
             return LinearCode(field, np.hstack([np.eye(k, dtype=np.int64), rng.integers(0, q, (k, n - k))]))
 
         tail_only = code_of_dimension(3)
-        assert len(tail_only._tables[0]) == 1
+        assert len(tail_only._tables.neg_heads) == 1
         assert weight_distribution(tail_only).tolist() == reference_weight_distribution(tail_only).tolist()
         # the sizes count when a code builds its tables, on its first
         # enumeration: a 2-row tail, q^3 heads in blocks of q^2, chunks of q
@@ -527,22 +531,28 @@ class TestKernelAgainstOracle:
         monkeypatch.setattr(codes_module, "_CHUNK_CELLS", q**3 * n)
         code = code_of_dimension(5)
         assert weight_distribution(code).tolist() == reference_weight_distribution(code).tolist()
-        heads, tail_t = code._tables
-        assert heads.shape == (q**3, n) and tail_t.shape == (n, q * q)
+        tables = code._tables
+        assert tables.neg_heads.shape == (q**3, n) and tables.tail_t.shape == (n, q * q)
+        # [I | random]: the 2 tail pivots are tail-only, the 3 head pivots in no tail row
+        hoisted = tables.mixed + tables.tail_only
+        assert (tables.cols[tables.mixed : hoisted][:2].tolist(), tables.cols[hoisted:][:3].tolist()) == ([3, 4], [0, 1, 2])
+        assert sorted(tables.cols.tolist()) == list(range(n))
 
     def test_no_field_operation_per_chunk(self, monkeypatch):
-        # 3^4 heads in blocks of 9 and chunks of 3: one vsub per block
+        # 3^4 heads in blocks of 9 and chunks of 3: one vsub per block; the
+        # two all-ones columns are the mixed ones
         q, n = 3, 8
         monkeypatch.setattr(codes_module, "_BLOCK_WORDS", q * q)
-        monkeypatch.setattr(codes_module, "_CHUNK_CELLS", q**3 * n)
+        monkeypatch.setattr(codes_module, "_CHUNK_CELLS", q**3 * 2)
         field = field_from_order(q)
         code = LinearCode(field, np.hstack([np.eye(6, dtype=np.int64), np.ones((6, 2), dtype=np.int64)]))
         tables = code._tables
+        assert (tables.mixed, tables.cols[:2].tolist()) == (2, [6, 7])
         calls = []
         for name in ("vadd", "vsub", "vneg", "vmul", "vsum"):
             counted = lambda self, *a, real=getattr(FiniteField, name), name=name: calls.append(name) or real(self, *a)
             monkeypatch.setattr(FiniteField, name, counted)
-        chunks = list(_coset_chunks(field, code.gen, np.ones(n, dtype=np.int64), tables))
+        chunks = list(_coset_chunks(field, np.ones(n, dtype=np.int64), tables))
         assert len(chunks) == q**3 and calls == ["vsub"] * q**2
 
     @pytest.mark.parametrize("q,k,n", [(2, 7, 9), (3, 5, 6), (4, 5, 5)])
@@ -555,9 +565,11 @@ class TestKernelAgainstOracle:
         rng = random.Random(q + k + n)
         gen = np.array([[rng.randrange(q) for _ in range(n)] for _ in range(k)], dtype=np.int64)
         offset = np.array([rng.randrange(q) for _ in range(n)], dtype=np.int64)
-        chunks = _coset_chunks(field, gen, offset)
-        words = [field.vsub(tail[None], neg[:, None]).reshape(-1, n) for neg, tail, _ in chunks]
-        assert np.array_equal(np.vstack(words), np.vstack(list(reference_blocks(field, gen, offset, q * q))))
+        tables = codes_module._coset_tables(field, gen, n)
+        chunks = _coset_chunks(field, offset, tables)
+        words = np.vstack([field.vsub(tail[None], neg[:, None]).reshape(-1, n) for neg, tail, _ in chunks])
+        # the chunks' words are in the permuted columns of the tables
+        assert np.array_equal(words[:, np.argsort(tables.cols)], np.vstack(list(reference_blocks(field, gen, offset, q * q))))
 
     @pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 25, 27, 257])
     def test_combination_table_matches_the_vadd_loop(self, q):
@@ -570,6 +582,75 @@ class TestKernelAgainstOracle:
             table = _combination_table(field, rows, 6)
             assert table.dtype == np.min_scalar_type(q - 1)
             assert np.array_equal(table, reference_combination_table(field, rows, 6))
+
+
+# ---------------------------------------------------------------------------
+# oracle: the full comparison on every column (`oracles.reference_coset_weights`),
+# against the kernel that compares only the mixed columns and hoists the rest
+# ---------------------------------------------------------------------------
+
+
+def _split_generators(field, k, n, seed):
+    """Bases of q^k > 2^14 words, so with head rows: [I | random]; the same
+    with an all-zero column; [I | 0], with no column for both halves; and
+    [I | random] mixed by an invertible matrix, whose rows touch nearly
+    every column, so that little or nothing is hoisted."""
+    rng = np.random.default_rng(seed)
+    systematic = np.hstack([np.eye(k, dtype=np.int64), rng.integers(0, field.q, (k, n - k))])
+    zero_column = np.insert(systematic, n // 2, 0, axis=1)
+    while True:
+        mix = rng.integers(0, field.q, (k, k))
+        if len(_linalg.rref(field, mix)[1]) == k:
+            return {
+                "systematic": systematic,
+                "zero column": zero_column,
+                "no mixed column": np.eye(k, n, dtype=np.int64),
+                "mixed": _linalg.matmul(field, mix, systematic),
+            }
+
+
+class TestSplitKernelAgainstFullComparison:
+    @pytest.mark.parametrize("q,k,n", [(2, 16, 22), (3, 10, 14), (4, 8, 12), (5, 7, 10), (7, 6, 9), (8, 5, 8), (9, 5, 8)])
+    def test_weights_minimum_and_distribution(self, q, k, n):
+        field = field_from_order(q)
+        rng = np.random.default_rng(q + 100 * k)
+        hoisted = {}
+        for name, gen in _split_generators(field, k, n, q * k).items():
+            width = gen.shape[1]
+            tables = codes_module._coset_tables(field, gen, width)
+            assert len(tables.neg_heads) > 1  # head rows
+            hoisted[name] = width - tables.mixed
+            for offset in (np.zeros(width, dtype=np.int64), rng.integers(0, q, width)):
+                reference = reference_coset_weights(field, gen, offset)
+                weights = [w.ravel() for _, _, w in _coset_chunks(field, offset, tables)]
+                assert np.concatenate(weights).tolist() == reference.tolist()
+                nonzero = np.flatnonzero(reference)
+                first = int(nonzero[np.argmin(reference[nonzero])])
+                word = np.vstack(list(reference_blocks(field, gen, offset)))[first]
+                w, witness = coset_min_weight(field, gen, offset)
+                assert (w, witness.tolist()) == (reference[first], word.tolist())
+            if name != "mixed":  # a LinearCode keeps the systematic basis as it comes
+                code = LinearCode(field, gen)
+                assert np.array_equal(code.gen, gen)
+                zero = np.zeros(width, dtype=np.int64)
+                expected = np.bincount(reference_coset_weights(field, gen, zero), minlength=width + 1)
+                assert weight_distribution(code).tolist() == expected.tolist()
+        assert hoisted["mixed"] < hoisted["systematic"] < hoisted["zero column"] and hoisted["no mixed column"] == n
+
+    def test_distribution_is_scanned_once(self, monkeypatch):
+        field = field_from_order(3)
+        code = LinearCode(field, _split_generators(field, 10, 14, 1)["systematic"])
+        scans = []
+        real = codes_module._coset_chunks
+        monkeypatch.setattr(codes_module, "_coset_chunks", lambda *a: scans.append(a) or real(*a))
+        first = weight_distribution(code)
+        assert len(scans) == 1 and first.sum() == 3**10
+        first[:] = 0  # the caller's copy
+        second = weight_distribution(code)
+        assert len(scans) == 1 and second.sum() == 3**10
+        with pytest.raises(EnumerationCapError, match=r"q\^k = 59049 exceeds the cap 59048"):
+            weight_distribution(code, cap=59048)
+        assert weight_distribution(code, cap=59049).tolist() == second.tolist() and len(scans) == 1
 
 
 @pytest.mark.parametrize("group,mu_name,case", [("7", "mu-1", "i"), ("3x3", "swap", "ii")])

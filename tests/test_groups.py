@@ -1051,12 +1051,58 @@ def test_constructed_groups_take_their_generators_from_their_construction(monkey
     assert group_abelian([3, 5, 7])._generators == (35, 7, 1)  # the unit exponent tuples
 
 
+def test_constructors_hand_over_the_inverse_the_search_finds(monkeypatch):
+    builds = {
+        "z199": lambda: cyclic_group(199),
+        "3x3x3": lambda: group_abelian([3, 3, 3]),
+        "5x5": lambda: group_abelian([5, 5]),
+        "3x3,7": lambda: group_product(group_abelian([3, 3]), cyclic_group(7)),
+        "1": lambda: cyclic_group(1),
+    }
+    for build in builds.values():
+        group = build()
+        assert group.inverse.dtype == np.int64
+        assert group.inverse.tolist() == groups._search_inverse(group.table).tolist()
+
+    def search(table):
+        raise AssertionError("searched a constructed group's table for inverses")
+
+    monkeypatch.setattr(groups, "_search_inverse", search)
+    for build in builds.values():
+        build()
+    table = cyclic_group(7).table
+    for searched in (Group, group_from_cayley):  # a caller's table is searched
+        with pytest.raises(AssertionError, match="searched"):
+            searched(table)
+
+
+def test_a_constructors_inverse_is_checked():
+    with pytest.raises(ValueError, match=r"^not a group \(inverses\): element 1 lacks a two-sided inverse$"):
+        Group._constructed(cyclic_group(5).table, "5", np.array([0, 1, 3, 2, 1]))
+
+
 def test_the_classes_are_built_on_first_read(frobenius21):
     partition = check_splitting(builtin_mu_minus1(frobenius21), field_make(2, 1), frobenius21).partition
     assert "classes" not in vars(partition)
     assert len(partition) == len(partition.reps) == 4
     assert partition.classes == reference_fq_classes(frobenius21, 2)[0]
     assert vars(partition)["classes"] is partition.classes
+
+
+def test_partitions_and_splitting_checks_compare_by_value():
+    z7 = cyclic_group(7)
+    a, b = fq_classes(z7, 2), fq_classes(cyclic_group(7), 2)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    # GF(4) has the classes of GF(2) on Z7 (4 = 2^2 mod 7) but another q;
+    # GF(3) has one class of the six nonzero ids (3 is a primitive root)
+    assert fq_classes(z7, 4).class_of.tolist() == a.class_of.tolist() and fq_classes(z7, 4) != a
+    assert fq_classes(z7, 3) != a and a != a.class_of and a != "partition"
+    relabeled = groups.FqClassPartition(z7, 2, np.array([0, 2, 2, 1, 2, 1, 1]), (0, 3, 1))
+    assert relabeled != a and len({a, relabeled}) == 2
+    mu = builtin_mu_minus1(z7)
+    check = check_splitting(mu, field_make(2, 1), z7)
+    assert check == check_splitting(builtin_mu_minus1(cyclic_group(7)), field_make(2, 1), cyclic_group(7))
+    assert check != check_splitting(mu, field_make(2, 2), z7)
 
 
 def test_is_abelian_reads_the_table_once_per_group(monkeypatch, frobenius21):
