@@ -20,7 +20,9 @@ heads once, not per chunk.  Only the columns that both head rows and tail
 rows touch (about n - k of a systematic basis) are compared word by word: a
 column no tail row touches adds one count per head, and a column only tail
 rows touch one count per tail.  Weight distributions scan one word per
-scalar class, once per code, which keeps the counts.
+scalar class.  A mu image with no Frobenius part only relabels columns, so
+it shares its source's tables, and their memo scans each coset and the
+distribution once for every code that shares them.
 """
 
 from __future__ import annotations
@@ -65,6 +67,7 @@ class LinearCode:
         self.k = int(gen.shape[0])
         self.gen = gen
         self.pivots = [int(c) for c in pivots]
+        self._source = None  # (code, mu_star) when this code is a relabelling of code's columns
 
     def __eq__(self, other) -> bool:
         """Row-space equality: same space and dimension, and one inclusion."""
@@ -82,13 +85,11 @@ class LinearCode:
 
     @cached_property
     def _tables(self) -> _CosetTables:
-        """`_coset_tables` of the basis, built on first use for all its cosets."""
-        return _coset_tables(self.field, self.gen, self.n)
-
-    @cached_property
-    def _distribution(self) -> np.ndarray:
-        """The weight distribution, read-only, scanned on first use."""
-        return _distribution(self)
+        """`_coset_tables` of the basis, or its source's relabelled, built on first use."""
+        if self._source is None:
+            return _coset_tables(self.field, self.gen, self.n)
+        source, mu_star = self._source
+        return source._tables.relabelled(mu_star)
 
     def contains(self, vec) -> bool:
         v = as_indexes(vec, self.field.q, "entry")
@@ -126,9 +127,13 @@ def _in_ideal(code: LinearCode, a: AlgebraElement) -> LinearCode:
 def _mu_image(code: LinearCode, mu, a: AlgebraElement) -> LinearCode:
     """mu(code) as the code of the ideal Ra, checked.  mu moves column j to
     mu_star[j] and its Frobenius power fixes 0 and 1, so the mapped basis is
-    systematic on mu_star[pivots]."""
+    systematic on mu_star[pivots].  With no Frobenius part the image is the
+    code with its columns relabelled, and shares its coset tables."""
     rows = _antiauto_rows(mu, code.field, code.gen)
-    return _in_ideal(LinearCode._systematic(code.field, rows, [mu.mu_star[c] for c in code.pivots]), a)
+    image = _in_ideal(LinearCode._systematic(code.field, rows, [mu.mu_star[c] for c in code.pivots]), a)
+    if mu.frobenius_power % code.field.m == 0:
+        image._source = code, mu.mu_star
+    return image
 
 
 def _plus_vector(code: LinearCode, v: np.ndarray, a: AlgebraElement) -> LinearCode:
@@ -219,12 +224,22 @@ class _CosetTables:
     tail rows.  With head rows, the permuted columns come in three runs: the
     first `mixed`, which both halves touch, then `tail_only`, which only tail
     rows touch, then the rest, which no tail row touches.  A code with no
-    head rows has nothing to hoist: its columns keep their order, and all of
-    them are mixed.
+    head rows has nothing to hoist: all its columns are mixed.
+
+    A relabelling of the code's columns (`relabelled`) shares the arrays and
+    the memo, which keeps what `coset_min_weight` (per offset, in the
+    tables' column order) and `_distribution` scanned on the shared words.
     """
 
-    def __init__(self, neg_heads: np.ndarray, tail_t: np.ndarray, cols: np.ndarray, mixed: int, tail_only: int):
+    def __init__(
+        self, neg_heads: np.ndarray, tail_t: np.ndarray, cols: np.ndarray, mixed: int, tail_only: int, memo=None
+    ):
         self.neg_heads, self.tail_t, self.cols, self.mixed, self.tail_only = neg_heads, tail_t, cols, mixed, tail_only
+        self.memo = {} if memo is None else memo
+
+    def relabelled(self, mu_star: np.ndarray) -> _CosetTables:
+        """The tables of the code whose column mu_star[j] is column j of this one."""
+        return _CosetTables(self.neg_heads, self.tail_t, mu_star[self.cols], self.mixed, self.tail_only, self.memo)
 
 
 def _coset_tables(field: FiniteField, gen: np.ndarray, n: int) -> _CosetTables:
@@ -262,16 +277,16 @@ def _coset_chunks(field: FiniteField, offset: np.ndarray, tables: _CosetTables):
     where the tail equals -offset, the negated head of head 0 (the zero
     combination), which gives one count per tail, taken once per coset.
     """
-    n = len(offset)
+    n, offset = len(offset), offset[tables.cols]
     heads, tail_t = tables.neg_heads, tables.tail_t
     # the weight type leaves room for the skip value n + 1 of the zero word
     weight_type = np.min_scalar_type(n + 1)
-    if len(heads) == 1:  # no head rows, and the columns in their order
+    if len(heads) == 1:  # no head rows, and every column mixed
         neg_heads = field.vsub(heads, offset).astype(tail_t.dtype)
         yield neg_heads, tail_t.T, (tail_t != neg_heads.T).view(np.uint8).sum(axis=0, dtype=weight_type)[None]
         return
     m, hoisted = tables.mixed, tables.mixed + tables.tail_only
-    mixed_t, offset = tail_t[:m], offset[tables.cols]
+    mixed_t = tail_t[:m]
     step = 1
     while step < len(heads) and step * field.q * max(m, 1) * tail_t.shape[1] <= _CHUNK_CELLS:
         step *= field.q
@@ -294,33 +309,43 @@ def coset_min_weight(field: FiniteField, gen: np.ndarray, offset: np.ndarray, ta
     """Minimum nonzero Hamming weight over offset + span(gen), with a witness.
 
     The zero word (present only when the offset lies in the span) is skipped.
-    tables, from `_coset_tables`, are shared by the cosets of one span.
+    tables, from `_coset_tables`, are shared by the cosets of one span and its
+    relabellings, whose memo scans each coset once, on its first call.
     """
     n = len(offset)
     tables = _coset_tables(field, gen, n) if tables is None else tables
-    best, witness = n + 1, None
-    for neg_heads, tail, weights in _coset_chunks(field, offset, tables):
-        flat = weights.ravel()
-        flat[flat == 0] = n + 1
-        i = int(flat.argmin())
-        if flat[i] < best:
-            head, j = divmod(i, len(tail))
-            best, witness = int(flat[i]), field.vsub(tail[j], neg_heads[head])
-    if best > n:
-        raise ValueError("coset contains only the zero word")
+    key = np.asarray(offset, dtype=np.int64)[tables.cols].tobytes()
+    if key not in tables.memo:
+        best, witness = n + 1, None
+        for neg_heads, tail, weights in _coset_chunks(field, offset, tables):
+            flat = weights.ravel()
+            flat[flat == 0] = n + 1
+            i = int(flat.argmin())
+            if flat[i] < best:
+                head, j = divmod(i, len(tail))
+                best, witness = int(flat[i]), field.vsub(tail[j], neg_heads[head])
+        if best > n:
+            raise ValueError("coset contains only the zero word")
+        tables.memo[key] = best, witness  # the witness in the tables' column order
+    best, witness = tables.memo[key]
     word = np.empty_like(witness)
     word[tables.cols] = witness
     return best, word
 
 
 def _distribution(code: LinearCode) -> np.ndarray:
-    """Counts A_w of codewords by weight, w = 0..n, by one scan.
+    """Counts A_w of codewords by weight, w = 0..n, read-only, by one scan
+    kept in the memo of the code's tables: no column order changes them, so
+    every code that shares the tables reads them there.
 
     Of the q - 1 nonzero multiples of a word with a nonzero tail, all of its
     weight, one has most significant tail coefficient 1, a tail rank in
     [q^j, 2 q^j): only those tails and the zero tail are scanned, and all but
     the zero tail count q - 1 times."""
     n, q, tables = code.n, code.field.q, code._tables
+    memo = tables.memo
+    if None in memo:
+        return memo[None]
     if q > 2:  # rank 0 and the ranks [q^j, 2 q^j), j < t
         leads = q ** np.arange(round(math.log(tables.tail_t.shape[1], q)))
         ranks = np.concatenate([[0], *(np.arange(r, 2 * r) for r in leads)])
@@ -331,16 +356,17 @@ def _distribution(code: LinearCode) -> np.ndarray:
         counts += (q - 1) * np.bincount(weights.ravel(), minlength=n + 1)
         counts -= (q - 2) * np.bincount(weights[:, 0], minlength=n + 1)
     counts.flags.writeable = False
+    memo[None] = counts
     return counts
 
 
 def weight_distribution(code: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
     """Counts A_w of codewords by weight, w = 0..n, as a new array.  The
-    code scans its words once, on the first call under the cap, and keeps
-    the counts."""
+    words are scanned once, on the first call under the cap on any code that
+    shares its tables, and the counts kept (`_distribution`)."""
     if code.field.q**code.k > as_int(cap, "cap", lo=1):
         raise EnumerationCapError(f"q^k = {code.field.q**code.k} exceeds the cap {cap}")
-    return code._distribution.copy()
+    return _distribution(code).copy()
 
 
 def difference_min_weight(
@@ -373,8 +399,8 @@ def difference_min_weight(
         small, big = LinearCode(field, small.gen), LinearCode(field, big.gen)  # RREF pivots nest
     small_pivots = set(small.pivots)
     ext = big.gen[[i for i, c in enumerate(big.pivots) if c not in small_pivots]]
-    offsets = (v for j in range(len(ext)) for v in field.vadd(ext[j], _combination_table(field, ext[:j], big.n)))
-    return min((coset_min_weight(field, small.gen, offset, small._tables) for offset in offsets), key=lambda r: r[0])
+    blocks = (field.vadd(ext[j], _combination_table(field, ext[:j], big.n)) if j else ext[:1] for j in range(len(ext)))
+    return min((coset_min_weight(field, small.gen, v, small._tables) for b in blocks for v in b), key=lambda r: r[0])
 
 
 def odd_like_min_weight(duadic_codes, which: str = "e", cap: int = DEFAULT_ENUM_CAP) -> tuple[int, np.ndarray]:

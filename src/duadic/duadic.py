@@ -353,9 +353,13 @@ def duadic_codes(pair: DuadicPair) -> DuadicCodes:
     (all n only when their rank falls short; `code_from_ideal`).  The other codes keep the
     systematic form they are derived in.  mu is a semilinear bijection of R
     with mu(g e) = f mu(g), so C_f = mu(C_e), its k rows mapped; 1 - f = e +
-    Ghat with e Ghat = 0, so D_e = C_e + span(Ghat) and D_f = C_f +
-    span(Ghat), one row added.  A derived code X of the idempotent a lies in
-    Ra (x a = x for its rows, checked), and the dimensions checked below are
+    Ghat with e Ghat = 0, so D_e = C_e + span(Ghat), one row added.  mu
+    fixes 1 and Ghat, so mu(f) = mu(1 - Ghat - e) = 1 - Ghat - f = e and
+    D_f = R(1 - e) = mu(R(1 - f)) = mu(D_e), its rows mapped.  Without a
+    Frobenius part, mu only relabels columns: C_f and D_f share the coset
+    tables of C_e and D_e, and each coset is scanned once for both sides
+    (`coset_min_weight`).  A derived code X of the idempotent a lies in Ra
+    (x a = x for its rows, checked), and the dimensions checked below are
     the ideals', which make C_e = Re and X = Ra."""
     field, group = pair.field, pair.group
     n = group.order
@@ -363,7 +367,7 @@ def duadic_codes(pair: DuadicPair) -> DuadicCodes:
     c_e = code_from_ideal(pair.e, (n - 1) // 2)
     c_f = _mu_image(c_e, pair.mu, pair.f)
     d_e = _plus_vector(c_e, pair.ghat.vec, one - pair.f)
-    d_f = _plus_vector(c_f, pair.ghat.vec, one - pair.e)
+    d_f = _mu_image(d_e, pair.mu, one - pair.e)
     expected = {
         "dim C_e": (c_e.k, (n - 1) // 2),
         "dim C_f": (c_f.k, (n - 1) // 2),

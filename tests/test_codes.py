@@ -29,13 +29,20 @@ from duadic.codes import (
     subcode_check,
     weight_distribution,
 )
-from duadic.duadic import classify_duality, construct_pairs, duadic_codes, product_duadic
+from duadic.duadic import check_splitting, classify_duality, construct_pairs, duadic_codes, product_duadic
 from duadic.errors import EnumerationCapError, VerificationError
 from duadic.gf import FiniteField, field_from_order
-from duadic.groups import Antiautomorphism, builtin_mu_minus1, builtin_mu_swap, cyclic_group, group_abelian
+from duadic.groups import (
+    Antiautomorphism,
+    builtin_mu_minus1,
+    builtin_mu_swap,
+    cyclic_group,
+    group_abelian,
+    group_from_cayley,
+)
 from duadic.quantum import analyze_pair, css_build, css_distance
 
-from conftest import enumerable_cells
+from conftest import enumerable_cells, frobenius21_table
 from oracles import (
     macwilliams,
     naive_codewords,
@@ -361,8 +368,8 @@ class TestDifferenceMinWeight:
         w, witness = difference_min_weight(small, big)
         # small's two coset tables, its tail and its one head table over all
         # the rows before the tail (here none: small's 4^7 words fill the
-        # tail), then the offsets for j = 0, 1, 2
-        assert len(tables) == 2 + 3
+        # tail), then the offsets for j = 1, 2 (the one for j = 0 is ext[0])
+        assert len(tables) == 2 + 2
         assert w == per_coset[0]
         assert witness.tolist() == per_coset[1].tolist()
 
@@ -653,21 +660,146 @@ class TestSplitKernelAgainstFullComparison:
         assert weight_distribution(code, cap=59049).tolist() == second.tolist() and len(scans) == 1
 
 
-@pytest.mark.parametrize("group,mu_name,case", [("7", "mu-1", "i"), ("3x3", "swap", "ii")])
-def test_a_pair_builds_two_sets_of_coset_tables(group, mu_name, case, monkeypatch):
-    # C_e's and C_f's: the odd-like words, the CSS differences and both
-    # degeneracy sides all enumerate cosets of one of them (D_e-perp is C_e
-    # in case i and C_f in case ii); rebuilt per call, they were 5 and 6
-    field = field_from_order(2)
-    g = cyclic_group(7) if group == "7" else group_abelian([3, 3])
-    mu = builtin_mu_minus1(g) if mu_name == "mu-1" else builtin_mu_swap(g, 2)
+def _mu_minus2(group):
+    """Inversion with the Frobenius x -> x^2: over GF(4) it maps entries, not only columns."""
+    return Antiautomorphism(group, group.inverse, 1, descriptor="mu-2")
+
+
+def _named_pair(spec, q, mu_name):
+    """Pair 0 of the cell: the group 7, 13 or 3x3 with mu_name, or the
+    product of the 3x3 swap pair and the 7 mu_-1 pair for spec 3x3,7."""
+    if spec == "3x3,7":
+        return product_duadic(_named_pair("3x3", q, "swap"), _named_pair("7", q, "mu-1"))
+    group = group_abelian([3, 3]) if spec == "3x3" else cyclic_group(int(spec))
+    make_mu = {"mu-1": builtin_mu_minus1, "swap": lambda g: builtin_mu_swap(g, q), "mu-2": _mu_minus2}[mu_name]
+    return construct_pairs(make_mu(group), field_from_order(q), group)[0]
+
+
+@pytest.mark.parametrize(
+    "group,q,mu_name,case,builds",
+    [("7", 2, "mu-1", "i", 1), ("3x3", 2, "swap", "ii", 1), ("13", 4, "mu-2", "ii", 2)],
+)
+def test_a_pair_builds_one_set_of_coset_tables(group, q, mu_name, case, builds, monkeypatch):
+    # C_e's: C_f = mu(C_e) and D_f = mu(D_e) relabel its columns and share
+    # them, and the odd-like words, the CSS differences and both degeneracy
+    # sides all enumerate cosets of C_e or C_f (D_e-perp is C_e in case i
+    # and C_f in case ii).  A mu with a Frobenius part maps the entries too,
+    # so C_f builds its own.  Rebuilt per call, they were 5 and 6; one set
+    # per code, 2
     built = []
     real = codes_module._coset_tables
     monkeypatch.setattr(codes_module, "_coset_tables", lambda *a: built.append(a) or real(*a))
-    analysis = analyze_pair(construct_pairs(mu, field, g)[0])
+    analysis = analyze_pair(_named_pair(group, q, mu_name))
     assert analysis.duality.case == case and analysis.css.distance.exact
     assert all(side.exact for side in analysis.degeneracy.sides)
-    assert len(built) == 2
+    assert len(built) == builds
+
+
+def _sharing_pairs():
+    """Exact cells as (field, group, mu): cyclic 7-31 with mu_-1 over q in
+    {2, 3, 4, 5, 7, 8, 9} (case i), 3x3 and 5x5 with the swap at q = 2, 3
+    (case ii), Z7:Z3 at q = 4 with mu_-1, and 13 at q = 4 with mu_-2 (case
+    ii, a Frobenius part), where they split and q^((n+1)/2) <= 2^22."""
+    specs = [(cyclic_group(n), q, builtin_mu_minus1) for n in range(7, 32, 2) for q in (2, 3, 4, 5, 7, 8, 9)]
+    specs += [(group_abelian([p, p]), q, lambda g, q=q: builtin_mu_swap(g, q)) for p in (3, 5) for q in (2, 3)]
+    specs += [(group_from_cayley(frobenius21_table(), descriptor="Z7:Z3"), 4, builtin_mu_minus1)]
+    specs += [(cyclic_group(13), 4, _mu_minus2)]
+    for group, q, make_mu in specs:
+        field = field_from_order(q)
+        if math.gcd(group.order, q) != 1 or q ** ((group.order + 1) // 2) > 1 << 22:
+            continue
+        mu = make_mu(group)
+        if check_splitting(mu, field, group).ok:
+            yield pytest.param(field, group, mu, id=f"{group.descriptor}-q{q}-{mu.descriptor}")
+
+
+class TestFSideSharesTheESide:
+    @pytest.mark.parametrize(
+        "cell",
+        [
+            pytest.param(("7", 2, "mu-1", "i"), id="7-q2-mu-1"),
+            pytest.param(("3x3", 2, "swap", "ii"), id="3x3-q2-swap"),
+            pytest.param(("3x3,7", 2, "swap*mu-1", "mixed"), id="3x3,7-q2-swap*mu-1-product"),
+            pytest.param(("13", 4, "mu-2", "ii"), id="13-q4-mu-2"),
+        ],
+    )
+    def test_d_f_is_c_f_plus_ghat(self, cell):
+        # D_f = mu(D_e) is the D_f = C_f + span(Ghat) it replaced, as a row space
+        spec, q, mu_name, case = cell
+        pair = _named_pair(spec, q, mu_name)
+        codes = duadic_codes(pair)
+        assert classify_duality(pair, codes).case == case
+        one = AlgebraElement.one(pair.field, pair.group)
+        assert codes.d_f == _plus_vector(codes.c_f, pair.ghat.vec, one - pair.e)
+        # the f-side relabels the e-side's columns, unless mu maps entries too
+        if mu_name == "mu-2":
+            assert codes.c_f._source is None and codes.d_f._source is None
+        else:
+            assert codes.c_f._source[0] is codes.c_e and codes.d_f._source[0] is codes.d_e
+
+    @pytest.mark.parametrize("field,group,mu", list(_sharing_pairs()))
+    def test_every_call_answers_as_a_fresh_scan(self, field, group, mu, monkeypatch):
+        calls, scans = [], []
+        real_min, real_chunks = codes_module.coset_min_weight, codes_module._coset_chunks
+
+        def recorded(field, gen, offset, tables=None):
+            result = real_min(field, gen, offset, tables)
+            calls.append((gen, offset.copy(), result))
+            return result
+
+        monkeypatch.setattr(codes_module, "coset_min_weight", recorded)
+        monkeypatch.setattr(codes_module, "_coset_chunks", lambda *a: scans.append(a) or real_chunks(*a))
+        analysis = analyze_pair(construct_pairs(mu, field, group)[0])
+        assert analysis.css.distance.exact and all(side.exact for side in analysis.degeneracy.sides)
+        # the odd-like cosets of both sides and the CSS differences are one
+        # coset of C_e up to relabelling, and both degeneracy sides one
+        # distribution; with a Frobenius part C_f's are scanned apart
+        shared = mu.frobenius_power % field.m == 0
+        assert len(calls) >= 3 and len(scans) == (2 if shared else 4)
+        monkeypatch.undo()
+        for gen, offset, (w, word) in calls:
+            fresh_w, fresh_word = coset_min_weight(field, gen, offset)
+            assert (w, word.tolist()) == (fresh_w, fresh_word.tolist())
+        # C_f and D_e-perp (C_f in case ii) count from the shared scan
+        for code in (analysis.codes.c_f, analysis.css.dual_d):
+            expected = weight_distribution(LinearCode(field, code.gen))
+            assert weight_distribution(code).tolist() == expected.tolist()
+
+    def test_a_coset_is_scanned_once(self, monkeypatch):
+        field = field_from_order(3)
+        rng = np.random.default_rng(5)
+        code = LinearCode(field, _split_generators(field, 10, 14, 1)["systematic"])
+        tables = code._tables
+        scans = []
+        real = codes_module._coset_chunks
+        monkeypatch.setattr(codes_module, "_coset_chunks", lambda *a: scans.append(a) or real(*a))
+        offset = rng.integers(0, 3, 14)
+        kept = offset.copy()
+        w, word = coset_min_weight(field, code.gen, offset, tables)
+        assert len(scans) == 1
+        assert coset_min_weight(field, code.gen, offset, tables)[1].tolist() == word.tolist() and len(scans) == 1
+        # the memo keeps copies: neither the caller's offset nor the word it got back is read again
+        expected = word.tolist()
+        offset[:] = 0
+        word[:] = 0
+        w1, word1 = coset_min_weight(field, code.gen, kept, tables)
+        assert (w1, word1.tolist()) == (w, expected) and len(scans) == 1
+        # another offset is scanned, and agrees with a scan on fresh tables
+        other = field.vadd(kept, np.eye(14, dtype=np.int64)[0])
+        assert not code.contains(field.vsub(other, kept))
+        w2, word2 = coset_min_weight(field, code.gen, other, tables)
+        assert len(scans) == 2
+        monkeypatch.undo()
+        fresh = coset_min_weight(field, code.gen, other)
+        assert (w2, word2.tolist()) == (fresh[0], fresh[1].tolist())
+        # a relabelling of the columns finds the relabelled coset in the memo
+        perm = rng.permutation(14)
+        scans.clear()
+        monkeypatch.setattr(codes_module, "_coset_chunks", lambda *a: scans.append(a) or real(*a))
+        moved, moved_gen = np.empty_like(kept), np.empty_like(code.gen)
+        moved[perm], moved_gen[:, perm] = kept, code.gen
+        w3, word3 = coset_min_weight(field, moved_gen, moved, tables.relabelled(perm))
+        assert not scans and w3 == w and word3[perm].tolist() == expected
 
 
 # ---------------------------------------------------------------------------
