@@ -56,15 +56,26 @@ def naive_mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(field, group, out)
 
 
+@functools.lru_cache(maxsize=None)
+def _raw_tables(field: FiniteField) -> tuple[list[list[int]], list[list[int]]]:
+    """The q x q add and multiply tables of the indexes, by digit-wise addition mod p and `_raw_mul`."""
+    p, q, m = field.p, field.q, field.m
+    add = [[sum((a // p**i + b // p**i) % p * p**i for i in range(m)) for b in range(q)] for a in range(q)]
+    mul = [[_raw_mul(p, field.modulus or (0, 1), a, b) for b in range(q)] for a in range(q)]  # GF(p): nothing to reduce
+    return add, mul
+
+
 def naive_codewords(field, gen):
     """All words of the row space, folded one scalar multiply at a time."""
+    add, mul = _raw_tables(field)
     gen = np.asarray(gen, dtype=np.int64)
     k, n = gen.shape
+    rows = gen.tolist()
     for message in itertools.product(range(field.q), repeat=k):
         word = [0] * n
-        for m_i, row in zip(message, gen):
+        for m_i, row in zip(message, rows):
             if m_i:
-                word = [field.add(w, field.mul(m_i, int(r))) for w, r in zip(word, row)]
+                word = [add[w][mul[m_i][r]] for w, r in zip(word, row)]
         yield word
 
 

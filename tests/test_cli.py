@@ -1018,60 +1018,3 @@ class TestModuleEntryPoint:
         assert done.returncode == 0, done.stderr
         assert done.stdout.startswith("usage: duadic")
 
-
-class TestFieldOrderCap:
-    @pytest.mark.parametrize(
-        "argv,digest",
-        [
-            (
-                "construct --group 7 --q 65521 --mu mu-1 --json",
-                "e6a57d86ed578ab36a8cab779d6cf5d3bd8ef696954fb1bea72cb0bf055f9a99",
-            ),
-            (
-                "construct --group 7 --q 65536 --mu mu-1 --json",
-                "860e2ad3aa5dfa6a6dfde35a9a1f6144027de66b881767370e005c287842363c",
-            ),
-            (
-                "scan --family cyclic --n 3-15 --q 59049,65521,65536 --mu mu-1 --json",
-                "dd7484fdee621368bc883498031584a9a91431d3c35b68ec4091c2f8e3334301",
-            ),
-        ],
-        ids=["construct-65521", "construct-65536", "scan"],
-    )
-    def test_reports_at_the_cap(self, argv, digest, capsys):
-        # the largest prime, power of 2 and power of 3 field orders
-        assert main(argv.split(" ")) == EXIT_OK
-        assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
-
-
-# ---------------------------------------------------------------------------
-# the benchmark's recorded outputs, replayed for every fast request
-# ---------------------------------------------------------------------------
-
-BENCH = Path(__file__).resolve().parents[1] / "bench"
-REFERENCE = json.loads((BENCH / "reference.json").read_text(encoding="utf-8"))["requests"]
-FAST_REQUESTS = sorted(key for key, entry in REFERENCE.items() if entry["latency_s"] < 0.1)
-
-
-@pytest.fixture(scope="module")
-def bench_root(tmp_path_factory):
-    """A directory holding the Cayley files the benchmark's requests name,
-    at the paths relative to it that the requests use."""
-    sys.path.insert(0, str(BENCH))
-    try:
-        import pools
-    finally:
-        sys.path.remove(str(BENCH))
-    root = tmp_path_factory.mktemp("bench")
-    pools.write_cayley_files(root)
-    return root
-
-
-class TestBenchReference:
-    @pytest.mark.parametrize("key", FAST_REQUESTS)
-    def test_request_prints_its_recorded_output(self, key, bench_root, monkeypatch, capsys):
-        monkeypatch.chdir(bench_root)
-        code = main(key.split(" "))
-        out = capsys.readouterr().out
-        assert code == REFERENCE[key]["summary"]["exit"]
-        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == REFERENCE[key]["stdout_sha256"]

@@ -578,9 +578,10 @@ class TestKernelAgainstOracle:
         # the chunks' words are in the permuted columns of the tables
         assert np.array_equal(words[:, np.argsort(tables.cols)], np.vstack(list(reference_blocks(field, gen, offset, q * q))))
 
-    @pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 25, 27, 257])
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 25, 27, 257])
     def test_combination_table_matches_the_vadd_loop(self, q):
-        # one reduction at the end gives the table of one field addition per row
+        # one reduction at the end gives the table of one field addition per row,
+        # and the words of naive_codewords, which never calls the package's arithmetic
         field = field_from_order(q)
         rng = np.random.default_rng(q)
         for t in range(max(i for i in range(5) if q**i <= 1 << 14) + 1):
@@ -589,6 +590,7 @@ class TestKernelAgainstOracle:
             table = _combination_table(field, rows, 6)
             assert table.dtype == np.min_scalar_type(q - 1)
             assert np.array_equal(table, reference_combination_table(field, rows, 6))
+            assert {tuple(w) for w in table.tolist()} == {tuple(w) for w in naive_codewords(field, rows)}
 
 
 # ---------------------------------------------------------------------------
