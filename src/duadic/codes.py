@@ -17,12 +17,13 @@ zero at j exactly where tail[j] == -head[j], so weights come from comparing
 field indexes, with no field addition per word.  A code builds its head and
 tail tables once, for all its cosets; a coset subtracts its offset from the
 heads once, not per chunk.  Only the columns that both head rows and tail
-rows touch (about n - k of a systematic basis) are compared word by word: a
-column no tail row touches adds one count per head, and a column only tail
-rows touch one count per tail.  Weight distributions scan one word per
-scalar class.  A mu image with no Frobenius part only relabels columns, so
-it shares its source's tables, and their memo scans each coset and the
-distribution once for every code that shares them.
+rows touch (about n - k of a systematic basis, none when the code has no
+head rows) are compared word by word: a column no tail row touches adds one
+count per head, and a column only tail rows touch one count per tail.
+Weight distributions scan one word per scalar class.  A mu image with no
+Frobenius part only relabels columns, so it shares its source's tables, and
+their memo scans each coset and the distribution once for every code that
+shares them.
 """
 
 from __future__ import annotations
@@ -221,14 +222,13 @@ class _CosetTables:
 
     neg_heads holds the negated combinations of the head rows, the first row
     most significant (odometer order), and tail_t the transposed table of the
-    tail rows.  With head rows, the permuted columns come in three runs: the
-    first `mixed`, which both halves touch, then `tail_only`, which only tail
-    rows touch, then the rest, which no tail row touches.  A code with no
-    head rows has nothing to hoist: all its columns are mixed.
+    tail rows.  The permuted columns come in three runs: the first `mixed`,
+    which both halves touch, then `tail_only`, which only tail rows touch,
+    then the rest, which no tail row touches.
 
     A relabelling of the code's columns (`relabelled`) shares the arrays and
     the memo, which keeps what `coset_min_weight` (per offset, in the
-    tables' column order) and `_distribution` scanned on the shared words.
+    tables' column order) and `weight_distribution` scanned.
     """
 
     def __init__(
@@ -249,13 +249,10 @@ def _coset_tables(field: FiniteField, gen: np.ndarray, n: int) -> _CosetTables:
     gen = np.asarray(gen, dtype=np.int64).reshape(-1, n)
     k = len(gen)
     t = max(i for i in range(k + 1) if field.q**i <= _BLOCK_WORDS)
-    if k == t:
-        cols, mixed, tail_only = np.arange(n), n, 0
-    else:
-        in_heads, in_tail = gen[: k - t].any(axis=0), gen[k - t :].any(axis=0)
-        runs = [np.flatnonzero(run) for run in (in_heads & in_tail, in_tail & ~in_heads, ~in_tail)]
-        cols, mixed, tail_only = np.concatenate(runs), len(runs[0]), len(runs[1])
-        gen = gen[:, cols]
+    in_heads, in_tail = gen[: k - t].any(axis=0), gen[k - t :].any(axis=0)
+    runs = [np.flatnonzero(run) for run in (in_heads & in_tail, in_tail & ~in_heads, ~in_tail)]
+    cols, mixed, tail_only = np.concatenate(runs), len(runs[0]), len(runs[1])
+    gen = gen[:, cols]
     neg_heads = np.ascontiguousarray(_combination_table(field, field.vneg(gen[: k - t][::-1]), n))
     return _CosetTables(neg_heads, _combination_table(field, gen[k - t :], n).T, cols, mixed, tail_only)
 
@@ -281,10 +278,6 @@ def _coset_chunks(field: FiniteField, offset: np.ndarray, tables: _CosetTables):
     heads, tail_t = tables.neg_heads, tables.tail_t
     # the weight type leaves room for the skip value n + 1 of the zero word
     weight_type = np.min_scalar_type(n + 1)
-    if len(heads) == 1:  # no head rows, and every column mixed
-        neg_heads = field.vsub(heads, offset).astype(tail_t.dtype)
-        yield neg_heads, tail_t.T, (tail_t != neg_heads.T).view(np.uint8).sum(axis=0, dtype=weight_type)[None]
-        return
     m, hoisted = tables.mixed, tables.mixed + tables.tail_only
     mixed_t = tail_t[:m]
     step = 1
@@ -333,40 +326,33 @@ def coset_min_weight(field: FiniteField, gen: np.ndarray, offset: np.ndarray, ta
     return best, word
 
 
-def _distribution(code: LinearCode) -> np.ndarray:
-    """Counts A_w of codewords by weight, w = 0..n, read-only, by one scan
-    kept in the memo of the code's tables: no column order changes them, so
-    every code that shares the tables reads them there.
+def weight_distribution(code: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
+    """Counts A_w of codewords by weight, w = 0..n, as a new array.  The
+    words are scanned once, on the first call under the cap on any code that
+    shares its tables, and the counts kept in the tables' memo: no column
+    order changes them.
 
     Of the q - 1 nonzero multiples of a word with a nonzero tail, all of its
     weight, one has most significant tail coefficient 1, a tail rank in
     [q^j, 2 q^j): only those tails and the zero tail are scanned, and all but
     the zero tail count q - 1 times."""
-    n, q, tables = code.n, code.field.q, code._tables
+    n, q = code.n, code.field.q
+    if q**code.k > as_int(cap, "cap", lo=1):
+        raise EnumerationCapError(f"q^k = {q**code.k} exceeds the cap {cap}")
+    tables = code._tables
     memo = tables.memo
-    if None in memo:
-        return memo[None]
-    if q > 2:  # rank 0 and the ranks [q^j, 2 q^j), j < t
-        leads = q ** np.arange(round(math.log(tables.tail_t.shape[1], q)))
-        ranks = np.concatenate([[0], *(np.arange(r, 2 * r) for r in leads)])
-        tail_t = tables.tail_t.take(ranks, axis=1)
-        tables = _CosetTables(tables.neg_heads, tail_t, tables.cols, tables.mixed, tables.tail_only)
-    counts = np.zeros(n + 1, dtype=np.int64)
-    for _, _, weights in _coset_chunks(code.field, np.zeros(n, dtype=np.int64), tables):
-        counts += (q - 1) * np.bincount(weights.ravel(), minlength=n + 1)
-        counts -= (q - 2) * np.bincount(weights[:, 0], minlength=n + 1)
-    counts.flags.writeable = False
-    memo[None] = counts
-    return counts
-
-
-def weight_distribution(code: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
-    """Counts A_w of codewords by weight, w = 0..n, as a new array.  The
-    words are scanned once, on the first call under the cap on any code that
-    shares its tables, and the counts kept (`_distribution`)."""
-    if code.field.q**code.k > as_int(cap, "cap", lo=1):
-        raise EnumerationCapError(f"q^k = {code.field.q**code.k} exceeds the cap {cap}")
-    return _distribution(code).copy()
+    if None not in memo:
+        if q > 2:  # rank 0 and the ranks [q^j, 2 q^j), j < t
+            leads = q ** np.arange(round(math.log(tables.tail_t.shape[1], q)))
+            ranks = np.concatenate([[0], *(np.arange(r, 2 * r) for r in leads)])
+            tail_t = tables.tail_t.take(ranks, axis=1)
+            tables = _CosetTables(tables.neg_heads, tail_t, tables.cols, tables.mixed, tables.tail_only)
+        counts = np.zeros(n + 1, dtype=np.int64)
+        for _, _, weights in _coset_chunks(code.field, np.zeros(n, dtype=np.int64), tables):
+            counts += (q - 1) * np.bincount(weights.ravel(), minlength=n + 1)
+            counts -= (q - 2) * np.bincount(weights[:, 0], minlength=n + 1)
+        memo[None] = counts
+    return memo[None].copy()
 
 
 def difference_min_weight(

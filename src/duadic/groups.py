@@ -53,7 +53,13 @@ def _right_generators(t: np.ndarray):
     """Yield a generating set of the Latin square t with identity 0, built
     greedily: each element is the least id not yet reached from 0 by right
     multiplication with the ones before it, so that every id is a product
-    of yielded elements once the generator is exhausted."""
+    of yielded elements once the generator is exhausted.
+
+    Each step also multiplies by the powers g^(2^i) of the generators, one
+    more squaring per step, so a cyclic subgroup closes in O(log n) steps,
+    not one per element, and no subgroup takes more steps than by the
+    generators alone.  In a group both walks reach the same subgroups, so
+    they yield the same generating set."""
     reached = np.zeros(len(t), dtype=bool)
     reached[0] = True
     gens: list[int] = []
@@ -61,9 +67,12 @@ def _right_generators(t: np.ndarray):
         gens.append(int(np.argmin(reached)))
         yield gens[-1]
         frontier = np.flatnonzero(reached)
+        factors = powers = np.array(gens)
         while frontier.size:
             hit = np.zeros(len(t), dtype=bool)
-            hit[t[np.ix_(frontier, gens)]] = True
+            hit[t[np.ix_(frontier, factors)]] = True
+            powers = t[powers, powers]
+            factors = np.concatenate([factors, powers])
             frontier = np.flatnonzero(hit & ~reached)
             reached |= hit
 

@@ -166,9 +166,6 @@ def degeneracy_report(code: CssCode, cap: int = DEFAULT_ENUM_CAP) -> DegeneracyR
     d = code.distance.value
     sides = []
     for name, side_code in (("C", code.code_c), ("D-perp", code.dual_d)):
-        if side_code.k == 0:
-            sides.append(SideEvidence(name, True, ()))
-            continue
         try:
             dist = weight_distribution(side_code, cap)
         except EnumerationCapError:

@@ -699,6 +699,25 @@ def reference_labels(group: Group) -> tuple[str, ...]:
     )
 
 
+def reference_right_generators(table) -> list[int]:
+    """The greedy generating set of `groups._right_generators`, each subgroup
+    closed by right multiplication with the generators alone: one step per
+    element of a cyclic group."""
+    t = np.asarray(table)
+    reached = np.zeros(len(t), dtype=bool)
+    reached[0] = True
+    gens: list[int] = []
+    while not reached.all():
+        gens.append(int(np.argmin(reached)))
+        frontier = np.flatnonzero(reached)
+        while frontier.size:
+            hit = np.zeros(len(t), dtype=bool)
+            hit[t[np.ix_(frontier, gens)]] = True
+            frontier = np.flatnonzero(hit & ~reached)
+            reached |= hit
+    return gens
+
+
 def reference_associativity_failure(table) -> tuple[int, int, int] | None:
     """The first (a, b, c) in lexicographic order with (ab)c != a(bc), or
     None: every triple, one n x n comparison per a."""

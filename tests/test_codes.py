@@ -529,9 +529,18 @@ class TestKernelAgainstOracle:
         def code_of_dimension(k):
             return LinearCode(field, np.hstack([np.eye(k, dtype=np.int64), rng.integers(0, q, (k, n - k))]))
 
-        tail_only = code_of_dimension(3)
-        assert len(tail_only._tables.neg_heads) == 1
-        assert weight_distribution(tail_only).tolist() == reference_weight_distribution(tail_only).tolist()
+        # no head rows, the zero code too: one zero head, no mixed column, and
+        # the tail-only columns are those the tail rows touch
+        zero = LinearCode(field, np.zeros((0, n), dtype=np.int64))
+        untouched = LinearCode(field, np.hstack([code_of_dimension(3).gen[:, :5], np.zeros((3, 2), dtype=np.int64)]))
+        for headless in (code_of_dimension(3), zero, untouched):
+            tables = headless._tables
+            assert len(tables.neg_heads) == 1 and tables.mixed == 0
+            assert sorted(tables.cols[: tables.tail_only].tolist()) == np.flatnonzero(headless.gen.any(axis=0)).tolist()
+            assert weight_distribution(headless).tolist() == reference_weight_distribution(headless).tolist()
+            offset = rng.integers(0, q, n)
+            offset[-1] = 1
+            _assert_coset_min_weight(field, headless.gen, offset, headless)
         # the sizes count when a code builds its tables, on its first
         # enumeration: a 2-row tail, q^3 heads in blocks of q^2, chunks of q
         monkeypatch.setattr(codes_module, "_BLOCK_WORDS", q * q)

@@ -48,6 +48,7 @@ from oracles import (
     reference_element_tuple,
     reference_fq_classes,
     reference_labels,
+    reference_right_generators,
 )
 
 
@@ -631,6 +632,10 @@ def coprime_qs(group: Group) -> list[int]:
 
 @pytest.mark.parametrize("name", TABLE_GROUPS)
 class TestTableRoutinesAgainstOracles:
+    def test_right_generators(self, name):
+        table = table_group(name).table
+        assert list(_right_generators(table)) == reference_right_generators(table)
+
     def test_fq_classes(self, name):
         g = table_group(name)
         for q in coprime_qs(g):
@@ -815,6 +820,15 @@ class TestAssociativityOnGenerators:
         table = build().table
         gens = list(_right_generators(table))
         assert len(gens) == size and 2 ** len(gens) <= len(table)
+
+    def test_cyclic_subgroup_closes_in_log_steps(self, monkeypatch):
+        # one gather a step: reached grows 2, 3, 5, 9, ..., 257, 511 on Z_511
+        # as the factors 1, 2, 4, ... join, and a tenth step finds nothing
+        # new, where a walk by the generator alone takes a step per element
+        steps, ix = [], np.ix_
+        monkeypatch.setattr(np, "ix_", lambda *axes: steps.append(len(axes)) or ix(*axes))
+        assert list(_right_generators(cyclic_group(511).table)) == [1]
+        assert len(steps) == 10
 
 
 @pytest.mark.parametrize(

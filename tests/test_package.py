@@ -3,9 +3,12 @@ defined in it."""
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import duadic
 
@@ -129,3 +132,18 @@ def test_core_type_surfaces_are_the_expected_lists():
 def test_splitting_check_fields_are_the_expected_list():
     assert [field.name for field in dataclasses.fields(duadic.SplittingCheck)] == EXPECTED_SPLITTING_CHECK_FIELDS
     assert not [attr for attr in dir(duadic.SplittingCheck) if not attr.startswith("_")]
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_sources_parse_at_the_python_floor():
+    # the parser of a newer Python accepts syntax the requires-python floor
+    # lacks (except*, PEP 695 generics); parsing at the floor's grammar
+    # catches it on any interpreter
+    floor = re.search(r'^requires-python = ">=3\.(\d+)"$', (ROOT / "pyproject.toml").read_text(), re.M)
+    version = (3, int(floor.group(1)))
+    paths = sorted([*(ROOT / "src" / "duadic").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+    assert len(paths) > 20
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=version)

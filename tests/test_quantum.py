@@ -219,13 +219,19 @@ class TestDegeneracy:
         assert by_side["C"].counts[0][1] >= 81
         assert by_side["D-perp"].counts and by_side["D-perp"].counts[0][0] == 4
 
-    def test_zero_dimensional_side(self, f2):
-        full = LinearCode(f2, np.eye(4, dtype=np.int64))
-        zero = LinearCode(f2, np.zeros((0, 4), dtype=np.int64))
+    @pytest.mark.parametrize("q", [2, 4])
+    def test_zero_dimensional_side(self, q):
+        # both sides are the zero code, enumerated like any other: over GF(4)
+        # the scalar-class subset of the tail ranks runs with no tail row
+        field = field_from_order(q)
+        full = LinearCode(field, np.eye(4, dtype=np.int64))
+        zero = LinearCode(field, np.zeros((0, 4), dtype=np.int64))
         code = css_build(zero, full)
-        code.distance = DistanceRecord(1, True, "coset-enumeration")
+        assert code.code_c.k == code.dual_d.k == 0
+        code.distance = DistanceRecord(4, True, "coset-enumeration")
         report = degeneracy_report(code)
-        assert all(not s.counts for s in report.sides)
+        assert [(s.side, s.exact, s.counts) for s in report.sides] == [("C", True, ()), ("D-perp", True, ())]
+        assert not report.degenerate
 
     def test_requires_distance(self, f2):
         g = cyclic_group(7)
