@@ -266,9 +266,9 @@ def _existence_fields(mu: Antiautomorphism, field: FiniteField, ok: bool) -> dic
 
 
 def _analysis_fields(analysis: PairAnalysis) -> dict:
-    codes, css, duality = analysis.codes, analysis.css, analysis.duality
+    duality, distance, k = analysis.duality, analysis.degeneracy.distance, analysis.pair.group.order // 2
     return {
-        "dims": {"c_e": codes.c_e.k, "c_f": codes.c_f.k, "d_e": codes.d_e.k, "d_f": codes.d_f.k},
+        "dims": {"c_e": k, "c_f": k, "d_e": k + 1, "d_f": k + 1},  # checked where the codes are built
         "duality": {
             "case": duality.case,
             "verified": duality.verified,
@@ -279,12 +279,12 @@ def _analysis_fields(analysis: PairAnalysis) -> dict:
             for side, record in zip("ef", analysis.odd_like)
         ],
         "quantum": {
-            "n": css.n,
-            "k": css.k,
-            "d": css.distance.value,
-            "exact": css.distance.exact,
-            "provenance": css.distance.provenance,
-            "params": css.params(),
+            "n": 2 * k + 1,
+            "k": 1,  # dim D_e - dim C_e
+            "d": distance.value,
+            "exact": distance.exact,
+            "provenance": distance.provenance,
+            "params": analysis.params(),
         },
         "degeneracy": {
             "degenerate": analysis.degeneracy.degenerate,

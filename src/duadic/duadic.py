@@ -7,7 +7,10 @@ criterion alone decides whether mu splits (`check_splitting`).  Each fact
 is checked once, where it is established: `construct_pairs` that mu fixes
 as many idempotents as classes, `DuadicPair` the four axioms that imply
 the rest, and `duadic_codes` the four dimensions and that each code
-derived from C_e, the pair's one elimination, lies in its ideal.
+derived from C_e, the pair's one elimination, lies in its ideal.  A report
+that enumerates nothing builds no code (`analyze_pair`): its dimensions and
+`verified` rest on the idempotent identities, and the matrix identities
+run when a code is built, and in `verify structure` and the tests.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -96,6 +100,14 @@ class DuadicPair:
             f"DuadicPair(n={self.group.order}, q={self.field.q}, "
             f"mu={self.mu.descriptor})"
         )
+
+
+def ideal_contains(a: AlgebraElement, w: AlgebraElement) -> bool:
+    """Whether w lies in the ideal Ra of the central idempotent a, by one
+    product: w = r a gives w a = r a^2 = w, and w a = w puts w in Ra.  The
+    CSS code of a pair has C = C_e = Re and D-perp = R mu_-1(f), since
+    D_e = R(1 - f) and mu_-1 fixes 1 (`DualityReport`)."""
+    return w * a == w
 
 
 def _check_cell(n: int, q: int) -> None:
@@ -380,49 +392,73 @@ def duadic_codes(pair: DuadicPair) -> DuadicCodes:
     return DuadicCodes(pair, c_e, c_f, d_e, d_f)
 
 
-@dataclass(frozen=True)
 class DualityReport:
     """Which inversion-duality case applies, the verified equalities, and
-    the duals of C_e and D_e they give."""
+    the duals of C_e and D_e they give.
 
-    case: str  # "i" (mu_-1 swaps e and f), "ii" (mu_-1 fixes them), or "mixed"
-    equalities: tuple[tuple[str, bool], ...]
-    verified: bool
-    c_e_perp: LinearCode
-    d_e_perp: LinearCode
+    For a central idempotent a, (Ra)-perp = R(1 - mu_-1(a)) = mu_-1(R(1 - a)),
+    so the pair's mu_-1 flags give the case and the equalities, which
+    `verified` rests on.  The codes (`duadic_codes`, unless given) and the
+    duals are built on first read, and each identity is then checked once
+    by `check_dual` (VerificationError if it fails); D_e-perp = C_e in case
+    i and = C_f in case ii follow from the C_e and C_f identities by taking
+    duals.  `classify_duality` reads the duals at once.
+    """
+
+    def __init__(self, pair: DuadicPair, codes: DuadicCodes | None = None):
+        if pair.swapped_by_mu_minus1:
+            self.case, names = "i", ("C_e-perp = D_e", "C_f-perp = D_f")
+        elif pair.fixed_by_mu_minus1:
+            self.case, names = "ii", ("C_e-perp = D_f", "C_f-perp = D_e")
+        else:
+            self.case, names = "mixed", ("C_e-perp = R(1 - mu_-1(e))",)
+        self.equalities = tuple((name, True) for name in names)
+        self.verified = True
+        self.pair = pair
+        if codes is not None:
+            self.codes = codes
+
+    @cached_property
+    def codes(self) -> DuadicCodes:
+        return duadic_codes(self.pair)
+
+    @cached_property
+    def _duals(self) -> tuple[LinearCode, LinearCode]:
+        """(C_e-perp, D_e-perp): codes already built when mu_-1 swaps e and f
+        (case i) or fixes them (case ii), else ("mixed") mu_-1(D_f) and
+        mu_-1(C_f), each a built code's rows mapped; checked."""
+        c_e, c_f, d_e, d_f = self.codes.c_e, self.codes.c_f, self.codes.d_e, self.codes.d_f
+        if self.case == "mixed":
+            mu1 = builtin_mu_minus1(self.pair.group)
+            m1f = apply_antiauto(mu1, self.pair.f)
+            c_e_perp = _mu_image(d_f, mu1, m1f + self.pair.ghat)  # mu_-1(1 - e) = mu_-1(f) + Ghat
+            d_e_perp = _mu_image(c_f, mu1, m1f)
+            check_dual(d_e_perp, d_e)  # the C_f identity, mapped by mu_-1
+        else:  # C_e-perp, D_e-perp and C_f-perp are D_e, C_e and D_f in case i, D_f, C_f and D_e in case ii
+            c_e_perp, d_e_perp, c_f_perp = (d_e, c_e, d_f) if self.case == "i" else (d_f, c_f, d_e)
+            check_dual(c_f, c_f_perp)
+        check_dual(c_e, c_e_perp)
+        return c_e_perp, d_e_perp
+
+    @property
+    def c_e_perp(self) -> LinearCode:
+        return self._duals[0]
+
+    @property
+    def d_e_perp(self) -> LinearCode:
+        return self._duals[1]
+
+    def __eq__(self, other) -> bool:
+        fields = ("case", "equalities", "verified", "c_e_perp", "d_e_perp")
+        return isinstance(other, DualityReport) and all(getattr(self, a) == getattr(other, a) for a in fields)
 
 
 def classify_duality(pair: DuadicPair, codes: DuadicCodes | None = None) -> DualityReport:
-    """Check the dual identities C_e-perp = D_e (case i) / D_f (case ii).
-
-    For a central idempotent a, (Ra)-perp = R(1 - mu_-1(a)) = mu_-1(R(1 - a)).
-    When mu_-1 swaps e and f (case i) or fixes them (case ii) the duals are
-    codes already built.  Otherwise ("mixed") C_e-perp = mu_-1(D_f) and
-    D_e-perp = mu_-1(C_f), each a built code's rows mapped.
-    Each identity is checked once by `check_dual` (VerificationError if it
-    fails); D_e-perp = C_e in case i and = C_f in case ii follow from the
-    C_e and C_f identities by taking duals.
-    """
-    if codes is None:
-        codes = duadic_codes(pair)
-    c_e, c_f, d_e, d_f = codes.c_e, codes.c_f, codes.d_e, codes.d_f
-    if pair.swapped_by_mu_minus1:
-        case, c_e_perp, d_e_perp = "i", d_e, c_e
-        checks = {"C_e-perp = D_e": (c_e, d_e), "C_f-perp = D_f": (c_f, d_f)}
-    elif pair.fixed_by_mu_minus1:
-        case, c_e_perp, d_e_perp = "ii", d_f, c_f
-        checks = {"C_e-perp = D_f": (c_e, d_f), "C_f-perp = D_e": (c_f, d_e)}
-    else:
-        mu1 = builtin_mu_minus1(pair.group)
-        m1f = apply_antiauto(mu1, pair.f)
-        case = "mixed"
-        c_e_perp = _mu_image(d_f, mu1, m1f + pair.ghat)  # mu_-1(1 - e) = mu_-1(f) + Ghat
-        d_e_perp = _mu_image(c_f, mu1, m1f)
-        checks = {"C_e-perp = R(1 - mu_-1(e))": (c_e, c_e_perp)}
-        check_dual(d_e_perp, d_e)  # the C_f identity, mapped by mu_-1
-    for code, other in checks.values():
-        check_dual(code, other)
-    return DualityReport(case, tuple((name, True) for name in checks), True, c_e_perp, d_e_perp)
+    """The `DualityReport` of the pair, with its duals built and each dual
+    identity checked now."""
+    report = DualityReport(pair, codes)
+    report.c_e_perp  # builds and checks the duals
+    return report
 
 
 def odd_like_bound(pair: DuadicPair) -> tuple[str, int]:

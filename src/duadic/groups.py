@@ -130,11 +130,12 @@ class Group:
         if not np.array_equal(t[0], ids) or not np.array_equal(t[:, 0], ids):
             raise ValueError("not a group (identity): id 0 is not a two-sided identity")
         # every row and column must be a permutation, which with associativity
-        # gives unique two-sided inverses
-        if not np.array_equal(np.sort(t, axis=1), np.broadcast_to(ids, t.shape)):
-            raise ValueError("not a group (inverses): some row is not a permutation")
-        if not np.array_equal(np.sort(t, axis=0), np.broadcast_to(ids[:, None], t.shape)):
-            raise ValueError("not a group (inverses): some column is not a permutation")
+        # gives unique two-sided inverses: its entries reach all n ids
+        for line, at in (("row", (ids[:, None], t)), ("column", (t, ids))):
+            seen = np.zeros((n, n), dtype=bool)
+            seen[at] = True  # seen[i, t[i, j]] for the rows, seen[t[i, j], j] for the columns
+            if not seen.all():
+                raise ValueError(f"not a group (inverses): some {line} is not a permutation")
         # Light's test: the g with (x g) y = x (g y) for all x, y form a
         # closed set, so a generating set decides associativity; the
         # exhaustive loop only names the first failing triple

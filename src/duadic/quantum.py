@@ -1,10 +1,15 @@
 """CSS stabilizer codes from nested classical codes, with exact set-difference
-distances when enumerable and tagged lower bounds otherwise."""
+distances when enumerable and tagged lower bounds otherwise.  A report that enumerates
+nothing builds no code (`analyze_pair`): its dimensions and `verified` rest
+on the idempotent identities, and the matrix identities run when a code is
+built, and in `verify structure` and the tests."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, partial
 
+from .algebra import AlgebraElement
 from .codes import (
     DEFAULT_ENUM_CAP,
     LinearCode,
@@ -15,7 +20,7 @@ from .codes import (
     weight_distribution,
 )
 from .duadic import DuadicCodes, DuadicPair, DualityReport, classify_duality
-from .duadic import construct_pairs, duadic_codes, odd_like_bound
+from .duadic import construct_pairs, duadic_codes, ideal_contains, odd_like_bound
 from .errors import EnumerationCapError
 from .gf import FiniteField, as_int
 from .groups import Antiautomorphism, Group
@@ -76,14 +81,15 @@ class CssCode:
         self.witnesses = tuple(witnesses)
 
     def params(self) -> str:
-        if self.distance is None:
-            d = "?"
-        else:
-            d = str(self.distance.value) if self.distance.exact else f">={self.distance.value}"
-        return f"[[{self.n},{self.k},{d}]]_{self.field.q}"
+        return _params(self.n, self.k, self.field.q, self.distance)
 
     def __repr__(self) -> str:
         return f"CssCode({self.params()})"
+
+
+def _params(n: int, k: int, q: int, distance: DistanceRecord | None) -> str:
+    d = "?" if distance is None else str(distance.value) if distance.exact else f">={distance.value}"
+    return f"[[{n},{k},{d}]]_{q}"
 
 
 def css_build(
@@ -169,43 +175,74 @@ def degeneracy_report(code: CssCode, cap: int = DEFAULT_ENUM_CAP) -> DegeneracyR
         try:
             dist = weight_distribution(side_code, cap)
         except EnumerationCapError:
-            found: dict[int, set[bytes]] = {}
-            for w in code.witnesses:
-                wt = w.weight()
-                if 0 < wt < d and side_code.contains(w.vec):
-                    translates = found.setdefault(wt, set())
-                    for row in w.vec[w.group.left_translation]:
-                        translates.add(row.tobytes())
-            counts = tuple((wt, len(tr)) for wt, tr in sorted(found.items()))
-            sides.append(SideEvidence(name, False, counts))
+            sides.append(_witness_side(name, code.witnesses, d, lambda w: side_code.contains(w.vec)))
         else:
             counts = tuple((w, int(dist[w])) for w in range(1, min(d, len(dist))) if dist[w])
             sides.append(SideEvidence(name, True, counts))
     return DegeneracyReport(any(s.counts for s in sides), code.distance, tuple(sides))
 
 
+def _witness_side(name: str, witnesses: tuple, d: int, contains) -> SideEvidence:
+    """Lower-bound evidence of one side: the witnesses of weight below d
+    that contains() admits, counted with their group translates."""
+    found: dict[int, set[bytes]] = {}
+    for w in witnesses:
+        wt = w.weight()
+        if 0 < wt < d and contains(w):
+            found.setdefault(wt, set()).update(row.tobytes() for row in w.vec[w.group.left_translation])
+    return SideEvidence(name, False, tuple((wt, len(tr)) for wt, tr in sorted(found.items())))
+
+
 @dataclass(frozen=True)
 class PairAnalysis:
-    """Everything reported for one duadic pair."""
+    """Everything reported for one duadic pair.  The codes behind it, `codes`,
+    `css` on (C_e, D_e) and `duality`'s duals, are built where a distance is
+    enumerated, and elsewhere on first read (`DualityReport`)."""
 
-    codes: DuadicCodes
+    pair: DuadicPair
     duality: DualityReport
     bound: tuple[str, int]  # (bound type, smallest weight meeting it)
     odd_like: tuple[DistanceRecord, DistanceRecord]  # odd-like minimum weights of D_e, D_f
-    css: CssCode  # on (C_e, D_e), with its distance record
-    degeneracy: DegeneracyReport
+    degeneracy: DegeneracyReport  # its distance record is the CSS code's
+
+    @property
+    def codes(self) -> DuadicCodes:
+        return self.duality.codes
+
+    @cached_property
+    def css(self) -> CssCode:
+        codes, duality = self.codes, self.duality
+        return CssCode(
+            codes.c_e, codes.d_e, duality.c_e_perp, duality.d_e_perp, self.degeneracy.distance, self.pair.witnesses
+        )
+
+    def params(self) -> str:
+        """`css.params()`, read without building the code: k = 1."""
+        return _params(self.pair.group.order, 1, self.pair.field.q, self.degeneracy.distance)
 
 
 def analyze_pair(pair: DuadicPair, cap: int = DEFAULT_ENUM_CAP) -> PairAnalysis:
     """Codes, duality, odd-like and CSS distances, and degeneracy of one pair.
 
     Each distance is exact when its enumeration fits in cap words and the
-    odd-like bound of the pair otherwise.
+    odd-like bound of the pair otherwise.  With k = (n-1)/2, D_e \\ C_e has
+    (q-1) q^k words, the CSS total counts it twice outside case i, and each
+    degeneracy side has q^k words, so where q^k > cap no code is built: a
+    degeneracy side counts the witnesses in its ideal (`ideal_contains`).
     """
-    codes = duadic_codes(pair)
-    duality = classify_duality(pair, codes)
     bound_type, bound_d = odd_like_bound(pair)
     fallback = DistanceRecord(bound_d, False, f"odd-like-{bound_type}-bound")
+    group = pair.group
+    if pair.field.q ** (group.order // 2) > as_int(cap, "cap", lo=1):
+        m1f = AlgebraElement(pair.field, group, pair.f.vec[group.inverse])  # mu_-1(f), as in `_pair_axioms`
+        sides = tuple(
+            _witness_side(name, pair.witnesses, bound_d, partial(ideal_contains, a))
+            for name, a in (("C", pair.e), ("D-perp", m1f))
+        )
+        degeneracy = DegeneracyReport(any(s.counts for s in sides), fallback, sides)
+        return PairAnalysis(pair, DualityReport(pair), (bound_type, bound_d), (fallback, fallback), degeneracy)
+    codes = duadic_codes(pair)
+    duality = classify_duality(pair, codes)
     odd_like = []
     for side in "ef":
         try:
@@ -216,5 +253,6 @@ def analyze_pair(pair: DuadicPair, cap: int = DEFAULT_ENUM_CAP) -> PairAnalysis:
             odd_like.append(DistanceRecord(d, True, "coset-enumeration"))
     css = CssCode(codes.c_e, codes.d_e, duality.c_e_perp, duality.d_e_perp, witnesses=pair.witnesses)
     css.distance = css_distance(css, cap=cap, fallback=fallback)
-    degeneracy = degeneracy_report(css, cap=cap)
-    return PairAnalysis(codes, duality, (bound_type, bound_d), tuple(odd_like), css, degeneracy)
+    analysis = PairAnalysis(pair, duality, (bound_type, bound_d), tuple(odd_like), degeneracy_report(css, cap=cap))
+    object.__setattr__(analysis, "css", css)  # the code its distances were enumerated on
+    return analysis

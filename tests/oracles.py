@@ -718,6 +718,19 @@ def reference_right_generators(table) -> list[int]:
     return gens
 
 
+def reference_permutation_failure(table) -> str | None:
+    """The first kind of line, "row" or "column", of a closed square table
+    that is not a permutation, by sorting the whole table; None when every
+    line is one."""
+    t = np.asarray(table)
+    ids = np.arange(len(t))
+    if not np.array_equal(np.sort(t, axis=1), np.broadcast_to(ids, t.shape)):
+        return "row"
+    if not np.array_equal(np.sort(t, axis=0), np.broadcast_to(ids[:, None], t.shape)):
+        return "column"
+    return None
+
+
 def reference_associativity_failure(table) -> tuple[int, int, int] | None:
     """The first (a, b, c) in lexicographic order with (ab)c != a(bc), or
     None: every triple, one n x n comparison per a."""

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import duadic
-from duadic import algebra, cli, codes, groups
+from duadic import _linalg, algebra, cli, codes, groups
 from duadic.cli import (
     EXIT_INTERRUPTED,
     EXIT_NO_SPLITTING,
@@ -498,10 +498,12 @@ class TestConstruct:
         ],
         ids=["case-i", "case-ii", "mixed"],
     )
-    def test_emit_matrices_bytes(self, tmp_path, capsys, argv, digests):
-        # each file holds the canonical RREF of its matrix, whatever form the code keeps
+    @pytest.mark.parametrize("cap", [[], ["--max-enum", "1"]], ids=["default-cap", "cap-1"])
+    def test_emit_matrices_bytes(self, tmp_path, capsys, argv, digests, cap):
+        # each file holds the canonical RREF of its matrix, whatever form the
+        # code keeps, and whether the report built it or the files read it first
         out = tmp_path / "mats"
-        assert main(["construct", "--group", *argv, "--emit-matrices", str(out), "--json"]) == EXIT_OK
+        assert main(["construct", "--group", *argv, *cap, "--emit-matrices", str(out), "--json"]) == EXIT_OK
         capsys.readouterr()
         assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()} == digests
 
@@ -670,6 +672,58 @@ class TestConstruct:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"duadic: verification failure: {message}\n"
         assert (guard == "sum-retry") == (len(calls) > 1)  # the units were retried one by one
+
+
+class TestBoundCellBuildsNoCode:
+    """A cell with q^k over the cap enumerates nothing, so its report builds
+    no code: no elimination and no basis, and the report keeps the bytes it
+    had when every cell built its four codes (digests from b4ad6bd)."""
+
+    @pytest.fixture
+    def built(self, monkeypatch) -> collections.Counter:
+        counts = collections.Counter()
+        rref, set_basis = _linalg.rref, codes.LinearCode._set_basis
+
+        def counted_rref(*args):
+            counts["rref"] += 1
+            return rref(*args)
+
+        def counted_set_basis(self, *args):
+            counts["_set_basis"] += 1
+            return set_basis(self, *args)
+
+        monkeypatch.setattr(_linalg, "rref", counted_rref)
+        monkeypatch.setattr(codes.LinearCode, "_set_basis", counted_set_basis)
+        return counts
+
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (["71", "--q", "2", "--mu", "mu-1"], "3f6f0ab97f55313ad579fb043c2c77042d8a08d6333849bfbd254304ae1a49d4"),
+            (
+                ["3x3,3x3", "--q", "2", "--mu", "swap", "--product"],
+                "853ae66a8875121ac9eac7b14c37d3900ff0e5cca83280026042eec6cc798a36",
+            ),
+            (
+                ["3x3,7", "--q", "2", "--mu", "swap*mu-1", "--product"],
+                "ecd2b44363d5b98c55d76a3591e086360adc2dedec3ce035cfe54cbf72d25ac0",
+            ),
+            (
+                ["3x3", "--q", "5", "--mu", "swap", "--max-enum", "1"],
+                "fc9211409fd8ffa32e2e93838e40dce1ea9b738d2c1290b00cbe53d88c7fe17a",
+            ),
+        ],
+        ids=["71-case-i", "81-case-ii", "63-mixed", "3x3-q5-case-ii"],
+    )
+    def test_no_elimination_and_no_basis(self, capsys, built, argv, digest):
+        assert main(["construct", "--group", *argv, "--json"]) == EXIT_OK
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+        assert built == {}
+
+    def test_an_enumerated_cell_is_counted(self, capsys, built):
+        # C_e's one elimination, and the bases of C_e and its three derived codes
+        assert main(["construct", "--group", "7", "--q", "2", "--mu", "mu-1", "--json"]) == EXIT_OK
+        assert built == {"rref": 1, "_set_basis": 4}
 
 
 class TestSplittingWork:

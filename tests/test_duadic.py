@@ -32,6 +32,7 @@ from duadic.duadic import (
     classify_duality,
     construct_pairs,
     duadic_codes,
+    ideal_contains,
     odd_like_bound,
     product_duadic,
     splitting_exists_mu_minus1,
@@ -47,7 +48,7 @@ from duadic.groups import (
     group_abelian,
     group_from_cayley,
 )
-from duadic.quantum import analyze_pair
+from duadic.quantum import analyze_pair, degeneracy_report
 
 from conftest import frobenius21_table, metacyclic_table
 from oracles import reference_pair_axioms, reference_pairs_from_cycles, reference_product_duadic
@@ -738,8 +739,60 @@ class TestCodeDerivation:
         monkeypatch.setattr(_linalg, "rref", lambda field, mat: rows.append(len(mat)) or rref(field, mat))
         analysis = analyze_pair(pair, cap=1 << 12)
         assert analysis.duality.case == case and analysis.duality.verified
+        # a cell with q^k over the cap builds its codes on first read
+        assert rows == ([] if pair.field.q ** (pair.group.order // 2) > 1 << 12 else rows[:1])
         # C_e alone is eliminated; the mixed duals mu_-1(D_f) and mu_-1(C_f) are mapped rows
-        assert rows == [(pair.group.order - 1) // 2 + 4]
+        assert analysis.css.k == 1 and rows == [(pair.group.order - 1) // 2 + 4]
+
+
+def _canonical_pair(q: int, spec: str, mu: str) -> DuadicPair:
+    group = cyclic_group(int(spec)) if "x" not in spec else group_abelian([int(p) for p in spec.split("x")])
+    mu_map = builtin_mu_minus1(group) if mu == "mu-1" else builtin_mu_swap(group, q)
+    return construct_pairs(mu_map, field_from_order(q), group)[0]
+
+
+# (q, factors): one cell per duality case and q; two factors make a product
+# pair, which carries witnesses (case ii over GF(3) and GF(4) has no product
+# under the group order cap)
+_MEMBERSHIP_CELLS = {
+    "7,7-q2-i": (2, [("7", "mu-1"), ("7", "mu-1")]),
+    "3x3,3x3-q2-ii": (2, [("3x3", "swap"), ("3x3", "swap")]),
+    "3x3,7-q2-mixed": (2, [("3x3", "swap"), ("7", "mu-1")]),
+    "11,13-q3-i": (3, [("11", "mu-1"), ("13", "mu-1")]),
+    "7x7-q3-ii": (3, [("7x7", "swap")]),
+    "11,5x5-q3-mixed": (3, [("11", "mu-1"), ("5x5", "swap")]),
+    "3,3x3-q4-i": (4, [("3", "mu-1"), ("3x3", "mu-1")]),
+    "5x5-q4-ii": (4, [("5x5", "swap")]),
+    "3,5x5-q4-mixed": (4, [("3", "mu-1"), ("5x5", "swap")]),
+}
+
+
+class TestIdealMembership:
+    """A word lies in Ra iff w a = w: for C = Re and D-perp = R mu_-1(f) the
+    product answers as the code's own row-space test does."""
+
+    @pytest.mark.parametrize("name", _MEMBERSHIP_CELLS)
+    def test_product_agrees_with_the_code(self, name):
+        q, factors = _MEMBERSHIP_CELLS[name]
+        pairs = [_canonical_pair(q, *factor) for factor in factors]
+        pair = pairs[0] if len(pairs) == 1 else product_duadic(*pairs)
+        field, group = pair.field, pair.group
+        assert name.endswith(classify_duality(pair).case) and bool(pair.witnesses) == (len(pairs) == 2)
+        analysis = analyze_pair(pair, cap=1)
+        m1f = apply_antiauto(builtin_mu_minus1(group), pair.f)
+        sides = ((pair.e, analysis.codes.c_e), (m1f, analysis.duality.d_e_perp))
+        rng = np.random.default_rng(group.order * q)
+        randoms = [AlgebraElement(field, group, rng.integers(q, size=group.order)) for _ in range(4)]
+        # random words, random members of each side, and the witnesses
+        words = [*randoms, *(r * a for r in randoms for a, _ in sides), *pair.witnesses]
+        for a, code in sides:
+            found = [ideal_contains(a, w) for w in words]
+            assert found == [code.contains(w.vec) for w in words]
+            assert any(found) and not all(found)
+        assert analysis.degeneracy == degeneracy_report(analysis.css, cap=1)
+        for w in pair.witnesses:  # one at a time, so each side's count shows whether it holds w
+            single = analyze_pair(DuadicPair(field, group, pair.e, pair.f, pair.mu, witnesses=(w,)), cap=1)
+            assert single.degeneracy == degeneracy_report(single.css, cap=1)
 
 
 class TestClassifyDuality:

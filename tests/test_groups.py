@@ -48,6 +48,7 @@ from oracles import (
     reference_element_tuple,
     reference_fq_classes,
     reference_labels,
+    reference_permutation_failure,
     reference_right_generators,
 )
 
@@ -636,6 +637,12 @@ class TestTableRoutinesAgainstOracles:
         table = table_group(name).table
         assert list(_right_generators(table)) == reference_right_generators(table)
 
+    def test_permutation_check(self, name):
+        # the seen-mask check passes every table the sorting oracle passes
+        table = table_group(name).table
+        assert reference_permutation_failure(table) is None
+        assert list(Group._validate(table)) == reference_right_generators(table)
+
     def test_fq_classes(self, name):
         g = table_group(name)
         for q in coprime_qs(g):
@@ -670,6 +677,21 @@ class TestTableRoutinesAgainstOracles:
                 per_id = [mu_action_on_class(mu, p, c) for c in range(len(p))]
                 assert all(type(x) is int for x in per_id)
                 assert mu_action_on_class(mu, p, cids).tolist() == per_id, (q, mu)
+
+
+@pytest.mark.parametrize(
+    "line,row2",
+    [("row", [2, 3, 3, 0, 1]), ("column", [2, 4, 3, 0, 1])],
+    ids=["bad-row", "bad-column"],
+)
+def test_permutation_check_names_the_line_the_oracle_names(line, row2):
+    # Z5 with row 2 changed: a repeated entry breaks that row and a column, rows
+    # first; two entries swapped keep every row a permutation and break columns
+    table = cyclic_group(5).table.copy()
+    table[2] = row2
+    assert reference_permutation_failure(table) == line
+    with pytest.raises(ValueError, match=f"^not a group \\(inverses\\): some {line} is not a permutation$"):
+        Group._validate(table)
 
 
 @pytest.fixture
