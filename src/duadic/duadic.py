@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -100,14 +99,6 @@ class DuadicPair:
             f"DuadicPair(n={self.group.order}, q={self.field.q}, "
             f"mu={self.mu.descriptor})"
         )
-
-
-def ideal_contains(a: AlgebraElement, w: AlgebraElement) -> bool:
-    """Whether w lies in the ideal Ra of the central idempotent a, by one
-    product: w = r a gives w a = r a^2 = w, and w a = w puts w in Ra.  The
-    CSS code of a pair has C = C_e = Re and D-perp = R mu_-1(f), since
-    D_e = R(1 - f) and mu_-1 fixes 1 (`DualityReport`)."""
-    return w * a == w
 
 
 def _check_cell(n: int, q: int) -> None:
@@ -392,73 +383,58 @@ def duadic_codes(pair: DuadicPair) -> DuadicCodes:
     return DuadicCodes(pair, c_e, c_f, d_e, d_f)
 
 
+@dataclass(frozen=True)
 class DualityReport:
     """Which inversion-duality case applies, the verified equalities, and
-    the duals of C_e and D_e they give.
+    the duals of C_e and D_e they give."""
 
-    For a central idempotent a, (Ra)-perp = R(1 - mu_-1(a)) = mu_-1(R(1 - a)),
-    so the pair's mu_-1 flags give the case and the equalities, which
-    `verified` rests on.  The codes (`duadic_codes`, unless given) and the
-    duals are built on first read, and each identity is then checked once
-    by `check_dual` (VerificationError if it fails); D_e-perp = C_e in case
-    i and = C_f in case ii follow from the C_e and C_f identities by taking
-    duals.  `classify_duality` reads the duals at once.
-    """
+    case: str  # "i" (mu_-1 swaps e and f), "ii" (mu_-1 fixes them), or "mixed"
+    equalities: tuple[tuple[str, bool], ...]
+    verified: bool
+    c_e_perp: LinearCode
+    d_e_perp: LinearCode
 
-    def __init__(self, pair: DuadicPair, codes: DuadicCodes | None = None):
-        if pair.swapped_by_mu_minus1:
-            self.case, names = "i", ("C_e-perp = D_e", "C_f-perp = D_f")
-        elif pair.fixed_by_mu_minus1:
-            self.case, names = "ii", ("C_e-perp = D_f", "C_f-perp = D_e")
-        else:
-            self.case, names = "mixed", ("C_e-perp = R(1 - mu_-1(e))",)
-        self.equalities = tuple((name, True) for name in names)
-        self.verified = True
-        self.pair = pair
-        if codes is not None:
-            self.codes = codes
 
-    @cached_property
-    def codes(self) -> DuadicCodes:
-        return duadic_codes(self.pair)
-
-    @cached_property
-    def _duals(self) -> tuple[LinearCode, LinearCode]:
-        """(C_e-perp, D_e-perp): codes already built when mu_-1 swaps e and f
-        (case i) or fixes them (case ii), else ("mixed") mu_-1(D_f) and
-        mu_-1(C_f), each a built code's rows mapped; checked."""
-        c_e, c_f, d_e, d_f = self.codes.c_e, self.codes.c_f, self.codes.d_e, self.codes.d_f
-        if self.case == "mixed":
-            mu1 = builtin_mu_minus1(self.pair.group)
-            m1f = apply_antiauto(mu1, self.pair.f)
-            c_e_perp = _mu_image(d_f, mu1, m1f + self.pair.ghat)  # mu_-1(1 - e) = mu_-1(f) + Ghat
-            d_e_perp = _mu_image(c_f, mu1, m1f)
-            check_dual(d_e_perp, d_e)  # the C_f identity, mapped by mu_-1
-        else:  # C_e-perp, D_e-perp and C_f-perp are D_e, C_e and D_f in case i, D_f, C_f and D_e in case ii
-            c_e_perp, d_e_perp, c_f_perp = (d_e, c_e, d_f) if self.case == "i" else (d_f, c_f, d_e)
-            check_dual(c_f, c_f_perp)
-        check_dual(c_e, c_e_perp)
-        return c_e_perp, d_e_perp
-
-    @property
-    def c_e_perp(self) -> LinearCode:
-        return self._duals[0]
-
-    @property
-    def d_e_perp(self) -> LinearCode:
-        return self._duals[1]
-
-    def __eq__(self, other) -> bool:
-        fields = ("case", "equalities", "verified", "c_e_perp", "d_e_perp")
-        return isinstance(other, DualityReport) and all(getattr(self, a) == getattr(other, a) for a in fields)
+def duality_case(pair: DuadicPair) -> tuple[str, tuple[str, ...]]:
+    """The pair's inversion-duality case and the names of its dual identities,
+    from mu_-1's action on (e, f) alone: for a central idempotent a,
+    (Ra)-perp = R(1 - mu_-1(a)), so mu_-1(e) = f gives C_e-perp = R(1 - f)
+    = D_e (case i) and mu_-1(e) = e gives D_f (case ii)."""
+    if pair.swapped_by_mu_minus1:
+        return "i", ("C_e-perp = D_e", "C_f-perp = D_f")
+    if pair.fixed_by_mu_minus1:
+        return "ii", ("C_e-perp = D_f", "C_f-perp = D_e")
+    return "mixed", ("C_e-perp = R(1 - mu_-1(e))",)
 
 
 def classify_duality(pair: DuadicPair, codes: DuadicCodes | None = None) -> DualityReport:
-    """The `DualityReport` of the pair, with its duals built and each dual
-    identity checked now."""
-    report = DualityReport(pair, codes)
-    report.c_e_perp  # builds and checks the duals
-    return report
+    """Check the dual identities C_e-perp = D_e (case i) / D_f (case ii).
+
+    The case and the identities are `duality_case`'s.  When mu_-1 swaps e
+    and f (case i) or fixes them (case ii) the duals are codes already
+    built.  Otherwise ("mixed") C_e-perp = mu_-1(D_f) and D_e-perp =
+    mu_-1(C_f), each a built code's rows mapped.
+    Each identity is checked once by `check_dual` (VerificationError if it
+    fails); D_e-perp = C_e in case i and = C_f in case ii follow from the
+    C_e and C_f identities by taking duals.
+    """
+    if codes is None:
+        codes = duadic_codes(pair)
+    c_e, c_f, d_e, d_f = codes.c_e, codes.c_f, codes.d_e, codes.d_f
+    case, names = duality_case(pair)
+    if case == "i":
+        c_e_perp, d_e_perp, checks = d_e, c_e, [(c_e, d_e), (c_f, d_f)]
+    elif case == "ii":
+        c_e_perp, d_e_perp, checks = d_f, c_f, [(c_e, d_f), (c_f, d_e)]
+    else:
+        mu1 = builtin_mu_minus1(pair.group)
+        m1f = apply_antiauto(mu1, pair.f)
+        c_e_perp = _mu_image(d_f, mu1, m1f + pair.ghat)  # mu_-1(1 - e) = mu_-1(f) + Ghat
+        d_e_perp = _mu_image(c_f, mu1, m1f)
+        checks = [(d_e_perp, d_e), (c_e, c_e_perp)]  # the C_f identity, mapped by mu_-1, then C_e's
+    for code, other in checks:
+        check_dual(code, other)
+    return DualityReport(case, tuple((name, True) for name in names), True, c_e_perp, d_e_perp)
 
 
 def odd_like_bound(pair: DuadicPair) -> tuple[str, int]:

@@ -7,7 +7,7 @@ built, and in `verify structure` and the tests."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 from .algebra import AlgebraElement
 from .codes import (
@@ -20,7 +20,7 @@ from .codes import (
     weight_distribution,
 )
 from .duadic import DuadicCodes, DuadicPair, DualityReport, classify_duality
-from .duadic import construct_pairs, duadic_codes, ideal_contains, odd_like_bound
+from .duadic import construct_pairs, duadic_codes, duality_case, odd_like_bound
 from .errors import EnumerationCapError
 from .gf import FiniteField, as_int
 from .groups import Antiautomorphism, Group
@@ -193,21 +193,27 @@ def _witness_side(name: str, witnesses: tuple, d: int, contains) -> SideEvidence
     return SideEvidence(name, False, tuple((wt, len(tr)) for wt, tr in sorted(found.items())))
 
 
-@dataclass(frozen=True)
+@dataclass
 class PairAnalysis:
-    """Everything reported for one duadic pair.  The codes behind it, `codes`,
-    `css` on (C_e, D_e) and `duality`'s duals, are built where a distance is
-    enumerated, and elsewhere on first read (`DualityReport`)."""
+    """Everything reported for one duadic pair.  The codes behind it,
+    `codes`, `duality` with its checked duals and `css` on (C_e, D_e), are
+    built where a distance is enumerated, and elsewhere on first read,
+    through the checks of `duadic_codes` and `classify_duality`."""
 
     pair: DuadicPair
-    duality: DualityReport
+    case: str  # `duality_case`: "i", "ii" or "mixed"
+    equalities: tuple[str, ...]  # the names of that case's dual identities
     bound: tuple[str, int]  # (bound type, smallest weight meeting it)
     odd_like: tuple[DistanceRecord, DistanceRecord]  # odd-like minimum weights of D_e, D_f
     degeneracy: DegeneracyReport  # its distance record is the CSS code's
 
-    @property
+    @cached_property
     def codes(self) -> DuadicCodes:
-        return self.duality.codes
+        return duadic_codes(self.pair)
+
+    @cached_property
+    def duality(self) -> DualityReport:
+        return classify_duality(self.pair, self.codes)
 
     @cached_property
     def css(self) -> CssCode:
@@ -227,20 +233,23 @@ def analyze_pair(pair: DuadicPair, cap: int = DEFAULT_ENUM_CAP) -> PairAnalysis:
     Each distance is exact when its enumeration fits in cap words and the
     odd-like bound of the pair otherwise.  With k = (n-1)/2, D_e \\ C_e has
     (q-1) q^k words, the CSS total counts it twice outside case i, and each
-    degeneracy side has q^k words, so where q^k > cap no code is built: a
-    degeneracy side counts the witnesses in its ideal (`ideal_contains`).
+    degeneracy side has q^k words, so where q^k > cap no code is built.
     """
     bound_type, bound_d = odd_like_bound(pair)
     fallback = DistanceRecord(bound_d, False, f"odd-like-{bound_type}-bound")
+    case, names = duality_case(pair)
     group = pair.group
     if pair.field.q ** (group.order // 2) > as_int(cap, "cap", lo=1):
+        # a witness w lies in the ideal Ra of a central idempotent a iff w a = w
+        # (w = r a gives w a = r a^2); C = Re, and D-perp = R mu_-1(f) since
+        # D_e = R(1 - f) and mu_-1 fixes 1
         m1f = AlgebraElement(pair.field, group, pair.f.vec[group.inverse])  # mu_-1(f), as in `_pair_axioms`
         sides = tuple(
-            _witness_side(name, pair.witnesses, bound_d, partial(ideal_contains, a))
+            _witness_side(name, pair.witnesses, bound_d, lambda w, a=a: w * a == w)
             for name, a in (("C", pair.e), ("D-perp", m1f))
         )
         degeneracy = DegeneracyReport(any(s.counts for s in sides), fallback, sides)
-        return PairAnalysis(pair, DualityReport(pair), (bound_type, bound_d), (fallback, fallback), degeneracy)
+        return PairAnalysis(pair, case, names, (bound_type, bound_d), (fallback, fallback), degeneracy)
     codes = duadic_codes(pair)
     duality = classify_duality(pair, codes)
     odd_like = []
@@ -253,6 +262,6 @@ def analyze_pair(pair: DuadicPair, cap: int = DEFAULT_ENUM_CAP) -> PairAnalysis:
             odd_like.append(DistanceRecord(d, True, "coset-enumeration"))
     css = CssCode(codes.c_e, codes.d_e, duality.c_e_perp, duality.d_e_perp, witnesses=pair.witnesses)
     css.distance = css_distance(css, cap=cap, fallback=fallback)
-    analysis = PairAnalysis(pair, duality, (bound_type, bound_d), tuple(odd_like), degeneracy_report(css, cap=cap))
-    object.__setattr__(analysis, "css", css)  # the code its distances were enumerated on
+    analysis = PairAnalysis(pair, case, names, (bound_type, bound_d), tuple(odd_like), degeneracy_report(css, cap=cap))
+    analysis.codes, analysis.duality, analysis.css = codes, duality, css  # those its distances were enumerated on
     return analysis

@@ -1012,6 +1012,19 @@ class TestVerify:
         assert cells == [f"FAIL structure n={n} q={q}" for n, q in cell_ids]
         assert summary.startswith("FAIL structure: ")
 
+    def test_structure_suite_builds_the_codes_of_a_cell_it_does_not_enumerate(self, capsys, monkeypatch):
+        # 19 over GF(4) has q^k = 2^18 over the suite's cap of 2^16: C_e one row short fails there
+        real = duadic.duadic.code_from_ideal
+
+        def short(e, dim=None):
+            code = real(e, dim)
+            return codes.LinearCode(e.field, code.gen[1:]) if (e.group.order, e.field.q) == (19, 4) else code
+
+        monkeypatch.setattr(duadic.duadic, "code_from_ideal", short)
+        assert main(["verify", "structure"]) == EXIT_VERIFY_FAILED
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("duadic: verification failure: dim C_e: 8 != 9; ")
+
     def test_paper81_suite_failure_exits_3(self, capsys, monkeypatch):
         def invalid(*args):
             raise VerificationError("duadic axioms violated: A2: mu(e) = f")

@@ -251,7 +251,9 @@ class TestAnalyzePair:
             analysis = analyze_pair(pair)
             codes = duadic_codes(pair)
             cases.add(analysis.duality.case)
-            assert analysis.duality == classify_duality(pair, codes)
+            report = classify_duality(pair, codes)
+            assert analysis.duality == report
+            assert (analysis.case, analysis.equalities) == (report.case, tuple(name for name, _ in report.equalities))
             assert analysis.bound == odd_like_bound(pair)
             for side, record in zip("ef", analysis.odd_like):
                 assert record == DistanceRecord(reference_odd_like_min_weight(codes, side), True, "coset-enumeration")
