@@ -9,7 +9,7 @@ as many idempotents as classes, `DuadicPair` the four axioms that imply
 the rest, and `duadic_codes` the four dimensions and that each code
 derived from C_e, the pair's one elimination, lies in its ideal.  A report
 that enumerates nothing builds no code (`analyze_pair`): its dimensions and
-`verified` rest on the idempotent identities, and the matrix identities
+duality case rest on the idempotent identities, and the matrix identities
 run when a code is built, and in `verify structure` and the tests.
 """
 
@@ -385,12 +385,11 @@ def duadic_codes(pair: DuadicPair) -> DuadicCodes:
 
 @dataclass(frozen=True)
 class DualityReport:
-    """Which inversion-duality case applies, the verified equalities, and
-    the duals of C_e and D_e they give."""
+    """Which inversion-duality case applies, the names of its dual
+    identities, each checked, and the duals of C_e and D_e they give."""
 
     case: str  # "i" (mu_-1 swaps e and f), "ii" (mu_-1 fixes them), or "mixed"
-    equalities: tuple[tuple[str, bool], ...]
-    verified: bool
+    equalities: tuple[str, ...]
     c_e_perp: LinearCode
     d_e_perp: LinearCode
 
@@ -434,7 +433,7 @@ def classify_duality(pair: DuadicPair, codes: DuadicCodes | None = None) -> Dual
         checks = [(d_e_perp, d_e), (c_e, c_e_perp)]  # the C_f identity, mapped by mu_-1, then C_e's
     for code, other in checks:
         check_dual(code, other)
-    return DualityReport(case, tuple((name, True) for name in names), True, c_e_perp, d_e_perp)
+    return DualityReport(case, names, c_e_perp, d_e_perp)
 
 
 def odd_like_bound(pair: DuadicPair) -> tuple[str, int]:

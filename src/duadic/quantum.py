@@ -1,14 +1,16 @@
 """CSS stabilizer codes from nested classical codes, with exact set-difference
-distances when enumerable and tagged lower bounds otherwise.  A report that enumerates
-nothing builds no code (`analyze_pair`): its dimensions and `verified` rest
-on the idempotent identities, and the matrix identities run when a code is
-built, and in `verify structure` and the tests."""
+distances when enumerable and tagged lower bounds otherwise.  `analyze_pair`
+decides which numbers of a pair are exact, and enumerates only those; the
+enumerators only enforce the cap.  A report that enumerates nothing builds
+no code: the matrix identities run when a code is built, in `verify
+structure` and in the tests."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
 
+from . import _linalg
 from .algebra import AlgebraElement
 from .codes import (
     DEFAULT_ENUM_CAP,
@@ -105,15 +107,12 @@ def css_build(
     return CssCode(code_c, code_d, dual_c, dual_d, distance=distance, witnesses=witnesses)
 
 
-def css_distance(
-    code: CssCode, cap: int = DEFAULT_ENUM_CAP, fallback: DistanceRecord | None = None
-) -> DistanceRecord:
+def css_distance(code: CssCode, cap: int = DEFAULT_ENUM_CAP) -> DistanceRecord:
     """Exact d = min weight over (D \\ C) union (C-perp \\ D-perp).
 
     When D-perp = C, as in duality case i, then C-perp = D too: the two
-    differences coincide and only one enumeration runs.  Above the cap on
-    both differences' total the supplied fallback bound is returned; with no
-    fallback the cap is a hard error.
+    differences coincide and only one enumeration runs.  EnumerationCapError
+    when the differences' total exceeds the cap.
     """
     if code.k == 0:
         raise ValueError("k = 0 code has no logical operators to weigh")
@@ -123,8 +122,6 @@ def css_distance(
     if not collapsed:
         total += q ** (n - c.k) - q ** (n - d.k)
     if total > as_int(cap, "cap", lo=1):
-        if fallback is not None:
-            return fallback
         raise EnumerationCapError(f"distance enumeration of {total} words exceeds cap {cap}")
     best, _ = difference_min_weight(c, d, cap)
     if not collapsed:
@@ -163,34 +160,36 @@ def degeneracy_report(code: CssCode, cap: int = DEFAULT_ENUM_CAP) -> DegeneracyR
     """Find codewords of C and D-perp below the code distance.
 
     Such words are stabilizer-equivalent to the identity, so errors matching
-    them need no correction.  Counts are exact when the side is enumerable;
-    otherwise witness words (and their group translates, for ideal-generated
-    codes) give lower-bound evidence.
+    them need no correction.  A side of q^dim <= cap words is enumerated and
+    its counts are exact; otherwise the group translates of the witness
+    words that the side contains give lower-bound evidence.
     """
     if code.distance is None:
         raise ValueError("code has no distance record; run css_distance first")
-    d = code.distance.value
+    d, field = code.distance.value, code.field
     sides = []
     for name, side_code in (("C", code.code_c), ("D-perp", code.dual_d)):
-        try:
+        if field.q**side_code.k <= as_int(cap, "cap", lo=1):
             dist = weight_distribution(side_code, cap)
-        except EnumerationCapError:
-            sides.append(_witness_side(name, code.witnesses, d, lambda w: side_code.contains(w.vec)))
-        else:
             counts = tuple((w, int(dist[w])) for w in range(1, min(d, len(dist))) if dist[w])
             sides.append(SideEvidence(name, True, counts))
+        else:  # a translate t is a codeword iff t = t[pivots] gen: one product for all n of them
+            gen, pivots = side_code.gen, side_code.pivots
+            members = lambda w, t: t[(_linalg.matmul(field, t[:, pivots], gen) == t).all(axis=1)]
+            sides.append(_witness_side(name, code.witnesses, d, members))
     return DegeneracyReport(any(s.counts for s in sides), code.distance, tuple(sides))
 
 
-def _witness_side(name: str, witnesses: tuple, d: int, contains) -> SideEvidence:
-    """Lower-bound evidence of one side: the witnesses of weight below d
-    that contains() admits, counted with their group translates."""
+def _witness_side(name: str, witnesses: tuple, d: int, members) -> SideEvidence:
+    """Lower-bound evidence of one side: the distinct words that
+    members(w, translates) keeps of the group translates of each witness w
+    of weight below d, counted by weight."""
     found: dict[int, set[bytes]] = {}
     for w in witnesses:
         wt = w.weight()
-        if 0 < wt < d and contains(w):
-            found.setdefault(wt, set()).update(row.tobytes() for row in w.vec[w.group.left_translation])
-    return SideEvidence(name, False, tuple((wt, len(tr)) for wt, tr in sorted(found.items())))
+        if 0 < wt < d:
+            found.setdefault(wt, set()).update(row.tobytes() for row in members(w, w.vec[w.group.left_translation]))
+    return SideEvidence(name, False, tuple((wt, len(tr)) for wt, tr in sorted(found.items()) if tr))
 
 
 @dataclass
@@ -230,38 +229,38 @@ class PairAnalysis:
 def analyze_pair(pair: DuadicPair, cap: int = DEFAULT_ENUM_CAP) -> PairAnalysis:
     """Codes, duality, odd-like and CSS distances, and degeneracy of one pair.
 
-    Each distance is exact when its enumeration fits in cap words and the
-    odd-like bound of the pair otherwise.  With k = (n-1)/2, D_e \\ C_e has
-    (q-1) q^k words, the CSS total counts it twice outside case i, and each
-    degeneracy side has q^k words, so where q^k > cap no code is built.
+    Each number is exact when its enumeration fits in cap words and the
+    odd-like bound of the pair otherwise.  The three rules are decided here,
+    from k = (n-1)/2 and the duality case, and an enumerator runs only for
+    an exact number: each degeneracy side has q^k words (where q^k > cap no
+    code is built), D_e \\ C_e has (q-1) q^k, and the CSS total counts that
+    difference twice outside case i, where C-perp \\ D-perp is D_e \\ C_e.
     """
     bound_type, bound_d = odd_like_bound(pair)
     fallback = DistanceRecord(bound_d, False, f"odd-like-{bound_type}-bound")
     case, names = duality_case(pair)
-    group = pair.group
-    if pair.field.q ** (group.order // 2) > as_int(cap, "cap", lo=1):
+    group, q, cap = pair.group, pair.field.q, as_int(cap, "cap", lo=1)
+    words = q ** (group.order // 2)
+    sides_exact, odd_exact = words <= cap, (q - 1) * words <= cap
+    css_exact = (q - 1) * words * (1 if case == "i" else 2) <= cap
+    if not sides_exact:
         # a witness w lies in the ideal Ra of a central idempotent a iff w a = w
-        # (w = r a gives w a = r a^2); C = Re, and D-perp = R mu_-1(f) since
-        # D_e = R(1 - f) and mu_-1 fixes 1
+        # (w = r a gives w a = r a^2), and then so does each translate g w; C = Re,
+        # and D-perp = R mu_-1(f) since D_e = R(1 - f) and mu_-1 fixes 1
         m1f = AlgebraElement(pair.field, group, pair.f.vec[group.inverse])  # mu_-1(f), as in `_pair_axioms`
         sides = tuple(
-            _witness_side(name, pair.witnesses, bound_d, lambda w, a=a: w * a == w)
+            _witness_side(name, pair.witnesses, bound_d, lambda w, t, a=a: t if w * a == w else t[:0])
             for name, a in (("C", pair.e), ("D-perp", m1f))
         )
         degeneracy = DegeneracyReport(any(s.counts for s in sides), fallback, sides)
         return PairAnalysis(pair, case, names, (bound_type, bound_d), (fallback, fallback), degeneracy)
     codes = duadic_codes(pair)
     duality = classify_duality(pair, codes)
-    odd_like = []
-    for side in "ef":
-        try:
-            d, _ = odd_like_min_weight(codes, side, cap)
-        except EnumerationCapError:
-            odd_like.append(fallback)
-        else:
-            odd_like.append(DistanceRecord(d, True, "coset-enumeration"))
+    odd_like = (fallback, fallback)
+    if odd_exact:
+        odd_like = tuple(DistanceRecord(odd_like_min_weight(codes, s, cap)[0], True, "coset-enumeration") for s in "ef")
     css = CssCode(codes.c_e, codes.d_e, duality.c_e_perp, duality.d_e_perp, witnesses=pair.witnesses)
-    css.distance = css_distance(css, cap=cap, fallback=fallback)
-    analysis = PairAnalysis(pair, case, names, (bound_type, bound_d), tuple(odd_like), degeneracy_report(css, cap=cap))
+    css.distance = css_distance(css, cap) if css_exact else fallback
+    analysis = PairAnalysis(pair, case, names, (bound_type, bound_d), odd_like, degeneracy_report(css, cap=cap))
     analysis.codes, analysis.duality, analysis.css = codes, duality, css  # those its distances were enumerated on
     return analysis

@@ -33,7 +33,7 @@ from duadic.duadic import (
     splitting_exists_mu_minus1,
     verify_key_proposition,
 )
-from duadic.errors import NoSplittingError
+from duadic.errors import EnumerationCapError, NoSplittingError
 from duadic.gf import field_from_order
 from duadic.groups import (
     builtin_mu_minus1,
@@ -42,7 +42,7 @@ from duadic.groups import (
     group_abelian,
     group_from_cayley,
 )
-from duadic.quantum import DistanceRecord, css_build, css_distance, quantum_duadic
+from duadic.quantum import DistanceRecord, analyze_pair, css_build, css_distance, quantum_duadic
 
 from conftest import frobenius21_table
 from oracles import abelian_character_idempotents
@@ -139,9 +139,9 @@ def test_criterion_4_duality_cases(cyclic_grid, swap_pair_9):
     cells, _ = cyclic_grid
     pair7 = cells[(7, 2)]
     report_i = classify_duality(pair7)
-    assert report_i.case == "i" and report_i.verified
+    assert (report_i.case, report_i.equalities) == ("i", ("C_e-perp = D_e", "C_f-perp = D_f"))
     report_ii = classify_duality(swap_pair_9)
-    assert report_ii.case == "ii" and report_ii.verified
+    assert (report_ii.case, report_ii.equalities) == ("ii", ("C_e-perp = D_f", "C_f-perp = D_e"))
     print("PASS criterion 4: duality case i at (n=7, q=2), case ii at (Z3xZ3, swap, q=2)")
 
 
@@ -199,9 +199,10 @@ def test_criterion_6_order81_product_reproduction():
     kind, bound = odd_like_bound(product)
     assert (kind, bound) == ("square", 9)
     css = css_build(codes.c_e, codes.d_e, witnesses=product.witnesses)
-    css.distance = css_distance(
-        css, cap=DEFAULT_ENUM_CAP, fallback=DistanceRecord(9, False, "odd-like-square-bound")
-    )
+    with pytest.raises(EnumerationCapError):
+        css_distance(css, cap=DEFAULT_ENUM_CAP)
+    css.distance = analyze_pair(product).degeneracy.distance
+    assert css.distance == DistanceRecord(9, False, "odd-like-square-bound")
     assert css.params() == "[[81,1,>=9]]_2"
     assert not css.distance.exact
     elapsed = time.perf_counter() - start

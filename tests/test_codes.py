@@ -101,6 +101,18 @@ class TestCodeFromIdeal:
         shuffled = LinearCode(gf2, c.gen[::-1].copy())
         assert shuffled == c
 
+    @pytest.mark.parametrize("product", [False, True])
+    def test_a_wrong_dimension_hint_gives_the_whole_ideal(self, gf2, product):
+        # a low hint must not stop the elimination at a subcode of Re
+        group = cyclic_group(23) if not product else group_abelian([3, 3])
+        mu = builtin_mu_minus1(group) if not product else builtin_mu_swap(group, 2)
+        pair = construct_pairs(mu, gf2, group)[0]
+        e = (pair if not product else product_duadic(pair, pair)).e
+        ideal = code_from_ideal(e)
+        assert ideal.k == e.group.order // 2
+        for hint in (0, 2, ideal.k, ideal.k + 4):
+            assert code_from_ideal(e, hint) == ideal
+
 
 class TestDual:
     def test_zero_code_dual_is_full_space(self, gf2):

@@ -350,7 +350,7 @@ class TestConstructPairs:
             codes = duadic_codes(pair)
             assert (codes.c_e.k, codes.d_e.k) == (12, 13)
             report = classify_duality(pair, codes)
-            assert report.verified
+            assert (report.case, report.equalities) == ("ii", ("C_e-perp = D_f", "C_f-perp = D_e"))
 
     def test_invalid_pair_rejected(self, f2):
         g = cyclic_group(7)
@@ -799,11 +799,11 @@ class TestClassifyDuality:
         g = cyclic_group(7)
         pair = construct_pairs(builtin_mu_minus1(g), f2, g)[0]
         report = classify_duality(pair)
-        assert report.case == "i" and report.verified
+        assert (report.case, report.equalities) == ("i", ("C_e-perp = D_e", "C_f-perp = D_f"))
 
     def test_case_ii(self, z33_swap_pair):
         report = classify_duality(z33_swap_pair)
-        assert report.case == "ii" and report.verified
+        assert (report.case, report.equalities) == ("ii", ("C_e-perp = D_f", "C_f-perp = D_e"))
 
     def test_mixed_case(self, f2, z33_swap_pair):
         g7 = cyclic_group(7)
@@ -811,7 +811,7 @@ class TestClassifyDuality:
         mixed = product_duadic(z33_swap_pair, pair7)
         assert not mixed.fixed_by_mu_minus1 and not mixed.swapped_by_mu_minus1
         report = classify_duality(mixed)
-        assert report.case == "mixed" and report.verified
+        assert (report.case, report.equalities) == ("mixed", ("C_e-perp = R(1 - mu_-1(e))",))
 
 
 class TestOddLikeBound:
@@ -935,7 +935,7 @@ class TestNonabelian:
         codes = duadic_codes(pair)
         assert (codes.c_e.k, codes.d_e.k) == (10, 11)
         report = classify_duality(pair, codes)
-        assert report.case == "i" and report.verified
+        assert (report.case, report.equalities) == ("i", ("C_e-perp = D_e", "C_f-perp = D_f"))
 
     def test_frobenius21_over_gf2_no_splitting(self, frobenius21):
         f2 = field_from_order(2)

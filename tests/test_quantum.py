@@ -9,7 +9,7 @@ import pytest
 
 from duadic import _linalg, algebra, quantum
 from duadic import duadic as duadic_module
-from duadic.algebra import split_primitive_central_idempotents
+from duadic.algebra import AlgebraElement, split_primitive_central_idempotents
 from duadic.codes import LinearCode, dual, weight_distribution
 from duadic.duadic import (
     DuadicPair,
@@ -105,19 +105,19 @@ class TestCssDistance:
         assert code.distance.value ** 2 >= 9
         assert css_distance(code).value == naive_css_distance(code)
 
-    def test_cap_returns_fallback(self, steane):
-        bound = DistanceRecord(3, False, "odd-like-sharpened-bound")
-        assert css_distance(steane, cap=4, fallback=bound) == bound
+    def test_cap_counts_the_difference_words(self, steane):
+        # case i: the one difference D \ C holds 2^4 - 2^3 = 8 words
+        with pytest.raises(EnumerationCapError, match="^distance enumeration of 8 words exceeds cap 7$"):
+            css_distance(steane, cap=7)
+        assert css_distance(steane, cap=8) == DistanceRecord(3, True, "coset-enumeration")
+        with pytest.raises(EnumerationCapError):
+            css_distance(steane, cap=4)
 
     def test_record_text(self):
         assert str(DistanceRecord(3, True, "coset-enumeration")) == "3 (exact, coset-enumeration)"
         bound = DistanceRecord(9, False, "odd-like-square-bound")
         assert bound.tag() == "lower-bound"
         assert str(bound) == "9 (lower-bound, odd-like-square-bound)"
-
-    def test_cap_without_fallback_raises(self, steane):
-        with pytest.raises(EnumerationCapError):
-            css_distance(steane, cap=4)
 
     def test_k_zero_rejected(self, f2):
         c = LinearCode(f2, np.array([[1, 1, 0]], dtype=np.int64))
@@ -142,9 +142,12 @@ class TestCssDistance:
         code = css_build(codes.c_e, codes.d_e)
         assert len(calls) == build_calls
         assert code.dual_c == dual(codes.c_e) and code.dual_d == dual(codes.d_e)
-        record = css_distance(code, cap=cap, fallback=DistanceRecord(1, False, "odd-like-square-bound"))
+        try:
+            record = css_distance(code, cap=cap)
+        except EnumerationCapError:
+            record = None
         assert len(calls) == build_calls
-        if record.exact:
+        if record is not None:
             assert record.value == naive_css_distance(code)
 
 
@@ -191,9 +194,10 @@ class TestQuantumDuadic:
         prod = product_duadic(pair, pair)
         codes = duadic_codes(prod)
         code = css_build(codes.c_e, codes.d_e, witnesses=prod.witnesses)
-        code.distance = css_distance(
-            code, fallback=DistanceRecord(9, False, "odd-like-square-bound")
-        )
+        with pytest.raises(EnumerationCapError):
+            css_distance(code)
+        code.distance = analyze_pair(prod).degeneracy.distance
+        assert code.distance == DistanceRecord(9, False, "odd-like-square-bound")
         assert code.params() == "[[81,1,>=9]]_2"
         assert not code.distance.exact
 
@@ -233,6 +237,19 @@ class TestDegeneracy:
         assert [(s.side, s.exact, s.counts) for s in report.sides] == [("C", True, ()), ("D-perp", True, ())]
         assert not report.degenerate
 
+    def test_witness_counts_only_the_translates_the_side_contains(self, f2):
+        # C = span(1 + x) is no ideal of F_2[Z7]: of the seven shifts of its
+        # witness it holds one, whichever shift the witness is
+        z7 = cyclic_group(7)
+        word = np.array([1, 1, 0, 0, 0, 0, 0], dtype=np.int64)
+        full = LinearCode(f2, np.eye(7, dtype=np.int64))
+        for shift in (0, 1):
+            witness = AlgebraElement(f2, z7, np.roll(word, shift))
+            code = css_build(LinearCode(f2, word[None]), full, witnesses=(witness,))
+            code.distance = DistanceRecord(5, False, "odd-like-square-bound")
+            report = degeneracy_report(code, cap=1)
+            assert [(s.side, s.exact, s.counts) for s in report.sides] == [("C", False, ((2, 1),)), ("D-perp", True, ())]
+
     def test_requires_distance(self, f2):
         g = cyclic_group(7)
         pair = construct_pairs(builtin_mu_minus1(g), f2, g)[0]
@@ -253,7 +270,7 @@ class TestAnalyzePair:
             cases.add(analysis.duality.case)
             report = classify_duality(pair, codes)
             assert analysis.duality == report
-            assert (analysis.case, analysis.equalities) == (report.case, tuple(name for name, _ in report.equalities))
+            assert (analysis.case, analysis.equalities) == (report.case, report.equalities)
             assert analysis.bound == odd_like_bound(pair)
             for side, record in zip("ef", analysis.odd_like):
                 assert record == DistanceRecord(reference_odd_like_min_weight(codes, side), True, "coset-enumeration")
@@ -267,14 +284,21 @@ class TestAnalyzePair:
         assert cases == ({"i"} if mu.is_inversion_for(field) else {"ii"})
 
     @pytest.mark.parametrize(
-        "group,q,mu_name,cap",
+        "group,q,mu_name,cap,tags",
         [
-            (cyclic_group(13), 3, "mu-1", 1000),  # degeneracy exact, distances bound
-            (group_abelian([3, 3]), 5, "swap", 3000),  # odd-like exact, quantum d bound
-            (cyclic_group(23), 2, "mu-1", 100),  # everything bound
+            # tags: odd-like, CSS, degeneracy; E exact, B bound.  Case i at
+            # q^k = 729, (q-1) q^k = 1458, where the CSS count is that once
+            *((cyclic_group(13), 3, "mu-1", cap, tags) for cap, tags in [
+                (728, "BBB"), (729, "BBE"), (1000, "BBE"), (1457, "BBE"), (1458, "EEE"),
+            ]),
+            # case ii at q^k = 625, (q-1) q^k = 2500, and the CSS count twice that
+            *((group_abelian([3, 3]), 5, "swap", cap, tags) for cap, tags in [
+                (624, "BBB"), (625, "BBE"), (2499, "BBE"), (2500, "EBE"), (3000, "EBE"), (4999, "EBE"), (5000, "EEE"),
+            ]),
+            (cyclic_group(23), 2, "mu-1", 100, "BBB"),
         ],
     )
-    def test_cap_bands_match_generic_cap_rules(self, group, q, mu_name, cap):
+    def test_cap_bands_match_generic_cap_rules(self, group, q, mu_name, cap, tags):
         field = field_from_order(q)
         mu = builtin_mu_minus1(group) if mu_name == "mu-1" else builtin_mu_swap(group, q)
         pair = construct_pairs(mu, field, group)[0]
@@ -289,9 +313,36 @@ class TestAnalyzePair:
                 odd = fallback
             assert record == odd
         code = css_build(codes.c_e, codes.d_e, witnesses=pair.witnesses)
-        code.distance = css_distance(code, cap=cap, fallback=fallback)
+        try:
+            code.distance = css_distance(code, cap=cap)
+        except EnumerationCapError:
+            code.distance = fallback
         assert analysis.css.distance == code.distance
         assert analysis.degeneracy == degeneracy_report(code, cap=cap)
+        exact = (*(r.exact for r in analysis.odd_like), code.distance.exact, *(s.exact for s in analysis.degeneracy.sides))
+        assert "".join("E" if e else "B" for e in exact) == tags[0] * 2 + tags[1] + tags[2] * 2
+
+    @pytest.mark.parametrize(
+        "factors,q,case,words",
+        [
+            ([(cyclic_group(13), "mu-1")], 3, "i", 1458),  # D_e \ C_e once
+            ([(group_abelian([3, 3]), "swap")], 5, "ii", 5000),  # and C-perp \ D-perp
+            ([(group_abelian([3, 3]), "swap"), (cyclic_group(7), "mu-1")], 2, "mixed", 2**32),
+        ],
+    )
+    def test_css_rule_counts_the_words_css_distance_counts(self, factors, q, case, words):
+        field = field_from_order(q)
+        pairs = [
+            construct_pairs(builtin_mu_minus1(g) if name == "mu-1" else builtin_mu_swap(g, q), field, g)[0]
+            for g, name in factors
+        ]
+        pair = pairs[0] if len(pairs) == 1 else product_duadic(*pairs)
+        analysis = analyze_pair(pair, cap=1)
+        k = pair.group.order // 2
+        assert analysis.case == case
+        assert (q - 1) * q**k * (1 if case == "i" else 2) == words  # the CSS rule of `analyze_pair`
+        with pytest.raises(EnumerationCapError, match=f"^distance enumeration of {words} words exceeds cap 1$"):
+            css_distance(analysis.css, cap=1)
 
     def test_order81_product_all_bounds(self, f2):
         g = group_abelian([3, 3])
