@@ -23,7 +23,7 @@ from .codes import DEFAULT_ENUM_CAP
 from .duadic import (
     DuadicCodes,
     DuadicPair,
-    check_splitting,
+    _class_criterion,
     construct_pairs,
     product_duadic,
     splitting_exists_mu_minus1,
@@ -321,22 +321,19 @@ def cmd_scan(args) -> list[CodeReport]:
     fields = [field_from_order(q) for q in qs]
     per_q = args.mu.strip() == "swap"  # the one spec that reads q; others are parsed once per group
     for label, group in groups:
-        mu = None
+        start, cells, mu = time.perf_counter(), [], None
         for q, field in zip(qs, fields):
-            if math.gcd(group.order, q) != 1:
-                continue
-            start = time.perf_counter()
-            if mu is None or per_q:
-                mu = parse_mu_spec(args.mu, group, q)
-            check = check_splitting(mu, field, group)
-            report = CodeReport(
-                group=label,
-                q=q,
-                mu=mu.descriptor,
-                existence=_existence_fields(mu, field, check.ok),
-                timing_ms=(time.perf_counter() - start) * 1e3,
-            )
-            reports.append(report)
+            if math.gcd(group.order, q) == 1:
+                if mu is None or per_q:
+                    mu = parse_mu_spec(args.mu, group, q)
+                cells.append((mu, field))
+        if not cells:
+            continue
+        oks = _class_criterion(group, cells)[0].tolist()  # one pass for the group's cells
+        share = (time.perf_counter() - start) * 1e3 / len(cells)
+        for (mu, field), ok in zip(cells, oks):
+            existence = _existence_fields(mu, field, ok)
+            reports.append(CodeReport(group=label, q=field.q, mu=mu.descriptor, existence=existence, timing_ms=share))
     if not reports:
         raise ValueError("every group order shares a factor with every --q; no cell has gcd(|G|, q) = 1")
     return reports

@@ -37,10 +37,10 @@ from .groups import (
     Antiautomorphism,
     FqClassPartition,
     Group,
+    _fq_labels,
+    _mu_images,
     builtin_mu_minus1,
-    fq_classes,
     group_product,
-    mu_action_on_class,
     product_antiauto,
 )
 
@@ -187,17 +187,29 @@ def splitting_exists_mu_minus1(n: int, q: int) -> bool:
     return multiplicative_order_mod(q, n) % 2 == 1
 
 
+def _class_criterion(group: Group, cells: Sequence[tuple[Antiautomorphism, FiniteField]]):
+    """The class criterion of the (mu, field) cells of one group from one
+    F_q-class closure (`_fq_labels`) and one batch of images (`_mu_images`):
+    mu fixes the class of g iff g and its image have the same label.  Returns
+    per cell whether mu splits, the (C, n) labels, and whether mu fixes the
+    class of each g; the identity's class is always fixed."""
+    if any(mu.group != group for mu, _ in cells):
+        raise ValueError("antiautomorphism lives on a different group")
+    mus, qs = [mu for mu, _ in cells], [field.q for _, field in cells]
+    labels = _fq_labels(group, qs)
+    fixed = labels[np.arange(len(cells))[:, None], _mu_images(group, mus, qs, np.arange(group.order))] == labels
+    return ~fixed[:, 1:].any(axis=1) & (group.order > 1), labels, fixed
+
+
 def check_splitting(mu: Antiautomorphism, field: FiniteField, group: Group) -> SplittingCheck:
     """Whether mu fixes no F_q-class but the identity's, class 0, of at least
     two: by the key proposition, no nontrivial idempotent.  Necessary for a
     duadic pair, and sufficient when mu is an involution on the idempotents
-    (`construct_pairs`)."""
-    if mu.group != group:
-        raise ValueError("antiautomorphism lives on a different group")
-    partition = fq_classes(group, field.q)
-    cids = np.arange(len(partition))
-    fixed = tuple(np.flatnonzero(mu_action_on_class(mu, partition, cids) == cids).tolist())
-    return SplittingCheck(fixed == (0,) and len(partition) > 1, fixed, partition)
+    (`construct_pairs`).  The one-cell case of `_class_criterion`."""
+    (ok,), (labels,), (fixed,) = _class_criterion(group, [(mu, field)])
+    reps, class_of = np.unique(labels, return_inverse=True)
+    partition = FqClassPartition(group, field.q, class_of, tuple(reps.tolist()))
+    return SplittingCheck(bool(ok), tuple(np.flatnonzero(fixed[reps]).tolist()), partition)
 
 
 def _mu_permutation(mu: Antiautomorphism, field: FiniteField, vecs: np.ndarray) -> list[int]:

@@ -176,28 +176,32 @@ class Group:
         out = self._power(as_indexes(g, self.order, "id"), as_int(e, "exponent"))
         return int(out) if np.ndim(out) == 0 else out
 
-    def _power(self, ids: np.ndarray, e: int) -> np.ndarray:
-        """`power` of ids its caller built in range, unchecked."""
-        if e < 0:
-            ids, e = self.inverse[ids], -e
-        out, base = np.zeros_like(ids), ids
-        while e:
-            if e & 1:
-                out = self.table[out, base]
-            base = self.table[base, base]
-            e >>= 1
+    def _power(self, ids: np.ndarray, e) -> np.ndarray:
+        """`power` of ids its caller built in range, unchecked; e is one exponent
+        or an integer array that broadcasts against ids (one per row), taken
+        mod n as g^n = 1.  Each bit multiplies an entry by its base if its
+        exponent has the bit, else by id 0: flat-table gathers, diagonal squares."""
+        n = self.order
+        e, flat, square = np.asarray(e % n), self.table.reshape(-1), np.diagonal(self.table)
+        out, base = np.zeros_like(ids * e), ids
+        for _ in range(int(e.max(initial=0)).bit_length()):
+            out = flat[out * n + base * (e & 1)]
+            base, e = square[base], e >> 1
         return out
 
     @cached_property
     def element_orders(self) -> np.ndarray:
         """The least divisor d of n with g^d = 1, for every id g."""
-        n, ids = self.order, np.arange(self.order)
-        divisors = [d for d in range(1, n + 1) if n % d == 0]
-        ones = [self._power(ids, d) == 0 for d in divisors]  # ones[i][g]: g^(divisors[i]) = 1
-        return np.array(divisors)[np.argmax(ones, axis=0)]
+        n = self.order
+        divisors = np.array([d for d in range(1, n + 1) if n % d == 0])
+        ones = self._power(np.arange(n), divisors[:, None]) == 0  # ones[i, g]: g^(divisors[i]) = 1
+        return divisors[np.argmax(ones, axis=0)]
 
     @cached_property
     def exponent(self) -> int:
+        """The lcm of the element orders, from the factors where a constructor set them."""
+        if self.abelian_orders is not None or self.factors is not None:
+            return math.lcm(*(self.abelian_orders or [factor.exponent for factor in self.factors]))
         return int(np.lcm.reduce(self.element_orders))
 
     @cached_property
@@ -375,22 +379,31 @@ class FqClassPartition:
         return tuple(tuple(c.tolist()) for c in members)
 
 
-def fq_classes(group: Group, q: int) -> FqClassPartition:
-    """The closure of g under conjugation and x -> x^q is the union of the
-    conjugacy classes of the g^(q^i), so its least id is the least conjugate
-    of some g^(q^i).  After k doublings low[g] is the minimum over i < 2^k and
-    step[g] = g^(q^(2^k)); the orbit of g under x -> x^q has at most
-    max(1, n - 1) elements, so bit_length(n - 1) doublings cover it."""
-    n, q = group.order, as_int(q, "q")
-    if math.gcd(q, n) != 1:
-        raise ValueError(f"gcd(|G|={n}, q={q}) != 1")
-    ids, t = np.arange(n), group.table
+def _fq_labels(group: Group, qs) -> np.ndarray:
+    """Row i holds, for every id g, the least id of the closure of g under
+    conjugation and x -> x^q, q = qs[i]: the union of the conjugacy classes
+    of the g^(q^j), so its least id is the least conjugate of some g^(q^j).
+    After k doublings low[g] is the minimum over j < 2^k and step[g] =
+    g^(q^(2^k)), an index into the flattened rows; the orbit of g under
+    x -> x^q has at most max(1, n - 1) elements, so bit_length(n - 1)
+    doublings cover it.  The least conjugates are found once, and the q-th
+    powers of every row come from one `_power` call (of q mod n: g^n = 1)."""
+    n = group.order
+    if bad := [q for q in qs if math.gcd(q, n) != 1]:
+        raise ValueError(f"gcd(|G|={n}, q={bad[0]}) != 1")
+    ids, t, rows = np.arange(n), group.table, np.arange(len(qs))[:, None]
     # the least conjugate: x itself if G is abelian, else a column minimum of [h, x] = h^-1 x h
-    low = ids if group.is_abelian else t[t[group.inverse[:, None], ids], ids[:, None]].min(axis=0)
-    step = group._power(ids, q)
+    low = np.tile(ids if group.is_abelian else t[t[group.inverse[:, None], ids], ids[:, None]].min(axis=0), len(qs))
+    step = (group._power(ids, np.array([q % n for q in qs], dtype=np.int64)[:, None]) + rows * n).reshape(-1)
     for _ in range((n - 1).bit_length()):
         low, step = np.minimum(low, low[step]), step[step]
-    reps, class_of = np.unique(low, return_inverse=True)
+    return low.reshape(len(qs), n)
+
+
+def fq_classes(group: Group, q: int) -> FqClassPartition:
+    """The F_q-conjugacy classes of group: the one-row case of `_fq_labels`."""
+    q = as_int(q, "q")
+    reps, class_of = np.unique(_fq_labels(group, [q])[0], return_inverse=True)
     return FqClassPartition(group, q, class_of, tuple(reps.tolist()))
 
 
@@ -506,14 +519,21 @@ def product_antiauto(mu1: Antiautomorphism, mu2: Antiautomorphism, product: Grou
     )
 
 
+def _mu_images(group: Group, mus, qs, ids: np.ndarray) -> np.ndarray:
+    """mu_star(g)^l for each g of ids, one row per mu of mus, with l its inverse
+    Galois exponent over GF(q), q the matching item of qs: mu maps the
+    F_q-class of g onto the class of this image.  One `_power` call."""
+    stars = np.array([mu.mu_star for mu in mus], dtype=np.int64).reshape(len(mus), group.order)
+    ells = np.array([mu.galois_exponents(q)[1] for mu, q in zip(mus, qs)], dtype=np.int64)
+    return group._power(stars[:, ids], ells.reshape((-1,) + (1,) * np.ndim(ids)))
+
+
 def mu_action_on_class(mu: Antiautomorphism, partition: FqClassPartition, class_id: int | np.ndarray):
     """Image class id under K -> K(mu_star(rep)^l), elementwise over an array of class ids."""
     if mu.group != partition.group:
         raise ValueError("antiautomorphism and partition live on different groups")
-    cids = as_indexes(class_id, len(partition), "class id")
-    _, ell = mu.galois_exponents(partition.q)
-    reps = np.asarray(partition.reps, dtype=np.int64)[cids]
-    img = partition.class_of[partition.group._power(mu.mu_star[reps], ell)]
+    reps = np.asarray(partition.reps, dtype=np.int64)[as_indexes(class_id, len(partition), "class id")]
+    img = partition.class_of[_mu_images(partition.group, [mu], [partition.q], reps)[0]]
     return int(img) if np.ndim(img) == 0 else img
 
 

@@ -29,10 +29,10 @@ from duadic.algebra import (
     split_primitive_central_idempotents,
 )
 from duadic.codes import DEFAULT_ENUM_CAP, coset_min_weight
-from duadic.duadic import DuadicPair
+from duadic.duadic import DuadicPair, SplittingCheck
 from duadic.errors import EnumerationCapError, VerificationError
 from duadic.gf import FiniteField, _prime_factors, multiplicative_order_mod
-from duadic.groups import Group, fq_classes, group_product, product_antiauto
+from duadic.groups import FqClassPartition, Group, fq_classes, group_product, product_antiauto
 
 # Fixed seed for the equal-degree splitting step of the factorization, so
 # repeated runs pick identical splitting elements.
@@ -800,6 +800,26 @@ def reference_fq_classes(group: Group, q: int) -> tuple[tuple[tuple[int, ...], .
     for i, cls in enumerate(classes):
         class_of[list(cls)] = i
     return tuple(classes), tuple(cls[0] for cls in classes), class_of
+
+
+def reference_check_splitting(mu, field: FiniteField, group: Group) -> SplittingCheck:
+    """The class criterion one field at a time, on the classes of
+    `reference_fq_classes`: mu maps the class of each representative r to
+    the class of mu_star(r)^l, l repeated products per class, with l the
+    inverse Galois exponent of mu over the field; the check holds when only
+    the identity's class, of at least two, is fixed."""
+    classes, reps, class_of = reference_fq_classes(group, field.q)
+    _, ell = mu.galois_exponents(field.q)
+    fixed = []
+    for c, r in enumerate(reps):
+        x, m = 0, int(mu.mu_star[r])
+        for _ in range(ell):
+            x = int(group.table[x, m])
+        if class_of[x] == c:
+            fixed.append(c)
+    fixed = tuple(fixed)
+    partition = FqClassPartition(group, field.q, class_of, reps)
+    return SplittingCheck(fixed == (0,) and len(classes) > 1, fixed, partition)
 
 
 # ---------------------------------------------------------------------------

@@ -132,13 +132,13 @@ class TestScan:
             built.append(order)
             return cyclic_group(order)
 
-        def check(mu, field, group):
+        def check(group, cells):
             orders_seen.append((group.order, list(built)))
-            return real_check(mu, field, group)
+            return real_check(group, cells)
 
-        real_check = cli.check_splitting
+        real_check = cli._class_criterion
         monkeypatch.setattr(cli, "cyclic_group", record)
-        monkeypatch.setattr(cli, "check_splitting", check)
+        monkeypatch.setattr(cli, "_class_criterion", check)
         assert main(["scan", "--n", "3-7", "--q", "2", "--json"]) == EXIT_OK
         assert orders_seen == [(3, [3]), (5, [3, 5]), (7, [3, 5, 7])]
 
@@ -728,13 +728,14 @@ class TestBoundCellBuildsNoCode:
 
 class TestSplittingWork:
     """The class criterion decides without an idempotent: `scan` splits no
-    center, and `construct` splits the center of a cell that splits once, on
-    the F_q-classes of its check, and of a refused cell never."""
+    center and runs one F_q-class closure per group, and `construct` splits
+    the center of a cell that splits once, on the F_q-classes of its check,
+    and of a refused cell never."""
 
     @pytest.fixture
     def calls(self, monkeypatch) -> collections.Counter:
         counts = collections.Counter()
-        for name, home in (("split_primitive_central_idempotents", algebra), ("fq_classes", groups)):
+        for name, home in (("split_primitive_central_idempotents", algebra), ("_fq_labels", groups)):
 
             def counted(*args, _name=name, _real=getattr(home, name)):
                 counts[_name] += 1
@@ -754,7 +755,7 @@ class TestSplittingWork:
     )
     def test_scan_splits_no_center(self, capsys, calls, argv):
         assert main(["scan", *argv, "--json"]) == EXIT_OK
-        assert calls == {"fq_classes": len(json.loads(capsys.readouterr().out))}
+        assert calls == {"_fq_labels": len({report["group"] for report in json.loads(capsys.readouterr().out)})}
 
     @pytest.mark.parametrize(
         "argv,code,splits,checks",
@@ -773,7 +774,7 @@ class TestSplittingWork:
     def test_construct_splits_a_splitting_cell_once(self, capsys, calls, argv, code, splits, checks):
         assert main(["construct", *argv, "--max-enum", "1", "--json"]) == code
         capsys.readouterr()
-        assert (calls["split_primitive_central_idempotents"], calls["fq_classes"]) == (splits, checks)
+        assert (calls["split_primitive_central_idempotents"], calls["_fq_labels"]) == (splits, checks)
 
 
 class TestRelabeledGroups:

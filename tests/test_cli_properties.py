@@ -19,7 +19,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from duadic.cli import EXIT_NO_SPLITTING, EXIT_USAGE, CodeReport, _PairRows, emit_json, main
-from duadic.groups import cyclic_group, group_abelian, group_from_cayley
+from duadic.gf import field_from_order
+from duadic.groups import builtin_mu_minus1, cyclic_group, group_abelian, group_from_cayley
+
+from oracles import reference_check_splitting
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -451,3 +454,41 @@ def test_scan_class_criterion_iff_construct_builds(n, q):
     built, _ = run(["construct", "--group", str(n), "--q", str(q), "--mu", "mu-1", "--max-enum", "1", "--json"])
     assert code == 0 and built in (0, EXIT_NO_SPLITTING)
     assert row["existence"]["class_criterion"] == (built == 0), (n, q)
+
+
+SCAN_GROUPS = st.one_of(
+    st.integers(0, 127).map(lambda i: ["--n", str(2 * i + 1), "--mu", "mu-1"]),
+    st.sampled_from([3, 5, 7, 11, 13]).map(lambda p: ["--family", "pxp", "--p", str(p), "--mu", "swap"]),
+)
+
+
+@SETTINGS
+@given(group=SCAN_GROUPS, qs=st.lists(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 16, 25, 27]), min_size=1, max_size=6))
+@example(group=["--n", "15", "--mu", "mu-1"], qs=[2, 4, 2, 5, 4])
+@example(group=["--n", "1", "--mu", "mu-1"], qs=[3, 3])
+@example(group=["--family", "pxp", "--p", "5", "--mu", "swap"], qs=[5, 25])
+def test_scan_cells_do_not_depend_on_the_batch(group, qs):
+    # one scan decides all the fields of a group in one pass: its cells are
+    # the cells of the one-field scans, in order, repeated fields included
+    argv = ["scan", *group, "--json"]
+    code, out, err = run_io([*argv, "--q", ",".join(map(str, qs))])
+    singles = [run_io([*argv, "--q", str(q)]) for q in qs]
+    cells = [cell for c, o, _ in singles if c == 0 for cell in json.loads(o)]
+    if cells:
+        assert (code, err) == (0, "") and json.loads(out) == cells, (group, qs)
+    else:  # no field prime to the order
+        assert code == EXIT_USAGE and {c for c, _, _ in singles} == {EXIT_USAGE}, (group, qs)
+
+
+def test_scan_from_the_trivial_group_matches_the_reference():
+    code, out, err = run_io(["scan", "--n", "1-3", "--q", "2,3,4,2", "--mu", "mu-1", "--json"])
+    assert (code, err) == (0, "")
+    rows = [(r["group"], r["q"], r["existence"]["class_criterion"]) for r in json.loads(out)]
+    want = []
+    for n in (1, 3):
+        group = cyclic_group(n)
+        for q in (q for q in (2, 3, 4, 2) if math.gcd(n, q) == 1):
+            want.append((str(n), q, reference_check_splitting(builtin_mu_minus1(group), field_from_order(q), group).ok))
+    # ord_3(2) = 2 is even, ord_3(4) = 1 odd; the trivial group has no splitting
+    assert rows == want
+    assert [ok for _, _, ok in rows] == [False] * 4 + [False, True, False]

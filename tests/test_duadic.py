@@ -265,7 +265,8 @@ class TestKeyProposition:
         field = field_from_order(2)
         group = cyclic_group(7)
         mu = builtin_mu_minus1(group)
-        monkeypatch.setattr(duadic_module, "mu_action_on_class", lambda mu, partition, cid: cid)
+        # every g its own image: mu fixes every class
+        monkeypatch.setattr(duadic_module, "_mu_images", lambda group, mus, qs, ids: np.array([ids] * len(mus)))
         assert verify_key_proposition(mu, field, group) == (3, 1)
         assert check_splitting(mu, field, group).fixed_class_ids == (0, 1, 2)
         splits, split = [], duadic_module.split_primitive_central_idempotents
@@ -281,7 +282,9 @@ class TestKeyProposition:
         field = field_from_order(2)
         group = cyclic_group(9)
         mu = builtin_mu_minus1(group)
-        monkeypatch.setattr(duadic_module, "mu_action_on_class", lambda mu, partition, cids: np.array([0, 2, 1]))
+        # images that swap the classes of 1, {1, 2, 4, 5, 7, 8}, and of 3, {3, 6}
+        swap = np.array([0, 3, 3, 1, 3, 3, 1, 3, 3])
+        monkeypatch.setattr(duadic_module, "_mu_images", lambda group, mus, qs, ids: np.array([swap[ids]] * len(mus)))
         assert check_splitting(mu, field, group).ok
         assert verify_key_proposition(mu, field, group) == (1, 3)
         with pytest.raises(VerificationError, match="^fixed-class count 1 != fixed-idempotent count 3$"):

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import gc
+import json
+import math
 import random
 import re
 import sys
@@ -17,9 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from duadic import groups
-from duadic.duadic import check_splitting
+from duadic.cli import main
+from duadic.duadic import _class_criterion, check_splitting
 from duadic.errors import CayleyFormatError
-from duadic.gf import field_make
+from duadic.gf import field_from_order, field_make
 from duadic.groups import (
     Antiautomorphism,
     Group,
@@ -43,6 +46,7 @@ from oracles import (
     format_cayley,
     reference_antiautomorphism_failure,
     reference_associativity_failure,
+    reference_check_splitting,
     reference_conjugacy_classes,
     reference_element_id,
     reference_element_tuple,
@@ -620,6 +624,8 @@ TABLE_GROUPS = {
     },
 }
 TABLE_QS = (2, 3, 4, 5, 7, 8, 9, 16)
+SPLITTING_QS = (2, 3, 4, 5, 7, 8, 9, 16, 25, 27)
+PXP = ("3x3", "5x5", "7x7", "11x11", "13x13")
 
 
 @cache
@@ -678,12 +684,63 @@ class TestTableRoutinesAgainstOracles:
             p = fq_classes(g, q)
             cids = np.arange(len(p))
             mus = [builtin_mu_minus1(g), Antiautomorphism(g, g.inverse, frobenius_power=1)]
-            if name in ("3x3", "5x5", "7x7", "11x11", "13x13"):
+            if name in PXP:
                 mus.append(builtin_mu_swap(g, q))
             for mu in mus:
                 per_id = [mu_action_on_class(mu, p, c) for c in range(len(p))]
                 assert all(type(x) is int for x in per_id)
                 assert mu_action_on_class(mu, p, cids).tolist() == per_id, (q, mu)
+
+    def test_exponent(self, name):
+        # built afresh: only a group no constructor described computes its element orders
+        g = TABLE_GROUPS[name]()
+        assert g.exponent == math.lcm(*reference_element_orders(g).tolist())
+        assert ("element_orders" in vars(g)) == (g.abelian_orders is None and g.factors is None)
+
+    def test_power_takes_one_exponent_per_row(self, name):
+        g = table_group(name)
+        n, ids = g.order, np.arange(g.order)
+        exponents = [0, 1, n, n + 1, 2 * n + 3, -1, -n - 2]
+        rows = g._power(ids, np.array(exponents)[:, None])
+        assert rows.shape == (len(exponents), n)
+        for e, row in zip(exponents, rows):
+            assert row.tolist() == g.power(ids, e).tolist(), e
+        stack = np.stack([ids, g.inverse, ids[::-1]])
+        for e, row, got in zip((2, n + 1, 0), stack, g._power(stack, np.array([[2], [n + 1], [0]]))):
+            assert got.tolist() == g.power(row, e).tolist(), e
+
+    def test_class_criterion_matches_the_reference_cell_by_cell(self, name):
+        # every field twice or three times in one batch: mu_-1, a map with a
+        # Frobenius part (mu_-2 over GF(4)) and, on Z_p x Z_p, the swap
+        g = table_group(name)
+        cells = []
+        for q in (q for q in SPLITTING_QS if math.gcd(q, g.order) == 1):
+            field = field_from_order(q)
+            cells += [(builtin_mu_minus1(g), field), (Antiautomorphism(g, g.inverse, frobenius_power=1), field)]
+            if name in PXP:
+                cells.append((builtin_mu_swap(g, q), field))
+        ok, labels, fixed = _class_criterion(g, cells)
+        assert ok.shape == (len(cells),) and labels.shape == fixed.shape == (len(cells), g.order)
+        for i, (mu, field) in enumerate(cells):
+            want = reference_check_splitting(mu, field, g)
+            reps, class_of = np.array(want.partition.reps), want.partition.class_of
+            assert (bool(ok[i]), labels[i].tolist()) == (want.ok, reps[class_of].tolist())
+            assert fixed[i].tolist() == np.isin(class_of, want.fixed_class_ids).tolist()
+            got = check_splitting(mu, field, g)
+            assert (got, got.partition.reps) == (want, want.partition.reps), (field.q, mu)
+
+
+def test_exponent_of_every_scan_pool_group_and_of_products():
+    scan_pool = [cyclic_group(n) for n in range(3, pools.SCAN_CYCLIC_MAX_N + 1, 2)]
+    scan_pool += [group_abelian([p, p]) for p in pools.SCAN_PXP_PRIMES]
+    products = [
+        group_product(cyclic_group(9), group_from_cayley(frobenius21_table())),
+        group_product(group_abelian([3, 3]), cyclic_group(25)),
+    ]
+    for g in scan_pool + products:
+        assert g.exponent == math.lcm(*reference_element_orders(g).tolist()), g
+        assert "element_orders" not in vars(g), g
+    assert [g.exponent for g in products] == [63, 75]
 
 
 @pytest.fixture
@@ -703,6 +760,26 @@ def test_fq_classes_calls_power_once(calls):
     # the closure called power once per element
     assert len(fq_classes(cyclic_group(45), 2)) == 8
     assert calls["_power"] == 1
+
+
+@pytest.mark.parametrize("argv", [["--n", "151", "--mu", "mu-1"], ["--family", "pxp", "--p", "13", "--mu", "swap"]])
+def test_scan_of_one_group_calls_power_twice(calls, capsys, argv):
+    # one call for the q-th powers of every field, one for every mu image;
+    # the check of one field at a time called it twice a cell, and Z_151's
+    # exponent twice more
+    assert main(["scan", *argv, "--q", "2,3,4,5,7,8,9", "--json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)) == 7
+    assert calls == {"_power": 2, "galois_exponents": 7}
+
+
+def test_class_criterion_of_no_cell_and_of_the_trivial_group():
+    ok, labels, fixed = _class_criterion(cyclic_group(15), [])
+    assert ok.shape == (0,) and labels.shape == fixed.shape == (0, 15)
+    z1 = cyclic_group(1)
+    cells = [(builtin_mu_minus1(z1), field_from_order(q)) for q in (2, 3, 2)]
+    ok, labels, fixed = _class_criterion(z1, cells)
+    assert (ok.tolist(), labels.tolist(), fixed.tolist()) == ([False] * 3, [[0]] * 3, [[True]] * 3)
+    assert [reference_check_splitting(mu, field, z1).ok for mu, field in cells] == [False] * 3
 
 
 def test_check_splitting_calls_galois_exponents_once(calls):
