@@ -2,12 +2,18 @@
 suites, with a deterministic JSON report format.
 
 Exit codes: 0 ok, 1 usage error, 2 no splitting, 3 verification failure, 130 interrupted.
+
+One writer produces the `--json` text: `_write_json` gives the bytes of
+json.dumps(..., indent=2), and `_PairRows.chunks` writes each pair list in
+its place.  `tests/test_cli.py::TestJsonWriter` (its corner cases) and
+`tests/test_cli_properties.py::test_emit_json_matches_the_indenting_encoder`
+(drawn reports) pin it byte for byte to json.dumps.  `--help` shows the
+paragraphs above this one.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 import time
@@ -148,31 +154,91 @@ def emit_json(reports: list[CodeReport]) -> str:
     return "".join(_json_chunks(reports))
 
 
-# the JSON text of a `_PairRows` until its own chunks replace it: a NUL,
-# which no argv string carries; a library-built report may hold it
-_PAIRS_MARK = "\0pairs"
-
-
 def _json_chunks(reports: list[CodeReport]):
     """json.dumps([r.to_dict() for r in reports], indent=2) + "\n" in
-    chunks, which `main` writes as they come: json.dumps writes the report
-    fields with each `_PairRows` as _PAIRS_MARK, and each mark's place is
-    filled by that stack's `chunks`, at the indentation of the mark's line."""
-    stacks = []
-    fields = [r._json_fields() for r in reports]
-    for d in fields:
-        if type(d["pairs"]) is _PairRows:
-            stacks.append(d["pairs"])
-            d["pairs"] = _PAIRS_MARK
-    texts = (json.dumps(fields, indent=2) + "\n").split(json.dumps(_PAIRS_MARK))
-    if len(texts) != len(stacks) + 1:  # a report string that is the mark itself
-        yield json.dumps([r.to_dict() for r in reports], indent=2) + "\n"
-        return
-    for text, rows in zip(texts, stacks):
-        yield text
-        line = text[text.rfind("\n") + 1 :]
-        yield from rows.chunks(line[: len(line) - len(line.lstrip(" "))])
-    yield texts[-1]
+    chunks, which `main` writes as they come: the whole text at once when
+    no report holds a `_PairRows`, else the text before each stack, the
+    stack's own `chunks` at the indentation of its line, and the text after."""
+    out: list = []
+    _write_json([r._json_fields() for r in reports], "", out)
+    out.append("\n")
+    start = 0
+    for i in [i for i, piece in enumerate(out) if type(piece) is tuple]:
+        rows, pad = out[i]
+        yield "".join(out[start:i])
+        yield from rows.chunks(pad)
+        start = i + 1
+    yield "".join(out[start:])
+
+
+def _write_json(value, pad: str, out: list) -> None:
+    """Append the text json.dumps(value, indent=2) gives, for a value on a
+    line indented by pad, to out; a `_PairRows` is appended as (rows, pad).
+    A dict's scalar items are written inline, with no call of their own."""
+    if type(value) is _PairRows:
+        out.append((value, pad))
+    elif not isinstance(value, (dict, list, tuple)):
+        out.append(_json_scalar(value))
+    elif not value:
+        out.append("{}" if isinstance(value, dict) else "[]")
+    elif isinstance(value, dict):
+        inner = pad + "  "
+        sep = "{\n" + inner
+        for key, item in value.items():
+            key = encode_basestring_ascii(key) if type(key) is str else _json_key(key)
+            text = _JSON_SCALARS.get(type(item))
+            if text is None:
+                out.append(f"{sep}{key}: ")
+                _write_json(item, inner, out)
+            else:
+                out.append(f"{sep}{key}: {text(item)}")
+            sep = ",\n" + inner
+        out.append(f"\n{pad}}}")
+    else:
+        inner = pad + "  "
+        sep = "[\n" + inner
+        for item in value:
+            out.append(sep)
+            _write_json(item, inner, out)
+            sep = ",\n" + inner
+        out.append(f"\n{pad}]")
+
+
+def _float_text(value: float) -> str:
+    """json's text of a float: NaN and the infinities by their JavaScript names."""
+    if value != value:
+        return "NaN"
+    return "Infinity" if value == math.inf else "-Infinity" if value == -math.inf else float.__repr__(value)
+
+
+# json's text of each scalar type, by exact type
+_JSON_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_text,
+    bool: {False: "false", True: "true"}.__getitem__,
+    type(None): lambda value: "null",
+}
+
+
+def _json_scalar(value) -> str:
+    """json's text of a str, None, a bool, an int or a float, where a
+    subclass of str, int or float is written as its base; TypeError for
+    anything else."""
+    for kind in (type(value), str, int, float):
+        if kind in _JSON_SCALARS and isinstance(value, kind):
+            return _JSON_SCALARS[kind](value)
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def _json_key(key) -> str:
+    """A dict key as json.dumps quotes it: a str as it is, None, a bool, an
+    int or a float by its text as a value; TypeError for any other key."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if key is None or isinstance(key, (int, float)):
+        return f'"{_json_scalar(key)}"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +642,7 @@ class _UsageError(Exception):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="duadic", description=__doc__)
+    parser = _Parser(prog="duadic", description="\n\n".join(__doc__.split("\n\n")[:2]))
     sub = parser.add_subparsers(dest="command", required=True)
 
     scan = sub.add_parser("scan", help="existence sweep over a family")

@@ -32,7 +32,7 @@ from .algebra import (
 )
 from .codes import LinearCode, _mu_image, _plus_vector, check_dual, code_from_ideal
 from .errors import NoSplittingError, VerificationError
-from .gf import FiniteField, as_int, multiplicative_order_mod
+from .gf import FIELD_ORDER_CAP, FiniteField, _prime_factors, as_int, multiplicative_order_mod
 from .groups import (
     Antiautomorphism,
     FqClassPartition,
@@ -179,12 +179,18 @@ class SplittingCheck:
 
 def splitting_exists_mu_minus1(n: int, q: int) -> bool:
     """The order-of-q criterion for an inversion splitting on any group of
-    odd order n; the trivial group (n = 1) has none."""
+    odd order n: ord_n(q) is odd.  It divides phi(n), so it is odd iff it
+    divides the odd part m of phi(n), iff q^m = 1 (mod n): one modular
+    power.  The trivial group (n = 1) has none."""
     n, q = as_int(n, "group order", lo=1), as_int(q, "q")
     if n == 1:
         return False
     _check_cell(n, q)
-    return multiplicative_order_mod(q, n) % 2 == 1
+    as_int(n, "modulus", hi=FIELD_ORDER_CAP)  # the cap `multiplicative_order_mod` puts on n
+    phi = n
+    for p in _prime_factors(n):
+        phi = phi // p * (p - 1)
+    return pow(q, phi >> ((phi & -phi).bit_length() - 1), n) == 1  # phi(n) shifted past its factors 2
 
 
 def _class_criterion(group: Group, cells: Sequence[tuple[Antiautomorphism, FiniteField]]):

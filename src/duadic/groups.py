@@ -85,26 +85,26 @@ class Group:
     caller's array once.  Outside tables enter through `group_from_cayley`,
     which checks every group axiom first.  A direct product made by
     `group_product` keeps its two factors in `factors`; only the
-    constructors set `abelian_orders`, the orders of its cyclic factors, and
-    `_generators`, and hand over the inverse map their construction gives,
+    constructors set `abelian_orders`, the orders of its cyclic factors,
+    `is_abelian` and `_generators`, and hand over the new table they built,
+    kept without a copy, and the inverse map their construction gives,
     which is checked rather than searched for."""
 
     def __init__(self, table, descriptor: str = ""):
-        self._set_table(table, descriptor)
+        t = _square_table(table)
+        self._set_table(t.copy() if t is table or not t.flags.owndata else t, descriptor)
         self._set_inverse(_search_inverse(self.table))
 
     @classmethod
-    def _constructed(cls, table, descriptor: str, inverse: np.ndarray) -> Group:
-        """The group of a constructor's table, with the inverse map of its construction."""
+    def _constructed(cls, table: np.ndarray, descriptor: str, inverse: np.ndarray) -> Group:
+        """The group of a constructor's new int64 table, kept as it is, with
+        the inverse map of its construction."""
         group = cls.__new__(cls)
         group._set_table(table, descriptor)
         group._set_inverse(inverse)
         return group
 
-    def _set_table(self, table, descriptor: str) -> None:
-        t = _square_table(table)
-        if t is table or not t.flags.owndata:
-            t = t.copy()
+    def _set_table(self, t: np.ndarray, descriptor: str) -> None:
         t.flags.writeable = False
         n = t.shape[0]
         self.table = t
@@ -206,6 +206,7 @@ class Group:
 
     @cached_property
     def is_abelian(self) -> bool:
+        """Whether the table is symmetric; the constructors set it from their construction."""
         return bool(np.array_equal(self.table, self.table.T))
 
     @cached_property
@@ -281,11 +282,12 @@ def group_abelian(orders) -> Group:
         # row a of Z_o's table, (a + b) % o, is ring[a:a + o]: a read-only view, no n x n temporary
         ring = np.arange(2 * o) % o
         block = np.lib.stride_tricks.as_strided(ring, (o, o), ring.strides * 2, writeable=False)
+        # the first factor's table is its block; a later block is spread over each entry of the table so far
         m = table.shape[0]
-        table = (table[:, None, :, None] * o + block[None, :, None, :]).reshape(m * o, m * o)
+        table = block.copy() if m == 1 else (table[:, None, :, None] * o + block[None, :, None, :]).reshape(m * o, -1)
         inverse = (inverse[:, None] * o + ring[o:0:-1]).reshape(-1)  # -a mod o, in the same digit
     group = Group._constructed(table, "x".join(str(o) for o in ords), inverse)
-    group.abelian_orders = tuple(ords)
+    group.abelian_orders, group.is_abelian = tuple(ords), True
     group._generators = tuple(math.prod(ords[i + 1 :]) for i in range(len(ords)))  # the unit tuples
     return group
 
@@ -294,7 +296,7 @@ def cyclic_group(n: int) -> Group:
     # n = 1 is allowed here (degenerate scans); group_abelian itself rejects it
     if as_int(n, "group order") == 1:
         trivial = Group._constructed(np.zeros((1, 1), dtype=np.int64), "1", np.zeros(1, dtype=np.int64))
-        trivial._generators = ()
+        trivial._generators, trivial.is_abelian = (), True
         return trivial
     return group_abelian([n])
 
@@ -318,7 +320,7 @@ def group_product(g1: Group, g2: Group) -> Group:
     table = (g1.table[:, None, :, None] * n2 + g2.table[None, :, None, :]).reshape(n1 * n2, n1 * n2)
     inverse = (g1.inverse[:, None] * n2 + g2.inverse[None, :]).reshape(-1)
     product = Group._constructed(table, f"{g1.descriptor},{g2.descriptor}", inverse)
-    product.factors = (g1, g2)
+    product.factors, product.is_abelian = (g1, g2), g1.is_abelian and g2.is_abelian
     product._generators = tuple(s * n2 for s in g1._generators) + g2._generators
     if g1.abelian_orders is not None and g2.abelian_orders is not None:
         product.abelian_orders = g1.abelian_orders + g2.abelian_orders
@@ -425,7 +427,7 @@ class Antiautomorphism:
         n = group.order
         if perm.shape != (n,):
             raise ValueError(f"mu_star must be a length-{n} permutation")
-        if sorted(perm.tolist()) != list(range(n)):
+        if not (np.sort(perm) == np.arange(n)).all():
             raise ValueError("mu_star is not a bijection")
         if perm[0] != 0:
             raise ValueError("mu_star must fix the identity")
@@ -434,7 +436,7 @@ class Antiautomorphism:
         # generating set decides the law; only a failure takes the n x n
         # law, to name its first failing pair
         t, gens = group.table, list(group._generators)
-        if not np.array_equal(perm[t[gens]], t[np.ix_(perm, perm[gens])].T):
+        if not np.array_equal(perm[t[gens]], t[perm[:, None], perm[gens]].T):
             g, h = np.argwhere(perm[t] != t[np.ix_(perm, perm)].T)[0]
             raise ValueError(
                 f"mu_star is not an antiautomorphism: mu({g}*{h}) != mu({h})*mu({g})"
@@ -474,12 +476,14 @@ class Antiautomorphism:
         k = pow(field.p, self.frobenius_power % field.m, m)
         return k, pow(k, -1, m)
 
+    @cached_property
+    def _inverts(self) -> bool:
+        """Whether mu_star is g -> g^-1, compared once per map."""
+        return bool(np.array_equal(self.mu_star, self.group.inverse))
+
     def is_inversion_for(self, field) -> bool:
         """True iff this map is exactly mu_-1 on F_q[G] (sigma trivial on F_q)."""
-        return bool(
-            np.array_equal(self.mu_star, self.group.inverse)
-            and self.frobenius_power % field.m == 0
-        )
+        return self._inverts and self.frobenius_power % field.m == 0
 
 
 def builtin_mu_minus1(group: Group) -> Antiautomorphism:

@@ -899,6 +899,56 @@ def test_malformed_input_exits_1_with_one_line(tmp_path, monkeypatch, capsys, ar
     assert captured.err.count("\n") == 1
 
 
+def assert_written_as_json_dumps(value):
+    report = CodeReport("7", 2, "mu-1", existence=value, dims={"after": value})
+    expected = json.dumps([report.to_dict()], indent=2) + "\n"
+    assert emit_json([report]) == expected and list(cli._json_chunks([report])) == [expected]
+
+
+class TestJsonWriter:
+    """The corners where the report writer must give json.dumps(indent=2)'s
+    bytes; `test_cli_properties.py::test_emit_json_matches_the_indenting_encoder`
+    draws the rest."""
+
+    def test_keys_that_are_not_strings(self):
+        assert_written_as_json_dumps({0: None})
+        assert_written_as_json_dumps({True: 1, False: [], None: {}, 1.5: "x", -3: 2**70})
+        assert_written_as_json_dumps({math.nan: 1, math.inf: 2, -math.inf: 3, -0.0: 4})
+
+    def test_floats_nan_infinities_and_negative_zero(self):
+        assert_written_as_json_dumps([math.nan, math.inf, -math.inf, -0.0, 0.1, 1e300, 5e-324])
+
+    def test_ints_past_64_bits(self):
+        assert_written_as_json_dumps([2**63 - 1, 2**63, 2**64, -(2**63) - 1, 10**40])
+
+    def test_tuples_and_empty_containers(self):
+        assert_written_as_json_dumps((1, ("a", ()), [], {}, [[]], {"": {}}))
+        assert emit_json([]) == json.dumps([], indent=2) + "\n" == "[]\n"
+
+    def test_non_ascii_and_control_characters(self):
+        assert_written_as_json_dumps({"\u00e9\u2028\U0001f600": "\x00\x1f\x7f\"\\/\n\t"})
+
+    def test_the_old_pairs_mark_is_a_plain_string(self):
+        assert_written_as_json_dumps("\0pairs")
+        report = CodeReport("\0pairs", 2, "mu-1", pairs=["\0pairs"], dims={"pairs": "\0pairs"})
+        assert emit_json([report]) == json.dumps([report.to_dict()], indent=2) + "\n"
+
+    def test_subclasses_of_str_int_and_float_are_written_as_their_bases(self):
+        name, count, ratio = type("Name", (str,), {}), type("Count", (int,), {}), type("Ratio", (float,), {})
+        assert_written_as_json_dumps({name("k"): [name("v"), count(3), ratio(0.5), ratio("nan")], count(2): ratio(1.5)})
+        assert_written_as_json_dumps([np.float64(0.1), {np.float64(-0.0): np.float64("inf")}])
+
+    def test_what_json_dumps_refuses_is_refused_with_its_message(self):
+        for value, message in [
+            ({(1, 2): 0}, "keys must be str, int, float, bool or None, not tuple"),
+            (np.int64(3), "Object of type int64 is not JSON serializable"),
+        ]:
+            with pytest.raises(TypeError, match=f"^{message}$"):
+                json.dumps(value, indent=2)
+            with pytest.raises(TypeError, match=f"^{message}$"):
+                emit_json([CodeReport("7", 2, "mu-1", existence=value)])
+
+
 class TestJsonRoundTrip:
     def test_reports_roundtrip(self, capsys):
         argv = ["scan", "--family", "cyclic", "--n", "3-15", "--q", "2,4", "--mu", "mu-1", "--json"]

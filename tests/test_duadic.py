@@ -38,7 +38,7 @@ from duadic.duadic import (
     verify_key_proposition,
 )
 from duadic.errors import NoSplittingError, VerificationError
-from duadic.gf import field_from_order
+from duadic.gf import field_from_order, multiplicative_order_mod
 from duadic.groups import (
     Antiautomorphism,
     builtin_mu_minus1,
@@ -154,6 +154,17 @@ class TestSplittingExists:
     def test_rejects_gcd(self):
         with pytest.raises(ValueError, match="gcd"):
             splitting_exists_mu_minus1(9, 3)
+
+    def test_one_modular_power_decides_the_parity_of_the_order(self):
+        # q^(odd part of phi(n)) = 1 (mod n) iff ord_n(q) is odd, against the order's own loop
+        cells = [(n, q) for n in range(3, 512, 2) for q in range(2, 300) if math.gcd(n, q) == 1]
+        assert len(cells) == 61674
+        wrong = [(n, q) for n, q in cells if splitting_exists_mu_minus1(n, q) != (multiplicative_order_mod(q, n) % 2 == 1)]
+        assert wrong == []
+
+    def test_an_order_over_the_cap_is_refused_as_before(self):
+        with pytest.raises(ValueError, match="^modulus 65537 exceeds the cap 65536$"):
+            splitting_exists_mu_minus1(65537, 2)
 
 
 class TestCheckSplitting:

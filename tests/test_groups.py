@@ -353,6 +353,20 @@ class TestAntiautomorphisms:
         with pytest.raises(ValueError, match="bijection"):
             Antiautomorphism(cyclic_group(3), [0, 1, 1])
 
+    @pytest.mark.parametrize(
+        "perm,message",
+        [
+            # each input breaks its own check and every later one
+            ([1, 1], "mu_star must be a length-3 permutation"),
+            ([1, 1, 7], "mu_star is not a bijection"),
+            ([-1, 0, 1], "mu_star is not a bijection"),  # a negative image
+            ([1, 2, 0], "mu_star must fix the identity"),
+        ],
+    )
+    def test_the_first_broken_check_names_the_fault(self, perm, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Antiautomorphism(cyclic_group(3), perm)
+
     def test_product_of_inversions_is_inversion(self):
         z3 = cyclic_group(3)
         mu = product_antiauto(builtin_mu_minus1(z3), builtin_mu_minus1(z3))
@@ -1211,14 +1225,26 @@ def test_partitions_and_splitting_checks_compare_by_value():
 
 
 def test_is_abelian_reads_the_table_once_per_group(monkeypatch, frobenius21):
+    # a Cayley table is compared with its transpose once; the constructors
+    # know their groups are abelian, and a product is abelian iff its factors are
     array_equal, reads = np.array_equal, []
-    for group in (Group(frobenius21.table), cyclic_group(45)):
+    builds = {
+        Group(frobenius21.table): 1,
+        cyclic_group(45): 0,
+        cyclic_group(1): 0,
+        group_abelian([3, 5]): 0,
+        group_product(cyclic_group(3), group_abelian([5, 5])): 0,
+    }
+    for group, count in builds.items():
         monkeypatch.setattr(np, "array_equal", lambda a, b, **kw: reads.append(a is group.table) or array_equal(a, b, **kw))
         for q in (2, 4, 8, 11, 13):
             fq_classes(group, q)
-        assert reads.count(True) == 1
+        assert reads.count(True) == count, group
         reads.clear()
-    assert not Group(frobenius21.table).is_abelian and cyclic_group(45).is_abelian
+    monkeypatch.undo()
+    assert [group.is_abelian for group in builds] == [False, True, True, True, True]
+    assert all(group.is_abelian == bool(np.array_equal(group.table, group.table.T)) for group in builds)
+    assert not group_product(cyclic_group(3), Group(frobenius21.table)).is_abelian
 
 
 @pytest.mark.parametrize("build", [Group, group_from_cayley])
