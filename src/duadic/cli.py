@@ -1,7 +1,8 @@
 """Command-line frontend: existence scans, code construction, and verification
 suites, with a deterministic JSON report format.
 
-Exit codes: 0 ok, 1 usage error, 2 no splitting, 3 verification failure, 130 interrupted.
+Exit codes: 0 ok, 1 usage error, 2 no splitting, 3 verification failure, 130 interrupted,
+141 stdout closed.
 
 One writer produces the `--json` text: `_write_json` gives the bytes of
 json.dumps(..., indent=2), and `_PairRows.chunks` writes each pair list in
@@ -13,13 +14,14 @@ paragraphs above this one.
 
 from __future__ import annotations
 
-import argparse
 import math
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass, fields as dataclass_fields
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -61,6 +63,7 @@ EXIT_USAGE = 1
 EXIT_NO_SPLITTING = 2
 EXIT_VERIFY_FAILED = 3
 EXIT_INTERRUPTED = 130
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as 130 is 128 + SIGINT
 
 
 # ---------------------------------------------------------------------------
@@ -632,69 +635,132 @@ def _print_construct_report(r: CodeReport) -> None:
 # ---------------------------------------------------------------------------
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _UsageError(message)
+# Each command's help line and its options, as the (name, keywords) of one
+# `add_argument` call each: `build_parser` declares them to argparse, and
+# `_read_plain` reads the argv that names them exactly.
+_COMMANDS = {
+    "scan": ("existence sweep over a family", (
+        ("--family", {"choices": ["cyclic", "pxp"], "default": "cyclic"}),
+        ("--n", {"default": "3-45", "help": "cyclic orders, range `3-45` or list"}),
+        ("--p", {"default": "3,5", "help": "primes for the pxp family"}),
+        ("--q", {"default": "2,3,4,5,7,9", "help": "comma list of field orders"}),
+        ("--mu", {"default": "mu-1", "help": "mu spec: mu-1 | swap"}),
+        ("--json", {"action": "store_true"}),
+    )),
+    "construct": ("build and analyze duadic codes", (
+        ("--group", {"required": True, "help": "group spec: 7 | 3x3 | 3x3,3x3 | @file"}),
+        ("--q", {"type": int, "required": True}),
+        ("--mu", {"required": True, "help": "mu spec: mu-1 | swap | swap*swap | @file"}),
+        ("--product", {"action": "store_true", "help": "product construction on G1,G2"}),
+        ("--enumerate-all", {"action": "store_true"}),
+        ("--emit-matrices", {"metavar": "DIR"}),
+        ("--max-enum", {"type": int, "default": DEFAULT_ENUM_CAP}),
+        ("--json", {"action": "store_true"}),
+    )),
+    "verify": ("run a verification suite", (
+        ("suite", {"choices": sorted(_SUITES) + ["all"]}),
+    )),
+}
 
 
 class _UsageError(Exception):
     pass
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="duadic", description="\n\n".join(__doc__.split("\n\n")[:2]))
+def build_parser():
+    """The argparse parser of `_COMMANDS`, for the argv that `_read_plain` hands over."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise _UsageError(message)
+
+    parser = Parser(prog="duadic", description="\n\n".join(__doc__.split("\n\n")[:2]))
     sub = parser.add_subparsers(dest="command", required=True)
-
-    scan = sub.add_parser("scan", help="existence sweep over a family")
-    scan.add_argument("--family", choices=["cyclic", "pxp"], default="cyclic")
-    scan.add_argument("--n", default="3-45", help="cyclic orders, range `3-45` or list")
-    scan.add_argument("--p", default="3,5", help="primes for the pxp family")
-    scan.add_argument("--q", default="2,3,4,5,7,9", help="comma list of field orders")
-    scan.add_argument("--mu", default="mu-1", help="mu spec: mu-1 | swap")
-    scan.add_argument("--json", action="store_true")
-
-    construct = sub.add_parser("construct", help="build and analyze duadic codes")
-    construct.add_argument("--group", required=True, help="group spec: 7 | 3x3 | 3x3,3x3 | @file")
-    construct.add_argument("--q", type=int, required=True)
-    construct.add_argument("--mu", required=True, help="mu spec: mu-1 | swap | swap*swap | @file")
-    construct.add_argument("--product", action="store_true", help="product construction on G1,G2")
-    construct.add_argument("--enumerate-all", action="store_true")
-    construct.add_argument("--emit-matrices", metavar="DIR")
-    construct.add_argument("--max-enum", type=int, default=DEFAULT_ENUM_CAP)
-    construct.add_argument("--json", action="store_true")
-
-    verify = sub.add_parser("verify", help="run a verification suite")
-    verify.add_argument("suite", choices=sorted(_SUITES) + ["all"])
+    for command, (help_line, options) in _COMMANDS.items():
+        command_parser = sub.add_parser(command, help=help_line)
+        for name, keywords in options:
+            command_parser.add_argument(name, **keywords)
     return parser
 
 
-_PARSER: argparse.ArgumentParser | None = None
+def _read_plain(argv) -> SimpleNamespace | None:
+    """The namespace argparse gives for an argv `COMMAND (--name VALUE |
+    --flag)*` of exact option names and values that do not start with `-`,
+    or None for any other argv, which argparse reads with its own messages.
+    Each value takes its option's type and is checked against its choices,
+    the last of a repeated option counts, and the options not given take
+    their defaults or, when required, hand the argv over."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    options = dict(_COMMANDS[argv[0]][1])
+    values = {"command": argv[0]}
+    tokens = iter(argv[1:])
+    for name in tokens:
+        keywords = options.get(name) if name.startswith("--") else None
+        if keywords is None:
+            return None
+        if keywords.get("action") == "store_true":
+            value = True
+        else:
+            value = next(tokens, "-")
+            if value.startswith("-"):
+                return None
+            try:
+                value = keywords.get("type", str)(value)
+            except ValueError:
+                return None
+            if "choices" in keywords and value not in keywords["choices"]:
+                return None
+        values[name[2:].replace("-", "_")] = value
+    for name, keywords in options.items():
+        dest = name.lstrip("-").replace("-", "_")
+        if dest in values:
+            continue
+        if keywords.get("required", not name.startswith("-")):  # a positional is required
+            return None
+        values[dest] = keywords.get("default", False if keywords.get("action") == "store_true" else None)
+    return SimpleNamespace(**values)
+
+
+_PARSER = None  # `build_parser()`, once per process, at the first argv that needs it
 
 
 def main(argv=None) -> int:
     global _PARSER
-    if _PARSER is None:  # built once per process: parse_args keeps no state between calls
-        _PARSER = build_parser()
-    try:
-        args = _PARSER.parse_args(argv)
-    except _UsageError as exc:
-        print(f"duadic: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except SystemExit as exc:  # --help
-        return int(exc.code or 0)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _read_plain(argv)
+    if args is None:
+        if _PARSER is None:  # parse_args keeps no state between calls
+            _PARSER = build_parser()
+        try:
+            args = _PARSER.parse_args(argv)
+        except _UsageError as exc:
+            print(f"duadic: error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        except SystemExit as exc:  # --help
+            return int(exc.code or 0)
     try:
         if args.command == "verify":
-            return cmd_verify(args)
-        reports = cmd_scan(args) if args.command == "scan" else cmd_construct(args)
-        if args.json:
-            for chunk in _json_chunks(reports):
-                sys.stdout.write(chunk)
-        elif args.command == "scan":
-            _print_scan_table(reports)
+            code = cmd_verify(args)
         else:
-            for r in reports:
-                _print_construct_report(r)
-        return EXIT_OK
+            reports = cmd_scan(args) if args.command == "scan" else cmd_construct(args)
+            if args.json:
+                for chunk in _json_chunks(reports):
+                    sys.stdout.write(chunk)
+            elif args.command == "scan":
+                _print_scan_table(reports)
+            else:
+                for r in reports:
+                    _print_construct_report(r)
+            code = EXIT_OK
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader of stdout has gone: what stdout still buffers is flushed
+        # to the null device at exit, so nothing more is written or raised
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except NoSplittingError as exc:
         print(f"duadic: {exc}", file=sys.stderr)
         return EXIT_NO_SPLITTING

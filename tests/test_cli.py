@@ -18,6 +18,7 @@ import pytest
 import duadic
 from duadic import _linalg, algebra, cli, codes, groups
 from duadic.cli import (
+    EXIT_BROKEN_PIPE,
     EXIT_INTERRUPTED,
     EXIT_NO_SPLITTING,
     EXIT_OK,
@@ -623,6 +624,24 @@ class TestConstruct:
         assert main(["construct", "--group", "7", "--q", "2", "--mu", "mu-1"]) == EXIT_INTERRUPTED == 130
         assert capsys.readouterr().err == "duadic: interrupted\n"
 
+    def test_closed_stdout_exits_141_quietly(self, tmp_path, capsys, monkeypatch):
+        class Closed:
+            """A stdout whose reader has gone, over a file of the test's own."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def fileno(self):
+                return self.fh.fileno()
+
+        with open(tmp_path / "stdout", "w") as fh:
+            monkeypatch.setattr(sys, "stdout", Closed(fh))
+            assert main(["scan", "--n", "3-9", "--q", "2", "--json"]) == EXIT_BROKEN_PIPE == 141
+        assert capsys.readouterr().err == ""
+
 
     def test_verification_failure_exits_3_with_one_line(self, capsys, monkeypatch):
         def failing(pair, cap):
@@ -1000,7 +1019,8 @@ class TestJsonRoundTrip:
         # the text before the pairs, one write per pair, the list's close and
         # the text after it: never the text of the whole report at once
         writes = []
-        monkeypatch.setattr(sys, "stdout", type("Out", (), {"write": lambda self, text: writes.append(text)})())
+        out = type("Out", (), {"write": lambda self, text: writes.append(text), "flush": lambda self: None})
+        monkeypatch.setattr(sys, "stdout", out())
         argv = ["construct", "--group", "31", "--q", "5", "--mu", "mu-1", "--enumerate-all", "--json"]
         assert main(argv) == EXIT_OK
         (report,) = cli.cmd_construct(cli.build_parser().parse_args(argv))
@@ -1116,7 +1136,7 @@ class TestOneParserPerProcess:
         monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
         monkeypatch.setattr(cli, "_PARSER", None)
         fresh = self._serve(capsys, fresh=True)
-        assert len(built) == len(self.REQUESTS)
+        assert len(built) == 3  # --bogus, the missing --q and --mu, --help: the plain argv need no parser
         built.clear()
         cli._PARSER = None
         shared = self._serve(capsys, fresh=False)
@@ -1125,14 +1145,52 @@ class TestOneParserPerProcess:
         assert [c for c, _, _ in shared] == [EXIT_OK, EXIT_OK, EXIT_USAGE, EXIT_NO_SPLITTING, EXIT_USAGE, EXIT_OK, EXIT_OK]
 
 
+def child_env() -> dict:
+    """The environment of a child Python that imports this checkout's duadic."""
+    src = str(Path(duadic.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m_help_exits_0(self):
-        src = str(Path(duadic.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         done = subprocess.run(
             [sys.executable, "-m", "duadic", "--help"],
-            capture_output=True, text=True, env=env, timeout=60,
+            capture_output=True, text=True, env=child_env(), timeout=60,
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.startswith("usage: duadic")
+
+
+def test_a_plain_argv_imports_no_argparse():
+    code = (
+        "import contextlib, io, sys\n"
+        "import duadic.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = duadic.cli.main(['scan', '--n', '3-9', '--q', '2,4', '--json'])\n"
+        "print(code, 'argparse' in sys.modules)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env(), timeout=60)
+    assert (done.stdout, done.stderr) == ("0 False\n", "")
+
+
+@pytest.mark.parametrize("argv, first", [
+    (["scan", "--n", "3-511", "--q", "2,3,4,5,7,8,9,11,13,16"], b"     group   q         mu"),
+    (["construct", "--group", "127", "--q", "4", "--mu", "mu-1", "--enumerate-all", "--json"], b"["),
+])
+def test_a_closed_stdout_ends_the_run_quietly_with_141(argv, first):
+    """The reader of stdout closes its end after the first line, while more
+    than a pipe's capacity is still to come."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "duadic", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0, env=child_env(),
+    )
+    try:
+        line = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+    assert line.startswith(first)
+    assert (code, err) == (EXIT_BROKEN_PIPE, b"")
 

@@ -12,17 +12,22 @@ import contextlib
 import io
 import json
 import math
+import os
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from duadic import cli
 from duadic.cli import EXIT_NO_SPLITTING, EXIT_USAGE, CodeReport, _PairRows, emit_json, main
 from duadic.gf import field_from_order
 from duadic.groups import builtin_mu_minus1, cyclic_group, group_abelian, group_from_cayley
 
 from oracles import reference_check_splitting
+from replay_reference import read_pins, reference_pins
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -492,3 +497,94 @@ def test_scan_from_the_trivial_group_matches_the_reference():
     # ord_3(2) = 2 is even, ord_3(4) = 1 odd; the trivial group has no splitting
     assert rows == want
     assert [ok for _, _, ok in rows] == [False] * 4 + [False, True, False]
+
+
+# The argv the plain reader meets.  About half are plain: the exact option
+# names of their command, each with a value that does not start with `-`.
+# The rest mix in what argparse alone reads: unique and ambiguous prefixes,
+# `--name=value`, help, unknown tokens, the other command's names, values
+# that start with `-`, and missing values.  No verify suite name is drawn, so
+# that no argv runs a suite.
+OPTION_NAMES = {
+    "scan": ["--family", "--n", "--p", "--q", "--mu", "--json"],
+    "construct": ["--group", "--q", "--mu", "--product", "--enumerate-all", "--emit-matrices", "--max-enum", "--json"],
+}
+FLAGS = {"--json", "--product", "--enumerate-all"}
+OTHER_NAMES = st.sampled_from([
+    "--fam", "--gr", "--prod", "--enum", "--emit", "--max", "--e", "--m", "--j", "--f",
+    "--q=5", "--n=3-9", "--json=1", "--group=7", "--mu=mu-1",
+    "-h", "--help", "--bogus", "bogus", "--", "-q",
+])
+PLAIN_VALUES = st.sampled_from([
+    "7", "9", "3x3", "2", "4", "2,4", "3-9", "3", " 5", "mu-1", "swap", "cyclic", "pxp",
+    "1", "x", "", "matrices", "nope",
+])
+VALUES = st.one_of(PLAIN_VALUES, st.sampled_from(["-1", "-", "--json", "-x"]))
+
+
+@st.composite
+def argvs(draw) -> list[str]:
+    command = draw(st.sampled_from(["scan", "scan", "construct", "construct", "verify", "sca", "-h"]))
+    names = st.sampled_from(OPTION_NAMES.get(command, OPTION_NAMES["scan"] + OPTION_NAMES["construct"]))
+    plain = draw(st.booleans())
+    argv = [command]
+    if command == "construct" and draw(st.booleans()):
+        argv += ["--group", draw(st.sampled_from(["7", "3x3"])), "--q", draw(st.sampled_from(["2", "4"]))]
+        argv += ["--mu", draw(st.sampled_from(["mu-1", "swap"]))]
+    for _ in range(draw(st.integers(0, 4))):
+        kind = 0 if plain else draw(st.integers(0, 4))
+        if kind < 2:
+            name = draw(names)
+            argv += [name] if name in FLAGS else [name, draw(PLAIN_VALUES if plain else VALUES)]
+        elif kind == 2:
+            argv.append(draw(OTHER_NAMES))
+        elif kind == 3:
+            argv.append(draw(VALUES))
+        else:
+            argv.append(draw(names))  # a flag's stray value or an option's missing one
+    return argv
+
+
+ARGPARSE = cli.build_parser()
+
+
+@settings(SETTINGS, max_examples=400)
+@given(argv=argvs())
+@example(argv=["scan"])
+@example(argv=["scan", "--family", "pxp", "--p", "3", "--q", "2,4", "--q", "5", "--json", "--json"])
+@example(argv=["construct", "--group", "7", "--q", " 5", "--mu", "mu-1", "--max-enum", "1", "--enumerate-all"])
+@example(argv=["construct", "--group", "7", "--q", "2", "--mu", "", "--emit-matrices", "matrices", "--product"])
+@example(argv=["verify"])
+def test_plain_reader_reads_as_argparse(argv):
+    plain = cli._read_plain(argv)
+    if plain is not None:
+        assert vars(plain) == vars(ARGPARSE.parse_args(argv))
+
+
+@contextlib.contextmanager
+def inside(directory):
+    back = os.getcwd()
+    os.chdir(directory)
+    try:
+        yield
+    finally:
+        os.chdir(back)
+
+
+@settings(SETTINGS, max_examples=200)
+@given(argv=argvs())
+@example(argv=["construct", "--group", "7", "--q", "2", "--mu", "mu-1", "--emit-matrices", "matrices"])
+@example(argv=["scan", "--n", "3-9", "--q", "2,4"])
+def test_main_answers_as_it_does_through_argparse(workdir, argv):
+    # a fixed clock makes the text reports' times equal
+    with inside(workdir), mock.patch.object(cli, "time", SimpleNamespace(perf_counter=lambda: 0.0)):
+        plain = run_io(argv)
+        with mock.patch.object(cli, "_read_plain", lambda argv: None):
+            assert run_io(argv) == plain
+
+
+@pytest.mark.parametrize("pin", reference_pins() + read_pins(), ids=str)
+def test_every_pinned_request_is_read_without_argparse(pin):
+    plain = cli._read_plain(list(pin.argv))
+    assert plain is not None
+    assert vars(plain) == vars(ARGPARSE.parse_args(pin.argv))
