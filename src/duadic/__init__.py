@@ -74,10 +74,6 @@ from .quantum import (
     DistanceRecord,
     PairAnalysis,
     analyze_pair,
-    css_build,
-    css_distance,
-    degeneracy_report,
-    quantum_duadic,
 )
 
 __version__ = "0.1.0"
@@ -110,10 +106,7 @@ __all__ = [
     "classify_duality",
     "code_from_ideal",
     "construct_pairs",
-    "css_build",
-    "css_distance",
     "cyclic_group",
-    "degeneracy_report",
     "difference_min_weight",
     "dual",
     "duadic_codes",
@@ -135,7 +128,6 @@ __all__ = [
     "parse_cayley_text",
     "product_antiauto",
     "product_duadic",
-    "quantum_duadic",
     "read_cayley_file",
     "split_primitive_central_idempotents",
     "splitting_exists_mu_minus1",

@@ -28,11 +28,12 @@ from duadic.algebra import (
     is_idempotent,
     split_primitive_central_idempotents,
 )
-from duadic.codes import DEFAULT_ENUM_CAP, coset_min_weight
+from duadic.codes import DEFAULT_ENUM_CAP, coset_min_weight, dual
 from duadic.duadic import DuadicPair, SplittingCheck
 from duadic.errors import EnumerationCapError, VerificationError
 from duadic.gf import FiniteField, _prime_factors, multiplicative_order_mod
 from duadic.groups import FqClassPartition, Group, fq_classes, group_product, product_antiauto
+from duadic.quantum import SideEvidence
 
 # Fixed seed for the equal-degree splitting step of the factorization, so
 # repeated runs pick identical splitting elements.
@@ -184,6 +185,54 @@ def reference_difference_min_weight(small, big):
     weights = np.count_nonzero(words, axis=1)  # no word is zero: every offset lies outside small
     i = int(np.argmin(weights))
     return int(weights[i]), words[i]
+
+
+def reference_weight_distribution(code):
+    counts = np.zeros(code.n + 1, dtype=np.int64)
+    zero = np.zeros(code.n, dtype=np.int64)
+    for block in reference_blocks(code.field, code.gen, zero):
+        counts += np.bincount(np.count_nonzero(block, axis=1), minlength=code.n + 1)
+    return counts
+
+
+# ---------------------------------------------------------------------------
+# CSS codes: the generic rules for any nested codes C inside D
+# ---------------------------------------------------------------------------
+
+
+def reference_css_distance(code_c, code_d, cap: int = DEFAULT_ENUM_CAP) -> int:
+    """Min weight over (D \\ C) union (C-perp \\ D-perp), every word of each
+    difference listed, with both duals from `dual`.  The differences are one
+    set when D-perp = C, tested here by comparing the codes, not read from
+    a duality case; EnumerationCapError when the words to list exceed cap."""
+    q = code_c.field.q
+    dual_c, dual_d = dual(code_c), dual(code_d)
+    differences = [(code_c, code_d)] + ([] if dual_d == code_c else [(dual_d, dual_c)])
+    total = sum(q**big.k - q**small.k for small, big in differences)
+    if total > cap:
+        raise EnumerationCapError(f"distance enumeration of {total} words exceeds cap {cap}")
+    return min(reference_difference_min_weight(small, big)[0] for small, big in differences)
+
+
+def reference_degeneracy_sides(sides, witnesses, d: int, cap: int = DEFAULT_ENUM_CAP) -> tuple:
+    """Words of weight below d in each named code of sides, as `SideEvidence`:
+    a code of q^k <= cap words is listed whole, exactly; past the cap the
+    evidence is the distinct group translates of each witness of weight
+    below d that pass a row-space test of their own, with no use of the
+    code being an ideal."""
+    out = []
+    for name, code in sides:
+        if code.field.q**code.k <= cap:
+            dist = reference_weight_distribution(code)
+            out.append(SideEvidence(name, True, tuple((w, int(dist[w])) for w in range(1, min(d, len(dist))) if dist[w])))
+            continue
+        found: dict[int, set[bytes]] = {}
+        for w in witnesses:
+            wt = w.weight()
+            if 0 < wt < d:
+                found.setdefault(wt, set()).update(t.tobytes() for t in w.vec[w.group.left_translation] if code.contains(t))
+        out.append(SideEvidence(name, False, tuple((wt, len(tr)) for wt, tr in sorted(found.items()) if tr)))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

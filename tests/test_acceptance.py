@@ -42,10 +42,10 @@ from duadic.groups import (
     group_abelian,
     group_from_cayley,
 )
-from duadic.quantum import DistanceRecord, analyze_pair, css_build, css_distance, quantum_duadic
+from duadic.quantum import DistanceRecord, analyze_pair
 
 from conftest import frobenius21_table
-from oracles import abelian_character_idempotents
+from oracles import abelian_character_idempotents, reference_css_distance, reference_degeneracy_sides
 
 Q_LIST = (2, 3, 4, 5, 7, 9)
 ODD_N = tuple(range(3, 46, 2))
@@ -198,13 +198,16 @@ def test_criterion_6_order81_product_reproduction():
     assert codes.c_e.contains(witness.vec)
     kind, bound = odd_like_bound(product)
     assert (kind, bound) == ("square", 9)
-    css = css_build(codes.c_e, codes.d_e, witnesses=product.witnesses)
     with pytest.raises(EnumerationCapError):
-        css_distance(css, cap=DEFAULT_ENUM_CAP)
-    css.distance = analyze_pair(product).degeneracy.distance
+        reference_css_distance(codes.c_e, codes.d_e, cap=DEFAULT_ENUM_CAP)
+    analysis = analyze_pair(product)
+    css = analysis.css
     assert css.distance == DistanceRecord(9, False, "odd-like-square-bound")
     assert css.params() == "[[81,1,>=9]]_2"
     assert not css.distance.exact
+    sides = (("C", codes.c_e), ("D-perp", analysis.duality.d_e_perp))
+    assert analysis.degeneracy.sides == reference_degeneracy_sides(sides, product.witnesses, 9)
+    assert analysis.degeneracy.degenerate
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"criterion 6 took {elapsed:.1f}s"
     print(f"PASS criterion 6: order-81 product reproduction, [[81,1,>=9]]_2 tagged ({elapsed:.1f}s)")
@@ -213,12 +216,12 @@ def test_criterion_6_order81_product_reproduction():
 def test_criterion_7_css_pipeline():
     start = time.perf_counter()
     field = field_from_order(2)
-    g7 = cyclic_group(7)
-    code7 = quantum_duadic(field, g7, builtin_mu_minus1(g7))
-    assert code7.params() == "[[7,1,3]]_2" and code7.distance.exact
-    g23 = cyclic_group(23)
-    code23 = quantum_duadic(field, g23, builtin_mu_minus1(g23))
-    assert code23.params() == "[[23,1,7]]_2" and code23.distance.exact
+    for n, params in [(7, "[[7,1,3]]_2"), (23, "[[23,1,7]]_2")]:
+        group = cyclic_group(n)
+        analysis = analyze_pair(construct_pairs(builtin_mu_minus1(group), field, group)[0])
+        codes = analysis.codes
+        assert analysis.css.params() == params and analysis.css.distance.exact
+        assert analysis.css.distance.value == reference_css_distance(codes.c_e, codes.d_e)
     assert 7 * 7 - 7 + 1 >= 23
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0, f"criterion 7 took {elapsed:.1f}s"

@@ -40,7 +40,7 @@ from duadic.groups import (
     group_abelian,
     group_from_cayley,
 )
-from duadic.quantum import analyze_pair, css_build, css_distance
+from duadic.quantum import DistanceRecord, analyze_pair
 
 from conftest import enumerable_cells, frobenius21_table
 from oracles import (
@@ -50,9 +50,11 @@ from oracles import (
     reference_blocks,
     reference_coset_weights,
     reference_combination_table,
+    reference_css_distance,
     reference_difference_min_weight,
     reference_odd_like_min_weight,
     reference_right_kernel,
+    reference_weight_distribution,
 )
 
 
@@ -439,14 +441,6 @@ def reference_coset_min_weight(field, gen, offset, tables=None):
     return best, witness
 
 
-def reference_weight_distribution(code):
-    counts = np.zeros(code.n + 1, dtype=np.int64)
-    zero = np.zeros(code.n, dtype=np.int64)
-    for block in reference_blocks(code.field, code.gen, zero):
-        counts += np.bincount(np.count_nonzero(block, axis=1), minlength=code.n + 1)
-    return counts
-
-
 def _assert_coset_min_weight(field, gen, offset, span: LinearCode):
     """coset_min_weight agrees with the oracle, and its witness lies in the
     coset and has the reported weight."""
@@ -472,10 +466,10 @@ class TestKernelAgainstOracle:
         # words come in the oracle's order, so the witness is the same word
         witness = min_weight(codes.d_e)[1]
         assert witness.tolist() == reference_coset_min_weight(field, codes.d_e.gen, zero)[1].tolist()
-        css = css_build(codes.c_e, codes.d_e)
-        fast = [odd_like_min_weight(codes, side)[0] for side in "ef"], css_distance(css)
+        fast = [odd_like_min_weight(codes, side)[0] for side in "ef"], analyze_pair(codes.pair).degeneracy.distance
+        assert fast[1] == DistanceRecord(reference_css_distance(codes.c_e, codes.d_e), True, "coset-enumeration")
         monkeypatch.setattr(codes_module, "coset_min_weight", reference_coset_min_weight)
-        assert fast == ([odd_like_min_weight(codes, side)[0] for side in "ef"], css_distance(css))
+        assert fast == ([odd_like_min_weight(codes, side)[0] for side in "ef"], analyze_pair(codes.pair).degeneracy.distance)
 
     def test_offset_inside_span_skips_zero_word(self, z33_codes):
         code = z33_codes.d_e

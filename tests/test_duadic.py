@@ -47,10 +47,15 @@ from duadic.groups import (
     group_abelian,
     group_from_cayley,
 )
-from duadic.quantum import analyze_pair, degeneracy_report
+from duadic.quantum import analyze_pair
 
 from conftest import frobenius21_table, metacyclic_table
-from oracles import reference_pair_axioms, reference_pairs_from_cycles, reference_product_duadic
+from oracles import (
+    reference_degeneracy_sides,
+    reference_pair_axioms,
+    reference_pairs_from_cycles,
+    reference_product_duadic,
+)
 
 
 def tuple_elem(field, group, tuples):
@@ -802,10 +807,12 @@ class TestIdealMembership:
             found = [w * a == w for w in words]
             assert found == [code.contains(w.vec) for w in words]
             assert any(found) and not all(found)
-        assert analysis.degeneracy == degeneracy_report(analysis.css, cap=1)
+        named = (("C", analysis.codes.c_e), ("D-perp", analysis.duality.d_e_perp))
+        d = analysis.degeneracy.distance.value
+        assert analysis.degeneracy.sides == reference_degeneracy_sides(named, pair.witnesses, d, cap=1)
         for w in pair.witnesses:  # one at a time, so each side's count shows whether it holds w
             single = analyze_pair(DuadicPair(field, group, pair.e, pair.f, pair.mu, witnesses=(w,)), cap=1)
-            assert single.degeneracy == degeneracy_report(single.css, cap=1)
+            assert single.degeneracy.sides == reference_degeneracy_sides(named, (w,), d, cap=1)
 
 
 class TestClassifyDuality:

@@ -33,9 +33,7 @@ from duadic import (
     builtin_mu_swap,
     code_from_ideal,
     construct_pairs,
-    css_distance,
     cyclic_group,
-    degeneracy_report,
     difference_min_weight,
     duadic_codes,
     field_from_order,
@@ -45,7 +43,6 @@ from duadic import (
     multiplicative_order_mod,
     mu_action_on_class,
     odd_like_min_weight,
-    quantum_duadic,
     splitting_exists_mu_minus1,
     weight_distribution,
 )
@@ -58,7 +55,6 @@ MU = builtin_mu_minus1(Z7)
 PARTITION = fq_classes(Z7, 2)
 PAIR = construct_pairs(MU, GF2, Z7)[0]
 CODES = duadic_codes(PAIR)
-CSS = analyze_pair(PAIR).css
 ONE = AlgebraElement.one(GF9, Z7)
 
 # (callable, parameter) -> (the call with that parameter set to v and the
@@ -96,9 +92,7 @@ CASES = {
     ("analyze_pair", "cap"): (lambda v: analyze_pair(PAIR, v), 0, False),
     ("builtin_mu_swap", "q"): (lambda v: builtin_mu_swap(Z3X3, v), 3, True),
     ("code_from_ideal", "dim"): (lambda v: code_from_ideal(PAIR.e, v), -1, False),
-    ("css_distance", "cap"): (lambda v: css_distance(CSS, v), 0, False),
     ("cyclic_group", "n"): (lambda v: cyclic_group(v), 0, False),
-    ("degeneracy_report", "cap"): (lambda v: degeneracy_report(CSS, v), 0, False),
     ("difference_min_weight", "cap"): (lambda v: difference_min_weight(CODES.c_e, CODES.d_e, v), 0, False),
     ("field_from_order", "q"): (lambda v: field_from_order(v), 65537, False),
     ("field_make", "p"): (lambda v: field_make(v, 1), 65537, False),
@@ -108,7 +102,6 @@ CASES = {
     ("multiplicative_order_mod", "q"): (lambda v: multiplicative_order_mod(v, 7), 7, True),
     ("multiplicative_order_mod", "n"): (lambda v: multiplicative_order_mod(3, v), 0, False),
     ("odd_like_min_weight", "cap"): (lambda v: odd_like_min_weight(CODES, "e", v), 0, False),
-    ("quantum_duadic", "cap"): (lambda v: quantum_duadic(GF2, Z7, MU, v), 0, False),
     ("splitting_exists_mu_minus1", "n"): (lambda v: splitting_exists_mu_minus1(v, 2), 0, False),
     ("splitting_exists_mu_minus1", "q"): (lambda v: splitting_exists_mu_minus1(7, v), 7, True),
     ("weight_distribution", "cap"): (lambda v: weight_distribution(CODES.c_e, v), 0, False),

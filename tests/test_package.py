@@ -42,10 +42,7 @@ EXPECTED_ALL = [
     "classify_duality",
     "code_from_ideal",
     "construct_pairs",
-    "css_build",
-    "css_distance",
     "cyclic_group",
-    "degeneracy_report",
     "difference_min_weight",
     "dual",
     "duadic_codes",
@@ -67,7 +64,6 @@ EXPECTED_ALL = [
     "parse_cayley_text",
     "product_antiauto",
     "product_duadic",
-    "quantum_duadic",
     "read_cayley_file",
     "split_primitive_central_idempotents",
     "splitting_exists_mu_minus1",

@@ -1,4 +1,4 @@
-"""CSS construction, distances, and degeneracy evidence."""
+"""CSS codes of duadic pairs, their distances, and degeneracy evidence."""
 
 from __future__ import annotations
 
@@ -9,8 +9,8 @@ import pytest
 
 from duadic import _linalg, algebra, quantum
 from duadic import duadic as duadic_module
-from duadic.algebra import AlgebraElement, split_primitive_central_idempotents
-from duadic.codes import LinearCode, dual, weight_distribution
+from duadic.algebra import split_primitive_central_idempotents
+from duadic.codes import DEFAULT_ENUM_CAP, LinearCode, dual, weight_distribution
 from duadic.duadic import (
     DuadicPair,
     classify_duality,
@@ -22,17 +22,15 @@ from duadic.duadic import (
 from duadic.errors import EnumerationCapError, NoSplittingError
 from duadic.gf import field_from_order
 from duadic.groups import builtin_mu_minus1, builtin_mu_swap, cyclic_group, group_abelian
-from duadic.quantum import (
-    DistanceRecord,
-    analyze_pair,
-    css_build,
-    css_distance,
-    degeneracy_report,
-    quantum_duadic,
-)
+from duadic.quantum import DegeneracyReport, DistanceRecord, analyze_pair
 
 from conftest import enumerable_cells
-from oracles import macwilliams, naive_codewords, reference_odd_like_min_weight
+from oracles import (
+    macwilliams,
+    reference_css_distance,
+    reference_degeneracy_sides,
+    reference_odd_like_min_weight,
+)
 
 
 @pytest.fixture(scope="module")
@@ -40,78 +38,78 @@ def f2():
     return field_from_order(2)
 
 
+def canonical_analysis(field, group, mu, cap=DEFAULT_ENUM_CAP):
+    return analyze_pair(construct_pairs(mu, field, group)[0], cap)
+
+
 @pytest.fixture(scope="module")
 def steane(f2):
-    return quantum_duadic(f2, cyclic_group(7), builtin_mu_minus1(cyclic_group(7)))
+    return canonical_analysis(f2, cyclic_group(7), builtin_mu_minus1(cyclic_group(7)))
 
 
-def naive_css_distance(code):
-    """Min weight over (D \\ C) union (C-perp \\ D-perp) by full enumeration."""
-    field = code.field
-    best = None
-    for big, small in ((code.code_d, code.code_c), (dual(code.code_c), code.dual_d)):
-        for word in naive_codewords(field, big.gen):
-            vec = np.array(word, dtype=np.int64)
-            if small.contains(vec):
-                continue
-            w = int(np.count_nonzero(vec))
-            best = w if best is None else min(best, w)
-    return best
+@pytest.fixture(scope="module")
+def order81(f2):
+    g = group_abelian([3, 3])
+    pair = construct_pairs(builtin_mu_swap(g, 2), f2, g)[0]
+    return analyze_pair(product_duadic(pair, pair))
 
 
-class TestCssBuild:
+def reference_degeneracy(pair, codes, distance, cap):
+    """The degeneracy report the generic rules give: sides C_e and dual(D_e)."""
+    sides = reference_degeneracy_sides((("C", codes.c_e), ("D-perp", dual(codes.d_e))), pair.witnesses, distance.value, cap)
+    return DegeneracyReport(any(s.counts for s in sides), distance, sides)
+
+
+class TestCssCode:
     def test_c_equals_d_gives_k_zero(self, f2):
         c = LinearCode(f2, np.array([[1, 1, 0], [0, 1, 1]], dtype=np.int64))
-        code = css_build(c, c)
-        assert code.k == 0
+        assert quantum.CssCode(c, c, dual(c), dual(c)).k == 0
 
     def test_steane_parameters(self, steane):
-        assert (steane.n, steane.k) == (7, 1)
-        assert steane.distance == DistanceRecord(3, True, "coset-enumeration")
-        assert steane.params() == "[[7,1,3]]_2"
+        assert (steane.css.n, steane.css.k) == (7, 1)
+        assert steane.css.distance == DistanceRecord(3, True, "coset-enumeration")
+        assert steane.css.params() == steane.params() == "[[7,1,3]]_2"
 
     def test_rejects_non_nested(self, f2):
         c = LinearCode(f2, np.array([[1, 0, 0]], dtype=np.int64))
         d = LinearCode(f2, np.array([[0, 1, 0]], dtype=np.int64))
         with pytest.raises(ValueError, match="contained"):
-            css_build(c, d)
+            quantum.CssCode(c, d, dual(c), dual(d))
 
     def test_stabilizer_orthogonality(self, steane):
-        prod = _linalg.matmul(steane.field, steane.x_stabilizers, steane.z_stabilizers.T)
+        css = steane.css
+        prod = _linalg.matmul(css.field, css.x_stabilizers, css.z_stabilizers.T)
         assert not np.any(prod)
 
-    def test_k_identity(self, f2):
+    def test_k_identity(self):
         for n, q in [(7, 2), (11, 3)]:
-            field = field_from_order(q)
             g = cyclic_group(n)
-            pair = construct_pairs(builtin_mu_minus1(g), field, g)[0]
-            codes = duadic_codes(pair)
-            code = css_build(codes.c_e, codes.d_e)
-            assert code.k == codes.d_e.k - codes.c_e.k == 1
+            analysis = canonical_analysis(field_from_order(q), g, builtin_mu_minus1(g))
+            assert analysis.css.k == analysis.codes.d_e.k - analysis.codes.c_e.k == 1
 
 
 class TestCssDistance:
     def test_steane_exact(self, steane):
-        assert css_distance(steane) == DistanceRecord(3, True, "coset-enumeration")
+        assert steane.degeneracy.distance == DistanceRecord(3, True, "coset-enumeration")
 
     def test_matches_naive_both_sides(self, steane):
-        assert css_distance(steane).value == naive_css_distance(steane)
+        assert steane.css.distance.value == reference_css_distance(steane.codes.c_e, steane.codes.d_e)
 
     def test_z33_swap_exact_and_square_bound(self, f2):
         g = group_abelian([3, 3])
-        code = quantum_duadic(f2, g, builtin_mu_swap(g, 2))
-        assert code.params() == "[[9,1,3]]_2"
-        assert code.distance.exact
-        assert code.distance.value ** 2 >= 9
-        assert css_distance(code).value == naive_css_distance(code)
+        analysis = canonical_analysis(f2, g, builtin_mu_swap(g, 2))
+        assert analysis.params() == "[[9,1,3]]_2"
+        assert analysis.css.distance.exact
+        assert analysis.css.distance.value ** 2 >= 9
+        assert analysis.css.distance.value == reference_css_distance(analysis.codes.c_e, analysis.codes.d_e)
 
-    def test_cap_counts_the_difference_words(self, steane):
+    def test_cap_counts_the_difference_words(self, f2):
         # case i: the one difference D \ C holds 2^4 - 2^3 = 8 words
-        with pytest.raises(EnumerationCapError, match="^distance enumeration of 8 words exceeds cap 7$"):
-            css_distance(steane, cap=7)
-        assert css_distance(steane, cap=8) == DistanceRecord(3, True, "coset-enumeration")
-        with pytest.raises(EnumerationCapError):
-            css_distance(steane, cap=4)
+        g = cyclic_group(7)
+        tags = [canonical_analysis(f2, g, builtin_mu_minus1(g), cap).degeneracy.distance for cap in (4, 7, 8)]
+        assert tags == [DistanceRecord(3, False, "odd-like-sharpened-bound")] * 2 + [
+            DistanceRecord(3, True, "coset-enumeration")
+        ]
 
     def test_record_text(self):
         assert str(DistanceRecord(3, True, "coset-enumeration")) == "3 (exact, coset-enumeration)"
@@ -119,144 +117,85 @@ class TestCssDistance:
         assert bound.tag() == "lower-bound"
         assert str(bound) == "9 (lower-bound, odd-like-square-bound)"
 
-    def test_k_zero_rejected(self, f2):
-        c = LinearCode(f2, np.array([[1, 1, 0]], dtype=np.int64))
-        code = css_build(c, c)
-        with pytest.raises(ValueError, match="k = 0"):
-            css_distance(code)
-
     @pytest.mark.parametrize(
-        "group,mu_name,cap,build_calls",
+        "group,mu_name,cap",
         [
-            (cyclic_group(7), "mu-1", 1 << 24, 1),  # case i: D-perp = C, so C-perp = D
-            (cyclic_group(23), "mu-1", 100, 1),  # case i above the cap
-            (group_abelian([3, 3]), "swap", 1 << 24, 2),  # case ii: C-perp is a kernel of its own
-            (group_abelian([3, 3]), "swap", 16, 2),  # case ii above the cap
+            (cyclic_group(7), "mu-1", 1 << 24),  # case i: D-perp = C, so C-perp = D
+            (cyclic_group(23), "mu-1", 100),  # case i above the cap
+            (group_abelian([3, 3]), "swap", 1 << 24),  # case ii: C-perp = D_f
+            (group_abelian([3, 3]), "swap", 16),  # case ii above the cap
         ],
     )
-    def test_duals_come_from_css_build_alone(self, f2, monkeypatch, group, mu_name, cap, build_calls):
+    def test_duals_come_from_classify_duality_alone(self, f2, monkeypatch, group, mu_name, cap):
         mu = builtin_mu_minus1(group) if mu_name == "mu-1" else builtin_mu_swap(group, 2)
-        codes = duadic_codes(construct_pairs(mu, f2, group)[0])
-        calls = []
-        monkeypatch.setattr(quantum, "dual", lambda c: calls.append(c) or dual(c))
-        code = css_build(codes.c_e, codes.d_e)
-        assert len(calls) == build_calls
-        assert code.dual_c == dual(codes.c_e) and code.dual_d == dual(codes.d_e)
-        try:
-            record = css_distance(code, cap=cap)
-        except EnumerationCapError:
-            record = None
-        assert len(calls) == build_calls
-        if record is not None:
-            assert record.value == naive_css_distance(code)
+        pair = construct_pairs(mu, f2, group)[0]
+        calls = record_calls(monkeypatch, [duadic_module, quantum], "classify_duality")
+        analysis = analyze_pair(pair, cap=cap)
+        code = analysis.css
+        assert len(calls) == 1
+        assert (code.dual_c, code.dual_d) == (analysis.duality.c_e_perp, analysis.duality.d_e_perp)
+        assert code.dual_c == dual(code.code_c) and code.dual_d == dual(code.code_d)
+        if analysis.css.distance.exact:
+            assert analysis.css.distance.value == reference_css_distance(code.code_c, code.code_d)
 
 
-class TestQuantumDuadic:
+class TestPairPipeline:
     def test_steane(self, steane):
         assert steane.params() == "[[7,1,3]]_2"
-        d = steane.distance.value
+        d = steane.css.distance.value
         assert d * d - d + 1 >= 7
 
     def test_golay_23(self, f2):
         g = cyclic_group(23)
-        code = quantum_duadic(f2, g, builtin_mu_minus1(g))
-        assert code.params() == "[[23,1,7]]_2"
-        assert code.distance.exact
+        analysis = canonical_analysis(f2, g, builtin_mu_minus1(g))
+        assert analysis.css.params() == "[[23,1,7]]_2"
+        assert analysis.css.distance.exact
         assert 7 * 7 - 7 + 1 >= 23
 
     def test_no_splitting(self, f2):
         g = cyclic_group(9)
         with pytest.raises(NoSplittingError):
-            quantum_duadic(f2, g, builtin_mu_minus1(g))
+            canonical_analysis(f2, g, builtin_mu_minus1(g))
 
     def test_trivial_group_carries_no_pairs(self, f2):
         g = cyclic_group(1)
         with pytest.raises(NoSplittingError, match="^the trivial group carries no duadic pairs$"):
-            quantum_duadic(f2, g, builtin_mu_minus1(g))
+            canonical_analysis(f2, g, builtin_mu_minus1(g))
 
     def test_nonabelian_frobenius21_over_gf4(self, frobenius21):
-        f4 = field_from_order(4)
-        code = quantum_duadic(f4, frobenius21, builtin_mu_minus1(frobenius21))
-        assert code.params() == "[[21,1,6]]_4"
-        d = code.distance.value
-        assert code.distance.exact and d * d - d + 1 >= 21
+        analysis = canonical_analysis(field_from_order(4), frobenius21, builtin_mu_minus1(frobenius21))
+        assert analysis.css.params() == "[[21,1,6]]_4"
+        d = analysis.css.distance.value
+        assert analysis.css.distance.exact and d * d - d + 1 >= 21
 
     def test_nonabelian_heisenberg27_bound_above_cap(self, heisenberg27):
-        f4 = field_from_order(4)
-        code = quantum_duadic(f4, heisenberg27, builtin_mu_minus1(heisenberg27))
-        assert code.params() == "[[27,1,>=6]]_4"
-        assert not code.distance.exact
-        assert code.distance.provenance == "odd-like-sharpened-bound"
+        analysis = canonical_analysis(field_from_order(4), heisenberg27, builtin_mu_minus1(heisenberg27))
+        assert analysis.css.params() == "[[27,1,>=6]]_4"
+        assert not analysis.css.distance.exact
+        assert analysis.css.distance.provenance == "odd-like-sharpened-bound"
 
-    def test_order81_bound_tagged(self, f2):
-        g = group_abelian([3, 3])
-        pair = construct_pairs(builtin_mu_swap(g, 2), f2, g)[0]
-        prod = product_duadic(pair, pair)
-        codes = duadic_codes(prod)
-        code = css_build(codes.c_e, codes.d_e, witnesses=prod.witnesses)
+    def test_order81_bound_tagged(self, order81):
+        codes = order81.codes
         with pytest.raises(EnumerationCapError):
-            css_distance(code)
-        code.distance = analyze_pair(prod).degeneracy.distance
-        assert code.distance == DistanceRecord(9, False, "odd-like-square-bound")
-        assert code.params() == "[[81,1,>=9]]_2"
-        assert not code.distance.exact
+            reference_css_distance(codes.c_e, codes.d_e)
+        assert order81.css.distance == DistanceRecord(9, False, "odd-like-square-bound")
+        assert order81.css.params() == "[[81,1,>=9]]_2"
 
 
 class TestDegeneracy:
     def test_steane_not_degenerate(self, steane):
-        report = degeneracy_report(steane)
+        report = steane.degeneracy
         assert not report.degenerate
         assert all(s.exact and not s.counts for s in report.sides)
 
-    def test_order81_degenerate_with_weight4_words(self, f2):
-        g = group_abelian([3, 3])
-        pair = construct_pairs(builtin_mu_swap(g, 2), f2, g)[0]
-        prod = product_duadic(pair, pair)
-        codes = duadic_codes(prod)
-        code = css_build(codes.c_e, codes.d_e, witnesses=prod.witnesses)
-        code.distance = DistanceRecord(9, False, "odd-like-square-bound")
-        report = degeneracy_report(code)
+    def test_order81_degenerate_with_weight4_words(self, order81):
+        report = order81.degeneracy
         assert report.degenerate
         by_side = {s.side: s for s in report.sides}
         assert not by_side["C"].exact
         assert by_side["C"].counts and by_side["C"].counts[0][0] == 4
         assert by_side["C"].counts[0][1] >= 81
         assert by_side["D-perp"].counts and by_side["D-perp"].counts[0][0] == 4
-
-    @pytest.mark.parametrize("q", [2, 4])
-    def test_zero_dimensional_side(self, q):
-        # both sides are the zero code, enumerated like any other: over GF(4)
-        # the scalar-class subset of the tail ranks runs with no tail row
-        field = field_from_order(q)
-        full = LinearCode(field, np.eye(4, dtype=np.int64))
-        zero = LinearCode(field, np.zeros((0, 4), dtype=np.int64))
-        code = css_build(zero, full)
-        assert code.code_c.k == code.dual_d.k == 0
-        code.distance = DistanceRecord(4, True, "coset-enumeration")
-        report = degeneracy_report(code)
-        assert [(s.side, s.exact, s.counts) for s in report.sides] == [("C", True, ()), ("D-perp", True, ())]
-        assert not report.degenerate
-
-    def test_witness_counts_only_the_translates_the_side_contains(self, f2):
-        # C = span(1 + x) is no ideal of F_2[Z7]: of the seven shifts of its
-        # witness it holds one, whichever shift the witness is
-        z7 = cyclic_group(7)
-        word = np.array([1, 1, 0, 0, 0, 0, 0], dtype=np.int64)
-        full = LinearCode(f2, np.eye(7, dtype=np.int64))
-        for shift in (0, 1):
-            witness = AlgebraElement(f2, z7, np.roll(word, shift))
-            code = css_build(LinearCode(f2, word[None]), full, witnesses=(witness,))
-            code.distance = DistanceRecord(5, False, "odd-like-square-bound")
-            report = degeneracy_report(code, cap=1)
-            assert [(s.side, s.exact, s.counts) for s in report.sides] == [("C", False, ((2, 1),)), ("D-perp", True, ())]
-
-    def test_requires_distance(self, f2):
-        g = cyclic_group(7)
-        pair = construct_pairs(builtin_mu_minus1(g), f2, g)[0]
-        codes = duadic_codes(pair)
-        code = css_build(codes.c_e, codes.d_e)
-        with pytest.raises(ValueError, match="distance"):
-            degeneracy_report(code)
 
 
 class TestAnalyzePair:
@@ -274,11 +213,10 @@ class TestAnalyzePair:
             assert analysis.bound == odd_like_bound(pair)
             for side, record in zip("ef", analysis.odd_like):
                 assert record == DistanceRecord(reference_odd_like_min_weight(codes, side), True, "coset-enumeration")
-            code = css_build(codes.c_e, codes.d_e, witnesses=pair.witnesses)
-            code.distance = css_distance(code)
-            assert analysis.css.distance == code.distance
-            assert analysis.css.params() == code.params()
-            assert analysis.degeneracy == degeneracy_report(code)
+            distance = DistanceRecord(reference_css_distance(codes.c_e, codes.d_e), True, "coset-enumeration")
+            assert analysis.css.distance == distance
+            assert analysis.css.params() == analysis.params() == f"[[{group.order},1,{distance.value}]]_{field.q}"
+            assert analysis.degeneracy == reference_degeneracy(pair, codes, distance, DEFAULT_ENUM_CAP)
             a_ce = weight_distribution(codes.c_e)
             assert macwilliams(a_ce, field.q, codes.c_e.k) == list(weight_distribution(codes.d_e))
         assert cases == ({"i"} if mu.is_inversion_for(field) else {"ii"})
@@ -312,14 +250,13 @@ class TestAnalyzePair:
             except EnumerationCapError:
                 odd = fallback
             assert record == odd
-        code = css_build(codes.c_e, codes.d_e, witnesses=pair.witnesses)
         try:
-            code.distance = css_distance(code, cap=cap)
+            distance = DistanceRecord(reference_css_distance(codes.c_e, codes.d_e, cap), True, "coset-enumeration")
         except EnumerationCapError:
-            code.distance = fallback
-        assert analysis.css.distance == code.distance
-        assert analysis.degeneracy == degeneracy_report(code, cap=cap)
-        exact = (*(r.exact for r in analysis.odd_like), code.distance.exact, *(s.exact for s in analysis.degeneracy.sides))
+            distance = fallback
+        assert analysis.css.distance == distance
+        assert analysis.degeneracy == reference_degeneracy(pair, codes, distance, cap)
+        exact = (*(r.exact for r in analysis.odd_like), distance.exact, *(s.exact for s in analysis.degeneracy.sides))
         assert "".join("E" if e else "B" for e in exact) == tags[0] * 2 + tags[1] + tags[2] * 2
 
     @pytest.mark.parametrize(
@@ -330,7 +267,7 @@ class TestAnalyzePair:
             ([(group_abelian([3, 3]), "swap"), (cyclic_group(7), "mu-1")], 2, "mixed", 2**32),
         ],
     )
-    def test_css_rule_counts_the_words_css_distance_counts(self, factors, q, case, words):
+    def test_css_rule_counts_the_words_the_generic_rule_counts(self, factors, q, case, words):
         field = field_from_order(q)
         pairs = [
             construct_pairs(builtin_mu_minus1(g) if name == "mu-1" else builtin_mu_swap(g, q), field, g)[0]
@@ -341,18 +278,18 @@ class TestAnalyzePair:
         k = pair.group.order // 2
         assert analysis.case == case
         assert (q - 1) * q**k * (1 if case == "i" else 2) == words  # the CSS rule of `analyze_pair`
-        with pytest.raises(EnumerationCapError, match=f"^distance enumeration of {words} words exceeds cap 1$"):
-            css_distance(analysis.css, cap=1)
+        codes = analysis.codes
+        with pytest.raises(EnumerationCapError, match=f"^distance enumeration of {words} words exceeds cap {words - 1}$"):
+            reference_css_distance(codes.c_e, codes.d_e, cap=words - 1)
+        if case != "mixed":  # the tag flips where the rule says: past words - 1 the distance is enumerated
+            assert [analyze_pair(pair, cap).css.distance.exact for cap in (words - 1, words)] == [False, True]
 
-    def test_order81_product_all_bounds(self, f2):
-        g = group_abelian([3, 3])
-        pair = construct_pairs(builtin_mu_swap(g, 2), f2, g)[0]
-        analysis = analyze_pair(product_duadic(pair, pair))
-        assert analysis.css.params() == "[[81,1,>=9]]_2"
-        assert analysis.odd_like == (analysis.css.distance,) * 2
-        assert analysis.degeneracy == degeneracy_report(analysis.css)
-        assert analysis.degeneracy.degenerate
-        assert not any(side.exact for side in analysis.degeneracy.sides)
+    def test_order81_product_all_bounds(self, order81):
+        assert order81.css.params() == "[[81,1,>=9]]_2"
+        assert order81.odd_like == (order81.css.distance,) * 2
+        assert order81.degeneracy == reference_degeneracy(order81.pair, order81.codes, order81.css.distance, DEFAULT_ENUM_CAP)
+        assert order81.degeneracy.degenerate
+        assert not any(side.exact for side in order81.degeneracy.sides)
 
 
 def record_calls(monkeypatch, owners, name: str) -> list:
@@ -388,6 +325,43 @@ class TestWorkCounts:
         assert not analysis.css.distance.exact
         assert len(inclusions) == 1  # C_e inside D_e, by CssCode
         assert not [caller for caller, _ in products if caller == quantum.__file__]
+
+    def test_exact_cell_builds_its_css_code_on_first_read(self, f2, monkeypatch):
+        # case i under the cap: every inclusion test is an enumerator's own
+        # nesting check until `css` is read, which builds the code once
+        group = cyclic_group(7)
+        pair = construct_pairs(builtin_mu_minus1(group), f2, group)[0]
+        builds = record_calls(monkeypatch, [quantum], "CssCode")
+        inclusions = []
+        original = _linalg.in_row_space
+
+        def in_row_space(*args):
+            frame, names = sys._getframe(1), set()
+            while frame is not None:
+                names.add(frame.f_code.co_name)
+                frame = frame.f_back
+            inclusions.append(names)
+            return original(*args)
+
+        monkeypatch.setattr(_linalg, "in_row_space", in_row_space)
+        analysis = analyze_pair(pair)
+        assert analysis.case == "i" and analysis.params() == "[[7,1,3]]_2"
+        assert not builds and inclusions
+        assert all("difference_min_weight" in names for names in inclusions)
+        checked = len(inclusions)
+        assert analysis.css.params() == "[[7,1,3]]_2" and analysis.css is analysis.css
+        assert len(builds) == 1 and len(inclusions) == checked + 1  # C_e inside D_e, by CssCode
+
+    @pytest.mark.parametrize("group,mu_name,case", [(cyclic_group(7), "mu-1", "i"), (group_abelian([3, 3]), "swap", "ii")])
+    def test_css_distance_runs_each_difference_of_its_case(self, f2, monkeypatch, group, mu_name, case):
+        mu = builtin_mu_minus1(group) if mu_name == "mu-1" else builtin_mu_swap(group, 2)
+        pair = construct_pairs(mu, f2, group)[0]
+        differences = record_calls(monkeypatch, [quantum], "difference_min_weight")
+        analysis = analyze_pair(pair)
+        codes, duality = analysis.codes, analysis.duality
+        expected = [(codes.c_e, codes.d_e)] + ([(duality.d_e_perp, duality.c_e_perp)] if case == "ii" else [])
+        assert analysis.case == case and analysis.css.distance.exact
+        assert [args[:2] for _, args in differences] == expected
 
     @pytest.mark.parametrize("mode", ["canonical", "enumerate-all"])
     def test_pairing_applies_mu_to_no_idempotent(self, f2, monkeypatch, mode):
