@@ -9,8 +9,8 @@ import pytest
 
 from duadic import _linalg, algebra, quantum
 from duadic import duadic as duadic_module
-from duadic.algebra import split_primitive_central_idempotents
-from duadic.codes import DEFAULT_ENUM_CAP, LinearCode, dual, weight_distribution
+from duadic.algebra import AlgebraElement, apply_antiauto, split_primitive_central_idempotents
+from duadic.codes import DEFAULT_ENUM_CAP, LinearCode, difference_min_weight, dual, weight_distribution
 from duadic.duadic import (
     DuadicPair,
     classify_duality,
@@ -111,6 +111,13 @@ class TestCssDistance:
             DistanceRecord(3, True, "coset-enumeration")
         ]
 
+    def test_k_zero_rejected(self, f2):
+        # a k = 0 CssCode has no D \ C to enumerate, and the enumerator says so
+        c = LinearCode(f2, np.array([[1, 1, 0]], dtype=np.int64))
+        code = quantum.CssCode(c, c, dual(c), dual(c))
+        with pytest.raises(ValueError, match="set difference is empty"):
+            difference_min_weight(code.code_c, code.code_d)
+
     def test_record_text(self):
         assert str(DistanceRecord(3, True, "coset-enumeration")) == "3 (exact, coset-enumeration)"
         bound = DistanceRecord(9, False, "odd-like-square-bound")
@@ -196,6 +203,60 @@ class TestDegeneracy:
         assert by_side["C"].counts and by_side["C"].counts[0][0] == 4
         assert by_side["C"].counts[0][1] >= 81
         assert by_side["D-perp"].counts and by_side["D-perp"].counts[0][0] == 4
+
+    def test_report_carries_the_css_distance(self, steane, order81):
+        # the evidence is the words below the CSS code's own distance record
+        for analysis in (steane, order81):
+            report = analysis.degeneracy
+            assert report.distance is analysis.css.distance
+            assert all(w < report.distance.value for s in report.sides for w, _ in s.counts)
+            assert report.degenerate == any(s.counts for s in report.sides)
+
+    @pytest.mark.parametrize("q", [2, 4])
+    def test_zero_dimensional_side(self, q):
+        # both sides are the zero code, enumerated like any other: over GF(4)
+        # the scalar-class subset of the tail ranks runs with no tail row
+        field = field_from_order(q)
+        full = LinearCode(field, np.eye(4, dtype=np.int64))
+        zero = LinearCode(field, np.zeros((0, 4), dtype=np.int64))
+        code = quantum.CssCode(zero, full, dual(zero), dual(full))
+        assert (code.k, code.code_c.k, code.dual_d.k) == (4, 0, 0)
+        assert weight_distribution(zero).tolist() == weight_distribution(code.dual_d).tolist() == [1, 0, 0, 0, 0]
+        assert difference_min_weight(zero, full)[0] == reference_css_distance(zero, full) == 1
+        sides = reference_degeneracy_sides((("C", code.code_c), ("D-perp", code.dual_d)), (), 4)
+        assert [(s.side, s.exact, s.counts) for s in sides] == [("C", True, ()), ("D-perp", True, ())]
+
+    def test_witness_counts_only_the_translates_the_side_contains(self, f2):
+        # C = span(1 + x) is no ideal of F_2[Z7]: of the seven shifts of its
+        # witness the oracle's row-space test holds one, whichever shift the
+        # witness is
+        z7 = cyclic_group(7)
+        word = np.array([1, 1, 0, 0, 0, 0, 0], dtype=np.int64)
+        code = LinearCode(f2, word[None])
+        for shift in (0, 1):
+            witness = AlgebraElement(f2, z7, np.roll(word, shift))
+            sides = reference_degeneracy_sides((("C", code),), (witness,), 5, cap=1)
+            assert [(s.side, s.exact, s.counts) for s in sides] == [("C", False, ((2, 1),))]
+
+    @pytest.mark.parametrize("side", ["C", "D-perp"])
+    @pytest.mark.parametrize("group,mu_name", [(cyclic_group(7), "mu-1"), (group_abelian([3, 3]), "swap")])
+    def test_ideal_test_counts_the_translates_the_row_space_test_counts(self, f2, group, mu_name, side):
+        # on the ideal sides C = Re and D-perp = R mu_-1(f), w a = w admits a
+        # witness, and then all its translates, exactly where the row-space
+        # test of each translate does; d = n counts every nonzero weight
+        mu = builtin_mu_minus1(group) if mu_name == "mu-1" else builtin_mu_swap(group, 2)
+        pair = construct_pairs(mu, f2, group)[0]
+        analysis = analyze_pair(pair)
+        codes, duality = analysis.codes, analysis.duality
+        a, code = (pair.e, codes.c_e) if side == "C" else (apply_antiauto(builtin_mu_minus1(group), pair.f), duality.d_e_perp)
+        pair_word = np.zeros(group.order, dtype=np.int64)
+        pair_word[:2] = 1
+        rows = (*codes.c_e.gen, *codes.d_e.gen, *duality.c_e_perp.gen, *duality.d_e_perp.gen, pair_word)
+        witnesses = tuple(AlgebraElement(f2, group, row) for row in rows)
+        assert any(w * a == w for w in witnesses) and not all(w * a == w for w in witnesses)
+        evidence = quantum._witness_side(side, witnesses, group.order, a)
+        assert (evidence,) == reference_degeneracy_sides(((side, code),), witnesses, group.order, cap=1)
+        assert evidence.counts and not evidence.exact
 
 
 class TestAnalyzePair:
