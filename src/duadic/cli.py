@@ -5,7 +5,8 @@ Exit codes: 0 ok, 1 usage error, 2 no splitting, 3 verification failure, 130 int
 141 stdout closed.
 
 One writer produces the `--json` text: `_write_json` gives the bytes of
-json.dumps(..., indent=2), and `_PairRows.chunks` writes each pair list in
+json.dumps(..., indent=2) for report values (dicts with str keys, lists,
+str, int, bool and None), and `_PairRows.chunks` writes each pair list in
 its place.  `tests/test_cli.py::TestJsonWriter` (its corner cases) and
 `tests/test_cli_properties.py::test_emit_json_matches_the_indenting_encoder`
 (drawn reports) pin it byte for byte to json.dumps.  `--help` shows the
@@ -175,26 +176,27 @@ def _json_chunks(reports: list[CodeReport]):
 
 
 def _write_json(value, pad: str, out: list) -> None:
-    """Append the text json.dumps(value, indent=2) gives, for a value on a
-    line indented by pad, to out; a `_PairRows` is appended as (rows, pad).
-    A dict's scalar items are written inline, with no call of their own."""
+    """Append the text json.dumps(value, indent=2) gives, for a report value
+    on a line indented by pad, to out; a `_PairRows` is appended as (rows,
+    pad).  A report value is a dict with str keys, a list, or a scalar of
+    `_JSON_SCALARS`; a dict's scalar items are written inline, with no call
+    of their own."""
     if type(value) is _PairRows:
         out.append((value, pad))
-    elif not isinstance(value, (dict, list, tuple)):
-        out.append(_json_scalar(value))
+    elif not isinstance(value, (dict, list)):
+        out.append(_JSON_SCALARS[type(value)](value))
     elif not value:
         out.append("{}" if isinstance(value, dict) else "[]")
     elif isinstance(value, dict):
         inner = pad + "  "
         sep = "{\n" + inner
         for key, item in value.items():
-            key = encode_basestring_ascii(key) if type(key) is str else _json_key(key)
             text = _JSON_SCALARS.get(type(item))
             if text is None:
-                out.append(f"{sep}{key}: ")
+                out.append(f"{sep}{encode_basestring_ascii(key)}: ")
                 _write_json(item, inner, out)
             else:
-                out.append(f"{sep}{key}: {text(item)}")
+                out.append(f"{sep}{encode_basestring_ascii(key)}: {text(item)}")
             sep = ",\n" + inner
         out.append(f"\n{pad}}}")
     else:
@@ -207,41 +209,13 @@ def _write_json(value, pad: str, out: list) -> None:
         out.append(f"\n{pad}]")
 
 
-def _float_text(value: float) -> str:
-    """json's text of a float: NaN and the infinities by their JavaScript names."""
-    if value != value:
-        return "NaN"
-    return "Infinity" if value == math.inf else "-Infinity" if value == -math.inf else float.__repr__(value)
-
-
-# json's text of each scalar type, by exact type
+# json's text of each scalar type of a report, by exact type
 _JSON_SCALARS = {
     str: encode_basestring_ascii,
     int: int.__repr__,
-    float: _float_text,
     bool: {False: "false", True: "true"}.__getitem__,
     type(None): lambda value: "null",
 }
-
-
-def _json_scalar(value) -> str:
-    """json's text of a str, None, a bool, an int or a float, where a
-    subclass of str, int or float is written as its base; TypeError for
-    anything else."""
-    for kind in (type(value), str, int, float):
-        if kind in _JSON_SCALARS and isinstance(value, kind):
-            return _JSON_SCALARS[kind](value)
-    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
-
-
-def _json_key(key) -> str:
-    """A dict key as json.dumps quotes it: a str as it is, None, a bool, an
-    int or a float by its text as a value; TypeError for any other key."""
-    if isinstance(key, str):
-        return encode_basestring_ascii(key)
-    if key is None or isinstance(key, (int, float)):
-        return f'"{_json_scalar(key)}"'
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ a mu image moves the pivots with the columns, an added vector joins as one
 row, and a dual's kernel basis is systematic on the free columns.  Two codes
 are equal iff their row spaces are, which is their RREFs being equal.
 Coordinates are indexed by group element id for ideal-generated codes;
-`duadic_codes` eliminates C_e alone, from k + 4 translates, and derives the
+`duadic_codes` eliminates C_e alone, from its n translates, and derives the
 other three codes of a pair from it.
 
 Exhaustive enumeration splits each coset word into head + tail; the word is
@@ -99,23 +99,9 @@ class LinearCode:
         return _linalg.in_row_space(self.field, self.gen, self.pivots, v)
 
 
-def code_from_ideal(e: AlgebraElement, dim: int | None = None) -> LinearCode:
-    """Row space of {g*e : g in G}.  Given dim Re, only dim + 4 translates
-    are eliminated, and all n unless their rank is dim (they lie in Re, so a
-    rank above dim shows the hint low).  They are the translates by the ids
-    j s mod n, j = 0, 1, ..., with s the integer coprime to n nearest n/phi
-    (phi the golden ratio): in a cyclic group these are powers of a
-    generator, any dim of them consecutive span Re, and in a product group
-    they spread over the factors rather than fill a box of the first."""
-    translates = e.vec[e.group.left_translation]
-    if dim is not None:
-        n = len(translates)
-        target = n / ((1 + 5**0.5) / 2)
-        stride = min((s for s in range(1, n) if math.gcd(s, n) == 1), key=lambda s: abs(s - target), default=1)
-        code = LinearCode(e.field, translates[np.arange(min(as_int(dim, "dimension", lo=0) + 4, n)) * stride % n])
-        if code.k == dim:
-            return code
-    return LinearCode(e.field, translates)
+def code_from_ideal(e: AlgebraElement) -> LinearCode:
+    """Row space of {g*e : g in G}: the RREF of all n translates of e."""
+    return LinearCode(e.field, e.vec[e.group.left_translation])
 
 
 def _in_ideal(code: LinearCode, a: AlgebraElement) -> LinearCode:

@@ -369,9 +369,9 @@ def duadic_codes(pair: DuadicPair) -> DuadicCodes:
 
     C_e is the pair's one elimination.  The axioms DuadicPair checks make e,
     f and Ghat orthogonal idempotents with sum 1, and mu maps Re onto Rf, so
-    R = Re + Rf + F Ghat is direct with dim Re = k = (n-1)/2: any k
-    independent translates of e span Re, and k + 4 of them are eliminated
-    (all n only when their rank falls short; `code_from_ideal`).  The other codes keep the
+    R = Re + Rf + F Ghat is direct with dim Re = k = (n-1)/2.  All n
+    translates of e, which span Re, are eliminated (`code_from_ideal`), and
+    the other three codes, derived from C_e below, keep the
     systematic form they are derived in.  mu is a semilinear bijection of R
     with mu(g e) = f mu(g), so C_f = mu(C_e), its k rows mapped; 1 - f = e +
     Ghat with e Ghat = 0, so D_e = C_e + span(Ghat), one row added.  mu
@@ -385,7 +385,7 @@ def duadic_codes(pair: DuadicPair) -> DuadicCodes:
     field, group = pair.field, pair.group
     n = group.order
     one = AlgebraElement.one(field, group)
-    c_e = code_from_ideal(pair.e, (n - 1) // 2)
+    c_e = code_from_ideal(pair.e)
     c_f = _mu_image(c_e, pair.mu, pair.f)
     d_e = _plus_vector(c_e, pair.ghat.vec, one - pair.f)
     d_f = _mu_image(d_e, pair.mu, one - pair.e)

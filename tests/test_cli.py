@@ -675,8 +675,8 @@ class TestConstruct:
                 raise VerificationError("the stack sum is not split")
             return split_values(field, unit, times)
 
-        def drop_a_row(e, dim=None):
-            return codes.LinearCode(e.field, from_ideal(e, dim).gen[1:])
+        def drop_a_row(e):
+            return codes.LinearCode(e.field, from_ideal(e).gen[1:])
 
         patches = {
             "component-count": (algebra, "_split_units", lambda field, units, times: units),
@@ -929,43 +929,28 @@ class TestJsonWriter:
     bytes; `test_cli_properties.py::test_emit_json_matches_the_indenting_encoder`
     draws the rest."""
 
-    def test_keys_that_are_not_strings(self):
-        assert_written_as_json_dumps({0: None})
-        assert_written_as_json_dumps({True: 1, False: [], None: {}, 1.5: "x", -3: 2**70})
-        assert_written_as_json_dumps({math.nan: 1, math.inf: 2, -math.inf: 3, -0.0: 4})
-
-    def test_floats_nan_infinities_and_negative_zero(self):
-        assert_written_as_json_dumps([math.nan, math.inf, -math.inf, -0.0, 0.1, 1e300, 5e-324])
-
     def test_ints_past_64_bits(self):
         assert_written_as_json_dumps([2**63 - 1, 2**63, 2**64, -(2**63) - 1, 10**40])
 
-    def test_tuples_and_empty_containers(self):
-        assert_written_as_json_dumps((1, ("a", ()), [], {}, [[]], {"": {}}))
+    def test_empty_containers(self):
+        assert_written_as_json_dumps([1, ["a", []], [], {}, [[]], {"": {}}])
         assert emit_json([]) == json.dumps([], indent=2) + "\n" == "[]\n"
 
     def test_non_ascii_and_control_characters(self):
         assert_written_as_json_dumps({"\u00e9\u2028\U0001f600": "\x00\x1f\x7f\"\\/\n\t"})
 
+    def test_a_value_outside_the_report_vocabulary_is_refused(self):
+        # no report holds a float, a tuple, a numpy scalar or a key that is not a str
+        for value in (0.5, (1,), np.int64(3), {"k": math.nan}):
+            with pytest.raises(KeyError):
+                emit_json([CodeReport("7", 2, "mu-1", existence=value)])
+        with pytest.raises(TypeError):
+            emit_json([CodeReport("7", 2, "mu-1", existence={0: None})])
+
     def test_the_old_pairs_mark_is_a_plain_string(self):
         assert_written_as_json_dumps("\0pairs")
         report = CodeReport("\0pairs", 2, "mu-1", pairs=["\0pairs"], dims={"pairs": "\0pairs"})
         assert emit_json([report]) == json.dumps([report.to_dict()], indent=2) + "\n"
-
-    def test_subclasses_of_str_int_and_float_are_written_as_their_bases(self):
-        name, count, ratio = type("Name", (str,), {}), type("Count", (int,), {}), type("Ratio", (float,), {})
-        assert_written_as_json_dumps({name("k"): [name("v"), count(3), ratio(0.5), ratio("nan")], count(2): ratio(1.5)})
-        assert_written_as_json_dumps([np.float64(0.1), {np.float64(-0.0): np.float64("inf")}])
-
-    def test_what_json_dumps_refuses_is_refused_with_its_message(self):
-        for value, message in [
-            ({(1, 2): 0}, "keys must be str, int, float, bool or None, not tuple"),
-            (np.int64(3), "Object of type int64 is not JSON serializable"),
-        ]:
-            with pytest.raises(TypeError, match=f"^{message}$"):
-                json.dumps(value, indent=2)
-            with pytest.raises(TypeError, match=f"^{message}$"):
-                emit_json([CodeReport("7", 2, "mu-1", existence=value)])
 
 
 class TestJsonRoundTrip:
@@ -1087,8 +1072,8 @@ class TestVerify:
         # 19 over GF(4) has q^k = 2^18 over the suite's cap of 2^16: C_e one row short fails there
         real = duadic.duadic.code_from_ideal
 
-        def short(e, dim=None):
-            code = real(e, dim)
+        def short(e):
+            code = real(e)
             return codes.LinearCode(e.field, code.gen[1:]) if (e.group.order, e.field.q) == (19, 4) else code
 
         monkeypatch.setattr(duadic.duadic, "code_from_ideal", short)

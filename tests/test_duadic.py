@@ -716,7 +716,7 @@ def derivation_pairs(name: str) -> list[DuadicPair]:
 
 
 class TestCodeDerivation:
-    """C_e comes from k + 4 translates, and C_f, D_e and D_f from C_e by mu
+    """C_e comes from its n translates, and C_f, D_e and D_f from C_e by mu
     and by one added row."""
 
     @pytest.mark.parametrize("name", [*_DERIVATION_CELLS, "3x3,3x3-q2-product"])
@@ -748,9 +748,16 @@ class TestCodeDerivation:
 
     @pytest.mark.parametrize(
         "name,case",
-        [("23-q2", "i"), ("3x3-q2-swap", "ii"), ("19-q4", "i"), ("5x5-q3-swap", "ii"), ("3x3,7-q2-product", "mixed")],
+        [
+            ("23-q2", "i"),
+            ("3x3-q2-swap", "ii"),
+            ("19-q4", "i"),
+            ("5x5-q3-swap", "ii"),
+            ("3x3,7-q2-product", "mixed"),
+            ("3x3,3x3-q2-product", "ii"),
+        ],
     )
-    def test_one_elimination_of_k_plus_4_translates(self, name, case, monkeypatch):
+    def test_one_elimination_of_the_n_translates(self, name, case, monkeypatch):
         pair = derivation_pairs(name)[0]
         rows = []
         rref = _linalg.rref
@@ -760,7 +767,7 @@ class TestCodeDerivation:
         # a cell with q^k over the cap builds its codes on first read
         assert rows == ([] if pair.field.q ** (pair.group.order // 2) > 1 << 12 else rows[:1])
         # C_e alone is eliminated; the mixed duals mu_-1(D_f) and mu_-1(C_f) are mapped rows
-        assert analysis.css.k == 1 and rows == [(pair.group.order - 1) // 2 + 4]
+        assert analysis.css.k == 1 and rows == [pair.group.order]
 
 
 def _canonical_pair(q: int, spec: str, mu: str) -> DuadicPair:

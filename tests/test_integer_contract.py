@@ -7,8 +7,8 @@ refuses a float, an integral float, a str, a bool and a value one past its
 documented range with a ValueError raised in `duadic`, never with numpy's
 IndexError, AttributeError or OverflowError, and never with a result.  2^70
 gives a result or that ValueError, without stalling.  -1 is refused where
-the range excludes it (an id, an index, an order, a degree, a dimension, a
-cap, or an exponent the docstring bounds below) and taken everywhere else.
+the range excludes it (an id, an index, an order, a degree, a cap, or an
+exponent the docstring bounds below) and taken everywhere else.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from duadic import (
     analyze_pair,
     builtin_mu_minus1,
     builtin_mu_swap,
-    code_from_ideal,
     construct_pairs,
     cyclic_group,
     difference_min_weight,
@@ -91,7 +90,6 @@ CASES = {
     ("Group.element_tuple", "g"): (lambda v: Z3X3.element_tuple(v), 9, False),
     ("analyze_pair", "cap"): (lambda v: analyze_pair(PAIR, v), 0, False),
     ("builtin_mu_swap", "q"): (lambda v: builtin_mu_swap(Z3X3, v), 3, True),
-    ("code_from_ideal", "dim"): (lambda v: code_from_ideal(PAIR.e, v), -1, False),
     ("cyclic_group", "n"): (lambda v: cyclic_group(v), 0, False),
     ("difference_min_weight", "cap"): (lambda v: difference_min_weight(CODES.c_e, CODES.d_e, v), 0, False),
     ("field_from_order", "q"): (lambda v: field_from_order(v), 65537, False),
