@@ -939,11 +939,18 @@ class TestJsonWriter:
     def test_non_ascii_and_control_characters(self):
         assert_written_as_json_dumps({"\u00e9\u2028\U0001f600": "\x00\x1f\x7f\"\\/\n\t"})
 
-    def test_a_value_outside_the_report_vocabulary_is_refused(self):
-        # no report holds a float, a tuple, a numpy scalar or a key that is not a str
-        for value in (0.5, (1,), np.int64(3), {"k": math.nan}):
-            with pytest.raises(KeyError):
-                emit_json([CodeReport("7", 2, "mu-1", existence=value)])
+    @pytest.mark.parametrize(
+        "value",
+        [0.5, (1,), np.int64(3), {"k": math.nan}, type("Name", (str,), {})("v")],
+        ids=["float", "tuple", "numpy-int", "nested-nan", "str-subclass"],
+    )
+    def test_a_value_outside_the_report_vocabulary_is_refused(self, value):
+        # no report holds a float, a tuple, a numpy scalar or a subclass of a
+        # scalar type: the lookup by exact type finds none of them
+        with pytest.raises(KeyError):
+            emit_json([CodeReport("7", 2, "mu-1", existence=value)])
+
+    def test_a_key_that_is_not_a_str_is_refused(self):
         with pytest.raises(TypeError):
             emit_json([CodeReport("7", 2, "mu-1", existence={0: None})])
 

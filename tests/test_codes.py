@@ -103,6 +103,17 @@ class TestCodeFromIdeal:
         shuffled = LinearCode(gf2, c.gen[::-1].copy())
         assert shuffled == c
 
+    @pytest.mark.parametrize("product", [False, True])
+    def test_the_translates_give_the_whole_ideal(self, gf2, product):
+        # Re has dimension (n-1)/2, holds e, and is closed under translation
+        group = cyclic_group(23) if not product else group_abelian([3, 3])
+        mu = builtin_mu_minus1(group) if not product else builtin_mu_swap(group, 2)
+        pair = construct_pairs(mu, gf2, group)[0]
+        e = (pair if not product else product_duadic(pair, pair)).e
+        ideal = code_from_ideal(e)
+        assert ideal.k == e.group.order // 2 and ideal.contains(e.vec)
+        assert all(ideal.contains(v) for row in ideal.gen for v in row[e.group.left_translation])
+
 
 class TestDual:
     def test_zero_code_dual_is_full_space(self, gf2):
