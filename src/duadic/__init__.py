@@ -32,7 +32,6 @@ from .duadic import (
     DuadicPair,
     SplittingCheck,
     check_splitting,
-    classify_duality,
     construct_pairs,
     duadic_codes,
     odd_like_bound,
@@ -103,7 +102,6 @@ __all__ = [
     "builtin_mu_minus1",
     "builtin_mu_swap",
     "check_splitting",
-    "classify_duality",
     "code_from_ideal",
     "construct_pairs",
     "cyclic_group",

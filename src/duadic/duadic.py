@@ -1,16 +1,17 @@
 """Duadic pairs in F_q[G]: splitting existence, construction of the four
-codes, duality classification, odd-like weight bounds, and product pairs.
+codes and their checked duals, odd-like weight bounds, and product pairs.
 
 A duadic pair is a pair of even-like central idempotents (e, f) with
 e + f = 1 - Ghat that an isometric antiautomorphism mu swaps.  The class
 criterion alone decides whether mu splits (`check_splitting`).  Each fact
 is checked once, where it is established: `construct_pairs` that mu fixes
 as many idempotents as classes, `DuadicPair` the four axioms that imply
-the rest, and `duadic_codes` the four dimensions and that each code
-derived from C_e, the pair's one elimination, lies in its ideal.  A report
-that enumerates nothing builds no code (`analyze_pair`): its dimensions and
-duality case rest on the idempotent identities, and the matrix identities
-run when a code is built, and in `verify structure` and the tests.
+the rest, and `duadic_codes` the four dimensions, that each code derived
+from C_e, the pair's one elimination, lies in its ideal, and the dual
+identities of the pair's duality case.  A report that enumerates nothing
+builds no code (`analyze_pair`): its dimensions and duality case rest on
+the idempotent identities, and the matrix identities run when a code is
+built, and in `verify structure` and the tests.
 """
 
 from __future__ import annotations
@@ -355,17 +356,21 @@ class _PairStacks(Sequence):
 
 @dataclass(frozen=True)
 class DuadicCodes:
-    """The four codes of a pair: even-like C_e, C_f and odd-like D_e, D_f."""
+    """The four codes of a pair, even-like C_e, C_f and odd-like D_e, D_f,
+    and the duals of C_e and D_e that its inversion-duality case gives."""
 
     pair: DuadicPair
     c_e: LinearCode
     c_f: LinearCode
     d_e: LinearCode
     d_f: LinearCode
+    c_e_perp: LinearCode
+    d_e_perp: LinearCode
 
 
 def duadic_codes(pair: DuadicPair) -> DuadicCodes:
-    """Build C_e = Re, C_f = Rf, D_e = R(1-f) and D_f = R(1-e) and verify them.
+    """Build C_e = Re, C_f = Rf, D_e = R(1-f) and D_f = R(1-e), the duals of
+    C_e and D_e, and verify them.
 
     C_e is the pair's one elimination.  The axioms DuadicPair checks make e,
     f and Ghat orthogonal idempotents with sum 1, and mu maps Re onto Rf, so
@@ -381,7 +386,14 @@ def duadic_codes(pair: DuadicPair) -> DuadicCodes:
     tables of C_e and D_e, and each coset is scanned once for both sides
     (`coset_min_weight`).  A derived code X of the idempotent a lies in Ra
     (x a = x for its rows, checked), and the dimensions checked below are
-    the ideals', which make C_e = Re and X = Ra."""
+    the ideals', which make C_e = Re and X = Ra.
+
+    The duals follow `duality_case`.  When mu_-1 swaps e and f (case i) or
+    fixes them (case ii) they are codes already built.  Otherwise ("mixed")
+    C_e-perp = mu_-1(D_f) and D_e-perp = mu_-1(C_f), each a built code's
+    rows mapped.  Each identity of the case is checked once by `check_dual`
+    (VerificationError if it fails); D_e-perp = C_e in case i and = C_f in
+    case ii follow from the C_e and C_f identities by taking duals."""
     field, group = pair.field, pair.group
     n = group.order
     one = AlgebraElement.one(field, group)
@@ -398,18 +410,20 @@ def duadic_codes(pair: DuadicPair) -> DuadicCodes:
     bad = [f"{name}: {got} != {want}" for name, (got, want) in expected.items() if got != want]
     if bad:
         raise VerificationError("; ".join(bad))
-    return DuadicCodes(pair, c_e, c_f, d_e, d_f)
-
-
-@dataclass(frozen=True)
-class DualityReport:
-    """Which inversion-duality case applies, the names of its dual
-    identities, each checked, and the duals of C_e and D_e they give."""
-
-    case: str  # "i" (mu_-1 swaps e and f), "ii" (mu_-1 fixes them), or "mixed"
-    equalities: tuple[str, ...]
-    c_e_perp: LinearCode
-    d_e_perp: LinearCode
+    case, _ = duality_case(pair)
+    if case == "i":
+        c_e_perp, d_e_perp, checks = d_e, c_e, [(c_e, d_e), (c_f, d_f)]
+    elif case == "ii":
+        c_e_perp, d_e_perp, checks = d_f, c_f, [(c_e, d_f), (c_f, d_e)]
+    else:
+        mu1 = builtin_mu_minus1(group)
+        m1f = apply_antiauto(mu1, pair.f)
+        c_e_perp = _mu_image(d_f, mu1, m1f + pair.ghat)  # mu_-1(1 - e) = mu_-1(f) + Ghat
+        d_e_perp = _mu_image(c_f, mu1, m1f)
+        checks = [(d_e_perp, d_e), (c_e, c_e_perp)]  # the C_f identity, mapped by mu_-1, then C_e's
+    for code, other in checks:
+        check_dual(code, other)
+    return DuadicCodes(pair, c_e, c_f, d_e, d_f, c_e_perp, d_e_perp)
 
 
 def duality_case(pair: DuadicPair) -> tuple[str, tuple[str, ...]]:
@@ -422,36 +436,6 @@ def duality_case(pair: DuadicPair) -> tuple[str, tuple[str, ...]]:
     if pair.fixed_by_mu_minus1:
         return "ii", ("C_e-perp = D_f", "C_f-perp = D_e")
     return "mixed", ("C_e-perp = R(1 - mu_-1(e))",)
-
-
-def classify_duality(pair: DuadicPair, codes: DuadicCodes | None = None) -> DualityReport:
-    """Check the dual identities C_e-perp = D_e (case i) / D_f (case ii).
-
-    The case and the identities are `duality_case`'s.  When mu_-1 swaps e
-    and f (case i) or fixes them (case ii) the duals are codes already
-    built.  Otherwise ("mixed") C_e-perp = mu_-1(D_f) and D_e-perp =
-    mu_-1(C_f), each a built code's rows mapped.
-    Each identity is checked once by `check_dual` (VerificationError if it
-    fails); D_e-perp = C_e in case i and = C_f in case ii follow from the
-    C_e and C_f identities by taking duals.
-    """
-    if codes is None:
-        codes = duadic_codes(pair)
-    c_e, c_f, d_e, d_f = codes.c_e, codes.c_f, codes.d_e, codes.d_f
-    case, names = duality_case(pair)
-    if case == "i":
-        c_e_perp, d_e_perp, checks = d_e, c_e, [(c_e, d_e), (c_f, d_f)]
-    elif case == "ii":
-        c_e_perp, d_e_perp, checks = d_f, c_f, [(c_e, d_f), (c_f, d_e)]
-    else:
-        mu1 = builtin_mu_minus1(pair.group)
-        m1f = apply_antiauto(mu1, pair.f)
-        c_e_perp = _mu_image(d_f, mu1, m1f + pair.ghat)  # mu_-1(1 - e) = mu_-1(f) + Ghat
-        d_e_perp = _mu_image(c_f, mu1, m1f)
-        checks = [(d_e_perp, d_e), (c_e, c_e_perp)]  # the C_f identity, mapped by mu_-1, then C_e's
-    for code, other in checks:
-        check_dual(code, other)
-    return DualityReport(case, names, c_e_perp, d_e_perp)
 
 
 def odd_like_bound(pair: DuadicPair) -> tuple[str, int]:

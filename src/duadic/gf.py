@@ -71,38 +71,28 @@ def as_indexes(values, below: int | None = None, name: str = "index") -> np.ndar
 class FiniteField:
     """Arithmetic context for GF(p^m).
 
-    Use :func:`field_make` to construct one, with the lex-smallest modulus
-    that a modulus of None stands for; the constructor checks p, m and the
-    modulus it is given.  Two fields with equal (p, m, modulus) compare equal
-    and their elements interoperate.
+    The constructor checks p and m and takes the lex-smallest modulus
+    (`_smallest_irreducible`); :func:`field_make` keeps one field per (p, m).
+    Two fields with equal (p, m) compare equal and their elements
+    interoperate.
 
     The vector kernels take indexes as numpy arrays, 0-d arrays or numpy
     scalars of any integer type and return int64 indexes (`vsum` over every
     axis: a Python int); on Python ints they use Python arithmetic.
     """
 
-    def __init__(self, p: int, m: int, modulus: tuple[int, ...] | None):
+    def __init__(self, p: int, m: int):
         p = as_int(p, "characteristic")
         if not is_prime(p):
             raise ValueError(f"characteristic {p} is not prime")
         m = as_int(m, "extension degree", lo=1)
         if p ** min(m, FIELD_ORDER_CAP.bit_length()) > FIELD_ORDER_CAP:  # p >= 2: no p**m for a huge m
             raise ValueError(f"field order {p}^{m} exceeds the cap {FIELD_ORDER_CAP}")
-        if m == 1:
-            if modulus is not None:
-                raise ValueError("prime fields carry no modulus")
-        else:
-            modulus = _smallest_irreducible(p, m) if modulus is None else modulus
-            if len(modulus) != m + 1 or modulus[-1] != 1:
-                raise ValueError("extension fields need a monic degree-m modulus")
-            modulus = tuple(int(c) % p for c in modulus)
-            if not _is_irreducible(p, modulus):
-                raise ValueError(f"modulus {modulus} is reducible over GF({p})")
         self.p = p
         self.m = m
         self.q = p**m
-        self.modulus = modulus
-        self._key = (p, m, modulus)
+        self.modulus = _smallest_irreducible(p, m) if m > 1 else None
+        self._key = (p, m)
         self._frob_maps: dict[int, np.ndarray] = {}
 
     # -- identity ------------------------------------------------------
@@ -399,7 +389,7 @@ def _smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
 @lru_cache(maxsize=None, typed=True)  # typed: field_make(2, 2.0) is refused, not a hit
 def field_make(p: int, m: int) -> FiniteField:
     """Construct GF(p^m) with the deterministic (lex-smallest) modulus."""
-    return FiniteField(p, m, None)
+    return FiniteField(p, m)
 
 
 def field_from_order(q: int) -> FiniteField:

@@ -1,9 +1,10 @@
 """The CSS stabilizer code of a duadic pair, with exact set-difference
 distances when enumerable and tagged lower bounds otherwise.  `analyze_pair`
 decides which numbers are exact and runs the enumerators for those alone;
-the enumerators only enforce the cap.  A report that enumerates nothing
-builds no code, and none builds its `CssCode`: `PairAnalysis.css` does, on
-first read, in `verify structure`, `--emit-matrices` and the tests."""
+the enumerators only enforce the cap.  The codes and their duals come
+checked from `duadic_codes`.  A report that enumerates nothing builds no
+code, and none builds its `CssCode`: `PairAnalysis.css` does, on first
+read, in `verify paper-81`, `--emit-matrices` and the tests."""
 
 from __future__ import annotations
 
@@ -19,8 +20,7 @@ from .codes import (
     subcode_check,
     weight_distribution,
 )
-from .duadic import DuadicCodes, DuadicPair, DualityReport, classify_duality
-from .duadic import duadic_codes, duality_case, odd_like_bound
+from .duadic import DuadicCodes, DuadicPair, duadic_codes, duality_case, odd_like_bound
 from .gf import as_int
 
 
@@ -49,7 +49,7 @@ class CssCode:
     C inside D is checked on build (ValueError otherwise).  The duals
     dual_c = C-perp and dual_d = D-perp are trusted as given, the way a
     `Group` trusts its table (`dual(c)`, `dual(d)` for any nested codes;
-    `PairAnalysis.css` passes those `classify_duality` verified), so the
+    `PairAnalysis.css` passes those `duadic_codes` verified), so the
     stabilizer sets are orthogonal with no product of their own.
     """
 
@@ -119,9 +119,9 @@ def _witness_side(name: str, witnesses: tuple, d: int, a: AlgebraElement) -> Sid
 @dataclass
 class PairAnalysis:
     """Everything reported for one duadic pair.  The codes behind it,
-    `codes` and `duality` with its checked duals, are built where a number
-    is enumerated, and elsewhere on first read, through the checks of
-    `duadic_codes` and `classify_duality`; `css` on first read only."""
+    `codes` with its checked duals, are built where a number is enumerated,
+    and elsewhere on first read, through the checks of `duadic_codes`;
+    `css` on first read only."""
 
     pair: DuadicPair
     case: str  # `duality_case`: "i", "ii" or "mixed"
@@ -135,13 +135,9 @@ class PairAnalysis:
         return duadic_codes(self.pair)
 
     @cached_property
-    def duality(self) -> DualityReport:
-        return classify_duality(self.pair, self.codes)
-
-    @cached_property
     def css(self) -> CssCode:
-        codes, duality = self.codes, self.duality
-        return CssCode(codes.c_e, codes.d_e, duality.c_e_perp, duality.d_e_perp, self.degeneracy.distance)
+        codes = self.codes
+        return CssCode(codes.c_e, codes.d_e, codes.c_e_perp, codes.d_e_perp, self.degeneracy.distance)
 
     def params(self) -> str:
         """`css.params()`, read without building the code: k = 1."""
@@ -149,7 +145,7 @@ class PairAnalysis:
 
 
 def analyze_pair(pair: DuadicPair, cap: int = DEFAULT_ENUM_CAP) -> PairAnalysis:
-    """Codes, duality, odd-like and CSS distances, and degeneracy of one pair.
+    """Codes with their duals, odd-like and CSS distances, and degeneracy of one pair.
 
     Each number is exact when its enumeration fits in cap words and the
     odd-like bound of the pair otherwise.  The three rules are decided here,
@@ -158,6 +154,8 @@ def analyze_pair(pair: DuadicPair, cap: int = DEFAULT_ENUM_CAP) -> PairAnalysis:
     (where q^k > cap no code is built), D_e \\ C_e has (q-1) q^k, and the CSS
     distance adds C_e-perp \\ D_e-perp of as many words outside case i; in
     case i, D_e-perp = C_e and C_e-perp = D_e, so the two are one set.
+    Before any enumerator runs, `duadic_codes` builds the codes and checks
+    their duals, and the enumerators read the duals from `codes`.
     """
     bound_type, bound_d = odd_like_bound(pair)
     fallback = DistanceRecord(bound_d, False, f"odd-like-{bound_type}-bound")
@@ -173,18 +171,17 @@ def analyze_pair(pair: DuadicPair, cap: int = DEFAULT_ENUM_CAP) -> PairAnalysis:
         degeneracy = DegeneracyReport(any(s.counts for s in sides), fallback, sides)
         return PairAnalysis(pair, case, names, (bound_type, bound_d), (fallback, fallback), degeneracy)
     codes = duadic_codes(pair)
-    duality = classify_duality(pair, codes)
     odd_like, distance = (fallback, fallback), fallback
     if odd_exact:
         odd_like = tuple(DistanceRecord(odd_like_min_weight(codes, s, cap)[0], True, "coset-enumeration") for s in "ef")
     if css_exact:
-        differences = [(codes.c_e, codes.d_e)] + ([] if case == "i" else [(duality.d_e_perp, duality.c_e_perp)])
+        differences = [(codes.c_e, codes.d_e)] + ([] if case == "i" else [(codes.d_e_perp, codes.c_e_perp)])
         best = min(difference_min_weight(small, big, cap)[0] for small, big in differences)
         distance = DistanceRecord(best, True, "coset-enumeration")
-    dists = (("C", weight_distribution(codes.c_e, cap)), ("D-perp", weight_distribution(duality.d_e_perp, cap)))
+    dists = (("C", weight_distribution(codes.c_e, cap)), ("D-perp", weight_distribution(codes.d_e_perp, cap)))
     d = distance.value
     sides = tuple(SideEvidence(name, True, tuple((w, int(a[w])) for w in range(1, min(d, len(a))) if a[w])) for name, a in dists)
     degeneracy = DegeneracyReport(any(s.counts for s in sides), distance, sides)
     analysis = PairAnalysis(pair, case, names, (bound_type, bound_d), odd_like, degeneracy)
-    analysis.codes, analysis.duality = codes, duality  # those its distances were enumerated on
+    analysis.codes = codes  # those its distances were enumerated on
     return analysis

@@ -590,7 +590,7 @@ def _modulus_reduction(field: FiniteField) -> np.ndarray:
 def reference_smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of degree m over GF(p),
     coefficients compared low-degree-first, found by Rabin's test."""
-    base = FiniteField(p, 1, None)
+    base = FiniteField(p, 1)
     for v in range(p ** (m - 1) if m >= 2 else 0, p**m):
         coeffs = tuple(v // p ** (m - 1 - i) % p for i in range(m)) + (1,)
         if Polynomial(base, coeffs).is_irreducible():

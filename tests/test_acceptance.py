@@ -22,12 +22,12 @@ from duadic.algebra import (
     split_primitive_central_idempotents,
 )
 from duadic.cli import main
-from duadic.codes import DEFAULT_ENUM_CAP, odd_like_min_weight, subcode_check
+from duadic.codes import DEFAULT_ENUM_CAP, dual, odd_like_min_weight, subcode_check
 from duadic.duadic import (
     DuadicPair,
-    classify_duality,
     construct_pairs,
     duadic_codes,
+    duality_case,
     odd_like_bound,
     product_duadic,
     splitting_exists_mu_minus1,
@@ -138,10 +138,11 @@ def test_criterion_3_code_structure(cyclic_grid, swap_pair_9):
 def test_criterion_4_duality_cases(cyclic_grid, swap_pair_9):
     cells, _ = cyclic_grid
     pair7 = cells[(7, 2)]
-    report_i = classify_duality(pair7)
-    assert (report_i.case, report_i.equalities) == ("i", ("C_e-perp = D_e", "C_f-perp = D_f"))
-    report_ii = classify_duality(swap_pair_9)
-    assert (report_ii.case, report_ii.equalities) == ("ii", ("C_e-perp = D_f", "C_f-perp = D_e"))
+    assert duality_case(pair7) == ("i", ("C_e-perp = D_e", "C_f-perp = D_f"))
+    assert duality_case(swap_pair_9) == ("ii", ("C_e-perp = D_f", "C_f-perp = D_e"))
+    for pair in (pair7, swap_pair_9):
+        codes = duadic_codes(pair)
+        assert (codes.c_e_perp, codes.d_e_perp) == (dual(codes.c_e), dual(codes.d_e))
     print("PASS criterion 4: duality case i at (n=7, q=2), case ii at (Z3xZ3, swap, q=2)")
 
 
@@ -205,7 +206,7 @@ def test_criterion_6_order81_product_reproduction():
     assert css.distance == DistanceRecord(9, False, "odd-like-square-bound")
     assert css.params() == "[[81,1,>=9]]_2"
     assert not css.distance.exact
-    sides = (("C", codes.c_e), ("D-perp", analysis.duality.d_e_perp))
+    sides = (("C", codes.c_e), ("D-perp", analysis.codes.d_e_perp))
     assert analysis.degeneracy.sides == reference_degeneracy_sides(sides, product.witnesses, 9)
     assert analysis.degeneracy.degenerate
     elapsed = time.perf_counter() - start

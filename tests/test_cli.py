@@ -1060,6 +1060,23 @@ class TestVerify:
         assert all(line.startswith("FAIL key-prop ") and line.endswith(": 1 != 2") for line in cells)
         assert summary.startswith("FAIL key-prop: ")
 
+    @pytest.mark.parametrize("case", ["i", "ii"])
+    def test_structure_suite_catches_a_wrong_case(self, capsys, monkeypatch, case):
+        # the cyclic cells are case i, the 3x3 swap cell case ii; the cells
+        # of the given case are told the other one, and their codes refuse it
+        real = duadic.duadic.duality_case
+        other = {"i": "ii", "ii": "i"}
+
+        def wrong(pair):
+            told, names = real(pair)
+            return (other[told], names) if told == case else (told, names)
+
+        monkeypatch.setattr(duadic.duadic, "duality_case", wrong)
+        assert main(["verify", "structure"]) == EXIT_VERIFY_FAILED
+        out, err = capsys.readouterr()
+        assert "PASS structure" not in out
+        assert err == "duadic: verification failure: dual of an ideal code violates the inversion-dual identity\n"
+
     def test_structure_suite_failure_exits_3(self, capsys, monkeypatch):
         # every odd-like distance of D_e read as exact and 1, below each bound
         real = cli.analyze_pair

@@ -25,13 +25,13 @@ from duadic.algebra import (
 )
 from duadic import _linalg
 from duadic import duadic as duadic_module
-from duadic.codes import LinearCode, odd_like_min_weight
+from duadic.codes import LinearCode, dual, odd_like_min_weight
 from duadic.duadic import (
     DuadicPair,
     check_splitting,
-    classify_duality,
     construct_pairs,
     duadic_codes,
+    duality_case,
     odd_like_bound,
     product_duadic,
     splitting_exists_mu_minus1,
@@ -368,8 +368,8 @@ class TestConstructPairs:
         for pair in pairs:
             codes = duadic_codes(pair)
             assert (codes.c_e.k, codes.d_e.k) == (12, 13)
-            report = classify_duality(pair, codes)
-            assert (report.case, report.equalities) == ("ii", ("C_e-perp = D_f", "C_f-perp = D_e"))
+            assert duality_case(pair) == ("ii", ("C_e-perp = D_f", "C_f-perp = D_e"))
+            assert (codes.c_e_perp, codes.d_e_perp) == (dual(codes.c_e), dual(codes.d_e))
 
     def test_invalid_pair_rejected(self, f2):
         g = cyclic_group(7)
@@ -802,10 +802,10 @@ class TestIdealMembership:
         pairs = [_canonical_pair(q, *factor) for factor in factors]
         pair = pairs[0] if len(pairs) == 1 else product_duadic(*pairs)
         field, group = pair.field, pair.group
-        assert name.endswith(classify_duality(pair).case) and bool(pair.witnesses) == (len(pairs) == 2)
+        assert name.endswith(duality_case(pair)[0]) and bool(pair.witnesses) == (len(pairs) == 2)
         analysis = analyze_pair(pair, cap=1)
         m1f = apply_antiauto(builtin_mu_minus1(group), pair.f)
-        sides = ((pair.e, analysis.codes.c_e), (m1f, analysis.duality.d_e_perp))
+        sides = ((pair.e, analysis.codes.c_e), (m1f, analysis.codes.d_e_perp))
         rng = np.random.default_rng(group.order * q)
         randoms = [AlgebraElement(field, group, rng.integers(q, size=group.order)) for _ in range(4)]
         # random words, random members of each side, and the witnesses
@@ -814,7 +814,7 @@ class TestIdealMembership:
             found = [w * a == w for w in words]
             assert found == [code.contains(w.vec) for w in words]
             assert any(found) and not all(found)
-        named = (("C", analysis.codes.c_e), ("D-perp", analysis.duality.d_e_perp))
+        named = (("C", analysis.codes.c_e), ("D-perp", analysis.codes.d_e_perp))
         d = analysis.degeneracy.distance.value
         assert analysis.degeneracy.sides == reference_degeneracy_sides(named, pair.witnesses, d, cap=1)
         for w in pair.witnesses:  # one at a time, so each side's count shows whether it holds w
@@ -822,24 +822,46 @@ class TestIdealMembership:
             assert single.degeneracy.sides == reference_degeneracy_sides(named, (w,), d, cap=1)
 
 
-class TestClassifyDuality:
-    def test_case_i(self, f2):
-        g = cyclic_group(7)
-        pair = construct_pairs(builtin_mu_minus1(g), f2, g)[0]
-        report = classify_duality(pair)
-        assert (report.case, report.equalities) == ("i", ("C_e-perp = D_e", "C_f-perp = D_f"))
+def _case_pairs(f2, z33_swap_pair):
+    """A pair of each duality case: 7 with mu_-1 (i), 3x3 with the swap (ii)
+    and their product (mixed)."""
+    g7 = cyclic_group(7)
+    pair7 = construct_pairs(builtin_mu_minus1(g7), f2, g7)[0]
+    return {"i": pair7, "ii": z33_swap_pair, "mixed": product_duadic(z33_swap_pair, pair7)}
+
+
+class TestDualIdentities:
+    """`duadic_codes` hands out the duals of C_e and D_e its case gives, each
+    the dual eliminated from the built code."""
+
+    def test_case_i(self, f2, z33_swap_pair):
+        pair = _case_pairs(f2, z33_swap_pair)["i"]
+        assert duality_case(pair) == ("i", ("C_e-perp = D_e", "C_f-perp = D_f"))
+        codes = duadic_codes(pair)
+        assert (codes.c_e_perp, codes.d_e_perp) == (dual(codes.c_e), dual(codes.d_e))
+        assert codes.c_e_perp is codes.d_e and codes.d_e_perp is codes.c_e
 
     def test_case_ii(self, z33_swap_pair):
-        report = classify_duality(z33_swap_pair)
-        assert (report.case, report.equalities) == ("ii", ("C_e-perp = D_f", "C_f-perp = D_e"))
+        assert duality_case(z33_swap_pair) == ("ii", ("C_e-perp = D_f", "C_f-perp = D_e"))
+        codes = duadic_codes(z33_swap_pair)
+        assert (codes.c_e_perp, codes.d_e_perp) == (dual(codes.c_e), dual(codes.d_e))
+        assert codes.c_e_perp is codes.d_f and codes.d_e_perp is codes.c_f
 
     def test_mixed_case(self, f2, z33_swap_pair):
-        g7 = cyclic_group(7)
-        pair7 = construct_pairs(builtin_mu_minus1(g7), f2, g7)[0]
-        mixed = product_duadic(z33_swap_pair, pair7)
+        mixed = _case_pairs(f2, z33_swap_pair)["mixed"]
         assert not mixed.fixed_by_mu_minus1 and not mixed.swapped_by_mu_minus1
-        report = classify_duality(mixed)
-        assert (report.case, report.equalities) == ("mixed", ("C_e-perp = R(1 - mu_-1(e))",))
+        assert duality_case(mixed) == ("mixed", ("C_e-perp = R(1 - mu_-1(e))",))
+        codes = duadic_codes(mixed)
+        assert (codes.c_e_perp, codes.d_e_perp) == (dual(codes.c_e), dual(codes.d_e))
+
+    # The mixed identities hold in every case, so only i and ii are wrong
+    # answers the checks can catch: a case-i pair told "mixed" is built right.
+    @pytest.mark.parametrize("case,wrong", [("i", "ii"), ("ii", "i"), ("mixed", "i"), ("mixed", "ii")])
+    def test_wrong_case_is_caught(self, f2, z33_swap_pair, monkeypatch, case, wrong):
+        pair = _case_pairs(f2, z33_swap_pair)[case]
+        monkeypatch.setattr(duadic_module, "duality_case", lambda pair: (wrong, ()))
+        with pytest.raises(VerificationError, match="^dual of an ideal code violates the inversion-dual identity$"):
+            duadic_codes(pair)
 
 
 class TestOddLikeBound:
@@ -962,8 +984,8 @@ class TestNonabelian:
         assert pair.swapped_by_mu_minus1
         codes = duadic_codes(pair)
         assert (codes.c_e.k, codes.d_e.k) == (10, 11)
-        report = classify_duality(pair, codes)
-        assert (report.case, report.equalities) == ("i", ("C_e-perp = D_e", "C_f-perp = D_f"))
+        assert duality_case(pair) == ("i", ("C_e-perp = D_e", "C_f-perp = D_f"))
+        assert (codes.c_e_perp, codes.d_e_perp) == (dual(codes.c_e), dual(codes.d_e))
 
     def test_frobenius21_over_gf2_no_splitting(self, frobenius21):
         f2 = field_from_order(2)

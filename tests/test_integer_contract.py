@@ -68,8 +68,8 @@ CASES = {
     ("Antiautomorphism.galois_exponents", "q"): (lambda v: MU.galois_exponents(v), 6, False),
     ("DistanceRecord.__init__", "value"): (lambda v: DistanceRecord(v, True, "x"), None, False),
     ("FqClassPartition.__init__", "q"): (lambda v: FqClassPartition(Z7, v, PARTITION.class_of, PARTITION.reps), None, True),
-    ("FiniteField.__init__", "p"): (lambda v: FiniteField(v, 1, None), 65537, False),
-    ("FiniteField.__init__", "m"): (lambda v: FiniteField(3, v, None), 0, False),
+    ("FiniteField.__init__", "p"): (lambda v: FiniteField(v, 1), 65537, False),
+    ("FiniteField.__init__", "m"): (lambda v: FiniteField(3, v), 0, False),
     ("FiniteField.coeffs_of", "a"): (lambda v: GF9.coeffs_of(v), 9, False),
     ("FiniteField.from_int", "n"): (lambda v: GF9.from_int(v), None, True),
     ("FiniteField.add", "a"): (lambda v: GF9.add(v, 1), 9, False),

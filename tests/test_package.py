@@ -39,7 +39,6 @@ EXPECTED_ALL = [
     "builtin_mu_minus1",
     "builtin_mu_swap",
     "check_splitting",
-    "classify_duality",
     "code_from_ideal",
     "construct_pairs",
     "cyclic_group",
@@ -117,6 +116,7 @@ EXPECTED_SURFACE = {
 }
 
 EXPECTED_SPLITTING_CHECK_FIELDS = ["ok", "fixed_class_ids", "partition"]
+EXPECTED_DUADIC_CODES_FIELDS = ["pair", "c_e", "c_f", "d_e", "d_f", "c_e_perp", "d_e_perp"]
 
 
 def test_core_type_surfaces_are_the_expected_lists():
@@ -128,6 +128,11 @@ def test_core_type_surfaces_are_the_expected_lists():
 def test_splitting_check_fields_are_the_expected_list():
     assert [field.name for field in dataclasses.fields(duadic.SplittingCheck)] == EXPECTED_SPLITTING_CHECK_FIELDS
     assert not [attr for attr in dir(duadic.SplittingCheck) if not attr.startswith("_")]
+
+
+def test_duadic_codes_fields_are_the_expected_list():
+    assert [field.name for field in dataclasses.fields(duadic.DuadicCodes)] == EXPECTED_DUADIC_CODES_FIELDS
+    assert not [attr for attr in dir(duadic.DuadicCodes) if not attr.startswith("_")]
 
 
 ROOT = Path(__file__).resolve().parents[1]

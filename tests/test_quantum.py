@@ -13,9 +13,9 @@ from duadic.algebra import AlgebraElement, apply_antiauto, split_primitive_centr
 from duadic.codes import DEFAULT_ENUM_CAP, LinearCode, difference_min_weight, dual, weight_distribution
 from duadic.duadic import (
     DuadicPair,
-    classify_duality,
     construct_pairs,
     duadic_codes,
+    duality_case,
     odd_like_bound,
     product_duadic,
 )
@@ -133,14 +133,14 @@ class TestCssDistance:
             (group_abelian([3, 3]), "swap", 16),  # case ii above the cap
         ],
     )
-    def test_duals_come_from_classify_duality_alone(self, f2, monkeypatch, group, mu_name, cap):
+    def test_duals_come_from_duadic_codes_alone(self, f2, monkeypatch, group, mu_name, cap):
         mu = builtin_mu_minus1(group) if mu_name == "mu-1" else builtin_mu_swap(group, 2)
         pair = construct_pairs(mu, f2, group)[0]
-        calls = record_calls(monkeypatch, [duadic_module, quantum], "classify_duality")
+        calls = record_calls(monkeypatch, [duadic_module, quantum], "duadic_codes")
         analysis = analyze_pair(pair, cap=cap)
         code = analysis.css
         assert len(calls) == 1
-        assert (code.dual_c, code.dual_d) == (analysis.duality.c_e_perp, analysis.duality.d_e_perp)
+        assert (code.dual_c, code.dual_d) == (analysis.codes.c_e_perp, analysis.codes.d_e_perp)
         assert code.dual_c == dual(code.code_c) and code.dual_d == dual(code.code_d)
         if analysis.css.distance.exact:
             assert analysis.css.distance.value == reference_css_distance(code.code_c, code.code_d)
@@ -247,11 +247,11 @@ class TestDegeneracy:
         mu = builtin_mu_minus1(group) if mu_name == "mu-1" else builtin_mu_swap(group, 2)
         pair = construct_pairs(mu, f2, group)[0]
         analysis = analyze_pair(pair)
-        codes, duality = analysis.codes, analysis.duality
-        a, code = (pair.e, codes.c_e) if side == "C" else (apply_antiauto(builtin_mu_minus1(group), pair.f), duality.d_e_perp)
+        codes = analysis.codes
+        a, code = (pair.e, codes.c_e) if side == "C" else (apply_antiauto(builtin_mu_minus1(group), pair.f), codes.d_e_perp)
         pair_word = np.zeros(group.order, dtype=np.int64)
         pair_word[:2] = 1
-        rows = (*codes.c_e.gen, *codes.d_e.gen, *duality.c_e_perp.gen, *duality.d_e_perp.gen, pair_word)
+        rows = (*codes.c_e.gen, *codes.d_e.gen, *codes.c_e_perp.gen, *codes.d_e_perp.gen, pair_word)
         witnesses = tuple(AlgebraElement(f2, group, row) for row in rows)
         assert any(w * a == w for w in witnesses) and not all(w * a == w for w in witnesses)
         evidence = quantum._witness_side(side, witnesses, group.order, a)
@@ -267,10 +267,10 @@ class TestAnalyzePair:
         for pair in pairs:
             analysis = analyze_pair(pair)
             codes = duadic_codes(pair)
-            cases.add(analysis.duality.case)
-            report = classify_duality(pair, codes)
-            assert analysis.duality == report
-            assert (analysis.case, analysis.equalities) == (report.case, report.equalities)
+            cases.add(analysis.case)
+            duals = (analysis.codes.c_e_perp, analysis.codes.d_e_perp)
+            assert duals == (codes.c_e_perp, codes.d_e_perp) == (dual(codes.c_e), dual(codes.d_e))
+            assert (analysis.case, analysis.equalities) == duality_case(pair)
             assert analysis.bound == odd_like_bound(pair)
             for side, record in zip("ef", analysis.odd_like):
                 assert record == DistanceRecord(reference_odd_like_min_weight(codes, side), True, "coset-enumeration")
@@ -419,8 +419,8 @@ class TestWorkCounts:
         pair = construct_pairs(mu, f2, group)[0]
         differences = record_calls(monkeypatch, [quantum], "difference_min_weight")
         analysis = analyze_pair(pair)
-        codes, duality = analysis.codes, analysis.duality
-        expected = [(codes.c_e, codes.d_e)] + ([(duality.d_e_perp, duality.c_e_perp)] if case == "ii" else [])
+        codes = analysis.codes
+        expected = [(codes.c_e, codes.d_e)] + ([(codes.d_e_perp, codes.c_e_perp)] if case == "ii" else [])
         assert analysis.case == case and analysis.css.distance.exact
         assert [args[:2] for _, args in differences] == expected
 
