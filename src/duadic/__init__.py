@@ -11,10 +11,6 @@ from .algebra import (
     alg_mul,
     apply_antiauto,
     hat_group,
-    hat_subgroup,
-    is_central,
-    is_even_like,
-    is_idempotent,
     split_primitive_central_idempotents,
 )
 from .codes import (
@@ -63,7 +59,6 @@ from .groups import (
     group_abelian,
     group_from_cayley,
     group_product,
-    mu_action_on_class,
     parse_cayley_text,
     product_antiauto,
     read_cayley_file,
@@ -115,11 +110,6 @@ __all__ = [
     "group_from_cayley",
     "group_product",
     "hat_group",
-    "hat_subgroup",
-    "is_central",
-    "is_even_like",
-    "is_idempotent",
-    "mu_action_on_class",
     "multiplicative_order_mod",
     "odd_like_bound",
     "odd_like_min_weight",

@@ -1,6 +1,6 @@
-"""Arithmetic in the group algebra F_q[G], idempotent predicates, and all
-centrally primitive idempotents, split in the Frobenius-fixed part of the
-center.  Elements store a length-n vector of field-element indexes.
+"""Arithmetic in the group algebra F_q[G] and all centrally primitive
+idempotents, split in the Frobenius-fixed part of the center.  Elements
+store a length-n vector of field-element indexes.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ import numpy as np
 from . import _linalg
 from .errors import VerificationError
 from .gf import FiniteField, as_indexes, as_int, lagrange_rows, roots
-from .groups import Antiautomorphism, FqClassPartition, Group, fq_classes, is_subgroup
+from .groups import Antiautomorphism, FqClassPartition, Group, fq_classes
 
 
 class AlgebraElement:
@@ -69,9 +69,6 @@ class AlgebraElement:
 
     def weight(self) -> int:
         return int(np.count_nonzero(self.vec))
-
-    def coefficient_sum(self) -> int:
-        return self.field.vsum(self.vec)
 
     def to_pairs(self) -> list[tuple[str, int]]:
         support = np.flatnonzero(self.vec)
@@ -134,36 +131,9 @@ def _inverse_size(field: FiniteField, size: int) -> int:
     return field.inv(field.from_int(size))
 
 
-def hat_subgroup(field: FiniteField, group: Group, subgroup_ids) -> AlgebraElement:
-    """The idempotent |N|^-1 sum_{g in N} g for a subgroup N."""
-    ids = np.unique(as_indexes(list(subgroup_ids)))
-    if not is_subgroup(group, ids):
-        raise ValueError("ids do not form a subgroup")
-    coeff = _inverse_size(field, len(ids))
-    v = np.zeros(group.order, dtype=np.int64)
-    v[ids] = coeff
-    return AlgebraElement(field, group, v)
-
-
 def hat_group(field: FiniteField, group: Group) -> AlgebraElement:
     """Ghat = n^-1 sum_g g, the constant vector n^-1."""
     return AlgebraElement(field, group, np.full(group.order, _inverse_size(field, group.order), dtype=np.int64))
-
-
-def is_idempotent(a: AlgebraElement) -> bool:
-    return alg_mul(a, a) == a
-
-
-def is_even_like(a: AlgebraElement) -> bool:
-    """True iff the coefficient sum vanishes (equivalently a * Ghat = 0)."""
-    return a.coefficient_sum() == 0
-
-
-def is_central(a: AlgebraElement) -> bool:
-    """True iff a commutes with every basis element (hence with everything)."""
-    coeffs_left = a.vec[a.group.left_translation]
-    coeffs_right = a.vec[a.group.right_translation]
-    return bool(np.array_equal(coeffs_left, coeffs_right))
 
 
 def apply_antiauto(mu: Antiautomorphism, a: AlgebraElement) -> AlgebraElement:

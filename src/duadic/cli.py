@@ -34,6 +34,7 @@ from .duadic import (
     DuadicPair,
     _class_criterion,
     construct_pairs,
+    duality_case,
     product_duadic,
     splitting_exists_mu_minus1,
 )
@@ -76,8 +77,7 @@ class _PairRows:
     """The pairs of a constructed report as their (P, n) e and f stacks over
     the group's labels.  The JSON text is rendered from the stacks
     (`chunks`); the [label, coefficient] lists of each pair are built only
-    where the rows are iterated, by `CodeReport.to_dict` and the text
-    report."""
+    where the rows are iterated, by the text report."""
 
     def __init__(self, labels: tuple[str, ...], es: np.ndarray, fs: np.ndarray):
         self.labels, self.es, self.fs = labels, es, fs
@@ -141,12 +141,6 @@ class CodeReport:
     degeneracy: dict | None = None
     timing_ms: float | None = None
 
-    def to_dict(self) -> dict:
-        d = self._json_fields()
-        if type(self.pairs) is _PairRows:
-            d["pairs"] = list(self.pairs)
-        return d
-
     def _json_fields(self) -> dict:
         # shallow: the fields hold plain JSON values, which asdict would deep-copy
         d = {f.name: getattr(self, f.name) for f in dataclass_fields(self)}
@@ -154,15 +148,12 @@ class CodeReport:
         return d
 
 
-def emit_json(reports: list[CodeReport]) -> str:
-    return "".join(_json_chunks(reports))
-
-
 def _json_chunks(reports: list[CodeReport]):
-    """json.dumps([r.to_dict() for r in reports], indent=2) + "\n" in
-    chunks, which `main` writes as they come: the whole text at once when
-    no report holds a `_PairRows`, else the text before each stack, the
-    stack's own `chunks` at the indentation of its line, and the text after."""
+    """The text json.dumps(..., indent=2) + "\n" gives for the reports, each
+    as its fields with timing_ms null and its pairs listed, in chunks, which
+    `main` writes as they come: the whole text at once when no report holds
+    a `_PairRows`, else the text before each stack, the stack's own
+    `chunks` at the indentation of its line, and the text after."""
     out: list = []
     _write_json([r._json_fields() for r in reports], "", out)
     out.append("\n")
@@ -309,7 +300,7 @@ def _existence_fields(mu: Antiautomorphism, field: FiniteField, ok: bool) -> dic
 
 
 def _analysis_fields(analysis: PairAnalysis) -> dict:
-    distance, k = analysis.degeneracy.distance, analysis.pair.group.order // 2
+    distance, k = analysis.distance, analysis.pair.group.order // 2
     # the pair's identities give the dims and the case; the matrices check them where the codes are built
     return {
         "dims": {"c_e": k, "c_f": k, "d_e": k + 1, "d_f": k + 1},
@@ -331,10 +322,10 @@ def _analysis_fields(analysis: PairAnalysis) -> dict:
             "params": analysis.params(),
         },
         "degeneracy": {
-            "degenerate": analysis.degeneracy.degenerate,
+            "degenerate": analysis.degenerate,
             "sides": [
                 {"side": s.side, "exact": s.exact, "counts": [[w, c] for w, c in s.counts]}
-                for s in analysis.degeneracy.sides
+                for s in analysis.sides
             ],
         },
     }
@@ -533,14 +524,14 @@ def _suite_paper81(log) -> bool:
     except VerificationError as exc:
         log(f"FAIL paper-81: component pair invalid: {exc}")
         return False
-    ok &= pair1.fixed_by_mu_minus1
+    ok &= duality_case(pair1)[0] == "ii"
     product = product_duadic(pair1, pair1)
     analysis = analyze_pair(product)
     ok &= (analysis.codes.c_e.k, analysis.codes.d_e.k) == (40, 41)
     ok &= any(w.weight() == 4 for w in product.witnesses)
     ok &= analysis.bound == ("square", 9)
     ok &= analysis.css.params() == "[[81,1,>=9]]_2" and not analysis.css.distance.exact
-    ok &= analysis.degeneracy.degenerate
+    ok &= analysis.degenerate
     log(f"{'PASS' if ok else 'FAIL'} paper-81: product pair, dims 40/41, weight-4 witness, [[81,1,>=9]]_2")
     return ok
 

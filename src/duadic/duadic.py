@@ -63,7 +63,8 @@ class DuadicPair:
     so mu(f) = 1 - Ghat - f = e; e Ghat = eps(e) Ghat = 0 and f Ghat = 0;
     and ef = e - e Ghat - e^2 = 0, fe = 0 the same way.  The check is
     `_pair_axioms` on a stack of one row, the one `construct_pairs` runs on
-    the stack of all its pairs.
+    the stack of all its pairs.  A pair stores what defines it; what mu_-1
+    does to (e, f), its duality case, is read from e and f by `duality_case`.
     """
 
     def __init__(
@@ -79,10 +80,10 @@ class DuadicPair:
         if mu.group != group or any(x.field != field or x.group != group for x in (e, f)):
             raise ValueError(f"e, f and mu must live over {field!r} and {group!r}")
         ghat = hat_group(field, group)
-        (fixed,), (swapped,) = _pair_axioms(field, group, mu, ghat, e.vec[None], f.vec[None])
-        self._set(field, group, e, f, mu, ghat, fixed, swapped, witnesses)
+        _pair_axioms(field, group, mu, ghat, e.vec[None], f.vec[None])
+        self._set(field, group, e, f, mu, ghat, witnesses)
 
-    def _set(self, field, group, e, f, mu, ghat, fixed, swapped, witnesses=()) -> "DuadicPair":
+    def _set(self, field, group, e, f, mu, ghat, witnesses=()) -> "DuadicPair":
         """Store a pair whose axioms `_pair_axioms` has checked."""
         self.field = field
         self.group = group
@@ -90,8 +91,6 @@ class DuadicPair:
         self.f = f
         self.mu = mu
         self.ghat = ghat
-        self.fixed_by_mu_minus1 = fixed
-        self.swapped_by_mu_minus1 = swapped
         self.witnesses = tuple(witnesses)
         return self
 
@@ -118,16 +117,14 @@ def _pair_axioms(
     es: np.ndarray,
     fs: np.ndarray,
     parts: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[list[bool], list[bool]]:
+) -> None:
     """Check `DuadicPair`'s four axioms on every row of the (P, n) stacks es
     and fs, (e, f) = (es[i], fs[i]): e^2 = e by `_idempotent_rows`, and
     even-like, A1 and A2 (one scatter and one vfrobenius) by one comparison
     over the stack each.  parts, when given, is (sel, units): the P x r 0/1
     selections of the stacked units whose sums the rows of es claim to be.
-    VerificationError names every axiom some row violates.  Returns, per
-    row, whether mu_-1 fixes e and whether it swaps e and f: mu_-1(e) is e
-    with its columns taken at the inverses, since inversion is an involution
-    and mu_-1 has no field part."""
+    VerificationError names every axiom some row violates; a stack that
+    holds them all passes with nothing returned."""
     checks = [
         ("e idempotent", _idempotent_rows(field, group, es, parts)),
         ("e even-like", not field.vsum(es, axis=1).any()),
@@ -137,8 +134,6 @@ def _pair_axioms(
     failed = [name for name, ok in checks if not ok]
     if failed:
         raise VerificationError(f"duadic axioms violated: {', '.join(failed)}")
-    m1e = es[:, group.inverse]
-    return (m1e == es).all(axis=1).tolist(), (m1e == fs).all(axis=1).tolist()
 
 
 def _idempotent_rows(
@@ -324,14 +319,14 @@ def construct_pairs(
         order = np.lexsort(es.T[::-1])
         es, fs, in_e = es[order], fs[order], np.where(swap, in_f, in_e)[order]
     selection = (in_e, vecs) if _PARTS_ROWS * len(in_e) >= len(vecs) ** 2 else None
-    fixed, swapped = _pair_axioms(field, group, mu, ghat, es, fs, selection)
-    return _PairStacks(field, group, mu, ghat, es, fs, fixed, swapped)
+    _pair_axioms(field, group, mu, ghat, es, fs, selection)
+    return _PairStacks(field, group, mu, ghat, es, fs)
 
 
 @dataclass(frozen=True, eq=False)
 class _PairStacks(Sequence):
     """The checked pairs of `construct_pairs` as stacks: row i of es and fs
-    is pair i's e and f, fixed[i] and swapped[i] its mu_-1 flags."""
+    is pair i's e and f."""
 
     field: FiniteField
     group: Group
@@ -339,8 +334,6 @@ class _PairStacks(Sequence):
     ghat: AlgebraElement
     es: np.ndarray
     fs: np.ndarray
-    fixed: list[bool]
-    swapped: list[bool]
 
     def __len__(self) -> int:
         return len(self.es)
@@ -349,9 +342,7 @@ class _PairStacks(Sequence):
         """Pair i as a DuadicPair, stored without a second check."""
         field, group = self.field, self.group
         e, f = AlgebraElement(field, group, self.es[i]), AlgebraElement(field, group, self.fs[i])
-        return DuadicPair.__new__(DuadicPair)._set(
-            field, group, e, f, self.mu, self.ghat, self.fixed[i], self.swapped[i]
-        )
+        return DuadicPair.__new__(DuadicPair)._set(field, group, e, f, self.mu, self.ghat)
 
 
 @dataclass(frozen=True)
@@ -430,10 +421,13 @@ def duality_case(pair: DuadicPair) -> tuple[str, tuple[str, ...]]:
     """The pair's inversion-duality case and the names of its dual identities,
     from mu_-1's action on (e, f) alone: for a central idempotent a,
     (Ra)-perp = R(1 - mu_-1(a)), so mu_-1(e) = f gives C_e-perp = R(1 - f)
-    = D_e (case i) and mu_-1(e) = e gives D_f (case ii)."""
-    if pair.swapped_by_mu_minus1:
+    = D_e (case i) and mu_-1(e) = e gives D_f (case ii).  mu_-1(e) is e with
+    its columns taken at the inverses, since inversion is an involution and
+    mu_-1 has no field part."""
+    m1e = pair.e.vec[pair.group.inverse]
+    if np.array_equal(m1e, pair.f.vec):
         return "i", ("C_e-perp = D_e", "C_f-perp = D_f")
-    if pair.fixed_by_mu_minus1:
+    if np.array_equal(m1e, pair.e.vec):
         return "ii", ("C_e-perp = D_f", "C_f-perp = D_e")
     return "mixed", ("C_e-perp = R(1 - mu_-1(e))",)
 

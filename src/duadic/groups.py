@@ -223,13 +223,6 @@ class Group:
         left.flags.writeable = False
         return left
 
-    @cached_property
-    def right_translation(self) -> np.ndarray:
-        """R[g, x] = id of x * g^-1, so (a*g) has coefficients a[R[g]]."""
-        right = self.table[:, self.inverse].T.copy()
-        right.flags.writeable = False
-        return right
-
     # -- labels --------------------------------------------------------------
 
     def element_tuple(self, g: int) -> tuple[int, ...]:
@@ -325,16 +318,6 @@ def group_product(g1: Group, g2: Group) -> Group:
     if g1.abelian_orders is not None and g2.abelian_orders is not None:
         product.abelian_orders = g1.abelian_orders + g2.abelian_orders
     return product
-
-
-def is_subgroup(group: Group, ids) -> bool:
-    """True iff ids is nonempty, contains the identity, and is closed."""
-    ids = np.unique(as_indexes(list(ids)))
-    if not ids.size or ids[0] != 0 or ids[-1] >= group.order:
-        return False
-    mask = np.zeros(group.order, dtype=bool)
-    mask[ids] = True
-    return bool(mask[group.table[np.ix_(ids, ids)]].all() and mask[group.inverse[ids]].all())
 
 
 # ---------------------------------------------------------------------------
@@ -530,15 +513,6 @@ def _mu_images(group: Group, mus, qs, ids: np.ndarray) -> np.ndarray:
     stars = np.array([mu.mu_star for mu in mus], dtype=np.int64).reshape(len(mus), group.order)
     ells = np.array([mu.galois_exponents(q)[1] for mu, q in zip(mus, qs)], dtype=np.int64)
     return group._power(stars[:, ids], ells.reshape((-1,) + (1,) * np.ndim(ids)))
-
-
-def mu_action_on_class(mu: Antiautomorphism, partition: FqClassPartition, class_id: int | np.ndarray):
-    """Image class id under K -> K(mu_star(rep)^l), elementwise over an array of class ids."""
-    if mu.group != partition.group:
-        raise ValueError("antiautomorphism and partition live on different groups")
-    reps = np.asarray(partition.reps, dtype=np.int64)[as_indexes(class_id, len(partition), "class id")]
-    img = partition.class_of[_mu_images(partition.group, [mu], [partition.q], reps)[0]]
-    return int(img) if np.ndim(img) == 0 else img
 
 
 # ---------------------------------------------------------------------------

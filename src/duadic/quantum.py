@@ -97,13 +97,6 @@ class SideEvidence:
     counts: tuple[tuple[int, int], ...]  # (weight, number of words), weights < d
 
 
-@dataclass(frozen=True)
-class DegeneracyReport:
-    degenerate: bool
-    distance: DistanceRecord
-    sides: tuple[SideEvidence, ...]
-
-
 def _witness_side(name: str, witnesses: tuple, d: int, a: AlgebraElement) -> SideEvidence:
     """Lower-bound evidence of the side R a, a central idempotent: the distinct
     translates g w of each witness w of weight below d in R a, by weight.  w
@@ -118,17 +111,37 @@ def _witness_side(name: str, witnesses: tuple, d: int, a: AlgebraElement) -> Sid
 
 @dataclass
 class PairAnalysis:
-    """Everything reported for one duadic pair.  The codes behind it,
-    `codes` with its checked duals, are built where a number is enumerated,
-    and elsewhere on first read, through the checks of `duadic_codes`;
-    `css` on first read only."""
+    """What the enumerations of one duadic pair found: the odd-like
+    distances, the CSS distance and the degeneracy evidence.  What the pair
+    decides alone, its duality case and odd-like bound, is read from the
+    pair.  The codes behind it, `codes` with its checked duals, are built
+    where a number is enumerated, and elsewhere on first read, through the
+    checks of `duadic_codes`; `css` on first read only."""
 
     pair: DuadicPair
-    case: str  # `duality_case`: "i", "ii" or "mixed"
-    equalities: tuple[str, ...]  # the names of that case's dual identities
-    bound: tuple[str, int]  # (bound type, smallest weight meeting it)
     odd_like: tuple[DistanceRecord, DistanceRecord]  # odd-like minimum weights of D_e, D_f
-    degeneracy: DegeneracyReport  # its distance record is the CSS code's
+    distance: DistanceRecord  # the CSS code's
+    sides: tuple[SideEvidence, ...]  # sub-distance words of C and of D-perp
+
+    @property
+    def case(self) -> str:
+        """`duality_case`: "i", "ii" or "mixed"."""
+        return duality_case(self.pair)[0]
+
+    @property
+    def equalities(self) -> tuple[str, ...]:
+        """The names of that case's dual identities."""
+        return duality_case(self.pair)[1]
+
+    @property
+    def bound(self) -> tuple[str, int]:
+        """`odd_like_bound`: (bound type, smallest weight meeting it)."""
+        return odd_like_bound(self.pair)
+
+    @property
+    def degenerate(self) -> bool:
+        """Whether either side holds a word below the CSS distance."""
+        return any(s.counts for s in self.sides)
 
     @cached_property
     def codes(self) -> DuadicCodes:
@@ -137,11 +150,11 @@ class PairAnalysis:
     @cached_property
     def css(self) -> CssCode:
         codes = self.codes
-        return CssCode(codes.c_e, codes.d_e, codes.c_e_perp, codes.d_e_perp, self.degeneracy.distance)
+        return CssCode(codes.c_e, codes.d_e, codes.c_e_perp, codes.d_e_perp, self.distance)
 
     def params(self) -> str:
         """`css.params()`, read without building the code: k = 1."""
-        return _params(self.pair.group.order, 1, self.pair.field.q, self.degeneracy.distance)
+        return _params(self.pair.group.order, 1, self.pair.field.q, self.distance)
 
 
 def analyze_pair(pair: DuadicPair, cap: int = DEFAULT_ENUM_CAP) -> PairAnalysis:
@@ -155,21 +168,22 @@ def analyze_pair(pair: DuadicPair, cap: int = DEFAULT_ENUM_CAP) -> PairAnalysis:
     distance adds C_e-perp \\ D_e-perp of as many words outside case i; in
     case i, D_e-perp = C_e and C_e-perp = D_e, so the two are one set.
     Before any enumerator runs, `duadic_codes` builds the codes and checks
-    their duals, and the enumerators read the duals from `codes`.
+    their duals, and the enumerators read the duals from `codes`.  The
+    analysis keeps the numbers and the evidence; the case and the bound
+    they were decided from are read again from the pair.
     """
     bound_type, bound_d = odd_like_bound(pair)
     fallback = DistanceRecord(bound_d, False, f"odd-like-{bound_type}-bound")
-    case, names = duality_case(pair)
+    case = duality_case(pair)[0]
     group, q, cap = pair.group, pair.field.q, as_int(cap, "cap", lo=1)
     words = q ** (group.order // 2)
     sides_exact, odd_exact = words <= cap, (q - 1) * words <= cap
     css_exact = (q - 1) * words * (1 if case == "i" else 2) <= cap
     if not sides_exact:
         # C = Re, and D-perp = R mu_-1(f) since D_e = R(1 - f) and mu_-1 fixes 1
-        m1f = AlgebraElement(pair.field, group, pair.f.vec[group.inverse])  # mu_-1(f), as in `_pair_axioms`
+        m1f = AlgebraElement(pair.field, group, pair.f.vec[group.inverse])  # mu_-1(f), as in `duality_case`
         sides = tuple(_witness_side(name, pair.witnesses, bound_d, a) for name, a in (("C", pair.e), ("D-perp", m1f)))
-        degeneracy = DegeneracyReport(any(s.counts for s in sides), fallback, sides)
-        return PairAnalysis(pair, case, names, (bound_type, bound_d), (fallback, fallback), degeneracy)
+        return PairAnalysis(pair, (fallback, fallback), fallback, sides)
     codes = duadic_codes(pair)
     odd_like, distance = (fallback, fallback), fallback
     if odd_exact:
@@ -181,7 +195,6 @@ def analyze_pair(pair: DuadicPair, cap: int = DEFAULT_ENUM_CAP) -> PairAnalysis:
     dists = (("C", weight_distribution(codes.c_e, cap)), ("D-perp", weight_distribution(codes.d_e_perp, cap)))
     d = distance.value
     sides = tuple(SideEvidence(name, True, tuple((w, int(a[w])) for w in range(1, min(d, len(a))) if a[w])) for name, a in dists)
-    degeneracy = DegeneracyReport(any(s.counts for s in sides), distance, sides)
-    analysis = PairAnalysis(pair, case, names, (bound_type, bound_d), odd_like, degeneracy)
+    analysis = PairAnalysis(pair, odd_like, distance, sides)
     analysis.codes = codes  # those its distances were enumerated on
     return analysis

@@ -11,6 +11,7 @@ an oracle that only one test module uses stays in that module.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -24,15 +25,22 @@ from duadic.algebra import (
     AlgebraElement,
     alg_mul,
     apply_antiauto,
-    is_central,
-    is_idempotent,
     split_primitive_central_idempotents,
 )
+from duadic.cli import _json_chunks, _PairRows
 from duadic.codes import DEFAULT_ENUM_CAP, coset_min_weight, dual
 from duadic.duadic import DuadicPair, SplittingCheck
 from duadic.errors import EnumerationCapError, VerificationError
-from duadic.gf import FiniteField, _prime_factors, multiplicative_order_mod
-from duadic.groups import FqClassPartition, Group, fq_classes, group_product, product_antiauto
+from duadic.gf import FiniteField, _prime_factors, as_indexes, multiplicative_order_mod
+from duadic.groups import (
+    Antiautomorphism,
+    FqClassPartition,
+    Group,
+    _mu_images,
+    fq_classes,
+    group_product,
+    product_antiauto,
+)
 from duadic.quantum import SideEvidence
 
 # Fixed seed for the equal-degree splitting step of the factorization, so
@@ -872,6 +880,59 @@ def reference_check_splitting(mu, field: FiniteField, group: Group) -> Splitting
 
 
 # ---------------------------------------------------------------------------
+# subgroups, subgroup hats, idempotent predicates and mu on classes: the
+# tests' own checks, which no path of the package reads
+# ---------------------------------------------------------------------------
+
+
+def is_subgroup(group: Group, ids) -> bool:
+    """True iff ids is nonempty, contains the identity, and is closed."""
+    ids = np.unique(as_indexes(list(ids)))
+    if not ids.size or ids[0] != 0 or ids[-1] >= group.order:
+        return False
+    mask = np.zeros(group.order, dtype=bool)
+    mask[ids] = True
+    return bool(mask[group.table[np.ix_(ids, ids)]].all() and mask[group.inverse[ids]].all())
+
+
+def hat_subgroup(field: FiniteField, group: Group, subgroup_ids) -> AlgebraElement:
+    """The idempotent |N|^-1 sum_{g in N} g for a subgroup N."""
+    ids = np.unique(as_indexes(list(subgroup_ids)))
+    if not is_subgroup(group, ids):
+        raise ValueError("ids do not form a subgroup")
+    if len(ids) % field.p == 0:
+        raise ValueError(f"|N| = {len(ids)} is not invertible in {field!r}")
+    v = np.zeros(group.order, dtype=np.int64)
+    v[ids] = field.inv(field.from_int(len(ids)))
+    return AlgebraElement(field, group, v)
+
+
+def is_idempotent(a: AlgebraElement) -> bool:
+    return alg_mul(a, a) == a
+
+
+def is_even_like(a: AlgebraElement) -> bool:
+    """True iff the coefficient sum vanishes (equivalently a * Ghat = 0)."""
+    return a.field.vsum(a.vec) == 0
+
+
+def is_central(a: AlgebraElement) -> bool:
+    """True iff a commutes with every basis element (hence with everything):
+    g a has coefficients a[L[g]] and a g has a[R[g]], R[g, x] = id of x g^-1."""
+    group = a.group
+    return bool(np.array_equal(a.vec[group.left_translation], a.vec[group.table[:, group.inverse].T]))
+
+
+def mu_action_on_class(mu: Antiautomorphism, partition: FqClassPartition, class_id: int | np.ndarray):
+    """Image class id under K -> K(mu_star(rep)^l), elementwise over an array of class ids."""
+    if mu.group != partition.group:
+        raise ValueError("antiautomorphism and partition live on different groups")
+    reps = np.asarray(partition.reps, dtype=np.int64)[as_indexes(class_id, len(partition), "class id")]
+    img = partition.class_of[_mu_images(partition.group, [mu], [partition.q], reps)[0]]
+    return int(img) if np.ndim(img) == 0 else img
+
+
+# ---------------------------------------------------------------------------
 # centrally primitive idempotents: structural checks
 # ---------------------------------------------------------------------------
 
@@ -959,6 +1020,14 @@ def reference_pair_axioms(e: AlgebraElement, f: AlgebraElement, mu) -> list[str]
         ("f*Ghat = 0", vanishes(f, ghat)),
     ]
     return [name for name, ok in checks if not ok]
+
+
+def reference_mu_minus1_flags(group: Group, es: np.ndarray, fs: np.ndarray) -> tuple[list[bool], list[bool]]:
+    """Per row of the (P, n) stacks of pairs (es[i], fs[i]), whether mu_-1
+    fixes e and whether it swaps e and f, over the whole stack at once:
+    mu_-1(e) is e with its columns taken at the inverses."""
+    m1e = es[:, group.inverse]
+    return (m1e == es).all(axis=1).tolist(), (m1e == fs).all(axis=1).tolist()
 
 
 def reference_pairs_from_cycles(mu, field: FiniteField, group: Group, mode: str = "canonical") -> list:
@@ -1272,3 +1341,24 @@ def _primitive_root_factor(field: FiniteField, m: int) -> Polynomial:
     for r in _prime_factors(m):
         phi = phi // phi.gcd(x_pow_minus_one(field, m // r))
     return equal_degree_factors(phi, multiplicative_order_mod(field.q, m))[0]
+
+
+# ---------------------------------------------------------------------------
+# the --json text: what the writer gives, and the value whose json.dumps it
+# must equal
+# ---------------------------------------------------------------------------
+
+
+def emit_json(reports) -> str:
+    """The text `main` writes for the reports with --json, its chunks joined."""
+    return "".join(_json_chunks(reports))
+
+
+def report_dict(report) -> dict:
+    """The value json.dumps(..., indent=2) writes as a report's text: its
+    fields, timing_ms null, and a constructed report's pairs as lists."""
+    d = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
+    d["timing_ms"] = None
+    if isinstance(report.pairs, _PairRows):
+        d["pairs"] = list(report.pairs)
+    return d

@@ -17,8 +17,6 @@ import pytest
 from duadic.algebra import (
     AlgebraElement,
     alg_mul,
-    is_even_like,
-    is_idempotent,
     split_primitive_central_idempotents,
 )
 from duadic.cli import main
@@ -45,7 +43,13 @@ from duadic.groups import (
 from duadic.quantum import DistanceRecord, analyze_pair
 
 from conftest import frobenius21_table
-from oracles import abelian_character_idempotents, reference_css_distance, reference_degeneracy_sides
+from oracles import (
+    abelian_character_idempotents,
+    is_even_like,
+    is_idempotent,
+    reference_css_distance,
+    reference_degeneracy_sides,
+)
 
 Q_LIST = (2, 3, 4, 5, 7, 9)
 ODD_N = tuple(range(3, 46, 2))
@@ -186,10 +190,10 @@ def test_criterion_6_order81_product_reproduction():
     f1 = AlgebraElement.from_coeff_list(field, group, [(g, 1) for g in ids_f])
     assert is_idempotent(e1) and is_idempotent(f1)
     assert is_even_like(e1) and is_even_like(f1)
-    # A1/A2 under swap-mu and mu_-1 fixedness are re-verified by the pair constructor
+    # A1/A2 under swap-mu are re-verified by the pair constructor; mu_-1 fixes e1 (case ii)
     pair1 = DuadicPair(field, group, e1, f1, mu)
     pair2 = DuadicPair(field, group, e1, f1, mu)
-    assert pair1.fixed_by_mu_minus1
+    assert duality_case(pair1)[0] == "ii"
     product = product_duadic(pair1, pair2)
     assert is_idempotent(product.e)
     codes = duadic_codes(product)
@@ -207,8 +211,8 @@ def test_criterion_6_order81_product_reproduction():
     assert css.params() == "[[81,1,>=9]]_2"
     assert not css.distance.exact
     sides = (("C", codes.c_e), ("D-perp", analysis.codes.d_e_perp))
-    assert analysis.degeneracy.sides == reference_degeneracy_sides(sides, product.witnesses, 9)
-    assert analysis.degeneracy.degenerate
+    assert analysis.sides == reference_degeneracy_sides(sides, product.witnesses, 9)
+    assert analysis.degenerate
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"criterion 6 took {elapsed:.1f}s"
     print(f"PASS criterion 6: order-81 product reproduction, [[81,1,>=9]]_2 tagged ({elapsed:.1f}s)")

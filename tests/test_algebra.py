@@ -21,10 +21,6 @@ from duadic.algebra import (
     alg_mul,
     apply_antiauto,
     hat_group,
-    hat_subgroup,
-    is_central,
-    is_even_like,
-    is_idempotent,
     split_primitive_central_idempotents,
 )
 from duadic.codes import code_from_ideal
@@ -45,6 +41,10 @@ from oracles import (
     Polynomial,
     _primitive_root_factor,
     abelian_character_idempotents,
+    hat_subgroup,
+    is_central,
+    is_even_like,
+    is_idempotent,
     naive_mul,
     reference_rref,
     reference_split_idempotents,

@@ -25,7 +25,6 @@ from duadic.cli import (
     EXIT_USAGE,
     EXIT_VERIFY_FAILED,
     CodeReport,
-    emit_json,
     main,
     parse_group_spec,
     parse_mu_spec,
@@ -35,7 +34,7 @@ from duadic.groups import builtin_mu_minus1, builtin_mu_swap, group_abelian, gro
 from duadic.quantum import DistanceRecord
 
 from conftest import frobenius21_table, metacyclic_table
-from oracles import format_cayley
+from oracles import emit_json, format_cayley, report_dict
 
 
 class TestSpecParsing:
@@ -920,7 +919,7 @@ def test_malformed_input_exits_1_with_one_line(tmp_path, monkeypatch, capsys, ar
 
 def assert_written_as_json_dumps(value):
     report = CodeReport("7", 2, "mu-1", existence=value, dims={"after": value})
-    expected = json.dumps([report.to_dict()], indent=2) + "\n"
+    expected = json.dumps([report_dict(report)], indent=2) + "\n"
     assert emit_json([report]) == expected and list(cli._json_chunks([report])) == [expected]
 
 
@@ -957,7 +956,7 @@ class TestJsonWriter:
     def test_the_old_pairs_mark_is_a_plain_string(self):
         assert_written_as_json_dumps("\0pairs")
         report = CodeReport("\0pairs", 2, "mu-1", pairs=["\0pairs"], dims={"pairs": "\0pairs"})
-        assert emit_json([report]) == json.dumps([report.to_dict()], indent=2) + "\n"
+        assert emit_json([report]) == json.dumps([report_dict(report)], indent=2) + "\n"
 
 
 class TestJsonRoundTrip:
@@ -977,7 +976,7 @@ class TestJsonRoundTrip:
         report.timing_ms = 12.5
         deep = dataclasses.asdict(report)
         deep["timing_ms"] = None
-        assert report.to_dict() == deep
+        assert report._json_fields() == deep
         assert json.dumps([deep], indent=2) + "\n" == emit_json([report]) == text
 
     @pytest.mark.parametrize("spec", ["31", "@z31.cayley"])
@@ -996,11 +995,11 @@ class TestJsonRoundTrip:
         assert json.dumps([row], indent=2) + "\n" == text
         assert emit_json([CodeReport(**row)]) == text
 
-    def test_constructed_pairs_become_lists_only_in_to_dict(self, capsys):
+    def test_constructed_pairs_become_lists_only_where_iterated(self, capsys):
         argv = ["construct", "--group", "31", "--q", "5", "--mu", "mu-1", "--enumerate-all", "--json"]
         (report,) = cli.cmd_construct(cli.build_parser().parse_args(argv))
         assert type(report.pairs) is cli._PairRows and len(report.pairs) == 16
-        deep = report.to_dict()
+        deep = report_dict(report)
         assert type(deep["pairs"]) is list and all(type(pair["e"][0]) is list for pair in deep["pairs"])
         assert main(argv) == EXIT_OK
         (row,) = json.loads(capsys.readouterr().out)

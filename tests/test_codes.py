@@ -465,10 +465,10 @@ class TestKernelAgainstOracle:
         # words come in the oracle's order, so the witness is the same word
         witness = min_weight(codes.d_e)[1]
         assert witness.tolist() == reference_coset_min_weight(field, codes.d_e.gen, zero)[1].tolist()
-        fast = [odd_like_min_weight(codes, side)[0] for side in "ef"], analyze_pair(codes.pair).degeneracy.distance
+        fast = [odd_like_min_weight(codes, side)[0] for side in "ef"], analyze_pair(codes.pair).distance
         assert fast[1] == DistanceRecord(reference_css_distance(codes.c_e, codes.d_e), True, "coset-enumeration")
         monkeypatch.setattr(codes_module, "coset_min_weight", reference_coset_min_weight)
-        assert fast == ([odd_like_min_weight(codes, side)[0] for side in "ef"], analyze_pair(codes.pair).degeneracy.distance)
+        assert fast == ([odd_like_min_weight(codes, side)[0] for side in "ef"], analyze_pair(codes.pair).distance)
 
     def test_offset_inside_span_skips_zero_word(self, z33_codes):
         code = z33_codes.d_e
@@ -707,7 +707,7 @@ def test_a_pair_builds_one_set_of_coset_tables(group, q, mu_name, case, builds, 
     monkeypatch.setattr(codes_module, "_coset_tables", lambda *a: built.append(a) or real(*a))
     analysis = analyze_pair(_named_pair(group, q, mu_name))
     assert analysis.case == case and analysis.css.distance.exact
-    assert all(side.exact for side in analysis.degeneracy.sides)
+    assert all(side.exact for side in analysis.sides)
     assert len(built) == builds
 
 
@@ -766,7 +766,7 @@ class TestFSideSharesTheESide:
         monkeypatch.setattr(codes_module, "coset_min_weight", recorded)
         monkeypatch.setattr(codes_module, "_coset_chunks", lambda *a: scans.append(a) or real_chunks(*a))
         analysis = analyze_pair(construct_pairs(mu, field, group)[0])
-        assert analysis.css.distance.exact and all(side.exact for side in analysis.degeneracy.sides)
+        assert analysis.css.distance.exact and all(side.exact for side in analysis.sides)
         # the odd-like cosets of both sides and the CSS differences are one
         # coset of C_e up to relabelling, and both degeneracy sides one
         # distribution; with a Frobenius part C_f's are scanned apart

@@ -19,8 +19,6 @@ from duadic.algebra import (
     alg_mul,
     apply_antiauto,
     hat_group,
-    is_even_like,
-    is_idempotent,
     split_primitive_central_idempotents,
 )
 from duadic import _linalg
@@ -51,7 +49,10 @@ from duadic.quantum import analyze_pair
 
 from conftest import frobenius21_table, metacyclic_table
 from oracles import (
+    is_even_like,
+    is_idempotent,
     reference_degeneracy_sides,
+    reference_mu_minus1_flags,
     reference_pair_axioms,
     reference_pairs_from_cycles,
     reference_product_duadic,
@@ -315,7 +316,7 @@ class TestConstructPairs:
         e, f = pairs[0].e, pairs[0].f
         assert np.flatnonzero(e.vec).tolist() == [0, 3, 5, 6]
         assert np.flatnonzero(f.vec).tolist() == [0, 1, 2, 4]
-        assert pairs[0].swapped_by_mu_minus1 and not pairs[0].fixed_by_mu_minus1
+        assert duality_case(pairs[0])[0] == "i"
         assert repr(pairs[-1]) == "DuadicPair(n=7, q=2, mu=mu-1)"
 
     def test_z33_swap_enumerate_all_contains_paper_pair(self, f2):
@@ -325,7 +326,7 @@ class TestConstructPairs:
         e1 = tuple_elem(f2, g, [(1, 0), (2, 0), (1, 1), (2, 2)])
         f1 = tuple_elem(f2, g, [(0, 1), (0, 2), (1, 2), (2, 1)])
         assert any(p.e == e1 and p.f == f1 for p in pairs)
-        assert all(p.fixed_by_mu_minus1 for p in pairs)
+        assert all(duality_case(p)[0] == "ii" for p in pairs)
 
     def test_trivial_group_yields_nothing(self, f2):
         g = group_from_cayley([[0]])
@@ -432,11 +433,6 @@ class TestConstructPairs:
         pairs = construct_pairs(mu, field, group, mode=mode)
         expected = reference_pairs_from_cycles(mu, field, group, mode=mode)
         assert [(p.e, p.f) for p in pairs] == [(p.e, p.f) for p in expected]
-        # mu_-1(e) has coefficient e_g at g^-1: here a gather, where the construction scatters
-        inverse = group.inverse
-        assert [(p.fixed_by_mu_minus1, p.swapped_by_mu_minus1) for p in pairs] == [
-            (np.array_equal(p.e.vec[inverse], p.e.vec), np.array_equal(p.e.vec[inverse], p.f.vec)) for p in expected
-        ]
         if size is not None:
             assert len(pairs) == (1 if mode == "canonical" else size)
 
@@ -503,7 +499,6 @@ class TestConstructPairs:
         last = pairs[-1]
         assert made["elements"] == 2
         assert np.array_equal(last.e.vec, pairs.es[255]) and np.array_equal(last.f.vec, pairs.fs[255])
-        assert (last.fixed_by_mu_minus1, last.swapped_by_mu_minus1) == (pairs.fixed[255], pairs.swapped[255])
         with pytest.raises(IndexError):
             pairs[256]
 
@@ -770,10 +765,14 @@ class TestCodeDerivation:
         assert analysis.css.k == 1 and rows == [pair.group.order]
 
 
-def _canonical_pair(q: int, spec: str, mu: str) -> DuadicPair:
+def _cell_pairs(q: int, spec: str, mu: str, mode: str = "canonical"):
     group = cyclic_group(int(spec)) if "x" not in spec else group_abelian([int(p) for p in spec.split("x")])
     mu_map = builtin_mu_minus1(group) if mu == "mu-1" else builtin_mu_swap(group, q)
-    return construct_pairs(mu_map, field_from_order(q), group)[0]
+    return construct_pairs(mu_map, field_from_order(q), group, mode)
+
+
+def _canonical_pair(q: int, spec: str, mu: str) -> DuadicPair:
+    return _cell_pairs(q, spec, mu)[0]
 
 
 # (q, factors): one cell per duality case and q; two factors make a product
@@ -815,11 +814,11 @@ class TestIdealMembership:
             assert found == [code.contains(w.vec) for w in words]
             assert any(found) and not all(found)
         named = (("C", analysis.codes.c_e), ("D-perp", analysis.codes.d_e_perp))
-        d = analysis.degeneracy.distance.value
-        assert analysis.degeneracy.sides == reference_degeneracy_sides(named, pair.witnesses, d, cap=1)
+        d = analysis.distance.value
+        assert analysis.sides == reference_degeneracy_sides(named, pair.witnesses, d, cap=1)
         for w in pair.witnesses:  # one at a time, so each side's count shows whether it holds w
             single = analyze_pair(DuadicPair(field, group, pair.e, pair.f, pair.mu, witnesses=(w,)), cap=1)
-            assert single.degeneracy.sides == reference_degeneracy_sides(named, (w,), d, cap=1)
+            assert single.sides == reference_degeneracy_sides(named, (w,), d, cap=1)
 
 
 def _case_pairs(f2, z33_swap_pair):
@@ -849,7 +848,6 @@ class TestDualIdentities:
 
     def test_mixed_case(self, f2, z33_swap_pair):
         mixed = _case_pairs(f2, z33_swap_pair)["mixed"]
-        assert not mixed.fixed_by_mu_minus1 and not mixed.swapped_by_mu_minus1
         assert duality_case(mixed) == ("mixed", ("C_e-perp = R(1 - mu_-1(e))",))
         codes = duadic_codes(mixed)
         assert (codes.c_e_perp, codes.d_e_perp) == (dual(codes.c_e), dual(codes.d_e))
@@ -862,6 +860,33 @@ class TestDualIdentities:
         monkeypatch.setattr(duadic_module, "duality_case", lambda pair: (wrong, ()))
         with pytest.raises(VerificationError, match="^dual of an ideal code violates the inversion-dual identity$"):
             duadic_codes(pair)
+
+
+class TestDualityCaseReadsMuMinus1:
+    """`duality_case` reads mu_-1's action from one pair's e and f; the
+    flags `reference_mu_minus1_flags` computes over a whole stack are the
+    oracle: swapped is case i, fixed case ii, neither mixed."""
+
+    @staticmethod
+    def flag_cases(group, es, fs) -> list[str]:
+        fixed, swapped = reference_mu_minus1_flags(group, es, fs)
+        return ["i" if s else "ii" if f else "mixed" for f, s in zip(fixed, swapped)]
+
+    @pytest.mark.parametrize("spec,mu_name,q,case,count", [
+        ("31", "mu-1", 5, "i", 16),
+        ("3x3", "swap", 2, "ii", 2),
+        ("5x5", "swap", 2, "ii", 4),
+    ])
+    def test_every_enumerated_pair(self, spec, mu_name, q, case, count):
+        pairs = _cell_pairs(q, spec, mu_name, "enumerate-all")
+        assert len(pairs) == count
+        cases = [duality_case(pair)[0] for pair in pairs]
+        assert cases == self.flag_cases(pairs.group, pairs.es, pairs.fs) == [case] * count
+
+    def test_mixed_product(self, f2, z33_swap_pair):
+        mixed = _case_pairs(f2, z33_swap_pair)["mixed"]
+        assert duality_case(mixed)[0] == "mixed"
+        assert self.flag_cases(mixed.group, mixed.e.vec[None], mixed.f.vec[None]) == ["mixed"]
 
 
 class TestOddLikeBound:
@@ -895,7 +920,7 @@ class TestProductDuadic:
         prod = product_duadic(paper_pair, paper_pair)
         assert prod.group.order == 81
         assert is_idempotent(prod.e) and is_even_like(prod.e)
-        assert prod.fixed_by_mu_minus1
+        assert duality_case(prod)[0] == "ii"
         codes = duadic_codes(prod)
         assert (codes.c_e.k, codes.d_e.k) == (40, 41)
 
@@ -981,7 +1006,6 @@ class TestNonabelian:
         chk = check_splitting(mu, f4, frobenius21)
         assert chk.ok
         pair = construct_pairs(mu, f4, frobenius21)[0]
-        assert pair.swapped_by_mu_minus1
         codes = duadic_codes(pair)
         assert (codes.c_e.k, codes.d_e.k) == (10, 11)
         assert duality_case(pair) == ("i", ("C_e-perp = D_e", "C_f-perp = D_f"))

@@ -40,7 +40,6 @@ from duadic import (
     fq_classes,
     group_abelian,
     multiplicative_order_mod,
-    mu_action_on_class,
     odd_like_min_weight,
     splitting_exists_mu_minus1,
     weight_distribution,
@@ -96,7 +95,6 @@ CASES = {
     ("field_make", "p"): (lambda v: field_make(v, 1), 65537, False),
     ("field_make", "m"): (lambda v: field_make(3, v), 0, False),
     ("fq_classes", "q"): (lambda v: fq_classes(Z7, v), 7, True),
-    ("mu_action_on_class", "class_id"): (lambda v: mu_action_on_class(MU, PARTITION, v), len(PARTITION), False),
     ("multiplicative_order_mod", "q"): (lambda v: multiplicative_order_mod(v, 7), 7, True),
     ("multiplicative_order_mod", "n"): (lambda v: multiplicative_order_mod(3, v), 0, False),
     ("odd_like_min_weight", "cap"): (lambda v: odd_like_min_weight(CODES, "e", v), 0, False),

@@ -52,11 +52,6 @@ EXPECTED_ALL = [
     "group_from_cayley",
     "group_product",
     "hat_group",
-    "hat_subgroup",
-    "is_central",
-    "is_even_like",
-    "is_idempotent",
-    "mu_action_on_class",
     "multiplicative_order_mod",
     "odd_like_bound",
     "odd_like_min_weight",
@@ -106,17 +101,16 @@ EXPECTED_SURFACE = {
     ],
     "Group": [
         "element_id", "element_orders", "element_tuple", "exponent", "is_abelian", "labels",
-        "left_translation", "power", "right_translation",
+        "left_translation", "power",
     ],
     "Antiautomorphism": ["galois_exponents", "is_inversion_for"],
-    "AlgebraElement": [
-        "basis", "coefficient_sum", "field", "from_coeff_list", "group", "one", "scale",
-        "to_pairs", "vec", "weight", "zero",
-    ],
+    "AlgebraElement": ["basis", "field", "from_coeff_list", "group", "one", "scale", "to_pairs", "vec", "weight", "zero"],
 }
 
 EXPECTED_SPLITTING_CHECK_FIELDS = ["ok", "fixed_class_ids", "partition"]
 EXPECTED_DUADIC_CODES_FIELDS = ["pair", "c_e", "c_f", "d_e", "d_f", "c_e_perp", "d_e_perp"]
+# what the enumerations found; what the pair decides is read from the pair
+EXPECTED_PAIR_ANALYSIS_FIELDS = ["pair", "odd_like", "distance", "sides"]
 
 
 def test_core_type_surfaces_are_the_expected_lists():
@@ -133,6 +127,10 @@ def test_splitting_check_fields_are_the_expected_list():
 def test_duadic_codes_fields_are_the_expected_list():
     assert [field.name for field in dataclasses.fields(duadic.DuadicCodes)] == EXPECTED_DUADIC_CODES_FIELDS
     assert not [attr for attr in dir(duadic.DuadicCodes) if not attr.startswith("_")]
+
+
+def test_pair_analysis_fields_are_the_expected_list():
+    assert [field.name for field in dataclasses.fields(duadic.PairAnalysis)] == EXPECTED_PAIR_ANALYSIS_FIELDS
 
 
 ROOT = Path(__file__).resolve().parents[1]

@@ -22,7 +22,7 @@ from duadic.duadic import (
 from duadic.errors import EnumerationCapError, NoSplittingError
 from duadic.gf import field_from_order
 from duadic.groups import builtin_mu_minus1, builtin_mu_swap, cyclic_group, group_abelian
-from duadic.quantum import DegeneracyReport, DistanceRecord, analyze_pair
+from duadic.quantum import DistanceRecord, analyze_pair
 
 from conftest import enumerable_cells
 from oracles import (
@@ -55,9 +55,14 @@ def order81(f2):
 
 
 def reference_degeneracy(pair, codes, distance, cap):
-    """The degeneracy report the generic rules give: sides C_e and dual(D_e)."""
+    """(degenerate, distance, sides) as the generic rules give them: sides C_e and dual(D_e)."""
     sides = reference_degeneracy_sides((("C", codes.c_e), ("D-perp", dual(codes.d_e))), pair.witnesses, distance.value, cap)
-    return DegeneracyReport(any(s.counts for s in sides), distance, sides)
+    return any(s.counts for s in sides), distance, sides
+
+
+def degeneracy(analysis):
+    """(degenerate, distance, sides) of an analysis, as `reference_degeneracy` gives them."""
+    return analysis.degenerate, analysis.distance, analysis.sides
 
 
 class TestCssCode:
@@ -90,7 +95,7 @@ class TestCssCode:
 
 class TestCssDistance:
     def test_steane_exact(self, steane):
-        assert steane.degeneracy.distance == DistanceRecord(3, True, "coset-enumeration")
+        assert steane.distance == DistanceRecord(3, True, "coset-enumeration")
 
     def test_matches_naive_both_sides(self, steane):
         assert steane.css.distance.value == reference_css_distance(steane.codes.c_e, steane.codes.d_e)
@@ -106,7 +111,7 @@ class TestCssDistance:
     def test_cap_counts_the_difference_words(self, f2):
         # case i: the one difference D \ C holds 2^4 - 2^3 = 8 words
         g = cyclic_group(7)
-        tags = [canonical_analysis(f2, g, builtin_mu_minus1(g), cap).degeneracy.distance for cap in (4, 7, 8)]
+        tags = [canonical_analysis(f2, g, builtin_mu_minus1(g), cap).distance for cap in (4, 7, 8)]
         assert tags == [DistanceRecord(3, False, "odd-like-sharpened-bound")] * 2 + [
             DistanceRecord(3, True, "coset-enumeration")
         ]
@@ -191,14 +196,12 @@ class TestPairPipeline:
 
 class TestDegeneracy:
     def test_steane_not_degenerate(self, steane):
-        report = steane.degeneracy
-        assert not report.degenerate
-        assert all(s.exact and not s.counts for s in report.sides)
+        assert not steane.degenerate
+        assert all(s.exact and not s.counts for s in steane.sides)
 
     def test_order81_degenerate_with_weight4_words(self, order81):
-        report = order81.degeneracy
-        assert report.degenerate
-        by_side = {s.side: s for s in report.sides}
+        assert order81.degenerate
+        by_side = {s.side: s for s in order81.sides}
         assert not by_side["C"].exact
         assert by_side["C"].counts and by_side["C"].counts[0][0] == 4
         assert by_side["C"].counts[0][1] >= 81
@@ -207,10 +210,17 @@ class TestDegeneracy:
     def test_report_carries_the_css_distance(self, steane, order81):
         # the evidence is the words below the CSS code's own distance record
         for analysis in (steane, order81):
-            report = analysis.degeneracy
-            assert report.distance is analysis.css.distance
-            assert all(w < report.distance.value for s in report.sides for w, _ in s.counts)
-            assert report.degenerate == any(s.counts for s in report.sides)
+            assert analysis.distance is analysis.css.distance
+            assert all(w < analysis.distance.value for s in analysis.sides for w, _ in s.counts)
+
+    def test_degenerate_is_whether_a_side_holds_a_word(self, steane, order81):
+        # enumerated sides on 21 over GF(4) (degenerate) and 7 over GF(2)
+        # (not), and the witness sides of the order-81 product's bound path
+        z21 = cyclic_group(21)
+        analyses = [canonical_analysis(field_from_order(4), z21, builtin_mu_minus1(z21)), steane, order81]
+        assert [a.degenerate for a in analyses] == [any(s.counts for s in a.sides) for a in analyses]
+        assert [a.degenerate for a in analyses] == [True, False, True]
+        assert [all(s.exact for s in a.sides) for a in analyses] == [True, True, False]
 
     @pytest.mark.parametrize("q", [2, 4])
     def test_zero_dimensional_side(self, q):
@@ -277,7 +287,7 @@ class TestAnalyzePair:
             distance = DistanceRecord(reference_css_distance(codes.c_e, codes.d_e), True, "coset-enumeration")
             assert analysis.css.distance == distance
             assert analysis.css.params() == analysis.params() == f"[[{group.order},1,{distance.value}]]_{field.q}"
-            assert analysis.degeneracy == reference_degeneracy(pair, codes, distance, DEFAULT_ENUM_CAP)
+            assert degeneracy(analysis) == reference_degeneracy(pair, codes, distance, DEFAULT_ENUM_CAP)
             a_ce = weight_distribution(codes.c_e)
             assert macwilliams(a_ce, field.q, codes.c_e.k) == list(weight_distribution(codes.d_e))
         assert cases == ({"i"} if mu.is_inversion_for(field) else {"ii"})
@@ -316,8 +326,8 @@ class TestAnalyzePair:
         except EnumerationCapError:
             distance = fallback
         assert analysis.css.distance == distance
-        assert analysis.degeneracy == reference_degeneracy(pair, codes, distance, cap)
-        exact = (*(r.exact for r in analysis.odd_like), distance.exact, *(s.exact for s in analysis.degeneracy.sides))
+        assert degeneracy(analysis) == reference_degeneracy(pair, codes, distance, cap)
+        exact = (*(r.exact for r in analysis.odd_like), distance.exact, *(s.exact for s in analysis.sides))
         assert "".join("E" if e else "B" for e in exact) == tags[0] * 2 + tags[1] + tags[2] * 2
 
     @pytest.mark.parametrize(
@@ -348,9 +358,9 @@ class TestAnalyzePair:
     def test_order81_product_all_bounds(self, order81):
         assert order81.css.params() == "[[81,1,>=9]]_2"
         assert order81.odd_like == (order81.css.distance,) * 2
-        assert order81.degeneracy == reference_degeneracy(order81.pair, order81.codes, order81.css.distance, DEFAULT_ENUM_CAP)
-        assert order81.degeneracy.degenerate
-        assert not any(side.exact for side in order81.degeneracy.sides)
+        assert degeneracy(order81) == reference_degeneracy(order81.pair, order81.codes, order81.css.distance, DEFAULT_ENUM_CAP)
+        assert order81.degenerate
+        assert not any(side.exact for side in order81.sides)
 
 
 def record_calls(monkeypatch, owners, name: str) -> list:
